@@ -8,8 +8,9 @@ Modules:
   dual         forward-mode dual numbers
   exterior     differential forms on charts, curvature, fiber checks
   invariants   invariant polynomials, Jordan decomposition, Chern forms
-  strata       flag-tube models, bump functions, partitions of unity
-  connections  invariant, induced and patched connection forms
+  strata       flag-tube models, bump functions, partitions of unity,
+               the patched-connection recursion
+  connections  invariant connections and the hypotheses of induction
   charts       product-of-exponentials group charts, sphere quadrature
   siegel       the rank-2 three-stratum geometric model
   schubert     exact Schubert calculus on compact duals

@@ -3,22 +3,17 @@
 Subcommands: verify, curvature, chern, dual.  All results are printed as
 UTF-8 JSON to stdout or written to --out.  Exit codes: 0 all checks pass,
 1 a check failed, 2 usage or configuration error.
-
-CHERNPATCH_THREADS caps the worker pool used when several suites are
-requested at once; the default is single-threaded and reports do not
-depend on the pool size.
 """
 
 import argparse
+import inspect
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import charts, connections, hcrepr, liecore, schubert, suites
+from . import connections, hcrepr, liecore, schubert, suites
 from .errors import PreconditionFailed
 
 __all__ = ["main", "compute_report"]
@@ -29,13 +24,6 @@ _GROUPS = {
     "sp6": lambda: liecore.sp2nR(3),
     "su2": liecore.su2,
 }
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("CHERNPATCH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_group(token):
@@ -79,25 +67,29 @@ def _cmd_verify(args):
         kwargs["tol"] = args.tol
     if args.samples is not None:
         kwargs["samples"] = args.samples
+    # options only some suites read: each goes to the suites that take it
+    optional = {}
+    if args.model:
+        optional["model"] = args.model
+    if args.corrupt:
+        optional["corrupt"] = True
+    readers = {key: {name for name in args.suite
+                     if key in inspect.signature(suites.SUITES[name]).parameters}
+               for key in optional}
+    for key, names in readers.items():
+        if not names:
+            raise PreconditionFailed(
+                f"--{key} is read by none of the requested suites")
     if args.model:
         with open(args.model, encoding="utf-8") as fh:
-            kwargs["model"] = suites.model_from_dict(json.load(fh))
+            optional["model"] = suites.model_from_dict(json.load(fh))
 
-    def one(name):
+    reports = []
+    for name in args.suite:
         kw = dict(kwargs)
-        if name != "springer":
-            pass
-        elif args.corrupt:
-            kw["corrupt"] = True
-        if name not in ("partition", "vanishing") and "model" in kw:
-            kw.pop("model")
-        return suites.run_suite(name, **kw)
-
-    if len(args.suite) == 1:
-        reports = [one(args.suite[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            reports = list(pool.map(one, args.suite))
+        kw.update((key, val) for key, val in optional.items()
+                  if name in readers[key])
+        reports.append(suites.run_suite(name, **kw))
     report = reports[0] if len(reports) == 1 else {
         "schema": suites.SCHEMA, "suites": reports,
         "pass": all(r["pass"] for r in reports)}
@@ -144,10 +136,6 @@ def _cmd_chern(args):
                                   samples=args.samples or 160)
     else:
         raise PreconditionFailed(f"unknown check {args.check!r}")
-    if args.model:
-        with open(args.model, encoding="utf-8") as fh:
-            json.load(fh)  # validated as JSON; geometry is the rank-2 model
-        report["model"] = args.model
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -186,7 +174,6 @@ def _build_parser():
     c.set_defaults(func=_cmd_curvature)
 
     ch = sub.add_parser("chern", help="geometric-model checks")
-    ch.add_argument("--model", help="flag-model JSON path")
     ch.add_argument("--check", required=True,
                     choices=["pifiber", "patched", "quadrature"])
     ch.add_argument("--seed", type=int, default=0)

@@ -1,5 +1,5 @@
-"""Invariant connections on homogeneous bundles and their parabolically
-induced relatives.
+"""Invariant connections on homogeneous bundles, and the checks that
+parabolic induction needs from them.
 
 A connection on the bundle attached to a K-representation lambda is stored
 through its value omega_0 on the Lie algebra at the identity; evaluation
@@ -11,6 +11,9 @@ anywhere else is by left translation.  The classification conditions are
 and the curvature at the identity is
 
     Omega_0(g1, g2) = [omega_0 g1, omega_0 g2] - omega_0([g1, g2]).
+
+The induced connection itself, lambda_1'(ldot) + Ad(lambda_1(g_l^{-1}))
+omega_1(L_{g_h} hdot), is evaluated by :meth:`siegel.SiegelModel.omega_XY`.
 """
 
 from __future__ import annotations
@@ -117,73 +120,6 @@ def flat_connection_from_hom(spec, rep, hom_values, basis=None, tol=TOL):
 # parabolic induction
 
 
-class InducedConnection:
-    """Connection on the large domain induced from one on the hermitian part.
-
-    pd is the parabolic data of a maximal standard parabolic (rank r); the
-    base connection lives on the hermitian Levi factor and is given by its
-    invariant value base_omega0 on Lie(G_h) directions (already an End(V)
-    matrix for the canonically extended bundle).  Evaluation:
-
-        omega(L_g (udot + hdot + ldot))
-            = lambda_1'(ldot) + Ad(lambda_1(g_l^{-1})) (omega_1(L_{g_h} hdot))
-    """
-
-    def __init__(self, pd, rep, base_omega0=None):
-        spec = pd.spec
-        if len(pd.flag) != 1:
-            raise CommutationHypothesisFailed(
-                "single-step induction needs a maximal parabolic; use multi_induce")
-        self.pd = pd
-        self.rep = rep
-        self.r = pd.flag[0]
-        self.ext = hcrepr.canonical_extension(rep, self.r)
-        self.base_omega0 = base_omega0  # callable hdot -> End(V), or None
-
-    def evaluate(self, g, xdot):
-        """omega at L_g(xdot) for g in P, xdot in Lie(P)."""
-        pd = self.pd
-        udot, hdot, ldot = pd.split(xdot)
-        _, g_h, g_l = liecore.group_factor(pd, g)
-        val = self.ext.alg(ldot)
-        if self.base_omega0 is not None:
-            base = self.base_omega0(g_h, hdot)
-            lam = self.ext(np.linalg.inv(g_l))
-            val = val + lam @ base @ np.linalg.inv(lam)
-        return val
-
-    def curvature(self, g, x1, x2, h=1e-6):
-        """Curvature on left-invariant extensions of x1, x2 at g.
-
-        The induced form is not constant along left-invariant fields (the
-        Levi twist depends on the base point), so besides the algebraic
-        terms the derivative terms of d(omega) are differenced numerically.
-        """
-        a, b = self.evaluate(g, x1), self.evaluate(g, x2)
-        alg = a @ b - b @ a - self.evaluate(g, liecore.bracket(x1, x2))
-
-        def deriv(xa, xb):
-            gp = g @ liecore.exp_grp(self.pd.spec, h * xa, check=False)
-            gm = g @ liecore.exp_grp(self.pd.spec, -h * xa, check=False)
-            return (self.evaluate(gp, xb) - self.evaluate(gm, xb)) / (2 * h)
-
-        return alg + deriv(x1, x2) - deriv(x2, x1)
-
-
-def induced_connection(pd, rep, base_conn=None) -> InducedConnection:
-    """base_conn: InvariantConnection on the hermitian factor, or None (point).
-
-    The base omega_1 must be expressed on ambient Lie(G_h) directions; for
-    an InvariantConnection built on the small hermitian group, pass a
-    callable translating (g_h, hdot) to the End(V) value instead.
-    """
-    if base_conn is None:
-        return InducedConnection(pd, rep, None)
-    if callable(base_conn):
-        return InducedConnection(pd, rep, base_conn)
-    return InducedConnection(pd, rep, lambda g_h, hdot: base_conn.omega0(hdot))
-
-
 def nomizu_base(pd, rep):
     """Nomizu connection on the hermitian Levi factor, as a base for induction.
 
@@ -223,45 +159,6 @@ def check_ad_commutation(pd, rep, base_omega0, generator_scale=0.7, tol=TOL):
     return worst
 
 
-class MultiInducedConnection:
-    """Connection induced along a chain of parabolics in one step:
-
-        omega(L_g (udot_Q + gdot_1h + gdot_Ql))
-            = omega_1(L_{g_1h} gdot_1h) + lambda_1'(gdot_Ql).
-
-    Valid when the base connection commutes with Ad lambda_1 of the linear
-    Levi and of U_{P_1 Q}; the hypothesis is verified on generators at
-    construction time.
-    """
-
-    def __init__(self, pd, rep, base_omega0=None, check=True, tol=1e-9):
-        self.pd = pd
-        self.rep = rep
-        self.r = pd.flag[-1]
-        self.ext = hcrepr.canonical_extension(rep, self.r)
-        self.base_omega0 = base_omega0
-        if check and base_omega0 is not None:
-            worst = 0.0
-            gens = list(pd.basis_l) + list(pd.basis_u_rel)
-            for l in gens:
-                lam = self.ext(liecore.exp_grp(pd.spec, 0.7 * l))
-                li = np.linalg.inv(lam)
-                for h in pd.basis_h:
-                    v = base_omega0(None, h)
-                    worst = max(worst, float(np.max(np.abs(lam @ v @ li - v))))
-            if worst > tol:
-                raise CommutationHypothesisFailed(f"generator residual {worst}")
-
-    def evaluate(self, g, xdot):
-        pd = self.pd
-        udot, hdot, ldot = pd.split(xdot)
-        val = self.ext.alg(ldot)
-        if self.base_omega0 is not None:
-            _, g_1h, _, _ = liecore.group_factor_fine(pd, g)
-            val = val + self.base_omega0(g_1h, hdot)
-        return val
-
-
 def chain_difference_nilpotent(pd_q, rep, udot_diff, tol=1e-9):
     """lambda_1'(udot) for udot in Lie(U_{P_1 Q}); nilpotency is asserted.
 
@@ -278,25 +175,3 @@ def chain_difference_nilpotent(pd_q, rep, udot_diff, tol=1e-9):
     if float(np.max(np.abs(p))) > tol * max(1.0, float(np.max(np.abs(val))) ** d):
         raise CommutationHypothesisFailed("chain difference term is not nilpotent")
     return val
-
-
-# ---------------------------------------------------------------------------
-# trivialization transform
-
-
-def trivialization_transform(rep, omega_eval, g, X, h=1e-6):
-    """One-form in the automorphy trivialization:
-
-        eta(q_* L_g X) = J omega(L_g X) J^{-1} - (d_X J) J^{-1}
-
-    where J(g) = lambda(j(g)) along the curve g exp(tX).  omega_eval(g, X)
-    returns the connection value; the derivative of J is central-difference.
-    """
-    spec = rep.spec
-    Jg = rep.lamC(hcrepr.middle_j(spec, g))
-    Jinv = np.linalg.inv(Jg)
-    om = omega_eval(g, X)
-    gp = g @ liecore.exp_grp(spec, h * X)
-    gm = g @ liecore.exp_grp(spec, -h * X)
-    dJ = (rep.lamC(hcrepr.middle_j(spec, gp)) - rep.lamC(hcrepr.middle_j(spec, gm))) / (2 * h)
-    return Jg @ om @ Jinv - dJ @ Jinv

@@ -145,8 +145,3 @@ def seed(x):
 def value(x):
     return x.val if isinstance(x, Dual) else x
 
-
-def gradient(x, m):
-    if isinstance(x, Dual):
-        return x.grad
-    return np.zeros(m, dtype=complex)

@@ -11,7 +11,6 @@ after one numerical differentiation, 1e-4 after two.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +101,6 @@ class VForm:
         if sm is None:
             return None
         return sm.value(x)
-
-    def value_shape(self, x):
-        for sm in self.comps.values():
-            return sm.value(x).shape
-        return ()
 
     def evaluate(self, x, vectors):
         """omega_x(v_1, ..., v_q)."""

@@ -72,7 +72,7 @@ def hc_decompose(spec, g, in_complex_coords=False, tol=1e-9) -> HCDecomposition:
     M = complex_coords_map(spec)
     gc = np.asarray(g, dtype=complex)
     if not in_complex_coords:
-        gc = M @ gc @ np.linalg.conj(M).T if False else M @ gc @ np.linalg.inv(M)
+        gc = M @ gc @ np.linalg.inv(M)
     p, q = _block_sizes(spec)
     A, B = gc[:p, :p], gc[:p, p:]
     C, D = gc[p:, :p], gc[p:, p:]
@@ -95,16 +95,6 @@ def hc_decompose(spec, g, in_complex_coords=False, tol=1e-9) -> HCDecomposition:
 def middle_j(spec, g, in_complex_coords=False):
     """j(g): block-diagonal middle factor, in complex coordinates."""
     return hc_decompose(spec, g, in_complex_coords=in_complex_coords).k_c
-
-
-def in_p_plus_kc(spec, g, in_complex_coords=False, tol=1e-8) -> bool:
-    """Is g in P^+ K(C) (lower-left complex-coordinate block zero)?"""
-    M = complex_coords_map(spec)
-    gc = np.asarray(g, dtype=complex)
-    if not in_complex_coords:
-        gc = M @ gc @ np.linalg.inv(M)
-    p, q = _block_sizes(spec)
-    return np.max(np.abs(gc[p:, :p])) <= tol * max(1.0, np.max(np.abs(gc)))
 
 
 def in_kc(spec, g, in_complex_coords=False, tol=1e-8) -> bool:
@@ -175,9 +165,6 @@ class Representation:
         M = complex_coords_map(self.spec)
         kc = M @ np.asarray(kdot, dtype=complex) @ np.linalg.inv(M)
         return self.lamC_alg(kc)
-
-    def lam_alg_basis(self, kbasis):
-        return [self.lam_alg(b) for b in kbasis]
 
 
 def _sym2_basis(n):

@@ -81,15 +81,6 @@ def elementary_symmetric(dim, k) -> InvariantPolynomial:
                                name=f"e{k}")
 
 
-def trace_power(dim, k) -> InvariantPolynomial:
-    def f(x):
-        y = x
-        for _ in range(k - 1):
-            y = y @ x
-        return y.trace()
-    return InvariantPolynomial(dim, k, f, name=f"p{k}")
-
-
 def polarize_eval(f: InvariantPolynomial, xs):
     """Full polarization P(x_1,...,x_k), normalized so P(x,...,x) = f(x).
 

@@ -117,7 +117,7 @@ def alg_residual(spec: GroupSpec, X) -> float:
     if fam == "su_pq":
         H = spec.form
         R = _conjT(X) @ H + H @ X
-        return max(float(np.max(np.abs(R))), abs(complex(np.trace(X)).real) + abs(complex(np.trace(X)).imag) * 0.0, abs(complex(np.trace(X))))
+        return max(float(np.max(np.abs(R))), abs(complex(np.trace(X))))
     if fam == "su2":
         R = _conjT(X) + X
         return max(float(np.max(np.abs(R))), abs(complex(np.trace(X))))
@@ -321,7 +321,7 @@ def log_alg(spec: GroupSpec, g, check: bool = True, tol: float = TOL):
     if np.linalg.norm(np.asarray(g, dtype=complex) - np.eye(N), 2) >= 1.0 - 1e-12:
         # logm still works beyond the series radius, but guarantee is gone
         evals = np.linalg.eigvals(np.asarray(g, dtype=complex))
-        if np.any(evals.real <= 0) and np.any(np.abs(evals.imag) < 1e-12):
+        if np.any((evals.real <= 0) & (np.abs(evals.imag) < 1e-12)):
             raise DecompositionError("group element outside the principal log domain")
     X = scipy.linalg.logm(np.asarray(g, dtype=complex))
     if spec.family in ("sp2nR", "so2"):
@@ -329,10 +329,6 @@ def log_alg(spec: GroupSpec, g, check: bool = True, tol: float = TOL):
     if check:
         check_alg(spec, X, tol=max(tol, 1e-8 * float(np.linalg.norm(X) + 1.0)))
     return X
-
-
-def adjoint(g, X):
-    return g @ X @ np.linalg.inv(g)
 
 
 def random_alg(spec: GroupSpec, rng, scale: float = 1.0):
@@ -461,20 +457,6 @@ class ParabolicData:
         h = from_coords(c[nu:nu + nh], self.basis_h) if nh else Z.copy()
         l = from_coords(c[nu + nh:], self.basis_l)
         return u, h, l
-
-    def split_u(self, U, tol: float = 1e-8):
-        """Split a nilpotent part into (u_1, u_rel) along U_Q = U_1 + U_{P_1 Q}."""
-        basis = list(self.basis_u1) + list(self.basis_u_rel)
-        B = np.stack([_vec(b) for b in basis], axis=1)
-        v = _vec(U)
-        c, *_ = np.linalg.lstsq(B, v, rcond=None)
-        if np.max(np.abs(B @ c - v)) > tol * max(1.0, np.max(np.abs(v))):
-            raise DecompositionError("element not in Lie(U_Q)")
-        n1 = len(self.basis_u1)
-        Z = np.zeros_like(np.asarray(U, dtype=float if U.dtype != complex else complex))
-        u1 = from_coords(c[:n1], self.basis_u1) if n1 else Z.copy()
-        ur = from_coords(c[n1:], self.basis_u_rel) if len(basis) > n1 else Z.copy()
-        return u1, ur
 
 
 def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
@@ -606,7 +588,6 @@ def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     if spec.family != "sp2nR":
         raise UnsupportedFlag("group factorization implemented for sp2nR only")
     g = np.asarray(g, dtype=float)
-    n = spec.n
     rmax = pd.flag[-1]
     idx_v, _, _ = _sp_indices(spec, rmax)
 

@@ -17,16 +17,20 @@ which satisfy rho_Z(pi_Y(Z)) = rho_Z(Z) exactly.  The section
 
 lands in the intersection of both standard parabolics and maps the basepoint
 i*I to Z, with pi compatible with the group-level Levi factorization.
+
+The patched connection is a :class:`strata.PatchedSystem` over these control
+data.  Its geometric point over X is a chart point with a tangent vector
+(:class:`TangentVector`); over Y it is the Lie(G_h) part hdot of that vector
+in the rank-1 (Klingen) parabolic, which is all the invariant connections on
+Y read; over the point Z it is nothing.  Each tangent vector is split once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import connections as cn
 from . import exterior as ext
 from . import hcrepr
-from . import invariants as inv
 from . import liecore
 from . import strata
 from .errors import PreconditionFailed
@@ -40,22 +44,13 @@ def z_from_coords(x):
             + 1j * np.array([[y11, y12], [y12, y22]], dtype=complex))
 
 
-def coords_from_z(Z):
-    return [Z[0, 0].real, Z[0, 1].real, Z[1, 1].real,
-            Z[0, 0].imag, Z[0, 1].imag, Z[1, 1].imag]
-
-
-def _chol_lower(Y):
-    return np.linalg.cholesky(Y)
-
-
 def section(x):
     """Group element s in Sp(4,R) with s . (i I) = Z(x), inside both
     standard parabolics."""
     Z = z_from_coords(x)
     Y = Z.imag
     X = Z.real
-    L = _chol_lower(Y)
+    L = np.linalg.cholesky(Y)
     Lit = np.linalg.inv(L).T
     g = np.zeros((4, 4))
     g[:2, :2] = L
@@ -69,7 +64,7 @@ def section_mc(x):
     Z = z_from_coords(x)
     Y = Z.imag
     X = Z.real
-    L = _chol_lower(Y)
+    L = np.linalg.cholesky(Y)
     Linv = np.linalg.inv(L)
     Lit = Linv.T
     s = section(x)
@@ -99,6 +94,17 @@ def section_mc(x):
 # ---------------------------------------------------------------------------
 
 
+class TangentVector:
+    """Geometric point of the patched system over X: the chart point x and
+    mc = s^{-1} ds(v) for a tangent vector v at x.  `klingen` keeps its
+    split along the rank-1 parabolic once it has been made."""
+
+    __slots__ = ("x", "mc", "klingen")
+
+    def __init__(self, x, mc):
+        self.x, self.mc, self.klingen = x, mc, None
+
+
 class SiegelModel:
     """Bundle data and patched-connection evaluators on the three strata."""
 
@@ -114,162 +120,96 @@ class SiegelModel:
             strata=[{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1},
                     {"name": "X", "dimC": 3}],
             flags=[["Z", "Y", "X"]], eps0=eps0)
-        # Borel split data inside the hermitian sl(2) on the (e0, f0) plane
-        H = np.zeros((4, 4)); H[0, 0] = 1.0; H[2, 2] = -1.0
-        E = np.zeros((4, 4)); E[0, 2] = 1.0
-        F = np.zeros((4, 4)); F[2, 0] = 1.0
-        self._W_H, self._W_E, self._W_F = H, E, F
+        # Cartan element of the hermitian sl(2) on the (e0, f0) plane
+        self._W_H = np.diag([1.0, 0.0, -1.0, 0.0])
         self._kcache = {}
+        # The point stratum carries the zero connection, so the connections
+        # induced from it read only the Levi part of the tangent vector.
+        self.system = strata.PatchedSystem(
+            self.model,
+            nomizu={"X": lambda pt, v: self.omega_nomizu(v.mc),
+                    "Y": lambda pt, hdot: self.omega_Y_nomizu(hdot),
+                    "Z": lambda pt, _: 0.0},
+            pullback={("X", "Y"): lambda pt, v, val: self.omega_XY(v, val),
+                      ("X", "Z"): lambda pt, v, _: self.omega_XZ(v.mc),
+                      ("Y", "Z"): lambda pt, hdot, _: self.omega_YZ(hdot)},
+            project=self.project)
 
     # control data ------------------------------------------------------
 
-    def rho_Z(self, x):
-        return 1.0 / x[3]
-
-    def rho_Y(self, x):
-        return 1.0 / x[5]
-
     def model_point(self, x):
-        return self.model.point(("Z", "Y", "X"), (self.rho_Z(x), self.rho_Y(x)))
+        """Control data at x: rho_Z = 1 / Im z11, rho_Y = 1 / Im z22."""
+        return self.model.point(("Z", "Y", "X"), (1.0 / x[3], 1.0 / x[5]))
 
-    def model_point_Y(self, y11):
-        return self.model.point(("Z", "Y"), (1.0 / y11,))
+    def _klingen(self, v: TangentVector):
+        """(hdot, ldot, lam, lam_inv): the Lie(G_h) and linear Levi parts of
+        v.mc in the rank-1 parabolic, and lambda_1 of the inverse linear Levi
+        factor of the section at v.x with its inverse."""
+        if v.klingen is None:
+            _, hdot, ldot = self.pdK.split(v.mc)
+            xt = tuple(map(float, v.x))
+            hit = self._kcache.get(xt)
+            if hit is None:
+                if len(self._kcache) > 256:
+                    self._kcache.clear()
+                _, _, g_l = liecore.group_factor(self.pdK, section(v.x))
+                lam = self.extK(np.linalg.inv(g_l))
+                hit = (lam, np.linalg.inv(lam))
+                self._kcache[xt] = hit
+            v.klingen = (hdot, ldot) + hit
+        return v.klingen
 
-    def pi_Y(self, x):
-        """Chart projection to the H_1 coordinates (x11, y11)."""
-        return [x[0], x[3]]
-
-    # hermitian-plane helpers -------------------------------------------
-
-    def _borel_split_W(self, hdot, tol=1e-8):
-        """hdot in the Borel of sl(2)_W -> (l_part, u_part)."""
-        a = hdot[0, 0]
-        b = hdot[0, 2]
-        c = hdot[2, 0]
-        if abs(c) > tol * max(1.0, float(np.max(np.abs(hdot)))):
-            raise PreconditionFailed("hermitian component not in the plane Borel")
-        return a * self._W_H, b * self._W_E
-
-    def _h1_point(self, g_h):
-        """H_1 coordinate of g_h . i for g_h in the (e0, f0) plane block."""
-        a, b = g_h[0, 0], g_h[0, 2]
-        c, d = g_h[2, 0], g_h[2, 2]
-        z = (a * 1j + b) / (c * 1j + d)
-        return complex(z)
+    def project(self, v, Y, Z):
+        """The geometric point over pi_Z: hdot on Y, nothing on the point."""
+        return self._klingen(v)[0] if Z == "Y" else None
 
     # connection-form evaluators ----------------------------------------
-    # each takes (x, mc) with mc = s^{-1} ds(v) and returns an End(V) matrix
+    # each returns an End(V) matrix
 
-    def omega_nomizu(self, x, mc):
+    def omega_nomizu(self, mc):
         k, _ = liecore.cartan_split(self.spec, mc)
         return self.rep.lam_alg(k)
 
-    def omega_XZ(self, x, mc):
+    def omega_XZ(self, mc):
         """Induced from the point stratum through the Lagrangian parabolic."""
         _, _, ldot = self.pdS.split(mc)
         return self.extS.alg(ldot)
 
-    def omega_Y_nomizu(self, g_h, hdot):
+    def omega_Y_nomizu(self, hdot):
         k, _ = liecore.cartan_split(self.spec, hdot)
         return self.extK.alg(k)
 
-    def omega_YZ(self, g_h, hdot):
+    def omega_YZ(self, hdot, tol=1e-8):
         """Induced from the point through the plane Borel of sl(2)_W."""
-        lW, _ = self._borel_split_W(hdot)
-        return self.ext21.alg(lW)
+        a, c = hdot[0, 0], hdot[2, 0]
+        if abs(c) > tol * max(1.0, float(np.max(np.abs(hdot)))):
+            raise PreconditionFailed("hermitian component not in the plane Borel")
+        return self.ext21.alg(a * self._W_H)
 
-    def omega_Y_patched(self, g_h, hdot):
-        """Patched connection on the Y stratum, at L_{g_h} hdot."""
-        z = self._h1_point(g_h)
-        ypt = self.model_point_Y(z.imag)
-        md = self.model
-        bY = md.B("Y", md.eps("Y"), ypt)
-        bZ = md.B("Z", md.eps("Y"), ypt)
-        return bY * self.omega_Y_nomizu(g_h, hdot) + bZ * self.omega_YZ(g_h, hdot)
-
-    def _klingen_data(self, x, mc):
-        _, hdot, ldot = self.pdK.split(mc)
-        xt = tuple(map(float, x))
-        hit = self._kcache.get(xt)
-        if hit is None:
-            if len(self._kcache) > 256:
-                self._kcache.clear()
-            _, g_h, g_l = liecore.group_factor(self.pdK, section(x))
-            lam = self.extK(np.linalg.inv(g_l))
-            hit = (g_h, lam, np.linalg.inv(lam))
-            self._kcache[xt] = hit
-        g_h, lam, lam_inv = hit
-        return hdot, ldot, g_h, lam, lam_inv
-
-    def omega_XY(self, x, mc, base="patched"):
-        """Pullback through the rank-1 parabolic of a connection on Y."""
-        hdot, ldot, g_h, lam, lam_inv = self._klingen_data(x, mc)
-        if base == "patched":
-            val = self.omega_Y_patched(g_h, hdot)
-        elif base == "nomizu":
-            val = self.omega_Y_nomizu(g_h, hdot)
-        elif base == "point":
-            val = self.omega_YZ(g_h, hdot)
-        else:
-            raise ValueError(base)
+    def omega_XY(self, v: TangentVector, val):
+        """Pullback through the rank-1 parabolic: the value at v of the
+        connection induced from one on Y whose value at hdot is val."""
+        _, ldot, lam, lam_inv = self._klingen(v)
         return self.extK.alg(ldot) + lam @ val @ lam_inv
+
+    def omega_induced_nomizu(self, x, mc):
+        """The connection on X induced from the Nomizu connection on Y."""
+        v = TangentVector(x, mc)
+        return self.omega_XY(v, self.omega_Y_nomizu(self.project(v, "X", "Y")))
 
     # patched connection on X -------------------------------------------
 
     def omega_patched(self, x, mc):
         """Recursive definition of the patched form."""
-        md = self.model
-        pt = self.model_point(x)
-        epsX = md.eps("X")
-        val = md.B("X", epsX, pt) * self.omega_nomizu(x, mc)
-        bY = md.B("Y", epsX, pt)
-        if bY != 0.0:
-            val = val + bY * self.omega_XY(x, mc, base="patched")
-        bZ = md.B("Z", epsX, pt)
-        if bZ != 0.0:
-            val = val + bZ * self.omega_XZ(x, mc)
-        return val
+        return self.system.patched(self.model_point(x), TangentVector(x, mc))
 
     def omega_patched_chain(self, x, mc):
         """Closed chain form of the same connection."""
-        md = self.model
-        pt = self.model_point(x)
-        ptY = md.pi(pt, "Y")
-        epsX, epsY, epsZ = md.eps("X"), md.eps("Y"), md.eps("Z")
-        w_top = md.B("X", epsX, pt)
-        wYX = md.B("Y", epsX, pt) * md.B("Y", epsY, ptY)
-        wZX = md.B("Z", epsX, pt) * md.B("Z", epsZ, md.pi(pt, "Z"))
-        wZYX = md.B("Y", epsX, pt) * md.B("Z", epsY, ptY)
-        val = w_top * self.omega_nomizu(x, mc)
-        if wYX != 0.0:
-            val = val + wYX * self.omega_XY(x, mc, base="nomizu")
-        if wZX != 0.0:
-            val = val + wZX * self.omega_XZ(x, mc)
-        if wZYX != 0.0:
-            val = val + wZYX * self.omega_XY(x, mc, base="point")
-        return val
+        return self.system.chain_form(self.model_point(x), TangentVector(x, mc))
 
     def omega_patched_localized(self, x, mc):
         """Localized form around the base stratum W; returns (value, W, wsum)."""
-        md = self.model
-        pt = self.model_point(x)
-        W = md.localization_base(pt)
-        if W == "X":
-            return self.omega_patched(x, mc), W, 1.0
-        if W == "Y":
-            w = md.B("Y", md.eps("X"), pt)
-            return w * self.omega_XY(x, mc, base="patched"), W, w
-        # W == "Z": chains Z<X and Z<Y<X
-        ptY = md.pi(pt, "Y")
-        wZX = md.B("Z", md.eps("X"), pt)
-        wZYX = md.B("Y", md.eps("X"), pt) * md.B("Z", md.eps("Y"), ptY)
-        val = None
-        if wZX != 0.0:
-            val = wZX * self.omega_XZ(x, mc)
-        if wZYX != 0.0:
-            t = wZYX * self.omega_XY(x, mc, base="point")
-            val = t if val is None else val + t
-        return val, W, wZX + wZYX
+        return self.system.localized(self.model_point(x), TangentVector(x, mc))
 
     # chart forms --------------------------------------------------------
 
@@ -298,7 +238,7 @@ class SiegelModel:
         return ext.VForm(6, 1, comps)
 
     def projection_map(self) -> ext.SmoothMap:
-        """pi_Y as a chart map (6 coords -> 2 coords), analytic Jacobian."""
+        """pi_Y = (x11, y11) as a chart map (6 coords -> 2), analytic Jacobian."""
         J = np.zeros((6, 2))
         J[0, 0] = 1.0
         J[3, 1] = 1.0

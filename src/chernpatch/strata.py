@@ -1,5 +1,5 @@
-"""Control data on stratified flag models: bump profiles, tube weights,
-partitions of unity, chain weights and the patched-connection recursion.
+"""Control data on stratified flag models: the bump profile, partitions of
+unity, chain weights and the patched-connection recursion.
 
 The combinatorial model: strata form a forest given by flags (chains).  A
 point is carried by the chain of strata incident to it, together with the
@@ -11,11 +11,16 @@ never enter the weight functions, so they are not stored here.
 means: the point lies in stratum Z_k, inside the tube of each ancestor Z_j
 at distance r_j.  pi_{Z_j} truncates, rho_{Z_j} reads r_j; these satisfy
 the control-data axioms exactly (pi_Z pi_Y = pi_Z, rho_Z pi_Y = rho_Z).
+
+PatchedSystem is the one implementation of the patched connection: its
+recursion, its closed chain form and its localized form, for any model whose
+strata supply an invariant connection and the pullbacks between them (the
+Siegel model in :mod:`chernpatch.siegel` is one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +58,6 @@ class BumpProfile:
         return self(rho / eps)
 
 
-PROFILES = {"exp": BumpProfile}
-
-
 # ---------------------------------------------------------------------------
 # model
 
@@ -77,7 +79,7 @@ class ModelPoint:
 class FlagTubeModel:
     """Forest of strata given by flags, with eps-family and bump profile."""
 
-    def __init__(self, strata, flags, eps0=1.0, profile="exp"):
+    def __init__(self, strata, flags, eps0=1.0):
         """strata: list of {"name": str, "dimC": int}; flags: lists of names
         ordered small-to-large; eps0 scales the eps-family
         eps_Y = eps0 / 2^{dimC Y}."""
@@ -85,7 +87,7 @@ class FlagTubeModel:
         self.names = [s["name"] for s in strata]
         self.flags = [tuple(f) for f in flags]
         self.eps0 = float(eps0)
-        self.profile = PROFILES[profile]()
+        self.profile = BumpProfile()
         self._ancestors = {}
         for f in self.flags:
             for i, name in enumerate(f):
@@ -101,10 +103,6 @@ class FlagTubeModel:
 
     def ancestors(self, name):
         return self._ancestors[name]
-
-    def less(self, a, b):
-        """a < b in the stratum order."""
-        return a in self._ancestors[b]
 
     def point(self, chain, r) -> ModelPoint:
         chain = tuple(chain)
@@ -124,20 +122,7 @@ class FlagTubeModel:
         k = x.chain.index(Z)
         return x.r[k]
 
-    def in_tube(self, x: ModelPoint, Z, eps) -> bool:
-        if Z not in x.chain:
-            return False
-        return fd.value(self.rho(x, Z)) < eps
-
     # weights ----------------------------------------------------------
-
-    def tube_weight(self, x: ModelPoint, eps):
-        """t^Y_eps at y = x for Y = x's stratum: product of s_eps(rho_Z)."""
-        s = self.profile
-        out = 1.0
-        for rj in x.r:
-            out = out * s.scaled(rj, eps)
-        return out
 
     def B(self, Y, eps, x: ModelPoint):
         """Partition numerator B_Y^eps(x), extended by zero off the tube."""
@@ -171,13 +156,14 @@ class FlagTubeModel:
     # chains -----------------------------------------------------------
 
     def chains_to(self, x: ModelPoint):
-        """All chains Z_{i_1} < ... < Z_{i_r} = stratum(x) through x's flag."""
+        """All chains Z_{i_1} < ... < Z_{i_r} = stratum(x) through x's flag,
+        the singleton first; nearer ancestors vary fastest."""
         top = x.stratum
         anc = list(x.chain[:-1])
         out = []
         n = len(anc)
         for mask in range(1 << n):
-            sub = [anc[i] for i in range(n) if mask >> i & 1]
+            sub = [anc[i] for i in range(n) if mask >> (n - 1 - i) & 1]
             out.append(tuple(sub) + (top,))
         return out
 
@@ -189,21 +175,6 @@ class FlagTubeModel:
             outer, inner = chain[t], chain[t - 1]
             w = w * self.B(inner, self.eps(outer), self.pi(x, outer))
         return w
-
-    def chain_weights(self, x: ModelPoint, with_base=True):
-        """[(chain, weight)] for all chains ending at stratum(x).
-
-        With with_base the weight includes the leading factor
-        B_{Z_1}^{eps_{Z_1}}(pi_{Z_1}(x)); those full coefficients sum to 1.
-        """
-        out = []
-        for chain in self.chains_to(x):
-            w = self.chain_weight(chain, x)
-            if with_base:
-                Z1 = chain[0]
-                w = w * self.B(Z1, self.eps(Z1), self.pi(x, Z1))
-            out.append((chain, w))
-        return out
 
     def localization_base(self, x: ModelPoint):
         """Largest stratum W in x's flag with B_W^{eps_W}(pi_W(x)) != 0."""
@@ -260,31 +231,56 @@ def family_vanishing_check(model: FlagTubeModel, flag, grid=None):
 class PatchedSystem:
     """Patched connection recursion over a FlagTubeModel.
 
-    nomizu: {stratum: callable(x) -> value}; pullback: {(Y, Z): callable(x, v)
-    -> value} for Z < Y, applied at the point x on (the tube inside) Y.
+    Every callable receives the model point x, which carries the control
+    data, and an opaque geometric point g over it (for a chart model, a
+    chart point with a tangent vector there):
+
+      nomizu    {Y: callable(x, g) -> value}: the invariant connection on Y;
+      pullback  {(Y, Z): callable(x, g, v) -> value} for Z < Y: on (the tube
+                inside) Y, the connection induced from one on Z whose value
+                at the projected point is v;
+      project   callable(g, Y, Z) -> the geometric point over pi_Z(x), for
+                g over a point x of Y and Z < Y.  It is called only where a
+                weight is nonzero, and must follow the control data:
+                project(project(g, X, Y), Y, Z) = project(g, X, Z).
+
     Values may be any objects supporting + and scalar *.
     """
 
-    def __init__(self, model: FlagTubeModel, nomizu, pullback):
+    def __init__(self, model: FlagTubeModel, nomizu, pullback, project):
         self.model = model
         self.nomizu = nomizu
         self.pullback = pullback
+        self.project = project
 
-    def patched(self, x: ModelPoint, stratum=None):
+    def _over(self, x: ModelPoint, g, Z):
+        """(pi_Z(x), the geometric point over it)."""
+        if Z == x.stratum:
+            return x, g
+        return self.model.pi(x, Z), self.project(g, x.stratum, Z)
+
+    def _along(self, chain, x: ModelPoint, g, v):
+        """Pull v, a value over pi_{chain[0]}(x), up the chain to stratum(x)."""
+        for lo, hi in zip(chain, chain[1:]):
+            v = self.pullback[(hi, lo)](*self._over(x, g, hi), v)
+        return v
+
+    def patched(self, x: ModelPoint, g):
+        """B_Y^{eps_Y} nomizu_Y + sum over Z < Y of B_Z^{eps_Y} times the
+        pullback of the patched connection of Z, for Y = stratum(x)."""
         md = self.model
-        Y = stratum or x.stratum
+        Y = x.stratum
         epsY = md.eps(Y)
-        val = md.B(Y, epsY, x) * self.nomizu[Y](x)
-        idx = x.chain.index(Y)
-        for Z in x.chain[:idx]:
+        val = md.B(Y, epsY, x) * self.nomizu[Y](x, g)
+        for Z in reversed(x.chain[:-1]):
             w = md.B(Z, epsY, x)
             if fd.value(w) == 0.0:
                 continue
-            inner = self.patched(md.pi(x, Z))
-            val = val + w * self.pullback[(Y, Z)](x, inner)
+            inner = self.patched(*self._over(x, g, Z))
+            val = val + w * self.pullback[(Y, Z)](x, g, inner)
         return val
 
-    def chain_form(self, x: ModelPoint):
+    def chain_form(self, x: ModelPoint, g):
         """Closed form: sum over chains of full weights and composed pullbacks."""
         md = self.model
         total = None
@@ -293,20 +289,18 @@ class PatchedSystem:
             w = md.chain_weight(chain, x) * md.B(Z1, md.eps(Z1), md.pi(x, Z1))
             if fd.value(w) == 0.0:
                 continue
-            v = self.nomizu[Z1](md.pi(x, Z1))
-            for t in range(1, len(chain)):
-                v = self.pullback[(chain[t], chain[t - 1])](md.pi(x, chain[t]), v)
-            term = w * v
+            term = w * self._along(chain, x, g,
+                                   self.nomizu[Z1](*self._over(x, g, Z1)))
             total = term if total is None else total + term
         return total
 
-    def localized(self, x: ModelPoint):
+    def localized(self, x: ModelPoint, g):
         """(value, W, sum_of_weights): localized form around the base stratum W."""
         md = self.model
         W = md.localization_base(x)
         iW = x.chain.index(W)
         top = x.stratum
-        inner_val = self.patched(md.pi(x, W))
+        inner_val = self.patched(*self._over(x, g, W))
         # chains W = S_0 < ... < S_k = top within x's flag
         mids = list(x.chain[iW + 1: -1])
         total = None
@@ -319,9 +313,6 @@ class PatchedSystem:
             wsum += fd.value(w)
             if fd.value(w) == 0.0:
                 continue
-            v = inner_val
-            for t in range(1, len(chain)):
-                v = self.pullback[(chain[t], chain[t - 1])](md.pi(x, chain[t]), v)
-            term = w * v
+            term = w * self._along(chain, x, g, inner_val)
             total = term if total is None else total + term
         return total, W, wsum

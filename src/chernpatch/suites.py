@@ -21,6 +21,8 @@ SCHEMA = 1
 
 def spec_from_dict(d):
     """GroupSpec from {"family": ..., "n" or "p","q", "scalar": "f64"}."""
+    if d.get("scalar", "f64") != "f64":
+        raise PreconditionFailed(f"unsupported scalar {d['scalar']!r}: only 'f64'")
     fam = d["family"]
     if fam == "sp2nR":
         return liecore.sp2nR(int(d["n"]))
@@ -28,7 +30,7 @@ def spec_from_dict(d):
         return liecore.su_pq(int(d["p"]), int(d["q"]))
     if fam == "su2":
         return liecore.su2()
-    if fam == "u_n":
+    if fam == "u":
         return liecore.u_n(int(d["n"]))
     if fam == "so2":
         return liecore.so2()
@@ -36,10 +38,12 @@ def spec_from_dict(d):
 
 
 def model_from_dict(d):
-    """FlagTubeModel from {"strata": [...], "flags": [...], "eps0", "profile"}."""
+    """FlagTubeModel from {"strata": [...], "flags": [...], "eps0", "profile"};
+    the one profile is "exp"."""
+    if d.get("profile", "exp") != "exp":
+        raise PreconditionFailed(f"unknown bump profile {d['profile']!r}: only 'exp'")
     return strata.FlagTubeModel(
-        strata=d["strata"], flags=d["flags"],
-        eps0=float(d.get("eps0", 1.0)), profile=d.get("profile", "exp"))
+        strata=d["strata"], flags=d["flags"], eps0=float(d.get("eps0", 1.0)))
 
 
 def default_model():
@@ -330,8 +334,7 @@ def suite_pifiber(seed=0, tol=1e-6, samples=10):
     """Vertical contraction of an induced-connection curvature."""
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
-    form = m.form_from_evaluator(
-        lambda x, mc: m.omega_XY(x, mc, base="nomizu"))
+    form = m.form_from_evaluator(m.omega_induced_nomizu)
     curv = ext.curvature_form(form)
     pts = _model_tube_points(rng, samples)
     rpt = ext.pifiber_check(curv, m.projection_map(), pts, tol=tol, rng=rng)

@@ -90,17 +90,3 @@ def test_chain_difference_nilpotent():
     for _ in range(val.shape[0] - 1):
         p = p @ val
     assert np.max(np.abs(p)) < 1e-9
-
-
-def test_trivialization_transform_consistency():
-    # gauge transform of the zero form is j dj^{-1}-type conjugation data
-    spec, rep = _su11()
-    rng = np.random.default_rng(2)
-    g = liecore.exp_grp(spec, liecore.random_alg(spec, rng, 0.3))
-    X = liecore.random_alg(spec, rng, 0.5)
-
-    def omega_eval(gpt, Xdot):
-        return np.zeros((rep.dim, rep.dim), dtype=complex)
-
-    out = connections.trivialization_transform(rep, omega_eval, g, X)
-    assert out.shape == (rep.dim, rep.dim)

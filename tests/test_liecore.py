@@ -33,6 +33,20 @@ def test_exp_log_roundtrip(seed):
     assert np.max(np.abs(liecore.log_alg(spec, g) - X)) < 1e-9
 
 
+def test_log_rejects_only_a_real_nonpositive_eigenvalue():
+    # exp(2.2 R + log 2 H) has eigenvalues -0.589 +- 0.808i, 2 and 0.5: some
+    # eigenvalue has real part <= 0 and some is real, but no eigenvalue is
+    # both, so the principal log exists.
+    spec = liecore.sp2nR(2)
+    R = np.zeros((4, 4)); R[0, 2] = 1.0; R[2, 0] = -1.0   # rotation (e0, f0)
+    H = np.diag([0.0, 1.0, 0.0, -1.0])                     # hyperbolic (e1, f1)
+    X = 2.2 * R + np.log(2.0) * H
+    assert np.max(np.abs(liecore.log_alg(spec, liecore.exp_grp(spec, X)) - X)) < 1e-10
+    # exp(pi R) has the real eigenvalue -1: no principal log
+    with pytest.raises(DecompositionError):
+        liecore.log_alg(spec, liecore.exp_grp(spec, np.pi * R))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_bracket_stays_in_algebra(seed):

@@ -91,8 +91,7 @@ def test_mixed_region_weights_sum_to_one(model):
 
 
 def test_induced_curvature_vertical(model):
-    form = model.form_from_evaluator(
-        lambda x, mc: model.omega_XY(x, mc, base="nomizu"))
+    form = model.form_from_evaluator(model.omega_induced_nomizu)
     curv = ext.curvature_form(form)
     rng = np.random.default_rng(6)
     pts = []

@@ -99,8 +99,6 @@ def test_chain_weights_sum_to_localized_weight():
 
 def test_patched_system_recursion_matches_chain():
     model = three_flag()
-    nomizu = {name: (lambda nm: lambda x: {nm: 1.0})(name)
-              for name in ("Z", "Y", "X")}
 
     class DictVal(dict):
         def __add__(self, other):
@@ -112,17 +110,24 @@ def test_patched_system_recursion_matches_chain():
         def __rmul__(self, c):
             return DictVal({k: c * v for k, v in self.items()})
 
-    nomizu = {name: (lambda nm: lambda x: DictVal({nm: 1.0}))(name)
+    # the geometric point over each stratum is its name, so every callable
+    # can check that it was handed the point over its own stratum
+    def at(x, g):
+        assert g == x.stratum
+        return g
+
+    nomizu = {name: (lambda x, g: DictVal({at(x, g): 1.0}))
               for name in ("Z", "Y", "X")}
-    pullback = {(Y, Z): (lambda x, v: v)
+    pullback = {(Y, Z): (lambda x, g, v: at(x, g) and v)
                 for Y in ("Y", "X") for Z in ("Z", "Y") if Z != Y}
-    system = strata.PatchedSystem(model, nomizu, pullback)
+    system = strata.PatchedSystem(model, nomizu, pullback,
+                                  lambda g, Y, Z: Z)
     rng = np.random.default_rng(8)
     for _ in range(30):
         x = model.point(("Z", "Y", "X"),
                         (rng.uniform(0, 1.2), rng.uniform(0, 0.6)))
-        a = system.patched(x)
-        b = system.chain_form(x)
+        a = system.patched(x, "X")
+        b = system.chain_form(x, "X")
         keys = set(a) | set(b)
         assert all(abs(a.get(k, 0.0) - b.get(k, 0.0)) < 1e-12 for k in keys)
         # total mass one in both representations

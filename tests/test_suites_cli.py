@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chernpatch import cli, suites
+from chernpatch import cli, liecore, suites
 
 
 SMALL = {
@@ -95,3 +95,47 @@ def test_cli_chern_check(capsys):
     code = cli.main(["chern", "--check", "quadrature"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["pass"]
+
+
+def test_cli_chern_has_no_model_option(tmp_path, capsys):
+    # the geometric checks run on the built-in rank-2 model only
+    path = tmp_path / "model.json"
+    path.write_text("{}")
+    assert cli.main(["chern", "--check", "quadrature", "--samples", "16",
+                     "--model", str(path)]) == 2
+
+
+def test_cli_verify_model_unread_is_an_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "strata": [{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1}],
+        "flags": [["Z", "Y"]]}))
+    assert cli.main(["verify", "schubert", "--model", str(path)]) == 2
+    assert "--model" in capsys.readouterr().err
+
+
+def test_cli_verify_corrupt_unread_is_an_error(capsys):
+    assert cli.main(["verify", "partition", "--samples", "10",
+                     "--corrupt"]) == 2
+    assert "--corrupt" in capsys.readouterr().err
+
+
+def test_spec_from_dict_unitary_family():
+    spec = suites.spec_from_dict({"family": "u", "n": 2})
+    assert spec == liecore.u_n(2)
+
+
+def test_spec_from_dict_rejects_other_scalar(capsys):
+    assert cli.main(["curvature", "--group",
+                     '{"family": "sp2nR", "n": 2, "scalar": "f32"}',
+                     "--rep", "std"]) == 2
+    assert "f32" in capsys.readouterr().err
+
+
+def test_model_from_dict_rejects_unknown_profile(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "strata": [{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1}],
+        "flags": [["Z", "Y"]], "profile": "gauss"}))
+    assert cli.main(["verify", "partition", "--model", str(path)]) == 2
+    assert "gauss" in capsys.readouterr().err
