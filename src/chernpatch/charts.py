@@ -5,6 +5,8 @@ quadrature.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import scipy.linalg
 from scipy.integrate import simpson
@@ -44,23 +46,19 @@ class GroupChart:
 
     def connection_form(self, conn) -> ext.VForm:
         """Pullback of the left-invariant connection form to the chart."""
-        comps = {}
-        for i in range(self.dim):
-            def cf(x, i=i):
-                return conn.omega0(self.mc_coeff(i, x))
-            comps[(i,)] = ext.SmoothMap(self.dim, cf)
-        return ext.VForm(self.dim, 1, comps)
+        return ext.VForm(self.dim, 1, ext.SmoothMap(
+            self.dim, lambda x: np.array([conn.omega0(self.mc_coeff(i, x))
+                                          for i in range(self.dim)])))
 
     def algebraic_curvature_form(self, conn) -> ext.VForm:
         """The same curvature assembled without chart differentiation:
         coefficient (i < j) at x is Omega_0(mc_i(x), mc_j(x))."""
-        comps = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                def cf(x, i=i, j=j):
-                    return conn.curvature0(self.mc_coeff(i, x), self.mc_coeff(j, x))
-                comps[(i, j)] = ext.SmoothMap(self.dim, cf)
-        return ext.VForm(self.dim, 2, comps)
+        def coeffs(x):
+            mc = [self.mc_coeff(i, x) for i in range(self.dim)]
+            return np.array([conn.curvature0(mc[i], mc[j])
+                             for i, j in combinations(range(self.dim), 2)])
+
+        return ext.VForm(self.dim, 2, ext.SmoothMap(self.dim, coeffs))
 
 
 def curvature_bridge_residual(spec, conn, points, rng=None):

@@ -120,22 +120,6 @@ def flat_connection_from_hom(spec, rep, hom_values, basis=None, tol=TOL):
 # parabolic induction
 
 
-def nomizu_base(pd, rep):
-    """Nomizu connection on the hermitian Levi factor, as a base for induction.
-
-    The bundle over the small domain carries the canonical extension of the
-    restricted representation, so the value on hdot in Lie(G_h) is
-    lambda_1' of the Lie(K_h)-projection of hdot.
-    """
-    ext = hcrepr.canonical_extension(rep, pd.flag[-1])
-
-    def base(g_h, hdot):
-        k, _ = liecore.cartan_split(pd.spec, hdot)
-        return ext.alg(k)
-
-    return base
-
-
 def check_ad_commutation(pd, rep, base_omega0, generator_scale=0.7, tol=TOL):
     """Hypothesis for curvature descent / multi-step induction.
 
@@ -150,9 +134,7 @@ def check_ad_commutation(pd, rep, base_omega0, generator_scale=0.7, tol=TOL):
         lam = ext(g)
         lam_inv = np.linalg.inv(lam)
         for h in pd.basis_h:
-            v = base_omega0(None, h) if base_omega0 else None
-            if v is None:
-                continue
+            v = base_omega0(None, h)
             worst = max(worst, float(np.max(np.abs(lam @ v @ lam_inv - v))))
     if worst > tol:
         raise CommutationHypothesisFailed(f"Ad commutation residual {worst}")

@@ -131,11 +131,17 @@ def cos(x):
 
 
 def seed(x):
-    """Seed coordinates x as Duals carrying the identity Jacobian."""
+    """Seed coordinates x as Duals carrying the identity Jacobian.
+
+    Duals do not nest: a coordinate that is already a Dual (a Jacobian
+    taken inside a map that is being differentiated) raises TypeError.
+    """
     x = list(x)
     m = len(x)
     out = []
     for i, v in enumerate(x):
+        if isinstance(v, Dual):
+            raise TypeError("cannot seed a dual number")
         g = np.zeros(m, dtype=complex)
         g[i] = 1.0
         out.append(Dual(v, g))

@@ -317,27 +317,34 @@ def chern_forms(omega, kmax):
 
     c_k is the degree-2k form given by the coefficient of t^k in
     det(I + t (sqrt(-1)/2 pi) Omega), assembled through Newton's identities
-    over the (commutative) even-degree form ring.
+    over the (commutative) even-degree form ring.  Each c_k evaluates the
+    curvature once per point and works on its coefficient arrays.
     """
     m = omega.m
     scl = 1j / (2 * np.pi)
-    om = omega.scale(scl)
-    # power traces p_j = tr(om^j) as scalar forms (wedge with matrix product)
-    powers = [om]
-    # determine kmax cap by chart dimension
-    kcap = min(kmax, m // 2)
-    for _ in range(1, kcap):
-        powers.append(ext.wedge_matrix(powers[-1], om))
-    ptr = [p.map(lambda v: np.trace(np.asarray(v))) for p in powers]
+    power_tables = [ext.wedge_table(m, 2 * j, 2) for j in range(1, kmax)]
+    newton_tables = {(j, i): ext.wedge_table(m, 2 * j, 2 * i)
+                     for j in range(kmax) for i in range(1, kmax - j + 1)}
 
-    one = ext.VForm(m, 0, {(): ext.constant_map(m, 1.0)})
-    es = [one]
-    for k in range(1, kcap + 1):
-        acc = None
-        for i in range(1, k + 1):
-            term = ext.wedge_scalar(es[k - i], ptr[i - 1]).scale((-1.0) ** (i - 1))
-            acc = term if acc is None else acc + term
-        es.append(acc.scale(1.0 / k))
-    for k in range(kcap + 1, kmax + 1):
-        es.append(ext.VForm(m, 2 * k, {}))
-    return es
+    def elementary(x, top):
+        """Coefficient arrays of e_0, ..., e_top of (sqrt(-1)/2 pi) Omega."""
+        om = scl * omega.coeffs.value(x)
+        # power traces p_j = tr(om^j) (wedge with matrix product)
+        powers = [om]
+        for table in power_tables[:top - 1]:
+            powers.append(ext.wedge_coeffs(table, powers[-1], om, np.matmul))
+        ptr = [np.array([np.trace(c) for c in p]) for p in powers]
+        es = [np.ones(1, dtype=complex)]
+        for k in range(1, top + 1):
+            acc = None
+            for i in range(1, k + 1):
+                term = (-1.0) ** (i - 1) * ext.wedge_coeffs(
+                    newton_tables[k - i, i], es[k - i], ptr[i - 1], np.multiply)
+                acc = term if acc is None else acc + term
+            es.append((1.0 / k) * acc)
+        return es
+
+    one = ext.SmoothMap(m, lambda x: np.ones(1, dtype=complex))
+    return [ext.VForm(m, 0, one)] + [
+        ext.VForm(m, 2 * k, ext.SmoothMap(m, lambda x, k=k: elementary(x, k)[k]))
+        for k in range(1, kmax + 1)]

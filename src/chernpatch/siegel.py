@@ -216,26 +216,9 @@ class SiegelModel:
     def form_from_evaluator(self, evaluator) -> ext.VForm:
         """Assemble a chart VForm from an (x, mc) -> End(V) evaluator.
 
-        All six coefficients at a point come from one section/split pass
-        (the numerical differentiation in exterior_d revisits points)."""
-        cache = {}
-
-        def allvals(xt):
-            if xt not in cache:
-                if len(cache) > 256:
-                    cache.clear()
-                x = list(xt)
-                mcs = section_mc(x)
-                cache[xt] = [evaluator(x, mc) for mc in mcs]
-            return cache[xt]
-
-        comps = {}
-        for i in range(6):
-            def cf(x, i=i):
-                xt = tuple(float(np.real(v)) for v in x)
-                return allvals(xt)[i]
-            comps[(i,)] = ext.SmoothMap(6, cf)
-        return ext.VForm(6, 1, comps)
+        All six coefficients at a point come from one section_mc pass."""
+        return ext.VForm(6, 1, ext.SmoothMap(
+            6, lambda x: np.array([evaluator(x, mc) for mc in section_mc(x)])))
 
     def projection_map(self) -> ext.SmoothMap:
         """pi_Y = (x11, y11) as a chart map (6 coords -> 2), analytic Jacobian."""

@@ -132,18 +132,16 @@ def _random_poly_scalar(m, rng):
 
 
 def _random_poly_one_form(m, d, rng):
-    comps = {}
-    for i in range(m):
-        A = rng.uniform(-1, 1, (d, d))
-        B = rng.uniform(-1, 1, (m, d, d))
+    AB = [(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, (m, d, d)))
+          for _ in range(m)]
 
-        def cf(x, A=A, B=B):
-            return np.array(
-                [[A[r][c] + sum(0.4 * x[k] * B[k][r][c] for k in range(m))
-                  for c in range(d)] for r in range(d)], dtype=object)
+    def coeffs(x):
+        return np.array(
+            [[[A[r][c] + sum(0.4 * x[k] * B[k][r][c] for k in range(m))
+               for c in range(d)] for r in range(d)] for A, B in AB],
+            dtype=object)
 
-        comps[(i,)] = ext.SmoothMap(m, cf)
-    return ext.VForm(m, 1, comps)
+    return ext.VForm(m, 1, ext.SmoothMap(m, coeffs))
 
 
 def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4, nparts=3, dim=2):

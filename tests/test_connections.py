@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chernpatch import connections, hcrepr, liecore
+from chernpatch import connections, hcrepr, liecore, siegel
 from chernpatch.errors import ConditionViolation
 
 
@@ -68,11 +68,9 @@ def test_perturbation_on_p_rejected_with_condition_two():
 
 
 def test_induced_connection_ad_commutation_guard():
-    spec = liecore.sp2nR(2)
-    rep = hcrepr.builtin_representation(spec, "std")
-    pd = liecore.parabolic_data(spec, (1,))
-    base = connections.nomizu_base(pd, rep)
-    assert connections.check_ad_commutation(pd, rep, base)
+    m = siegel.SiegelModel("std")
+    assert connections.check_ad_commutation(
+        m.pdK, m.rep, lambda _, h: m.omega_Y_nomizu(h))
 
 
 def test_chain_difference_nilpotent():

@@ -86,15 +86,26 @@ def test_inconsistent_forest_rejected():
 
 
 def test_chain_weights_sum_to_localized_weight():
-    model = three_flag()
+    # radii near the transition band (eps/2, 3 eps/4) of a stratum above
+    # them, so that some chain weights lie strictly between 0 and 1
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        x = model.point(("Z", "Y", "X"),
-                        (rng.uniform(0, 1.2), rng.uniform(0, 0.6)))
-        W = model.localization_base(x)
-        assert W in ("Z", "Y", "X")
-        # the base stratum has nonzero projected weight
-        assert model.B(W, model.eps(W), model.pi(x, W)) != 0.0
+    fractional = 0
+    for model, n in ((three_flag(), 2000), (forest(), 5000)):
+        for _ in range(n):
+            flag = model.flags[rng.integers(len(model.flags))]
+            chain = flag[:int(rng.integers(1, len(flag) + 1))]
+            r = [model.eps(chain[rng.integers(j + 1, len(chain))])
+                 * rng.uniform(0.4, 0.85) for j in range(len(chain) - 1)]
+            x = model.point(chain, tuple(r))
+            W = model.localization_base(x)
+            assert W in chain
+            # the base stratum has nonzero projected weight
+            assert model.B(W, model.eps(W), model.pi(x, W)) != 0.0
+            ws = [model.chain_weight(c, x) for c in model.chains_to(x)
+                  if c[0] == W]
+            assert abs(sum(ws) - 1.0) < 1e-12
+            fractional += any(0.0 < w < 1.0 for w in ws)
+    assert fractional >= 100
 
 
 def test_patched_system_recursion_matches_chain():
