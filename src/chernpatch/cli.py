@@ -1,6 +1,6 @@
 """Command-line front end: suite runner and small computations.
 
-Subcommands: verify, curvature, chern, dual.  All results are printed as
+Subcommands: verify, curvature, dual.  All results are printed as
 UTF-8 JSON to stdout or written to --out.  Exit codes: 0 all checks pass,
 1 a check failed, 2 usage or configuration error.
 """
@@ -121,25 +121,6 @@ def _cmd_curvature(args):
     return 0
 
 
-def _cmd_chern(args):
-    if args.check == "pifiber":
-        report = suites.run_suite("pifiber", seed=args.seed,
-                                  tol=args.tol or 1e-6,
-                                  samples=args.samples or 10)
-    elif args.check == "patched":
-        report = suites.run_suite("patched", seed=args.seed,
-                                  tol=args.tol or 1e-10,
-                                  samples=args.samples or 20)
-    elif args.check == "quadrature":
-        report = suites.run_suite("quadrature", seed=args.seed,
-                                  tol=args.tol or 1e-3,
-                                  samples=args.samples or 160)
-    else:
-        raise PreconditionFailed(f"unknown check {args.check!r}")
-    _emit(report, args.out)
-    return 0 if report["pass"] else 1
-
-
 def _cmd_dual(args):
     mono = _parse_monomial(args.monomial)
     value = schubert.chern_number(args.space, args.bundle, mono)
@@ -172,14 +153,6 @@ def _build_parser():
     c.add_argument("--connection", default="nomizu")
     c.add_argument("--rep", required=True)
     c.set_defaults(func=_cmd_curvature)
-
-    ch = sub.add_parser("chern", help="geometric-model checks")
-    ch.add_argument("--check", required=True,
-                    choices=["pifiber", "patched", "quadrature"])
-    ch.add_argument("--seed", type=int, default=0)
-    ch.add_argument("--tol", type=float, default=None)
-    ch.add_argument("--samples", type=int, default=None)
-    ch.set_defaults(func=_cmd_chern)
 
     d = sub.add_parser("dual", help="Chern numbers of compact duals")
     d.add_argument("--space", required=True)

@@ -199,10 +199,6 @@ def wedge_scalar(f1: VForm, f2: VForm) -> VForm:
     return wedge(f1, f2, lambda a, b: a * b)
 
 
-def wedge_matrix(f1: VForm, f2: VForm) -> VForm:
-    return wedge(f1, f2, lambda a, b: a @ b)
-
-
 def wedge_bracket(f1: VForm, f2: VForm) -> VForm:
     """Bracket wedge of End(V)-valued 1-forms: [a,b]^ = a^b with commutator.
 

@@ -4,14 +4,14 @@ Cohomology of Gr(k, n) in the Schubert basis, indexed by partitions in a
 k x (n-k) box.  Coefficients are exact integers throughout.  Products go
 through the Giambelli determinant and iterated Pieri steps, with a brute
 force Littlewood-Richardson tableau count kept as an independent oracle
-for small boxes.  Tangent bundles are expanded from formal Chern roots of
-the tautological sequence.
+for small boxes.  Tangent Chern classes come from the tautological ones by
+Newton's identities: the power sums of the Chern roots of S dual and Q
+combine binomially into those of S dual (x) Q, all in integers.
 """
 
 from fractions import Fraction
 from itertools import permutations
-
-import sympy
+from math import comb
 
 from .errors import PreconditionFailed
 
@@ -64,6 +64,9 @@ class SchubertClass:
             if not _valid(lam, self.k, self.m):
                 raise PreconditionFailed(
                     f"partition {lam} does not fit in a {k} x {m} box")
+            if c % 1:
+                raise PreconditionFailed(
+                    f"coefficient {c!r} of {lam} is not an integer")
             if c != 0:
                 self.coeffs[lam] = self.coeffs.get(lam, 0) + int(c)
         self.coeffs = {lam: c for lam, c in self.coeffs.items() if c != 0}
@@ -312,62 +315,53 @@ def tautological_chern(space):
     return SchubertClass(k, m, s_dual), SchubertClass(k, m, q)
 
 
-def _elementary_in_specials(k, m):
-    """e_a of the formal roots of S, written in the Schubert basis.
+def _power_sums(c, rank, top):
+    """Power sums p_0..p_top of the Chern roots of a bundle of the given
+    rank and total Chern class c, by Newton's identities
 
-    Uses c(S)c(Q) = 1 degree by degree: e_a = -sum e_{a-b} sigma_b.
+        p_r = sum_{0<i<r} (-1)^(i-1) c_i p_(r-i) + (-1)^(r-1) r c_r.
     """
-    es = [sigma(k, m)]
-    for a in range(1, k + 1):
-        acc = SchubertClass(k, m)
-        for b in range(1, min(a, m) + 1):
-            acc = acc + pieri_multiply(es[a - b], b).scale(-1)
-        es.append(acc)
-    return es
+    e = [c.graded_piece(i) for i in range(top + 1)]
+    p = [sigma(c.k, c.m).scale(rank)]
+    for r in range(1, top + 1):
+        acc = e[r].scale((-1) ** (r - 1) * r)
+        for i in range(1, r):
+            acc = acc + ring_multiply(p[r - i], e[i]).scale((-1) ** (i - 1))
+        p.append(acc)
+    return p
 
 
 def tangent_chern(space):
-    """Total Chern class of the tangent bundle, c(Hom(S, Q)).
+    """Total Chern class of the tangent bundle, c(S dual (x) Q).
 
-    Expands the product of (1 + y_j - x_i) over formal Chern roots, then
-    rewrites both sets of elementary symmetric functions in the Schubert
-    basis.
+    The Chern roots of the tangent bundle are u_i + y_j over the roots u of
+    S dual and y of Q.  Newton's identities turn c(S dual) and c(Q) into
+    power sums, the binomial theorem gives
+
+        p_r(T) = sum_a C(r, a) p_a(u) p_(r-a)(y),
+
+    and Newton's identities solved for the Chern classes,
+
+        r c_r(T) = sum_{0<i<=r} (-1)^(i-1) c_(r-i)(T) p_i(T),
+
+    give c(T) back.  Everything is integer arithmetic in the Schubert ring;
+    the division by r is exact, and a remainder raises PreconditionFailed.
     """
     k, m = parse_space(space)
-    xs = sympy.symbols(f"x0:{k}")
-    ys = sympy.symbols(f"y0:{m}")
-    total = sympy.Integer(1)
-    for xi in xs:
-        for yj in ys:
-            total *= (1 + yj - xi)
-    total = sympy.expand(total)
-    svars = sympy.symbols(f"se1:{k + 1}")
-    qvars = sympy.symbols(f"qe1:{m + 1}")
-    sym_x, rem, _ = sympy.polys.polyfuncs.symmetrize(
-        total, list(xs), formal=True, symbols=list(svars))
-    if rem != 0:
-        raise PreconditionFailed("tangent class not symmetric in the fiber")
-    sym, rem, _ = sympy.polys.polyfuncs.symmetrize(
-        sym_x, list(ys), formal=True, symbols=list(qvars))
-    if rem != 0:
-        raise PreconditionFailed("tangent class not symmetric in the quotient")
-    poly = sympy.Poly(sym, *svars, *qvars)
-    es = _elementary_in_specials(k, m)
-    out = SchubertClass(k, m)
-    for mono, coeff in poly.terms():
-        deg = (sum((i + 1) * e for i, e in enumerate(mono[:k]))
-               + sum((j + 1) * e for j, e in enumerate(mono[k:])))
-        if deg > k * m:
-            continue
-        piece = sigma(k, m).scale(int(coeff))
-        for i, e in enumerate(mono[:k]):
-            for _ in range(e):
-                piece = ring_multiply(piece, es[i + 1])
-        for j, e in enumerate(mono[k:]):
-            for _ in range(e):
-                piece = pieri_multiply(piece, j + 1)
-        out = out + piece
-    return out
+    top = k * m
+    s_dual, q = tautological_chern(space)
+    pu = _power_sums(s_dual, k, top)
+    py = _power_sums(q, m, top)
+    zero = SchubertClass(k, m)
+    pt = [sum((ring_multiply(pu[a], py[r - a]).scale(comb(r, a))
+               for a in range(r + 1)), zero)
+          for r in range(top + 1)]
+    c = [sigma(k, m)]
+    for r in range(1, top + 1):
+        acc = sum((ring_multiply(c[r - i], pt[i]).scale((-1) ** (i - 1))
+                   for i in range(1, r + 1)), zero)
+        c.append(acc.scale(Fraction(1, r)))
+    return sum(c, zero)
 
 
 _BUNDLES = {

@@ -1,4 +1,9 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -64,12 +69,22 @@ def test_parse_space():
 
 
 def test_tangent_classes_projective():
-    # c(T P^1) = 1 + 2 sigma_1, c(T P^2) = 1 + 3 sigma_1 + 3 sigma_2
-    c = sc.tangent_chern("p:1")
-    assert c.graded_piece(1).coeffs == {(1,): 2}
-    c = sc.tangent_chern("p:2")
-    assert c.graded_piece(1).coeffs == {(1,): 3}
-    assert c.graded_piece(2).coeffs == {(2,): 3}
+    # c(T P^n) = (1 + sigma_1)^(n+1), so c_i = C(n+1, i) sigma_i
+    for n in range(1, 7):
+        c = sc.tangent_chern(f"p:{n}")
+        assert c.coeffs == {((i,) if i else ()): math.comb(n + 1, i)
+                            for i in range(n + 1)}, n
+
+
+def test_tangent_classes_grassmannians():
+    # c_1(T Gr(k, n)) = n sigma_1, and c_top integrates to the Euler
+    # number, the count C(n, k) of torus-fixed points
+    for n in range(4, 8):
+        for k in range(2, n - 1):
+            c = sc.tangent_chern(f"gr:{k},{n}")
+            assert c.graded_piece(1).coeffs == {(1,): n}, (k, n)
+            top = c.graded_piece(k * (n - k))
+            assert sc.integrate_class(top) == math.comb(n, k), (k, n)
 
 
 def test_tangent_first_class_gr24():
@@ -105,3 +120,38 @@ def test_generation_negative_control():
     rpt = sc.generation_check("gr:2,4", generators=[sc.sigma(2, 2, (2,))])
     assert not rpt["generates"]
     assert rpt["span_rank"] < rpt["betti_total"]
+
+
+def test_non_integral_coefficient_rejected():
+    with pytest.raises(PreconditionFailed):
+        sc.sigma(2, 2, (1,)).scale(0.5)
+    with pytest.raises(PreconditionFailed):
+        sc.SchubertClass(2, 2, {(1,): 2.7})
+    with pytest.raises(PreconditionFailed):
+        sc.sigma(2, 2, (1,)).scale(Fraction(3, 2))
+    assert sc.sigma(2, 2, (1,)).scale(Fraction(4, 2)).coeffs == {(1,): 2}
+
+
+def test_tangent_chern_rejects_inexact_division(monkeypatch):
+    # power sums that belong to no bundle: on P^2, c_2 = (c_1 p_1 - p_2) / 2
+    # is then not integral, and must raise rather than truncate
+    power_sums = sc._power_sums
+
+    def skewed(c, rank, top):
+        p = power_sums(c, rank, top)
+        p[2] = p[2] + sc.sigma(c.k, c.m, (2,))
+        return p
+
+    monkeypatch.setattr(sc, "_power_sums", skewed)
+    with pytest.raises(PreconditionFailed):
+        sc.tangent_chern("p:2")
+
+
+def test_import_does_not_load_sympy():
+    # a fresh interpreter, since another test may have loaded sympy here
+    code = "import sys, chernpatch; print('sympy' in sys.modules)"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(sc.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -91,18 +91,9 @@ def test_cli_curvature(capsys):
     assert abs(val[0][0][0]) < 1e-12 and abs(val[0][0][1] - 2.0) < 1e-12
 
 
-def test_cli_chern_check(capsys):
-    code = cli.main(["chern", "--check", "quadrature"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["pass"]
-
-
-def test_cli_chern_has_no_model_option(tmp_path, capsys):
-    # the geometric checks run on the built-in rank-2 model only
-    path = tmp_path / "model.json"
-    path.write_text("{}")
-    assert cli.main(["chern", "--check", "quadrature", "--samples", "16",
-                     "--model", str(path)]) == 2
+def test_cli_chern_subcommand_is_removed(capsys):
+    # the geometric checks run through `verify pifiber|patched|quadrature`
+    assert cli.main(["chern", "--check", "quadrature"]) == 2
 
 
 def test_cli_verify_model_unread_is_an_error(tmp_path, capsys):
