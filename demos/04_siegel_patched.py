@@ -25,10 +25,11 @@ print("tube radii: eps_Z =", m.model.eps("Z"), " eps_Y =", m.model.eps("Y"),
 # definition, the expanded chain formula, and the localized formula.
 rng = np.random.default_rng(0)
 x = [0.3, -0.1, 0.2, 12.0, 0.05, 25.0]
-mc = siegel.section_mc(x)[0]
-a = m.omega_patched(x, mc)
-b = m.omega_patched_chain(x, mc)
-c, base, wsum = m.omega_patched_localized(x, mc)
+p = m.point(x)
+mc = p.mc[0]
+a = m.omega_patched(p, mc)
+b = m.omega_patched_chain(p, mc)
+c, base, wsum = m.omega_patched_localized(p, mc)
 print("recursion vs chain:", float(np.max(np.abs(a - b))))
 print(f"localized around {base}: |w*recursion - localized| =",
       float(np.max(np.abs(wsum * a - c))))

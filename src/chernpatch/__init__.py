@@ -18,7 +18,7 @@ Modules:
   cli          command-line entry point
 """
 
-from . import (charts, cli, connections, dual, errors, exterior, hcrepr,
+from . import (charts, connections, dual, errors, exterior, hcrepr,
                invariants, liecore, schubert, siegel, strata, suites)
 from .errors import (ConditionViolation, IllConditionedSpectrum,
                      PreconditionFailed, UnsupportedFlag)

@@ -152,18 +152,20 @@ class Representation:
     lamC: callable
     lamC_alg: callable
 
+    def __post_init__(self):
+        self._M = complex_coords_map(self.spec)
+        self._Minv = np.linalg.inv(self._M)
+
     def lam_grp(self, k):
         """Evaluate on k in K (defining coordinates)."""
-        M = complex_coords_map(self.spec)
-        kc = M @ np.asarray(k, dtype=complex) @ np.linalg.inv(M)
+        kc = self._M @ np.asarray(k, dtype=complex) @ self._Minv
         if not in_kc(self.spec, kc, in_complex_coords=True):
             raise DecompositionError("element not in K(C)")
         return self.lamC(kc)
 
     def lam_alg(self, kdot):
         """Differential on kdot in Lie(K) (defining coordinates)."""
-        M = complex_coords_map(self.spec)
-        kc = M @ np.asarray(kdot, dtype=complex) @ np.linalg.inv(M)
+        kc = self._M @ np.asarray(kdot, dtype=complex) @ self._Minv
         return self.lamC_alg(kc)
 
 
@@ -252,21 +254,23 @@ def builtin_representation(spec, name: str) -> Representation:
 
 
 class CanonicalExtension:
-    """lambda_1(g) = lamC( j(c_1)^{-1} j(c_1 g) ) for the rank-r parabolic.
+    """lambda_1(g) = lamC( j(c_1)^{-1} j(c_1 g) ) for the Cayley element c1
+    of a parabolic (see :func:`canonical_extension` and
+    :func:`relative_extension`).
 
     Defined on the subset of G where c_1 g lies in the open cell; this
     contains K_{1h} G_{1l} and the parabolic elements needed for induced
     connections.
     """
 
-    def __init__(self, rep: Representation, r: int):
+    def __init__(self, rep: Representation, c1):
         self.rep = rep
         self.spec = rep.spec
-        self.r = r
-        self.c1 = cayley_element(self.spec, r)
+        self.c1 = c1
+        self._c1_inv = np.linalg.inv(c1)
         self._M = complex_coords_map(self.spec)
         self._Minv = np.linalg.inv(self._M)
-        self._jc1_inv = np.linalg.inv(middle_j(self.spec, self.c1))
+        self._jc1_inv = np.linalg.inv(middle_j(self.spec, c1))
 
     def j_twisted(self, g):
         """j(c_1)^{-1} j(c_1 g), a K(C) element in complex coordinates."""
@@ -280,7 +284,7 @@ class CanonicalExtension:
         """Differential of lambda_1 at the identity on Lie(P_1) directions."""
         # j(c_1) j-twist is a homomorphism on P_1; differentiate the
         # conjugated element c_1 xdot c_1^{-1} projected onto k(C)
-        x = self.c1 @ np.asarray(xdot, dtype=complex) @ np.linalg.inv(self.c1)
+        x = self.c1 @ np.asarray(xdot, dtype=complex) @ self._c1_inv
         xc = self._M @ x @ self._Minv
         p, q = _block_sizes(self.spec)
         blk = np.zeros_like(xc)
@@ -290,7 +294,8 @@ class CanonicalExtension:
 
 
 def canonical_extension(rep: Representation, r: int) -> CanonicalExtension:
-    return CanonicalExtension(rep, r)
+    """Extension along the standard rank-r parabolic."""
+    return CanonicalExtension(rep, cayley_element(rep.spec, r))
 
 
 def relative_extension(rep: Representation, r_inner: int, r_outer: int) -> CanonicalExtension:
@@ -302,12 +307,8 @@ def relative_extension(rep: Representation, r_inner: int, r_outer: int) -> Canon
     """
     if not r_outer > r_inner:
         raise UnsupportedFlag("need r_outer > r_inner")
-    ext = CanonicalExtension(rep, r_outer)
-    c_in = cayley_element(rep.spec, r_inner)
-    ext.c1 = ext.c1 @ np.linalg.inv(c_in)
-    ext.r = (r_inner, r_outer)
-    ext._jc1_inv = np.linalg.inv(middle_j(rep.spec, ext.c1))
-    return ext
+    return CanonicalExtension(rep, cayley_element(rep.spec, r_outer)
+                              @ np.linalg.inv(cayley_element(rep.spec, r_inner)))
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,6 @@ class ParabolicData:
     flag: tuple
     basis_u: list = field(repr=False)        # nilradical of Lie(Q)
     basis_u1: list = field(repr=False)       # nilradical of Lie(P_1)
-    basis_u_rel: list = field(repr=False)    # U_{P_1 Q} = Lie(U_Q) cap Levi(P_1)
     basis_h: list = field(repr=False)        # hermitian Levi part g_{1h}
     basis_l: list = field(repr=False)        # linear Levi part g_{Q ell}
     _split_mat: np.ndarray = field(repr=False, default=None)
@@ -492,12 +491,9 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
     bas_u = trace_radical(bas_q)
 
     # largest-rank maximal parabolic P_1 and its pieces
-    rmax = flag[-1]
     Vmax = subspaces[-1]
     bas_p1 = _orthonormalize(_nullspace_combos(basis, stab_constraint(Vmax)))
     bas_u1 = trace_radical(bas_p1)
-    levi1 = _span_intersection(bas_p1, [cartan_theta(spec, X) for X in bas_p1])
-    bas_u_rel = _span_intersection(bas_u, levi1)
 
     # hermitian part: kills V_max and its form-dual
     form = spec.form
@@ -517,7 +513,7 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
         bas_l = levi
 
     pd = ParabolicData(spec=spec, flag=flag, basis_u=bas_u, basis_u1=bas_u1,
-                       basis_u_rel=bas_u_rel, basis_h=bas_h, basis_l=bas_l)
+                       basis_h=bas_h, basis_l=bas_l)
     # consistency: dims add up and h/l commute
     if len(bas_u) + len(bas_h) + len(bas_l) != len(bas_q):
         raise DecompositionError("parabolic decomposition dimensions inconsistent")
@@ -566,22 +562,6 @@ def sp_embed_gl(spec: GroupSpec, r: int, a):
     return out
 
 
-def group_factor(pd: ParabolicData, g, tol: float = 1e-8):
-    """Factor g in Q as (u, g_h, g_l) with u in U_Q, per the Levi split.
-
-    For a flag of length > 1 the unipotent GL(V) part is folded into u, so
-    g_l is the block-diagonal linear Levi element.  Only implemented for
-    sp2nR (coordinate isotropic subspaces).
-    """
-    spec = pd.spec
-    if spec.family != "sp2nR":
-        raise UnsupportedFlag("group factorization implemented for sp2nR only")
-    u, g1h, urel, gql = group_factor_fine(pd, g, tol=tol)
-    u_full = u @ g1h @ urel @ np.linalg.inv(g1h)
-    # u_full = u * (g1h urel g1h^{-1}); both factors unipotent in U_Q's group
-    return u_full, g1h, gql
-
-
 def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     """Factor g in Q as (u_1, g_{1h}, u_rel, g_{Ql}), in that product order."""
     spec = pd.spec
@@ -598,10 +578,6 @@ def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     cuts = [rmax - r for r in reversed(ranks)] + [rmax]   # ascending cut points
     cuts = sorted(set([0] + cuts))
     blocks = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-    # a_full is block *lower*-triangular w.r.t. these cuts is false; V_small is
-    # the span of the last coordinates, so invariance makes a_full block
-    # lower-right triangular: entries below the block diagonal vanish on the
-    # left of each invariant tail.  Concretely a_full[i, j] = 0 when i-block < j-block.
     d = np.zeros_like(a_full)
     for (s, e) in blocks:
         d[s:e, s:e] = a_full[s:e, s:e]
@@ -616,10 +592,16 @@ def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     h_small = sp_hermitian_block(spec, rmax, g)
     g_1h = sp_embed_hermitian(spec, rmax, h_small)
     u1 = g @ np.linalg.inv(g_1h @ u_rel @ g_ql)
-    # validate u1 against Lie(U_1)
-    X = u1 - np.eye(spec.size)
-    # U_1 is abelian iff rmax = n; in general exp is polynomial, log via series
-    L = scipy.linalg.logm(u1).real
+    # validate u1 against Lie(U_1): u1 is unipotent exactly when X is
+    # nilpotent, and then log u1 is the finite series below
+    N = spec.size
+    X = u1 - np.eye(N)
+    powers = [X]
+    for _ in range(N - 1):
+        powers.append(powers[-1] @ X)
+    if np.max(np.abs(powers[-1])) > tol * max(1.0, np.max(np.abs(X))) ** N:
+        raise DecompositionError("factor u_1 is not unipotent")
+    L = sum((-1) ** (k + 1) * powers[k - 1] / k for k in range(1, N))
     B = np.stack([_vec(b) for b in pd.basis_u1], axis=1) if pd.basis_u1 else None
     if B is not None:
         c, *_ = np.linalg.lstsq(B, _vec(L), rcond=None)

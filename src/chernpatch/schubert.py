@@ -120,8 +120,8 @@ class SchubertClass:
         terms = []
         for lam in sorted(self.coeffs, key=lambda t: (sum(t), t)):
             c = self.coeffs[lam]
-            name = "s[" + ",".join(map(str, lam)) + "]" if lam else "1"
-            terms.append(f"{c}*{name}" if c != 1 or not lam else name)
+            name = "s[" + ",".join(map(str, lam)) + "]"
+            terms.append(str(c) if not lam else name if c == 1 else f"{c}*{name}")
         return " + ".join(terms)
 
 

@@ -18,11 +18,14 @@ which satisfy rho_Z(pi_Y(Z)) = rho_Z(Z) exactly.  The section
 lands in the intersection of both standard parabolics and maps the basepoint
 i*I to Z, with pi compatible with the group-level Levi factorization.
 
+Evaluators take (point, mc): the :class:`ChartPoint` SiegelModel.point(x),
+shared by every evaluation at x, and one of its directions mc = s^{-1} d_i s.
+
 The patched connection is a :class:`strata.PatchedSystem` over these control
-data.  Its geometric point over X is a chart point with a tangent vector
-(:class:`TangentVector`); over Y it is the Lie(G_h) part hdot of that vector
-in the rank-1 (Klingen) parabolic, which is all the invariant connections on
-Y read; over the point Z it is nothing.  Each tangent vector is split once.
+data.  Its geometric point over X is a tangent vector (:class:`TangentVector`)
+at a chart point; over Y it is the Lie(G_h) part hdot of that vector in the
+rank-1 (Klingen) parabolic, which is all the invariant connections on Y
+read; over the point Z it is nothing.  Each tangent vector is split once.
 """
 
 from __future__ import annotations
@@ -59,15 +62,12 @@ def section(x):
     return g
 
 
-def section_mc(x):
-    """List of s^{-1} d_i s over the six chart directions (analytic)."""
-    Z = z_from_coords(x)
-    Y = Z.imag
-    X = Z.real
-    L = np.linalg.cholesky(Y)
-    Linv = np.linalg.inv(L)
-    Lit = Linv.T
-    s = section(x)
+def section_mc(x, s):
+    """List of s^{-1} d_i s over the six chart directions, s = section(x)."""
+    X = z_from_coords(x).real
+    L = s[:2, :2]
+    Lit = s[2:, 2:]
+    Linv = Lit.T
     sinv = np.linalg.inv(s)
     out = []
     for k in range(6):
@@ -94,15 +94,29 @@ def section_mc(x):
 # ---------------------------------------------------------------------------
 
 
+class ChartPoint:
+    """A chart point x with what every evaluation at x reads: the section
+    s = s(x), mc[i] = s^{-1} d_i s for the six chart directions and the
+    control data.  `klingen` holds (lam, lam^{-1}) once it has been made:
+    lambda_1 of the inverse linear Levi factor of s in the rank-1 parabolic."""
+
+    __slots__ = ("s", "mc", "control", "klingen")
+
+    def __init__(self, x, control):
+        self.control, self.klingen = control, None
+        self.s = section(x)
+        self.mc = section_mc(x, self.s)
+
+
 class TangentVector:
-    """Geometric point of the patched system over X: the chart point x and
-    mc = s^{-1} ds(v) for a tangent vector v at x.  `klingen` keeps its
-    split along the rank-1 parabolic once it has been made."""
+    """Geometric point of the patched system over X: a chart point and
+    mc = s^{-1} ds(v) for a tangent vector v there.  `split` keeps the
+    (hdot, ldot) parts of mc in the rank-1 parabolic once made."""
 
-    __slots__ = ("x", "mc", "klingen")
+    __slots__ = ("point", "mc", "split")
 
-    def __init__(self, x, mc):
-        self.x, self.mc, self.klingen = x, mc, None
+    def __init__(self, point, mc):
+        self.point, self.mc, self.split = point, mc, None
 
 
 class SiegelModel:
@@ -122,7 +136,6 @@ class SiegelModel:
             flags=[["Z", "Y", "X"]], eps0=eps0)
         # Cartan element of the hermitian sl(2) on the (e0, f0) plane
         self._W_H = np.diag([1.0, 0.0, -1.0, 0.0])
-        self._kcache = {}
         # The point stratum carries the zero connection, so the connections
         # induced from it read only the Levi part of the tangent vector.
         self.system = strata.PatchedSystem(
@@ -137,31 +150,30 @@ class SiegelModel:
 
     # control data ------------------------------------------------------
 
-    def model_point(self, x):
-        """Control data at x: rho_Z = 1 / Im z11, rho_Y = 1 / Im z22."""
-        return self.model.point(("Z", "Y", "X"), (1.0 / x[3], 1.0 / x[5]))
+    def point(self, x) -> ChartPoint:
+        """The chart point at x, with control data rho_Z = 1 / Im z11 and
+        rho_Y = 1 / Im z22."""
+        return ChartPoint(x, self.model.point(("Z", "Y", "X"),
+                                              (1.0 / x[3], 1.0 / x[5])))
 
-    def _klingen(self, v: TangentVector):
-        """(hdot, ldot, lam, lam_inv): the Lie(G_h) and linear Levi parts of
-        v.mc in the rank-1 parabolic, and lambda_1 of the inverse linear Levi
-        factor of the section at v.x with its inverse."""
-        if v.klingen is None:
-            _, hdot, ldot = self.pdK.split(v.mc)
-            xt = tuple(map(float, v.x))
-            hit = self._kcache.get(xt)
-            if hit is None:
-                if len(self._kcache) > 256:
-                    self._kcache.clear()
-                _, _, g_l = liecore.group_factor(self.pdK, section(v.x))
-                lam = self.extK(np.linalg.inv(g_l))
-                hit = (lam, np.linalg.inv(lam))
-                self._kcache[xt] = hit
-            v.klingen = (hdot, ldot) + hit
-        return v.klingen
+    def _split(self, v: TangentVector):
+        """(hdot, ldot): the Lie(G_h) and linear Levi parts of v.mc in the
+        rank-1 parabolic."""
+        if v.split is None:
+            v.split = self.pdK.split(v.mc)[1:]
+        return v.split
+
+    def _klingen(self, p: ChartPoint):
+        """(lam, lam^{-1}) at p; see :class:`ChartPoint`."""
+        if p.klingen is None:
+            g_l = liecore.group_factor_fine(self.pdK, p.s)[3]
+            lam = self.extK(np.linalg.inv(g_l))
+            p.klingen = (lam, np.linalg.inv(lam))
+        return p.klingen
 
     def project(self, v, Y, Z):
         """The geometric point over pi_Z: hdot on Y, nothing on the point."""
-        return self._klingen(v)[0] if Z == "Y" else None
+        return self._split(v)[0] if Z == "Y" else None
 
     # connection-form evaluators ----------------------------------------
     # each returns an End(V) matrix
@@ -189,36 +201,39 @@ class SiegelModel:
     def omega_XY(self, v: TangentVector, val):
         """Pullback through the rank-1 parabolic: the value at v of the
         connection induced from one on Y whose value at hdot is val."""
-        _, ldot, lam, lam_inv = self._klingen(v)
+        _, ldot = self._split(v)
+        lam, lam_inv = self._klingen(v.point)
         return self.extK.alg(ldot) + lam @ val @ lam_inv
 
-    def omega_induced_nomizu(self, x, mc):
+    def omega_induced_nomizu(self, p, mc):
         """The connection on X induced from the Nomizu connection on Y."""
-        v = TangentVector(x, mc)
+        v = TangentVector(p, mc)
         return self.omega_XY(v, self.omega_Y_nomizu(self.project(v, "X", "Y")))
 
     # patched connection on X -------------------------------------------
 
-    def omega_patched(self, x, mc):
+    def omega_patched(self, p, mc):
         """Recursive definition of the patched form."""
-        return self.system.patched(self.model_point(x), TangentVector(x, mc))
+        return self.system.patched(p.control, TangentVector(p, mc))
 
-    def omega_patched_chain(self, x, mc):
+    def omega_patched_chain(self, p, mc):
         """Closed chain form of the same connection."""
-        return self.system.chain_form(self.model_point(x), TangentVector(x, mc))
+        return self.system.chain_form(p.control, TangentVector(p, mc))
 
-    def omega_patched_localized(self, x, mc):
+    def omega_patched_localized(self, p, mc):
         """Localized form around the base stratum W; returns (value, W, wsum)."""
-        return self.system.localized(self.model_point(x), TangentVector(x, mc))
+        return self.system.localized(p.control, TangentVector(p, mc))
 
     # chart forms --------------------------------------------------------
 
     def form_from_evaluator(self, evaluator) -> ext.VForm:
-        """Assemble a chart VForm from an (x, mc) -> End(V) evaluator.
+        """Assemble a chart VForm from a (point, mc) -> End(V) evaluator.
 
-        All six coefficients at a point come from one section_mc pass."""
-        return ext.VForm(6, 1, ext.SmoothMap(
-            6, lambda x: np.array([evaluator(x, mc) for mc in section_mc(x)])))
+        All six coefficients at x share one chart point, self.point(x)."""
+        def coeffs(x):
+            p = self.point(x)
+            return np.array([evaluator(p, mc) for mc in p.mc])
+        return ext.VForm(6, 1, ext.SmoothMap(6, coeffs))
 
     def projection_map(self) -> ext.SmoothMap:
         """pi_Y = (x11, y11) as a chart map (6 coords -> 2), analytic Jacobian."""

@@ -377,11 +377,11 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40):
         x = [float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
              float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.5)),
              float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.005, 0.12))]
-        mcs = siegel.section_mc(x)
-        for mc in mcs[:2]:
-            a = m.omega_patched(x, mc)
-            b = m.omega_patched_chain(x, mc)
-            c, _, w = m.omega_patched_localized(x, mc)
+        p = m.point(x)
+        for mc in p.mc[:2]:
+            a = m.omega_patched(p, mc)
+            b = m.omega_patched_chain(p, mc)
+            c, _, w = m.omega_patched_localized(p, mc)
             rec_chain = max(rec_chain, float(np.max(np.abs(a - b))))
             local = max(local, float(np.max(np.abs(w * a - c))))
     checks = [_check("recursion-equals-chain", rec_chain, tol),

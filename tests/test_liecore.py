@@ -107,8 +107,8 @@ def test_group_factor_recomposes():
         pd = liecore.parabolic_data(spec, flag)
         c = 0.3 * rng.standard_normal(len(pd.basis_q))
         g = liecore.exp_grp(spec, liecore.from_coords(c, pd.basis_q))
-        u, g_h, g_l = liecore.group_factor(pd, g)
-        assert np.max(np.abs(u @ g_h @ g_l - g)) < 1e-8
+        u1, g_1h, u_rel, g_ql = liecore.group_factor_fine(pd, g)
+        assert np.max(np.abs(u1 @ g_1h @ u_rel @ g_ql - g)) < 1e-8
 
 
 def test_group_factor_fine_recomposes():
@@ -119,3 +119,14 @@ def test_group_factor_fine_recomposes():
     g = liecore.exp_grp(spec, liecore.from_coords(c, pd.basis_q))
     u1, g_1h, u_rel, g_ql = liecore.group_factor_fine(pd, g)
     assert np.max(np.abs(u1 @ g_1h @ u_rel @ g_ql - g)) < 1e-8
+
+
+@pytest.mark.parametrize("flag", [(1,), (2,), (1, 2)])
+def test_group_factor_fine_rejects_outside_parabolic(flag):
+    spec = liecore.sp2nR(2)
+    pd = liecore.parabolic_data(spec, flag)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        g = liecore.exp_grp(spec, liecore.random_alg(spec, rng))
+        with pytest.raises(DecompositionError):
+            liecore.group_factor_fine(pd, g)

@@ -155,3 +155,8 @@ def test_import_does_not_load_sympy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_unit_class_repr():
+    assert repr(sc.sigma(2, 2)) == "1"
+    assert repr(sc.sigma(2, 2).scale(3)) == "3"

@@ -44,7 +44,7 @@ def test_section_maps_to_point(model):
 def test_section_mc_matches_finite_difference(model):
     rng = np.random.default_rng(2)
     x = _sample_x(rng)
-    mcs = siegel.section_mc(x)
+    mcs = model.point(x).mc
     h = 1e-6
     for i in range(6):
         xp = list(x); xp[i] += h
@@ -59,9 +59,10 @@ def test_patched_recursion_equals_chain(model):
     worst = 0.0
     for _ in range(25):
         x = _sample_x(rng)
-        for mc in siegel.section_mc(x)[:3]:
-            a = model.omega_patched(x, mc)
-            b = model.omega_patched_chain(x, mc)
+        p = model.point(x)
+        for mc in p.mc[:3]:
+            a = model.omega_patched(p, mc)
+            b = model.omega_patched_chain(p, mc)
             worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst < 1e-10
 
@@ -70,11 +71,31 @@ def test_patched_localization(model):
     rng = np.random.default_rng(4)
     for _ in range(25):
         x = _sample_x(rng)
-        for mc in siegel.section_mc(x)[:3]:
-            a = model.omega_patched(x, mc)
-            c, W, wsum = model.omega_patched_localized(x, mc)
+        p = model.point(x)
+        for mc in p.mc[:3]:
+            a = model.omega_patched(p, mc)
+            c, W, wsum = model.omega_patched_localized(p, mc)
             assert W in ("Z", "Y", "X")
             assert np.max(np.abs(wsum * a - c)) < 1e-10
+
+
+def test_klingen_factor_once_per_evaluation(model, monkeypatch):
+    calls = []
+    factor = liecore.group_factor_fine
+
+    def counted(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(liecore, "group_factor_fine", counted)
+    coeffs = model.form_from_evaluator(model.omega_patched).coeffs
+    epsX = model.model.eps("X")
+    x = [0.3, -0.2, 0.1, 1.0 / (0.6 * epsX), 0.01, 1.0 / (0.3 * epsX)]
+    first = coeffs.value(x)
+    assert len(calls) == 1
+    again = coeffs.value(x)
+    assert len(calls) == 2
+    assert np.array_equal(first, again)
 
 
 def test_mixed_region_weights_sum_to_one(model):
@@ -85,7 +106,7 @@ def test_mixed_region_weights_sum_to_one(model):
         x = _sample_x(rng)
         # force a mixed radial coordinate
         x[5] = 1.0 / float(rng.uniform(0.55 * epsX, 0.7 * epsX))
-        pt = model.model_point(x)
+        pt = model.point(x).control
         w = md.partition_weights(pt)
         assert abs(sum(w.values()) - 1.0) < 1e-12
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -130,3 +133,12 @@ def test_model_from_dict_rejects_unknown_profile(tmp_path, capsys):
         "flags": [["Z", "Y"]], "profile": "gauss"}))
     assert cli.main(["verify", "partition", "--model", str(path)]) == 2
     assert "gauss" in capsys.readouterr().err
+
+
+def test_cli_module_runs_without_warnings():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-m", "chernpatch.cli", "verify",
+                          "schubert"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stderr == ""
