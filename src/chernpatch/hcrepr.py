@@ -69,9 +69,9 @@ class HCDecomposition:
 
 def hc_decompose(spec, g, in_complex_coords=False, tol=1e-9) -> HCDecomposition:
     """Open-cell factorization of g (given in defining coordinates)."""
-    M = complex_coords_map(spec)
     gc = np.asarray(g, dtype=complex)
     if not in_complex_coords:
+        M = complex_coords_map(spec)
         gc = M @ gc @ np.linalg.inv(M)
     p, q = _block_sizes(spec)
     A, B = gc[:p, :p], gc[:p, p:]
@@ -98,9 +98,9 @@ def middle_j(spec, g, in_complex_coords=False):
 
 
 def in_kc(spec, g, in_complex_coords=False, tol=1e-8) -> bool:
-    M = complex_coords_map(spec)
     gc = np.asarray(g, dtype=complex)
     if not in_complex_coords:
+        M = complex_coords_map(spec)
         gc = M @ gc @ np.linalg.inv(M)
     p, q = _block_sizes(spec)
     off = max(np.max(np.abs(gc[p:, :p])), np.max(np.abs(gc[:p, p:])))
@@ -274,8 +274,8 @@ class CanonicalExtension:
 
     def j_twisted(self, g):
         """j(c_1)^{-1} j(c_1 g), a K(C) element in complex coordinates."""
-        cg = self.c1 @ np.asarray(g, dtype=complex)
-        return self._jc1_inv @ middle_j(self.spec, cg)
+        cg = self._M @ (self.c1 @ np.asarray(g, dtype=complex)) @ self._Minv
+        return self._jc1_inv @ middle_j(self.spec, cg, in_complex_coords=True)
 
     def __call__(self, g):
         return self.rep.lamC(self.j_twisted(g))

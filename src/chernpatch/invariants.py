@@ -2,7 +2,9 @@
 the nilpotent-invariance check, plus Chern form assembly.
 
 Exact arithmetic uses object-dtype numpy arrays of fractions.Fraction; the
-float path is float64/complex128.
+float path is float64/complex128.  The exact characteristic polynomial is
+Berkowitz's division-free algorithm over Python ints, run once the entry
+denominators are cleared; the float one is Faddeev-LeVerrier.
 """
 
 from __future__ import annotations
@@ -26,20 +28,44 @@ def exact_matrix(rows):
     return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
 
 
-def _char_poly(x):
-    """Coefficients [1, c_{d-1}, ..., c_0] of det(tI - x), Faddeev-LeVerrier.
+def _berkowitz(a):
+    """Coefficients [1, c_1, ..., c_d] of det(tI - a) for a square list of
+    integer rows, by Berkowitz's division-free recursion.
 
-    Exact for Fraction matrices, complex float otherwise.
+    With a_{r+1} = [[a_r, C], [R, a_rr]], the characteristic polynomial of
+    a_{r+1} is the lower-triangular Toeplitz matrix with first column
+    (1, -a_rr, -R C, -R a_r C, ..., -R a_r^{r-1} C) applied to that of a_r.
+    """
+    p = [1]
+    for r in range(len(a)):
+        row = a[r][:r]
+        v = [a[i][r] for i in range(r)]
+        q = [1, -a[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(w * u for w, u in zip(a[i][:r], v)) for i in range(r)]
+            q.append(-sum(w * u for w, u in zip(row, v)))
+        p = [sum(q[i - j] * p[j] for j in range(min(i, r) + 1))
+             for i in range(r + 2)]
+    return p
+
+
+def _char_poly(x):
+    """Coefficients [1, c_1, ..., c_d] of det(tI - x) = sum_k c_k t^{d-k}.
+
+    Exact for Fraction matrices: Berkowitz over the integer matrix D x, D the
+    lcm of the entry denominators, then c_k = c_k(D x) / D^k.  Complex float
+    otherwise, by Faddeev-LeVerrier.
     """
     d = x.shape[0]
     if _is_exact(x):
-        one = Fraction(1)
-        I = np.array([[one if i == j else Fraction(0) for j in range(d)]
-                      for i in range(d)], dtype=object)
-    else:
-        one = 1.0 + 0j
-        I = np.eye(d, dtype=complex)
-        x = np.asarray(x, dtype=complex)
+        rows = x.tolist()
+        D = math.lcm(*(v.denominator for row in rows for v in row))
+        a = [[v.numerator * (D // v.denominator) for v in row] for row in rows]
+        return [Fraction(c, D ** k) for k, c in enumerate(_berkowitz(a))]
+    one = 1.0 + 0j
+    I = np.eye(d, dtype=complex)
+    x = np.asarray(x, dtype=complex)
     cs = [one]
     Mcur = I.copy()
     for k in range(1, d + 1):
@@ -50,17 +76,18 @@ def _char_poly(x):
     return cs
 
 
+def elementary_symmetric_values(x):
+    """[e_0, ..., e_d] of the eigenvalues of x, from one characteristic
+    polynomial: e_k is the coefficient of t^k in det(I + t x)."""
+    # c_k, the coefficient of t^{d-k} in det(tI - x), is (-1)^k e_k
+    return [(-1) ** k * c for k, c in enumerate(_char_poly(x))]
+
+
 def elementary_symmetric_value(x, k):
     """e_k of the eigenvalues of x: coefficient of t^k in det(I + t x)."""
-    d = x.shape[0]
-    if not 0 <= k <= d:
+    if not 0 <= k <= x.shape[0]:
         raise ValueError("k out of range")
-    cs = _char_poly(x)
-    # det(t I - x) = sum cs[j] t^{d-j}; det(I + t x) = t^d det((1/t) I + x)
-    # e_k = (-1)^k * cs[k] evaluated on (-x): easier directly
-    val = (-1) ** k * cs[k]
-    # cs[k] is the coefficient of t^{d-k} in det(tI - x) = (-1)^k e_k(eigs)
-    return val
+    return elementary_symmetric_values(x)[k]
 
 
 @dataclass

@@ -578,14 +578,15 @@ def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     cuts = [rmax - r for r in reversed(ranks)] + [rmax]   # ascending cut points
     cuts = sorted(set([0] + cuts))
     blocks = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+    # g preserves each subspace of the flag exactly when a_full is block
+    # lower triangular: nothing above a diagonal block
+    for (s, e) in blocks[1:]:
+        if np.max(np.abs(a_full[:s, s:e])) > tol * max(1.0, np.max(np.abs(a_full))):
+            raise DecompositionError("group element not in the parabolic cell")
     d = np.zeros_like(a_full)
     for (s, e) in blocks:
         d[s:e, s:e] = a_full[s:e, s:e]
     nmat = a_full @ np.linalg.inv(d)
-    for (s, e) in blocks:
-        blk = nmat[s:e, s:e]
-        if np.max(np.abs(blk - np.eye(e - s))) > tol * max(1.0, np.max(np.abs(a_full))):
-            raise DecompositionError("group element not in the parabolic cell")
 
     g_ql = sp_embed_gl(spec, rmax, d)
     u_rel = sp_embed_gl(spec, rmax, nmat)

@@ -165,31 +165,39 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4, nparts=3, dim=2):
 
 
 def _commuting_pair(rng, dim=4, exact=True):
-    """Random (x, n) with n nilpotent and [x, n] = 0, via a shared flag."""
+    """Random (x, n) with n nilpotent and [x, n] = 0, via a shared flag.
+
+    The flag is moved by an integer matrix s with unit diagonal, redrawn
+    while det s = 0: x = s x0 adj(s) / det s in integers, one Fraction per
+    entry.  By Cayley-Hamilton, adj(s) = (-1)^(d-1) (s^(d-1) + c_1 s^(d-2)
+    + ... + c_(d-1) I) and det s = (-1)^d c_d for det(tI - s) = sum c_k t^(d-k).
+    """
     from fractions import Fraction
     vals = [int(rng.integers(-3, 4)) for _ in range(dim)]
     vals.sort()
-    x = [[Fraction(0)] * dim for _ in range(dim)]
-    n = [[Fraction(0)] * dim for _ in range(dim)]
+    x = np.zeros((dim, dim), dtype=object)
+    n = x.copy()
     for i in range(dim):
-        x[i][i] = Fraction(vals[i])
+        x[i, i] = vals[i]
         for j in range(i + 1, dim):
             if vals[i] == vals[j]:
-                n[i][j] = Fraction(int(rng.integers(-2, 3)))
+                n[i, j] = int(rng.integers(-2, 3))
     while True:
-        s = np.array([[Fraction(int(rng.integers(-2, 3)) if i != j else 1)
-                       for j in range(dim)] for i in range(dim)], dtype=object)
-        try:
-            sinv = inv._exact_inv(s)
+        rows = [[int(rng.integers(-2, 3)) if i != j else 1 for j in range(dim)]
+                for i in range(dim)]
+        cs = inv._berkowitz(rows)
+        det = (-1) ** dim * cs[dim]
+        if det != 0:
             break
-        except (ZeroDivisionError, PreconditionFailed):
-            continue
+    s = np.array(rows, dtype=object)
+    eye = np.eye(dim, dtype=object)
+    adj = eye
+    for c in cs[1:dim]:
+        adj = s @ adj + c * eye
+    adj = (-1) ** (dim - 1) * adj
 
     def conj(a):
-        prod = [[sum(s[i][k] * a[k][j] for k in range(dim))
-                 for j in range(dim)] for i in range(dim)]
-        return [[sum(prod[i][k] * sinv[k][j] for k in range(dim))
-                 for j in range(dim)] for i in range(dim)]
+        return [[Fraction(v, det) for v in row] for row in (s @ a @ adj).tolist()]
 
     x, n = conj(x), conj(n)
     if exact:
@@ -205,17 +213,15 @@ def suite_nilpotent(seed=0, tol=1e-9, samples=500, dim=4):
     worst = 0.0
     for t in range(samples):
         x, n = _commuting_pair(rng, dim, exact=True)
-        xn = x + n
-        for k in range(1, dim + 1):
-            if (inv.elementary_symmetric_value(x, k)
-                    != inv.elementary_symmetric_value(xn, k)):
-                exact_bad += 1
+        a = inv.elementary_symmetric_values(x)
+        b = inv.elementary_symmetric_values(x + n)
+        exact_bad += sum(a[k] != b[k] for k in range(1, dim + 1))
         xf = np.array([[float(v) for v in row] for row in x])
         nf = np.array([[float(v) for v in row] for row in n])
+        a = inv.elementary_symmetric_values(xf)
+        b = inv.elementary_symmetric_values(xf + nf)
         for k in range(1, dim + 1):
-            a = inv.elementary_symmetric_value(xf, k)
-            b = inv.elementary_symmetric_value(xf + nf, k)
-            worst = max(worst, abs(a - b))
+            worst = max(worst, abs(a[k] - b[k]))
     checks = [_check("exact-invariance-failures", exact_bad, 0.0),
               _check("float-invariance", worst, tol)]
     return _finish("nilpotent", seed, tol, samples, checks)

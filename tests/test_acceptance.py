@@ -40,10 +40,13 @@ def test_patched_curvature_formula_random_polynomials():
 
 
 def test_nilpotent_shift_invariance_exact_and_float():
+    t0 = time.perf_counter()
     rpt = _passing(suites.run_suite("nilpotent", seed=0, tol=1e-9,
                                     samples=500))
+    elapsed = time.perf_counter() - t0
     exact = [c for c in rpt["checks"] if "exact" in c["name"]]
     assert exact and all(c["max_residual"] == 0.0 for c in exact)
+    assert elapsed < 1.5, f"nilpotent invariance took {elapsed:.2f}s"
 
 
 def test_invariant_connection_classification():

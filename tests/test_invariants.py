@@ -16,6 +16,55 @@ def test_char_poly_matches_numpy():
     assert np.max(np.abs(np.array(mine) - ref)) < 1e-9
 
 
+def _exact_det(rows):
+    """det by Fraction Gaussian elimination with row swaps."""
+    a = [list(r) for r in rows]
+    d = len(a)
+    det = Fraction(1)
+    for col in range(d):
+        piv = next((r for r in range(col, d) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, d):
+            fac = a[r][col] / a[col][col]
+            a[r] = [v - fac * w for v, w in zip(a[r], a[col])]
+    return det
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exact_char_poly_matches_determinant_oracle(d):
+    rng = np.random.default_rng(10 + d)
+    for _ in range(5):
+        x = np.array([[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                       for _ in range(d)] for _ in range(d)], dtype=object)
+        cs = inv._char_poly(x)
+        assert len(cs) == d + 1
+        assert all(type(c) is Fraction for c in cs)
+        for t in range(d + 1):
+            shifted = [[(t if i == j else 0) - x[i, j] for j in range(d)]
+                       for i in range(d)]
+            assert sum(c * t ** (d - k) for k, c in enumerate(cs)) == _exact_det(shifted)
+
+
+def test_elementary_symmetric_values_agree_with_single_values():
+    rng = np.random.default_rng(4)
+    xe = np.array([[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5)))
+                    for _ in range(4)] for _ in range(4)], dtype=object)
+    xf = rng.standard_normal((4, 4))
+    for x in (xe, xf):
+        es = inv.elementary_symmetric_values(x)
+        assert es[0] == 1
+        assert len(es) == 5
+        for k in range(5):
+            assert es[k] == inv.elementary_symmetric_value(x, k)
+    with pytest.raises(ValueError):
+        inv.elementary_symmetric_value(xf, 5)
+
+
 def test_elementary_symmetric_exact():
     x = inv.exact_matrix([[1, 2], [3, 4]])
     assert inv.elementary_symmetric_value(x, 1) == 5       # trace

@@ -130,3 +130,13 @@ def test_group_factor_fine_rejects_outside_parabolic(flag):
         g = liecore.exp_grp(spec, liecore.random_alg(spec, rng))
         with pytest.raises(DecompositionError):
             liecore.group_factor_fine(pd, g)
+
+
+def test_group_factor_fine_rejects_levi_element_outside_the_flag():
+    # a Levi element of the (2,) parabolic preserves V but moves the line of
+    # the flag (1, 2): a_full is upper, not lower, triangular
+    spec = liecore.sp2nR(2)
+    pd = liecore.parabolic_data(spec, (1, 2))
+    g = liecore.sp_embed_gl(spec, 2, np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(DecompositionError, match="parabolic cell"):
+        liecore.group_factor_fine(pd, g)

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from chernpatch import cli, liecore, suites
+from chernpatch import cli, invariants as inv, liecore, suites
+from chernpatch.errors import PreconditionFailed
 
 
 SMALL = {
@@ -35,6 +38,45 @@ def test_suite_passes_at_small_size(name):
 def test_corrupt_springer_fails():
     rpt = suites.run_suite("springer", seed=1, samples=8, corrupt=True)
     assert not rpt["pass"]
+
+
+def _fraction_commuting_pair(rng, dim=4, exact=True):
+    """The pair of suites._commuting_pair, built by Fraction triple products
+    and an exact Gauss-Jordan inverse from the same rng draws."""
+    vals = sorted(int(rng.integers(-3, 4)) for _ in range(dim))
+    x = [[Fraction(0)] * dim for _ in range(dim)]
+    n = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        x[i][i] = Fraction(vals[i])
+        for j in range(i + 1, dim):
+            if vals[i] == vals[j]:
+                n[i][j] = Fraction(int(rng.integers(-2, 3)))
+    while True:
+        s = np.array([[Fraction(int(rng.integers(-2, 3)) if i != j else 1)
+                       for j in range(dim)] for i in range(dim)], dtype=object)
+        try:
+            sinv = inv._exact_inv(s)
+            break
+        except PreconditionFailed:
+            continue
+
+    def conj(a):
+        return s @ np.array(a, dtype=object) @ sinv
+
+    x, n = conj(x), conj(n)
+    if exact:
+        return x, n
+    return x.astype(float), n.astype(float)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_commuting_pair_matches_fraction_construction(exact):
+    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(50):
+        x, n = suites._commuting_pair(rng_a, 4, exact=exact)
+        x0, n0 = _fraction_commuting_pair(rng_b, 4, exact=exact)
+        assert x.dtype == x0.dtype and n.dtype == n0.dtype
+        assert x.tolist() == x0.tolist() and n.tolist() == n0.tolist()
 
 
 def test_reports_are_deterministic():
