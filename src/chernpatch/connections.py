@@ -48,8 +48,12 @@ class InvariantConnection:
     basis: list          # ambient algebra basis
     values: list         # omega_0 on each basis element, End(V) matrices
 
+    def __post_init__(self):
+        self._solver = liecore.span_solver(self.basis)
+
     def omega0(self, X):
-        c = liecore.algebra_coords(self.spec, X, basis=self.basis)
+        c = liecore.algebra_coords(self._solver, X, 1e-8,
+                                   "matrix not in the spanned Lie algebra")
         out = None
         for ci, v in zip(c, self.values):
             t = ci * v

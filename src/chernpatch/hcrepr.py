@@ -15,6 +15,10 @@ lower-right block is invertible; then
 by one step of block Gauss elimination, and j(g) = k_c is the middle
 projection.  j is multiplicative under j(h g h') = j(h) j(g) j(h') for
 h, h' in K(C).
+
+Representations and canonical extensions hold what they reuse, built in
+their constructors: the coordinate change M and its inverse, and for a
+canonical extension j(c_1)^{-1} and the tensor of its differential.
 """
 
 from __future__ import annotations
@@ -261,16 +265,30 @@ class CanonicalExtension:
     Defined on the subset of G where c_1 g lies in the open cell; this
     contains K_{1h} G_{1l} and the parabolic elements needed for induced
     connections.
+
+    Its differential at the identity is linear, so the constructor
+    tabulates it once on the matrix units E_ij as an (N, N, d, d) tensor
+    and :meth:`alg` is a single contraction with that tensor.
     """
 
     def __init__(self, rep: Representation, c1):
         self.rep = rep
         self.spec = rep.spec
         self.c1 = c1
-        self._c1_inv = np.linalg.inv(c1)
         self._M = complex_coords_map(self.spec)
         self._Minv = np.linalg.inv(self._M)
         self._jc1_inv = np.linalg.inv(middle_j(self.spec, c1))
+        # j(c_1)^{-1} j(c_1 .) is a homomorphism on P_1; its differential at
+        # xdot is lamC_alg of the k(C) part (the diagonal blocks, in complex
+        # coordinates) of c_1 xdot c_1^{-1}, evaluated here at each E_ij
+        N = self.spec.size
+        units = np.eye(N * N).reshape(N * N, N, N)
+        xc = self._M @ (c1 @ units @ np.linalg.inv(c1)) @ self._Minv
+        p, _ = _block_sizes(self.spec)
+        xc[:, :p, p:] = 0.0
+        xc[:, p:, :p] = 0.0
+        T = np.array([rep.lamC_alg(blk) for blk in xc])
+        self._dlam = T.reshape((N, N) + T.shape[1:])
 
     def j_twisted(self, g):
         """j(c_1)^{-1} j(c_1 g), a K(C) element in complex coordinates."""
@@ -282,15 +300,7 @@ class CanonicalExtension:
 
     def alg(self, xdot):
         """Differential of lambda_1 at the identity on Lie(P_1) directions."""
-        # j(c_1) j-twist is a homomorphism on P_1; differentiate the
-        # conjugated element c_1 xdot c_1^{-1} projected onto k(C)
-        x = self.c1 @ np.asarray(xdot, dtype=complex) @ self._c1_inv
-        xc = self._M @ x @ self._Minv
-        p, q = _block_sizes(self.spec)
-        blk = np.zeros_like(xc)
-        blk[:p, :p] = xc[:p, :p]
-        blk[p:, p:] = xc[p:, p:]
-        return self.rep.lamC_alg(blk)
+        return np.tensordot(xdot, self._dlam, 2)
 
 
 def canonical_extension(rep: Representation, r: int) -> CanonicalExtension:

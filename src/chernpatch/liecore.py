@@ -12,6 +12,12 @@ Elements are plain numpy arrays; the functions here validate the defining
 relations, split along the Cartan involution theta(X) = -X^H, and build
 parabolic subalgebra data for isotropic flags.
 
+Coordinates in a fixed real span of matrices come from one routine,
+:func:`algebra_coords`, through a solver (basis matrix and pseudo-inverse)
+that the owner of the basis builds once with :func:`span_solver`:
+ParabolicData in its constructor for Lie(Q) and Lie(U_1), and
+connections.InvariantConnection for its ambient basis.
+
 All numeric work is float64/complex128 with default tolerance 1e-9.  The
 purely algebraic operations (bracket, cartan_split, residuals) also accept
 object-dtype arrays of ``fractions.Fraction`` for exact checks.
@@ -262,15 +268,22 @@ def _vec(X):
     return np.concatenate([X.real.ravel(), X.imag.ravel()])
 
 
-def algebra_coords(spec: GroupSpec, X, basis=None, tol: float = 1e-8):
-    """Coordinates of X in the real algebra basis; error if X is not in it."""
-    if basis is None:
-        basis = algebra_basis(spec)
+def span_solver(basis):
+    """(B, B^+) for a fixed real span: B has the real coordinate vector of
+    each basis matrix as a column, B^+ is its pseudo-inverse.  The owner of
+    a basis builds this once, at construction."""
     B = np.stack([_vec(b) for b in basis], axis=1)
+    return B, np.linalg.pinv(B)
+
+
+def algebra_coords(solver, X, tol: float, message: str):
+    """Coordinates of X in the span of a :func:`span_solver`; raises
+    DecompositionError(message) unless |B c - X|_inf <= tol max(1, |X|_inf)."""
+    B, pinv = solver
     v = _vec(X)
-    c, res, *_ = np.linalg.lstsq(B, v, rcond=None)
+    c = pinv @ v
     if np.max(np.abs(B @ c - v)) > tol * max(1.0, np.max(np.abs(v))):
-        raise DecompositionError("matrix not in the spanned Lie algebra")
+        raise DecompositionError(message)
     return c
 
 
@@ -313,22 +326,6 @@ def exp_grp(spec: GroupSpec, X, check: bool = True, tol: float = TOL):
     if check:
         check_grp(spec, g, tol=max(tol, 1e-8 * float(np.linalg.norm(g))))
     return g
-
-
-def log_alg(spec: GroupSpec, g, check: bool = True, tol: float = TOL):
-    """Principal matrix logarithm; requires g in the convergence region."""
-    N = spec.size
-    if np.linalg.norm(np.asarray(g, dtype=complex) - np.eye(N), 2) >= 1.0 - 1e-12:
-        # logm still works beyond the series radius, but guarantee is gone
-        evals = np.linalg.eigvals(np.asarray(g, dtype=complex))
-        if np.any((evals.real <= 0) & (np.abs(evals.imag) < 1e-12)):
-            raise DecompositionError("group element outside the principal log domain")
-    X = scipy.linalg.logm(np.asarray(g, dtype=complex))
-    if spec.family in ("sp2nR", "so2"):
-        X = X.real
-    if check:
-        check_alg(spec, X, tol=max(tol, 1e-8 * float(np.linalg.norm(X) + 1.0)))
-    return X
 
 
 def random_alg(spec: GroupSpec, rng, scale: float = 1.0):
@@ -425,7 +422,15 @@ class ParabolicData:
     basis_u1: list = field(repr=False)       # nilradical of Lie(P_1)
     basis_h: list = field(repr=False)        # hermitian Levi part g_{1h}
     basis_l: list = field(repr=False)        # linear Levi part g_{Q ell}
-    _split_mat: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self):
+        # built once per parabolic: span solvers for Lie(Q) and Lie(U_1),
+        # and the (k, N, N) stacks of the u, h and l bases
+        self._q = span_solver(self.basis_q)
+        self._u1 = span_solver(self.basis_u1)
+        N = self.spec.size
+        self._stacks = [np.array(b).reshape(len(b), N, N)
+                        for b in (self.basis_u, self.basis_h, self.basis_l)]
 
     @property
     def dims(self):
@@ -435,27 +440,14 @@ class ParabolicData:
     def basis_q(self):
         return list(self.basis_u) + list(self.basis_h) + list(self.basis_l)
 
-    def contains_alg(self, X, tol=1e-8) -> bool:
-        try:
-            self.split(X, tol=tol)
-            return True
-        except DecompositionError:
-            return False
-
     def split(self, X, tol: float = 1e-8):
         """Split X in Lie(Q) into (u, h, l) components."""
-        if self._split_mat is None:
-            self._split_mat = np.stack([_vec(b) for b in self.basis_q], axis=1)
-        v = _vec(X)
-        c, *_ = np.linalg.lstsq(self._split_mat, v, rcond=None)
-        if np.max(np.abs(self._split_mat @ c - v)) > tol * max(1.0, np.max(np.abs(v))):
-            raise DecompositionError("element not in the parabolic subalgebra")
-        nu, nh = len(self.basis_u), len(self.basis_h)
-        Z = np.zeros_like(np.asarray(X, dtype=float if X.dtype != complex else complex))
-        u = from_coords(c[:nu], self.basis_u) if nu else Z.copy()
-        h = from_coords(c[nu:nu + nh], self.basis_h) if nh else Z.copy()
-        l = from_coords(c[nu + nh:], self.basis_l)
-        return u, h, l
+        c = algebra_coords(self._q, X, tol,
+                           "element not in the parabolic subalgebra")
+        U, H, L = self._stacks
+        nu, nh = len(U), len(H)
+        return (np.tensordot(c[:nu], U, 1), np.tensordot(c[nu:nu + nh], H, 1),
+                np.tensordot(c[nu + nh:], L, 1))
 
 
 def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
@@ -603,11 +595,5 @@ def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     if np.max(np.abs(powers[-1])) > tol * max(1.0, np.max(np.abs(X))) ** N:
         raise DecompositionError("factor u_1 is not unipotent")
     L = sum((-1) ** (k + 1) * powers[k - 1] / k for k in range(1, N))
-    B = np.stack([_vec(b) for b in pd.basis_u1], axis=1) if pd.basis_u1 else None
-    if B is not None:
-        c, *_ = np.linalg.lstsq(B, _vec(L), rcond=None)
-        if np.max(np.abs(B @ c - _vec(L))) > 1e-7 * max(1.0, np.max(np.abs(L))):
-            raise DecompositionError("unipotent factor not in U_1")
-    elif np.max(np.abs(X)) > tol:
-        raise DecompositionError("unexpected unipotent factor")
+    algebra_coords(pd._u1, L, 1e-7, "unipotent factor not in U_1")
     return u1, g_1h, u_rel, g_ql

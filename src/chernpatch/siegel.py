@@ -38,9 +38,6 @@ from . import liecore
 from . import strata
 from .errors import PreconditionFailed
 
-CHART_ORDER = ("x11", "x12", "x22", "y11", "y12", "y22")
-
-
 def z_from_coords(x):
     x11, x12, x22, y11, y12, y22 = x
     return (np.array([[x11, x12], [x12, x22]], dtype=complex)

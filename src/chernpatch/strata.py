@@ -20,11 +20,11 @@ Siegel model in :mod:`chernpatch.siegel` is one).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual as fd
 from .errors import PreconditionFailed
 
 
@@ -35,8 +35,7 @@ from .errors import PreconditionFailed
 class BumpProfile:
     """Smooth nondecreasing s with s = 0 on (-inf, 1/2], s = 1 on [3/4, inf).
 
-    The transition uses the standard exp(-1/t) glue, rescaled to (1/2, 3/4);
-    works on floats and on dual numbers.
+    The transition uses the standard exp(-1/t) glue, rescaled to (1/2, 3/4).
     """
 
     lo = 0.5
@@ -44,13 +43,12 @@ class BumpProfile:
 
     def __call__(self, x):
         t = (x - self.lo) / (self.hi - self.lo)
-        tv = fd.value(t)
-        if tv <= 0.0:
-            return 0.0 * t if isinstance(t, fd.Dual) else 0.0
-        if tv >= 1.0:
-            return 0.0 * t + 1.0 if isinstance(t, fd.Dual) else 1.0
-        a = fd.exp(-1.0 / t)
-        b = fd.exp(-1.0 / (1.0 - t))
+        if t <= 0.0:
+            return 0.0
+        if t >= 1.0:
+            return 1.0
+        a = math.exp(-1.0 / t)
+        b = math.exp(-1.0 / (1.0 - t))
         return a / (a + b)
 
     def scaled(self, rho, eps):
@@ -179,7 +177,7 @@ class FlagTubeModel:
     def localization_base(self, x: ModelPoint):
         """Largest stratum W in x's flag with B_W^{eps_W}(pi_W(x)) != 0."""
         for Z in reversed(x.chain):
-            if fd.value(self.B(Z, self.eps(Z), self.pi(x, Z))) != 0.0:
+            if self.B(Z, self.eps(Z), self.pi(x, Z)) != 0.0:
                 return Z
         raise PreconditionFailed("no localization base stratum")
 
@@ -215,8 +213,8 @@ def family_vanishing_check(model: FlagTubeModel, flag, grid=None):
                             continue
                         checked += 1
                         xn = model.pi(x, flag[n - 1]) if n < L else x
-                        bn = fd.value(model.B(flag[n - 1], model.eps(flag[m - 1]), xn))
-                        bnp = fd.value(model.B(flag[np_ - 1], model.eps(flag[mp - 1]), x))
+                        bn = model.B(flag[n - 1], model.eps(flag[m - 1]), xn)
+                        bnp = model.B(flag[np_ - 1], model.eps(flag[mp - 1]), x)
                         if bn != 0.0 and bnp != 0.0:
                             violations.append(
                                 {"r": list(map(float, rvals)), "n": n, "m": m,
@@ -270,11 +268,14 @@ class PatchedSystem:
         pullback of the patched connection of Z, for Y = stratum(x)."""
         md = self.model
         Y = x.stratum
+        if len(x.chain) == 1:
+            # no ancestors: B_Y^{eps_Y} is identically 1 here
+            return self.nomizu[Y](x, g)
         epsY = md.eps(Y)
         val = md.B(Y, epsY, x) * self.nomizu[Y](x, g)
         for Z in reversed(x.chain[:-1]):
             w = md.B(Z, epsY, x)
-            if fd.value(w) == 0.0:
+            if w == 0.0:
                 continue
             inner = self.patched(*self._over(x, g, Z))
             val = val + w * self.pullback[(Y, Z)](x, g, inner)
@@ -287,7 +288,7 @@ class PatchedSystem:
         for chain in md.chains_to(x):
             Z1 = chain[0]
             w = md.chain_weight(chain, x) * md.B(Z1, md.eps(Z1), md.pi(x, Z1))
-            if fd.value(w) == 0.0:
+            if w == 0.0:
                 continue
             term = w * self._along(chain, x, g,
                                    self.nomizu[Z1](*self._over(x, g, Z1)))
@@ -310,8 +311,8 @@ class PatchedSystem:
             if top != W:
                 chain = chain + (top,)
             w = md.chain_weight(chain, x)
-            wsum += fd.value(w)
-            if fd.value(w) == 0.0:
+            wsum += w
+            if w == 0.0:
                 continue
             term = w * self._along(chain, x, g, inner_val)
             total = term if total is None else total + term

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chernpatch import connections, hcrepr, liecore, siegel
-from chernpatch.errors import ConditionViolation
+from chernpatch.errors import ConditionViolation, DecompositionError
 
 
 def _su11(rep_name="weight:2"):
@@ -65,6 +65,23 @@ def test_perturbation_on_p_rejected_with_condition_two():
         connections.make_invariant_connection(spec, rep, vals)
     assert 2 in exc.value.conditions
     assert 1 not in exc.value.conditions
+
+
+@pytest.mark.parametrize("spec,rep_name", [
+    (liecore.su_pq(1, 1), "weight:2"), (liecore.sp2nR(2), "std")])
+def test_omega0_matches_lstsq_coordinates(spec, rep_name):
+    rep = hcrepr.builtin_representation(spec, rep_name)
+    conn = connections.nomizu_connection(spec, rep)
+    B = np.stack([liecore._vec(b) for b in conn.basis], axis=1)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        X = liecore.random_alg(spec, rng)
+        c, *_ = np.linalg.lstsq(B, liecore._vec(X), rcond=None)
+        ref = sum(ci * v for ci, v in zip(c, conn.values))
+        assert np.max(np.abs(conn.omega0(X) - ref)) < 1e-12
+    with pytest.raises(DecompositionError,
+                       match="matrix not in the spanned Lie algebra"):
+        conn.omega0(np.eye(spec.size))
 
 
 def test_induced_connection_ad_commutation_guard():

@@ -102,3 +102,33 @@ def test_automorphy_cocycle():
     lhs = hcrepr.automorphy(rep, g1 @ g2, h)
     rhs = hcrepr.automorphy(rep, g1, g2 @ h) @ hcrepr.automorphy(rep, g2, h)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def _alg_reference(ext, xdot):
+    """The differential by its formula: lamC_alg of the diagonal blocks,
+    in complex coordinates, of c_1 xdot c_1^{-1}."""
+    x = ext.c1 @ np.asarray(xdot, dtype=complex) @ np.linalg.inv(ext.c1)
+    M = hcrepr.complex_coords_map(ext.spec)
+    xc = M @ x @ np.linalg.inv(M)
+    p, _ = hcrepr._block_sizes(ext.spec)
+    blk = np.zeros_like(xc)
+    blk[:p, :p] = xc[:p, :p]
+    blk[p:, p:] = xc[p:, p:]
+    return ext.rep.lamC_alg(blk)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
+def test_extension_alg_matches_formula(n, name):
+    spec = liecore.sp2nR(n)
+    rep = hcrepr.builtin_representation(spec, name)
+    exts = [hcrepr.canonical_extension(rep, r) for r in range(1, n + 1)]
+    exts.append(hcrepr.relative_extension(rep, 1, 2))
+    rng = np.random.default_rng(4)
+    N = spec.size
+    for ext in exts:
+        for _ in range(5):
+            z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+            for xdot in (liecore.random_alg(spec, rng), z):
+                assert np.max(np.abs(ext.alg(xdot)
+                                     - _alg_reference(ext, xdot))) < 1e-13

@@ -25,30 +25,6 @@ def test_exp_lands_in_group(spec):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_exp_log_roundtrip(seed):
-    spec = liecore.sp2nR(2)
-    rng = np.random.default_rng(seed)
-    X = liecore.random_alg(spec, rng, 0.3)
-    g = liecore.exp_grp(spec, X)
-    assert np.max(np.abs(liecore.log_alg(spec, g) - X)) < 1e-9
-
-
-def test_log_rejects_only_a_real_nonpositive_eigenvalue():
-    # exp(2.2 R + log 2 H) has eigenvalues -0.589 +- 0.808i, 2 and 0.5: some
-    # eigenvalue has real part <= 0 and some is real, but no eigenvalue is
-    # both, so the principal log exists.
-    spec = liecore.sp2nR(2)
-    R = np.zeros((4, 4)); R[0, 2] = 1.0; R[2, 0] = -1.0   # rotation (e0, f0)
-    H = np.diag([0.0, 1.0, 0.0, -1.0])                     # hyperbolic (e1, f1)
-    X = 2.2 * R + np.log(2.0) * H
-    assert np.max(np.abs(liecore.log_alg(spec, liecore.exp_grp(spec, X)) - X)) < 1e-10
-    # exp(pi R) has the real eigenvalue -1: no principal log
-    with pytest.raises(DecompositionError):
-        liecore.log_alg(spec, liecore.exp_grp(spec, np.pi * R))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
 def test_bracket_stays_in_algebra(seed):
     spec = liecore.su_pq(2, 1)
     rng = np.random.default_rng(seed)
@@ -93,11 +69,51 @@ def test_split_rejects_outside_parabolic():
     rng = np.random.default_rng(3)
     for _ in range(20):
         X = liecore.random_alg(spec, rng)
-        if not pd.contains_alg(X):
-            with pytest.raises(DecompositionError):
-                pd.split(X)
-            return
-    pytest.fail("no element outside the parabolic found")
+        with pytest.raises(DecompositionError, match="parabolic subalgebra"):
+            pd.split(X)
+
+
+def _lstsq_split(pd, X):
+    """Reference split: lstsq coordinates in basis_q, recomposed term by
+    term, with the membership check on the lstsq residual."""
+    B = np.stack([liecore._vec(b) for b in pd.basis_q], axis=1)
+    v = liecore._vec(X)
+    c, *_ = np.linalg.lstsq(B, v, rcond=None)
+    if np.max(np.abs(B @ c - v)) > 1e-8 * max(1.0, np.max(np.abs(v))):
+        raise DecompositionError("element not in the parabolic subalgebra")
+    nu, nh, _ = pd.dims
+    parts = (pd.basis_u, pd.basis_h, pd.basis_l)
+    cs = (c[:nu], c[nu:nu + nh], c[nu + nh:])
+    return [sum((ci * b for ci, b in zip(cc, bas)), np.zeros_like(X))
+            for cc, bas in zip(cs, parts)]
+
+
+GROUPS = {"sp4": liecore.sp2nR(2), "sp6": liecore.sp2nR(3),
+          "su21": liecore.su_pq(2, 1)}
+
+
+@pytest.mark.parametrize("group,flag", [
+    ("sp4", (1,)), ("sp4", (2,)), ("sp4", (1, 2)),
+    ("sp6", (1,)), ("sp6", (2,)), ("sp6", (3,)), ("sp6", (1, 2)),
+    ("sp6", (1, 3)), ("sp6", (2, 3)), ("sp6", (1, 2, 3)),
+    ("su21", (1,)),
+])
+def test_split_matches_lstsq_reference(group, flag):
+    spec = GROUPS[group]
+    pd = liecore.parabolic_data(spec, flag)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        X = liecore.from_coords(rng.standard_normal(len(pd.basis_q)),
+                                pd.basis_q)
+        got = pd.split(X)
+        for a, b in zip(got, _lstsq_split(pd, X)):
+            assert np.max(np.abs(a - b)) < 1e-12
+        assert np.max(np.abs(sum(got) - X)) < 1e-12
+        Y = liecore.random_alg(spec, rng)
+        for split in (pd.split, lambda Y: _lstsq_split(pd, Y)):
+            with pytest.raises(DecompositionError,
+                               match="element not in the parabolic subalgebra"):
+                split(Y)
 
 
 def test_group_factor_recomposes():

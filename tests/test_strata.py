@@ -143,3 +143,21 @@ def test_patched_system_recursion_matches_chain():
         assert all(abs(a.get(k, 0.0) - b.get(k, 0.0)) < 1e-12 for k in keys)
         # total mass one in both representations
         assert abs(sum(a.values()) - 1.0) < 1e-12
+
+
+def test_patched_without_ancestors_reads_no_weight(monkeypatch):
+    # on a stratum with no ancestors B is identically 1, so the patched
+    # connection is its own connection and no weight is evaluated
+    model = three_flag()
+    system = strata.PatchedSystem(model, {"Z": lambda x, g: 2.5 * g}, {},
+                                  lambda g, Y, Z: g)
+    x = model.point(("Z",), ())
+    expected = system.chain_form(x, np.arange(3.0))
+
+    def no_weight(*args):
+        raise AssertionError("B evaluated")
+
+    monkeypatch.setattr(model, "B", no_weight)
+    got = system.patched(x, np.arange(3.0))
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, 2.5 * np.arange(3.0))
