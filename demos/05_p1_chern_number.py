@@ -9,7 +9,7 @@ degree of the tangent bundle of the projective line.
 from chernpatch import charts, schubert
 
 for w in (2, 1, -1, -3):
-    val = charts.p1_chern_number(weight=w, n_theta=160, n_phi=160)
+    val = charts.p1_chern_number(weight=w, n=160)
     print(f"weight {w:>2}: quadrature = {val:+.6f}  (exact {w})")
 
 # The same degree computed exactly on the compact dual.

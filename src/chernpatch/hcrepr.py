@@ -66,10 +66,6 @@ class HCDecomposition:
     k_c: np.ndarray
     p_minus: np.ndarray
 
-    @property
-    def j(self):
-        return self.k_c
-
 
 def hc_decompose(spec, g, in_complex_coords=False, tol=1e-9) -> HCDecomposition:
     """Open-cell factorization of g (given in defining coordinates)."""

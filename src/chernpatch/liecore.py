@@ -160,17 +160,6 @@ def grp_residual(spec: GroupSpec, g) -> float:
     raise ValueError(fam)
 
 
-def check_alg(spec: GroupSpec, X, tol: float = TOL):
-    r = alg_residual(spec, X)
-    if isinstance(r, Fraction):
-        ok = r == 0
-    else:
-        ok = r <= tol
-    if not ok:
-        raise DecompositionError(f"not in Lie algebra of {spec.family}: residual {r}")
-    return X
-
-
 def check_grp(spec: GroupSpec, g, tol: float = TOL):
     r = grp_residual(spec, g)
     if not r <= tol:
@@ -319,13 +308,11 @@ def cartan_split(spec: GroupSpec, X):
     return k, p
 
 
-def exp_grp(spec: GroupSpec, X, check: bool = True, tol: float = TOL):
+def exp_grp(spec: GroupSpec, X, tol: float = TOL):
     g = scipy.linalg.expm(np.asarray(X, dtype=complex))
     if spec.family in ("sp2nR", "so2"):
         g = g.real
-    if check:
-        check_grp(spec, g, tol=max(tol, 1e-8 * float(np.linalg.norm(g))))
-    return g
+    return check_grp(spec, g, tol=max(tol, 1e-8 * float(np.linalg.norm(g))))
 
 
 def random_alg(spec: GroupSpec, rng, scale: float = 1.0):

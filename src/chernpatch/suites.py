@@ -397,7 +397,7 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40):
 
 def suite_quadrature(seed=0, tol=1e-3, samples=160):
     """Sphere quadrature of the first Chern form on the projective line."""
-    val = charts.p1_chern_number(weight=2, n_theta=samples, n_phi=samples)
+    val = charts.p1_chern_number(weight=2, n=samples)
     return _finish("quadrature", seed, tol, samples,
                    [_check("degree-two-integral", abs(val - 2.0), tol)],
                    {"value": float(val)})

@@ -129,7 +129,7 @@ def test_raw_curvature_obstructed_where_chern_forms_descend(
 
 def test_projective_line_chern_number_quadrature():
     t0 = time.perf_counter()
-    val = charts.p1_chern_number(weight=2, n_theta=160, n_phi=160)
+    val = charts.p1_chern_number(weight=2, n=160)
     elapsed = time.perf_counter() - t0
     assert abs(val - 2.0) < 1e-3
     assert elapsed < 10.0, f"quadrature took {elapsed:.2f}s"

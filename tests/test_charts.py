@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
+import pytest
+import scipy.integrate
+import scipy.linalg
 
 from chernpatch import charts, connections, exterior as ext, hcrepr, liecore
 
@@ -49,7 +56,36 @@ def test_curvature_bridge_flat():
 
 
 def test_p1_chern_number_weights():
-    assert abs(charts.p1_chern_number(weight=2, n_theta=120, n_phi=120)
-               - 2.0) < 1e-3
-    assert abs(charts.p1_chern_number(weight=-1, n_theta=120, n_phi=120)
-               + 1.0) < 1e-3
+    assert abs(charts.p1_chern_number(weight=2, n=120) - 2.0) < 1e-3
+    assert abs(charts.p1_chern_number(weight=-1, n=120) + 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("n", [5, 6, 71, 72, 160, 161])
+def test_simpson_weights_match_scipy(n):
+    rng = np.random.default_rng(n)
+    for x in (np.linspace(0.0, 2 * np.pi, n),
+              np.linspace(1e-4, np.pi / 2 - 1e-4, n)):
+        y = rng.standard_normal(n)
+        ref = scipy.integrate.simpson(y, x=x)
+        assert abs(charts._simpson_weights(x) @ y - ref) < 1e-14
+
+
+def test_p1_chart_matches_expm():
+    rng = np.random.default_rng(0)
+    theta = rng.uniform(-np.pi, np.pi, 20)
+    phi = rng.uniform(0.0, 2 * np.pi, 20)
+    g = charts._p1_chart(theta, phi)
+    for k in range(20):
+        u = np.cos(phi[k]) * charts._P1 + np.sin(phi[k]) * charts._P2
+        ref = scipy.linalg.expm(theta[k] * u)
+        assert np.max(np.abs(g[k] - ref)) < 1e-14
+
+
+def test_import_does_not_load_scipy_integrate():
+    # a fresh interpreter, since this module imports scipy.integrate
+    code = "import sys, chernpatch; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(charts.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
