@@ -284,6 +284,7 @@ def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
     exceeds tol.  The form's coefficients are evaluated once per point.
     """
     rng = rng or np.random.default_rng(0)
+    points = list(points)
     worst = 0.0
     q = form.degree
     for x in points:
@@ -294,4 +295,4 @@ def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
             val = form.contract(C, [v] + others)
             worst = max(worst, float(np.max(np.abs(val))))
     return {"max_vertical_contraction": worst, "tol": tol, "ok": worst <= tol,
-            "points": len(list(points))}
+            "points": len(points)}

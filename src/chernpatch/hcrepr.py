@@ -17,8 +17,10 @@ projection.  j is multiplicative under j(h g h') = j(h) j(g) j(h') for
 h, h' in K(C).
 
 Representations and canonical extensions hold what they reuse, built in
-their constructors: the coordinate change M and its inverse, and for a
-canonical extension j(c_1)^{-1} and the tensor of its differential.
+their constructors: the coordinate change M and its inverse, the
+differential as an (N^2, d^2) matrix tabulated on the matrix units, and for
+a canonical extension j(c_1)^{-1}.  The differentials then take a matrix or
+a (..., N, N) stack to (..., d, d) in one matmul.
 """
 
 from __future__ import annotations
@@ -143,7 +145,8 @@ class Representation:
 
     lamC eats a block-diagonal matrix in complex coordinates and returns a
     GL(V) matrix; lamC_alg is its differential on block-diagonal algebra
-    elements.
+    elements, linear in one matrix.  The constructor tabulates lamC_alg(M .
+    M^{-1}) on the matrix units, and :meth:`lam_alg` applies that table.
     """
 
     spec: object
@@ -155,6 +158,9 @@ class Representation:
     def __post_init__(self):
         self._M = complex_coords_map(self.spec)
         self._Minv = np.linalg.inv(self._M)
+        N = self.spec.size
+        kc = self._M @ np.eye(N * N).reshape(-1, N, N) @ self._Minv
+        self._dlam = np.array([self.lamC_alg(m) for m in kc]).reshape(N * N, -1)
 
     def lam_grp(self, k):
         """Evaluate on k in K (defining coordinates)."""
@@ -164,9 +170,15 @@ class Representation:
         return self.lamC(kc)
 
     def lam_alg(self, kdot):
-        """Differential on kdot in Lie(K) (defining coordinates)."""
-        kc = self._M @ np.asarray(kdot, dtype=complex) @ self._Minv
-        return self.lamC_alg(kc)
+        """Differential on kdot in Lie(K) (defining coordinates), or a stack."""
+        return _apply(kdot, self._dlam, self.dim)
+
+
+def _apply(x, table, d):
+    """The linear map tabulated on the matrix units, at a matrix or a
+    (..., N, N) stack: (..., d, d)."""
+    x = np.asarray(x)
+    return (x.reshape(x.shape[:-2] + (-1,)) @ table).reshape(x.shape[:-2] + (d, d))
 
 
 def _sym2_basis(n):
@@ -263,8 +275,8 @@ class CanonicalExtension:
     connections.
 
     Its differential at the identity is linear, so the constructor
-    tabulates it once on the matrix units E_ij as an (N, N, d, d) tensor
-    and :meth:`alg` is a single contraction with that tensor.
+    tabulates it once on the matrix units E_ij as an (N^2, d^2) matrix and
+    :meth:`alg` is one matmul with it, on a matrix or a (..., N, N) stack.
     """
 
     def __init__(self, rep: Representation, c1):
@@ -278,13 +290,12 @@ class CanonicalExtension:
         # xdot is lamC_alg of the k(C) part (the diagonal blocks, in complex
         # coordinates) of c_1 xdot c_1^{-1}, evaluated here at each E_ij
         N = self.spec.size
-        units = np.eye(N * N).reshape(N * N, N, N)
+        units = np.eye(N * N).reshape(-1, N, N)
         xc = self._M @ (c1 @ units @ np.linalg.inv(c1)) @ self._Minv
         p, _ = _block_sizes(self.spec)
         xc[:, :p, p:] = 0.0
         xc[:, p:, :p] = 0.0
-        T = np.array([rep.lamC_alg(blk) for blk in xc])
-        self._dlam = T.reshape((N, N) + T.shape[1:])
+        self._dlam = np.array([rep.lamC_alg(m) for m in xc]).reshape(N * N, -1)
 
     def j_twisted(self, g):
         """j(c_1)^{-1} j(c_1 g), a K(C) element in complex coordinates."""
@@ -295,8 +306,9 @@ class CanonicalExtension:
         return self.rep.lamC(self.j_twisted(g))
 
     def alg(self, xdot):
-        """Differential of lambda_1 at the identity on Lie(P_1) directions."""
-        return np.tensordot(xdot, self._dlam, 2)
+        """Differential of lambda_1 at the identity on Lie(P_1) directions,
+        or on a stack of them."""
+        return _apply(xdot, self._dlam, self.rep.dim)
 
 
 def canonical_extension(rep: Representation, r: int) -> CanonicalExtension:
@@ -346,8 +358,6 @@ def extension_compat_check(rep: Representation, r_inner, r_outer,
     outer one on the intermediate GL factor.  Reports the max residual of
     the two agreements over random samples.
     """
-    from . import liecore
-
     spec = rep.spec
     if spec.family != "sp2nR":
         raise UnsupportedFlag("compatibility check implemented for sp2nR")

@@ -107,8 +107,8 @@ def so2() -> GroupSpec:
 
 def _conjT(X):
     if X.dtype == object:
-        return X.T
-    return X.conj().T
+        return X.swapaxes(-1, -2)
+    return X.conj().swapaxes(-1, -2)
 
 
 def alg_residual(spec: GroupSpec, X) -> float:
@@ -252,9 +252,10 @@ def algebra_basis(spec: GroupSpec):
 
 
 def _vec(X):
-    """Flatten a (possibly complex) matrix into a real coordinate vector."""
+    """Real coordinate vectors (..., 2 N^2) of a matrix or (..., N, N) stack."""
     X = np.asarray(X, dtype=complex)
-    return np.concatenate([X.real.ravel(), X.imag.ravel()])
+    X = X.reshape(X.shape[:-2] + (-1,))
+    return np.concatenate([X.real, X.imag], axis=-1)
 
 
 def span_solver(basis):
@@ -266,12 +267,17 @@ def span_solver(basis):
 
 
 def algebra_coords(solver, X, tol: float, message: str):
-    """Coordinates of X in the span of a :func:`span_solver`; raises
-    DecompositionError(message) unless |B c - X|_inf <= tol max(1, |X|_inf)."""
+    """Coordinates (..., k) of X, a matrix or a (..., N, N) stack, in the span
+    of a :func:`span_solver`; raises DecompositionError(message), naming the
+    first failing row, unless each |B c - X|_inf <= tol max(1, |X|_inf)."""
     B, pinv = solver
     v = _vec(X)
-    c = pinv @ v
-    if np.max(np.abs(B @ c - v)) > tol * max(1.0, np.max(np.abs(v))):
+    c = v @ pinv.T
+    bad = (np.abs(c @ B.T - v).max(axis=-1)
+           > tol * np.maximum(1.0, np.abs(v).max(axis=-1)))
+    if bad.any():
+        if bad.ndim:
+            message += f" (row {', '.join(map(str, np.argwhere(bad)[0]))})"
         raise DecompositionError(message)
     return c
 
@@ -297,7 +303,7 @@ def cartan_theta(spec: GroupSpec, X):
 
 
 def cartan_split(spec: GroupSpec, X):
-    """(k, p) with X = k + p, theta(k) = k, theta(p) = -p."""
+    """(k, p) with X = k + p, theta(k) = k, theta(p) = -p; X may be a stack."""
     th = cartan_theta(spec, X)
     if X.dtype == object:
         half = Fraction(1, 2)
@@ -308,11 +314,11 @@ def cartan_split(spec: GroupSpec, X):
     return k, p
 
 
-def exp_grp(spec: GroupSpec, X, tol: float = TOL):
+def exp_grp(spec: GroupSpec, X):
     g = scipy.linalg.expm(np.asarray(X, dtype=complex))
     if spec.family in ("sp2nR", "so2"):
         g = g.real
-    return check_grp(spec, g, tol=max(tol, 1e-8 * float(np.linalg.norm(g))))
+    return check_grp(spec, g, tol=max(TOL, 1e-8 * float(np.linalg.norm(g))))
 
 
 def random_alg(spec: GroupSpec, rng, scale: float = 1.0):
@@ -412,12 +418,14 @@ class ParabolicData:
 
     def __post_init__(self):
         # built once per parabolic: span solvers for Lie(Q) and Lie(U_1),
-        # and the (k, N, N) stacks of the u, h and l bases
+        # and the (k, 3 N^2) map from Lie(Q) coordinates to the flat u, h
+        # and l components
         self._q = span_solver(self.basis_q)
         self._u1 = span_solver(self.basis_u1)
         N = self.spec.size
-        self._stacks = [np.array(b).reshape(len(b), N, N)
-                        for b in (self.basis_u, self.basis_h, self.basis_l)]
+        self._parts = scipy.linalg.block_diag(*[
+            np.array(b).reshape(len(b), N * N)
+            for b in (self.basis_u, self.basis_h, self.basis_l)])
 
     @property
     def dims(self):
@@ -428,13 +436,12 @@ class ParabolicData:
         return list(self.basis_u) + list(self.basis_h) + list(self.basis_l)
 
     def split(self, X, tol: float = 1e-8):
-        """Split X in Lie(Q) into (u, h, l) components."""
+        """Split X in Lie(Q), a matrix or a stack, into (u, h, l) components."""
         c = algebra_coords(self._q, X, tol,
                            "element not in the parabolic subalgebra")
-        U, H, L = self._stacks
-        nu, nh = len(U), len(H)
-        return (np.tensordot(c[:nu], U, 1), np.tensordot(c[nu:nu + nh], H, 1),
-                np.tensordot(c[nu + nh:], L, 1))
+        sh = np.shape(X)
+        return tuple(np.moveaxis(
+            (c @ self._parts).reshape(sh[:-2] + (3,) + sh[-2:]), -3, 0))
 
 
 def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:

@@ -18,8 +18,10 @@ which satisfy rho_Z(pi_Y(Z)) = rho_Z(Z) exactly.  The section
 lands in the intersection of both standard parabolics and maps the basepoint
 i*I to Z, with pi compatible with the group-level Levi factorization.
 
-Evaluators take (point, mc): the :class:`ChartPoint` SiegelModel.point(x),
-shared by every evaluation at x, and one of its directions mc = s^{-1} d_i s.
+Evaluators take (point, mc): the :class:`ChartPoint` SiegelModel.point(x)
+and mc = s^{-1} ds, a (4, 4) matrix or a (..., 4, 4) stack of directions at
+x, and return (..., d, d).  A chart form calls its evaluator once per point,
+on the stack p.mc of all six chart directions, and every layer maps it whole.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector (:class:`TangentVector`)
@@ -59,33 +61,28 @@ def section(x):
     return g
 
 
+# dX and dY of the six chart directions (x11, x12, x22, y11, y12, y22)
+_SYM = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                 [[0.0, 0.0], [0.0, 1.0]]])
+_DX, _DY = np.concatenate([_SYM, 0 * _SYM]), np.concatenate([0 * _SYM, _SYM])
+
+
 def section_mc(x, s):
-    """List of s^{-1} d_i s over the six chart directions, s = section(x)."""
+    """The (6, 4, 4) stack of s^{-1} d_i s over the six chart directions,
+    s = section(x)."""
     X = z_from_coords(x).real
     L = s[:2, :2]
     Lit = s[2:, 2:]
-    Linv = Lit.T
-    sinv = np.linalg.inv(s)
-    out = []
-    for k in range(6):
-        dX = np.zeros((2, 2))
-        dY = np.zeros((2, 2))
-        i, j = [(0, 0), (0, 1), (1, 1)][k % 3]
-        if k < 3:
-            dX[i, j] = dX[j, i] = 1.0
-        else:
-            dY[i, j] = dY[j, i] = 1.0
-        # Cholesky differential: dL = L Phi(L^{-1} dY L^{-T})
-        M = Linv @ dY @ Linv.T
-        Phi = np.tril(M, -1) + np.diag(np.diag(M)) / 2.0
-        dL = L @ Phi
-        dLit = -Lit @ dL.T @ Lit
-        ds = np.zeros((4, 4))
-        ds[:2, :2] = dL
-        ds[:2, 2:] = dX @ Lit + X @ dLit
-        ds[2:, 2:] = dLit
-        out.append(sinv @ ds)
-    return out
+    # Cholesky differential: dL = L Phi(L^{-1} dY L^{-T})
+    M = Lit.T @ _DY @ Lit
+    Phi = np.tril(M, -1) + M * (np.eye(2) / 2.0)
+    dL = L @ Phi
+    dLit = -Lit @ dL.swapaxes(-1, -2) @ Lit
+    ds = np.zeros((6, 4, 4))
+    ds[:, :2, :2] = dL
+    ds[:, :2, 2:] = _DX @ Lit + X @ dLit
+    ds[:, 2:, 2:] = dLit
+    return np.linalg.inv(s) @ ds
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +90,10 @@ def section_mc(x, s):
 
 class ChartPoint:
     """A chart point x with what every evaluation at x reads: the section
-    s = s(x), mc[i] = s^{-1} d_i s for the six chart directions and the
-    control data.  `klingen` holds (lam, lam^{-1}) once it has been made:
-    lambda_1 of the inverse linear Levi factor of s in the rank-1 parabolic."""
+    s = s(x), the (6, 4, 4) stack mc of s^{-1} d_i s over the chart directions
+    and the control data.  `klingen` holds (lam, lam^{-1}) once it has been
+    made: lambda_1 of the inverse linear Levi factor of s in the Klingen
+    parabolic."""
 
     __slots__ = ("s", "mc", "control", "klingen")
 
@@ -107,8 +105,9 @@ class ChartPoint:
 
 class TangentVector:
     """Geometric point of the patched system over X: a chart point and
-    mc = s^{-1} ds(v) for a tangent vector v there.  `split` keeps the
-    (hdot, ldot) parts of mc in the rank-1 parabolic once made."""
+    mc = s^{-1} ds(v) for a tangent vector v there, or a (..., 4, 4) stack
+    of them.  `split` keeps the (hdot, ldot) parts of mc in the rank-1
+    parabolic once made."""
 
     __slots__ = ("point", "mc", "split")
 
@@ -173,7 +172,7 @@ class SiegelModel:
         return self._split(v)[0] if Z == "Y" else None
 
     # connection-form evaluators ----------------------------------------
-    # each returns an End(V) matrix
+    # each maps a (..., 4, 4) stack to End(V) values (..., d, d)
 
     def omega_nomizu(self, mc):
         k, _ = liecore.cartan_split(self.spec, mc)
@@ -189,11 +188,13 @@ class SiegelModel:
         return self.extK.alg(k)
 
     def omega_YZ(self, hdot, tol=1e-8):
-        """Induced from the point through the plane Borel of sl(2)_W."""
-        a, c = hdot[0, 0], hdot[2, 0]
-        if abs(c) > tol * max(1.0, float(np.max(np.abs(hdot)))):
+        """Induced from the point through the plane Borel of sl(2)_W; the
+        condition is checked for each direction of a stack."""
+        a, c = hdot[..., 0, 0], hdot[..., 2, 0]
+        if (np.abs(c) > tol * np.maximum(
+                1.0, np.abs(hdot).max(axis=(-2, -1)))).any():
             raise PreconditionFailed("hermitian component not in the plane Borel")
-        return self.ext21.alg(a * self._W_H)
+        return self.ext21.alg(a[..., None, None] * self._W_H)
 
     def omega_XY(self, v: TangentVector, val):
         """Pullback through the rank-1 parabolic: the value at v of the
@@ -226,10 +227,11 @@ class SiegelModel:
     def form_from_evaluator(self, evaluator) -> ext.VForm:
         """Assemble a chart VForm from a (point, mc) -> End(V) evaluator.
 
-        All six coefficients at x share one chart point, self.point(x)."""
+        The six coefficients at x are one evaluator call on the chart point
+        p = self.point(x) and its (6, 4, 4) stack p.mc."""
         def coeffs(x):
             p = self.point(x)
-            return np.array([evaluator(p, mc) for mc in p.mc])
+            return evaluator(p, p.mc)
         return ext.VForm(6, 1, ext.SmoothMap(6, coeffs))
 
     def projection_map(self) -> ext.SmoothMap:

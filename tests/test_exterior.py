@@ -172,6 +172,17 @@ def test_pifiber_check_flags_vertical_component():
     assert rpt["max_vertical_contraction"] > 1e-2
 
 
+def test_pifiber_check_counts_points_of_a_generator():
+    proj = ext.SmoothMap(3, lambda x: np.array([x[0], x[1]]))
+    form = ext.VForm(3, 1, ext.SmoothMap(
+        3, lambda x: np.array([[[x[0]]], [[x[1]]], [[0.0]]])))
+    pts = [np.array([0.1, 0.2, 0.3]), np.array([-0.4, 0.5, 0.6])]
+    listed = ext.pifiber_check(form, proj, pts, tol=1e-8)
+    generated = ext.pifiber_check(form, proj, (x for x in pts), tol=1e-8)
+    assert listed["points"] == generated["points"] == 2
+    assert listed == generated
+
+
 def test_curvature_of_exact_scalar_form_vanishes():
     m = 2
     omega = ext.exterior_d(ext.VForm(m, 0, ext.SmoothMap(

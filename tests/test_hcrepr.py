@@ -132,3 +132,44 @@ def test_extension_alg_matches_formula(n, name):
             for xdot in (liecore.random_alg(spec, rng), z):
                 assert np.max(np.abs(ext.alg(xdot)
                                      - _alg_reference(ext, xdot))) < 1e-13
+
+
+REPS = [(2, "std"), (2, "det^2"), (2, "sym2"), (3, "std"), (3, "det^2"),
+        (3, "sym2"), ("su21", "weight:3")]
+
+
+def _rep(n, name):
+    spec = liecore.su_pq(2, 1) if n == "su21" else liecore.sp2nR(n)
+    return hcrepr.builtin_representation(spec, name)
+
+
+@pytest.mark.parametrize("n,name", REPS)
+def test_lam_alg_stack_matches_formula(n, name):
+    """The tabulated differential on a (6, N, N) stack of Lie(K) elements
+    against lamC_alg(M k M^{-1}), one element at a time."""
+    rep = _rep(n, name)
+    spec = rep.spec
+    rng = np.random.default_rng(8)
+    ks = np.array([liecore.cartan_split(spec, liecore.random_alg(spec, rng))[0]
+                   for _ in range(6)])
+    M = hcrepr.complex_coords_map(spec)
+    got = rep.lam_alg(ks)
+    assert got.shape == (6, rep.dim, rep.dim)
+    for k, g in zip(ks, got):
+        assert np.max(np.abs(g - rep.lamC_alg(M @ k @ np.linalg.inv(M)))) < 1e-14
+        assert np.max(np.abs(g - rep.lam_alg(k))) < 1e-14
+
+
+@pytest.mark.parametrize("n,name", [r for r in REPS if r[0] != "su21"])
+def test_extension_alg_stack_matches_formula(n, name):
+    rep = _rep(n, name)
+    exts = [hcrepr.canonical_extension(rep, r) for r in range(1, n + 1)]
+    exts.append(hcrepr.relative_extension(rep, 1, 2))
+    rng = np.random.default_rng(9)
+    xs = np.array([liecore.random_alg(rep.spec, rng) for _ in range(6)])
+    for ext in exts:
+        got = ext.alg(xs)
+        assert got.shape == (6, rep.dim, rep.dim)
+        for x, g in zip(xs, got):
+            assert np.max(np.abs(g - _alg_reference(ext, x))) < 1e-14
+            assert np.max(np.abs(g - ext.alg(x))) < 1e-14

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,54 @@ def test_split_matches_lstsq_reference(group, flag):
             with pytest.raises(DecompositionError,
                                match="element not in the parabolic subalgebra"):
                 split(Y)
+
+
+@pytest.mark.parametrize("group,flag", [
+    ("sp4", (1,)), ("sp4", (2,)), ("sp6", (1, 2)), ("su21", (1,)),
+])
+def test_stack_matches_one_matrix_at_a_time(group, flag):
+    spec = GROUPS[group]
+    pd = liecore.parabolic_data(spec, flag)
+    rng = np.random.default_rng(7)
+    Xs = np.array([liecore.from_coords(rng.standard_normal(len(pd.basis_q)),
+                                       pd.basis_q) for _ in range(6)])
+    coords = liecore.algebra_coords(pd._q, Xs, 1e-8, "not in Lie(Q)")
+    parts = pd.split(Xs)
+    for i, X in enumerate(Xs):
+        one = liecore.algebra_coords(pd._q, X, 1e-8, "not in Lie(Q)")
+        assert np.max(np.abs(coords[i] - one)) < 1e-14
+        for a, b in zip(parts, pd.split(X)):
+            assert a.shape == Xs.shape
+            assert np.max(np.abs(a[i] - b)) < 1e-14
+    # any leading axes
+    N = spec.size
+    for a, b in zip(pd.split(Xs.reshape(2, 3, N, N)), parts):
+        assert np.max(np.abs(a.reshape(Xs.shape) - b)) < 1e-14
+
+
+def test_stack_with_one_row_outside_parabolic_names_it():
+    spec = liecore.sp2nR(2)
+    pd = liecore.parabolic_data(spec, (1,))
+    rng = np.random.default_rng(8)
+    Xs = np.array([liecore.from_coords(rng.standard_normal(len(pd.basis_q)),
+                                       pd.basis_q) for _ in range(6)])
+    pd.split(Xs)
+    Xs[4] = liecore.random_alg(spec, rng)
+    with pytest.raises(DecompositionError,
+                       match=r"^element not in the parabolic subalgebra \(row 4\)$"):
+        pd.split(Xs)
+
+
+def test_cartan_split_of_an_exact_stack():
+    spec = liecore.sp2nR(1)
+    F = Fraction
+    Xs = np.array([[[F(1, 2), F(1, 3)], [F(2, 5), F(-1, 2)]],
+                   [[F(0), F(7, 3)], [F(-1, 4), F(0)]]], dtype=object)
+    k, p = liecore.cartan_split(spec, Xs)
+    for i, X in enumerate(Xs):
+        ki, pi = liecore.cartan_split(spec, X)
+        assert (k[i] == ki).all() and (p[i] == pi).all()
+        assert (ki == -ki.T).all() and (pi == pi.T).all() and (ki + pi == X).all()
 
 
 def test_group_factor_recomposes():

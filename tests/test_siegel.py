@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chernpatch import exterior as ext, invariants as inv, liecore, siegel
+from chernpatch.errors import PreconditionFailed
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,81 @@ def test_section_mc_matches_finite_difference(model):
         assert np.max(np.abs(mcs[i] - num)) < 1e-5
 
 
+def _section_mc_loop(x, s):
+    """Reference: s^{-1} d_i s one chart direction at a time."""
+    X = siegel.z_from_coords(x).real
+    L, Lit = s[:2, :2], s[2:, 2:]
+    Linv = Lit.T
+    out = []
+    for k in range(6):
+        dX, dY = np.zeros((2, 2)), np.zeros((2, 2))
+        i, j = [(0, 0), (0, 1), (1, 1)][k % 3]
+        if k < 3:
+            dX[i, j] = dX[j, i] = 1.0
+        else:
+            dY[i, j] = dY[j, i] = 1.0
+        M = Linv @ dY @ Linv.T
+        dL = L @ (np.tril(M, -1) + np.diag(np.diag(M)) / 2.0)
+        dLit = -Lit @ dL.T @ Lit
+        ds = np.zeros((4, 4))
+        ds[:2, :2] = dL
+        ds[:2, 2:] = dX @ Lit + X @ dLit
+        ds[2:, 2:] = dLit
+        out.append(np.linalg.inv(s) @ ds)
+    return np.array(out)
+
+
+def test_section_mc_stack_matches_per_direction_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        x = _sample_x(rng)
+        s = siegel.section(x)
+        mc = siegel.section_mc(x, s)
+        assert mc.shape == (6, 4, 4)
+        assert np.max(np.abs(mc - _section_mc_loop(x, s))) < 1e-14
+
+
+def _mixed_x(model, rng):
+    """A chart point where both patching weights are active."""
+    epsX = model.model.eps("X")
+    x = _sample_x(rng)
+    x[3] = 1.0 / (float(rng.uniform(0.55, 0.7)) * epsX)
+    x[5] = 1.0 / (float(rng.uniform(0.1, 0.45)) * epsX)
+    return x
+
+
+def test_evaluators_on_a_stack_match_one_direction_at_a_time(model):
+    rng = np.random.default_rng(9)
+    evaluators = [lambda p, mc: model.omega_nomizu(mc),
+                  lambda p, mc: model.omega_XZ(mc),
+                  model.omega_induced_nomizu, model.omega_patched,
+                  model.omega_patched_chain,
+                  lambda p, mc: model.omega_patched_localized(p, mc)[0]]
+    for x in [_sample_x(rng) for _ in range(4)] + [_mixed_x(model, rng)
+                                                   for _ in range(4)]:
+        p = model.point(x)
+        for ev in evaluators:
+            got = ev(p, p.mc)
+            assert got.shape == (6, 2, 2)
+            for mc, g in zip(p.mc, got):
+                assert np.max(np.abs(g - ev(p, mc))) < 1e-14
+        _, W, wsum = model.omega_patched_localized(p, p.mc)
+        assert (W, wsum) == model.omega_patched_localized(p, p.mc[0])[1:]
+
+
+def test_plane_borel_condition_is_checked_per_direction(model):
+    hdot = np.zeros((2, 4, 4))
+    hdot[:, 0, 0] = 1.0
+    hdot[0] *= 1e6
+    hdot[0, 2, 0] = 1e-4       # within tolerance of its own direction's scale
+    hdot[1, 2, 0] = 1e-6       # within 1e-8 of the stack's scale, not its own
+    got = model.omega_YZ(hdot[:1])
+    assert np.max(np.abs(got[0] - model.omega_YZ(hdot[0]))) < 1e-14
+    for bad in (hdot, hdot[1]):
+        with pytest.raises(PreconditionFailed, match="plane Borel"):
+            model.omega_YZ(bad)
+
+
 def test_patched_recursion_equals_chain(model):
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -96,6 +172,26 @@ def test_klingen_factor_once_per_evaluation(model, monkeypatch):
     again = coeffs.value(x)
     assert len(calls) == 2
     assert np.array_equal(first, again)
+
+
+def test_one_call_of_each_layer_per_coefficient_evaluation(model,
+                                                          monkeypatch):
+    calls = {"evaluator": 0, "section_mc": 0, "split": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(siegel, "section_mc",
+                        counted("section_mc", siegel.section_mc))
+    monkeypatch.setattr(model.pdK, "split", counted("split", model.pdK.split))
+    evaluator = counted("evaluator", model.omega_induced_nomizu)
+    coeffs = model.form_from_evaluator(evaluator).coeffs
+    value = coeffs.value(_sample_x(np.random.default_rng(10)))
+    assert value.shape == (6, 2, 2)
+    assert calls == {"evaluator": 1, "section_mc": 1, "split": 1}
 
 
 def test_mixed_region_weights_sum_to_one(model):
