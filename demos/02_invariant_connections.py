@@ -29,8 +29,8 @@ kidx = next(i for i, b in enumerate(basis)
 pidx = next(i for i, b in enumerate(basis)
             if not np.allclose(liecore.cartan_split(spec, b)[1], 0))
 for label, idx in (("k-direction", kidx), ("p-direction", pidx)):
-    vals = [v.copy() for v in nom.values]
-    vals[idx] = vals[idx] + 0.05 * np.eye(rep.dim)
+    vals = nom.values.copy()
+    vals[idx] += 0.05 * np.eye(rep.dim)
     try:
         connections.make_invariant_connection(spec, rep, vals)
     except ConditionViolation as e:
@@ -42,8 +42,7 @@ inc = hcrepr.Representation(
     spec, "std-restriction", 2,
     lambda kc: np.asarray(kc, dtype=complex),
     lambda kc: np.asarray(kc, dtype=complex))
-flat = connections.flat_connection_from_hom(
-    spec, inc, [np.asarray(b, dtype=complex) for b in basis])
+flat = connections.make_invariant_connection(spec, inc, basis)
 print("inclusion connection flat?", flat.is_flat())
 
 # The chart-level check: pull the connection form back through a

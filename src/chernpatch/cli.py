@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import connections, hcrepr, liecore, schubert, suites
-from .errors import PreconditionFailed
+from .errors import ChernpatchError, PreconditionFailed
 
 __all__ = ["main", "compute_report"]
 
@@ -104,15 +104,12 @@ def _cmd_curvature(args):
         conn = connections.nomizu_connection(spec, rep)
     else:
         raise PreconditionFailed(f"unknown connection {args.connection!r}")
-    pb = connections.p_basis(spec)
-    table = []
-    for i in range(len(pb)):
-        for j in range(i + 1, len(pb)):
-            val = conn.curvature0(pb[i], pb[j])
-            table.append({
-                "pair": [i, j],
-                "value": [[[float(v.real), float(v.imag)] for v in row]
-                          for row in np.atleast_2d(val)]})
+    pb = np.array(connections.p_basis(spec))
+    i, j = np.triu_indices(len(pb), 1)
+    table = [{"pair": [int(a), int(b)],
+              "value": [[[float(v.real), float(v.imag)] for v in row]
+                        for row in val]}
+             for a, b, val in zip(i, j, conn.curvature0(pb[i], pb[j]))]
     report = {"schema": suites.SCHEMA, "command": "curvature",
               "group": args.group, "rep": args.rep,
               "connection": args.connection, "p_basis_size": len(pb),
@@ -170,7 +167,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (PreconditionFailed, OSError, json.JSONDecodeError, ValueError) as e:
+    except (ChernpatchError, OSError, json.JSONDecodeError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

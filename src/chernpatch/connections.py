@@ -12,6 +12,10 @@ and the curvature at the identity is
 
     Omega_0(g1, g2) = [omega_0 g1, omega_0 g2] - omega_0([g1, g2]).
 
+omega_0 and Omega_0 take a matrix or a (..., N, N) stack and return
+(..., d, d); the classification conditions and the flatness test are each
+one stacked evaluation over the basis.
+
 The induced connection itself, lambda_1'(ldot) + Ad(lambda_1(g_l^{-1}))
 omega_1(L_{g_h} hdot), is evaluated by :meth:`siegel.SiegelModel.omega_XY`.
 """
@@ -23,83 +27,78 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hcrepr, liecore
-from .errors import CommutationHypothesisFailed, ConditionViolation
+from .errors import (CommutationHypothesisFailed, ConditionViolation,
+                     PreconditionFailed)
 
 TOL = 1e-9
 
 
 def k_basis(spec):
     """Orthonormalized basis of Lie(K) inside the ambient algebra."""
-    basis = liecore.algebra_basis(spec)
-    ks = [liecore.cartan_split(spec, b)[0] for b in basis]
-    return liecore._orthonormalize(ks)
+    return liecore._orthonormalize(
+        liecore.cartan_split(spec, np.array(liecore.algebra_basis(spec)))[0])
 
 
 def p_basis(spec):
-    basis = liecore.algebra_basis(spec)
-    ps = [liecore.cartan_split(spec, b)[1] for b in basis]
-    return liecore._orthonormalize(ps)
+    return liecore._orthonormalize(
+        liecore.cartan_split(spec, np.array(liecore.algebra_basis(spec)))[1])
 
 
 @dataclass
 class InvariantConnection:
     spec: object
     rep: object
-    basis: list          # ambient algebra basis
-    values: list         # omega_0 on each basis element, End(V) matrices
+    basis: np.ndarray    # (k, N, N) ambient algebra basis
+    values: np.ndarray   # (k, d, d): omega_0 on each basis element
 
     def __post_init__(self):
         self._solver = liecore.span_solver(self.basis)
+        self._table = self.values.reshape(len(self.values), -1)
 
     def omega0(self, X):
         c = liecore.algebra_coords(self._solver, X, 1e-8,
                                    "matrix not in the spanned Lie algebra")
-        out = None
-        for ci, v in zip(c, self.values):
-            t = ci * v
-            out = t if out is None else out + t
-        return out
+        return (c @ self._table).reshape(c.shape[:-1] + self.values.shape[1:])
 
     def curvature0(self, X, Y):
         a, b = self.omega0(X), self.omega0(Y)
         return a @ b - b @ a - self.omega0(liecore.bracket(X, Y))
 
-    def is_flat(self, tol=1e-9):
-        worst = 0.0
-        for i, X in enumerate(self.basis):
-            for Y in self.basis[i + 1:]:
-                worst = max(worst, float(np.max(np.abs(self.curvature0(X, Y)))))
-        return worst <= tol
+    def is_flat(self):
+        i, j = np.triu_indices(len(self.basis), 1)
+        curv = self.curvature0(self.basis[i], self.basis[j])
+        return float(np.max(np.abs(curv), initial=0.0)) <= TOL
 
 
-def make_invariant_connection(spec, rep, values, basis=None, tol=TOL) -> InvariantConnection:
+def make_invariant_connection(spec, rep, values) -> InvariantConnection:
     """Validate the classification conditions; raise ConditionViolation if not.
 
-    values: omega_0 on each element of the ambient algebra basis.
+    values: omega_0 on each element of the ambient algebra basis, one
+    (rep.dim, rep.dim) matrix each; any other count or shape raises
+    PreconditionFailed.
     """
-    if basis is None:
-        basis = liecore.algebra_basis(spec)
-    conn = InvariantConnection(spec, rep, basis, [np.asarray(v, dtype=complex) for v in values])
-    kb = k_basis(spec)
+    basis = np.array(liecore.algebra_basis(spec))
+    values = [np.asarray(v, dtype=complex) for v in values]
+    if (len(values) != len(basis)
+            or any(v.shape != (rep.dim, rep.dim) for v in values)):
+        raise PreconditionFailed(
+            f"expected {len(basis)} values of shape ({rep.dim}, {rep.dim}), "
+            f"got {[v.shape for v in values]}")
+    conn = InvariantConnection(spec, rep, basis, np.array(values))
+    kb = np.array(k_basis(spec))
+    lk = rep.lam_alg(kb)
     bad = []
     residuals = []
-    # condition (1)
-    r1 = 0.0
-    for kdot in kb:
-        r1 = max(r1, float(np.max(np.abs(conn.omega0(kdot) - rep.lam_alg(kdot)))))
-    if r1 > tol:
+    # condition (1): omega_0(kdot) = lambda'(kdot)
+    r1 = float(np.max(np.abs(conn.omega0(kb) - lk)))
+    if r1 > TOL:
         bad.append(1)
         residuals.append(r1)
-    # condition (2)
-    r2 = 0.0
-    for g in basis:
-        og = conn.omega0(g)
-        for kdot in kb:
-            lk = rep.lam_alg(kdot)
-            lhs = conn.omega0(liecore.bracket(g, kdot))
-            rhs = og @ lk - lk @ og
-            r2 = max(r2, float(np.max(np.abs(lhs - rhs))))
-    if r2 > tol:
+    # condition (2): omega_0([g, kdot]) = [omega_0(g), lambda'(kdot)], all pairs
+    lhs = conn.omega0(liecore.bracket(basis[:, None], kb))
+    og = conn.omega0(basis)[:, None]
+    r2 = float(np.max(np.abs(lhs - (og @ lk - lk @ og))))
+    if r2 > TOL:
         bad.append(2)
         residuals.append(r2)
     if bad:
@@ -109,15 +108,9 @@ def make_invariant_connection(spec, rep, values, basis=None, tol=TOL) -> Invaria
 
 def nomizu_connection(spec, rep) -> InvariantConnection:
     """omega_0 = lambda' o (projection to Lie(K)); curvature -lambda'([p1,p2])."""
-    basis = liecore.algebra_basis(spec)
-    values = [rep.lam_alg(liecore.cartan_split(spec, b)[0]) for b in basis]
-    return make_invariant_connection(spec, rep, values, basis=basis)
-
-
-def flat_connection_from_hom(spec, rep, hom_values, basis=None, tol=TOL):
-    """Connection given by a Lie algebra homomorphism extending lambda'."""
-    conn = make_invariant_connection(spec, rep, hom_values, basis=basis, tol=tol)
-    return conn
+    basis = np.array(liecore.algebra_basis(spec))
+    values = rep.lam_alg(liecore.cartan_split(spec, basis)[0])
+    return make_invariant_connection(spec, rep, values)
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +137,3 @@ def check_ad_commutation(pd, rep, base_omega0, generator_scale=0.7, tol=TOL):
         raise CommutationHypothesisFailed(f"Ad commutation residual {worst}")
     return worst
 
-
-def chain_difference_nilpotent(pd_q, rep, udot_diff, tol=1e-9):
-    """lambda_1'(udot) for udot in Lie(U_{P_1 Q}); nilpotency is asserted.
-
-    This is the difference term between two chains inducing from the same
-    base; it is strictly triangular in the standard representations.
-    """
-    r = pd_q.flag[-1]
-    ext = hcrepr.canonical_extension(rep, r)
-    val = ext.alg(udot_diff)
-    d = val.shape[0]
-    p = val.copy()
-    for _ in range(d - 1):
-        p = p @ val
-    if float(np.max(np.abs(p))) > tol * max(1.0, float(np.max(np.abs(val))) ** d):
-        raise CommutationHypothesisFailed("chain difference term is not nilpotent")
-    return val

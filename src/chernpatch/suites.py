@@ -253,39 +253,29 @@ def suite_classify(seed=0, tol=1e-9, samples=100):
     rng = np.random.default_rng(seed)
     spec = liecore.su_pq(1, 1)
     rep = hcrepr.builtin_representation(spec, "weight:2")
-    accepted = 0
-    for maker in (connections.nomizu_connection,):
-        try:
-            maker(spec, rep)
-            accepted += 1
-        except ConditionViolation:
-            pass
+    nom = connections.nomizu_connection(spec, rep)  # raises if rejected
+    accepted = 1
     # flat example: the standard representation restricted to K extends
     # to the whole group, so its inclusion is a Lie algebra homomorphism
     rep_std = hcrepr.Representation(
         spec, "std-restriction", 2,
         lambda kc: np.asarray(kc, dtype=complex),
         lambda kc: np.asarray(kc, dtype=complex))
+    basis = liecore.algebra_basis(spec)
     try:
-        hom = [np.asarray(b, dtype=complex)
-               for b in liecore.algebra_basis(spec)]
-        flat = connections.flat_connection_from_hom(spec, rep_std, hom)
-        if flat.is_flat():
+        if connections.make_invariant_connection(spec, rep_std, basis).is_flat():
             accepted += 1
     except ConditionViolation:
         pass
-    nom = connections.nomizu_connection(spec, rep)
-    basis = liecore.algebra_basis(spec)
     kidx = [i for i, b in enumerate(basis)
             if np.allclose(liecore.cartan_split(spec, b)[1], 0)]
     rejected = 0
     correct_condition = 0
     for _ in range(samples):
-        vals = [v.copy() for v in nom.values]
+        vals = nom.values.copy()
         i = int(rng.integers(len(basis)))
-        pert = 0.1 * (rng.standard_normal(vals[i].shape)
-                      + 1j * rng.standard_normal(vals[i].shape))
-        vals[i] = vals[i] + pert
+        vals[i] += 0.1 * (rng.standard_normal(vals[i].shape)
+                          + 1j * rng.standard_normal(vals[i].shape))
         expect = 1 if i in kidx else 2
         try:
             connections.make_invariant_connection(spec, rep, vals)

@@ -54,8 +54,11 @@ def test_invariant_connection_classification():
 
 
 def test_chart_vs_algebraic_curvature_bridge():
-    rpt = _passing(suites.run_suite("bridge", seed=0, tol=1e-6))
+    t0 = time.perf_counter()
+    rpt = _passing(suites.run_suite("bridge", seed=0, tol=1e-6, samples=20))
+    elapsed = time.perf_counter() - t0
     assert len(rpt["checks"]) == 2
+    assert elapsed < 1.0, f"curvature bridge took {elapsed:.2f}s"
 
 
 def test_induced_curvature_is_vertical_free():

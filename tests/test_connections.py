@@ -3,7 +3,7 @@ import pytest
 
 from chernpatch import connections, hcrepr, liecore, siegel
 from chernpatch.errors import (CommutationHypothesisFailed, ConditionViolation,
-                               DecompositionError)
+                               DecompositionError, PreconditionFailed)
 
 
 def _su11(rep_name="weight:2"):
@@ -37,7 +37,7 @@ def test_flat_connection_is_flat():
         lambda kc: np.asarray(kc, dtype=complex))
     basis = liecore.algebra_basis(spec)
     hom = [np.asarray(b, dtype=complex) for b in basis]
-    conn = connections.flat_connection_from_hom(spec, rep, hom)
+    conn = connections.make_invariant_connection(spec, rep, hom)
     assert conn.is_flat()
 
 
@@ -68,6 +68,31 @@ def test_perturbation_on_p_rejected_with_condition_two():
     assert 1 not in exc.value.conditions
 
 
+def test_values_of_wrong_count_or_shape_rejected():
+    spec, rep = _su11()
+    vals = list(connections.nomizu_connection(spec, rep).values)
+    for bad in (vals + [np.zeros((1, 1))], vals[:-1],
+                vals[:-1] + [np.zeros((2, 2))]):
+        with pytest.raises(PreconditionFailed, match="values of shape"):
+            connections.make_invariant_connection(spec, rep, bad)
+
+
+@pytest.mark.parametrize("spec,rep_name", [
+    (liecore.su_pq(1, 1), "weight:2"), (liecore.sp2nR(2), "std"),
+    (liecore.sp2nR(2), "sym2")])
+def test_omega0_and_curvature0_on_a_stack(spec, rep_name):
+    rep = hcrepr.builtin_representation(spec, rep_name)
+    conn = connections.nomizu_connection(spec, rep)
+    rng = np.random.default_rng(4)
+    X = np.array([liecore.random_alg(spec, rng) for _ in range(6)])
+    Y = np.array([liecore.random_alg(spec, rng) for _ in range(6)])
+    om, curv = conn.omega0(X), conn.curvature0(X, Y)
+    assert om.shape == curv.shape == (6, rep.dim, rep.dim)
+    for k in range(6):
+        assert np.max(np.abs(om[k] - conn.omega0(X[k]))) < 1e-14
+        assert np.max(np.abs(curv[k] - conn.curvature0(X[k], Y[k]))) < 1e-14
+
+
 @pytest.mark.parametrize("spec,rep_name", [
     (liecore.su_pq(1, 1), "weight:2"), (liecore.sp2nR(2), "std")])
 def test_omega0_matches_lstsq_coordinates(spec, rep_name):
@@ -94,19 +119,3 @@ def test_induced_connection_ad_commutation_guard():
     with pytest.raises(CommutationHypothesisFailed):
         connections.check_ad_commutation(m.pdK, m.rep, lambda _, h: nil)
 
-
-def test_chain_difference_nilpotent():
-    spec = liecore.sp2nR(2)
-    rep = hcrepr.builtin_representation(spec, "std")
-    pd = liecore.parabolic_data(spec, (1, 2))
-    # difference of unipotent radical images is nilpotent
-    rng = np.random.default_rng(1)
-    c = rng.standard_normal(len(pd.basis_q))
-    X = liecore.from_coords(c, pd.basis_q)
-    u, _, _ = pd.split(X)
-    val = connections.chain_difference_nilpotent(pd, rep, u)
-    # the returned image is strictly nilpotent
-    p = val.copy()
-    for _ in range(val.shape[0] - 1):
-        p = p @ val
-    assert np.max(np.abs(p)) < 1e-9

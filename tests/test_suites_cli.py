@@ -136,6 +136,15 @@ def test_cli_curvature(capsys):
     assert abs(val[0][0][0]) < 1e-12 and abs(val[0][0][1] - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("group", ["sp4", "su2"])
+def test_cli_curvature_library_error_exits_2(group, capsys):
+    # sp4 has no weight:m representation; on compact su2 the weight:1
+    # Nomizu table violates a classification condition
+    assert cli.main(["curvature", "--group", group, "--rep", "weight:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cli_chern_subcommand_is_removed(capsys):
     # the geometric checks run through `verify pifiber|patched|quadrature`
     assert cli.main(["chern", "--check", "quadrature"]) == 2
