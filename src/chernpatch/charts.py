@@ -18,26 +18,6 @@ from . import invariants as inv
 from . import liecore
 
 
-def _expm(a):
-    """exp of every matrix of a (..., N, N) stack: the degree-16 Taylor
-    polynomial after scaling to 1-norm at most 1/2, then squaring back.
-
-    Only matmuls: scipy.linalg.expm solves a small linear system per matrix,
-    and OpenBLAS hands even a 4x4 solve to a worker thread, which cost about
-    0.2 ms per call on an idle 2-core machine against 2 us on one thread.
-    """
-    norm = np.abs(a).sum(axis=-2).max(initial=0.0)
-    s = int(np.ceil(np.log2(max(2.0 * norm, 1.0))))
-    a = a / 2.0 ** s
-    eye = np.eye(a.shape[-1])
-    out = eye + a / 16
-    for k in range(15, 0, -1):
-        out = eye + a @ out / k
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
 class GroupChart:
     """Chart x -> g(x) = exp(x_1 e_1) ... exp(x_d e_d) on a matrix group.
 
@@ -52,7 +32,7 @@ class GroupChart:
 
     def g(self, x):
         out = np.eye(self.spec.size, dtype=complex)
-        for h in _expm(np.asarray(x, dtype=float)[:, None, None] * self.basis):
+        for h in liecore.expm(np.asarray(x, dtype=float)[:, None, None] * self.basis):
             out = out @ h
         if self.spec.family in ("sp2nR", "so2"):
             out = out.real
@@ -63,7 +43,7 @@ class GroupChart:
         (dim, N, N) stack, in one sweep that conjugates the coefficients
         i < j by h_j = exp(-x_j e_j) for j = 1, ..., dim - 1."""
         t = -np.asarray(x, dtype=float)[1:, None, None] * self.basis[1:]
-        h, h_inv = _expm(np.stack([t, -t]))
+        h, h_inv = liecore.expm(np.stack([t, -t]))
         v = self.basis.copy()
         for j in range(1, self.dim):
             v[:j] = h[j - 1] @ v[:j] @ h_inv[j - 1]

@@ -66,6 +66,9 @@ def _cmd_verify(args):
     if args.tol is not None:
         kwargs["tol"] = args.tol
     if args.samples is not None:
+        if args.samples < 1:
+            raise PreconditionFailed(
+                f"--samples must be at least 1, got {args.samples}")
         kwargs["samples"] = args.samples
     # options only some suites read: each goes to the suites that take it
     optional = {}

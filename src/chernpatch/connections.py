@@ -1,5 +1,5 @@
-"""Invariant connections on homogeneous bundles, and the checks that
-parabolic induction needs from them.
+"""Invariant connections on homogeneous bundles: their classification and
+their curvature at the identity.
 
 A connection on the bundle attached to a K-representation lambda is stored
 through its value omega_0 on the Lie algebra at the identity; evaluation
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hcrepr, liecore
-from .errors import (CommutationHypothesisFailed, ConditionViolation,
-                     PreconditionFailed)
+from . import liecore
+from .errors import ConditionViolation, PreconditionFailed
 
 TOL = 1e-9
 
@@ -111,29 +110,4 @@ def nomizu_connection(spec, rep) -> InvariantConnection:
     basis = np.array(liecore.algebra_basis(spec))
     values = rep.lam_alg(liecore.cartan_split(spec, basis)[0])
     return make_invariant_connection(spec, rep, values)
-
-
-# ---------------------------------------------------------------------------
-# parabolic induction
-
-
-def check_ad_commutation(pd, rep, base_omega0, generator_scale=0.7, tol=TOL):
-    """Hypothesis for curvature descent / multi-step induction.
-
-    Checks Ad(lambda_1(exp(t l))) base = base for generators l of the linear
-    Levi factor.  Raises CommutationHypothesisFailed beyond tol.
-    """
-    r = pd.flag[-1]
-    ext = hcrepr.canonical_extension(rep, r)
-    worst = 0.0
-    for l in pd.basis_l:
-        g = liecore.exp_grp(pd.spec, generator_scale * l)
-        lam = ext(g)
-        lam_inv = np.linalg.inv(lam)
-        for h in pd.basis_h:
-            v = base_omega0(None, h)
-            worst = max(worst, float(np.max(np.abs(lam @ v @ lam_inv - v))))
-    if worst > tol:
-        raise CommutationHypothesisFailed(f"Ad commutation residual {worst}")
-    return worst
 

@@ -20,10 +20,6 @@ class ConditionViolation(ChernpatchError):
         )
 
 
-class CommutationHypothesisFailed(ChernpatchError):
-    pass
-
-
 class IllConditionedSpectrum(ChernpatchError):
     pass
 

@@ -108,8 +108,10 @@ def test_p1_chart_matches_expm():
 
 
 def test_import_does_not_load_scipy_integrate():
-    # a fresh interpreter, since this module imports scipy.integrate
-    code = "import sys, chernpatch; print('scipy.integrate' in sys.modules)"
+    # a fresh interpreter, since this module imports scipy; the package
+    # needs numpy only, so no scipy module may load
+    code = ("import sys, chernpatch; print(any(m == 'scipy' or "
+            "m.startswith('scipy.') for m in sys.modules))")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(charts.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -123,4 +125,4 @@ def test_expm_matches_scipy_on_a_stack():
         a = scale * (rng.standard_normal((6, 4, 4))
                      + 1j * rng.standard_normal((6, 4, 4)))
         ref = np.array([scipy.linalg.expm(m) for m in a])
-        assert np.max(np.abs(charts._expm(a) - ref)) < 1e-13 * max(1.0, np.abs(ref).max())
+        assert np.max(np.abs(liecore.expm(a) - ref)) < 1e-13 * max(1.0, np.abs(ref).max())

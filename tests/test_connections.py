@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from chernpatch import connections, hcrepr, liecore, siegel
-from chernpatch.errors import (CommutationHypothesisFailed, ConditionViolation,
-                               DecompositionError, PreconditionFailed)
+from chernpatch import connections, hcrepr, liecore
+from chernpatch.errors import (ConditionViolation, DecompositionError,
+                               PreconditionFailed)
 
 
 def _su11(rep_name="weight:2"):
@@ -108,14 +108,4 @@ def test_omega0_matches_lstsq_coordinates(spec, rep_name):
     with pytest.raises(DecompositionError,
                        match="matrix not in the spanned Lie algebra"):
         conn.omega0(np.eye(spec.size))
-
-
-def test_induced_connection_ad_commutation_guard():
-    m = siegel.SiegelModel("std")
-    assert connections.check_ad_commutation(
-        m.pdK, m.rep, lambda _, h: m.omega_Y_nomizu(h)) <= connections.TOL
-    # negative control: a constant nilpotent base form is not Ad-invariant
-    nil = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(CommutationHypothesisFailed):
-        connections.check_ad_commutation(m.pdK, m.rep, lambda _, h: nil)
 

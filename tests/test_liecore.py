@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from chernpatch import liecore
@@ -23,6 +24,38 @@ def test_exp_lands_in_group(spec):
     for _ in range(5):
         g = liecore.exp_grp(spec, liecore.random_alg(spec, rng, 0.4))
         assert liecore.grp_residual(spec, g) < 1e-10
+
+
+@pytest.mark.parametrize("spec", [
+    liecore.sp2nR(2), liecore.sp2nR(3), liecore.su_pq(2, 1), liecore.su2(),
+    liecore.so2()], ids=lambda s: s.family + str((s.n, s.p, s.q)))
+def test_exp_grp_matches_scipy(spec):
+    rng = np.random.default_rng(3)
+    for scale in (0.2, 1.0, 3.0):
+        for _ in range(3):
+            X = liecore.random_alg(spec, rng, scale)
+            ref = scipy.linalg.expm(X)
+            err = np.max(np.abs(liecore.exp_grp(spec, X) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_null_space_matches_scipy():
+    rng = np.random.default_rng(4)
+
+    def draw(shape, cplx):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if cplx else a
+
+    mats = [np.zeros((4, 6))]
+    for cplx in (False, True):
+        for m, n, r in ((6, 9, 4), (8, 5, 3), (7, 7, 6), (3, 12, 1)):
+            mats.append(draw((m, r), cplx) @ draw((r, n), cplx))
+    for A in mats:
+        ns = liecore._null_space(A)
+        ref = scipy.linalg.null_space(A, rcond=1e-10)
+        assert ns.shape == ref.shape
+        assert np.max(np.abs(ns @ ns.conj().T - ref @ ref.conj().T),
+                      initial=0.0) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -165,6 +165,17 @@ def test_cli_verify_corrupt_unread_is_an_error(capsys):
     assert "--corrupt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite,samples", [
+    ("patch", "0"), ("pifiber", "0"), ("bridge", "0"), ("partition", "-5")])
+def test_cli_verify_rejects_samples_below_one(suite, samples, capsys):
+    # sampling nothing would report max_residual 0.0 and pass
+    assert cli.main(["verify", suite, "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--samples" in err
+
+
 def test_spec_from_dict_unitary_family():
     spec = suites.spec_from_dict({"family": "u", "n": 2})
     assert spec == liecore.u_n(2)
