@@ -16,6 +16,7 @@ import numpy as np
 from . import exterior as ext
 from . import invariants as inv
 from . import liecore
+from .errors import PreconditionFailed
 
 
 class GroupChart:
@@ -34,7 +35,7 @@ class GroupChart:
         out = np.eye(self.spec.size, dtype=complex)
         for h in liecore.expm(np.asarray(x, dtype=float)[:, None, None] * self.basis):
             out = out @ h
-        if self.spec.family in ("sp2nR", "so2"):
+        if self.spec.real:
             out = out.real
         return out
 
@@ -124,7 +125,11 @@ def p1_chern_number(weight=2, n=160):
     Chart: g(theta, phi) = exp(theta * (cos phi P1 + sin phi P2)) with
     P1, P2 spanning the off-diagonal part of su(2); the chart covers the
     sphere minus the poles, which are a null set for the integral.
+    Composite Simpson needs n >= 3 grid points per axis.
     """
+    if n < 3:
+        raise PreconditionFailed(
+            f"the quadrature grid needs at least 3 points per axis, got {n}")
 
     def omega_phi(theta, phi, h=1e-6):
         # weight-m character of the torus part of g^{-1} d_phi g; g^{-1} = g(-theta)

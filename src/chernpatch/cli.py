@@ -65,13 +65,13 @@ def _cmd_verify(args):
     kwargs = {"seed": args.seed}
     if args.tol is not None:
         kwargs["tol"] = args.tol
+    # options only some suites read: each goes to the suites that take it
+    optional = {}
     if args.samples is not None:
         if args.samples < 1:
             raise PreconditionFailed(
                 f"--samples must be at least 1, got {args.samples}")
-        kwargs["samples"] = args.samples
-    # options only some suites read: each goes to the suites that take it
-    optional = {}
+        optional["samples"] = args.samples
     if args.model:
         optional["model"] = args.model
     if args.corrupt:

@@ -268,12 +268,13 @@ def patch_combination_curvature(weights, omegas):
     return direct, formula
 
 
-def vertical_vectors(proj: SmoothMap, x, rcond=1e-9):
-    """Orthonormal basis of ker d(proj)(x) via SVD."""
+def vertical_vectors(proj: SmoothMap, x):
+    """Orthonormal basis of ker d(proj)(x) via SVD: singular values at most
+    1e-9 max(1, largest) count as zero."""
     J = proj.jacobian(x)  # (m, k)
     J2 = J.reshape(proj.m, -1).T
     u, s, vt = np.linalg.svd(np.asarray(J2, dtype=complex))
-    rank = int(np.sum(s > rcond * max(1.0, s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 1.0)))
     return [vt[i].conj() for i in range(rank, proj.m)]
 
 

@@ -3,9 +3,10 @@ canonical extensions of K-representations to parabolic subgroups.
 
 The complexification is handled in "complex coordinates": a fixed change of
 basis M under which K(C) becomes block diagonal, P^+ strictly block upper
-unipotent and P^- strictly block lower unipotent.  For Sp(2n,R) the map M is
-the inverse of the full Cayley element; for SU(p,q) and SU(2) the defining
-basis already works and M = I.
+unipotent and P^- strictly block lower unipotent.  M, its inverse and the
+block sizes come from the group spec (``spec.complex_coords`` and
+``spec.blocks``, built once per spec); every function here takes elements
+in defining coordinates.
 
 An element g of G(C) lies in the open cell when its complex-coordinate
 lower-right block is invertible; then
@@ -17,10 +18,10 @@ projection.  j is multiplicative under j(h g h') = j(h) j(g) j(h') for
 h, h' in K(C).
 
 Representations and canonical extensions hold what they reuse, built in
-their constructors: the coordinate change M and its inverse, the
-differential as an (N^2, d^2) matrix tabulated on the matrix units, and for
-a canonical extension j(c_1)^{-1}.  The differentials then take a matrix or
-a (..., N, N) stack to (..., d, d) in one matmul.
+their constructors: the differential as an (N^2, d^2) matrix tabulated on
+the matrix units, and for a canonical extension j(c_1)^{-1}.  The
+differentials then take a matrix or a (..., N, N) stack to (..., d, d) in
+one matmul.
 """
 
 from __future__ import annotations
@@ -35,29 +36,10 @@ from .errors import DecompositionError, UnsupportedFlag
 COND_MAX = 1e12
 
 
-def _block_sizes(spec):
-    if spec.family == "sp2nR":
-        return spec.n, spec.n
-    if spec.family == "su_pq":
-        return spec.p, spec.q
-    if spec.family == "su2":
-        return 1, 1
-    raise UnsupportedFlag(f"no hermitian structure for family {spec.family}")
-
-
-def complex_coords_map(spec):
-    """Basis change M with K(C) block diagonal in coordinates M g M^{-1}."""
-    if spec.family == "sp2nR":
-        n = spec.n
-        M = np.zeros((2 * n, 2 * n), dtype=complex)
-        M[:n, :n] = np.eye(n)
-        M[:n, n:] = 1j * np.eye(n)
-        M[n:, :n] = 1j * np.eye(n)
-        M[n:, n:] = np.eye(n)
-        return M / np.sqrt(2)
-    if spec.family in ("su_pq", "su2"):
-        return np.eye(spec.size, dtype=complex)
-    raise UnsupportedFlag(f"no hermitian structure for family {spec.family}")
+def _complex(spec, g):
+    """g in complex coordinates, M g M^{-1}."""
+    M, Minv = spec.complex_coords
+    return M @ np.asarray(g, dtype=complex) @ Minv
 
 
 @dataclass
@@ -69,13 +51,10 @@ class HCDecomposition:
     p_minus: np.ndarray
 
 
-def hc_decompose(spec, g, in_complex_coords=False, tol=1e-9) -> HCDecomposition:
+def hc_decompose(spec, g, tol=1e-9) -> HCDecomposition:
     """Open-cell factorization of g (given in defining coordinates)."""
-    gc = np.asarray(g, dtype=complex)
-    if not in_complex_coords:
-        M = complex_coords_map(spec)
-        gc = M @ gc @ np.linalg.inv(M)
-    p, q = _block_sizes(spec)
+    gc = _complex(spec, g)
+    p, q = spec.blocks
     A, B = gc[:p, :p], gc[:p, p:]
     C, D = gc[p:, :p], gc[p:, p:]
     if np.linalg.cond(D) > COND_MAX:
@@ -94,17 +73,14 @@ def hc_decompose(spec, g, in_complex_coords=False, tol=1e-9) -> HCDecomposition:
     return HCDecomposition(p_plus=pp, k_c=kc, p_minus=pm)
 
 
-def middle_j(spec, g, in_complex_coords=False):
+def middle_j(spec, g):
     """j(g): block-diagonal middle factor, in complex coordinates."""
-    return hc_decompose(spec, g, in_complex_coords=in_complex_coords).k_c
+    return hc_decompose(spec, g).k_c
 
 
-def in_kc(spec, g, in_complex_coords=False, tol=1e-8) -> bool:
-    gc = np.asarray(g, dtype=complex)
-    if not in_complex_coords:
-        M = complex_coords_map(spec)
-        gc = M @ gc @ np.linalg.inv(M)
-    p, q = _block_sizes(spec)
+def in_kc(spec, g, tol=1e-8) -> bool:
+    gc = _complex(spec, g)
+    p, q = spec.blocks
     off = max(np.max(np.abs(gc[p:, :p])), np.max(np.abs(gc[:p, p:])))
     return off <= tol * max(1.0, np.max(np.abs(gc)))
 
@@ -156,18 +132,15 @@ class Representation:
     lamC_alg: callable
 
     def __post_init__(self):
-        self._M = complex_coords_map(self.spec)
-        self._Minv = np.linalg.inv(self._M)
         N = self.spec.size
-        kc = self._M @ np.eye(N * N).reshape(-1, N, N) @ self._Minv
+        kc = _complex(self.spec, np.eye(N * N).reshape(-1, N, N))
         self._dlam = np.array([self.lamC_alg(m) for m in kc]).reshape(N * N, -1)
 
     def lam_grp(self, k):
         """Evaluate on k in K (defining coordinates)."""
-        kc = self._M @ np.asarray(k, dtype=complex) @ self._Minv
-        if not in_kc(self.spec, kc, in_complex_coords=True):
+        if not in_kc(self.spec, k):
             raise DecompositionError("element not in K(C)")
-        return self.lamC(kc)
+        return self.lamC(_complex(self.spec, k))
 
     def lam_alg(self, kdot):
         """Differential on kdot in Lie(K) (defining coordinates), or a stack."""
@@ -283,24 +256,22 @@ class CanonicalExtension:
         self.rep = rep
         self.spec = rep.spec
         self.c1 = c1
-        self._M = complex_coords_map(self.spec)
-        self._Minv = np.linalg.inv(self._M)
         self._jc1_inv = np.linalg.inv(middle_j(self.spec, c1))
         # j(c_1)^{-1} j(c_1 .) is a homomorphism on P_1; its differential at
         # xdot is lamC_alg of the k(C) part (the diagonal blocks, in complex
         # coordinates) of c_1 xdot c_1^{-1}, evaluated here at each E_ij
         N = self.spec.size
         units = np.eye(N * N).reshape(-1, N, N)
-        xc = self._M @ (c1 @ units @ np.linalg.inv(c1)) @ self._Minv
-        p, _ = _block_sizes(self.spec)
+        xc = _complex(self.spec, c1 @ units @ np.linalg.inv(c1))
+        p, _ = self.spec.blocks
         xc[:, :p, p:] = 0.0
         xc[:, p:, :p] = 0.0
         self._dlam = np.array([rep.lamC_alg(m) for m in xc]).reshape(N * N, -1)
 
     def j_twisted(self, g):
         """j(c_1)^{-1} j(c_1 g), a K(C) element in complex coordinates."""
-        cg = self._M @ (self.c1 @ np.asarray(g, dtype=complex)) @ self._Minv
-        return self._jc1_inv @ middle_j(self.spec, cg, in_complex_coords=True)
+        return self._jc1_inv @ middle_j(self.spec,
+                                        self.c1 @ np.asarray(g, dtype=complex))
 
     def __call__(self, g):
         return self.rep.lamC(self.j_twisted(g))

@@ -8,6 +8,11 @@ Supported families:
 * ``u``     -- U(n)
 * ``so2``   -- SO(2)
 
+A :class:`GroupSpec` is the one place that knows what a family is (size,
+invariant form F, realness, det = 1, K(C) blocks, the coordinate change M);
+other modules read these facts from the spec, and membership is one formula
+for every family (:func:`alg_residual`, :func:`grp_residual`).
+
 Elements are plain numpy arrays; the functions here validate the defining
 relations, split along the Cartan involution theta(X) = -X^H, and build
 parabolic subalgebra data for isotropic flags.
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +50,9 @@ TOL = 1e-9
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """A group family and its size parameters; the properties below hold
+    the family's structure, which other modules read from here."""
+
     family: str
     n: int = 0
     p: int = 0
@@ -51,30 +60,52 @@ class GroupSpec:
 
     @property
     def size(self) -> int:
-        if self.family == "sp2nR":
-            return 2 * self.n
-        if self.family == "su_pq":
-            return self.p + self.q
-        if self.family == "su2":
-            return 2
-        if self.family == "u":
-            return self.n
-        if self.family == "so2":
-            return 2
-        raise ValueError(f"unknown family {self.family}")
+        sizes = {"sp2nR": 2 * self.n, "su_pq": self.p + self.q,
+                 "su2": 2, "u": self.n, "so2": 2}
+        if self.family not in sizes:
+            raise ValueError(f"unknown family {self.family}")
+        return sizes[self.family]
 
     @property
     def form(self):
-        """Invariant bilinear/hermitian form (J or H), or None."""
+        """Invariant form F, with g^H F g = F on the group: J for sp2nR,
+        H = diag(I_p, -I_q) for su_pq, the identity for compact families."""
         if self.family == "sp2nR":
-            n = self.n
-            J = np.zeros((2 * n, 2 * n))
-            J[:n, n:] = np.eye(n)
-            J[n:, :n] = -np.eye(n)
-            return J
+            return np.eye(2 * self.n, k=self.n) - np.eye(2 * self.n, k=-self.n)
         if self.family == "su_pq":
             return np.diag([1.0] * self.p + [-1.0] * self.q)
-        return None
+        return np.eye(self.size)
+
+    @property
+    def real(self) -> bool:
+        """Elements are real matrices."""
+        return self.family in ("sp2nR", "so2")
+
+    @property
+    def special(self) -> bool:
+        """det = 1 is imposed (for sp2nR it follows from the form)."""
+        return self.family in ("su_pq", "su2", "so2")
+
+    @property
+    def blocks(self):
+        """(p, q): sizes of the K(C) diagonal blocks in complex coordinates."""
+        p = {"sp2nR": self.n, "su_pq": self.p, "su2": 1}.get(self.family)
+        if p is None:
+            raise UnsupportedFlag(
+                f"no hermitian structure for family {self.family}")
+        return p, self.size - p
+
+    @cached_property
+    def complex_coords(self):
+        """(M, M^{-1}) with K(C) block diagonal in coordinates M g M^{-1}:
+        M is the inverse of the full Cayley element for sp2nR and the
+        identity for su_pq and su2.  Built once per spec."""
+        p, q = self.blocks
+        M = np.eye(p + q, dtype=complex)
+        if self.family == "sp2nR":
+            eye = np.eye(p)
+            M = np.block([[eye, 1j * eye], [1j * eye, eye]]) / np.sqrt(2)
+        return M, np.linalg.inv(M)
 
 
 def sp2nR(n: int) -> GroupSpec:
@@ -114,52 +145,27 @@ def _conjT(X):
 
 
 def alg_residual(spec: GroupSpec, X) -> float:
-    """Residual of the linearized defining relation at X."""
-    fam = spec.family
-    if fam == "sp2nR":
-        J = spec.form
-        R = X.T @ J + J @ X
-        r = float(np.max(np.abs(R)))
+    """Residual of the linearized defining relation at X:
+    max(|X^H F + F X|, |tr X| if special, |Im X| if real)."""
+    F = spec.form
+    r = float(np.max(np.abs(_conjT(X) @ F + F @ X)))
+    if spec.special:
+        r = max(r, abs(complex(np.trace(X))))
+    if spec.real:
         r = max(r, float(np.max(np.abs(np.asarray(X, dtype=complex).imag))))
-        return r
-    if fam == "su_pq":
-        H = spec.form
-        R = _conjT(X) @ H + H @ X
-        return max(float(np.max(np.abs(R))), abs(complex(np.trace(X))))
-    if fam == "su2":
-        R = _conjT(X) + X
-        return max(float(np.max(np.abs(R))), abs(complex(np.trace(X))))
-    if fam == "u":
-        R = _conjT(X) + X
-        return float(np.max(np.abs(R)))
-    if fam == "so2":
-        R = X.T + X
-        return float(np.max(np.abs(R)))
-    raise ValueError(fam)
+    return r
 
 
 def grp_residual(spec: GroupSpec, g) -> float:
-    """Residual of the group defining relation at g."""
-    fam = spec.family
-    if fam == "sp2nR":
-        J = spec.form
-        R = g.T @ J @ g - J
-        r = float(np.max(np.abs(R)))
-        return max(r, float(np.max(np.abs(np.asarray(g, dtype=complex).imag))))
-    if fam == "su_pq":
-        H = spec.form
-        R = _conjT(g) @ H @ g - H
-        return max(float(np.max(np.abs(R))), abs(np.linalg.det(np.asarray(g, dtype=complex)) - 1.0))
-    if fam == "su2":
-        R = _conjT(g) @ g - np.eye(2)
-        return max(float(np.max(np.abs(R))), abs(np.linalg.det(np.asarray(g, dtype=complex)) - 1.0))
-    if fam == "u":
-        R = _conjT(g) @ g - np.eye(spec.n)
-        return float(np.max(np.abs(R)))
-    if fam == "so2":
-        R = g.T @ g - np.eye(2)
-        return max(float(np.max(np.abs(R))), abs(float(np.linalg.det(np.asarray(g, dtype=float))) - 1.0))
-    raise ValueError(fam)
+    """Residual of the group defining relation at g:
+    max(|g^H F g - F|, |det g - 1| if special, |Im g| if real)."""
+    F = spec.form
+    r = float(np.max(np.abs(_conjT(g) @ F @ g - F)))
+    if spec.special:
+        r = max(r, abs(np.linalg.det(np.asarray(g, dtype=complex)) - 1.0))
+    if spec.real:
+        r = max(r, float(np.max(np.abs(np.asarray(g, dtype=complex).imag))))
+    return r
 
 
 def check_grp(spec: GroupSpec, g, tol: float = TOL):
@@ -206,51 +212,33 @@ def algebra_basis(spec: GroupSpec):
             X[n:, :n] = S
             out.append(X)
         return out
-    if fam in ("su_pq", "su2"):
-        N = spec.size
-        H = spec.form if fam == "su_pq" else np.eye(2)
-        out = []
-        # off-diagonal: for i<j the pair (E_ij - s E_ji) and i(E_ij + s E_ji)
-        # with s = H_ii H_jj sign so that X^H H + H X = 0
-        for i in range(N):
-            for j in range(i + 1, N):
-                s = H[i, i] * H[j, j]
-                X = np.zeros((N, N), dtype=complex)
-                X[i, j] = 1.0
-                X[j, i] = -s
-                out.append(X)
-                Y = np.zeros((N, N), dtype=complex)
-                Y[i, j] = 1.0j
-                Y[j, i] = 1.0j * s
-                out.append(Y)
-        # traceless diagonal imaginary
-        for i in range(N - 1):
-            X = np.zeros((N, N), dtype=complex)
-            X[i, i] = 1.0j
-            X[i + 1, i + 1] = -1.0j
-            out.append(X)
-        return out
-    if fam == "u":
-        n = spec.n
-        out = []
-        for i in range(n):
-            X = np.zeros((n, n), dtype=complex)
-            X[i, i] = 1.0j
-            out.append(X)
-        for i in range(n):
-            for j in range(i + 1, n):
-                X = np.zeros((n, n), dtype=complex)
-                X[i, j] = 1.0
-                X[j, i] = -1.0
-                out.append(X)
-                Y = np.zeros((n, n), dtype=complex)
-                Y[i, j] = 1.0j
-                Y[j, i] = 1.0j
-                out.append(Y)
-        return out
     if fam == "so2":
         return [np.array([[0.0, -1.0], [1.0, 0.0]])]
-    raise ValueError(fam)
+    # the unitary families su_pq, su2 and u
+    N = spec.size
+    H = spec.form
+    out = []
+    # off-diagonal: for i<j the pair (E_ij - s E_ji) and i(E_ij + s E_ji)
+    # with s = H_ii H_jj sign so that X^H H + H X = 0
+    for i in range(N):
+        for j in range(i + 1, N):
+            s = H[i, i] * H[j, j]
+            X = np.zeros((N, N), dtype=complex)
+            X[i, j] = 1.0
+            X[j, i] = -s
+            out.append(X)
+            Y = np.zeros((N, N), dtype=complex)
+            Y[i, j] = 1.0j
+            Y[j, i] = 1.0j * s
+            out.append(Y)
+    # imaginary diagonal, traceless for special families
+    for i in range(N - 1 if spec.special else N):
+        X = np.zeros((N, N), dtype=complex)
+        X[i, i] = 1.0j
+        if spec.special:
+            X[i + 1, i + 1] = -1.0j
+        out.append(X)
+    return out
 
 
 def _vec(X):
@@ -338,7 +326,7 @@ def expm(a):
 
 def exp_grp(spec: GroupSpec, X):
     g = expm(np.asarray(X, dtype=complex))
-    if spec.family in ("sp2nR", "so2"):
+    if spec.real:
         g = g.real
     return check_grp(spec, g, tol=max(TOL, 1e-8 * float(np.linalg.norm(g))))
 
@@ -519,8 +507,7 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
     bas_u1 = trace_radical(bas_p1)
 
     # hermitian part: kills V_max and its form-dual
-    form = spec.form
-    Vbar = form @ Vmax.conj() if spec.family == "su_pq" else form @ Vmax
+    Vbar = spec.form @ Vmax.conj()
 
     def kill_constraint(X):
         return np.hstack([X @ Vmax, X @ Vbar])

@@ -135,19 +135,12 @@ class FlagTubeModel:
         out = out * (1.0 - s.scaled(rY, eps))
         return out
 
-    def partition_weights(self, x: ModelPoint, eps=None, Y=None):
-        """{Z: B_Z^eps(x)} over Z <= Y; eps defaults per use to a single value.
-
-        With the default Y = stratum of x, the values sum to 1 on the whole
-        closure; they also sum to 1 on T_Y(eps/2) for larger ambient strata.
-        """
-        if Y is None:
-            Y = x.stratum
-        if eps is None:
-            eps = self.eps(Y)
+    def partition_weights(self, x: ModelPoint):
+        """{Z: B_Z^eps(x)} over the strata Z of x's chain, at the one eps of
+        x's stratum; the values sum to 1 on the whole closure."""
+        eps = self.eps(x.stratum)
         out = {}
-        idx = x.chain.index(Y)
-        for Z in x.chain[: idx + 1]:
+        for Z in x.chain:
             out[Z] = self.B(Z, eps, x)
         return out
 

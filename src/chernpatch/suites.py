@@ -393,7 +393,7 @@ def suite_quadrature(seed=0, tol=1e-3, samples=160):
                    {"value": float(val)})
 
 
-def suite_schubert(seed=0, tol=0.0, samples=0):
+def suite_schubert(seed=0, tol=0.0):
     """Exact ring identities and generation of small dual spaces."""
     sc = schubert
     checks = []
@@ -421,7 +421,7 @@ def suite_schubert(seed=0, tol=0.0, samples=0):
                               generators=[sc.sigma(2, 2, (2,))])
     checks.append(_check("negative-control-not-generating",
                          1 if neg["generates"] else 0, 0.0))
-    return _finish("schubert", seed, tol, samples, checks)
+    return _finish("schubert", seed, tol, 0, checks)
 
 
 SUITES = {

@@ -108,9 +108,9 @@ def _alg_reference(ext, xdot):
     """The differential by its formula: lamC_alg of the diagonal blocks,
     in complex coordinates, of c_1 xdot c_1^{-1}."""
     x = ext.c1 @ np.asarray(xdot, dtype=complex) @ np.linalg.inv(ext.c1)
-    M = hcrepr.complex_coords_map(ext.spec)
-    xc = M @ x @ np.linalg.inv(M)
-    p, _ = hcrepr._block_sizes(ext.spec)
+    M, Minv = ext.spec.complex_coords
+    xc = M @ x @ Minv
+    p, _ = ext.spec.blocks
     blk = np.zeros_like(xc)
     blk[:p, :p] = xc[:p, :p]
     blk[p:, p:] = xc[p:, p:]
@@ -152,11 +152,11 @@ def test_lam_alg_stack_matches_formula(n, name):
     rng = np.random.default_rng(8)
     ks = np.array([liecore.cartan_split(spec, liecore.random_alg(spec, rng))[0]
                    for _ in range(6)])
-    M = hcrepr.complex_coords_map(spec)
+    M, Minv = spec.complex_coords
     got = rep.lam_alg(ks)
     assert got.shape == (6, rep.dim, rep.dim)
     for k, g in zip(ks, got):
-        assert np.max(np.abs(g - rep.lamC_alg(M @ k @ np.linalg.inv(M)))) < 1e-14
+        assert np.max(np.abs(g - rep.lamC_alg(M @ k @ Minv))) < 1e-14
         assert np.max(np.abs(g - rep.lam_alg(k))) < 1e-14
 
 

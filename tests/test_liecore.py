@@ -58,6 +58,48 @@ def test_null_space_matches_scipy():
                       initial=0.0) < 1e-12
 
 
+# family -> the conditions it imposes besides the form relation
+IMPOSES = {"sp2nR": {"real"}, "su_pq": {"special"}, "su2": {"special"},
+           "u": set(), "so2": {"special", "real"}}
+# i t D with D below keeps the form relation and the trace of the family
+UNREAL = {"sp2nR": np.eye(4), "so2": np.diag([1.0, -1.0])}
+
+
+@pytest.mark.parametrize("spec", [
+    liecore.sp2nR(2), liecore.su_pq(2, 1), liecore.su2(), liecore.u_n(2),
+    liecore.so2()], ids=lambda s: s.family)
+def test_membership_per_family(spec):
+    imposes = IMPOSES[spec.family]
+    assert spec.real == ("real" in imposes)
+    assert spec.special == ("special" in imposes)
+    basis = liecore.algebra_basis(spec)
+    for X in basis:
+        assert liecore.alg_residual(spec, X) <= 1e-12
+        assert liecore.grp_residual(spec, liecore.exp_grp(spec, X)) <= 1e-12
+    N, t, X = spec.size, 0.1, basis[-1]
+    g = liecore.exp_grp(spec, X)
+    E = np.zeros((N, N))
+    E[0, 1] = t  # real and traceless, off the form relation
+    broken = [(X + E, g @ (np.eye(N) + E))]
+    central = (X + 1j * t * np.eye(N), np.exp(1j * t) * g)
+    if spec.family == "so2":
+        # the trace of so(2) vanishes with the form relation; a reflection
+        # keeps the form and breaks det
+        broken.append((X + t * np.eye(N), g @ np.diag([1.0, -1.0])))
+    elif "special" in imposes:
+        broken.append(central)
+    if spec.family == "u":
+        # U(n) imposes no det: a central phase is a member
+        assert liecore.alg_residual(spec, central[0]) <= 1e-12
+        assert liecore.grp_residual(spec, central[1]) <= 1e-12
+    if "real" in imposes:
+        D = UNREAL[spec.family]
+        broken.append((X + 1j * t * D, g @ np.diag(np.exp(1j * t * np.diag(D)))))
+    for Xb, gb in broken:
+        assert liecore.alg_residual(spec, Xb) > 1e-3
+        assert liecore.grp_residual(spec, gb) > 1e-3
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_bracket_stays_in_algebra(seed):

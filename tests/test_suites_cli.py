@@ -176,6 +176,27 @@ def test_cli_verify_rejects_samples_below_one(suite, samples, capsys):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("samples", ["1", "2"])
+def test_cli_verify_quadrature_needs_three_grid_points(samples, capsys):
+    # composite Simpson weights divide by n - 1 and need 3 points
+    assert cli.main(["verify", "quadrature", "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "at least 3 points" in err
+
+
+def test_cli_verify_samples_unread_is_an_error(capsys):
+    assert cli.main(["verify", "schubert", "--samples", "5"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_cli_verify_samples_goes_to_the_suites_that_read_it(capsys):
+    assert cli.main(["verify", "schubert", "partition", "--samples", "5"]) == 0
+    rpt = json.loads(capsys.readouterr().out)
+    assert [r["samples"] for r in rpt["suites"]] == [0, 5]
+
+
 def test_spec_from_dict_unitary_family():
     spec = suites.spec_from_dict({"family": "u", "n": 2})
     assert spec == liecore.u_n(2)
