@@ -43,7 +43,7 @@ print("jordan nilpotent part equals n:", np.all(n_part == n))
 
 # springer_check packages the comparison for any invariant polynomial; it
 # refuses a non-commuting shift.
-e2 = inv.elementary_symmetric(3, 2)
+e2 = inv.elementary_symmetric(2)
 print("springer residual for e_2:", inv.springer_check(e2, x, n))
 bad = np.zeros((3, 3), dtype=object)
 bad[:] = Fraction(0)

@@ -16,7 +16,7 @@ import numpy as np
 from . import connections, hcrepr, liecore, schubert, suites
 from .errors import ChernpatchError, PreconditionFailed
 
-__all__ = ["main", "compute_report"]
+__all__ = ["main"]
 
 _GROUPS = {
     "su11": lambda: liecore.su_pq(1, 1),
@@ -62,11 +62,10 @@ def _parse_monomial(text):
 
 
 def _cmd_verify(args):
-    kwargs = {"seed": args.seed}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
     # options only some suites read: each goes to the suites that take it
     optional = {}
+    if args.tol is not None:
+        optional["tol"] = args.tol
     if args.samples is not None:
         if args.samples < 1:
             raise PreconditionFailed(
@@ -89,10 +88,8 @@ def _cmd_verify(args):
 
     reports = []
     for name in args.suite:
-        kw = dict(kwargs)
-        kw.update((key, val) for key, val in optional.items()
-                  if name in readers[key])
-        reports.append(suites.run_suite(name, **kw))
+        kw = {key: val for key, val in optional.items() if name in readers[key]}
+        reports.append(suites.run_suite(name, seed=args.seed, **kw))
     report = reports[0] if len(reports) == 1 else {
         "schema": suites.SCHEMA, "suites": reports,
         "pass": all(r["pass"] for r in reports)}
@@ -103,10 +100,7 @@ def _cmd_verify(args):
 def _cmd_curvature(args):
     spec = _load_group(args.group)
     rep = hcrepr.builtin_representation(spec, args.rep)
-    if args.connection == "nomizu":
-        conn = connections.nomizu_connection(spec, rep)
-    else:
-        raise PreconditionFailed(f"unknown connection {args.connection!r}")
+    conn = connections.nomizu_connection(spec, rep)
     pb = np.array(connections.p_basis(spec))
     i, j = np.triu_indices(len(pb), 1)
     table = [{"pair": [int(a), int(b)],
@@ -115,7 +109,7 @@ def _cmd_curvature(args):
              for a, b, val in zip(i, j, conn.curvature0(pb[i], pb[j]))]
     report = {"schema": suites.SCHEMA, "command": "curvature",
               "group": args.group, "rep": args.rep,
-              "connection": args.connection, "p_basis_size": len(pb),
+              "connection": "nomizu", "p_basis_size": len(pb),
               "curvature": table, "pass": True}
     _emit(report, args.out)
     return 0
@@ -150,7 +144,6 @@ def _build_parser():
 
     c = sub.add_parser("curvature", help="algebraic curvature table")
     c.add_argument("--group", required=True)
-    c.add_argument("--connection", default="nomizu")
     c.add_argument("--rep", required=True)
     c.set_defaults(func=_cmd_curvature)
 

@@ -4,7 +4,11 @@ the nilpotent-invariance check, plus Chern form assembly.
 Exact arithmetic uses object-dtype numpy arrays of fractions.Fraction; the
 float path is float64/complex128.  The exact characteristic polynomial is
 Berkowitz's division-free algorithm over Python ints, run once the entry
-denominators are cleared; the float one is Faddeev-LeVerrier.
+denominators are cleared; the float one is Faddeev-LeVerrier.  The Jordan
+decomposition is one Newton iteration for both arithmetics, against the
+squarefree polynomial of the eigenvalues: exact from the characteristic
+polynomial, float from the clustered eigenvalues; ceil(log2 m) steps
+suffice for m the largest eigenvalue multiplicity.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, dropwhile
 
 import numpy as np
 
@@ -94,18 +98,15 @@ def elementary_symmetric_value(x, k):
 class InvariantPolynomial:
     """Homogeneous degree-k polynomial on End(V), invariant under conjugation."""
 
-    dim: int
     degree: int
     func: callable
-    name: str = ""
 
     def __call__(self, x):
         return self.func(x)
 
 
-def elementary_symmetric(dim, k) -> InvariantPolynomial:
-    return InvariantPolynomial(dim, k, lambda x: elementary_symmetric_value(x, k),
-                               name=f"e{k}")
+def elementary_symmetric(k) -> InvariantPolynomial:
+    return InvariantPolynomial(k, lambda x: elementary_symmetric_value(x, k))
 
 
 def polarize_eval(f: InvariantPolynomial, xs):
@@ -189,43 +190,41 @@ def _exact_inv(M):
     return np.array([[A[i][d + j] for j in range(d)] for i in range(d)], dtype=object)
 
 
+def _poly_divmod(p, q):
+    """(quotient, remainder) of coefficient lists, highest degree first;
+    q[0] must be nonzero."""
+    p = list(p)
+    quot = []
+    while len(p) >= len(q):
+        fac = p[0] / q[0]
+        quot.append(fac)
+        p = [a - fac * b for a, b in zip(p[1:], q[1:])] + p[len(q):]
+    return quot, p
+
+
+def _poly_quot(p, q):
+    """Exact polynomial quotient p / q (remainder must vanish)."""
+    quot, rem = _poly_divmod(p, q)
+    if any(c != 0 for c in rem):
+        raise PreconditionFailed("polynomial division with nonzero remainder")
+    return quot
+
+
 def _poly_gcd(p, q):
     """Monic gcd of coefficient lists (highest degree first), Fractions."""
-    def norm(p):
-        idx = next((i for i, c in enumerate(p) if c != 0), None)
-        if idx is None:
-            return []
-        p = p[idx:]
-        lead = p[0]
-        return [c / lead for c in p]
+    def strip(p):
+        return list(dropwhile(lambda c: c == 0, p))
 
-    p, q = norm(list(p)), norm(list(q))
+    p, q = strip(p), strip(q)
     while q:
-        # remainder of p by q
-        p = list(p)
-        while len(p) >= len(q) and p:
-            if p[0] == 0:
-                p.pop(0)
-                continue
-            fac = p[0]
-            for i in range(len(q)):
-                p[i] = p[i] - fac * q[i]
-            p.pop(0)
-        p = norm(p)
-        p, q = q, p
-    return p
+        p, q = q, strip(_poly_divmod(p, q)[1])
+    return [c / p[0] for c in p]
 
 
 def _poly_eval_matrix(coeffs, x):
     """Evaluate polynomial (highest degree first) at matrix x (Horner)."""
-    d = x.shape[0]
-    if _is_exact(x):
-        I = np.array([[Fraction(1) if i == j else Fraction(0) for j in range(d)]
-                      for i in range(d)], dtype=object)
-        out = I * Fraction(0)
-    else:
-        I = np.eye(d, dtype=complex)
-        out = np.zeros((d, d), dtype=complex)
+    I = np.eye(x.shape[0], dtype=x.dtype)
+    out = np.zeros_like(x)
     for c in coeffs:
         out = out @ x + c * I
     return out
@@ -239,100 +238,61 @@ def _poly_deriv(coeffs):
 def jordan_decompose(x, gap_tol=1e-6):
     """(s, n) with x = s + n, s semisimple, n nilpotent, [s, n] = 0.
 
-    Exact input (Fractions): Chevalley-style Newton iteration against the
-    squarefree part of the characteristic polynomial; the result is exact.
-    Float input: eigen-decomposition, requiring all distinct eigenvalues to
-    be separated by at least gap_tol (IllConditionedSpectrum otherwise).
+    Chevalley's Newton iteration s <- s - p'(s)^{-1} p(s) from s = x, where
+    p is the squarefree polynomial whose roots are the eigenvalues of x.
+    After k steps the error lies in n^(2^k), so ceil(log2 m) steps give s
+    for m the largest eigenvalue multiplicity.
+
+    Exact input (Fractions): p = chi / gcd(chi, chi') for the characteristic
+    polynomial chi, m is bounded by d - deg p + 1 (extra steps are exact
+    no-ops), and the result is exact.  Float input: p has the means of the
+    eigenvalue clusters as roots and m is the largest cluster, so distinct
+    eigenvalues give s = x; distinct clusters must be separated by at least
+    gap_tol, and n must come out nilpotent (IllConditionedSpectrum otherwise).
     """
-    if _is_exact(x):
+    exact = _is_exact(x)
+    if exact:
         cs = _char_poly(x)
-        rad = _poly_gcd(cs, _poly_deriv(cs))
-        # squarefree part p / gcd(p, p')
-        sqf = _poly_quot(cs, rad)
-        s = x
+        p = _poly_quot(cs, _poly_gcd(cs, _poly_deriv(cs)))
+        m = len(cs) - len(p) + 1
+        inverse = _exact_inv
+    else:
+        x = np.asarray(x, dtype=complex)
         d = x.shape[0]
-        for _ in range(d + 1):
-            val = _poly_eval_matrix(sqf, s)
-            if all(v == 0 for v in val.ravel()):
-                break
-            dval = _poly_eval_matrix(_poly_deriv(sqf), s)
-            s = s - _exact_inv(dval) @ val
-        else:
+        evals = np.linalg.eigvals(x)
+        # cluster eigenvalues: floats are "equal" when much closer than gap_tol
+        groups = []
+        used = np.zeros(d, dtype=bool)
+        for i in range(d):
+            if used[i]:
+                continue
+            grp = [i]
+            used[i] = True
+            for j in range(i + 1, d):
+                if not used[j] and abs(evals[i] - evals[j]) < gap_tol * 1e-3:
+                    grp.append(j)
+                    used[j] = True
+            groups.append(grp)
+        reps = [np.mean([evals[i] for i in g]) for g in groups]
+        for a in range(len(reps)):
+            for b in range(a + 1, len(reps)):
+                if abs(reps[a] - reps[b]) < gap_tol:
+                    raise IllConditionedSpectrum(
+                        f"eigenvalue gap {abs(reps[a]-reps[b]):.3e} below {gap_tol}")
+        p = np.poly(reps)
+        m = max(len(g) for g in groups)
+        inverse = np.linalg.inv
+    dp = _poly_deriv(p)
+    s = x
+    for _ in range(math.ceil(math.log2(m))):
+        s = s - inverse(_poly_eval_matrix(dp, s)) @ _poly_eval_matrix(p, s)
+    n = x - s
+    if exact:
+        if any(v != 0 for v in _poly_eval_matrix(p, s).ravel()):
             raise PreconditionFailed("Jordan iteration failed to terminate")
-        n = x - s
-        return s, n
-    xc = np.asarray(x, dtype=complex)
-    d = xc.shape[0]
-    evals = np.linalg.eigvals(xc)
-    # cluster eigenvalues: floats are "equal" when much closer than gap_tol
-    groups = []
-    used = np.zeros(d, dtype=bool)
-    for i in range(d):
-        if used[i]:
-            continue
-        grp = [i]
-        used[i] = True
-        for j in range(i + 1, d):
-            if not used[j] and abs(evals[i] - evals[j]) < gap_tol * 1e-3:
-                grp.append(j)
-                used[j] = True
-        groups.append(grp)
-    reps = [np.mean([evals[i] for i in g]) for g in groups]
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            if abs(reps[a] - reps[b]) < gap_tol:
-                raise IllConditionedSpectrum(
-                    f"eigenvalue gap {abs(reps[a]-reps[b]):.3e} below {gap_tol}")
-    s = _float_semisimple(xc, reps, gap_tol)
-    n = xc - s
-    if not is_nilpotent(n, tol=1e-8):
+    elif not is_nilpotent(n, tol=1e-8):
         raise IllConditionedSpectrum("nilpotent part inaccurate")
     return s, n
-
-
-def _float_semisimple(xc, reps, gap_tol):
-    """Semisimple part via spectral projectors P_a = prod_b ((x-mu)/(lam-mu))^{m_b}."""
-    d = xc.shape[0]
-    I = np.eye(d, dtype=complex)
-    # multiplicities from char poly degrees: count eigenvalues near each rep
-    evals = np.linalg.eigvals(xc)
-    mult = []
-    for lam in reps:
-        mult.append(int(np.sum(np.abs(evals - lam) < gap_tol * 0.5)))
-    s = np.zeros((d, d), dtype=complex)
-    for a, lam in enumerate(reps):
-        P = I.copy()
-        for b, mu in enumerate(reps):
-            if b == a:
-                continue
-            M = (xc - mu * I) / (lam - mu)
-            for _ in range(mult[b]):
-                P = P @ M
-        # normalize: P acts as identity on the generalized eigenspace of lam
-        # only to first order; iterate P <- 3P^2 - 2P^3 to make it idempotent
-        for _ in range(40):
-            err = np.max(np.abs(P @ P - P))
-            if err < 1e-14:
-                break
-            P = 3 * P @ P - 2 * P @ P @ P
-        s = s + lam * P
-    return s
-
-
-def _poly_quot(p, q):
-    """Exact polynomial quotient p / q (remainder must vanish)."""
-    p = list(p)
-    out = []
-    while len(p) >= len(q):
-        fac = p[0] / q[0]
-        out.append(fac)
-        for i in range(len(q)):
-            p[i] = p[i] - fac * q[i]
-        assert p[0] == 0
-        p.pop(0)
-    if any(c != 0 for c in p):
-        raise PreconditionFailed("polynomial division with nonzero remainder")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -440,7 +440,7 @@ def generation_check(space, generators=None):
 
 
 def _integer_rank(rows):
-    """Rank over the rationals, by fraction-free Gaussian elimination."""
+    """Rank over the rationals, by Gaussian elimination in Fractions."""
     mat = [[Fraction(v) for v in row] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0

@@ -99,9 +99,6 @@ class FlagTubeModel:
     def eps(self, name):
         return self.eps0 / 2 ** self.dimC[name]
 
-    def ancestors(self, name):
-        return self._ancestors[name]
-
     def point(self, chain, r) -> ModelPoint:
         chain = tuple(chain)
         if chain[:-1] != self._ancestors[chain[-1]]:

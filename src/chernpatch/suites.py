@@ -42,6 +42,8 @@ def model_from_dict(d):
     the one profile is "exp"."""
     if d.get("profile", "exp") != "exp":
         raise PreconditionFailed(f"unknown bump profile {d['profile']!r}: only 'exp'")
+    if not d.get("flags"):
+        raise PreconditionFailed("a flag model needs at least one flag")
     return strata.FlagTubeModel(
         strata=d["strata"], flags=d["flags"], eps0=float(d.get("eps0", 1.0)))
 
@@ -107,7 +109,14 @@ def suite_vanishing(seed=0, tol=0.0, samples=10000, model=None):
     """Exhaustive support-separation grid check on a three-step flag."""
     model = model or default_model()
     flag = model.flags[0]
-    per_axis = max(2, round(samples ** (1.0 / (len(flag) - 1))))
+    if len(flag) < 2:
+        raise PreconditionFailed(
+            f"vanishing needs a first flag of at least 2 strata, got {flag}")
+    per_axis = round(samples ** (1.0 / (len(flag) - 1)))
+    if per_axis < 2:
+        raise PreconditionFailed(
+            f"vanishing needs at least 2 grid points per axis, "
+            f"samples={samples} gives {per_axis}")
     grid = np.linspace(0.0, 1.1 * model.eps(flag[0]), per_axis)
     report = strata.family_vanishing_check(model, flag, grid)
     checks = [_check("tube-support-separation",
@@ -236,19 +245,19 @@ def suite_springer(seed=0, tol=1e-9, samples=50, dim=4, corrupt=False):
             x = rng.standard_normal((dim, dim))
             n = np.triu(rng.standard_normal((dim, dim)), 1)
             for k in range(1, dim + 1):
-                f = inv.elementary_symmetric(dim, k)
+                f = inv.elementary_symmetric(k)
                 worst = max(worst, abs(f(x + n) - f(x)))
         else:
             x, n = _commuting_pair(rng, dim, exact=False)
             for k in range(1, dim + 1):
-                f = inv.elementary_symmetric(dim, k)
+                f = inv.elementary_symmetric(k)
                 worst = max(worst, abs(inv.springer_check(f, x, n, tol=1e-6)))
     name = "invariance-with-corrupted-pair" if corrupt else "invariance"
     return _finish("springer", seed, tol, samples,
                    [_check(name, worst, tol)])
 
 
-def suite_classify(seed=0, tol=1e-9, samples=100):
+def suite_classify(seed=0, samples=100):
     """Acceptance of model connections, rejection of perturbed tables."""
     rng = np.random.default_rng(seed)
     spec = liecore.su_pq(1, 1)
@@ -287,7 +296,7 @@ def suite_classify(seed=0, tol=1e-9, samples=100):
               _check("perturbations-rejected", samples - rejected, 0.0),
               _check("violated-condition-identified",
                      samples - correct_condition, 0.0)]
-    return _finish("classify", seed, tol, samples, checks)
+    return _finish("classify", seed, 1e-9, samples, checks)
 
 
 def suite_bridge(seed=0, tol=1e-6, samples=20):
@@ -393,7 +402,7 @@ def suite_quadrature(seed=0, tol=1e-3, samples=160):
                    {"value": float(val)})
 
 
-def suite_schubert(seed=0, tol=0.0):
+def suite_schubert(seed=0):
     """Exact ring identities and generation of small dual spaces."""
     sc = schubert
     checks = []
@@ -421,7 +430,7 @@ def suite_schubert(seed=0, tol=0.0):
                               generators=[sc.sigma(2, 2, (2,))])
     checks.append(_check("negative-control-not-generating",
                          1 if neg["generates"] else 0, 0.0))
-    return _finish("schubert", seed, tol, 0, checks)
+    return _finish("schubert", seed, 0.0, 0, checks)
 
 
 SUITES = {

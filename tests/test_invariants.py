@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpatch import invariants as inv
+from chernpatch import invariants as inv, suites
 from chernpatch.errors import IllConditionedSpectrum, PreconditionFailed
 
 
@@ -75,14 +75,14 @@ def test_elementary_symmetric_exact():
 @given(st.integers(0, 2 ** 32 - 1))
 def test_polarization_diagonal(seed):
     rng = np.random.default_rng(seed)
-    f = inv.elementary_symmetric(3, 2)
+    f = inv.elementary_symmetric(2)
     x = rng.standard_normal((3, 3))
     assert abs(inv.polarize_eval(f, [x, x]) - f(x)) < 1e-8
 
 
 def test_polarization_multilinear():
     rng = np.random.default_rng(1)
-    f = inv.elementary_symmetric(3, 2)
+    f = inv.elementary_symmetric(2)
     x, y, z = (rng.standard_normal((3, 3)) for _ in range(3))
     lhs = inv.polarize_eval(f, [x + z, y])
     rhs = inv.polarize_eval(f, [x, y]) + inv.polarize_eval(f, [z, y])
@@ -93,7 +93,7 @@ def test_springer_exact_zero():
     x = inv.exact_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 5]])
     n = inv.exact_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     for k in range(1, 4):
-        f = inv.elementary_symmetric(3, k)
+        f = inv.elementary_symmetric(k)
         assert inv.springer_check(f, x, n) == 0
 
 
@@ -101,7 +101,7 @@ def test_springer_rejects_noncommuting():
     x = np.diag([1.0, 2.0, 3.0])
     n = np.zeros((3, 3))
     n[0, 1] = 1.0  # nilpotent but [x, n] != 0
-    f = inv.elementary_symmetric(3, 2)
+    f = inv.elementary_symmetric(2)
     with pytest.raises(PreconditionFailed):
         inv.springer_check(f, x, n)
 
@@ -115,14 +115,35 @@ def test_jordan_decompose_exact():
     assert all(v == 0 for v in (s @ n - n @ s).ravel())
 
 
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_jordan_decompose_exact_conjugated_jordan_form(dim):
+    # x = S (D + N) S^-1 with integer S: s = S D S^-1 and n = S N S^-1
+    rng = np.random.default_rng(20 + dim)
+    for _ in range(10):
+        sx, nx = suites._commuting_pair(rng, dim, exact=True)
+        s, n = inv.jordan_decompose(sx + nx)
+        assert s.tolist() == sx.tolist() and n.tolist() == nx.tolist()
+        assert all(type(v) is Fraction for v in s.ravel())
+
+
 def test_jordan_decompose_float_semisimple():
+    # diagonalizable real and generic complex inputs have simple spectra,
+    # so the semisimple part is x itself
     rng = np.random.default_rng(2)
-    d = np.diag([1.0, 2.0, 3.0])
     q = rng.standard_normal((3, 3))
-    x = q @ d @ np.linalg.inv(q)
-    s, n = inv.jordan_decompose(x)
-    assert np.max(np.abs(s + n - x)) < 1e-10
-    assert np.max(np.abs(n)) < 1e-8
+    inputs = [q @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(q)]
+    for d in range(1, 7):
+        for _ in range(10):
+            q = rng.standard_normal((d, d))
+            evals = rng.permutation(7)[:d] - 3.0
+            inputs.append(q @ np.diag(evals) @ np.linalg.inv(q))
+            inputs.append(rng.standard_normal((d, d))
+                          + 1j * rng.standard_normal((d, d)))
+    for x in inputs:
+        s, n = inv.jordan_decompose(x)
+        scale = max(1.0, np.max(np.abs(x)))
+        assert np.max(np.abs(s - x)) <= 1e-12 * scale
+        assert np.max(np.abs(s + n - x)) <= 1e-12 * scale
 
 
 def test_jordan_decompose_float_defective_triangular():
@@ -130,6 +151,21 @@ def test_jordan_decompose_float_defective_triangular():
     s, n = inv.jordan_decompose(x)
     assert np.max(np.abs(s - np.diag([1.0, 1.0, 3.0]))) < 1e-10
     assert abs(n[0, 1] - 0.5) < 1e-10
+
+
+def test_jordan_decompose_float_triangular_matches_exact():
+    # repeated integer diagonals: triangular input keeps the eigenvalues
+    # exact, and the Fraction image of x is the oracle
+    rng = np.random.default_rng(5)
+    for t in range(60):
+        d = 2 + t % 5
+        x = (np.triu(rng.standard_normal((d, d)), 1)
+             + np.diag(rng.integers(-2, 3, d).astype(float)))
+        s, _ = inv.jordan_decompose(x)
+        s_exact, _ = inv.jordan_decompose(
+            np.array([[Fraction(v) for v in row] for row in x.tolist()],
+                     dtype=object))
+        assert np.max(np.abs(s - s_exact.astype(float))) <= 1e-12
 
 
 def test_jordan_decompose_float_rejects_blurred_defective():

@@ -58,6 +58,24 @@ def test_eps_family_is_dyadic():
     assert model.eps("X") == 0.125
 
 
+def test_control_data_axioms_hold_exactly():
+    # pi_Z pi_Y = pi_Z for Z <= Y and rho_Z pi_Y = rho_Z for Z < Y
+    rng = np.random.default_rng(9)
+    for model in (three_flag(), forest()):
+        for _ in range(200):
+            flag = model.flags[rng.integers(len(model.flags))]
+            chain = flag[:int(rng.integers(1, len(flag) + 1))]
+            x = model.point(chain, tuple(rng.uniform(0, 1.5, len(chain) - 1)))
+            assert model.rho(x, x.stratum) == 0.0
+            for j, Y in enumerate(chain):
+                xY = model.pi(x, Y)
+                assert xY.stratum == Y
+                for Z in chain[:j + 1]:
+                    assert model.pi(xY, Z) == model.pi(x, Z)
+                for Z in chain[:j]:
+                    assert model.rho(xY, Z) == model.rho(x, Z)
+
+
 def test_vanishing_grid_clean():
     model = three_flag()
     report = strata.family_vanishing_check(

@@ -197,6 +197,50 @@ def test_cli_verify_samples_goes_to_the_suites_that_read_it(capsys):
     assert [r["samples"] for r in rpt["suites"]] == [0, 5]
 
 
+@pytest.mark.parametrize("suite,tol", [("classify", "5"), ("schubert", "1")])
+def test_cli_verify_tol_unread_is_an_error(suite, tol, capsys):
+    # both suites check exact counts at tolerance 0
+    assert cli.main(["verify", suite, "--tol", tol]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_cli_verify_tol_goes_to_the_suites_that_read_it(capsys):
+    assert cli.main(["verify", "classify", "partition", "--samples", "5",
+                     "--tol", "1e-12"]) == 0
+    rpt = json.loads(capsys.readouterr().out)
+    assert [r["tol"] for r in rpt["suites"]] == [1e-9, 1e-12]
+
+
+_ONE_STRATUM = {"strata": [{"name": "Z", "dimC": 0}], "flags": [["Z"]]}
+_NO_FLAGS = {"strata": [{"name": "Z", "dimC": 0}], "flags": []}
+
+
+@pytest.mark.parametrize("args,model,message", [
+    (["vanishing", "--samples", "1"], None, "2 grid points per axis"),
+    (["vanishing"], _ONE_STRATUM, "at least 2 strata"),
+    (["vanishing"], _NO_FLAGS, "at least one flag"),
+    (["partition"], _NO_FLAGS, "at least one flag"),
+], ids=["samples-1", "one-stratum-flag", "vanishing-no-flags",
+        "partition-no-flags"])
+def test_cli_verify_rejects_models_and_sizes_the_suites_cannot_check(
+        args, model, message, tmp_path, capsys):
+    if model is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        args = args + ["--model", str(path)]
+    assert cli.main(["verify"] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+def test_cli_star_import():
+    namespace = {}
+    exec("from chernpatch.cli import *", namespace)
+    assert callable(namespace["main"])
+
+
 def test_spec_from_dict_unitary_family():
     spec = suites.spec_from_dict({"family": "u", "n": 2})
     assert spec == liecore.u_n(2)
