@@ -4,12 +4,12 @@ Forms live on an open chart of R^m.  A VForm of degree q is one SmoothMap
 whose value at x is the array of all C(m, q) coefficients, shape
 (C(m, q),) + value shape, stacked on axis 0 in the order of
 itertools.combinations(range(m), q); coefficients are scalars or End(V)
-matrices.  A form built from others (d, wedge, +, scale) evaluates each
-operand once per point and combines the coefficient arrays through index
-and sign tables that are built with the form.  Differentiation of
-coefficient maps uses forward-mode dual numbers when the evaluator supports
-them and central differences otherwise; d and wedge read their operands as
-complex arrays, so only + and scale pass dual numbers through.
+matrices.  Forms built from others (d, wedge, +, scale) evaluate each
+operand once per point; d and wedge sum the signed coefficient products
+gathered through one shuffle table (wedge_table).  Coefficient maps are
+differentiated with dual numbers when the evaluator supports them and by
+central differences otherwise; d and wedge read their operands as complex
+arrays, so only + and scale pass dual numbers through.
 
 Tolerances used by the callers: 1e-12 for purely algebraic identities, 1e-6
 after one numerical differentiation, 1e-4 after two.
@@ -116,74 +116,53 @@ class VForm:
                      SmoothMap(self.m, lambda x: c * np.asarray(f(x))))
 
 
-def _perm_sign(perm):
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _positions(m, q):
-    return {idx: n for n, idx in enumerate(combinations(range(m), q))}
-
-
-def _combine(table, term):
-    """Stack, over the output indices, sum_t sign_t * term(a_t, b_t) for the
-    entries (a_t, b_t, sign_t) of each table row, added in row order."""
-    out = []
-    for row in table:
-        acc = None
-        for a, b, sign in row:
-            t = sign * term(a, b)
-            acc = t if acc is None else acc + t
-        out.append(acc)
-    return np.array(out)
-
-
 def wedge_table(m, q1, q2):
-    """Per (q1+q2)-index K: (n1, n2, sign) over the splits K = I1 u I2, with
-    I1 in increasing order, where n1, n2 are the positions of I1, I2."""
-    pos1, pos2 = _positions(m, q1), _positions(m, q2)
-    table = []
-    for K in combinations(range(m), q1 + q2):
-        row = []
-        for i1 in combinations(K, q1):
-            i2 = tuple(k for k in K if k not in i1)
-            row.append((pos1[i1], pos2[i2],
-                        _perm_sign([K.index(k) for k in i1 + i2])))
-        table.append(row)
-    return table
+    """Shuffle table of the wedge of a q1- with a q2-form on R^m: integer
+    arrays (ia, ib, sign) of shape (C(m, q1+q2), C(q1+q2, q1)).  Row n lists
+    the splits K = I1 u I2 of the n-th (q1+q2)-index K, I1 running through
+    combinations(K, q1): ia, ib are the positions of I1, I2 among the q1-
+    and q2-indices, sign = (-1)^(sum_a (position of I1[a] in K) - a)."""
+    pos = {idx: n for q in (q1, q2)
+           for n, idx in enumerate(combinations(range(m), q))}
+    splits = list(combinations(range(q1 + q2), q1))
+    rows = [(pos[tuple(K[a] for a in p)],
+             pos[tuple(k for a, k in enumerate(K) if a not in p)],
+             (-1) ** (sum(p) - sum(range(q1))))
+            for K in combinations(range(m), q1 + q2) for p in splits]
+    table = np.array(rows, dtype=int).reshape(-1, len(splits), 3)
+    return tuple(table.transpose(2, 0, 1))
+
+
+def _signed_sum(sign, terms):
+    """sum_s sign[:, s] * terms[:, s], added split by split in table order
+    (numpy's pairwise reduction would reorder sums of 8 or more terms)."""
+    sign = sign.reshape(sign.shape + (1,) * (terms.ndim - 2))
+    out = sign[:, 0] * terms[:, 0]
+    for s in range(1, terms.shape[1]):
+        out = out + sign[:, s] * terms[:, s]
+    return out
 
 
 def wedge_coeffs(table, A, B, mul):
-    """Coefficient array of the wedge of forms with coefficient arrays A and
-    B, for table = wedge_table(m, deg A, deg B)."""
-    return _combine(table, lambda a, b: mul(A[a], B[b]))
+    """Coefficient array of the wedge of forms with coefficient arrays A, B:
+    table = wedge_table(m, deg A, deg B), mul multiplies coefficient stacks."""
+    ia, ib, sign = table
+    return _signed_sum(sign, mul(A[ia], B[ib]))
 
 
 def exterior_d(form: VForm) -> VForm:
-    """Exterior derivative; coefficient maps are differentiated numerically."""
-    pos = _positions(form.m, form.degree)
-    table = []
-    for K in combinations(range(form.m), form.degree + 1):
-        row = []
-        for idx in combinations(K, form.degree):
-            (j,) = set(K) - set(idx)
-            row.append((pos[idx], j, (-1) ** K.index(j)))
-        table.append(row)
+    """Exterior derivative: the Jacobian, read as the 1-form sum_j dx_j d/dx_j,
+    wedged with the coefficients (differentiated numerically)."""
+    ia, ib, sign = wedge_table(form.m, 1, form.degree)
 
     def coeffs(x):
-        J = form.coeffs.jacobian(x)
-        return _combine(table, lambda n, j: J[j, n])
+        return _signed_sum(sign, form.coeffs.jacobian(x)[ia, ib])
 
     return VForm(form.m, form.degree + 1, SmoothMap(form.m, coeffs))
 
 
 def wedge(f1: VForm, f2: VForm, mul) -> VForm:
-    """Wedge product with coefficient multiplication `mul` (e.g. *, matmul)."""
+    """Wedge product; mul multiplies stacks of coefficients (e.g. *, matmul)."""
     assert f1.m == f2.m
     table = wedge_table(f1.m, f1.degree, f2.degree)
 
@@ -241,18 +220,21 @@ def patch_combination_curvature(weights, omegas):
     assert len(omegas) == n
     m = omegas[0].m
 
+    def smul(a, b):  # scalar coefficients times End(V) coefficients
+        return a[..., None, None] * b
+
     def wform(f):
         return VForm(m, 0, SmoothMap(m, lambda x: [f(x)]))
 
     combined = None
     for f, om in zip(weights, omegas):
-        t = wedge(wform(f.func), om, lambda a, b: a * b)
+        t = wedge(wform(f.func), om, smul)
         combined = t if combined is None else combined + t
     direct = curvature_form(combined)
 
     formula = None
     for f, om in zip(weights, omegas):
-        t = wedge(wform(f.func), curvature_form(om), lambda a, b: a * b)
+        t = wedge(wform(f.func), curvature_form(om), smul)
         formula = t if formula is None else formula + t
     for i in range(n):
         for j in range(i + 1, n):
@@ -260,11 +242,11 @@ def patch_combination_curvature(weights, omegas):
             br = wedge_bracket(diff, diff)
             fij = wform((lambda a, b: lambda x: a(x) * b(x))(
                 weights[i].func, weights[j].func))
-            formula = formula + wedge(fij, br, lambda a, b: a * b).scale(-0.5)
+            formula = formula + wedge(fij, br, smul).scale(-0.5)
     for i in range(n - 1):
         dfi = exterior_d(wform(weights[i].func))
         diff = omegas[i] + omegas[n - 1].scale(-1.0)
-        formula = formula + wedge(dfi, diff, lambda a, b: a * b)
+        formula = formula + wedge(dfi, diff, smul)
     return direct, formula
 
 

@@ -93,20 +93,18 @@ def cayley_element(spec, r):
     """Partial Cayley element attached to the standard rank-r parabolic.
 
     For sp2nR it acts as (1/sqrt 2)[[1,-i],[-i,1]] in each symplectic plane
-    (e_j, f_j), j = n-r .. n-1, matching the isotropic subspace convention
-    of :func:`liecore.parabolic_data`.
+    (e_j, f_j) with e_j in the rank-r isotropic subspace, whose indices come
+    from :func:`liecore._sp_indices` as for :func:`liecore.parabolic_data`.
     """
     if spec.family == "sp2nR":
         n = spec.n
         if not 1 <= r <= n:
             raise UnsupportedFlag(f"rank {r} out of range for sp2nR(n={n})")
         c = np.eye(2 * n, dtype=complex)
+        v, vbar, _ = liecore._sp_indices(spec, r)
         s = 1.0 / np.sqrt(2)
-        for j in range(n - r, n):
-            c[j, j] = s
-            c[j, n + j] = -1j * s
-            c[n + j, j] = -1j * s
-            c[n + j, n + j] = s
+        c[v, v] = c[vbar, vbar] = s
+        c[v, vbar] = c[vbar, v] = -1j * s
         return c
     raise UnsupportedFlag(f"cayley_element implemented for sp2nR, got {spec.family}")
 

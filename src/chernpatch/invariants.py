@@ -320,7 +320,7 @@ def chern_forms(omega, kmax):
         powers = [om]
         for table in power_tables[:top - 1]:
             powers.append(ext.wedge_coeffs(table, powers[-1], om, np.matmul))
-        ptr = [np.array([np.trace(c) for c in p]) for p in powers]
+        ptr = [np.trace(p, axis1=-2, axis2=-1) for p in powers]
         es = [np.ones(1, dtype=complex)]
         for k in range(1, top + 1):
             acc = None

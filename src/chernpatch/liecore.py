@@ -355,10 +355,7 @@ def _iso_subspace(spec: GroupSpec, r: int):
         n = spec.n
         if not 1 <= r <= n:
             raise UnsupportedFlag(f"rank {r} isotropic subspace in sp2nR(n={n})")
-        V = np.zeros((N, r))
-        for a in range(r):
-            V[n - r + a, a] = 1.0
-        return V
+        return np.eye(N)[:, _sp_indices(spec, r)[0]]
     if spec.family == "su_pq":
         p, q = spec.p, spec.q
         if not 1 <= r <= min(p, q):
@@ -540,6 +537,8 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
 
 
 def _sp_indices(spec: GroupSpec, r: int):
+    """The one isotropic-flag convention of sp2nR: the rank-r isotropic
+    subspace V is spanned by the last r of e_1 ... e_n."""
     n = spec.n
     idx_v = list(range(n - r, n))                  # e-part of V
     idx_vbar = list(range(2 * n - r, 2 * n))       # f-part (dual of V)

@@ -81,10 +81,18 @@ class FlagTubeModel:
         """strata: list of {"name": str, "dimC": int}; flags: lists of names
         ordered small-to-large; eps0 scales the eps-family
         eps_Y = eps0 / 2^{dimC Y}."""
+        if not all(isinstance(s, dict) and {"name", "dimC"} <= s.keys()
+                   for s in strata):
+            raise PreconditionFailed(f"strata need a name and dimC: {strata}")
         self.dimC = {s["name"]: int(s["dimC"]) for s in strata}
         self.names = [s["name"] for s in strata]
         self.flags = [tuple(f) for f in flags]
         self.eps0 = float(eps0)
+        if not (math.isfinite(self.eps0) and self.eps0 > 0):
+            raise PreconditionFailed(f"eps0 must be finite and > 0: {eps0}")
+        undeclared = [n for f in self.flags for n in f if n not in self.dimC]
+        if undeclared:
+            raise PreconditionFailed(f"unknown strata in flags: {undeclared}")
         self.profile = BumpProfile()
         self._ancestors = {}
         for f in self.flags:
@@ -289,17 +297,13 @@ class PatchedSystem:
         """(value, W, sum_of_weights): localized form around the base stratum W."""
         md = self.model
         W = md.localization_base(x)
-        iW = x.chain.index(W)
-        top = x.stratum
         inner_val = self.patched(*self._over(x, g, W))
-        # chains W = S_0 < ... < S_k = top within x's flag
-        mids = list(x.chain[iW + 1: -1])
         total = None
         wsum = 0.0
-        for mask in range(1 << len(mids)):
-            chain = (W,) + tuple(m for i, m in enumerate(mids) if mask >> i & 1)
-            if top != W:
-                chain = chain + (top,)
+        # chains W = S_0 < ... < S_k = stratum(x) within x's flag
+        for chain in md.chains_to(x):
+            if chain[0] != W:
+                continue
             w = md.chain_weight(chain, x)
             wsum += w
             if w == 0.0:

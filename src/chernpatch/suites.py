@@ -19,22 +19,24 @@ __all__ = ["SUITES", "run_suite", "render_report", "default_model",
 SCHEMA = 1
 
 
+# group family -> (constructor, the integer keys it takes in order)
+_FAMILIES = {"sp2nR": (liecore.sp2nR, ("n",)), "u": (liecore.u_n, ("n",)),
+             "su_pq": (liecore.su_pq, ("p", "q")), "su2": (liecore.su2, ()),
+             "so2": (liecore.so2, ())}
+
+
 def spec_from_dict(d):
     """GroupSpec from {"family": ..., "n" or "p","q", "scalar": "f64"}."""
     if d.get("scalar", "f64") != "f64":
         raise PreconditionFailed(f"unsupported scalar {d['scalar']!r}: only 'f64'")
-    fam = d["family"]
-    if fam == "sp2nR":
-        return liecore.sp2nR(int(d["n"]))
-    if fam == "su_pq":
-        return liecore.su_pq(int(d["p"]), int(d["q"]))
-    if fam == "su2":
-        return liecore.su2()
-    if fam == "u":
-        return liecore.u_n(int(d["n"]))
-    if fam == "so2":
-        return liecore.so2()
-    raise PreconditionFailed(f"unknown group family {fam!r}")
+    fam = d.get("family")
+    if not isinstance(fam, str) or fam not in _FAMILIES:
+        raise PreconditionFailed(f"unknown group family {fam!r}")
+    make, keys = _FAMILIES[fam]
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise PreconditionFailed(f"group family {fam!r} needs keys {missing}")
+    return make(*(int(d[k]) for k in keys))
 
 
 def model_from_dict(d):
@@ -44,8 +46,8 @@ def model_from_dict(d):
         raise PreconditionFailed(f"unknown bump profile {d['profile']!r}: only 'exp'")
     if not d.get("flags"):
         raise PreconditionFailed("a flag model needs at least one flag")
-    return strata.FlagTubeModel(
-        strata=d["strata"], flags=d["flags"], eps0=float(d.get("eps0", 1.0)))
+    return strata.FlagTubeModel(strata=d.get("strata", []), flags=d["flags"],
+                                eps0=float(d.get("eps0", 1.0)))
 
 
 def default_model():
@@ -109,9 +111,10 @@ def suite_vanishing(seed=0, tol=0.0, samples=10000, model=None):
     """Exhaustive support-separation grid check on a three-step flag."""
     model = model or default_model()
     flag = model.flags[0]
-    if len(flag) < 2:
+    if len(flag) < 3:
+        # with 2 strata no pair (n' < n <= m < m') exists to check
         raise PreconditionFailed(
-            f"vanishing needs a first flag of at least 2 strata, got {flag}")
+            f"vanishing needs a first flag of at least 3 strata, got {flag}")
     per_axis = round(samples ** (1.0 / (len(flag) - 1)))
     if per_axis < 2:
         raise PreconditionFailed(

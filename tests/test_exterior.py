@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -202,3 +203,149 @@ def test_dual_arithmetic():
     assert np.allclose(z.grad, [2.0 + 3.0, 1.5])
     with pytest.raises(TypeError):
         seed([x])
+
+
+# Per-term reference for the shuffle tables: every output coefficient adds
+# sign * term(a, b) over its splits, one Python call per (row, split).
+# Scalar products go through the np.multiply ufunc on both sides: numpy's
+# scalar `*` rounds some complex products differently in the last bit.
+
+
+def _perm_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def _positions(m, q):
+    return {idx: n for n, idx in enumerate(combinations(range(m), q))}
+
+
+def _ref_combine(table, term):
+    out = []
+    for row in table:
+        acc = None
+        for a, b, sign in row:
+            t = sign * term(a, b)
+            acc = t if acc is None else acc + t
+        out.append(acc)
+    return np.array(out)
+
+
+def _ref_wedge_table(m, q1, q2):
+    pos1, pos2 = _positions(m, q1), _positions(m, q2)
+    table = []
+    for K in combinations(range(m), q1 + q2):
+        row = []
+        for i1 in combinations(K, q1):
+            i2 = tuple(k for k in K if k not in i1)
+            row.append((pos1[i1], pos2[i2],
+                        _perm_sign([K.index(k) for k in i1 + i2])))
+        table.append(row)
+    return table
+
+
+def _ref_d_table(m, q):
+    pos = _positions(m, q)
+    table = []
+    for K in combinations(range(m), q + 1):
+        row = []
+        for idx in combinations(K, q):
+            (j,) = set(K) - set(idx)
+            row.append((pos[idx], j, (-1) ** K.index(j)))
+        table.append(row)
+    return table
+
+
+def _coeff_array(rng, n, shape):
+    return (rng.standard_normal((n,) + shape)
+            + 1j * rng.standard_normal((n,) + shape))
+
+
+_MULS = {(): np.multiply, (2, 2): np.matmul}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("shape", [(), (2, 2)], ids=["scalar", "2x2"])
+def test_wedge_coeffs_match_per_term_reference(m, shape):
+    rng = np.random.default_rng(m)
+    mul = _MULS[shape]
+    for q1 in range(m + 1):
+        for q2 in range(m + 1 - q1):
+            table = ext.wedge_table(m, q1, q2)
+            nK, ns = math.comb(m, q1 + q2), math.comb(q1 + q2, q1)
+            assert all(t.shape == (nK, ns) for t in table)
+            A = _coeff_array(rng, math.comb(m, q1), shape)
+            B = _coeff_array(rng, math.comb(m, q2), shape)
+            ref = _ref_combine(_ref_wedge_table(m, q1, q2),
+                               lambda a, b: mul(A[a], B[b]))
+            assert np.array_equal(ext.wedge_coeffs(table, A, B, mul), ref)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("shape", [(), (2, 2)], ids=["scalar", "2x2"])
+def test_exterior_d_matches_per_term_reference(m, shape):
+    rng = np.random.default_rng(10 + m)
+    x = rng.uniform(-1, 1, m)
+    for q in range(m):
+        J = _coeff_array(rng, m * math.comb(m, q), shape).reshape(
+            (m, math.comb(m, q)) + shape)
+        form = ext.VForm(m, q, ext.SmoothMap(m, lambda x: 0.0,
+                                             jac=lambda x, J=J: J))
+        got = ext.exterior_d(form).coeffs.value(x)
+        ref = _ref_combine(_ref_d_table(m, q), lambda n, j: J[j, n])
+        if q <= 1:
+            assert np.array_equal(got, ref)
+        else:
+            # d adds the splits of a (q+1)-index in another order
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _ref_chern(Om, m, kmax):
+    """Coefficient arrays of c_0 ... c_kmax of the constant curvature Om."""
+    om = (1j / (2 * np.pi)) * Om
+    powers = [om]
+    for j in range(1, kmax):
+        powers.append(_ref_combine(
+            _ref_wedge_table(m, 2 * j, 2),
+            lambda a, b: np.matmul(powers[-1][a], om[b])))
+    ptr = [np.array([np.trace(c) for c in p]) for p in powers]
+    es = [np.ones(1, dtype=complex)]
+    for k in range(1, kmax + 1):
+        acc = None
+        for i in range(1, k + 1):
+            term = (-1.0) ** (i - 1) * _ref_combine(
+                _ref_wedge_table(m, 2 * (k - i), 2 * i),
+                lambda a, b: np.multiply(es[k - i][a], ptr[i - 1][b]))
+            acc = term if acc is None else acc + term
+        es.append((1.0 / k) * acc)
+    return es
+
+
+@pytest.mark.parametrize("m,d", [(4, 2), (5, 3), (6, 2), (6, 4)])
+def test_chern_forms_match_per_term_reference(m, d):
+    rng = np.random.default_rng(20 + m + d)
+    Om = _coeff_array(rng, math.comb(m, 2), (d, d))
+    curv = ext.VForm(m, 2, ext.SmoothMap(m, lambda x: Om))
+    sig = inv.chern_forms(curv, 2)
+    ref = _ref_chern(Om, m, 2)
+    x = rng.uniform(-1, 1, m)
+    for k in (1, 2):
+        assert np.array_equal(sig[k].coeffs.value(x), ref[k])
+
+
+def test_forms_past_the_top_degree_evaluate_to_zero():
+    m = 3
+    rng = np.random.default_rng(30)
+    x = rng.uniform(-1, 1, m)
+    vecs = [rng.standard_normal(m) for _ in range(4)]
+    two = ext.VForm(m, 2, ext.SmoothMap(
+        m, lambda x: np.array([x[0], x[1] * x[2], 1.0])))
+    assert ext.wedge_scalar(two, two).evaluate(x, vecs) == 0
+    three = _scalar_poly_form(m, 3, rng)
+    assert ext.exterior_d(three).evaluate(x, vecs) == 0
+    curv = ext.curvature_form(_poly_form(m, rng))
+    assert inv.chern_forms(curv, 2)[2].evaluate(x, vecs) == 0

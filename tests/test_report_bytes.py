@@ -1,7 +1,9 @@
 """Canonical reports are byte-identical to the committed goldens.
 
-Every ``verify`` suite runs at seed 0 at a small size, and the curvature
-table of sp(4) on the standard representation is rendered through the CLI.
+Every ``verify`` suite runs at seed 0 at a small size, the curvature table
+of sp(4) on the standard representation is rendered through the CLI, and
+the vertical contractions of the patched curvature and of its Chern forms
+c_1, c_2 are taken at the three mixed-tube points of demo 04.
 A change that moves any digit of a report fails here.  When such a move is
 intended, regenerate the goldens with
 
@@ -12,9 +14,10 @@ and say in CHANGES.md why the digits moved.
 
 import pathlib
 
+import numpy as np
 import pytest
 
-from chernpatch import cli, suites
+from chernpatch import cli, exterior as ext, invariants as inv, siegel, suites
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -46,6 +49,29 @@ def _curvature_text(tmp_path):
     return out.read_text(encoding="utf-8").rstrip("\n")
 
 
+def _descent_text():
+    """pifiber_check reports of the raw patched curvature, c_1 and c_2 on
+    the Siegel space, at the points and vectors drawn as in demo 04."""
+    m = siegel.SiegelModel("std")
+    epsX = m.model.eps("X")
+    rng = np.random.default_rng(0)
+    pts = []
+    for _ in range(3):
+        rz = float(rng.uniform(0.55, 0.7)) * epsX
+        ry = float(rng.uniform(0.1, 0.45)) * epsX
+        y11, y22 = 1.0 / rz, 1.0 / ry
+        y12 = float(rng.uniform(-0.02, 0.02)) * np.sqrt(y11 * y22)
+        pts.append([float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
+                    float(rng.uniform(-1, 1)), y11, y12, y22])
+    curv = ext.curvature_form(m.form_from_evaluator(m.omega_patched))
+    sig = inv.chern_forms(curv, 2)
+    proj = m.projection_map()
+    forms = {"raw": curv, "c1": sig[1], "c2": sig[2]}
+    return suites.render_report(
+        {name: ext.pifiber_check(form, proj, pts, tol=1e-5, rng=rng)
+         for name, form in forms.items()})
+
+
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_suite_report_matches_golden(name):
     golden = (GOLDEN / f"verify_{name}.json").read_text(encoding="utf-8")
@@ -57,6 +83,11 @@ def test_curvature_report_matches_golden(tmp_path):
     assert _curvature_text(tmp_path) == golden.rstrip("\n")
 
 
+def test_descent_contractions_match_golden():
+    golden = (GOLDEN / "descent_siegel_std.json").read_text(encoding="utf-8")
+    assert _descent_text() == golden.rstrip("\n")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -64,6 +95,8 @@ if __name__ == "__main__":
     for name in sorted(suites.SUITES):
         (GOLDEN / f"verify_{name}.json").write_text(
             _suite_text(name) + "\n", encoding="utf-8")
+    (GOLDEN / "descent_siegel_std.json").write_text(
+        _descent_text() + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         (GOLDEN / "curvature_sp4_std.json").write_text(
             _curvature_text(pathlib.Path(tmp)) + "\n", encoding="utf-8")

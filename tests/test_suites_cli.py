@@ -211,17 +211,31 @@ def test_cli_verify_tol_goes_to_the_suites_that_read_it(capsys):
     assert [r["tol"] for r in rpt["suites"]] == [1e-9, 1e-12]
 
 
-_ONE_STRATUM = {"strata": [{"name": "Z", "dimC": 0}], "flags": [["Z"]]}
-_NO_FLAGS = {"strata": [{"name": "Z", "dimC": 0}], "flags": []}
+_Z, _Y, _X = ({"name": n, "dimC": d} for n, d in zip("ZYX", (0, 1, 3)))
+_ONE_STRATUM = {"strata": [_Z], "flags": [["Z"]]}
+_NO_FLAGS = {"strata": [_Z], "flags": []}
+_TWO_STRATA = {"strata": [_Z, _Y], "flags": [["Z", "Y"]]}
 
 
 @pytest.mark.parametrize("args,model,message", [
     (["vanishing", "--samples", "1"], None, "2 grid points per axis"),
-    (["vanishing"], _ONE_STRATUM, "at least 2 strata"),
+    (["vanishing"], _ONE_STRATUM, "at least 3 strata"),
     (["vanishing"], _NO_FLAGS, "at least one flag"),
     (["partition"], _NO_FLAGS, "at least one flag"),
+    (["partition"], {"flags": [["Z", "Y"]]}, "unknown strata"),
+    (["partition"], {"strata": [_Z], "flags": [["Z", "Y"]]},
+     "unknown strata in flags: ['Y']"),
+    (["vanishing"], {"strata": [_Z, _X], "flags": [["Z", "Y", "X"]]},
+     "unknown strata in flags: ['Y']"),
+    (["partition"], dict(_TWO_STRATA, eps0=0), "eps0"),
+    (["partition"], dict(_TWO_STRATA, eps0=-1), "eps0"),
+    (["vanishing"], dict(_TWO_STRATA, eps0=float("inf")), "eps0"),
+    (["vanishing"], _TWO_STRATA, "at least 3 strata"),
+    (["partition"], {"strata": [{"name": "Z"}], "flags": [["Z"]]}, "dimC"),
 ], ids=["samples-1", "one-stratum-flag", "vanishing-no-flags",
-        "partition-no-flags"])
+        "partition-no-flags", "no-strata", "partition-undeclared",
+        "vanishing-undeclared", "eps0-zero", "eps0-negative", "eps0-infinite",
+        "vanishing-two-strata", "stratum-without-dimC"])
 def test_cli_verify_rejects_models_and_sizes_the_suites_cannot_check(
         args, model, message, tmp_path, capsys):
     if model is not None:
@@ -251,6 +265,17 @@ def test_spec_from_dict_rejects_other_scalar(capsys):
                      '{"family": "sp2nR", "n": 2, "scalar": "f32"}',
                      "--rep", "std"]) == 2
     assert "f32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group,message", [
+    ('{"family": "sp2nR"}', "needs keys ['n']"),
+    ('{"family": ["sp2nR"]}', "unknown group family"),
+], ids=["missing-key", "family-not-a-name"])
+def test_spec_from_dict_rejects_malformed_groups(group, message, capsys):
+    assert cli.main(["curvature", "--group", group, "--rep", "std"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 def test_model_from_dict_rejects_unknown_profile(tmp_path, capsys):
