@@ -12,11 +12,16 @@ central differences otherwise; d and wedge read their operands as complex
 arrays, so only + and scale pass dual numbers through.
 
 Tolerances used by the callers: 1e-12 for purely algebraic identities, 1e-6
-after one numerical differentiation, 1e-4 after two.
+after one numerical differentiation, 1e-4 after two.  A curvature built
+from the structure equation (chernpatch.siegel) has no differentiation in
+it, so its Chern forms are checked at 1e-10; compared with curvature_form
+(one central difference, step 1e-5) it agrees to a few 1e-12, and 1e-8 is
+the tolerance of that comparison.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 
 import numpy as np
@@ -187,6 +192,28 @@ def wedge_bracket(f1: VForm, f2: VForm) -> VForm:
     return wedge(f1, f2, lambda a, b: a @ b - b @ a)
 
 
+@functools.cache
+def _pair_index(m):
+    """(i, j) index arrays of combinations(range(m), 2), built once per m."""
+    return np.array(list(combinations(range(m), 2)), dtype=int).reshape(-1, 2).T
+
+
+def bracket_pairs(a):
+    """[a_i, a_j] over i < j, in combinations(range(m), 2) order, for a stack
+    a of m matrices: the coefficients of 1/2 [alpha, alpha] for the 1-form
+    alpha = sum_i a_i dx_i."""
+    i, j = _pair_index(len(a))
+    return a[i] @ a[j] - a[j] @ a[i]
+
+
+def wedge_pairs(f, a):
+    """f_i a_j - f_j a_i over i < j: the coefficients of phi ^ alpha for the
+    scalar 1-form phi with coefficients f (m,) and alpha = sum_i a_i dx_i."""
+    i, j = _pair_index(len(a))
+    f = np.reshape(f, np.shape(f) + (1,) * (np.ndim(a) - 1))
+    return f[i] * a[j] - f[j] * a[i]
+
+
 def curvature_form(omega: VForm) -> VForm:
     """Omega = d omega + 1/2 [omega, omega] for an End(V)-valued 1-form."""
     return exterior_d(omega) + wedge_bracket(omega, omega).scale(0.5)
@@ -260,6 +287,18 @@ def vertical_vectors(proj: SmoothMap, x):
     return [vt[i].conj() for i in range(rank, proj.m)]
 
 
+def vertical_contraction(form: VForm, C, verts, rng):
+    """Largest entry of |form(v, w_2, ..., w_q)| over the vectors v of verts,
+    for the coefficient array C of form at one point; the w_k are fresh
+    standard normal draws from rng, q - 1 of them per v."""
+    worst = 0.0
+    for v in verts:
+        others = [rng.standard_normal(form.m) for _ in range(form.degree - 1)]
+        val = form.contract(C, [v] + others)
+        worst = max(worst, float(np.max(np.abs(val))))
+    return worst
+
+
 def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
     """Check that contracting with d(proj)-vertical vectors annihilates form.
 
@@ -269,13 +308,8 @@ def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
     rng = rng or np.random.default_rng(0)
     points = list(points)
     worst = 0.0
-    q = form.degree
     for x in points:
-        verts = vertical_vectors(proj, x)
-        C = form.coeffs.value(x)
-        for v in verts:
-            others = [rng.standard_normal(form.m) for _ in range(q - 1)]
-            val = form.contract(C, [v] + others)
-            worst = max(worst, float(np.max(np.abs(val))))
+        worst = max(worst, vertical_contraction(
+            form, form.coeffs.value(x), vertical_vectors(proj, x), rng))
     return {"max_vertical_contraction": worst, "tol": tol, "ok": worst <= tol,
             "points": len(points)}

@@ -13,6 +13,7 @@ suffice for m the largest eigenvalue multiplicity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,39 +300,53 @@ def jordan_decompose(x, gap_tol=1e-6):
 # Chern forms
 
 
+@functools.cache
+def _chern_tables(m, kmax):
+    """Shuffle tables of the power traces and of Newton's identities up to
+    e_kmax on R^m."""
+    powers = [ext.wedge_table(m, 2 * j, 2) for j in range(1, kmax)]
+    newton = {(j, i): ext.wedge_table(m, 2 * j, 2 * i)
+              for j in range(kmax) for i in range(1, kmax - j + 1)}
+    return powers, newton
+
+
+def chern_coefficients(omega, m, kmax):
+    """Coefficient arrays [e_0, ..., e_kmax] of the Chern forms at one point,
+    from the coefficient array omega (C(m, 2), d, d) of a curvature 2-form
+    on R^m there.
+
+    e_k, of degree 2k, is the coefficient of t^k in
+    det(I + t (sqrt(-1)/2 pi) Omega), assembled through Newton's identities
+    over the (commutative) even-degree form ring from the power traces
+    tr(Omega^j) (wedge with matrix product).
+    """
+    power_tables, newton_tables = _chern_tables(m, kmax)
+    om = (1j / (2 * np.pi)) * omega
+    powers = [om]
+    for table in power_tables:
+        powers.append(ext.wedge_coeffs(table, powers[-1], om, np.matmul))
+    ptr = [np.trace(p, axis1=-2, axis2=-1) for p in powers]
+    es = [np.ones(1, dtype=complex)]
+    for k in range(1, kmax + 1):
+        acc = None
+        for i in range(1, k + 1):
+            term = (-1.0) ** (i - 1) * ext.wedge_coeffs(
+                newton_tables[k - i, i], es[k - i], ptr[i - 1], np.multiply)
+            acc = term if acc is None else acc + term
+        es.append((1.0 / k) * acc)
+    return es
+
+
 def chern_forms(omega, kmax):
     """Chern forms [c_0, c_1, ..., c_kmax] of an End(V)-valued curvature 2-form.
 
-    c_k is the degree-2k form given by the coefficient of t^k in
-    det(I + t (sqrt(-1)/2 pi) Omega), assembled through Newton's identities
-    over the (commutative) even-degree form ring.  Each c_k evaluates the
-    curvature once per point and works on its coefficient arrays.
+    c_k is the degree-2k form whose coefficients at x are
+    chern_coefficients(omega at x, m, k)[k]: each c_k evaluates the
+    curvature once per point.
     """
     m = omega.m
-    scl = 1j / (2 * np.pi)
-    power_tables = [ext.wedge_table(m, 2 * j, 2) for j in range(1, kmax)]
-    newton_tables = {(j, i): ext.wedge_table(m, 2 * j, 2 * i)
-                     for j in range(kmax) for i in range(1, kmax - j + 1)}
-
-    def elementary(x, top):
-        """Coefficient arrays of e_0, ..., e_top of (sqrt(-1)/2 pi) Omega."""
-        om = scl * omega.coeffs.value(x)
-        # power traces p_j = tr(om^j) (wedge with matrix product)
-        powers = [om]
-        for table in power_tables[:top - 1]:
-            powers.append(ext.wedge_coeffs(table, powers[-1], om, np.matmul))
-        ptr = [np.trace(p, axis1=-2, axis2=-1) for p in powers]
-        es = [np.ones(1, dtype=complex)]
-        for k in range(1, top + 1):
-            acc = None
-            for i in range(1, k + 1):
-                term = (-1.0) ** (i - 1) * ext.wedge_coeffs(
-                    newton_tables[k - i, i], es[k - i], ptr[i - 1], np.multiply)
-                acc = term if acc is None else acc + term
-            es.append((1.0 / k) * acc)
-        return es
-
     one = ext.SmoothMap(m, lambda x: np.ones(1, dtype=complex))
     return [ext.VForm(m, 0, one)] + [
-        ext.VForm(m, 2 * k, ext.SmoothMap(m, lambda x, k=k: elementary(x, k)[k]))
+        ext.VForm(m, 2 * k, ext.SmoothMap(
+            m, lambda x, k=k: chern_coefficients(omega.coeffs.value(x), m, k)[k]))
         for k in range(1, kmax + 1)]

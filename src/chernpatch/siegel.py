@@ -28,6 +28,34 @@ data.  Its geometric point over X is a tangent vector (:class:`TangentVector`)
 at a chart point; over Y it is the Lie(G_h) part hdot of that vector in the
 rank-1 (Klingen) parabolic, which is all the invariant connections on Y
 read; over the point Z it is nothing.  Each tangent vector is split once.
+
+Curvatures come from the structure equation, with no differentiation.
+Chart vector fields commute, so theta = s^{-1} ds satisfies
+d theta(e_i, e_j) = -[theta_i, theta_j]; the projections of Lie(Q) onto its
+Levi factors are homomorphisms, so the parts hdot and ldot of theta satisfy
+the same equation.  A connection omega = F(t) with F constant and linear
+and t one of theta, hdot, ldot therefore has the curvature
+
+    Omega_ij = [F t_i, F t_j] - F([t_i, t_j]).
+
+With lam = lambda_1(g_l^{-1}) as in :class:`ChartPoint`, d lam = -A(ldot) lam
+for A = extK.alg, so a connection A(ldot) + lam F(hdot) lam^{-1} induced
+from Y has the curvature Omega_A + lam Omega_F(hdot) lam^{-1}, where Omega_A
+is the curvature of A(ldot) (it vanishes to rounding).  The four chains of
+the patched connection ending at X:
+
+    chain      omega_c
+    (X)        lam_alg(cartan_k theta)                       Nomizu
+    (Z, X)     extS.alg(ldot_S),  ldot_S of the Lagrangian split of theta
+    (Y, X)     A(ldot) + lam extK.alg(cartan_k hdot) lam^{-1}  induced Nomizu
+    (Z, Y, X)  A(ldot) + lam ext21.alg(hdot_00 W_H) lam^{-1}
+
+Their pairs (omega_c, Omega_c) compose along the chain like the connections
+do, and :meth:`strata.PatchedSystem.curvature` patches them with the
+product rule, dw_c in closed form from r_Z = 1/x_3, r_Y = 1/x_5.  Each
+curvature evaluator maps a chart point to the (15, d, d) coefficients over
+combinations(range(6), 2), from one section, one Klingen split of theta and
+one Klingen factor.
 """
 
 from __future__ import annotations
@@ -83,6 +111,16 @@ def section_mc(x, s):
     ds[:, :2, 2:] = _DX @ Lit + X @ dLit
     ds[:, 2:, 2:] = dLit
     return np.linalg.inv(s) @ ds
+
+
+def _structure(F, t):
+    """(F(t), its curvature) for a constant linear map F on a stack t of m
+    Maurer-Cartan coefficients (dt = -1/2 [t, t]): the curvature stack over
+    the pairs i < j is [F t_i, F t_j] - F([t_i, t_j]).  F maps t and the
+    brackets in one call."""
+    m = len(t)
+    out = F(np.concatenate([t, ext.bracket_pairs(t)]))
+    return out[:m], ext.bracket_pairs(out[:m]) - out[m:]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +180,15 @@ class SiegelModel:
             pullback={("X", "Y"): lambda pt, v, val: self.omega_XY(v, val),
                       ("X", "Z"): lambda pt, v, _: self.omega_XZ(v.mc),
                       ("Y", "Z"): lambda pt, hdot, _: self.omega_YZ(hdot)},
-            project=self.project)
+            project=self.project,
+            curvatures={
+                "X": lambda pt, v: _structure(self.omega_nomizu, v.mc),
+                "Y": lambda pt, hdot: _structure(self.omega_Y_nomizu, hdot),
+                "Z": lambda pt, _: (0.0, 0.0),
+                ("X", "Y"): lambda pt, v, inner: self.curvature_XY(v, inner),
+                ("X", "Z"): lambda pt, v, _: _structure(self.omega_XZ, v.mc),
+                ("Y", "Z"): lambda pt, hdot, _: _structure(self.omega_YZ,
+                                                           hdot)})
 
     # control data ------------------------------------------------------
 
@@ -208,6 +254,32 @@ class SiegelModel:
         v = TangentVector(p, mc)
         return self.omega_XY(v, self.omega_Y_nomizu(self.project(v, "X", "Y")))
 
+    # curvature evaluators ------------------------------------------------
+    # each maps a chart point to the (15, d, d) curvature coefficients
+
+    def curvature_XY(self, v: TangentVector, inner):
+        """(omega_XY(v, w), its curvature Omega_A + lam Omega lam^{-1}) for
+        inner = (w, Omega): a connection value on Y at hdot and the
+        curvature of that connection there."""
+        _, ldot = self._split(v)
+        lam, lam_inv = self._klingen(v.point)
+        _, omega_A = _structure(self.extK.alg, ldot)
+        return self.omega_XY(v, inner[0]), omega_A + lam @ inner[1] @ lam_inv
+
+    def curvature_induced_nomizu(self, p):
+        """Curvature of :meth:`omega_induced_nomizu` at p."""
+        v = TangentVector(p, p.mc)
+        inner = _structure(self.omega_Y_nomizu, self.project(v, "X", "Y"))
+        return self.curvature_XY(v, inner)[1]
+
+    def curvature_patched(self, p):
+        """Curvature of the patched connection at p, with the weight
+        gradients through d r_Z = -r_Z^2 dx_3 and d r_Y = -r_Y^2 dx_5."""
+        rZ, rY = p.control.r
+        dr = np.zeros((2, 6))
+        dr[0, 3], dr[1, 5] = -rZ * rZ, -rY * rY
+        return self.system.curvature(p.control, TangentVector(p, p.mc), dr)
+
     # patched connection on X -------------------------------------------
 
     def omega_patched(self, p, mc):
@@ -233,6 +305,12 @@ class SiegelModel:
             p = self.point(x)
             return evaluator(p, p.mc)
         return ext.VForm(6, 1, ext.SmoothMap(6, coeffs))
+
+    def form_from_curvature(self, curvature) -> ext.VForm:
+        """The chart 2-form whose coefficients at x are curvature(p) at the
+        chart point p = self.point(x)."""
+        return ext.VForm(6, 2, ext.SmoothMap(
+            6, lambda x: curvature(self.point(x))))
 
     def projection_map(self) -> ext.SmoothMap:
         """pi_Y = (x11, y11) as a chart map (6 coords -> 2), analytic Jacobian."""

@@ -15,7 +15,10 @@ the control-data axioms exactly (pi_Z pi_Y = pi_Z, rho_Z pi_Y = rho_Z).
 PatchedSystem is the one implementation of the patched connection: its
 recursion, its closed chain form and its localized form, for any model whose
 strata supply an invariant connection and the pullbacks between them (the
-Siegel model in :mod:`chernpatch.siegel` is one).
+Siegel model in :mod:`chernpatch.siegel` is one).  Given the curvatures of
+those connections, it also gives the curvature of the chain form, by the
+product rule with the weight gradients of
+FlagTubeModel.chain_form_weight_grad.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exterior as ext
 from .errors import PreconditionFailed
 
 
@@ -51,6 +55,19 @@ class BumpProfile:
         b = math.exp(-1.0 / (1.0 - t))
         return a / (a + b)
 
+    def derivative(self, x):
+        """s'(x) = ab (1/t^2 + 1/(1-t)^2) / (a+b)^2 / (hi - lo), with t, a, b
+        as in s; 0 outside (1/2, 3/4)."""
+        t = (x - self.lo) / (self.hi - self.lo)
+        if t <= 0.0 or t >= 1.0:
+            return 0.0
+        a = math.exp(-1.0 / t)
+        b = math.exp(-1.0 / (1.0 - t))
+        # divided one factor at a time, so that 1/t^2 cannot overflow
+        ab = a * b
+        return ((ab / t / t + ab / (1.0 - t) / (1.0 - t))
+                / (a + b) ** 2 / (self.hi - self.lo))
+
     def scaled(self, rho, eps):
         """s_eps(rho) = s(rho/eps)."""
         return self(rho / eps)
@@ -58,6 +75,13 @@ class BumpProfile:
 
 # ---------------------------------------------------------------------------
 # model
+
+
+def _is_dimension(d):
+    """True for a nonnegative integer, given as an int or an integral float."""
+    if isinstance(d, float):
+        return d.is_integer() and d >= 0
+    return isinstance(d, int) and not isinstance(d, bool) and d >= 0
 
 
 @dataclass(frozen=True)
@@ -84,8 +108,17 @@ class FlagTubeModel:
         if not all(isinstance(s, dict) and {"name", "dimC"} <= s.keys()
                    for s in strata):
             raise PreconditionFailed(f"strata need a name and dimC: {strata}")
+        bad = [s["dimC"] for s in strata if not _is_dimension(s["dimC"])]
+        if bad:
+            raise PreconditionFailed(
+                f"dimC must be a nonnegative integer, got {bad}")
+        if not all(isinstance(f, (list, tuple)) for f in flags):
+            raise PreconditionFailed(
+                f"each flag must be a list of stratum names: {flags}")
         self.dimC = {s["name"]: int(s["dimC"]) for s in strata}
         self.names = [s["name"] for s in strata]
+        if len(self.dimC) != len(self.names):
+            raise PreconditionFailed(f"stratum names repeat: {self.names}")
         self.flags = [tuple(f) for f in flags]
         self.eps0 = float(eps0)
         if not (math.isfinite(self.eps0) and self.eps0 > 0):
@@ -140,6 +173,24 @@ class FlagTubeModel:
         out = out * (1.0 - s.scaled(rY, eps))
         return out
 
+    def B_grad(self, Y, eps, x: ModelPoint):
+        """Gradient of B_Y^eps(x) over the tube distances x.r, by the product
+        rule over its factors."""
+        grad = np.zeros(len(x.r))
+        if Y not in x.chain:
+            return grad
+        s = self.profile
+        k = x.chain.index(Y)
+        val = 1.0
+        for j, rj in enumerate(x.r[:k + 1]):
+            f, df = s.scaled(rj, eps), s.derivative(rj / eps) / eps
+            if j == k:
+                f, df = 1.0 - f, -df
+            grad = grad * f
+            grad[j] += val * df
+            val = val * f
+        return grad
+
     def partition_weights(self, x: ModelPoint):
         """{Z: B_Z^eps(x)} over the strata Z of x's chain, at the one eps of
         x's stratum; the values sum to 1 on the whole closure."""
@@ -171,6 +222,32 @@ class FlagTubeModel:
             outer, inner = chain[t], chain[t - 1]
             w = w * self.B(inner, self.eps(outer), self.pi(x, outer))
         return w
+
+    def chain_form_weights(self, x: ModelPoint):
+        """[(chain, w)] over chains_to(x): w is the weight of the chain's
+        term in the chain form, chain_weight(chain, x) times
+        B_{Z_1}^{eps_{Z_1}}(pi_{Z_1}(x)) for the chain's first stratum Z_1."""
+        out = []
+        for chain in self.chains_to(x):
+            Z1 = chain[0]
+            out.append((chain, self.chain_weight(chain, x)
+                        * self.B(Z1, self.eps(Z1), self.pi(x, Z1))))
+        return out
+
+    def chain_form_weight_grad(self, chain, x: ModelPoint):
+        """Gradient over x.r of the chain's weight in
+        :meth:`chain_form_weights`, by the product rule over its B factors;
+        each factor reads the first len(pi(x, outer).r) tube distances."""
+        grad = np.zeros(len(x.r))
+        val = 1.0
+        pairs = [(chain[0], chain[0])] + list(zip(chain, chain[1:]))
+        for inner, outer in pairs:
+            y = self.pi(x, outer)
+            f = self.B(inner, self.eps(outer), y)
+            grad = grad * f
+            grad[:len(y.r)] += val * self.B_grad(inner, self.eps(outer), y)
+            val = val * f
+        return grad
 
     def localization_base(self, x: ModelPoint):
         """Largest stratum W in x's flag with B_W^{eps_W}(pi_W(x)) != 0."""
@@ -237,17 +314,26 @@ class PatchedSystem:
                 at the projected point is v;
       project   callable(g, Y, Z) -> the geometric point over pi_Z(x), for
                 g over a point x of Y and Z < Y.  It is called only where a
-                weight is nonzero, and must follow the control data:
+                weight or its gradient is nonzero, and must follow the
+                control data:
                 project(project(g, X, Y), Y, Z) = project(g, X, Z).
+      curvatures  (optional, for :meth:`curvature`) the same keys as nomizu
+                and pullback together, with callables that take and return
+                (value, curvature) pairs: {Y: callable(x, g)} and
+                {(Y, Z): callable(x, g, (v, Omega_v))}, Omega_v the curvature
+                of the connection on Z whose value is v.
 
-    Values may be any objects supporting + and scalar *.
+    Values may be any objects supporting + and scalar *; :meth:`curvature`
+    reads them as coefficient stacks over the chart directions of g.
     """
 
-    def __init__(self, model: FlagTubeModel, nomizu, pullback, project):
+    def __init__(self, model: FlagTubeModel, nomizu, pullback, project,
+                 curvatures=None):
         self.model = model
         self.nomizu = nomizu
         self.pullback = pullback
         self.project = project
+        self.curvatures = curvatures
 
     def _over(self, x: ModelPoint, g, Z):
         """(pi_Z(x), the geometric point over it)."""
@@ -255,10 +341,12 @@ class PatchedSystem:
             return x, g
         return self.model.pi(x, Z), self.project(g, x.stratum, Z)
 
-    def _along(self, chain, x: ModelPoint, g, v):
-        """Pull v, a value over pi_{chain[0]}(x), up the chain to stratum(x)."""
+    def _along(self, chain, x: ModelPoint, g, v, maps=None):
+        """Pull v, a value over pi_{chain[0]}(x), up the chain to stratum(x)
+        through the pullbacks (or the (Y, Z) entries of maps)."""
+        maps = maps or self.pullback
         for lo, hi in zip(chain, chain[1:]):
-            v = self.pullback[(hi, lo)](*self._over(x, g, hi), v)
+            v = maps[(hi, lo)](*self._over(x, g, hi), v)
         return v
 
     def patched(self, x: ModelPoint, g):
@@ -281,17 +369,50 @@ class PatchedSystem:
 
     def chain_form(self, x: ModelPoint, g):
         """Closed form: sum over chains of full weights and composed pullbacks."""
-        md = self.model
         total = None
-        for chain in md.chains_to(x):
-            Z1 = chain[0]
-            w = md.chain_weight(chain, x) * md.B(Z1, md.eps(Z1), md.pi(x, Z1))
+        for chain, w in self.model.chain_form_weights(x):
             if w == 0.0:
                 continue
+            Z1 = chain[0]
             term = w * self._along(chain, x, g,
                                    self.nomizu[Z1](*self._over(x, g, Z1)))
             total = term if total is None else total + term
         return total
+
+    def chain_curvature(self, chain, x: ModelPoint, g):
+        """(omega_c, Omega_c): the chain's connection, the nomizu value of its
+        first stratum pulled up the chain, and its curvature, composed the
+        same way from the `curvatures` callables."""
+        Z1 = chain[0]
+        return self._along(chain, x, g,
+                           self.curvatures[Z1](*self._over(x, g, Z1)),
+                           self.curvatures)
+
+    def curvature(self, x: ModelPoint, g, dr):
+        """Curvature coefficients of the chain form omega = sum_c w_c omega_c
+        over the pairs i < j of the m chart directions of g.
+
+        dr is the (len(x.r), m) Jacobian of the tube distances over those
+        directions, so dw_c = (gradient of w_c over x.r) @ dr.  With
+        Omega_c the curvature of omega_c, the product rule gives
+
+            Omega = sum_c [dw_c ^ omega_c + w_c (Omega_c - 1/2 [omega_c, omega_c])]
+                    + 1/2 [omega, omega],
+
+        which does not need sum_c w_c = 1.  A chain is skipped where both
+        w_c and dw_c vanish.
+        """
+        md = self.model
+        omega = Omega = 0.0
+        for chain, w in md.chain_form_weights(x):
+            dw = md.chain_form_weight_grad(chain, x) @ dr
+            if w == 0.0 and not dw.any():
+                continue
+            om, Om = self.chain_curvature(chain, x, g)
+            omega = omega + w * om
+            Omega = Omega + ext.wedge_pairs(dw, om) + w * (
+                Om - ext.bracket_pairs(om))
+        return Omega + ext.bracket_pairs(omega)
 
     def localized(self, x: ModelPoint, g):
         """(value, W, sum_of_weights): localized form around the base stratum W."""

@@ -340,13 +340,80 @@ def suite_pifiber(seed=0, tol=1e-6, samples=10):
     """Vertical contraction of an induced-connection curvature."""
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
-    form = m.form_from_evaluator(m.omega_induced_nomizu)
-    curv = ext.curvature_form(form)
+    curv = m.form_from_curvature(m.curvature_induced_nomizu)
     pts = _model_tube_points(rng, samples)
     rpt = ext.pifiber_check(curv, m.projection_map(), pts, tol=tol, rng=rng)
     return _finish("pifiber", seed, tol, samples,
                    [_check("induced-curvature-vertical",
                            rpt["max_vertical_contraction"], tol)])
+
+
+def _mixed_tube_points(model, rng, samples):
+    """Points of the plane-stratum tube with the point-stratum radius in its
+    transition band, so that both patching weights are active."""
+    eps_x = model.model.eps("X")
+    pts = []
+    for _ in range(samples):
+        rz = float(rng.uniform(0.55, 0.7)) * eps_x
+        ry = float(rng.uniform(0.1, 0.45)) * eps_x
+        y11, y22 = 1.0 / rz, 1.0 / ry
+        y12 = float(rng.uniform(-0.02, 0.02)) * np.sqrt(y11 * y22)
+        pts.append([float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
+                    float(rng.uniform(-1, 1)), y11, y12, y22])
+    return pts
+
+
+_RAW_FLOOR = 1e-3      # the raw curvature's contraction must exceed this
+_ORACLE_TOL = 1e-8     # structure equation against one central difference
+_ORACLE_POINTS = 3     # the first points also go through the difference oracle
+
+
+def suite_descent(seed=0, tol=1e-10, samples=40):
+    """The patched curvature is not a pullback from the plane stratum, but
+    its Chern forms c1, c2 are: vertical contractions at mixed-tube points.
+
+    The curvature comes from the structure equation, once per point, and
+    c1, c2 from that one array.  The raw curvature is the negative control:
+    it passes only while its contraction exceeds 1e-3.  At the first points
+    (named in the report) the induced and patched curvatures are compared
+    with ext.curvature_form of their connections.
+    """
+    rng = np.random.default_rng(seed)
+    m = siegel.SiegelModel("std")
+    raw = m.form_from_curvature(m.curvature_patched)
+    # the forms give the degrees the coefficient arrays are contracted at
+    chern = inv.chern_forms(raw, 2)
+    forms = {"raw": raw, 1: chern[1], 2: chern[2]}
+    fd_induced, fd_patched = (ext.curvature_form(m.form_from_evaluator(ev))
+                              for ev in (m.omega_induced_nomizu,
+                                         m.omega_patched))
+    proj = m.projection_map()
+    pts = _mixed_tube_points(m, rng, samples)
+    oracle_points = list(range(min(_ORACLE_POINTS, samples)))
+    worst = dict.fromkeys(forms, 0.0)
+    oracle = 0.0
+    for n, x in enumerate(pts):
+        p = m.point(x)
+        omega = m.curvature_patched(p)
+        es = inv.chern_coefficients(omega, 6, 2)
+        coeffs = {"raw": omega, 1: es[1], 2: es[2]}
+        verts = ext.vertical_vectors(proj, x)
+        for key, form in forms.items():
+            worst[key] = max(worst[key], ext.vertical_contraction(
+                form, coeffs[key], verts, rng))
+        if n in oracle_points:
+            for value, fd in ((m.curvature_induced_nomizu(p), fd_induced),
+                              (omega, fd_patched)):
+                oracle = max(oracle, float(np.max(np.abs(
+                    value - fd.coeffs.value(x)))))
+    checks = [_check("chern-c1-vertical", worst[1], tol),
+              _check("chern-c2-vertical", worst[2], tol),
+              {"name": "raw-curvature-not-vertical",
+               "max_residual": float(worst["raw"]), "floor": _RAW_FLOOR,
+               "pass": worst["raw"] > _RAW_FLOOR},
+              _check("structure-equation-vs-differences", oracle, _ORACLE_TOL)]
+    return _finish("descent", seed, tol, samples, checks,
+                   {"oracle_points": oracle_points})
 
 
 def suite_extension(seed=0, tol=1e-8, samples=50):
@@ -445,6 +512,7 @@ SUITES = {
     "classify": suite_classify,
     "bridge": suite_bridge,
     "pifiber": suite_pifiber,
+    "descent": suite_descent,
     "extension": suite_extension,
     "patched": suite_patched_model,
     "quadrature": suite_quadrature,

@@ -62,7 +62,24 @@ def test_chart_vs_algebraic_curvature_bridge():
 
 
 def test_induced_curvature_is_vertical_free():
+    t0 = time.perf_counter()
     _passing(suites.run_suite("pifiber", seed=0, tol=1e-6, samples=200))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.06, f"pifiber at 200 samples took {elapsed:.2f}s"
+
+
+def test_chern_forms_descend_where_the_curvature_does_not():
+    t0 = time.perf_counter()
+    rpt = _passing(suites.run_suite("descent", seed=0, tol=1e-10,
+                                    samples=40))
+    elapsed = time.perf_counter() - t0
+    checks = {c["name"]: c for c in rpt["checks"]}
+    for k in (1, 2):
+        assert checks[f"chern-c{k}-vertical"]["max_residual"] <= 1e-10
+    assert checks["raw-curvature-not-vertical"]["max_residual"] > 1e-3
+    assert checks["structure-equation-vs-differences"]["max_residual"] <= 1e-8
+    assert rpt["oracle_points"] == [0, 1, 2]
+    assert elapsed < 1.0, f"descent at 40 points took {elapsed:.2f}s"
 
 
 def test_canonical_extension_and_nesting():
@@ -92,25 +109,10 @@ def patched_chern_data():
     return m, curv, sig
 
 
-def _mixed_tube_points(model, rng, n):
-    """Points of the plane-stratum tube with the point-stratum radius in
-    its transition band, so both patching weights are active."""
-    epsX = model.model.eps("X")
-    pts = []
-    for _ in range(n):
-        rz = float(rng.uniform(0.55, 0.7)) * epsX
-        ry = float(rng.uniform(0.1, 0.45)) * epsX
-        y11, y22 = 1.0 / rz, 1.0 / ry
-        y12 = float(rng.uniform(-0.02, 0.02)) * np.sqrt(y11 * y22)
-        pts.append([float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
-                    float(rng.uniform(-1, 1)), y11, y12, y22])
-    return pts
-
-
 def test_patched_chern_forms_descend_in_mixed_tube(patched_chern_data):
     m, _, sig = patched_chern_data
     rng = np.random.default_rng(0)
-    pts = _mixed_tube_points(m, rng, 3)
+    pts = suites._mixed_tube_points(m, rng, 3)
     proj = m.projection_map()
     for k in (1, 2):
         rpt = ext.pifiber_check(sig[k], proj, pts, tol=1e-5, rng=rng)
@@ -121,7 +123,7 @@ def test_raw_curvature_obstructed_where_chern_forms_descend(
         patched_chern_data):
     m, curv, sig = patched_chern_data
     rng = np.random.default_rng(1)
-    pts = _mixed_tube_points(m, rng, 3)
+    pts = suites._mixed_tube_points(m, rng, 3)
     proj = m.projection_map()
     raw = ext.pifiber_check(curv, proj, pts, tol=1e-5, rng=rng)
     assert not raw["ok"], raw

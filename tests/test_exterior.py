@@ -335,6 +335,21 @@ def test_chern_forms_match_per_term_reference(m, d):
     x = rng.uniform(-1, 1, m)
     for k in (1, 2):
         assert np.array_equal(sig[k].coeffs.value(x), ref[k])
+    es = inv.chern_coefficients(Om, m, 2)
+    for k in (1, 2):
+        assert np.array_equal(es[k], ref[k])
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_pair_coefficients_match_the_wedge_table(m):
+    rng = np.random.default_rng(40 + m)
+    a = _coeff_array(rng, m, (3, 3))
+    f = rng.standard_normal(m)
+    table = ext.wedge_table(m, 1, 1)
+    brackets = ext.wedge_coeffs(table, a, a, lambda u, v: u @ v - v @ u)
+    assert np.max(np.abs(ext.bracket_pairs(a) - 0.5 * brackets)) <= 1e-14
+    wedged = ext.wedge_coeffs(table, f, a, lambda u, v: u[..., None, None] * v)
+    assert np.max(np.abs(ext.wedge_pairs(f, a) - wedged)) <= 1e-14
 
 
 def test_forms_past_the_top_degree_evaluate_to_zero():

@@ -30,6 +30,7 @@ SIZES = {
     "classify": {"samples": 10},
     "bridge": {"samples": 6},
     "pifiber": {"samples": 10},
+    "descent": {"samples": 6},
     "extension": {"samples": 10},
     "patched": {"samples": 10},
     "quadrature": {"samples": 120},

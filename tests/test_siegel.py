@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chernpatch import exterior as ext, invariants as inv, liecore, siegel
+from chernpatch import strata
 from chernpatch.errors import PreconditionFailed
 
 
@@ -241,3 +242,142 @@ def test_chern_forms_of_patched_connection_vertical(model):
     for k in (1, 2):
         rpt = ext.pifiber_check(sig[k], proj, pts, tol=1e-5, rng=rng)
         assert rpt["ok"]
+
+
+# curvature from the structure equation ----------------------------------
+
+
+def _oracle_points(model, rng):
+    """Mixed-tube points, where every chain's weight can be active, and
+    generic points of the chart."""
+    return ([_mixed_x(model, rng) for _ in range(3)]
+            + [_sample_x(rng) for _ in range(2)])
+
+
+def _differences(model, evaluator):
+    """The curvature of a connection evaluator by ext.curvature_form: one
+    central difference of its chart form."""
+    return ext.curvature_form(model.form_from_evaluator(evaluator)).coeffs
+
+
+def test_chain_curvatures_match_differences(model):
+    rng = np.random.default_rng(11)
+    pts = _oracle_points(model, rng)
+    chains = model.model.chains_to(model.point(pts[0]).control)
+    assert len(chains) == 4
+
+    for chain in chains:
+        def pair(p, chain=chain):
+            v = siegel.TangentVector(p, p.mc)
+            return model.system.chain_curvature(chain, p.control, v)
+
+        fd = _differences(model, lambda p, mc: pair(p)[0])
+        for x in pts:
+            omega_c, Omega_c = pair(model.point(x))
+            assert Omega_c.shape == (15, 2, 2)
+            assert np.max(np.abs(Omega_c - fd.value(x))) <= 1e-8, chain
+            if chain == ("Y", "X"):
+                p = model.point(x)
+                assert np.array_equal(
+                    omega_c, model.omega_induced_nomizu(p, p.mc))
+
+
+@pytest.mark.parametrize("name", ["induced_nomizu", "patched"])
+def test_curvature_evaluators_match_differences(model, name):
+    curvature = getattr(model, f"curvature_{name}")
+    fd = _differences(model, getattr(model, f"omega_{name}"))
+    form = model.form_from_curvature(curvature)
+    assert form.degree == 2
+    rng = np.random.default_rng(12)
+    worst = scale = 0.0
+    for x in _oracle_points(model, rng):
+        want = fd.value(x)
+        worst = max(worst, float(np.max(np.abs(form.coeffs.value(x) - want))))
+        scale = max(scale, float(np.max(np.abs(want))))
+    assert worst <= 1e-8
+    assert scale > 1e-3     # the comparison is not between two zeros
+
+
+def test_linear_levi_connection_is_flat(model):
+    # extK is a homomorphism on the linear Levi, so the Omega_A term of an
+    # induced curvature vanishes
+    rng = np.random.default_rng(15)
+    for x in _oracle_points(model, rng):
+        p = model.point(x)
+        _, ldot = model._split(siegel.TangentVector(p, p.mc))
+        _, omega_A = siegel._structure(model.extK.alg, ldot)
+        assert np.max(np.abs(omega_A)) <= 1e-14
+
+
+def test_curvature_evaluators_take_no_differences(model, monkeypatch):
+    calls = {"split": 0, "factor": 0}
+    split, factor = model.pdK.split, liecore.group_factor_fine
+
+    def counted_split(*args):
+        calls["split"] += 1
+        return split(*args)
+
+    def counted_factor(*args):
+        calls["factor"] += 1
+        return factor(*args)
+
+    def no_differences(*args):
+        raise AssertionError("a curvature evaluator took a difference")
+
+    monkeypatch.setattr(model.pdK, "split", counted_split)
+    monkeypatch.setattr(liecore, "group_factor_fine", counted_factor)
+    monkeypatch.setattr(ext.SmoothMap, "jacobian", no_differences)
+    x = _mixed_x(model, np.random.default_rng(13))
+    for curvature in (model.curvature_induced_nomizu, model.curvature_patched):
+        calls.update(split=0, factor=0)
+        curvature(model.point(x))
+        assert calls == {"split": 1, "factor": 1}
+
+
+def test_bump_profile_derivative_matches_differences():
+    s = strata.BumpProfile()
+    h = 1e-6
+    for x in np.linspace(0.505, 0.745, 25):
+        fd = (s(x + h) - s(x - h)) / (2 * h)
+        assert abs(s.derivative(x) - fd) <= 1e-6 * max(1.0, abs(fd))
+    for x in (-1.0, 0.0, 0.25, 0.5, 0.75, 0.9, 3.0):
+        assert s.derivative(x) == 0.0
+    # nearer the knots than exp(-1/t) resolves: 0, with no overflow
+    for x in (0.5 + 1e-170, 0.75 - 1e-13):
+        assert s.derivative(x) == 0.0
+
+
+def _central(f, r, k, h=1e-7):
+    """Central difference of f at the list r along coordinate k."""
+    rp, rm = list(r), list(r)
+    rp[k] += h
+    rm[k] -= h
+    return (f(rp) - f(rm)) / (2 * h)
+
+
+def test_chain_weight_gradients_match_differences(model):
+    md = model.model
+    rng = np.random.default_rng(14)
+    steepest = 0.0
+    epsilons = [md.eps(Z) for Z in ("Z", "Y", "X")]
+    for _ in range(40):
+        # each distance near the transition band of one of the epsilons
+        r = [float(rng.choice(epsilons) * rng.uniform(0.45, 0.8))
+             for _ in range(2)]
+        x = md.point(("Z", "Y", "X"), r)
+        for chain, _ in md.chain_form_weights(x):
+            grad = md.chain_form_weight_grad(chain, x)
+            steepest = max(steepest, float(np.max(np.abs(grad))))
+            for k in range(2):
+                fd = _central(lambda y: dict(md.chain_form_weights(
+                    md.point(x.chain, y)))[chain], r, k)
+                assert abs(grad[k] - fd) <= 1e-5 * max(1.0, abs(fd)), (
+                    chain, r, k)
+        for Y in x.chain:
+            for eps in (md.eps("Z"), md.eps("X")):
+                grad = md.B_grad(Y, eps, x)
+                for k in range(2):
+                    fd = _central(
+                        lambda y: md.B(Y, eps, md.point(x.chain, y)), r, k)
+                    assert abs(grad[k] - fd) <= 1e-5 * max(1.0, abs(fd))
+    assert steepest > 1.0     # the points reach the transition bands

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chernpatch import cli, invariants as inv, liecore, suites
+from chernpatch import cli, invariants as inv, liecore, siegel, suites
 from chernpatch.errors import PreconditionFailed
 
 
@@ -20,6 +20,7 @@ SMALL = {
     "classify": {"samples": 10},
     "bridge": {"samples": 4},
     "pifiber": {"samples": 3},
+    "descent": {"samples": 4},
     "extension": {"samples": 10},
     "patched": {"samples": 6},
     "quadrature": {"samples": 120},
@@ -33,6 +34,36 @@ def test_suite_passes_at_small_size(name):
     assert rpt["pass"], rpt
     assert rpt["schema"] == suites.SCHEMA
     assert all("max_residual" in c for c in rpt["checks"])
+
+
+def test_descent_raw_control_fails_where_one_chain_is_active(monkeypatch):
+    # r_Z = 5 eps_X, r_Y = 0.3 eps_X: only the chain (Y, X) has weight, so
+    # the patched curvature is the induced one and contracts to rounding
+    def one_chain_points(model, rng, samples):
+        eps_x = model.model.eps("X")
+        return [[0.1 * k, -0.2, 0.3, 1.0 / (5 * eps_x), 0.01,
+                 1.0 / (0.3 * eps_x)] for k in range(samples)]
+
+    monkeypatch.setattr(suites, "_mixed_tube_points", one_chain_points)
+    rpt = suites.run_suite("descent", seed=0, samples=3)
+    verdicts = {c["name"]: c["pass"] for c in rpt["checks"]}
+    assert verdicts == {"chern-c1-vertical": True, "chern-c2-vertical": True,
+                        "raw-curvature-not-vertical": False,
+                        "structure-equation-vs-differences": True}
+    assert not rpt["pass"]
+
+
+def test_descent_evaluates_the_curvature_once_per_point(monkeypatch):
+    calls = []
+    curvature = siegel.SiegelModel.curvature_patched
+
+    def counted(self, p):
+        calls.append(p)
+        return curvature(self, p)
+
+    monkeypatch.setattr(siegel.SiegelModel, "curvature_patched", counted)
+    assert suites.run_suite("descent", seed=2, samples=5)["pass"]
+    assert len(calls) == 5
 
 
 def test_corrupt_springer_fails():
@@ -232,10 +263,18 @@ _TWO_STRATA = {"strata": [_Z, _Y], "flags": [["Z", "Y"]]}
     (["vanishing"], dict(_TWO_STRATA, eps0=float("inf")), "eps0"),
     (["vanishing"], _TWO_STRATA, "at least 3 strata"),
     (["partition"], {"strata": [{"name": "Z"}], "flags": [["Z"]]}, "dimC"),
+    (["vanishing"], {"strata": [_Z, dict(_Y, dimC=1.7), _X],
+                     "flags": [["Z", "Y", "X"]]},
+     "dimC must be a nonnegative integer, got [1.7]"),
+    (["vanishing"], {"strata": [_Z, _Y, _X], "flags": ["ZYX"]},
+     "each flag must be a list of stratum names"),
+    (["vanishing"], {"strata": [_Z, _Y, _X, dict(_Y, dimC=7)],
+                     "flags": [["Z", "Y", "X"]]}, "stratum names repeat"),
 ], ids=["samples-1", "one-stratum-flag", "vanishing-no-flags",
         "partition-no-flags", "no-strata", "partition-undeclared",
         "vanishing-undeclared", "eps0-zero", "eps0-negative", "eps0-infinite",
-        "vanishing-two-strata", "stratum-without-dimC"])
+        "vanishing-two-strata", "stratum-without-dimC", "dimC-not-integral",
+        "flag-a-string", "stratum-named-twice"])
 def test_cli_verify_rejects_models_and_sizes_the_suites_cannot_check(
         args, model, message, tmp_path, capsys):
     if model is not None:
