@@ -5,7 +5,6 @@ Modules:
   liecore      matrix groups, Cartan data, standard parabolics
   hcrepr       Harish-Chandra coordinates, Cayley elements, canonical
                extensions of K-representations
-  dual         forward-mode dual numbers
   exterior     differential forms on charts, curvature, fiber checks
   invariants   invariant polynomials, Jordan decomposition, Chern forms
   strata       flag-tube models, bump functions, partitions of unity,
@@ -18,15 +17,15 @@ Modules:
   cli          command-line entry point
 """
 
-from . import (charts, connections, dual, errors, exterior, hcrepr,
-               invariants, liecore, schubert, siegel, strata, suites)
+from . import (charts, connections, errors, exterior, hcrepr, invariants,
+               liecore, schubert, siegel, strata, suites)
 from .errors import (ConditionViolation, IllConditionedSpectrum,
                      PreconditionFailed, UnsupportedFlag)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "charts", "cli", "connections", "dual", "errors", "exterior", "hcrepr",
+    "charts", "cli", "connections", "errors", "exterior", "hcrepr",
     "invariants", "liecore", "schubert", "siegel", "strata", "suites",
     "ConditionViolation", "IllConditionedSpectrum", "PreconditionFailed",
     "UnsupportedFlag", "__version__",

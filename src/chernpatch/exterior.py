@@ -6,10 +6,11 @@ whose value at x is the array of all C(m, q) coefficients, shape
 itertools.combinations(range(m), q); coefficients are scalars or End(V)
 matrices.  Forms built from others (d, wedge, +, scale) evaluate each
 operand once per point; d and wedge sum the signed coefficient products
-gathered through one shuffle table (wedge_table).  Coefficient maps are
-differentiated with dual numbers when the evaluator supports them and by
-central differences otherwise; d and wedge read their operands as complex
-arrays, so only + and scale pass dual numbers through.
+gathered through one shuffle table (wedge_table).  A coefficient map is
+differentiated by its analytic Jacobian when it carries one (the Siegel
+projection, the affine forms of the `patch` suite) and by central
+differences otherwise.  combination_curvature is the one product rule for
+the curvature of a weighted combination of connections.
 
 Tolerances used by the callers: 1e-12 for purely algebraic identities, 1e-6
 after one numerical differentiation, 1e-4 after two.  A curvature built
@@ -26,17 +27,15 @@ from itertools import combinations
 
 import numpy as np
 
-from . import dual as fd
-
 FD_STEP = 1e-5
 
 
 class SmoothMap:
     """Differentiable map from an m-dimensional chart to scalars or arrays.
 
-    func eats a sequence of m coordinates.  jac (optional) is an analytic
-    Jacobian callable; otherwise dual numbers are tried, then central
-    differences with step 1e-5.
+    func eats a sequence of m coordinates.  jac (optional) is the analytic
+    Jacobian, a callable of the same coordinates; without it the Jacobian
+    is taken by central differences with step 1e-5.
     """
 
     def __init__(self, m, func, jac=None):
@@ -49,28 +48,9 @@ class SmoothMap:
 
     def jacobian(self, x):
         """Array of shape (m,) + value.shape with entry i = d/dx_i."""
-        x = list(x)
         if self._jac is not None:
-            return np.asarray(self._jac(x), dtype=complex)
-        # a TypeError here (x already dual: a Jacobian inside a map being
-        # differentiated) reaches that outer map's own fallback
-        seeded = fd.seed(x)
-        try:
-            out = self.func(seeded)
-        except TypeError:
-            # the map casts its input to numbers (float(), complex arrays)
-            return self._fd_jacobian(x)
-        out = np.asarray(out, dtype=object)
-        J = np.zeros((self.m,) + out.shape, dtype=complex)
-        any_dual = False
-        for idx in np.ndindex(out.shape):
-            entry = out[idx]
-            if isinstance(entry, fd.Dual):
-                any_dual = True
-                J[(slice(None),) + idx] = entry.grad
-            elif not isinstance(entry, (int, float, complex, np.number)):
-                return self._fd_jacobian(x)
-        return J if any_dual else self._fd_jacobian(x)
+            return np.asarray(self._jac(list(x)), dtype=complex)
+        return self._fd_jacobian(list(x))
 
     def _fd_jacobian(self, x, h=FD_STEP):
         cols = []
@@ -219,62 +199,23 @@ def curvature_form(omega: VForm) -> VForm:
     return exterior_d(omega) + wedge_bracket(omega, omega).scale(0.5)
 
 
-def form_distance(f1: VForm, f2: VForm, points, rng=None):
-    """Max difference of evaluations on given points and random vectors."""
-    q = f1.degree
-    rng = rng or np.random.default_rng(0)
-    err = 0.0
-    for x in points:
-        vecs = [rng.standard_normal(f1.m) for _ in range(q)]
-        a = f1.evaluate(x, vecs)
-        b = f2.evaluate(x, vecs)
-        err = max(err, float(np.max(np.abs(a - b))))
-    return err
+def combination_curvature(terms):
+    """Curvature coefficients of omega = sum_c w_c omega_c at one point.
 
+    terms yields (w_c, dw_c, omega_c, Omega_c): the weight, its differential
+    (m,), the 1-form coefficients (m, d, d) and the curvature coefficients
+    (C(m, 2), d, d) of omega_c.  The product rule gives
 
-def patch_combination_curvature(weights, omegas):
-    """Curvature of omega = sum_i f_i omega_i with sum f_i = 1.
+        Omega = sum_c [dw_c ^ omega_c + w_c (Omega_c - 1/2 [omega_c, omega_c])]
+                + 1/2 [omega, omega],
 
-    weights: list of scalar SmoothMaps f_i; omegas: list of End(V)-valued
-    1-form VForms.  Returns (direct, formula): the curvature computed from
-    the combined form, and from the combination identity
-
-        Omega = sum f_i Omega_i
-              - 1/2 sum_{i<j} f_i f_j [omega_i - omega_j, omega_i - omega_j]
-              + sum_{i<n} d f_i ^ (omega_i - omega_n)
+    which does not need sum_c w_c = 1.
     """
-    n = len(weights)
-    assert len(omegas) == n
-    m = omegas[0].m
-
-    def smul(a, b):  # scalar coefficients times End(V) coefficients
-        return a[..., None, None] * b
-
-    def wform(f):
-        return VForm(m, 0, SmoothMap(m, lambda x: [f(x)]))
-
-    combined = None
-    for f, om in zip(weights, omegas):
-        t = wedge(wform(f.func), om, smul)
-        combined = t if combined is None else combined + t
-    direct = curvature_form(combined)
-
-    formula = None
-    for f, om in zip(weights, omegas):
-        t = wedge(wform(f.func), curvature_form(om), smul)
-        formula = t if formula is None else formula + t
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = omegas[i] + omegas[j].scale(-1.0)
-            br = wedge_bracket(diff, diff)
-            fij = wform((lambda a, b: lambda x: a(x) * b(x))(
-                weights[i].func, weights[j].func))
-            formula = formula + wedge(fij, br, smul).scale(-0.5)
-    for i in range(n - 1):
-        dfi = exterior_d(wform(weights[i].func))
-        diff = omegas[i] + omegas[n - 1].scale(-1.0)
-        formula = formula + wedge(dfi, diff, smul)
-    return direct, formula
+    omega = Omega = 0.0
+    for w, dw, om, Om in terms:
+        omega = omega + w * om
+        Omega = Omega + wedge_pairs(dw, om) + w * (Om - bracket_pairs(om))
+    return Omega + bracket_pairs(omega)
 
 
 def vertical_vectors(proj: SmoothMap, x):

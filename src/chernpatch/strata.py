@@ -390,29 +390,18 @@ class PatchedSystem:
 
     def curvature(self, x: ModelPoint, g, dr):
         """Curvature coefficients of the chain form omega = sum_c w_c omega_c
-        over the pairs i < j of the m chart directions of g.
-
-        dr is the (len(x.r), m) Jacobian of the tube distances over those
-        directions, so dw_c = (gradient of w_c over x.r) @ dr.  With
-        Omega_c the curvature of omega_c, the product rule gives
-
-            Omega = sum_c [dw_c ^ omega_c + w_c (Omega_c - 1/2 [omega_c, omega_c])]
-                    + 1/2 [omega, omega],
-
-        which does not need sum_c w_c = 1.  A chain is skipped where both
-        w_c and dw_c vanish.
+        over the pairs i < j of the m chart directions of g, by
+        ext.combination_curvature over the chains.  dr is the (len(x.r), m)
+        Jacobian of the tube distances over those directions, so
+        dw_c = (gradient of w_c over x.r) @ dr.  A chain is skipped where
+        both w_c and dw_c vanish.
         """
         md = self.model
-        omega = Omega = 0.0
-        for chain, w in md.chain_form_weights(x):
-            dw = md.chain_form_weight_grad(chain, x) @ dr
-            if w == 0.0 and not dw.any():
-                continue
-            om, Om = self.chain_curvature(chain, x, g)
-            omega = omega + w * om
-            Omega = Omega + ext.wedge_pairs(dw, om) + w * (
-                Om - ext.bracket_pairs(om))
-        return Omega + ext.bracket_pairs(omega)
+        chains = ((chain, w, md.chain_form_weight_grad(chain, x) @ dr)
+                  for chain, w in md.chain_form_weights(x))
+        return ext.combination_curvature(
+            (w, dw) + self.chain_curvature(chain, x, g)
+            for chain, w, dw in chains if w != 0.0 or dw.any())
 
     def localized(self, x: ModelPoint, g):
         """(value, W, sum_of_weights): localized form around the base stratum W."""

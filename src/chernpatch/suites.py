@@ -129,49 +129,69 @@ def suite_vanishing(seed=0, tol=0.0, samples=10000, model=None):
                     "pairs_checked": report["checked"]})
 
 
-def _random_poly_scalar(m, rng):
-    c0 = rng.uniform(-1, 1)
-    c1 = rng.uniform(-1, 1, m)
-    c2 = rng.uniform(-1, 1, (m, m))
-
-    def f(x):
-        lin = sum(c1[i] * x[i] for i in range(m))
-        quad = sum(c2[i][j] * x[i] * x[j]
-                   for i in range(m) for j in range(m))
-        return c0 + 0.3 * lin + 0.1 * quad
-
-    return f
+_PATCH_PARTS, _PATCH_DIM = 3, 2  # patch: 3 End(C^2)-valued 1-forms a sample
+_SHIFT_DIM = 4  # matrix size of the commuting pairs of nilpotent, springer
 
 
-def _random_poly_one_form(m, d, rng):
-    AB = [(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, (m, d, d)))
-          for _ in range(m)]
+def _random_weights(m, rng):
+    """x -> (f, df) for _PATCH_PARTS weights: f_i = c0 + 0.3 c1.x + 0.1 x.c2.x
+    for all but the last, which is 1 - the others; gradients in closed form."""
+    c0, c1, c2 = (np.array(c) for c in zip(*[
+        (rng.uniform(-1, 1), rng.uniform(-1, 1, m), rng.uniform(-1, 1, (m, m)))
+        for _ in range(_PATCH_PARTS - 1)]))
 
-    def coeffs(x):
-        return np.array(
-            [[[A[r][c] + sum(0.4 * x[k] * B[k][r][c] for k in range(m))
-               for c in range(d)] for r in range(d)] for A, B in AB],
-            dtype=object)
+    def weights(x):
+        x = np.asarray(x)
+        f = c0 + 0.3 * (c1 @ x) + 0.1 * (c2 @ x @ x)
+        df = 0.3 * c1 + 0.1 * ((c2 + c2.transpose(0, 2, 1)) @ x)
+        return np.append(f, 1.0 - f.sum()), np.vstack([df, -df.sum(axis=0)])
 
-    return ext.VForm(m, 1, ext.SmoothMap(m, coeffs))
+    return weights
 
 
-def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4, nparts=3, dim=2):
-    """Curvature of a weighted combination against the expansion identity."""
+def _random_affine_form(m, rng):
+    """End(C^2)-valued 1-form with coefficients A_i + 0.4 sum_k x_k B_ik,
+    carrying its analytic Jacobian."""
+    d = _PATCH_DIM
+    A, B = (np.array(c) for c in zip(*[
+        (rng.uniform(-1, 1, (d, d)), 0.4 * rng.uniform(-1, 1, (m, d, d)))
+        for _ in range(m)]))
+    J = B.transpose(1, 0, 2, 3)
+    return ext.VForm(m, 1, ext.SmoothMap(
+        m, lambda x: A + np.einsum("k,ikrc->irc", x, B), jac=lambda x: J))
+
+
+def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
+    """Curvature of omega = sum_i f_i omega_i, for quadratic weights f_i
+    summing to 1 and affine 1-forms omega_i of curvatures Omega_i: the
+    product rule of ext.combination_curvature,
+
+        Omega = sum_i [df_i ^ omega_i + f_i (Omega_i - 1/2 [omega_i, omega_i])]
+                + 1/2 [omega, omega],
+
+    with df_i in closed form and Omega_i from analytic Jacobians, against
+    ext.curvature_form of omega by central differences, coefficient by
+    coefficient at three points per sample.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         m = int(rng.integers(2, nvars + 1))
-        fs = [_random_poly_scalar(m, rng) for _ in range(nparts - 1)]
+        weights = _random_weights(m, rng)
+        omegas = [_random_affine_form(m, rng) for _ in range(_PATCH_PARTS)]
+        curvatures = [ext.curvature_form(om) for om in omegas]
 
-        def last(x, fs=fs):
-            return 1.0 - sum(f(x) for f in fs)
+        def combined(x, weights=weights, omegas=omegas):
+            return sum(f * om.coeffs.func(x)
+                       for f, om in zip(weights(x)[0], omegas))
 
-        weights = [ext.SmoothMap(m, f) for f in fs + [last]]
-        omegas = [_random_poly_one_form(m, dim, rng) for _ in range(nparts)]
-        direct, formula = ext.patch_combination_curvature(weights, omegas)
-        pts = [rng.uniform(-0.5, 0.5, m) for _ in range(3)]
-        worst = max(worst, ext.form_distance(direct, formula, pts, rng=rng))
+        oracle = ext.curvature_form(ext.VForm(m, 1, ext.SmoothMap(m, combined)))
+        for x in [rng.uniform(-0.5, 0.5, m) for _ in range(3)]:
+            formula = ext.combination_curvature(zip(
+                *weights(x), [om.coeffs.value(x) for om in omegas],
+                [Om.coeffs.value(x) for Om in curvatures]))
+            worst = max(worst, float(np.max(np.abs(
+                formula - oracle.coeffs.value(x)))))
     return _finish("patch", seed, tol, samples,
                    [_check("combination-identity", worst, tol)])
 
@@ -218,41 +238,41 @@ def _commuting_pair(rng, dim=4, exact=True):
             np.array([[float(v) for v in row] for row in n]))
 
 
-def suite_nilpotent(seed=0, tol=1e-9, samples=500, dim=4):
+def suite_nilpotent(seed=0, tol=1e-9, samples=500):
     """Elementary symmetric invariants ignore commuting nilpotent shifts."""
     rng = np.random.default_rng(seed)
     exact_bad = 0
     worst = 0.0
     for t in range(samples):
-        x, n = _commuting_pair(rng, dim, exact=True)
+        x, n = _commuting_pair(rng, _SHIFT_DIM, exact=True)
         a = inv.elementary_symmetric_values(x)
         b = inv.elementary_symmetric_values(x + n)
-        exact_bad += sum(a[k] != b[k] for k in range(1, dim + 1))
+        exact_bad += sum(a[k] != b[k] for k in range(1, _SHIFT_DIM + 1))
         xf = np.array([[float(v) for v in row] for row in x])
         nf = np.array([[float(v) for v in row] for row in n])
         a = inv.elementary_symmetric_values(xf)
         b = inv.elementary_symmetric_values(xf + nf)
-        for k in range(1, dim + 1):
+        for k in range(1, _SHIFT_DIM + 1):
             worst = max(worst, abs(a[k] - b[k]))
     checks = [_check("exact-invariance-failures", exact_bad, 0.0),
               _check("float-invariance", worst, tol)]
     return _finish("nilpotent", seed, tol, samples, checks)
 
 
-def suite_springer(seed=0, tol=1e-9, samples=50, dim=4, corrupt=False):
+def suite_springer(seed=0, tol=1e-9, samples=50, corrupt=False):
     """Invariant-polynomial evaluation through nilpotent perturbations."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         if corrupt:
-            x = rng.standard_normal((dim, dim))
-            n = np.triu(rng.standard_normal((dim, dim)), 1)
-            for k in range(1, dim + 1):
+            x = rng.standard_normal((_SHIFT_DIM, _SHIFT_DIM))
+            n = np.triu(rng.standard_normal((_SHIFT_DIM, _SHIFT_DIM)), 1)
+            for k in range(1, _SHIFT_DIM + 1):
                 f = inv.elementary_symmetric(k)
                 worst = max(worst, abs(f(x + n) - f(x)))
         else:
-            x, n = _commuting_pair(rng, dim, exact=False)
-            for k in range(1, dim + 1):
+            x, n = _commuting_pair(rng, _SHIFT_DIM, exact=False)
+            for k in range(1, _SHIFT_DIM + 1):
                 f = inv.elementary_symmetric(k)
                 worst = max(worst, abs(inv.springer_check(f, x, n, tol=1e-6)))
     name = "invariance-with-corrupted-pair" if corrupt else "invariance"

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpatch import exterior as ext, invariants as inv
+from chernpatch import exterior as ext, invariants as inv, suites
 from chernpatch.dual import Dual, seed
-from chernpatch.errors import PreconditionFailed
 
 
 def _poly_form(m, rng, deg=1, d=2):
@@ -90,21 +89,7 @@ def test_second_chern_form_of_constant_curvature_is_determinant():
     assert np.max(np.abs(c2.coeffs.value(x) - oracle.coeffs.value(x))) < 1e-12
 
 
-def test_jacobian_raises_errors_of_the_dual_path():
-    # only a TypeError (a map that casts its input) selects central
-    # differences; any other error of the dual evaluation propagates
-    def f(x):
-        if isinstance(x[0], Dual):
-            raise PreconditionFailed("dual input")
-        return x[0] * x[1]
-
-    sm = ext.SmoothMap(2, f)
-    assert sm.value([1.0, 2.0]) == 2.0
-    with pytest.raises(PreconditionFailed):
-        sm.jacobian([1.0, 2.0])
-
-
-def test_dual_jacobian_matches_finite_difference():
+def test_central_difference_jacobian_matches_analytic_derivative():
     rng = np.random.default_rng(1)
 
     def f(x):
@@ -136,18 +121,35 @@ def test_wedge_antisymmetry_scalar():
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_patch_combination_identity(seed):
+    # with sum f_i = 1 and sum df_i = 0 the product rule reads
+    # sum f_i Omega_i - sum_{i<j} f_i f_j 1/2 [omega_i - omega_j, same]
+    #   + sum_{i<n} df_i ^ (omega_i - omega_n)
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 5))
+    n, m, d = (int(rng.integers(2, 5)), int(rng.integers(2, 6)),
+               int(rng.integers(1, 4)))
+    f = rng.uniform(-1, 1, n)
+    f[-1] = 1.0 - f[:-1].sum()
+    df = rng.uniform(-1, 1, (n, m))
+    df[-1] = -df[:-1].sum(axis=0)
+    om = _coeff_array(rng, n * m, (d, d)).reshape(n, m, d, d)
+    Om = _coeff_array(rng, n * math.comb(m, 2), (d, d)).reshape(
+        n, math.comb(m, 2), d, d)
+    got = ext.combination_curvature(zip(f, df, om, Om))
+    want = sum(f[i] * Om[i] for i in range(n))
+    for i, j in combinations(range(n), 2):
+        want = want - f[i] * f[j] * ext.bracket_pairs(om[i] - om[j])
+    for i in range(n - 1):
+        want = want + ext.wedge_pairs(df[i], om[i] - om[-1])
+    assert np.max(np.abs(got - want)) <= 1e-12
 
-    f1 = ext.SmoothMap(m, (lambda c: lambda x: c[0] + c[1] * x[0] * x[1])(
-        rng.uniform(-1, 1, 2)))
-    f2 = ext.SmoothMap(m, (lambda c: lambda x: c[0] + c[1] * x[0] ** 2)(
-        rng.uniform(-1, 1, 2)))
-    f3 = ext.SmoothMap(m, lambda x: 1.0 - f1.func(x) - f2.func(x))
-    omegas = [_poly_form(m, rng) for _ in range(3)]
-    direct, formula = ext.patch_combination_curvature([f1, f2, f3], omegas)
-    pts = [rng.uniform(-0.5, 0.5, m) for _ in range(2)]
-    assert ext.form_distance(direct, formula, pts, rng=rng) < 1e-6
+
+def test_patch_fails_without_the_dw_term(monkeypatch):
+    # negative control: the product rule with dw ^ omega dropped
+    monkeypatch.setattr(ext, "wedge_pairs",
+                        lambda f, a: np.zeros_like(ext.bracket_pairs(a)))
+    rpt = suites.run_suite("patch", seed=0, samples=10)
+    assert not rpt["pass"]
+    assert rpt["checks"][0]["max_residual"] > 1e-3
 
 
 def test_pifiber_check_passes_on_pullback():

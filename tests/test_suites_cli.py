@@ -333,3 +333,18 @@ def test_cli_module_runs_without_warnings():
                           "schubert"], capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stderr == ""
+
+
+def test_suites_run_without_dual_numbers():
+    # every chart map is differentiated analytically or by differences
+    code = ("import sys\n"
+            "import chernpatch\n"
+            "from chernpatch import suites\n"
+            "assert suites.run_suite('patch', samples=1)['pass']\n"
+            "assert suites.run_suite('bridge', samples=1)['pass']\n"
+            "assert 'chernpatch.dual' not in sys.modules\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
