@@ -82,12 +82,19 @@ class VForm:
         return self.contract(self.coeffs.value(x), vectors)
 
     def contract(self, C, vectors):
-        """The form with coefficient array C on v_1, ..., v_q: the sum over
-        I of C_I det(v_r[I_c])."""
-        assert len(vectors) == self.degree
-        V = np.array(vectors, dtype=complex).reshape(self.degree, self.m)
-        dets = np.linalg.det(V[:, self._cols].transpose(1, 0, 2))
-        return sum((c * d for c, d in zip(C, dets)), np.zeros((), dtype=complex))
+        """The form with coefficient array C on vectors (..., q, m), one set
+        v_1, ..., v_q per leading index: the sum over I of C_I det(v_r[I_c]),
+        added in index order."""
+        V = np.asarray(vectors, dtype=complex)
+        if V.shape[-2:] != (self.degree, self.m):
+            raise ValueError(f"need {self.degree} vectors of length {self.m}")
+        dets = np.moveaxis(np.linalg.det(V[..., self._cols].swapaxes(-3, -2)),
+                           -1, 0)
+        dets = dets.reshape(dets.shape + (1,) * (np.ndim(C) - 1))
+        out = np.zeros((), dtype=complex)
+        for c, d in zip(C, dets):
+            out = out + c * d
+        return out
 
     def __add__(self, other):
         assert self.m == other.m and self.degree == other.degree
@@ -159,10 +166,6 @@ def wedge(f1: VForm, f2: VForm, mul) -> VForm:
     return VForm(f1.m, f1.degree + f2.degree, SmoothMap(f1.m, coeffs))
 
 
-def wedge_scalar(f1: VForm, f2: VForm) -> VForm:
-    return wedge(f1, f2, lambda a, b: a * b)
-
-
 def wedge_bracket(f1: VForm, f2: VForm) -> VForm:
     """Bracket wedge of End(V)-valued 1-forms: [a,b]^ = a^b with commutator.
 
@@ -179,11 +182,14 @@ def _pair_index(m):
 
 
 def bracket_pairs(a):
-    """[a_i, a_j] over i < j, in combinations(range(m), 2) order, for a stack
-    a of m matrices: the coefficients of 1/2 [alpha, alpha] for the 1-form
-    alpha = sum_i a_i dx_i."""
-    i, j = _pair_index(len(a))
-    return a[i] @ a[j] - a[j] @ a[i]
+    """[a_i, a_j] over i < j, in combinations(range(m), 2) order, for a
+    (..., m, d, d) stack a: the coefficients of 1/2 [alpha, alpha] for the
+    1-form alpha = sum_i a_i dx_i, on axis -3."""
+    i, j = _pair_index(a.shape[-3])
+    ai, aj = a[..., i, :, :], a[..., j, :, :]
+    out = ai @ aj
+    out -= aj @ ai
+    return out
 
 
 def wedge_pairs(f, a):
@@ -231,13 +237,12 @@ def vertical_vectors(proj: SmoothMap, x):
 def vertical_contraction(form: VForm, C, verts, rng):
     """Largest entry of |form(v, w_2, ..., w_q)| over the vectors v of verts,
     for the coefficient array C of form at one point; the w_k are fresh
-    standard normal draws from rng, q - 1 of them per v."""
-    worst = 0.0
-    for v in verts:
-        others = [rng.standard_normal(form.m) for _ in range(form.degree - 1)]
-        val = form.contract(C, [v] + others)
-        worst = max(worst, float(np.max(np.abs(val))))
-    return worst
+    standard normal draws from rng, q - 1 of them per v, drawn in that order
+    in one call."""
+    others = rng.standard_normal((len(verts), form.degree - 1, form.m))
+    V = np.concatenate([np.reshape(verts, (len(verts), 1, form.m)), others],
+                       axis=1)
+    return float(np.max(np.abs(form.contract(C, V)), initial=0.0))
 
 
 def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):

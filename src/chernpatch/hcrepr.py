@@ -21,7 +21,10 @@ Representations and canonical extensions hold what they reuse, built in
 their constructors: the differential as an (N^2, d^2) matrix tabulated on
 the matrix units, and for a canonical extension j(c_1)^{-1}.  The
 differentials then take a matrix or a (..., N, N) stack to (..., d, d) in
-one matmul.
+one matmul.  hc_decompose, a canonical extension and the lamC of the sp2nR
+representations (std, det^m, sym2) take a (..., N, N) stack too, in one
+numpy pass, with every check held per element and the first failing row
+named in the error.
 """
 
 from __future__ import annotations
@@ -52,24 +55,26 @@ class HCDecomposition:
 
 
 def hc_decompose(spec, g, tol=1e-9) -> HCDecomposition:
-    """Open-cell factorization of g (given in defining coordinates)."""
+    """Open-cell factorization of g (given in defining coordinates), or of
+    each element of a stack, checked per element."""
     gc = _complex(spec, g)
     p, q = spec.blocks
-    A, B = gc[:p, :p], gc[:p, p:]
-    C, D = gc[p:, :p], gc[p:, p:]
-    if np.linalg.cond(D) > COND_MAX:
-        raise DecompositionError("lower-right block too ill-conditioned: not in the open cell")
+    A, B = gc[..., :p, :p], gc[..., :p, p:]
+    C, D = gc[..., p:, :p], gc[..., p:, p:]
+    liecore.require(np.isfinite(gc).all(axis=(-2, -1)), "element not finite")
+    liecore.require(np.linalg.cond(D) <= COND_MAX,
+                    "lower-right block too ill-conditioned: not in the open cell")
     Dinv = np.linalg.inv(D)
-    pp = np.eye(p + q, dtype=complex)
-    pp[:p, p:] = B @ Dinv
-    pm = np.eye(p + q, dtype=complex)
-    pm[p:, :p] = Dinv @ C
-    kc = np.zeros((p + q, p + q), dtype=complex)
-    kc[:p, :p] = A - B @ Dinv @ C
-    kc[p:, p:] = D
-    res = np.max(np.abs(pp @ kc @ pm - gc))
-    if res > tol * max(1.0, np.max(np.abs(gc))):
-        raise DecompositionError(f"factorization residual {res}")
+    pp = liecore._eye_stack(gc.shape[:-2], p + q, dtype=complex)
+    pp[..., :p, p:] = B @ Dinv
+    pm = liecore._eye_stack(gc.shape[:-2], p + q, dtype=complex)
+    pm[..., p:, :p] = Dinv @ C
+    kc = np.zeros_like(gc)
+    kc[..., :p, :p] = A - B @ Dinv @ C
+    kc[..., p:, p:] = D
+    res = liecore._maxabs(pp @ kc @ pm - gc)
+    liecore.require(res <= tol * np.maximum(1.0, liecore._maxabs(gc)),
+                    "factorization residual above tolerance")
     return HCDecomposition(p_plus=pp, k_c=kc, p_minus=pm)
 
 
@@ -117,10 +122,11 @@ def cayley_element(spec, r):
 class Representation:
     """A representation of K given through its holomorphic extension to K(C).
 
-    lamC eats a block-diagonal matrix in complex coordinates and returns a
-    GL(V) matrix; lamC_alg is its differential on block-diagonal algebra
-    elements, linear in one matrix.  The constructor tabulates lamC_alg(M .
-    M^{-1}) on the matrix units, and :meth:`lam_alg` applies that table.
+    lamC eats a block-diagonal matrix in complex coordinates (for sp2nR, or
+    a stack) and returns a GL(V) matrix; lamC_alg is its differential on
+    block-diagonal algebra elements, linear in one matrix.  The constructor
+    tabulates lamC_alg(M . M^{-1}) on the matrix units, and :meth:`lam_alg`
+    applies that table.
     """
 
     spec: object
@@ -163,22 +169,18 @@ def _sym2_basis(n):
             if i == j:
                 S = S / 2.0
             out.append(S)
-    return out
+    return np.array(out)
 
 
-def _sym2_action(a, ddim, basis, derivative):
-    """Matrix of S -> a S a^T (or a S + S a^T if derivative) on Sym^2."""
-    n = a.shape[0]
-    cols = []
-    for S in basis:
-        T = a @ S + S @ a.T if derivative else a @ S @ a.T
-        # coordinates of T in the basis: T_ij entries, basis indexed by (i<=j)
-        col = []
-        for i in range(n):
-            for j in range(i, n):
-                col.append(T[i, j])
-        cols.append(col)
-    return np.array(cols, dtype=complex).T
+def _sym2_action(a, basis, derivative):
+    """Matrix of S -> a S a^T (or a S + S a^T if derivative) on Sym^2, for a
+    matrix a or a stack: column b holds the entries T_ij, i <= j, of the
+    image T of basis[b]."""
+    a = a[..., None, :, :]
+    at = a.swapaxes(-1, -2)
+    T = a @ basis + basis @ at if derivative else a @ basis @ at
+    i, j = np.triu_indices(basis.shape[-1])
+    return T[..., i, j].swapaxes(-1, -2)
 
 
 def builtin_representation(spec, name: str) -> Representation:
@@ -193,7 +195,7 @@ def builtin_representation(spec, name: str) -> Representation:
         n = spec.n
 
         def topleft(kc):
-            return np.asarray(kc, dtype=complex)[:n, :n]
+            return np.asarray(kc, dtype=complex)[..., :n, :n]
 
         if name == "std":
             return Representation(spec, name, n, topleft, topleft)
@@ -201,16 +203,15 @@ def builtin_representation(spec, name: str) -> Representation:
             m = int(name[4:])
             return Representation(
                 spec, name, 1,
-                lambda kc: np.array([[np.linalg.det(topleft(kc)) ** m]]),
+                lambda kc: np.linalg.det(topleft(kc))[..., None, None] ** m,
                 lambda kc: np.array([[m * np.trace(topleft(kc))]]),
             )
         if name == "sym2":
             basis = _sym2_basis(n)
-            d = n * (n + 1) // 2
             return Representation(
-                spec, name, d,
-                lambda kc: _sym2_action(topleft(kc), d, basis, derivative=False),
-                lambda kc: _sym2_action(topleft(kc), d, basis, derivative=True),
+                spec, name, len(basis),
+                lambda kc: _sym2_action(topleft(kc), basis, derivative=False),
+                lambda kc: _sym2_action(topleft(kc), basis, derivative=True),
             )
         raise UnsupportedFlag(f"unknown representation {name} for sp2nR")
     if fam in ("su_pq", "su2"):
@@ -266,13 +267,10 @@ class CanonicalExtension:
         xc[:, p:, :p] = 0.0
         self._dlam = np.array([rep.lamC_alg(m) for m in xc]).reshape(N * N, -1)
 
-    def j_twisted(self, g):
-        """j(c_1)^{-1} j(c_1 g), a K(C) element in complex coordinates."""
-        return self._jc1_inv @ middle_j(self.spec,
-                                        self.c1 @ np.asarray(g, dtype=complex))
-
     def __call__(self, g):
-        return self.rep.lamC(self.j_twisted(g))
+        """lamC(j(c_1)^{-1} j(c_1 g)) at g, or at each element of a stack."""
+        return self.rep.lamC(self._jc1_inv @ middle_j(
+            self.spec, self.c1 @ np.asarray(g, dtype=complex)))
 
     def alg(self, xdot):
         """Differential of lambda_1 at the identity on Lie(P_1) directions,
@@ -296,26 +294,6 @@ def relative_extension(rep: Representation, r_inner: int, r_outer: int) -> Canon
         raise UnsupportedFlag("need r_outer > r_inner")
     return CanonicalExtension(rep, cayley_element(rep.spec, r_outer)
                               @ np.linalg.inv(cayley_element(rep.spec, r_inner)))
-
-
-# ---------------------------------------------------------------------------
-# automorphy factors
-
-
-def j_factor(spec, g, h):
-    """Canonical K(C)-valued automorphy factor at the point h x_0.
-
-    Value j(g h) j(h)^{-1} in complex coordinates; requires both arguments
-    of j in the open cell and satisfies the cocycle identity.
-    """
-    jh = middle_j(spec, h)
-    jgh = middle_j(spec, np.asarray(g, dtype=complex) @ np.asarray(h, dtype=complex))
-    return jgh @ np.linalg.inv(jh)
-
-
-def automorphy(rep: Representation, g, h):
-    """J_lambda(g, h x_0) = lambda_C( j(gh) j(h)^{-1} )."""
-    return rep.lamC(j_factor(rep.spec, g, h))
 
 
 def extension_compat_check(rep: Representation, r_inner, r_outer,

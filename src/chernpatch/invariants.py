@@ -1,5 +1,5 @@
-"""Conjugation-invariant polynomials, polarization, Jordan decomposition and
-the nilpotent-invariance check, plus Chern form assembly.
+"""Conjugation-invariant polynomials, Jordan decomposition and the
+nilpotent-invariance check, plus Chern form assembly.
 
 Exact arithmetic uses object-dtype numpy arrays of fractions.Fraction; the
 float path is float64/complex128.  The exact characteristic polynomial is
@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, dropwhile
+from itertools import dropwhile
 
 import numpy as np
 
@@ -27,10 +27,6 @@ from .errors import IllConditionedSpectrum, PreconditionFailed
 
 def _is_exact(x):
     return np.asarray(x).dtype == object
-
-
-def exact_matrix(rows):
-    return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
 
 
 def _berkowitz(a):
@@ -108,29 +104,6 @@ class InvariantPolynomial:
 
 def elementary_symmetric(k) -> InvariantPolynomial:
     return InvariantPolynomial(k, lambda x: elementary_symmetric_value(x, k))
-
-
-def polarize_eval(f: InvariantPolynomial, xs):
-    """Full polarization P(x_1,...,x_k), normalized so P(x,...,x) = f(x).
-
-    Inclusion-exclusion: P = (1/k!) sum_{S nonempty} (-1)^{k-|S|} f(sum_S x_i).
-    """
-    k = f.degree
-    if len(xs) != k:
-        raise ValueError(f"need {k} arguments")
-    exact = _is_exact(xs[0])
-    total = None
-    for r in range(1, k + 1):
-        for S in combinations(range(k), r):
-            acc = xs[S[0]]
-            for i in S[1:]:
-                acc = acc + xs[i]
-            term = f(acc)
-            sign = (-1) ** (k - r)
-            term = sign * term
-            total = term if total is None else total + term
-    fact = Fraction(1, math.factorial(k)) if exact else 1.0 / math.factorial(k)
-    return fact * total
 
 
 def is_nilpotent(n, tol=1e-9):

@@ -10,8 +10,8 @@ Supported families:
 
 A :class:`GroupSpec` is the one place that knows what a family is (size,
 invariant form F, realness, det = 1, K(C) blocks, the coordinate change M);
-other modules read these facts from the spec, and membership is one formula
-for every family (:func:`alg_residual`, :func:`grp_residual`).
+other modules read these facts from the spec, and group membership is one
+formula for every family (:func:`grp_residual`).
 
 Elements are plain numpy arrays; the functions here validate the defining
 relations, split along the Cartan involution theta(X) = -X^H, and build
@@ -26,6 +26,11 @@ connections.InvariantConnection for its ambient basis.
 The package's one matrix exponential is :func:`expm`, on a matrix or a
 stack; :func:`exp_grp` and the group charts in :mod:`charts` both use it.
 
+algebra_coords, ParabolicData.split, cartan_split, sp_embed_gl and
+group_factor_fine take a (..., N, N) stack too.  Their checks hold per
+element through :func:`require`, which names the first failing row, with
+each bound written res <= bound so that a NaN fails it.
+
 All numeric work is float64/complex128 with default tolerance 1e-9.  The
 purely algebraic operations (bracket, cartan_split, residuals) also accept
 object-dtype arrays of ``fractions.Fraction`` for exact checks.
@@ -33,6 +38,7 @@ object-dtype arrays of ``fractions.Fraction`` for exact checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -139,21 +145,8 @@ def so2() -> GroupSpec:
 
 
 def _conjT(X):
-    if X.dtype == object:
-        return X.swapaxes(-1, -2)
-    return X.conj().swapaxes(-1, -2)
-
-
-def alg_residual(spec: GroupSpec, X) -> float:
-    """Residual of the linearized defining relation at X:
-    max(|X^H F + F X|, |tr X| if special, |Im X| if real)."""
-    F = spec.form
-    r = float(np.max(np.abs(_conjT(X) @ F + F @ X)))
-    if spec.special:
-        r = max(r, abs(complex(np.trace(X))))
-    if spec.real:
-        r = max(r, float(np.max(np.abs(np.asarray(X, dtype=complex).imag))))
-    return r
+    """X^H; a real or exact X is only transposed, without a copy."""
+    return (X.conj() if np.iscomplexobj(X) else X).swapaxes(-1, -2)
 
 
 def grp_residual(spec: GroupSpec, g) -> float:
@@ -263,13 +256,19 @@ def algebra_coords(solver, X, tol: float, message: str):
     B, pinv = solver
     v = _vec(X)
     c = v @ pinv.T
-    bad = (np.abs(c @ B.T - v).max(axis=-1)
-           > tol * np.maximum(1.0, np.abs(v).max(axis=-1)))
-    if bad.any():
-        if bad.ndim:
-            message += f" (row {', '.join(map(str, np.argwhere(bad)[0]))})"
-        raise DecompositionError(message)
+    require(np.abs(c @ B.T - v).max(axis=-1)
+            <= tol * np.maximum(1.0, np.abs(v).max(axis=-1)), message)
     return c
+
+
+def require(ok, message: str):
+    """Raise DecompositionError(message) unless the numpy boolean ok holds,
+    or each entry of it, naming the first failing row of a stack."""
+    if ok.all() if ok.ndim else ok:
+        return
+    if ok.ndim:
+        message += f" (row {', '.join(map(str, np.argwhere(~ok)[0]))})"
+    raise DecompositionError(message)
 
 
 def from_coords(coords, basis):
@@ -295,12 +294,11 @@ def cartan_theta(spec: GroupSpec, X):
 def cartan_split(spec: GroupSpec, X):
     """(k, p) with X = k + p, theta(k) = k, theta(p) = -p; X may be a stack."""
     th = cartan_theta(spec, X)
-    if X.dtype == object:
-        half = Fraction(1, 2)
-    else:
-        half = 0.5
-    k = half * (X + th)
-    p = half * (X - th)
+    half = Fraction(1, 2) if X.dtype == object else 0.5
+    k = X + th      # scaled in place: no second temporary per stack
+    k *= half
+    p = X - th
+    p *= half
     return k, p
 
 
@@ -329,12 +327,6 @@ def exp_grp(spec: GroupSpec, X):
     if spec.real:
         g = g.real
     return check_grp(spec, g, tol=max(TOL, 1e-8 * float(np.linalg.norm(g))))
-
-
-def random_alg(spec: GroupSpec, rng, scale: float = 1.0):
-    basis = algebra_basis(spec)
-    c = rng.standard_normal(len(basis)) * scale
-    return from_coords(c, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -546,71 +538,90 @@ def _sp_indices(spec: GroupSpec, r: int):
     return idx_v, idx_vbar, idx_w
 
 
-def sp_hermitian_block(spec: GroupSpec, r: int, g):
-    """Restrict to the W = V^perp/V plane block; lands in Sp(2(n-r),R)."""
-    _, _, idx_w = _sp_indices(spec, r)
-    return np.asarray(g)[np.ix_(idx_w, idx_w)]
+@functools.cache
+def _sp_blocks(spec: GroupSpec, r: int):
+    """Index keys (..., rows, cols) of the V, Vbar (index ranges: slices) and
+    W blocks of :func:`_sp_indices`, built once per (spec, r)."""
+    v, vbar, w = _sp_indices(spec, r)
+    v, vbar = (slice(i[0], i[-1] + 1) for i in (v, vbar))
+    return (..., v, v), (..., vbar, vbar), (..., *np.ix_(w, w))
 
 
-def sp_embed_hermitian(spec: GroupSpec, r: int, h):
-    _, _, idx_w = _sp_indices(spec, r)
-    N = spec.size
-    out = np.eye(N, dtype=np.asarray(h).dtype)
-    out[np.ix_(idx_w, idx_w)] = h
+def _eye_stack(shape, N, parts=(), dtype=float):
+    """Identity matrices of size N over the leading shape, with the blocks
+    of parts, pairs (key of :func:`_sp_blocks`, block stack), written in."""
+    out = np.zeros(tuple(shape) + (N, N), dtype=dtype)
+    out.reshape(-1, N * N)[:, ::N + 1] = 1.0
+    for key, block in parts:
+        out[key] = block
     return out
 
 
 def sp_embed_gl(spec: GroupSpec, r: int, a):
-    """Embed a in GL(r) as the linear Levi element acting as a on V."""
-    idx_v, idx_vbar, _ = _sp_indices(spec, r)
-    N = spec.size
+    """Embed a in GL(r), or a stack of them, as the linear Levi element
+    acting as a on V."""
+    v, vbar, _ = _sp_blocks(spec, r)
     a = np.asarray(a, dtype=float)
-    out = np.eye(N)
-    out[np.ix_(idx_v, idx_v)] = a
-    out[np.ix_(idx_vbar, idx_vbar)] = np.linalg.inv(a).T
-    return out
+    return _eye_stack(a.shape[:-2], spec.size,
+                      [(v, a), (vbar, np.linalg.inv(a).swapaxes(-1, -2))])
 
 
 def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
-    """Factor g in Q as (u_1, g_{1h}, u_rel, g_{Ql}), in that product order."""
+    """Factor g in Q as (u_1, g_{1h}, u_rel, g_{Ql}), in that product order.
+
+    g may be a (..., N, N) stack; every check holds per element, and
+    DecompositionError names the first failing row."""
     spec = pd.spec
     if spec.family != "sp2nR":
         raise UnsupportedFlag("group factorization implemented for sp2nR only")
     g = np.asarray(g, dtype=float)
     rmax = pd.flag[-1]
-    idx_v, _, _ = _sp_indices(spec, rmax)
+    v, vbar, w = _sp_blocks(spec, rmax)
 
-    a_full = g[np.ix_(idx_v, idx_v)]               # action on V, block triangular
+    a_full = g[v]                                  # action on V, block triangular
     # sub-flag block sizes inside V (coordinates ordered e_{n-rmax}..e_{n-1};
     # the rank-r_i subspace is the span of the *last* r_i of these)
-    ranks = list(pd.flag)
-    cuts = [rmax - r for r in reversed(ranks)] + [rmax]   # ascending cut points
-    cuts = sorted(set([0] + cuts))
-    blocks = [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+    cuts = sorted({0, rmax} | {rmax - r for r in pd.flag})   # ascending
+    blocks = list(zip(cuts, cuts[1:]))
     # g preserves each subspace of the flag exactly when a_full is block
     # lower triangular: nothing above a diagonal block
     for (s, e) in blocks[1:]:
-        if np.max(np.abs(a_full[:s, s:e])) > tol * max(1.0, np.max(np.abs(a_full))):
-            raise DecompositionError("group element not in the parabolic cell")
+        require(_maxabs(a_full[..., :s, s:e])
+                <= tol * np.maximum(1.0, _maxabs(a_full)),
+                "group element not in the parabolic cell")
     d = np.zeros_like(a_full)
     for (s, e) in blocks:
-        d[s:e, s:e] = a_full[s:e, s:e]
-    nmat = a_full @ np.linalg.inv(d)
+        d[..., s:e, s:e] = a_full[..., s:e, s:e]
+    d_inv = np.linalg.inv(d)
+    nmat = a_full @ d_inv
 
-    g_ql = sp_embed_gl(spec, rmax, d)
-    u_rel = sp_embed_gl(spec, rmax, nmat)
-    h_small = sp_hermitian_block(spec, rmax, g)
-    g_1h = sp_embed_hermitian(spec, rmax, h_small)
-    u1 = g @ np.linalg.inv(g_1h @ u_rel @ g_ql)
+    shape, N = g.shape[:-2], spec.size
+    h_small = g[w]                                 # lands in Sp(2(n-rmax), R)
+    # h_small^{-1} and a_full^{-1} from one inverse of the element that is
+    # block diagonal over (W, V)
+    q_inv = np.linalg.inv(_eye_stack(shape, N, [(w, h_small), (v, a_full)]))
+    g_ql = _eye_stack(shape, N, [(v, d), (vbar, d_inv.swapaxes(-1, -2))])
+    # u_rel = sp_embed_gl(nmat), with nmat^{-1} = d a_full^{-1}
+    u_rel = _eye_stack(shape, N, [(v, nmat),
+                                  (vbar, (d @ q_inv[v]).swapaxes(-1, -2))])
+    g_1h = _eye_stack(shape, N, [(w, h_small)])
+    # (g_1h u_rel g_ql)^{-1} = sp_embed_gl(a_full^{-1}) g_1h^{-1}: the two
+    # factors act on complementary blocks
+    q_inv[vbar] = a_full.swapaxes(-1, -2)
+    u1 = g @ q_inv
     # validate u1 against Lie(U_1): u1 is unipotent exactly when X is
     # nilpotent, and then log u1 is the finite series below
-    N = spec.size
     X = u1 - np.eye(N)
     powers = [X]
     for _ in range(N - 1):
         powers.append(powers[-1] @ X)
-    if np.max(np.abs(powers[-1])) > tol * max(1.0, np.max(np.abs(X))) ** N:
-        raise DecompositionError("factor u_1 is not unipotent")
+    require(_maxabs(powers[-1]) <= tol * np.maximum(1.0, _maxabs(X)) ** N,
+            "factor u_1 is not unipotent")
     L = sum((-1) ** (k + 1) * powers[k - 1] / k for k in range(1, N))
     algebra_coords(pd._u1, L, 1e-7, "unipotent factor not in U_1")
     return u1, g_1h, u_rel, g_ql
+
+
+def _maxabs(x):
+    """max |x_ij| of each matrix of a stack."""
+    return np.abs(x).max(axis=(-2, -1))

@@ -22,6 +22,10 @@ Evaluators take (point, mc): the :class:`ChartPoint` SiegelModel.point(x)
 and mc = s^{-1} ds, a (4, 4) matrix or a (..., 4, 4) stack of directions at
 x, and return (..., d, d).  A chart form calls its evaluator once per point,
 on the stack p.mc of all six chart directions, and every layer maps it whole.
+SiegelModel.points(xs) makes a stack of chart points, with the section, mc
+and the Klingen factor each from one numpy pass, so the factor is made once
+per stack; point(x) is points([x])[0].  curvature_induced_nomizu takes one
+point or a stack; the patched evaluators read one point p[n] at a time.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector (:class:`TangentVector`)
@@ -69,23 +73,24 @@ from . import strata
 from .errors import PreconditionFailed
 
 def z_from_coords(x):
-    x11, x12, x22, y11, y12, y22 = x
-    return (np.array([[x11, x12], [x12, x22]], dtype=complex)
-            + 1j * np.array([[y11, y12], [y12, y22]], dtype=complex))
+    """Z = X + i Y at chart coordinates x, one point (6,) or a (..., 6) stack."""
+    sym = [[0, 1], [1, 2]]     # (v11, v12, v22) -> [[v11, v12], [v12, v22]]
+    x = np.asarray(x, dtype=float)
+    return x[..., :3][..., sym] + 1j * x[..., 3:][..., sym]
 
 
 def section(x):
     """Group element s in Sp(4,R) with s . (i I) = Z(x), inside both
-    standard parabolics."""
+    standard parabolics; (..., 4, 4) for a (..., 6) stack of points."""
     Z = z_from_coords(x)
     Y = Z.imag
     X = Z.real
     L = np.linalg.cholesky(Y)
-    Lit = np.linalg.inv(L).T
-    g = np.zeros((4, 4))
-    g[:2, :2] = L
-    g[:2, 2:] = X @ Lit
-    g[2:, 2:] = Lit
+    Lit = np.linalg.inv(L).swapaxes(-1, -2)
+    g = np.zeros(Z.shape[:-2] + (4, 4))
+    g[..., :2, :2] = L
+    g[..., :2, 2:] = X @ Lit
+    g[..., 2:, 2:] = Lit
     return g
 
 
@@ -96,49 +101,52 @@ _DX, _DY = np.concatenate([_SYM, 0 * _SYM]), np.concatenate([0 * _SYM, _SYM])
 
 
 def section_mc(x, s):
-    """The (6, 4, 4) stack of s^{-1} d_i s over the six chart directions,
-    s = section(x)."""
-    X = z_from_coords(x).real
-    L = s[:2, :2]
-    Lit = s[2:, 2:]
+    """The (..., 6, 4, 4) stack of s^{-1} d_i s over the six chart
+    directions, s = section(x), for one point or a stack of them."""
+    X = z_from_coords(x).real[..., None, :, :]
+    L = s[..., None, :2, :2]
+    Lit = s[..., None, 2:, 2:]
     # Cholesky differential: dL = L Phi(L^{-1} dY L^{-T})
-    M = Lit.T @ _DY @ Lit
+    M = Lit.swapaxes(-1, -2) @ _DY @ Lit
     Phi = np.tril(M, -1) + M * (np.eye(2) / 2.0)
     dL = L @ Phi
     dLit = -Lit @ dL.swapaxes(-1, -2) @ Lit
-    ds = np.zeros((6, 4, 4))
-    ds[:, :2, :2] = dL
-    ds[:, :2, 2:] = _DX @ Lit + X @ dLit
-    ds[:, 2:, 2:] = dLit
-    return np.linalg.inv(s) @ ds
+    ds = np.zeros(M.shape[:-2] + (4, 4))
+    ds[..., :2, :2] = dL
+    ds[..., :2, 2:] = _DX @ Lit + X @ dLit
+    ds[..., 2:, 2:] = dLit
+    return np.linalg.inv(s)[..., None, :, :] @ ds
 
 
 def _structure(F, t):
-    """(F(t), its curvature) for a constant linear map F on a stack t of m
-    Maurer-Cartan coefficients (dt = -1/2 [t, t]): the curvature stack over
-    the pairs i < j is [F t_i, F t_j] - F([t_i, t_j]).  F maps t and the
-    brackets in one call."""
-    m = len(t)
-    out = F(np.concatenate([t, ext.bracket_pairs(t)]))
-    return out[:m], ext.bracket_pairs(out[:m]) - out[m:]
+    """(F(t), its curvature) for a constant linear map F on a (..., m, N, N)
+    stack t of m Maurer-Cartan coefficients (dt = -1/2 [t, t]): the curvature
+    stack over the pairs i < j is [F t_i, F t_j] - F([t_i, t_j]).  F maps t
+    and the brackets in one call."""
+    m = t.shape[-3]
+    out = F(np.concatenate([t, ext.bracket_pairs(t)], axis=-3))
+    om = out[..., :m, :, :]
+    return om, ext.bracket_pairs(om) - out[..., m:, :, :]
 
 
 # ---------------------------------------------------------------------------
 
 
 class ChartPoint:
-    """A chart point x with what every evaluation at x reads: the section
-    s = s(x), the (6, 4, 4) stack mc of s^{-1} d_i s over the chart directions
-    and the control data.  `klingen` holds (lam, lam^{-1}) once it has been
-    made: lambda_1 of the inverse linear Levi factor of s in the Klingen
-    parabolic."""
+    """A chart point x, or a stack of P of them (every array with a leading
+    axis P, control a list), with what every evaluation reads: the section
+    s = s(x), the (6, 4, 4) stack mc of s^{-1} d_i s over the chart
+    directions, the control data and the Klingen factor (lam, lam^{-1}):
+    lambda_1 of the inverse linear Levi factor of s in the Klingen parabolic.
+    The factor is made once per stack; p[n] is point n, p[a:b] a substack."""
 
     __slots__ = ("s", "mc", "control", "klingen")
 
-    def __init__(self, x, control):
-        self.control, self.klingen = control, None
-        self.s = section(x)
-        self.mc = section_mc(x, self.s)
+    def __getitem__(self, n):
+        p = ChartPoint()
+        p.s, p.mc, p.control = self.s[n], self.mc[n], self.control[n]
+        p.klingen = tuple(a[n] for a in self.klingen)
+        return p
 
 
 class TangentVector:
@@ -192,11 +200,23 @@ class SiegelModel:
 
     # control data ------------------------------------------------------
 
+    def points(self, xs) -> ChartPoint:
+        """The chart points at the rows of a (P, 6) array xs, rho_Z = 1 / Im z11
+        and rho_Y = 1 / Im z22, with s, mc and lam from one call each."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, 6)
+        p = ChartPoint()
+        p.s = section(xs)
+        p.mc = section_mc(xs, p.s)
+        p.control = [self.model.point(("Z", "Y", "X"), r)
+                     for r in (1.0 / xs[:, [3, 5]]).tolist()]
+        g_l = liecore.group_factor_fine(self.pdK, p.s)[3]
+        lam = self.extK(np.linalg.inv(g_l))
+        p.klingen = (lam, np.linalg.inv(lam))
+        return p
+
     def point(self, x) -> ChartPoint:
-        """The chart point at x, with control data rho_Z = 1 / Im z11 and
-        rho_Y = 1 / Im z22."""
-        return ChartPoint(x, self.model.point(("Z", "Y", "X"),
-                                              (1.0 / x[3], 1.0 / x[5])))
+        """The chart point at x: the one-point view points([x])[0]."""
+        return self.points([x])[0]
 
     def _split(self, v: TangentVector):
         """(hdot, ldot): the Lie(G_h) and linear Levi parts of v.mc in the
@@ -205,13 +225,11 @@ class SiegelModel:
             v.split = self.pdK.split(v.mc)[1:]
         return v.split
 
-    def _klingen(self, p: ChartPoint):
-        """(lam, lam^{-1}) at p; see :class:`ChartPoint`."""
-        if p.klingen is None:
-            g_l = liecore.group_factor_fine(self.pdK, p.s)[3]
-            lam = self.extK(np.linalg.inv(g_l))
-            p.klingen = (lam, np.linalg.inv(lam))
-        return p.klingen
+    def _klingen(self, v: TangentVector):
+        """(lam, lam^{-1}) at v.point, broadcasting over v.mc's directions."""
+        k = np.ndim(v.mc) - np.ndim(v.point.s)
+        return tuple(a.reshape(a.shape[:-2] + (1,) * k + a.shape[-2:])
+                     for a in v.point.klingen)
 
     def project(self, v, Y, Z):
         """The geometric point over pi_Z: hdot on Y, nothing on the point."""
@@ -246,7 +264,7 @@ class SiegelModel:
         """Pullback through the rank-1 parabolic: the value at v of the
         connection induced from one on Y whose value at hdot is val."""
         _, ldot = self._split(v)
-        lam, lam_inv = self._klingen(v.point)
+        lam, lam_inv = self._klingen(v)
         return self.extK.alg(ldot) + lam @ val @ lam_inv
 
     def omega_induced_nomizu(self, p, mc):
@@ -262,7 +280,7 @@ class SiegelModel:
         inner = (w, Omega): a connection value on Y at hdot and the
         curvature of that connection there."""
         _, ldot = self._split(v)
-        lam, lam_inv = self._klingen(v.point)
+        lam, lam_inv = self._klingen(v)
         _, omega_A = _structure(self.extK.alg, ldot)
         return self.omega_XY(v, inner[0]), omega_A + lam @ inner[1] @ lam_inv
 

@@ -356,16 +356,31 @@ def _model_tube_points(rng, samples):
     return pts
 
 
+_STACK = 8
+
+
+def _stacks(m, pts):
+    """(rows, their ChartPoint stack) over runs of at most _STACK points of
+    pts: the cap bounds the stacked layers' temporaries (a stack of 67 raised
+    the peak RSS by about 1 MB)."""
+    for a in range(0, len(pts), _STACK):
+        yield pts[a:a + _STACK], m.points(pts[a:a + _STACK])
+
+
 def suite_pifiber(seed=0, tol=1e-6, samples=10):
     """Vertical contraction of an induced-connection curvature."""
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
-    curv = m.form_from_curvature(m.curvature_induced_nomizu)
+    form = m.form_from_curvature(m.curvature_induced_nomizu)
+    proj = m.projection_map()
     pts = _model_tube_points(rng, samples)
-    rpt = ext.pifiber_check(curv, m.projection_map(), pts, tol=tol, rng=rng)
+    worst = 0.0
+    for rows, stack in _stacks(m, pts):
+        for x, C in zip(rows, m.curvature_induced_nomizu(stack)):
+            worst = max(worst, ext.vertical_contraction(
+                form, C, ext.vertical_vectors(proj, x), rng))
     return _finish("pifiber", seed, tol, samples,
-                   [_check("induced-curvature-vertical",
-                           rpt["max_vertical_contraction"], tol)])
+                   [_check("induced-curvature-vertical", worst, tol)])
 
 
 def _mixed_tube_points(model, rng, samples):
@@ -412,8 +427,8 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
     oracle_points = list(range(min(_ORACLE_POINTS, samples)))
     worst = dict.fromkeys(forms, 0.0)
     oracle = 0.0
-    for n, x in enumerate(pts):
-        p = m.point(x)
+    views = (p for _, stack in _stacks(m, pts) for p in stack)
+    for n, (x, p) in enumerate(zip(pts, views)):
         omega = m.curvature_patched(p)
         es = inv.chern_coefficients(omega, 6, 2)
         coeffs = {"raw": omega, 1: es[1], 2: es[2]}
@@ -468,11 +483,11 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40):
     m = siegel.SiegelModel("std")
     rec_chain = 0.0
     local = 0.0
-    for _ in range(samples):
-        x = [float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
-             float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.5)),
-             float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.005, 0.12))]
-        p = m.point(x)
+    xs = [[float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
+           float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.5)),
+           float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.005, 0.12))]
+          for _ in range(samples)]
+    for p in (p for _, stack in _stacks(m, xs) for p in stack):
         for mc in p.mc[:2]:
             a = m.omega_patched(p, mc)
             b = m.omega_patched_chain(p, mc)

@@ -4,6 +4,7 @@ import pytest
 from chernpatch import connections, hcrepr, liecore
 from chernpatch.errors import (ConditionViolation, DecompositionError,
                                PreconditionFailed)
+from helpers import random_alg
 
 
 def _su11(rep_name="weight:2"):
@@ -84,8 +85,8 @@ def test_omega0_and_curvature0_on_a_stack(spec, rep_name):
     rep = hcrepr.builtin_representation(spec, rep_name)
     conn = connections.nomizu_connection(spec, rep)
     rng = np.random.default_rng(4)
-    X = np.array([liecore.random_alg(spec, rng) for _ in range(6)])
-    Y = np.array([liecore.random_alg(spec, rng) for _ in range(6)])
+    X = np.array([random_alg(spec, rng) for _ in range(6)])
+    Y = np.array([random_alg(spec, rng) for _ in range(6)])
     om, curv = conn.omega0(X), conn.curvature0(X, Y)
     assert om.shape == curv.shape == (6, rep.dim, rep.dim)
     for k in range(6):
@@ -101,7 +102,7 @@ def test_omega0_matches_lstsq_coordinates(spec, rep_name):
     B = np.stack([liecore._vec(b) for b in conn.basis], axis=1)
     rng = np.random.default_rng(6)
     for _ in range(10):
-        X = liecore.random_alg(spec, rng)
+        X = random_alg(spec, rng)
         c, *_ = np.linalg.lstsq(B, liecore._vec(X), rcond=None)
         ref = sum(ci * v for ci, v in zip(c, conn.values))
         assert np.max(np.abs(conn.omega0(X) - ref)) < 1e-12

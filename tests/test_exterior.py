@@ -9,6 +9,10 @@ from chernpatch import exterior as ext, invariants as inv, suites
 from chernpatch.dual import Dual, seed
 
 
+def wedge_scalar(f1, f2):
+    return ext.wedge(f1, f2, lambda a, b: a * b)
+
+
 def _poly_form(m, rng, deg=1, d=2):
     AB = [(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, (m, d, d)))
           for _ in range(m if deg == 1 else 1)]
@@ -63,9 +67,9 @@ def test_leibniz_rule():
     m = 4
     alpha = _scalar_poly_form(m, 1, rng)
     beta = _scalar_poly_form(m, 2, rng)
-    lhs = ext.exterior_d(ext.wedge_scalar(alpha, beta))
-    rhs = (ext.wedge_scalar(ext.exterior_d(alpha), beta)
-           + ext.wedge_scalar(alpha, ext.exterior_d(beta)).scale(-1.0))
+    lhs = ext.exterior_d(wedge_scalar(alpha, beta))
+    rhs = (wedge_scalar(ext.exterior_d(alpha), beta)
+           + wedge_scalar(alpha, ext.exterior_d(beta)).scale(-1.0))
     x = rng.uniform(-1, 1, m)
     vecs = [rng.standard_normal(m) for _ in range(4)]
     assert abs(lhs.evaluate(x, vecs) - rhs.evaluate(x, vecs)) < 1e-6
@@ -81,8 +85,8 @@ def test_second_chern_form_of_constant_curvature_is_determinant():
     def entry(a, b):
         return ext.VForm(m, 2, ext.SmoothMap(m, lambda x: M[:, a, b]))
 
-    det = (ext.wedge_scalar(entry(0, 0), entry(1, 1))
-           + ext.wedge_scalar(entry(0, 1), entry(1, 0)).scale(-1.0))
+    det = (wedge_scalar(entry(0, 0), entry(1, 1))
+           + wedge_scalar(entry(0, 1), entry(1, 0)).scale(-1.0))
     oracle = det.scale((1j / (2 * np.pi)) ** 2)
     x = rng.uniform(-1, 1, m)
     c2 = inv.chern_forms(omega, 2)[2]
@@ -111,8 +115,8 @@ def test_wedge_antisymmetry_scalar():
         m, lambda x: [c[0] + c[1] * x[0] for c in ca]))
     b = ext.VForm(m, 1, ext.SmoothMap(
         m, lambda x: [c[0] + c[1] * x[1] for c in cb]))
-    ab = ext.wedge_scalar(a, b)
-    ba = ext.wedge_scalar(b, a)
+    ab = wedge_scalar(a, b)
+    ba = wedge_scalar(b, a)
     x = rng.uniform(-1, 1, m)
     vecs = [rng.standard_normal(m) for _ in range(2)]
     assert abs(ab.evaluate(x, vecs) + ba.evaluate(x, vecs)) < 1e-10
@@ -350,8 +354,42 @@ def test_pair_coefficients_match_the_wedge_table(m):
     table = ext.wedge_table(m, 1, 1)
     brackets = ext.wedge_coeffs(table, a, a, lambda u, v: u @ v - v @ u)
     assert np.max(np.abs(ext.bracket_pairs(a) - 0.5 * brackets)) <= 1e-14
+    # on a stack, pair by pair on axis -3
+    stacked = ext.bracket_pairs(np.stack([a, 2 * a]))
+    for k, b in enumerate([a, 2 * a]):
+        assert np.array_equal(stacked[k], ext.bracket_pairs(b))
     wedged = ext.wedge_coeffs(table, f, a, lambda u, v: u[..., None, None] * v)
     assert np.max(np.abs(ext.wedge_pairs(f, a) - wedged)) <= 1e-14
+
+
+def _contraction_loop(form, C, verts, rng):
+    """Reference: one vertical vector at a time, its q - 1 companions drawn
+    one vector at a time, C_I det_I summed by a Python generator."""
+    worst = 0.0
+    for v in verts:
+        V = np.array([v] + [rng.standard_normal(form.m)
+                            for _ in range(form.degree - 1)], dtype=complex)
+        dets = np.linalg.det(V[:, form._cols].transpose(1, 0, 2))
+        val = sum((c * d for c, d in zip(C, dets)), np.zeros((), dtype=complex))
+        worst = max(worst, float(np.max(np.abs(val))))
+    return worst
+
+
+@pytest.mark.parametrize("degree, shape", [(2, (2, 2)), (4, ()), (1, (3, 3))])
+def test_vertical_contraction_matches_one_vector_at_a_time(degree, shape):
+    m = 6
+    rng = np.random.default_rng(50 + degree)
+    form = ext.VForm(m, degree, ext.SmoothMap(m, lambda x: None))
+    n = math.comb(m, degree)
+    C = rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
+    verts = [q.conj() for q in np.linalg.qr(
+        rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))[0].T]
+    for k in (0, 1, 3):
+        rngs = np.random.default_rng(k), np.random.default_rng(k)
+        got = ext.vertical_contraction(form, C, verts[:k], rngs[0])
+        assert got == _contraction_loop(form, C, verts[:k], rngs[1])
+        # the same draws: both streams stand at the same place
+        assert rngs[0].standard_normal() == rngs[1].standard_normal()
 
 
 def test_forms_past_the_top_degree_evaluate_to_zero():
@@ -361,7 +399,7 @@ def test_forms_past_the_top_degree_evaluate_to_zero():
     vecs = [rng.standard_normal(m) for _ in range(4)]
     two = ext.VForm(m, 2, ext.SmoothMap(
         m, lambda x: np.array([x[0], x[1] * x[2], 1.0])))
-    assert ext.wedge_scalar(two, two).evaluate(x, vecs) == 0
+    assert wedge_scalar(two, two).evaluate(x, vecs) == 0
     three = _scalar_poly_form(m, 3, rng)
     assert ext.exterior_d(three).evaluate(x, vecs) == 0
     curv = ext.curvature_form(_poly_form(m, rng))

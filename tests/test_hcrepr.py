@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from chernpatch import hcrepr, liecore
+from chernpatch.errors import DecompositionError
+from helpers import random_alg
 
 
 def _sp4_rep(name="std"):
@@ -32,8 +34,8 @@ def test_middle_j_multiplicative_on_kc():
     rng = np.random.default_rng(0)
     for _ in range(5):
         k1 = liecore.exp_grp(spec, liecore.cartan_split(
-            spec, liecore.random_alg(spec, rng, 0.4))[0])
-        g = liecore.exp_grp(spec, liecore.random_alg(spec, rng, 0.2))
+            spec, random_alg(spec, rng, 0.4))[0])
+        g = liecore.exp_grp(spec, random_alg(spec, rng, 0.2))
         jk = hcrepr.middle_j(spec, k1 @ g)
         jj = hcrepr.middle_j(spec, k1) @ hcrepr.middle_j(spec, g)
         # j(k g) = lam_C-compatible product when k is in K
@@ -48,7 +50,7 @@ def test_extension_restricts_to_rep_on_k(name):
     rng = np.random.default_rng(1)
     for _ in range(5):
         k = liecore.exp_grp(spec, liecore.cartan_split(
-            spec, liecore.random_alg(spec, rng, 0.4))[0])
+            spec, random_alg(spec, rng, 0.4))[0])
         assert np.max(np.abs(ext(k) - rep.lam_grp(k))) < 1e-8
 
 
@@ -92,15 +94,24 @@ def test_nested_extension_compatibility_sp6():
         assert report["max_residual"] < 1e-8
 
 
+def _automorphy(rep, g, h):
+    """J_lambda(g, h x_0) = lambda_C(j(g h) j(h)^{-1}), the K(C)-valued
+    automorphy factor at h x_0 in complex coordinates."""
+    jh = hcrepr.middle_j(rep.spec, h)
+    jgh = hcrepr.middle_j(rep.spec, np.asarray(g, dtype=complex)
+                          @ np.asarray(h, dtype=complex))
+    return rep.lamC(jgh @ np.linalg.inv(jh))
+
+
 def test_automorphy_cocycle():
     spec = liecore.su_pq(1, 1)
     rep = hcrepr.builtin_representation(spec, "weight:2")
     rng = np.random.default_rng(4)
-    g1 = liecore.exp_grp(spec, liecore.random_alg(spec, rng, 0.3))
-    g2 = liecore.exp_grp(spec, liecore.random_alg(spec, rng, 0.3))
-    h = liecore.exp_grp(spec, liecore.random_alg(spec, rng, 0.3))
-    lhs = hcrepr.automorphy(rep, g1 @ g2, h)
-    rhs = hcrepr.automorphy(rep, g1, g2 @ h) @ hcrepr.automorphy(rep, g2, h)
+    g1 = liecore.exp_grp(spec, random_alg(spec, rng, 0.3))
+    g2 = liecore.exp_grp(spec, random_alg(spec, rng, 0.3))
+    h = liecore.exp_grp(spec, random_alg(spec, rng, 0.3))
+    lhs = _automorphy(rep, g1 @ g2, h)
+    rhs = _automorphy(rep, g1, g2 @ h) @ _automorphy(rep, g2, h)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -129,7 +140,7 @@ def test_extension_alg_matches_formula(n, name):
     for ext in exts:
         for _ in range(5):
             z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-            for xdot in (liecore.random_alg(spec, rng), z):
+            for xdot in (random_alg(spec, rng), z):
                 assert np.max(np.abs(ext.alg(xdot)
                                      - _alg_reference(ext, xdot))) < 1e-13
 
@@ -150,7 +161,7 @@ def test_lam_alg_stack_matches_formula(n, name):
     rep = _rep(n, name)
     spec = rep.spec
     rng = np.random.default_rng(8)
-    ks = np.array([liecore.cartan_split(spec, liecore.random_alg(spec, rng))[0]
+    ks = np.array([liecore.cartan_split(spec, random_alg(spec, rng))[0]
                    for _ in range(6)])
     M, Minv = spec.complex_coords
     got = rep.lam_alg(ks)
@@ -166,10 +177,37 @@ def test_extension_alg_stack_matches_formula(n, name):
     exts = [hcrepr.canonical_extension(rep, r) for r in range(1, n + 1)]
     exts.append(hcrepr.relative_extension(rep, 1, 2))
     rng = np.random.default_rng(9)
-    xs = np.array([liecore.random_alg(rep.spec, rng) for _ in range(6)])
+    xs = np.array([random_alg(rep.spec, rng) for _ in range(6)])
     for ext in exts:
         got = ext.alg(xs)
         assert got.shape == (6, rep.dim, rep.dim)
         for x, g in zip(xs, got):
             assert np.max(np.abs(g - _alg_reference(ext, x))) < 1e-14
             assert np.max(np.abs(g - ext.alg(x))) < 1e-14
+
+
+def test_hc_decompose_rejects_a_nan_element_by_row():
+    spec = liecore.sp2nR(2)
+    gs = np.array([np.eye(4)] * 3)
+    hcrepr.hc_decompose(spec, gs)
+    gs[2, 0, 0] = np.nan
+    with pytest.raises(DecompositionError, match=r"^element not finite \(row 2\)$"):
+        hcrepr.hc_decompose(spec, gs)
+    with pytest.raises(DecompositionError, match="not finite"):
+        hcrepr.hc_decompose(spec, gs[2])
+
+
+@pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
+def test_canonical_extension_of_a_stack_matches_one_element_at_a_time(name):
+    rep = _sp4_rep(name)
+    spec = rep.spec
+    pd = liecore.parabolic_data(spec, (1,))
+    ext = hcrepr.canonical_extension(rep, 1)
+    rng = np.random.default_rng(12)
+    gs = np.array([liecore.exp_grp(spec, liecore.from_coords(
+        0.3 * rng.standard_normal(len(pd.basis_q)), pd.basis_q))
+        for _ in range(5)])
+    stacked = ext(gs)
+    assert stacked.shape == (5, rep.dim, rep.dim)
+    for g, lam in zip(gs, stacked):
+        assert np.array_equal(lam, ext(g))

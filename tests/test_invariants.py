@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import invariants as inv, suites
 from chernpatch.errors import IllConditionedSpectrum, PreconditionFailed
+
+
+def exact_matrix(rows):
+    return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
+
+
+def polarize_eval(f, xs):
+    """Full polarization P(x_1,...,x_k) of f, normalized so P(x,...,x) =
+    f(x): (1/k!) sum_{S nonempty} (-1)^{k-|S|} f(sum_S x_i)."""
+    k = f.degree
+    total = sum((-1) ** (k - r) * f(sum(xs[i] for i in S))
+                for r in range(1, k + 1) for S in combinations(range(k), r))
+    return total / math.factorial(k)
 
 
 def test_char_poly_matches_numpy():
@@ -66,7 +81,7 @@ def test_elementary_symmetric_values_agree_with_single_values():
 
 
 def test_elementary_symmetric_exact():
-    x = inv.exact_matrix([[1, 2], [3, 4]])
+    x = exact_matrix([[1, 2], [3, 4]])
     assert inv.elementary_symmetric_value(x, 1) == 5       # trace
     assert inv.elementary_symmetric_value(x, 2) == -2      # determinant
 
@@ -77,21 +92,21 @@ def test_polarization_diagonal(seed):
     rng = np.random.default_rng(seed)
     f = inv.elementary_symmetric(2)
     x = rng.standard_normal((3, 3))
-    assert abs(inv.polarize_eval(f, [x, x]) - f(x)) < 1e-8
+    assert abs(polarize_eval(f, [x, x]) - f(x)) < 1e-8
 
 
 def test_polarization_multilinear():
     rng = np.random.default_rng(1)
     f = inv.elementary_symmetric(2)
     x, y, z = (rng.standard_normal((3, 3)) for _ in range(3))
-    lhs = inv.polarize_eval(f, [x + z, y])
-    rhs = inv.polarize_eval(f, [x, y]) + inv.polarize_eval(f, [z, y])
+    lhs = polarize_eval(f, [x + z, y])
+    rhs = polarize_eval(f, [x, y]) + polarize_eval(f, [z, y])
     assert abs(lhs - rhs) < 1e-9
 
 
 def test_springer_exact_zero():
-    x = inv.exact_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 5]])
-    n = inv.exact_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    x = exact_matrix([[2, 0, 0], [0, 2, 0], [0, 0, 5]])
+    n = exact_matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     for k in range(1, 4):
         f = inv.elementary_symmetric(k)
         assert inv.springer_check(f, x, n) == 0
@@ -107,10 +122,10 @@ def test_springer_rejects_noncommuting():
 
 
 def test_jordan_decompose_exact():
-    x = inv.exact_matrix([[2, 1], [0, 2]])
+    x = exact_matrix([[2, 1], [0, 2]])
     s, n = inv.jordan_decompose(x)
     assert all(v == w for v, w in zip(s.ravel(),
-                                      inv.exact_matrix([[2, 0], [0, 2]]).ravel()))
+                                      exact_matrix([[2, 0], [0, 2]]).ravel()))
     assert inv.is_nilpotent(n)
     assert all(v == 0 for v in (s @ n - n @ s).ravel())
 
@@ -187,8 +202,8 @@ def test_jordan_decompose_rejects_tight_spectrum():
 
 def test_nilpotent_shift_changes_noninvariant_function():
     # negative control: entry functions are not conjugation-invariant
-    x = inv.exact_matrix([[2, 0], [0, 2]])
-    n = inv.exact_matrix([[0, 1], [0, 0]])
+    x = exact_matrix([[2, 0], [0, 2]])
+    n = exact_matrix([[0, 1], [0, 0]])
     assert (x + n)[0][1] != x[0][1]
     # but every elementary symmetric invariant agrees
     for k in (1, 2):

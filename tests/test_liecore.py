@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import liecore
 from chernpatch.errors import DecompositionError
+from helpers import alg_residual, random_alg
 
 SPECS = [liecore.sp2nR(2), liecore.sp2nR(3), liecore.su_pq(1, 1),
          liecore.su_pq(2, 1), liecore.su2(), liecore.u_n(2)]
@@ -15,14 +16,14 @@ SPECS = [liecore.sp2nR(2), liecore.sp2nR(3), liecore.su_pq(1, 1),
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + str((s.n, s.p, s.q)))
 def test_algebra_basis_members(spec):
     for b in liecore.algebra_basis(spec):
-        assert liecore.alg_residual(spec, b) < 1e-12
+        assert alg_residual(spec, b) < 1e-12
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + str((s.n, s.p, s.q)))
 def test_exp_lands_in_group(spec):
     rng = np.random.default_rng(0)
     for _ in range(5):
-        g = liecore.exp_grp(spec, liecore.random_alg(spec, rng, 0.4))
+        g = liecore.exp_grp(spec, random_alg(spec, rng, 0.4))
         assert liecore.grp_residual(spec, g) < 1e-10
 
 
@@ -33,7 +34,7 @@ def test_exp_grp_matches_scipy(spec):
     rng = np.random.default_rng(3)
     for scale in (0.2, 1.0, 3.0):
         for _ in range(3):
-            X = liecore.random_alg(spec, rng, scale)
+            X = random_alg(spec, rng, scale)
             ref = scipy.linalg.expm(X)
             err = np.max(np.abs(liecore.exp_grp(spec, X) - ref))
             assert err <= 1e-13 * np.max(np.abs(ref))
@@ -74,7 +75,7 @@ def test_membership_per_family(spec):
     assert spec.special == ("special" in imposes)
     basis = liecore.algebra_basis(spec)
     for X in basis:
-        assert liecore.alg_residual(spec, X) <= 1e-12
+        assert alg_residual(spec, X) <= 1e-12
         assert liecore.grp_residual(spec, liecore.exp_grp(spec, X)) <= 1e-12
     N, t, X = spec.size, 0.1, basis[-1]
     g = liecore.exp_grp(spec, X)
@@ -90,13 +91,13 @@ def test_membership_per_family(spec):
         broken.append(central)
     if spec.family == "u":
         # U(n) imposes no det: a central phase is a member
-        assert liecore.alg_residual(spec, central[0]) <= 1e-12
+        assert alg_residual(spec, central[0]) <= 1e-12
         assert liecore.grp_residual(spec, central[1]) <= 1e-12
     if "real" in imposes:
         D = UNREAL[spec.family]
         broken.append((X + 1j * t * D, g @ np.diag(np.exp(1j * t * np.diag(D)))))
     for Xb, gb in broken:
-        assert liecore.alg_residual(spec, Xb) > 1e-3
+        assert alg_residual(spec, Xb) > 1e-3
         assert liecore.grp_residual(spec, gb) > 1e-3
 
 
@@ -105,15 +106,15 @@ def test_membership_per_family(spec):
 def test_bracket_stays_in_algebra(seed):
     spec = liecore.su_pq(2, 1)
     rng = np.random.default_rng(seed)
-    X = liecore.random_alg(spec, rng)
-    Y = liecore.random_alg(spec, rng)
-    assert liecore.alg_residual(spec, liecore.bracket(X, Y)) < 1e-10
+    X = random_alg(spec, rng)
+    Y = random_alg(spec, rng)
+    assert alg_residual(spec, liecore.bracket(X, Y)) < 1e-10
 
 
 def test_cartan_split_recombines():
     spec = liecore.sp2nR(3)
     rng = np.random.default_rng(1)
-    X = liecore.random_alg(spec, rng)
+    X = random_alg(spec, rng)
     k, p = liecore.cartan_split(spec, X)
     assert np.max(np.abs(k + p - X)) < 1e-12
     assert np.max(np.abs(liecore.cartan_theta(spec, k) - k)) < 1e-12
@@ -145,7 +146,7 @@ def test_split_rejects_outside_parabolic():
     pd = liecore.parabolic_data(spec, (2,))
     rng = np.random.default_rng(3)
     for _ in range(20):
-        X = liecore.random_alg(spec, rng)
+        X = random_alg(spec, rng)
         with pytest.raises(DecompositionError, match="parabolic subalgebra"):
             pd.split(X)
 
@@ -186,7 +187,7 @@ def test_split_matches_lstsq_reference(group, flag):
         for a, b in zip(got, _lstsq_split(pd, X)):
             assert np.max(np.abs(a - b)) < 1e-12
         assert np.max(np.abs(sum(got) - X)) < 1e-12
-        Y = liecore.random_alg(spec, rng)
+        Y = random_alg(spec, rng)
         for split in (pd.split, lambda Y: _lstsq_split(pd, Y)):
             with pytest.raises(DecompositionError,
                                match="element not in the parabolic subalgebra"):
@@ -223,7 +224,7 @@ def test_stack_with_one_row_outside_parabolic_names_it():
     Xs = np.array([liecore.from_coords(rng.standard_normal(len(pd.basis_q)),
                                        pd.basis_q) for _ in range(6)])
     pd.split(Xs)
-    Xs[4] = liecore.random_alg(spec, rng)
+    Xs[4] = random_alg(spec, rng)
     with pytest.raises(DecompositionError,
                        match=r"^element not in the parabolic subalgebra \(row 4\)$"):
         pd.split(Xs)
@@ -268,7 +269,7 @@ def test_group_factor_fine_rejects_outside_parabolic(flag):
     pd = liecore.parabolic_data(spec, flag)
     rng = np.random.default_rng(6)
     for _ in range(10):
-        g = liecore.exp_grp(spec, liecore.random_alg(spec, rng))
+        g = liecore.exp_grp(spec, random_alg(spec, rng))
         with pytest.raises(DecompositionError):
             liecore.group_factor_fine(pd, g)
 
@@ -281,3 +282,29 @@ def test_group_factor_fine_rejects_levi_element_outside_the_flag():
     g = liecore.sp_embed_gl(spec, 2, np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(DecompositionError, match="parabolic cell"):
         liecore.group_factor_fine(pd, g)
+
+
+def test_factor_checks_reject_nan():
+    # a NaN fails every bound, so no NaN factor or coordinate comes back
+    spec = liecore.sp2nR(2)
+    pd = liecore.parabolic_data(spec, (1,))
+    with pytest.raises(DecompositionError):
+        liecore.group_factor_fine(pd, np.nan * np.eye(4))
+    Xs = np.zeros((3, 4, 4))
+    Xs[1, 0, 0] = np.nan
+    with pytest.raises(DecompositionError, match=r"\(row 1\)$"):
+        liecore.algebra_coords(pd._q, Xs, 1e-8, "not in Lie(Q)")
+
+
+def test_group_factor_of_a_stack_matches_one_element_at_a_time():
+    spec = liecore.sp2nR(2)
+    rng = np.random.default_rng(9)
+    for flag in [(1,), (2,), (1, 2)]:
+        pd = liecore.parabolic_data(spec, flag)
+        gs = np.array([liecore.exp_grp(spec, liecore.from_coords(
+            0.3 * rng.standard_normal(len(pd.basis_q)), pd.basis_q))
+            for _ in range(4)])
+        stacked = liecore.group_factor_fine(pd, gs)
+        for n, g in enumerate(gs):
+            for a, b in zip(stacked, liecore.group_factor_fine(pd, g)):
+                assert np.array_equal(a[n], b)

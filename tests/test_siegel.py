@@ -3,7 +3,7 @@ import pytest
 
 from chernpatch import exterior as ext, invariants as inv, liecore, siegel
 from chernpatch import strata
-from chernpatch.errors import PreconditionFailed
+from chernpatch.errors import DecompositionError, PreconditionFailed
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +381,47 @@ def test_chain_weight_gradients_match_differences(model):
                         lambda y: md.B(Y, eps, md.point(x.chain, y)), r, k)
                     assert abs(grad[k] - fd) <= 1e-5 * max(1.0, abs(fd))
     assert steepest > 1.0     # the points reach the transition bands
+
+
+def _klingen_reference(model, s):
+    """(lam, lam^{-1}) at one section s, with the linear Levi factor g_l of s
+    in the Klingen parabolic written out: the rank-1 block a of s acting on
+    V = span(e_2), embedded as diag(1, a, 1, a^{-1})."""
+    g_l = np.eye(4)
+    g_l[1:2, 1:2] = s[1:2, 1:2]
+    g_l[3:4, 3:4] = np.linalg.inv(s[1:2, 1:2]).T
+    lam = model.extK(np.linalg.inv(g_l))
+    return lam, np.linalg.inv(lam)
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
+def test_stacked_points_match_one_point_at_a_time(rep):
+    m = siegel.SiegelModel(rep)
+    rng = np.random.default_rng(16)
+    xs = [_sample_x(rng) for _ in range(3)] + [_mixed_x(m, rng) for _ in range(3)]
+    stack = m.points(xs)
+    assert stack.s.shape == (6, 4, 4) and len(stack.control) == 6
+    curv = m.curvature_induced_nomizu(stack)
+    assert curv.shape == (6, 15, m.rep.dim, m.rep.dim)
+    for n, (x, p) in enumerate(zip(xs, stack)):
+        one = m.point(x)
+        assert np.array_equal(p.s, one.s) and np.array_equal(p.mc, one.mc)
+        assert p.control == one.control
+        for a, b, c in zip(p.klingen, one.klingen, _klingen_reference(m, one.s)):
+            assert np.array_equal(a, b) and np.array_equal(b, c)
+        assert np.array_equal(curv[n], m.curvature_induced_nomizu(one))
+        assert np.array_equal(m.curvature_patched(p), m.curvature_patched(one))
+        assert np.array_equal(m.omega_patched(p, p.mc),
+                              m.omega_patched(one, one.mc))
+    # a slice of the stack is the stack of those points
+    assert np.array_equal(m.curvature_induced_nomizu(stack[2:5]), curv[2:5])
+
+
+def test_klingen_factor_names_the_row_outside_the_parabolic(model):
+    rng = np.random.default_rng(17)
+    s = model.points([_sample_x(rng) for _ in range(5)]).s.copy()
+    liecore.group_factor_fine(model.pdK, s)
+    s[3] = liecore.exp_grp(model.spec, 0.5 * liecore.from_coords(
+        rng.standard_normal(10), liecore.algebra_basis(model.spec)))
+    with pytest.raises(DecompositionError, match=r"\(row 3\)$"):
+        liecore.group_factor_fine(model.pdK, s)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chernpatch import cli, invariants as inv, liecore, siegel, suites
+from chernpatch import cli, hcrepr, invariants as inv, liecore, siegel, suites
 from chernpatch.errors import PreconditionFailed
 
 
@@ -64,6 +64,29 @@ def test_descent_evaluates_the_curvature_once_per_point(monkeypatch):
     monkeypatch.setattr(siegel.SiegelModel, "curvature_patched", counted)
     assert suites.run_suite("descent", seed=2, samples=5)["pass"]
     assert len(calls) == 5
+
+
+def test_pifiber_builds_its_points_in_stacks(monkeypatch):
+    # one call of the section, the Klingen factor and the canonical
+    # extension per stack of chart points, not one per point
+    calls = dict.fromkeys(["section_mc", "factor", "extension"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(siegel, "section_mc",
+                        counted("section_mc", siegel.section_mc))
+    monkeypatch.setattr(liecore, "group_factor_fine",
+                        counted("factor", liecore.group_factor_fine))
+    monkeypatch.setattr(hcrepr.CanonicalExtension, "__call__",
+                        counted("extension", hcrepr.CanonicalExtension.__call__))
+    assert suites.run_suite("pifiber", seed=0, samples=67)["pass"]
+    stacks = -(-67 // suites._STACK)
+    assert stacks <= 9
+    assert calls == dict.fromkeys(calls, stacks)
 
 
 def test_corrupt_springer_fails():
