@@ -52,8 +52,8 @@ class GroupChart:
 
     def connection_form(self, conn) -> ext.VForm:
         """Pullback of the left-invariant connection form to the chart."""
-        return ext.VForm(self.dim, 1, ext.SmoothMap(
-            self.dim, lambda x: conn.omega0(self.mc_coeff(x))))
+        return ext.VForm(self.dim, 1,
+                         lambda x: conn.omega0(self.mc_coeff(x)))
 
     def algebraic_curvature_form(self, conn) -> ext.VForm:
         """The same curvature assembled without chart differentiation:
@@ -64,7 +64,7 @@ class GroupChart:
             mc = self.mc_coeff(x)
             return conn.curvature0(mc[i], mc[j])
 
-        return ext.VForm(self.dim, 2, ext.SmoothMap(self.dim, coeffs))
+        return ext.VForm(self.dim, 2, coeffs)
 
 
 def curvature_bridge_residual(spec, conn, points, rng=None):

@@ -1,16 +1,18 @@
 """Chart-level exterior calculus for matrix-valued differential forms.
 
-Forms live on an open chart of R^m.  A VForm of degree q is one SmoothMap
-whose value at x is the array of all C(m, q) coefficients, shape
-(C(m, q),) + value shape, stacked on axis 0 in the order of
+Forms live on an open chart of R^m.  A VForm of degree q is a SmoothMap
+with a degree: its value at x is the array of all C(m, q) coefficients,
+shape (C(m, q),) + value shape, stacked on axis 0 in the order of
 itertools.combinations(range(m), q); coefficients are scalars or End(V)
-matrices.  Forms built from others (d, wedge, +, scale) evaluate each
-operand once per point; d and wedge sum the signed coefficient products
-gathered through one shuffle table (wedge_table).  A coefficient map is
-differentiated by its analytic Jacobian when it carries one (the Siegel
-projection, the affine forms of the `patch` suite) and by central
-differences otherwise.  combination_curvature is the one product rule for
-the curvature of a weighted combination of connections.
+matrices.  The exterior derivative and the curvature are the forms built
+from others.  d sums the signed entries of the operand's Jacobian, gathered
+through one shuffle table (wedge_table); the curvature adds to d omega the
+pair brackets of omega's coefficients.  Each reads its operand once per
+point.  A coefficient map is differentiated by its analytic Jacobian when
+it carries one (the Siegel projection, the affine forms of the `patch`
+suite) and by central differences otherwise.  One contraction (contract)
+evaluates a coefficient array on vectors.  combination_curvature is the one
+product rule for the curvature of a weighted combination of connections.
 
 Tolerances used by the callers: 1e-12 for purely algebraic identities, 1e-6
 after one numerical differentiation, 1e-4 after two.  A curvature built
@@ -63,49 +65,47 @@ class SmoothMap:
         return np.array(cols)
 
 
-class VForm:
+class VForm(SmoothMap):
     """Degree-q differential form with scalar or End(V) coefficients.
 
-    coeffs.value(x)[n] is the coefficient of dx_I for the n-th index I of
+    value(x)[n] is the coefficient of dx_I for the n-th index I of
     combinations(range(m), degree).
     """
 
-    def __init__(self, m, degree, coeffs: SmoothMap):
-        self.m = m
+    def __init__(self, m, degree, func, jac=None):
+        super().__init__(m, func, jac)
         self.degree = degree
-        self.coeffs = coeffs
-        indices = list(combinations(range(m), degree))
-        self._cols = np.array(indices, dtype=int).reshape(len(indices), degree)
 
     def evaluate(self, x, vectors):
         """omega_x(v_1, ..., v_q)."""
-        return self.contract(self.coeffs.value(x), vectors)
-
-    def contract(self, C, vectors):
-        """The form with coefficient array C on vectors (..., q, m), one set
-        v_1, ..., v_q per leading index: the sum over I of C_I det(v_r[I_c]),
-        added in index order."""
-        V = np.asarray(vectors, dtype=complex)
-        if V.shape[-2:] != (self.degree, self.m):
+        if np.shape(vectors)[-2:] != (self.degree, self.m):
             raise ValueError(f"need {self.degree} vectors of length {self.m}")
-        dets = np.moveaxis(np.linalg.det(V[..., self._cols].swapaxes(-3, -2)),
-                           -1, 0)
-        dets = dets.reshape(dets.shape + (1,) * (np.ndim(C) - 1))
-        out = np.zeros((), dtype=complex)
-        for c, d in zip(C, dets):
-            out = out + c * d
-        return out
+        return contract(self.value(x), vectors)
 
-    def __add__(self, other):
-        assert self.m == other.m and self.degree == other.degree
-        a, b = self.coeffs.func, other.coeffs.func
-        return VForm(self.m, self.degree,
-                     SmoothMap(self.m, lambda x: np.add(a(x), b(x))))
 
-    def scale(self, c):
-        f = self.coeffs.func
-        return VForm(self.m, self.degree,
-                     SmoothMap(self.m, lambda x: c * np.asarray(f(x))))
+@functools.cache
+def _index_cols(m, q):
+    """combinations(range(m), q) as an integer array (C(m, q), q), built once
+    per (m, q)."""
+    indices = list(combinations(range(m), q))
+    cols = np.array(indices, dtype=int).reshape(len(indices), q)
+    cols.flags.writeable = False    # shared by every caller
+    return cols
+
+
+def contract(C, vectors):
+    """The q-form with coefficient array C on R^m, on vectors (..., q, m), one
+    set v_1, ..., v_q per leading index: the sum over I of C_I det(v_r[I_c]),
+    added in index order."""
+    V = np.asarray(vectors, dtype=complex)
+    q, m = V.shape[-2:]
+    dets = np.moveaxis(
+        np.linalg.det(V[..., _index_cols(m, q)].swapaxes(-3, -2)), -1, 0)
+    dets = dets.reshape(dets.shape + (1,) * (np.ndim(C) - 1))
+    out = np.zeros((), dtype=complex)
+    for c, d in zip(C, dets, strict=True):
+        out = out + c * d
+    return out
 
 
 def wedge_table(m, q1, q2):
@@ -146,46 +146,15 @@ def exterior_d(form: VForm) -> VForm:
     """Exterior derivative: the Jacobian, read as the 1-form sum_j dx_j d/dx_j,
     wedged with the coefficients (differentiated numerically)."""
     ia, ib, sign = wedge_table(form.m, 1, form.degree)
-
-    def coeffs(x):
-        return _signed_sum(sign, form.coeffs.jacobian(x)[ia, ib])
-
-    return VForm(form.m, form.degree + 1, SmoothMap(form.m, coeffs))
-
-
-def wedge(f1: VForm, f2: VForm, mul) -> VForm:
-    """Wedge product; mul multiplies stacks of coefficients (e.g. *, matmul)."""
-    assert f1.m == f2.m
-    table = wedge_table(f1.m, f1.degree, f2.degree)
-
-    def coeffs(x):
-        A = f1.coeffs.value(x)
-        B = A if f2 is f1 else f2.coeffs.value(x)
-        return wedge_coeffs(table, A, B, mul)
-
-    return VForm(f1.m, f1.degree + f2.degree, SmoothMap(f1.m, coeffs))
-
-
-def wedge_bracket(f1: VForm, f2: VForm) -> VForm:
-    """Bracket wedge of End(V)-valued 1-forms: [a,b]^ = a^b with commutator.
-
-    For a single 1-form alpha, wedge_bracket(alpha, alpha)(X, Y) =
-    2 [alpha(X), alpha(Y)].
-    """
-    return wedge(f1, f2, lambda a, b: a @ b - b @ a)
-
-
-@functools.cache
-def _pair_index(m):
-    """(i, j) index arrays of combinations(range(m), 2), built once per m."""
-    return np.array(list(combinations(range(m), 2)), dtype=int).reshape(-1, 2).T
+    return VForm(form.m, form.degree + 1,
+                 lambda x: _signed_sum(sign, form.jacobian(x)[ia, ib]))
 
 
 def bracket_pairs(a):
     """[a_i, a_j] over i < j, in combinations(range(m), 2) order, for a
     (..., m, d, d) stack a: the coefficients of 1/2 [alpha, alpha] for the
     1-form alpha = sum_i a_i dx_i, on axis -3."""
-    i, j = _pair_index(a.shape[-3])
+    i, j = _index_cols(a.shape[-3], 2).T
     ai, aj = a[..., i, :, :], a[..., j, :, :]
     out = ai @ aj
     out -= aj @ ai
@@ -195,14 +164,16 @@ def bracket_pairs(a):
 def wedge_pairs(f, a):
     """f_i a_j - f_j a_i over i < j: the coefficients of phi ^ alpha for the
     scalar 1-form phi with coefficients f (m,) and alpha = sum_i a_i dx_i."""
-    i, j = _pair_index(len(a))
+    i, j = _index_cols(len(a), 2).T
     f = np.reshape(f, np.shape(f) + (1,) * (np.ndim(a) - 1))
     return f[i] * a[j] - f[j] * a[i]
 
 
 def curvature_form(omega: VForm) -> VForm:
     """Omega = d omega + 1/2 [omega, omega] for an End(V)-valued 1-form."""
-    return exterior_d(omega) + wedge_bracket(omega, omega).scale(0.5)
+    d = exterior_d(omega)
+    return VForm(omega.m, 2,
+                 lambda x: d.func(x) + bracket_pairs(omega.value(x)))
 
 
 def combination_curvature(terms):
@@ -225,24 +196,24 @@ def combination_curvature(terms):
 
 
 def vertical_vectors(proj: SmoothMap, x):
-    """Orthonormal basis of ker d(proj)(x) via SVD: singular values at most
-    1e-9 max(1, largest) count as zero."""
+    """Orthonormal basis of ker d(proj)(x) via SVD, as the rows of a (k, m)
+    array: singular values at most 1e-9 max(1, largest) count as zero."""
     J = proj.jacobian(x)  # (m, k)
     J2 = J.reshape(proj.m, -1).T
     u, s, vt = np.linalg.svd(np.asarray(J2, dtype=complex))
     rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 1.0)))
-    return [vt[i].conj() for i in range(rank, proj.m)]
+    return vt[rank:].conj()
 
 
-def vertical_contraction(form: VForm, C, verts, rng):
-    """Largest entry of |form(v, w_2, ..., w_q)| over the vectors v of verts,
-    for the coefficient array C of form at one point; the w_k are fresh
-    standard normal draws from rng, q - 1 of them per v, drawn in that order
-    in one call."""
-    others = rng.standard_normal((len(verts), form.degree - 1, form.m))
-    V = np.concatenate([np.reshape(verts, (len(verts), 1, form.m)), others],
-                       axis=1)
-    return float(np.max(np.abs(form.contract(C, V)), initial=0.0))
+def vertical_contraction(C, degree, verts, rng):
+    """Largest entry of |form(v, w_2, ..., w_q)| over the rows v of verts
+    (k, m), for the coefficient array C of a degree-q form at one point; the
+    w_k are fresh standard normal draws from rng, q - 1 of them per v, drawn
+    in that order in one call."""
+    k, m = np.shape(verts)
+    others = rng.standard_normal((k, degree - 1, m))
+    V = np.concatenate([np.reshape(verts, (k, 1, m)), others], axis=1)
+    return float(np.max(np.abs(contract(C, V)), initial=0.0))
 
 
 def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
@@ -256,6 +227,6 @@ def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
     worst = 0.0
     for x in points:
         worst = max(worst, vertical_contraction(
-            form, form.coeffs.value(x), vertical_vectors(proj, x), rng))
+            form.value(x), form.degree, vertical_vectors(proj, x), rng))
     return {"max_vertical_contraction": worst, "tol": tol, "ok": worst <= tol,
             "points": len(points)}

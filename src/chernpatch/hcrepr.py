@@ -222,13 +222,6 @@ def builtin_representation(spec, name: str) -> Representation:
                 lambda kc: np.array([[np.asarray(kc, dtype=complex)[0, 0] ** m]]),
                 lambda kc: np.array([[m * np.asarray(kc, dtype=complex)[0, 0]]]),
             )
-        if fam == "su_pq" and name == "std_p":
-            p = spec.p
-            return Representation(
-                spec, name, p,
-                lambda kc: np.asarray(kc, dtype=complex)[:p, :p],
-                lambda kc: np.asarray(kc, dtype=complex)[:p, :p],
-            )
         raise UnsupportedFlag(f"unknown representation {name} for {fam}")
     raise UnsupportedFlag(f"no builtin representations for family {fam}")
 

@@ -318,8 +318,7 @@ def chern_forms(omega, kmax):
     curvature once per point.
     """
     m = omega.m
-    one = ext.SmoothMap(m, lambda x: np.ones(1, dtype=complex))
-    return [ext.VForm(m, 0, one)] + [
-        ext.VForm(m, 2 * k, ext.SmoothMap(
-            m, lambda x, k=k: chern_coefficients(omega.coeffs.value(x), m, k)[k]))
+    return [ext.VForm(m, 0, lambda x: np.ones(1, dtype=complex))] + [
+        ext.VForm(m, 2 * k,
+                  lambda x, k=k: chern_coefficients(omega.value(x), m, k)[k])
         for k in range(1, kmax + 1)]

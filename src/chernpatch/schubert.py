@@ -16,7 +16,7 @@ from math import comb
 from .errors import PreconditionFailed
 
 __all__ = [
-    "partitions_in_box", "conjugate", "SchubertClass", "sigma",
+    "partitions_in_box", "SchubertClass", "sigma",
     "pieri_multiply", "ring_multiply", "lr_multiply", "integrate_class",
     "parse_space", "tautological_chern", "tangent_chern", "chern_number",
     "generation_check",
@@ -36,12 +36,6 @@ def partitions_in_box(k, m):
 
     rec([], m)
     return sorted(out, key=lambda lam: (sum(lam), lam))
-
-
-def conjugate(lam):
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
 def _valid(lam, k, m):

@@ -164,7 +164,7 @@ class TangentVector:
 class SiegelModel:
     """Bundle data and patched-connection evaluators on the three strata."""
 
-    def __init__(self, rep_name="std", eps0=1.0):
+    def __init__(self, rep_name="std"):
         self.spec = liecore.sp2nR(2)
         self.rep = hcrepr.builtin_representation(self.spec, rep_name)
         self.pdK = liecore.parabolic_data(self.spec, (1,))   # normalizes Y
@@ -175,7 +175,7 @@ class SiegelModel:
         self.model = strata.FlagTubeModel(
             strata=[{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1},
                     {"name": "X", "dimC": 3}],
-            flags=[["Z", "Y", "X"]], eps0=eps0)
+            flags=[["Z", "Y", "X"]])
         # Cartan element of the hermitian sl(2) on the (e0, f0) plane
         self._W_H = np.diag([1.0, 0.0, -1.0, 0.0])
         # The point stratum carries the zero connection, so the connections
@@ -322,13 +322,7 @@ class SiegelModel:
         def coeffs(x):
             p = self.point(x)
             return evaluator(p, p.mc)
-        return ext.VForm(6, 1, ext.SmoothMap(6, coeffs))
-
-    def form_from_curvature(self, curvature) -> ext.VForm:
-        """The chart 2-form whose coefficients at x are curvature(p) at the
-        chart point p = self.point(x)."""
-        return ext.VForm(6, 2, ext.SmoothMap(
-            6, lambda x: curvature(self.point(x))))
+        return ext.VForm(6, 1, coeffs)
 
     def projection_map(self) -> ext.SmoothMap:
         """pi_Y = (x11, y11) as a chart map (6 coords -> 2), analytic Jacobian."""

@@ -105,14 +105,17 @@ class FlagTubeModel:
         """strata: list of {"name": str, "dimC": int}; flags: lists of names
         ordered small-to-large; eps0 scales the eps-family
         eps_Y = eps0 / 2^{dimC Y}."""
-        if not all(isinstance(s, dict) and {"name", "dimC"} <= s.keys()
-                   for s in strata):
+        if not isinstance(strata, (list, tuple)) or not all(
+                isinstance(s, dict) and {"name", "dimC"} <= s.keys()
+                and isinstance(s["name"], str) for s in strata):
             raise PreconditionFailed(f"strata need a name and dimC: {strata}")
         bad = [s["dimC"] for s in strata if not _is_dimension(s["dimC"])]
         if bad:
             raise PreconditionFailed(
                 f"dimC must be a nonnegative integer, got {bad}")
-        if not all(isinstance(f, (list, tuple)) for f in flags):
+        if not isinstance(flags, (list, tuple)) or not all(
+                isinstance(f, (list, tuple))
+                and all(isinstance(n, str) for n in f) for f in flags):
             raise PreconditionFailed(
                 f"each flag must be a list of stratum names: {flags}")
         self.dimC = {s["name"]: int(s["dimC"]) for s in strata}

@@ -27,6 +27,8 @@ _FAMILIES = {"sp2nR": (liecore.sp2nR, ("n",)), "u": (liecore.u_n, ("n",)),
 
 def spec_from_dict(d):
     """GroupSpec from {"family": ..., "n" or "p","q", "scalar": "f64"}."""
+    if not isinstance(d, dict):
+        raise PreconditionFailed(f"a group must be a JSON object, got {d!r}")
     if d.get("scalar", "f64") != "f64":
         raise PreconditionFailed(f"unsupported scalar {d['scalar']!r}: only 'f64'")
     fam = d.get("family")
@@ -36,18 +38,27 @@ def spec_from_dict(d):
     missing = [k for k in keys if k not in d]
     if missing:
         raise PreconditionFailed(f"group family {fam!r} needs keys {missing}")
+    bad = {k: d[k] for k in keys if not strata._is_dimension(d[k])}
+    if bad:
+        raise PreconditionFailed(
+            f"group keys must be nonnegative integers, got {bad}")
     return make(*(int(d[k]) for k in keys))
 
 
 def model_from_dict(d):
     """FlagTubeModel from {"strata": [...], "flags": [...], "eps0", "profile"};
     the one profile is "exp"."""
+    if not isinstance(d, dict):
+        raise PreconditionFailed(f"a model must be a JSON object, got {d!r}")
     if d.get("profile", "exp") != "exp":
         raise PreconditionFailed(f"unknown bump profile {d['profile']!r}: only 'exp'")
     if not d.get("flags"):
         raise PreconditionFailed("a flag model needs at least one flag")
+    eps0 = d.get("eps0", 1.0)
+    if isinstance(eps0, bool) or not isinstance(eps0, (int, float)):
+        raise PreconditionFailed(f"eps0 must be a number, got {eps0!r}")
     return strata.FlagTubeModel(strata=d.get("strata", []), flags=d["flags"],
-                                eps0=float(d.get("eps0", 1.0)))
+                                eps0=eps0)
 
 
 def default_model():
@@ -157,8 +168,8 @@ def _random_affine_form(m, rng):
         (rng.uniform(-1, 1, (d, d)), 0.4 * rng.uniform(-1, 1, (m, d, d)))
         for _ in range(m)]))
     J = B.transpose(1, 0, 2, 3)
-    return ext.VForm(m, 1, ext.SmoothMap(
-        m, lambda x: A + np.einsum("k,ikrc->irc", x, B), jac=lambda x: J))
+    return ext.VForm(m, 1, lambda x: A + np.einsum("k,ikrc->irc", x, B),
+                     jac=lambda x: J)
 
 
 def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
@@ -182,16 +193,16 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
         curvatures = [ext.curvature_form(om) for om in omegas]
 
         def combined(x, weights=weights, omegas=omegas):
-            return sum(f * om.coeffs.func(x)
+            return sum(f * om.func(x)
                        for f, om in zip(weights(x)[0], omegas))
 
-        oracle = ext.curvature_form(ext.VForm(m, 1, ext.SmoothMap(m, combined)))
+        oracle = ext.curvature_form(ext.VForm(m, 1, combined))
         for x in [rng.uniform(-0.5, 0.5, m) for _ in range(3)]:
             formula = ext.combination_curvature(zip(
-                *weights(x), [om.coeffs.value(x) for om in omegas],
-                [Om.coeffs.value(x) for Om in curvatures]))
+                *weights(x), [om.value(x) for om in omegas],
+                [Om.value(x) for Om in curvatures]))
             worst = max(worst, float(np.max(np.abs(
-                formula - oracle.coeffs.value(x)))))
+                formula - oracle.value(x)))))
     return _finish("patch", seed, tol, samples,
                    [_check("combination-identity", worst, tol)])
 
@@ -326,20 +337,16 @@ def suite_bridge(seed=0, tol=1e-6, samples=20):
     """Chart-level curvature against the algebraic curvature tensor."""
     rng = np.random.default_rng(seed)
     checks = []
-    spec1 = liecore.su_pq(1, 1)
-    rep1 = hcrepr.builtin_representation(spec1, "weight:2")
-    conn1 = connections.nomizu_connection(spec1, rep1)
-    d1 = len(liecore.algebra_basis(spec1))
-    pts = [rng.uniform(-0.4, 0.4, d1) for _ in range(samples)]
-    r1 = charts.curvature_bridge_residual(spec1, conn1, pts, rng=rng)
-    checks.append(_check("su11-nomizu", r1, tol))
-    spec2 = liecore.sp2nR(2)
-    rep2 = hcrepr.builtin_representation(spec2, "std")
-    conn2 = connections.nomizu_connection(spec2, rep2)
-    d2 = len(liecore.algebra_basis(spec2))
-    pts2 = [rng.uniform(-0.2, 0.2, d2) for _ in range(samples)]
-    r2 = charts.curvature_bridge_residual(spec2, conn2, pts2, rng=rng)
-    checks.append(_check("sp4-nomizu", r2, tol))
+    # (group, representation, half-width of the sampled chart box, check)
+    for spec, rep, half, name in (
+            (liecore.su_pq(1, 1), "weight:2", 0.4, "su11-nomizu"),
+            (liecore.sp2nR(2), "std", 0.2, "sp4-nomizu")):
+        conn = connections.nomizu_connection(
+            spec, hcrepr.builtin_representation(spec, rep))
+        dim = len(liecore.algebra_basis(spec))
+        pts = [rng.uniform(-half, half, dim) for _ in range(samples)]
+        checks.append(_check(name, charts.curvature_bridge_residual(
+            spec, conn, pts, rng=rng), tol))
     return _finish("bridge", seed, tol, samples, checks)
 
 
@@ -371,14 +378,13 @@ def suite_pifiber(seed=0, tol=1e-6, samples=10):
     """Vertical contraction of an induced-connection curvature."""
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
-    form = m.form_from_curvature(m.curvature_induced_nomizu)
     proj = m.projection_map()
     pts = _model_tube_points(rng, samples)
     worst = 0.0
     for rows, stack in _stacks(m, pts):
         for x, C in zip(rows, m.curvature_induced_nomizu(stack)):
             worst = max(worst, ext.vertical_contraction(
-                form, C, ext.vertical_vectors(proj, x), rng))
+                C, 2, ext.vertical_vectors(proj, x), rng))
     return _finish("pifiber", seed, tol, samples,
                    [_check("induced-curvature-vertical", worst, tol)])
 
@@ -415,32 +421,28 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
     """
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
-    raw = m.form_from_curvature(m.curvature_patched)
-    # the forms give the degrees the coefficient arrays are contracted at
-    chern = inv.chern_forms(raw, 2)
-    forms = {"raw": raw, 1: chern[1], 2: chern[2]}
     fd_induced, fd_patched = (ext.curvature_form(m.form_from_evaluator(ev))
                               for ev in (m.omega_induced_nomizu,
                                          m.omega_patched))
     proj = m.projection_map()
     pts = _mixed_tube_points(m, rng, samples)
     oracle_points = list(range(min(_ORACLE_POINTS, samples)))
-    worst = dict.fromkeys(forms, 0.0)
+    worst = {"raw": 0.0, 1: 0.0, 2: 0.0}
     oracle = 0.0
     views = (p for _, stack in _stacks(m, pts) for p in stack)
     for n, (x, p) in enumerate(zip(pts, views)):
         omega = m.curvature_patched(p)
         es = inv.chern_coefficients(omega, 6, 2)
-        coeffs = {"raw": omega, 1: es[1], 2: es[2]}
         verts = ext.vertical_vectors(proj, x)
-        for key, form in forms.items():
+        # the curvature and c1 are 2-forms, c2 is a 4-form
+        for key, C, q in (("raw", omega, 2), (1, es[1], 2), (2, es[2], 4)):
             worst[key] = max(worst[key], ext.vertical_contraction(
-                form, coeffs[key], verts, rng))
+                C, q, verts, rng))
         if n in oracle_points:
             for value, fd in ((m.curvature_induced_nomizu(p), fd_induced),
                               (omega, fd_patched)):
                 oracle = max(oracle, float(np.max(np.abs(
-                    value - fd.coeffs.value(x)))))
+                    value - fd.value(x)))))
     checks = [_check("chern-c1-vertical", worst[1], tol),
               _check("chern-c2-vertical", worst[2], tol),
               {"name": "raw-curvature-not-vertical",

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpatch import exterior as ext, invariants as inv, suites
+from chernpatch import exterior as ext, invariants as inv, siegel, suites
 from chernpatch.dual import Dual, seed
 
 
 def wedge_scalar(f1, f2):
-    return ext.wedge(f1, f2, lambda a, b: a * b)
+    """f1 ^ f2 for scalar forms, through the shuffle table."""
+    table = ext.wedge_table(f1.m, f1.degree, f2.degree)
+    return ext.VForm(f1.m, f1.degree + f2.degree, lambda x: ext.wedge_coeffs(
+        table, f1.value(x), f2.value(x), np.multiply))
 
 
 def _poly_form(m, rng, deg=1, d=2):
@@ -23,7 +26,7 @@ def _poly_form(m, rng, deg=1, d=2):
                for c in range(d)] for r in range(d)] for A, B in AB],
             dtype=object)
 
-    return ext.VForm(m, deg, ext.SmoothMap(m, coeffs))
+    return ext.VForm(m, deg, coeffs)
 
 
 def test_d_squared_vanishes():
@@ -48,7 +51,7 @@ def _scalar_poly_form(m, deg, rng):
                       for i in range(m) for j in range(m))
                 for a in range(n)]
 
-    return ext.VForm(m, deg, ext.SmoothMap(m, coeffs))
+    return ext.VForm(m, deg, coeffs)
 
 
 def test_d_squared_vanishes_on_one_form():
@@ -68,11 +71,11 @@ def test_leibniz_rule():
     alpha = _scalar_poly_form(m, 1, rng)
     beta = _scalar_poly_form(m, 2, rng)
     lhs = ext.exterior_d(wedge_scalar(alpha, beta))
-    rhs = (wedge_scalar(ext.exterior_d(alpha), beta)
-           + wedge_scalar(alpha, ext.exterior_d(beta)).scale(-1.0))
     x = rng.uniform(-1, 1, m)
     vecs = [rng.standard_normal(m) for _ in range(4)]
-    assert abs(lhs.evaluate(x, vecs) - rhs.evaluate(x, vecs)) < 1e-6
+    rhs = (wedge_scalar(ext.exterior_d(alpha), beta).evaluate(x, vecs)
+           - wedge_scalar(alpha, ext.exterior_d(beta)).evaluate(x, vecs))
+    assert abs(lhs.evaluate(x, vecs) - rhs) < 1e-6
 
 
 def test_second_chern_form_of_constant_curvature_is_determinant():
@@ -80,17 +83,17 @@ def test_second_chern_form_of_constant_curvature_is_determinant():
     rng = np.random.default_rng(8)
     m = 4
     M = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
-    omega = ext.VForm(m, 2, ext.SmoothMap(m, lambda x: M))
+    omega = ext.VForm(m, 2, lambda x: M)
 
     def entry(a, b):
-        return ext.VForm(m, 2, ext.SmoothMap(m, lambda x: M[:, a, b]))
+        return ext.VForm(m, 2, lambda x: M[:, a, b])
 
-    det = (wedge_scalar(entry(0, 0), entry(1, 1))
-           + wedge_scalar(entry(0, 1), entry(1, 0)).scale(-1.0))
-    oracle = det.scale((1j / (2 * np.pi)) ** 2)
     x = rng.uniform(-1, 1, m)
+    det = (wedge_scalar(entry(0, 0), entry(1, 1)).value(x)
+           - wedge_scalar(entry(0, 1), entry(1, 0)).value(x))
+    oracle = (1j / (2 * np.pi)) ** 2 * det
     c2 = inv.chern_forms(omega, 2)[2]
-    assert np.max(np.abs(c2.coeffs.value(x) - oracle.coeffs.value(x))) < 1e-12
+    assert np.max(np.abs(c2.value(x) - oracle)) < 1e-12
 
 
 def test_central_difference_jacobian_matches_analytic_derivative():
@@ -111,10 +114,8 @@ def test_wedge_antisymmetry_scalar():
     m = 3
     ca = [rng.uniform(-1, 1, 2) for _ in range(m)]
     cb = [rng.uniform(-1, 1, 2) for _ in range(m)]
-    a = ext.VForm(m, 1, ext.SmoothMap(
-        m, lambda x: [c[0] + c[1] * x[0] for c in ca]))
-    b = ext.VForm(m, 1, ext.SmoothMap(
-        m, lambda x: [c[0] + c[1] * x[1] for c in cb]))
+    a = ext.VForm(m, 1, lambda x: [c[0] + c[1] * x[0] for c in ca])
+    b = ext.VForm(m, 1, lambda x: [c[0] + c[1] * x[1] for c in cb])
     ab = wedge_scalar(a, b)
     ba = wedge_scalar(b, a)
     x = rng.uniform(-1, 1, m)
@@ -160,8 +161,8 @@ def test_pifiber_check_passes_on_pullback():
     # a form depending only on the projected coordinates is a pullback
     rng = np.random.default_rng(3)
     proj = ext.SmoothMap(3, lambda x: np.array([x[0], x[1]]))
-    form = ext.VForm(3, 1, ext.SmoothMap(
-        3, lambda x: np.array([[[x[0] + x[1]]], [[x[0] * x[1]]], [[0.0]]])))
+    form = ext.VForm(
+        3, 1, lambda x: np.array([[[x[0] + x[1]]], [[x[0] * x[1]]], [[0.0]]]))
     pts = [rng.uniform(-1, 1, 3) for _ in range(5)]
     rpt = ext.pifiber_check(form, proj, pts, tol=1e-8, rng=rng)
     assert rpt["ok"]
@@ -171,8 +172,7 @@ def test_pifiber_check_flags_vertical_component():
     # a dr component along the fiber direction must be reported
     rng = np.random.default_rng(4)
     proj = ext.SmoothMap(3, lambda x: np.array([x[0], x[1]]))
-    form = ext.VForm(3, 1, ext.SmoothMap(
-        3, lambda x: np.array([[[0.0]], [[0.0]], [[1.0]]])))
+    form = ext.VForm(3, 1, lambda x: np.array([[[0.0]], [[0.0]], [[1.0]]]))
     pts = [rng.uniform(-1, 1, 3) for _ in range(5)]
     rpt = ext.pifiber_check(form, proj, pts, tol=1e-8, rng=rng)
     assert not rpt["ok"]
@@ -181,8 +181,7 @@ def test_pifiber_check_flags_vertical_component():
 
 def test_pifiber_check_counts_points_of_a_generator():
     proj = ext.SmoothMap(3, lambda x: np.array([x[0], x[1]]))
-    form = ext.VForm(3, 1, ext.SmoothMap(
-        3, lambda x: np.array([[[x[0]]], [[x[1]]], [[0.0]]])))
+    form = ext.VForm(3, 1, lambda x: np.array([[[x[0]]], [[x[1]]], [[0.0]]]))
     pts = [np.array([0.1, 0.2, 0.3]), np.array([-0.4, 0.5, 0.6])]
     listed = ext.pifiber_check(form, proj, pts, tol=1e-8)
     generated = ext.pifiber_check(form, proj, (x for x in pts), tol=1e-8)
@@ -192,13 +191,47 @@ def test_pifiber_check_counts_points_of_a_generator():
 
 def test_curvature_of_exact_scalar_form_vanishes():
     m = 2
-    omega = ext.exterior_d(ext.VForm(m, 0, ext.SmoothMap(
-        m, lambda x: np.array([[[x[0] ** 2 * x[1]]]]))))
+    omega = ext.exterior_d(ext.VForm(
+        m, 0, lambda x: np.array([[[x[0] ** 2 * x[1]]]])))
     curv = ext.curvature_form(omega)
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, m)
     vecs = [rng.standard_normal(m) for _ in range(2)]
     assert np.max(np.abs(curv.evaluate(x, vecs))) < 1e-6
+
+
+def _wedge_tower(omega, x):
+    """Reference: d omega + 1/2 (omega ^ omega with the commutator), the
+    bracket wedged through the shuffle table."""
+    A = omega.value(x)
+    brackets = ext.wedge_coeffs(ext.wedge_table(omega.m, 1, 1), A, A,
+                                lambda a, b: a @ b - b @ a)
+    return ext.exterior_d(omega).value(x) + 0.5 * brackets
+
+
+def test_curvature_form_matches_the_wedge_tower():
+    # the two shuffle splits add (u - v) - (v - u) = 2 (u - v) exactly, so
+    # the pair brackets give the same bits as the wedge
+    rng = np.random.default_rng(9)
+    model = siegel.SiegelModel("std")
+    patched = model.form_from_evaluator(model.omega_patched)
+    affine = suites._random_affine_form(4, rng)
+    cases = ([(patched, x) for x in suites._model_tube_points(rng, 2)
+              + suites._mixed_tube_points(model, rng, 2)]
+             + [(affine, rng.uniform(-0.5, 0.5, 4)) for _ in range(2)])
+    for omega, x in cases:
+        got = ext.curvature_form(omega).value(x)
+        assert np.array_equal(got, _wedge_tower(omega, x))
+
+
+def test_evaluate_and_contract_reject_mismatched_vectors():
+    rng = np.random.default_rng(31)
+    one = ext.VForm(3, 1, lambda x: np.arange(3.0))
+    # C(3, 2) = C(3, 1): only the degree tells two vectors from one
+    with pytest.raises(ValueError, match="need 1 vectors of length 3"):
+        one.evaluate(np.zeros(3), rng.standard_normal((2, 3)))
+    with pytest.raises(ValueError):
+        ext.contract(np.arange(3.0), rng.standard_normal((2, 4)))
 
 
 def test_dual_arithmetic():
@@ -299,9 +332,8 @@ def test_exterior_d_matches_per_term_reference(m, shape):
     for q in range(m):
         J = _coeff_array(rng, m * math.comb(m, q), shape).reshape(
             (m, math.comb(m, q)) + shape)
-        form = ext.VForm(m, q, ext.SmoothMap(m, lambda x: 0.0,
-                                             jac=lambda x, J=J: J))
-        got = ext.exterior_d(form).coeffs.value(x)
+        form = ext.VForm(m, q, lambda x: 0.0, jac=lambda x, J=J: J)
+        got = ext.exterior_d(form).value(x)
         ref = _ref_combine(_ref_d_table(m, q), lambda n, j: J[j, n])
         if q <= 1:
             assert np.array_equal(got, ref)
@@ -335,12 +367,12 @@ def _ref_chern(Om, m, kmax):
 def test_chern_forms_match_per_term_reference(m, d):
     rng = np.random.default_rng(20 + m + d)
     Om = _coeff_array(rng, math.comb(m, 2), (d, d))
-    curv = ext.VForm(m, 2, ext.SmoothMap(m, lambda x: Om))
+    curv = ext.VForm(m, 2, lambda x: Om)
     sig = inv.chern_forms(curv, 2)
     ref = _ref_chern(Om, m, 2)
     x = rng.uniform(-1, 1, m)
     for k in (1, 2):
-        assert np.array_equal(sig[k].coeffs.value(x), ref[k])
+        assert np.array_equal(sig[k].value(x), ref[k])
     es = inv.chern_coefficients(Om, m, 2)
     for k in (1, 2):
         assert np.array_equal(es[k], ref[k])
@@ -362,14 +394,16 @@ def test_pair_coefficients_match_the_wedge_table(m):
     assert np.max(np.abs(ext.wedge_pairs(f, a) - wedged)) <= 1e-14
 
 
-def _contraction_loop(form, C, verts, rng):
+def _contraction_loop(C, degree, verts, rng):
     """Reference: one vertical vector at a time, its q - 1 companions drawn
     one vector at a time, C_I det_I summed by a Python generator."""
     worst = 0.0
     for v in verts:
-        V = np.array([v] + [rng.standard_normal(form.m)
-                            for _ in range(form.degree - 1)], dtype=complex)
-        dets = np.linalg.det(V[:, form._cols].transpose(1, 0, 2))
+        m = len(v)
+        cols = np.array(list(combinations(range(m), degree)))
+        V = np.array([v] + [rng.standard_normal(m)
+                            for _ in range(degree - 1)], dtype=complex)
+        dets = np.linalg.det(V[:, cols].transpose(1, 0, 2))
         val = sum((c * d for c, d in zip(C, dets)), np.zeros((), dtype=complex))
         worst = max(worst, float(np.max(np.abs(val))))
     return worst
@@ -379,15 +413,14 @@ def _contraction_loop(form, C, verts, rng):
 def test_vertical_contraction_matches_one_vector_at_a_time(degree, shape):
     m = 6
     rng = np.random.default_rng(50 + degree)
-    form = ext.VForm(m, degree, ext.SmoothMap(m, lambda x: None))
     n = math.comb(m, degree)
     C = rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
-    verts = [q.conj() for q in np.linalg.qr(
-        rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3)))[0].T]
+    verts = np.linalg.qr(rng.standard_normal((m, 3))
+                         + 1j * rng.standard_normal((m, 3)))[0].T.conj()
     for k in (0, 1, 3):
         rngs = np.random.default_rng(k), np.random.default_rng(k)
-        got = ext.vertical_contraction(form, C, verts[:k], rngs[0])
-        assert got == _contraction_loop(form, C, verts[:k], rngs[1])
+        got = ext.vertical_contraction(C, degree, verts[:k], rngs[0])
+        assert got == _contraction_loop(C, degree, verts[:k], rngs[1])
         # the same draws: both streams stand at the same place
         assert rngs[0].standard_normal() == rngs[1].standard_normal()
 
@@ -397,8 +430,7 @@ def test_forms_past_the_top_degree_evaluate_to_zero():
     rng = np.random.default_rng(30)
     x = rng.uniform(-1, 1, m)
     vecs = [rng.standard_normal(m) for _ in range(4)]
-    two = ext.VForm(m, 2, ext.SmoothMap(
-        m, lambda x: np.array([x[0], x[1] * x[2], 1.0])))
+    two = ext.VForm(m, 2, lambda x: np.array([x[0], x[1] * x[2], 1.0]))
     assert wedge_scalar(two, two).evaluate(x, vecs) == 0
     three = _scalar_poly_form(m, 3, rng)
     assert ext.exterior_d(three).evaluate(x, vecs) == 0

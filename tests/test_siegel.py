@@ -165,12 +165,12 @@ def test_klingen_factor_once_per_evaluation(model, monkeypatch):
         return factor(*args)
 
     monkeypatch.setattr(liecore, "group_factor_fine", counted)
-    coeffs = model.form_from_evaluator(model.omega_patched).coeffs
+    form = model.form_from_evaluator(model.omega_patched)
     epsX = model.model.eps("X")
     x = [0.3, -0.2, 0.1, 1.0 / (0.6 * epsX), 0.01, 1.0 / (0.3 * epsX)]
-    first = coeffs.value(x)
+    first = form.value(x)
     assert len(calls) == 1
-    again = coeffs.value(x)
+    again = form.value(x)
     assert len(calls) == 2
     assert np.array_equal(first, again)
 
@@ -189,8 +189,8 @@ def test_one_call_of_each_layer_per_coefficient_evaluation(model,
                         counted("section_mc", siegel.section_mc))
     monkeypatch.setattr(model.pdK, "split", counted("split", model.pdK.split))
     evaluator = counted("evaluator", model.omega_induced_nomizu)
-    coeffs = model.form_from_evaluator(evaluator).coeffs
-    value = coeffs.value(_sample_x(np.random.default_rng(10)))
+    form = model.form_from_evaluator(evaluator)
+    value = form.value(_sample_x(np.random.default_rng(10)))
     assert value.shape == (6, 2, 2)
     assert calls == {"evaluator": 1, "section_mc": 1, "split": 1}
 
@@ -257,7 +257,7 @@ def _oracle_points(model, rng):
 def _differences(model, evaluator):
     """The curvature of a connection evaluator by ext.curvature_form: one
     central difference of its chart form."""
-    return ext.curvature_form(model.form_from_evaluator(evaluator)).coeffs
+    return ext.curvature_form(model.form_from_evaluator(evaluator))
 
 
 def test_chain_curvatures_match_differences(model):
@@ -286,13 +286,12 @@ def test_chain_curvatures_match_differences(model):
 def test_curvature_evaluators_match_differences(model, name):
     curvature = getattr(model, f"curvature_{name}")
     fd = _differences(model, getattr(model, f"omega_{name}"))
-    form = model.form_from_curvature(curvature)
-    assert form.degree == 2
+    form = ext.VForm(6, 2, lambda x: curvature(model.point(x)))
     rng = np.random.default_rng(12)
     worst = scale = 0.0
     for x in _oracle_points(model, rng):
         want = fd.value(x)
-        worst = max(worst, float(np.max(np.abs(form.coeffs.value(x) - want))))
+        worst = max(worst, float(np.max(np.abs(form.value(x) - want))))
         scale = max(scale, float(np.max(np.abs(want))))
     assert worst <= 1e-8
     assert scale > 1e-3     # the comparison is not between two zeros

@@ -293,11 +293,24 @@ _TWO_STRATA = {"strata": [_Z, _Y], "flags": [["Z", "Y"]]}
      "each flag must be a list of stratum names"),
     (["vanishing"], {"strata": [_Z, _Y, _X, dict(_Y, dimC=7)],
                      "flags": [["Z", "Y", "X"]]}, "stratum names repeat"),
+    (["partition"], [1], "a model must be a JSON object"),
+    (["vanishing"], {"strata": [_Z, _Y, _X], "flags": [["Z", ["Y"], "X"]]},
+     "each flag must be a list of stratum names"),
+    (["partition"], {"strata": [dict(_Z, name=["Z"])], "flags": [["Z"]]},
+     "strata need a name and dimC"),
+    (["partition"], {"strata": 5, "flags": [["Z"]]},
+     "strata need a name and dimC"),
+    (["partition"], {"strata": [_Z], "flags": 5},
+     "each flag must be a list of stratum names"),
+    (["partition"], dict(_TWO_STRATA, eps0=[1]), "eps0 must be a number"),
+    (["partition"], dict(_TWO_STRATA, eps0="1"), "eps0 must be a number"),
 ], ids=["samples-1", "one-stratum-flag", "vanishing-no-flags",
         "partition-no-flags", "no-strata", "partition-undeclared",
         "vanishing-undeclared", "eps0-zero", "eps0-negative", "eps0-infinite",
         "vanishing-two-strata", "stratum-without-dimC", "dimC-not-integral",
-        "flag-a-string", "stratum-named-twice"])
+        "flag-a-string", "stratum-named-twice", "model-a-list",
+        "flag-entry-a-list", "stratum-name-a-list", "strata-a-number",
+        "flags-a-number", "eps0-a-list", "eps0-a-string"])
 def test_cli_verify_rejects_models_and_sizes_the_suites_cannot_check(
         args, model, message, tmp_path, capsys):
     if model is not None:
@@ -332,8 +345,19 @@ def test_spec_from_dict_rejects_other_scalar(capsys):
 @pytest.mark.parametrize("group,message", [
     ('{"family": "sp2nR"}', "needs keys ['n']"),
     ('{"family": ["sp2nR"]}', "unknown group family"),
-], ids=["missing-key", "family-not-a-name"])
-def test_spec_from_dict_rejects_malformed_groups(group, message, capsys):
+    ('[1]', "a group must be a JSON object"),
+    ('{"family": "sp2nR", "n": 2.7}', "nonnegative integers"),
+    ('{"family": "sp2nR", "n": true}', "nonnegative integers"),
+    ('{"family": "su_pq", "p": 1, "q": "1"}', "nonnegative integers"),
+], ids=["missing-key", "family-not-a-name", "group-a-list", "n-not-integral",
+        "n-a-boolean", "q-a-string"])
+def test_spec_from_dict_rejects_malformed_groups(group, message, tmp_path,
+                                                 capsys):
+    if not group.startswith("{"):
+        # only a group file can hold a top level that is not an object
+        path = tmp_path / "group.json"
+        path.write_text(group)
+        group = str(path)
     assert cli.main(["curvature", "--group", group, "--rep", "std"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
