@@ -50,19 +50,20 @@ class GroupChart:
             v[:j] = h[j - 1] @ v[:j] @ h_inv[j - 1]
         return v
 
+    # one mc_coeff per point: expm scales a stack as a whole
     def connection_form(self, conn) -> ext.VForm:
         """Pullback of the left-invariant connection form to the chart."""
-        return ext.VForm(self.dim, 1,
-                         lambda x: conn.omega0(self.mc_coeff(x)))
+        return ext.VForm(self.dim, 1, lambda xs: np.array(
+            [conn.omega0(self.mc_coeff(x)) for x in xs]))
 
     def algebraic_curvature_form(self, conn) -> ext.VForm:
         """The same curvature assembled without chart differentiation:
         coefficient (i < j) at x is Omega_0(mc_i(x), mc_j(x))."""
         i, j = np.triu_indices(self.dim, 1)
 
-        def coeffs(x):
-            mc = self.mc_coeff(x)
-            return conn.curvature0(mc[i], mc[j])
+        def coeffs(xs):
+            return np.array([conn.curvature0(mc[i], mc[j])
+                             for mc in map(self.mc_coeff, xs)])
 
         return ext.VForm(self.dim, 2, coeffs)
 

@@ -1,16 +1,16 @@
 """Chart-level exterior calculus for matrix-valued differential forms.
 
-Forms live on an open chart of R^m.  A VForm of degree q is a SmoothMap
-with a degree: its value at x is the array of all C(m, q) coefficients,
-shape (C(m, q),) + value shape, stacked on axis 0 in the order of
+Forms live on an open chart of R^m.  A chart map (SmoothMap) maps a (P, m)
+stack of points to the (P, ...) stack of its values.  A VForm of degree q
+is a SmoothMap with a degree: its value at x is the array of all C(m, q)
+coefficients, (C(m, q),) + value shape, in the order of
 itertools.combinations(range(m), q); coefficients are scalars or End(V)
-matrices.  The exterior derivative and the curvature are the forms built
-from others.  d sums the signed entries of the operand's Jacobian, gathered
+matrices.  d sums the signed entries of the operand's Jacobian, gathered
 through one shuffle table (wedge_table); the curvature adds to d omega the
-pair brackets of omega's coefficients.  Each reads its operand once per
-point.  A coefficient map is differentiated by its analytic Jacobian when
-it carries one (the Siegel projection, the affine forms of the `patch`
-suite) and by central differences otherwise.  One contraction (contract)
+pair brackets of omega's coefficients.  A coefficient map is differentiated
+by its analytic Jacobian when it carries one (the Siegel projection, the
+affine forms of the `patch` suite) and otherwise by central differences,
+the 2m displaced points of x as one stack.  One contraction (contract)
 evaluates a coefficient array on vectors.  combination_curvature is the one
 product rule for the curvature of a weighted combination of connections.
 
@@ -35,9 +35,11 @@ FD_STEP = 1e-5
 class SmoothMap:
     """Differentiable map from an m-dimensional chart to scalars or arrays.
 
-    func eats a sequence of m coordinates.  jac (optional) is the analytic
-    Jacobian, a callable of the same coordinates; without it the Jacobian
-    is taken by central differences with step 1e-5.
+    func maps a (P, m) float array of chart points to the (P, ...) stack of
+    their values; value(x) is its one-row case.  jac (optional) is the
+    analytic Jacobian at one point x, an (m,) array; without it the Jacobian
+    is taken by central differences with step 1e-5, the 2m displaced points
+    of x evaluated in one func call.
     """
 
     def __init__(self, m, func, jac=None):
@@ -46,23 +48,26 @@ class SmoothMap:
         self._jac = jac
 
     def value(self, x):
-        return np.asarray(self.func(list(x)), dtype=complex)
+        return np.asarray(self.func(np.array([x], dtype=float)),
+                          dtype=complex)[0]
 
     def jacobian(self, x):
         """Array of shape (m,) + value.shape with entry i = d/dx_i."""
         if self._jac is not None:
-            return np.asarray(self._jac(list(x)), dtype=complex)
-        return self._fd_jacobian(list(x))
+            return np.asarray(self._jac(np.array(x, dtype=float)),
+                              dtype=complex)
+        return self._fd_jacobian(x)
 
     def _fd_jacobian(self, x, h=FD_STEP):
-        cols = []
-        for i in range(self.m):
-            xp = list(x)
-            xm = list(x)
-            xp[i] = xp[i] + h
-            xm[i] = xm[i] - h
-            cols.append((self.value(xp) - self.value(xm)) / (2 * h))
-        return np.array(cols)
+        """Central differences: rows i and m + i of the one stack are x
+        displaced by +h and -h along coordinate i."""
+        m = self.m
+        xs = np.tile(np.asarray(x, dtype=float), (2 * m, 1))
+        i = np.arange(m)
+        xs[i, i] += h
+        xs[m + i, i] -= h
+        vals = np.asarray(self.func(xs), dtype=complex)
+        return (vals[:m] - vals[m:]) / (2 * h)
 
 
 class VForm(SmoothMap):
@@ -146,8 +151,8 @@ def exterior_d(form: VForm) -> VForm:
     """Exterior derivative: the Jacobian, read as the 1-form sum_j dx_j d/dx_j,
     wedged with the coefficients (differentiated numerically)."""
     ia, ib, sign = wedge_table(form.m, 1, form.degree)
-    return VForm(form.m, form.degree + 1,
-                 lambda x: _signed_sum(sign, form.jacobian(x)[ia, ib]))
+    return VForm(form.m, form.degree + 1, lambda xs: np.array(
+        [_signed_sum(sign, form.jacobian(x)[ia, ib]) for x in xs]))
 
 
 def bracket_pairs(a):
@@ -172,8 +177,8 @@ def wedge_pairs(f, a):
 def curvature_form(omega: VForm) -> VForm:
     """Omega = d omega + 1/2 [omega, omega] for an End(V)-valued 1-form."""
     d = exterior_d(omega)
-    return VForm(omega.m, 2,
-                 lambda x: d.func(x) + bracket_pairs(omega.value(x)))
+    return VForm(omega.m, 2, lambda xs: d.func(xs) + bracket_pairs(
+        np.asarray(omega.func(xs), dtype=complex)))
 
 
 def combination_curvature(terms):

@@ -315,10 +315,11 @@ def chern_forms(omega, kmax):
 
     c_k is the degree-2k form whose coefficients at x are
     chern_coefficients(omega at x, m, k)[k]: each c_k evaluates the
-    curvature once per point.
+    curvature once per stack of points, then takes them row by row.
     """
     m = omega.m
-    return [ext.VForm(m, 0, lambda x: np.ones(1, dtype=complex))] + [
-        ext.VForm(m, 2 * k,
-                  lambda x, k=k: chern_coefficients(omega.value(x), m, k)[k])
-        for k in range(1, kmax + 1)]
+    return [ext.VForm(m, 0, lambda xs: np.ones((len(xs), 1), dtype=complex))
+            ] + [ext.VForm(m, 2 * k, lambda xs, k=k: np.array(
+                [chern_coefficients(C, m, k)[k]
+                 for C in np.asarray(omega.func(xs), dtype=complex)]))
+                 for k in range(1, kmax + 1)]

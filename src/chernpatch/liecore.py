@@ -261,14 +261,14 @@ def algebra_coords(solver, X, tol: float, message: str):
     return c
 
 
-def require(ok, message: str):
-    """Raise DecompositionError(message) unless the numpy boolean ok holds,
-    or each entry of it, naming the first failing row of a stack."""
+def require(ok, message: str, error=DecompositionError):
+    """Raise error(message) unless the numpy boolean ok holds, or each entry
+    of it, naming the first failing row of a stack."""
     if ok.all() if ok.ndim else ok:
         return
     if ok.ndim:
         message += f" (row {', '.join(map(str, np.argwhere(~ok)[0]))})"
-    raise DecompositionError(message)
+    raise error(message)
 
 
 def from_coords(coords, basis):
@@ -371,12 +371,14 @@ def _null_space(A):
 
 def _nullspace_combos(basis, constraint):
     """Sub-span {X in span(basis) : constraint(X) = 0}; returns matrices."""
-    rows = []
-    for b in basis:
-        rows.append(_vec(constraint(b)))
-    M = np.stack(rows, axis=1)
-    ns = _null_space(M)
-    return [from_coords(ns[:, k], basis) for k in range(ns.shape[1])]
+    M = np.stack([_vec(constraint(b)) for b in basis], axis=1)
+    return _combos(_null_space(M), basis)
+
+
+def _combos(ns, basis):
+    """from_coords(ns[:, k], basis) for every column k of ns, summed over
+    the basis index for all columns at once."""
+    return list(from_coords(ns[:, :, None, None], basis))
 
 
 def _span_intersection(basA, basB):
@@ -385,26 +387,24 @@ def _span_intersection(basA, basB):
     A = np.stack([_vec(x) for x in basA], axis=1)
     B = np.stack([_vec(x) for x in basB], axis=1)
     ns = _null_space(np.hstack([A, -B]))
-    out = []
-    for k in range(ns.shape[1]):
-        out.append(from_coords(ns[: A.shape[1], k], basA))
-    return _orthonormalize(out)
+    return _orthonormalize(_combos(ns[: A.shape[1]], basA))
 
 
 def _orthonormalize(mats, tol=1e-10):
-    out = []
+    out, vecs = [], []     # vecs[k] is _vec(out[k]), built once
     for m in mats:
         v = _vec(m)
-        for o in out:
-            v = v - np.dot(_vec(o), v) * _vec(o)
+        for o in vecs:
+            v = v - np.dot(o, v) * o
         nrm = np.linalg.norm(v)
         if nrm > tol:
             M = v[: v.size // 2].reshape(m.shape) + 1j * v[v.size // 2:].reshape(m.shape)
             if np.max(np.abs(M.imag)) < 1e-14:
                 M = M.real
             out.append(M / nrm)
+            vecs.append(_vec(out[-1]))
     # renormalize in matrix form
-    return [m / np.linalg.norm(_vec(m)) for m in out]
+    return [m / np.linalg.norm(o) for m, o in zip(out, vecs)]
 
 
 @dataclass
@@ -484,9 +484,9 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
 
     # nilradical = radical of the trace form on Lie(Q)
     def trace_radical(bas):
-        G = np.array([[complex(np.trace(a @ b)).real for b in bas] for a in bas])
-        ns = _null_space(G)
-        return _orthonormalize([from_coords(ns[:, k], bas) for k in range(ns.shape[1])])
+        A = np.array(bas)
+        G = np.trace(A[:, None] @ A, axis1=-2, axis2=-1).real
+        return _orthonormalize(_combos(_null_space(G), bas))
 
     bas_u = trace_radical(bas_q)
 

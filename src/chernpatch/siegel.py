@@ -20,12 +20,13 @@ i*I to Z, with pi compatible with the group-level Levi factorization.
 
 Evaluators take (point, mc): the :class:`ChartPoint` SiegelModel.point(x)
 and mc = s^{-1} ds, a (4, 4) matrix or a (..., 4, 4) stack of directions at
-x, and return (..., d, d).  A chart form calls its evaluator once per point,
-on the stack p.mc of all six chart directions, and every layer maps it whole.
-SiegelModel.points(xs) makes a stack of chart points, with the section, mc
-and the Klingen factor each from one numpy pass, so the factor is made once
-per stack; point(x) is points([x])[0].  curvature_induced_nomizu takes one
-point or a stack; the patched evaluators read one point p[n] at a time.
+x, and return (..., d, d).  SiegelModel.points(xs) makes a stack of chart
+points, with the section, mc and the Klingen factor each from one numpy
+pass; point(x) is points([x])[0].  A chart form makes the points of a stack
+of rows (the 12 of a central difference) in one points call, then calls its
+evaluator once per row, on the stack p.mc of all six chart directions, and
+every layer maps that whole.  curvature_induced_nomizu takes one point or a
+stack; the patched evaluators read one point p[n] at a time.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector (:class:`TangentVector`)
@@ -81,10 +82,15 @@ def z_from_coords(x):
 
 def section(x):
     """Group element s in Sp(4,R) with s . (i I) = Z(x), inside both
-    standard parabolics; (..., 4, 4) for a (..., 6) stack of points."""
+    standard parabolics; (..., 4, 4) for a (..., 6) stack of points.
+    Raises PreconditionFailed, naming the first failing row of a stack,
+    unless Im Z is positive definite: y11 > 0 and det Y > 0."""
     Z = z_from_coords(x)
     Y = Z.imag
     X = Z.real
+    y11, y12, y22 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
+    liecore.require((y11 > 0) & (y11 * y22 - y12 * y12 > 0),
+                    "Im Z is not positive definite", PreconditionFailed)
     L = np.linalg.cholesky(Y)
     Lit = np.linalg.inv(L).swapaxes(-1, -2)
     g = np.zeros(Z.shape[:-2] + (4, 4))
@@ -317,11 +323,10 @@ class SiegelModel:
     def form_from_evaluator(self, evaluator) -> ext.VForm:
         """Assemble a chart VForm from a (point, mc) -> End(V) evaluator.
 
-        The six coefficients at x are one evaluator call on the chart point
-        p = self.point(x) and its (6, 4, 4) stack p.mc."""
-        def coeffs(x):
-            p = self.point(x)
-            return evaluator(p, p.mc)
+        A stack xs takes one self.points(xs) call; the six coefficients of
+        row n are one evaluator call on its chart point p and p.mc."""
+        def coeffs(xs):
+            return np.array([evaluator(p, p.mc) for p in self.points(xs)])
         return ext.VForm(6, 1, coeffs)
 
     def projection_map(self) -> ext.SmoothMap:
@@ -329,5 +334,4 @@ class SiegelModel:
         J = np.zeros((6, 2))
         J[0, 0] = 1.0
         J[3, 1] = 1.0
-        return ext.SmoothMap(6, lambda x: np.array([x[0], x[3]]),
-                             jac=lambda x: J)
+        return ext.SmoothMap(6, lambda xs: xs[:, [0, 3]], jac=lambda x: J)

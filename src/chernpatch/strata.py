@@ -126,6 +126,11 @@ class FlagTubeModel:
         self.eps0 = float(eps0)
         if not (math.isfinite(self.eps0) and self.eps0 > 0):
             raise PreconditionFailed(f"eps0 must be finite and > 0: {eps0}")
+        tiny = [d for d in self.dimC.values()
+                if math.ldexp(self.eps0, -d) < np.finfo(float).tiny]
+        if tiny:
+            raise PreconditionFailed(
+                f"eps0 / 2^dimC is not a normal float for dimC {tiny}")
         undeclared = [n for f in self.flags for n in f if n not in self.dimC]
         if undeclared:
             raise PreconditionFailed(f"unknown strata in flags: {undeclared}")
@@ -141,7 +146,7 @@ class FlagTubeModel:
             self._ancestors.setdefault(name, ())
 
     def eps(self, name):
-        return self.eps0 / 2 ** self.dimC[name]
+        return math.ldexp(self.eps0, -self.dimC[name])
 
     def point(self, chain, r) -> ModelPoint:
         chain = tuple(chain)

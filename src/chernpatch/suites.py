@@ -168,8 +168,17 @@ def _random_affine_form(m, rng):
         (rng.uniform(-1, 1, (d, d)), 0.4 * rng.uniform(-1, 1, (m, d, d)))
         for _ in range(m)]))
     J = B.transpose(1, 0, 2, 3)
-    return ext.VForm(m, 1, lambda x: A + np.einsum("k,ikrc->irc", x, B),
+    return ext.VForm(m, 1, lambda xs: A + np.einsum("pk,ikrc->pirc", xs, B),
                      jac=lambda x: J)
+
+
+def _combination_form(m, weights, omegas):
+    """sum_i f_i omega_i: omega_i on the whole stack, f_i row by row."""
+    def combined(xs):
+        values = [om.func(xs) for om in omegas]
+        return np.array([sum(f * v[n] for f, v in zip(weights(x)[0], values))
+                         for n, x in enumerate(xs)])
+    return ext.VForm(m, 1, combined)
 
 
 def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
@@ -191,12 +200,7 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
         weights = _random_weights(m, rng)
         omegas = [_random_affine_form(m, rng) for _ in range(_PATCH_PARTS)]
         curvatures = [ext.curvature_form(om) for om in omegas]
-
-        def combined(x, weights=weights, omegas=omegas):
-            return sum(f * om.func(x)
-                       for f, om in zip(weights(x)[0], omegas))
-
-        oracle = ext.curvature_form(ext.VForm(m, 1, combined))
+        oracle = ext.curvature_form(_combination_form(m, weights, omegas))
         for x in [rng.uniform(-0.5, 0.5, m) for _ in range(3)]:
             formula = ext.combination_curvature(zip(
                 *weights(x), [om.value(x) for om in omegas],

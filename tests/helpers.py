@@ -21,3 +21,21 @@ def alg_residual(spec, X):
     if spec.real:
         r = max(r, float(np.max(np.abs(np.asarray(X, dtype=complex).imag))))
     return r
+
+
+def rowwise(f):
+    """A chart map of one point x (m,) as a map of a (P, m) stack: f on each
+    row, the values stacked."""
+    return lambda xs: np.array([f(x) for x in xs])
+
+
+def fd_reference(sm, x, h=1e-5):
+    """Central differences of the SmoothMap sm at x, one coordinate at a
+    time: entry i is (value(x + h e_i) - value(x - h e_i)) / 2h."""
+    cols = []
+    for i in range(sm.m):
+        xp, xm = list(x), list(x)
+        xp[i] = xp[i] + h
+        xm[i] = xm[i] - h
+        cols.append((sm.value(xp) - sm.value(xm)) / (2 * h))
+    return np.array(cols)

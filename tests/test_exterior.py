@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import exterior as ext, invariants as inv, siegel, suites
 from chernpatch.dual import Dual, seed
+from helpers import rowwise
 
 
 def wedge_scalar(f1, f2):
     """f1 ^ f2 for scalar forms, through the shuffle table."""
     table = ext.wedge_table(f1.m, f1.degree, f2.degree)
-    return ext.VForm(f1.m, f1.degree + f2.degree, lambda x: ext.wedge_coeffs(
-        table, f1.value(x), f2.value(x), np.multiply))
+    return ext.VForm(f1.m, f1.degree + f2.degree, rowwise(
+        lambda x: ext.wedge_coeffs(table, f1.value(x), f2.value(x),
+                                   np.multiply)))
 
 
 def _poly_form(m, rng, deg=1, d=2):
@@ -26,7 +28,7 @@ def _poly_form(m, rng, deg=1, d=2):
                for c in range(d)] for r in range(d)] for A, B in AB],
             dtype=object)
 
-    return ext.VForm(m, deg, coeffs)
+    return ext.VForm(m, deg, rowwise(coeffs))
 
 
 def test_d_squared_vanishes():
@@ -51,7 +53,7 @@ def _scalar_poly_form(m, deg, rng):
                       for i in range(m) for j in range(m))
                 for a in range(n)]
 
-    return ext.VForm(m, deg, coeffs)
+    return ext.VForm(m, deg, rowwise(coeffs))
 
 
 def test_d_squared_vanishes_on_one_form():
@@ -83,10 +85,10 @@ def test_second_chern_form_of_constant_curvature_is_determinant():
     rng = np.random.default_rng(8)
     m = 4
     M = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
-    omega = ext.VForm(m, 2, lambda x: M)
+    omega = ext.VForm(m, 2, rowwise(lambda x: M))
 
     def entry(a, b):
-        return ext.VForm(m, 2, lambda x: M[:, a, b])
+        return ext.VForm(m, 2, rowwise(lambda x: M[:, a, b]))
 
     x = rng.uniform(-1, 1, m)
     det = (wedge_scalar(entry(0, 0), entry(1, 1)).value(x)
@@ -102,7 +104,7 @@ def test_central_difference_jacobian_matches_analytic_derivative():
     def f(x):
         return x[0] * x[1] + x[1] ** 3
 
-    sm = ext.SmoothMap(2, f)
+    sm = ext.SmoothMap(2, rowwise(f))
     x = rng.uniform(-1, 1, 2)
     J = sm.jacobian(x)
     assert abs(J[0] - x[1]) < 1e-9
@@ -114,8 +116,8 @@ def test_wedge_antisymmetry_scalar():
     m = 3
     ca = [rng.uniform(-1, 1, 2) for _ in range(m)]
     cb = [rng.uniform(-1, 1, 2) for _ in range(m)]
-    a = ext.VForm(m, 1, lambda x: [c[0] + c[1] * x[0] for c in ca])
-    b = ext.VForm(m, 1, lambda x: [c[0] + c[1] * x[1] for c in cb])
+    a = ext.VForm(m, 1, rowwise(lambda x: [c[0] + c[1] * x[0] for c in ca]))
+    b = ext.VForm(m, 1, rowwise(lambda x: [c[0] + c[1] * x[1] for c in cb]))
     ab = wedge_scalar(a, b)
     ba = wedge_scalar(b, a)
     x = rng.uniform(-1, 1, m)
@@ -160,9 +162,9 @@ def test_patch_fails_without_the_dw_term(monkeypatch):
 def test_pifiber_check_passes_on_pullback():
     # a form depending only on the projected coordinates is a pullback
     rng = np.random.default_rng(3)
-    proj = ext.SmoothMap(3, lambda x: np.array([x[0], x[1]]))
-    form = ext.VForm(
-        3, 1, lambda x: np.array([[[x[0] + x[1]]], [[x[0] * x[1]]], [[0.0]]]))
+    proj = ext.SmoothMap(3, lambda xs: xs[:, :2])
+    form = ext.VForm(3, 1, rowwise(
+        lambda x: np.array([[[x[0] + x[1]]], [[x[0] * x[1]]], [[0.0]]])))
     pts = [rng.uniform(-1, 1, 3) for _ in range(5)]
     rpt = ext.pifiber_check(form, proj, pts, tol=1e-8, rng=rng)
     assert rpt["ok"]
@@ -171,8 +173,9 @@ def test_pifiber_check_passes_on_pullback():
 def test_pifiber_check_flags_vertical_component():
     # a dr component along the fiber direction must be reported
     rng = np.random.default_rng(4)
-    proj = ext.SmoothMap(3, lambda x: np.array([x[0], x[1]]))
-    form = ext.VForm(3, 1, lambda x: np.array([[[0.0]], [[0.0]], [[1.0]]]))
+    proj = ext.SmoothMap(3, lambda xs: xs[:, :2])
+    form = ext.VForm(3, 1, rowwise(
+        lambda x: np.array([[[0.0]], [[0.0]], [[1.0]]])))
     pts = [rng.uniform(-1, 1, 3) for _ in range(5)]
     rpt = ext.pifiber_check(form, proj, pts, tol=1e-8, rng=rng)
     assert not rpt["ok"]
@@ -180,8 +183,9 @@ def test_pifiber_check_flags_vertical_component():
 
 
 def test_pifiber_check_counts_points_of_a_generator():
-    proj = ext.SmoothMap(3, lambda x: np.array([x[0], x[1]]))
-    form = ext.VForm(3, 1, lambda x: np.array([[[x[0]]], [[x[1]]], [[0.0]]]))
+    proj = ext.SmoothMap(3, lambda xs: xs[:, :2])
+    form = ext.VForm(3, 1, rowwise(
+        lambda x: np.array([[[x[0]]], [[x[1]]], [[0.0]]])))
     pts = [np.array([0.1, 0.2, 0.3]), np.array([-0.4, 0.5, 0.6])]
     listed = ext.pifiber_check(form, proj, pts, tol=1e-8)
     generated = ext.pifiber_check(form, proj, (x for x in pts), tol=1e-8)
@@ -192,7 +196,7 @@ def test_pifiber_check_counts_points_of_a_generator():
 def test_curvature_of_exact_scalar_form_vanishes():
     m = 2
     omega = ext.exterior_d(ext.VForm(
-        m, 0, lambda x: np.array([[[x[0] ** 2 * x[1]]]])))
+        m, 0, rowwise(lambda x: np.array([[[x[0] ** 2 * x[1]]]]))))
     curv = ext.curvature_form(omega)
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, m)
@@ -226,7 +230,7 @@ def test_curvature_form_matches_the_wedge_tower():
 
 def test_evaluate_and_contract_reject_mismatched_vectors():
     rng = np.random.default_rng(31)
-    one = ext.VForm(3, 1, lambda x: np.arange(3.0))
+    one = ext.VForm(3, 1, rowwise(lambda x: np.arange(3.0)))
     # C(3, 2) = C(3, 1): only the degree tells two vectors from one
     with pytest.raises(ValueError, match="need 1 vectors of length 3"):
         one.evaluate(np.zeros(3), rng.standard_normal((2, 3)))
@@ -332,7 +336,7 @@ def test_exterior_d_matches_per_term_reference(m, shape):
     for q in range(m):
         J = _coeff_array(rng, m * math.comb(m, q), shape).reshape(
             (m, math.comb(m, q)) + shape)
-        form = ext.VForm(m, q, lambda x: 0.0, jac=lambda x, J=J: J)
+        form = ext.VForm(m, q, rowwise(lambda x: 0.0), jac=lambda x, J=J: J)
         got = ext.exterior_d(form).value(x)
         ref = _ref_combine(_ref_d_table(m, q), lambda n, j: J[j, n])
         if q <= 1:
@@ -367,7 +371,7 @@ def _ref_chern(Om, m, kmax):
 def test_chern_forms_match_per_term_reference(m, d):
     rng = np.random.default_rng(20 + m + d)
     Om = _coeff_array(rng, math.comb(m, 2), (d, d))
-    curv = ext.VForm(m, 2, lambda x: Om)
+    curv = ext.VForm(m, 2, rowwise(lambda x: Om))
     sig = inv.chern_forms(curv, 2)
     ref = _ref_chern(Om, m, 2)
     x = rng.uniform(-1, 1, m)
@@ -430,7 +434,7 @@ def test_forms_past_the_top_degree_evaluate_to_zero():
     rng = np.random.default_rng(30)
     x = rng.uniform(-1, 1, m)
     vecs = [rng.standard_normal(m) for _ in range(4)]
-    two = ext.VForm(m, 2, lambda x: np.array([x[0], x[1] * x[2], 1.0]))
+    two = ext.VForm(m, 2, rowwise(lambda x: np.array([x[0], x[1] * x[2], 1.0])))
     assert wedge_scalar(two, two).evaluate(x, vecs) == 0
     three = _scalar_poly_form(m, 3, rng)
     assert ext.exterior_d(three).evaluate(x, vecs) == 0

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -308,3 +311,40 @@ def test_group_factor_of_a_stack_matches_one_element_at_a_time():
         for n, g in enumerate(gs):
             for a, b in zip(stacked, liecore.group_factor_fine(pd, g)):
                 assert np.array_equal(a[n], b)
+
+
+# Every flag of the groups whose parabolic data the package builds or tests.
+PARABOLIC_FLAGS = {
+    "sp4": (liecore.sp2nR(2), [(1,), (2,), (1, 2)]),
+    "sp6": (liecore.sp2nR(3), [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
+                               (1, 2, 3)]),
+    "su11": (liecore.su_pq(1, 1), [(1,)]),
+    "su21": (liecore.su_pq(2, 1), [(1,)]),
+    "su22": (liecore.su_pq(2, 2), [(1,), (2,), (1, 2)]),
+}
+BASES = ("basis_u", "basis_u1", "basis_h", "basis_l")
+PARABOLIC_GOLDEN = (pathlib.Path(__file__).parent / "golden"
+                    / "parabolic_bases.json")
+
+
+def parabolic_digests():
+    """{group flag: {basis: sha256 of the bytes of its matrices, in order}}."""
+    out = {}
+    for group, (spec, flags) in PARABOLIC_FLAGS.items():
+        for flag in flags:
+            pd = liecore.parabolic_data(spec, flag)
+            out[f"{group} {flag}"] = {name: hashlib.sha256(b"".join(
+                np.ascontiguousarray(b).tobytes() for b in getattr(pd, name)
+            )).hexdigest() for name in BASES}
+    return out
+
+
+def test_parabolic_bases_match_golden():
+    # any change of a bit (or of a dtype) in a basis moves every split
+    golden = json.loads(PARABOLIC_GOLDEN.read_text(encoding="utf-8"))
+    assert parabolic_digests() == golden
+
+
+if __name__ == "__main__":
+    PARABOLIC_GOLDEN.write_text(
+        json.dumps(parabolic_digests(), indent=1) + "\n", encoding="utf-8")

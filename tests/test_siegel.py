@@ -28,6 +28,24 @@ def test_section_lands_in_group(model):
         assert liecore.grp_residual(spec, g) < 1e-10
 
 
+def test_points_off_the_siegel_domain_are_named(model):
+    # 4e-6 - FD_STEP < 0: the difference at x leaves the domain
+    x = [0.1, 0.0, 0.0, 4e-6, 0.0, 20.0]
+    flat = [0.1, 0.0, 0.0, 1.0, 2.0, 1.0]       # y11 > 0, det Y < 0
+    msg = "Im Z is not positive definite"
+    with pytest.raises(PreconditionFailed, match=f"^{msg}$"):
+        siegel.section([0.1, 0.0, 0.0, -4e-6, 0.0, 20.0])
+    with pytest.raises(PreconditionFailed, match=r"\(row 2\)$"):
+        siegel.section(np.array([x, x, flat, x]))
+    with pytest.raises(PreconditionFailed, match=r"\(row 1\)$"):
+        model.points([x, [0.1, 0.0, 0.0, -1.0, 0.0, 20.0]])
+    form = model.form_from_evaluator(model.omega_patched)
+    assert form.value(x).shape == (6, 2, 2)
+    # rows 0-5 of the difference stack step by +h, rows 6-11 by -h
+    with pytest.raises(PreconditionFailed, match=r"\(row 9\)$"):
+        form.jacobian(x)
+
+
 def test_section_maps_to_point(model):
     # acting on i*I recovers the chart coordinates
     rng = np.random.default_rng(1)
@@ -286,7 +304,8 @@ def test_chain_curvatures_match_differences(model):
 def test_curvature_evaluators_match_differences(model, name):
     curvature = getattr(model, f"curvature_{name}")
     fd = _differences(model, getattr(model, f"omega_{name}"))
-    form = ext.VForm(6, 2, lambda x: curvature(model.point(x)))
+    form = ext.VForm(6, 2, lambda xs: np.array(
+        [curvature(p) for p in model.points(xs)]))
     rng = np.random.default_rng(12)
     worst = scale = 0.0
     for x in _oracle_points(model, rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,3 +181,15 @@ def test_patched_without_ancestors_reads_no_weight(monkeypatch):
     got = system.patched(x, np.arange(3.0))
     assert np.array_equal(got, expected)
     assert np.array_equal(got, 2.5 * np.arange(3.0))
+
+
+def test_eps_is_a_normal_float_down_to_the_smallest():
+    strata_ = [{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1022}]
+    model = strata.FlagTubeModel(strata_, [["Z", "Y"]])
+    assert model.eps("Y") == 2.0 ** -1022
+    # a large eps0 makes room for a dimension past 1023
+    big = strata.FlagTubeModel([{"name": "Y", "dimC": 2000}], [["Y"]],
+                               eps0=1e300)
+    assert big.eps("Y") == math.ldexp(1e300, -2000)
+    with pytest.raises(PreconditionFailed, match=r"normal float for dimC \[1023\]"):
+        strata.FlagTubeModel([{"name": "Y", "dimC": 1023}], [["Y"]])

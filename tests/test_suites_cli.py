@@ -304,13 +304,20 @@ _TWO_STRATA = {"strata": [_Z, _Y], "flags": [["Z", "Y"]]}
      "each flag must be a list of stratum names"),
     (["partition"], dict(_TWO_STRATA, eps0=[1]), "eps0 must be a number"),
     (["partition"], dict(_TWO_STRATA, eps0="1"), "eps0 must be a number"),
+    (["partition"], {"strata": [_Z, dict(_Y, dimC=2000)],
+                     "flags": [["Z", "Y"]]}, "not a normal float for dimC [2000]"),
+    (["vanishing"], {"strata": [_Z, dict(_Y, dimC=1100), _X],
+                     "flags": [["Z", "Y", "X"]]}, "not a normal float for dimC [1100]"),
+    (["partition"], {"strata": [_Z, dict(_Y, dimC=1023)],
+                     "flags": [["Z", "Y"]]}, "for dimC [1023]"),
 ], ids=["samples-1", "one-stratum-flag", "vanishing-no-flags",
         "partition-no-flags", "no-strata", "partition-undeclared",
         "vanishing-undeclared", "eps0-zero", "eps0-negative", "eps0-infinite",
         "vanishing-two-strata", "stratum-without-dimC", "dimC-not-integral",
         "flag-a-string", "stratum-named-twice", "model-a-list",
         "flag-entry-a-list", "stratum-name-a-list", "strata-a-number",
-        "flags-a-number", "eps0-a-list", "eps0-a-string"])
+        "flags-a-number", "eps0-a-list", "eps0-a-string", "dimC-2000",
+        "dimC-1100", "eps-subnormal"])
 def test_cli_verify_rejects_models_and_sizes_the_suites_cannot_check(
         args, model, message, tmp_path, capsys):
     if model is not None:
