@@ -23,6 +23,7 @@ FlagTubeModel.chain_form_weight_grad.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -278,30 +279,39 @@ def family_vanishing_check(model: FlagTubeModel, flag, grid=None):
         B_n^{eps_m}(pi_n(x)) != 0   implies   B_{n'}^{eps_{m'}}(x) = 0
 
     together with the contrapositive.  Returns a report dict.
+
+    B_Y^eps(x) is a product of one profile value s(r_j / eps) per tube
+    distance before Y and (1 - s) at Y's own (0 at x's stratum), so the
+    profile is tabulated once per grid value and eps of the flag, and its
+    values multiplied in FlagTubeModel.B's order, left to right from 1.0:
+    bitwise the values B returns.
     """
     flag = tuple(flag)
     L = len(flag)
     if grid is None:
         grid = np.linspace(0.0, 1.1 * model.eps(flag[0]), 10)
+    model.point(flag, (0.0,) * (L - 1))  # raises unless flag is a model chain
+    grid = [float(r) for r in grid]
+    s = model.profile
+    eps = [model.eps(Y) for Y in flag]
+    table = [[s.scaled(r, e) for r in grid] for e in eps]
+    at_stratum = [1.0 - s.scaled(0.0, e) for e in eps]
+    tuples = [(n, m, np_, mp) for n in range(1, L + 1)
+              for m in range(n, L + 1) for np_ in range(1, n)
+              for mp in range(m + 1, L + 1)]
     violations = []
-    checked = 0
-    import itertools
-    for rvals in itertools.product(grid, repeat=L - 1):
-        x = model.point(flag, rvals)
-        for n in range(1, L + 1):
-            for m in range(n, L + 1):
-                for np_ in range(1, n):
-                    for mp in range(m + 1, L + 1):
-                        if mp < np_:
-                            continue
-                        checked += 1
-                        xn = model.pi(x, flag[n - 1]) if n < L else x
-                        bn = model.B(flag[n - 1], model.eps(flag[m - 1]), xn)
-                        bnp = model.B(flag[np_ - 1], model.eps(flag[mp - 1]), x)
-                        if bn != 0.0 and bnp != 0.0:
-                            violations.append(
-                                {"r": list(map(float, rvals)), "n": n, "m": m,
-                                 "n'": np_, "m'": mp, "B_n": bn, "B_n'": bnp})
+    for idx in itertools.product(range(len(grid)), repeat=L - 1):
+        for n, m, np_, mp in tuples:
+            row, row_p = table[m - 1], table[mp - 1]
+            bn = math.prod(map(row.__getitem__, idx[:n - 1]), start=1.0)
+            bn = bn * at_stratum[m - 1]
+            bnp = math.prod(map(row_p.__getitem__, idx[:np_ - 1]), start=1.0)
+            bnp = bnp * (1.0 - row_p[idx[np_ - 1]])
+            if bn != 0.0 and bnp != 0.0:
+                violations.append(
+                    {"r": [grid[i] for i in idx], "n": n, "m": m,
+                     "n'": np_, "m'": mp, "B_n": bn, "B_n'": bnp})
+    checked = len(tuples) * len(grid) ** (L - 1)
     return {"checked": checked, "violations": violations, "ok": not violations}
 
 

@@ -118,10 +118,16 @@ def suite_partition(seed=0, tol=1e-12, samples=10000, model=None):
                    [_check("weights-sum-to-one", worst, tol)])
 
 
-def suite_vanishing(seed=0, tol=0.0, samples=10000, model=None):
-    """Exhaustive support-separation grid check on a three-step flag."""
+def suite_vanishing(seed=0, tol=0.0, samples=10000, model=None,
+                    corrupt=False):
+    """Exhaustive support-separation grid check on a three-step flag;
+    corrupt collapses the eps-family to the eps of the flag's first stratum."""
     model = model or default_model()
     flag = model.flags[0]
+    if corrupt:
+        model = strata.FlagTubeModel(
+            [{"name": Y, "dimC": model.dimC[flag[0]]} for Y in model.names],
+            model.flags, model.eps0)
     if len(flag) < 3:
         # with 2 strata no pair (n' < n <= m < m') exists to check
         raise PreconditionFailed(
@@ -133,7 +139,8 @@ def suite_vanishing(seed=0, tol=0.0, samples=10000, model=None):
             f"samples={samples} gives {per_axis}")
     grid = np.linspace(0.0, 1.1 * model.eps(flag[0]), per_axis)
     report = strata.family_vanishing_check(model, flag, grid)
-    checks = [_check("tube-support-separation",
+    checks = [_check("tube-support-separation"
+                     + ("-with-collapsed-eps" if corrupt else ""),
                      len(report["violations"]), tol)]
     return _finish("vanishing", seed, tol, samples, checks,
                    {"grid_points": per_axis ** (len(flag) - 1),
@@ -211,17 +218,18 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
                    [_check("combination-identity", worst, tol)])
 
 
-def _commuting_pair(rng, dim=4, exact=True):
-    """Random (x, n) with n nilpotent and [x, n] = 0, via a shared flag.
+def _commuting_pair(rng, dim=4, corrupt=False):
+    """Integers (M, N, det) of a random pair x = M / det, n = N / det with
+    n nilpotent and [x, n] = 0, via a shared flag.
 
     The flag is moved by an integer matrix s with unit diagonal, redrawn
-    while det s = 0: x = s x0 adj(s) / det s in integers, one Fraction per
-    entry.  By Cayley-Hamilton, adj(s) = (-1)^(d-1) (s^(d-1) + c_1 s^(d-2)
-    + ... + c_(d-1) I) and det s = (-1)^d c_d for det(tI - s) = sum c_k t^(d-k).
+    while det s = 0: M = s x0 adj(s), N = s n0 adj(s), all three negated
+    where det s < 0.  By Cayley-Hamilton, adj(s) = (-1)^(d-1) (s^(d-1) +
+    c_1 s^(d-2) + ... + c_(d-1) I) and det s = (-1)^d c_d for det(tI - s) =
+    sum c_k t^(d-k).  corrupt: n0 is the square-zero [[1, 1], [-1, -1]] on
+    the least and greatest eigenvalues of x0, which moves its spectrum.
     """
-    from fractions import Fraction
-    vals = [int(rng.integers(-3, 4)) for _ in range(dim)]
-    vals.sort()
+    vals = sorted(int(rng.integers(-3, 4)) for _ in range(dim))
     x = np.zeros((dim, dim), dtype=object)
     n = x.copy()
     for i in range(dim):
@@ -229,6 +237,9 @@ def _commuting_pair(rng, dim=4, exact=True):
         for j in range(i + 1, dim):
             if vals[i] == vals[j]:
                 n[i, j] = int(rng.integers(-2, 3))
+    if corrupt:
+        n[:] = 0
+        n[np.ix_([0, -1], [0, -1])] = [[1, 1], [-1, -1]]
     while True:
         rows = [[int(rng.integers(-2, 3)) if i != j else 1 for j in range(dim)]
                 for i in range(dim)]
@@ -241,36 +252,38 @@ def _commuting_pair(rng, dim=4, exact=True):
     adj = eye
     for c in cs[1:dim]:
         adj = s @ adj + c * eye
-    adj = (-1) ** (dim - 1) * adj
-
-    def conj(a):
-        return [[Fraction(v, det) for v in row] for row in (s @ a @ adj).tolist()]
-
-    x, n = conj(x), conj(n)
-    if exact:
-        return (np.array(x, dtype=object), np.array(n, dtype=object))
-    return (np.array([[float(v) for v in row] for row in x]),
-            np.array([[float(v) for v in row] for row in n]))
+    # det > 0, as a Fraction's denominator: 0 / det is 0.0, not -0.0
+    adj = (-1) ** (dim - 1) * (1 if det > 0 else -1) * adj
+    return s @ x @ adj, s @ n @ adj, abs(det)
 
 
-def suite_nilpotent(seed=0, tol=1e-9, samples=500):
-    """Elementary symmetric invariants ignore commuting nilpotent shifts."""
+def _over(a, det):
+    """a / det in floats, each entry correctly rounded as float(Fraction)."""
+    return np.array([[v / det for v in row] for row in a.tolist()])
+
+
+def suite_nilpotent(seed=0, tol=1e-9, samples=500, corrupt=False):
+    """Elementary symmetric invariants ignore commuting nilpotent shifts.
+
+    The exact check compares e_k(M) with e_k(M + N), M and N the integers
+    of _commuting_pair: e_k(M) = det^k e_k(x) with det != 0, so it fails
+    exactly where e_k(x) != e_k(x + n).  corrupt: a non-commuting shift."""
     rng = np.random.default_rng(seed)
     exact_bad = 0
     worst = 0.0
     for t in range(samples):
-        x, n = _commuting_pair(rng, _SHIFT_DIM, exact=True)
-        a = inv.elementary_symmetric_values(x)
-        b = inv.elementary_symmetric_values(x + n)
+        M, N, det = _commuting_pair(rng, _SHIFT_DIM, corrupt)
+        a = inv.elementary_symmetric_values(M)
+        b = inv.elementary_symmetric_values(M + N)
         exact_bad += sum(a[k] != b[k] for k in range(1, _SHIFT_DIM + 1))
-        xf = np.array([[float(v) for v in row] for row in x])
-        nf = np.array([[float(v) for v in row] for row in n])
+        xf, nf = _over(M, det), _over(N, det)
         a = inv.elementary_symmetric_values(xf)
         b = inv.elementary_symmetric_values(xf + nf)
         for k in range(1, _SHIFT_DIM + 1):
             worst = max(worst, abs(a[k] - b[k]))
-    checks = [_check("exact-invariance-failures", exact_bad, 0.0),
-              _check("float-invariance", worst, tol)]
+    tag = "-with-corrupted-pair" if corrupt else ""
+    checks = [_check("exact-invariance-failures" + tag, exact_bad, 0.0),
+              _check("float-invariance" + tag, worst, tol)]
     return _finish("nilpotent", seed, tol, samples, checks)
 
 
@@ -286,7 +299,8 @@ def suite_springer(seed=0, tol=1e-9, samples=50, corrupt=False):
                 f = inv.elementary_symmetric(k)
                 worst = max(worst, abs(f(x + n) - f(x)))
         else:
-            x, n = _commuting_pair(rng, _SHIFT_DIM, exact=False)
+            M, N, det = _commuting_pair(rng, _SHIFT_DIM)
+            x, n = _over(M, det), _over(N, det)
             for k in range(1, _SHIFT_DIM + 1):
                 f = inv.elementary_symmetric(k)
                 worst = max(worst, abs(inv.springer_check(f, x, n, tol=1e-6)))
@@ -494,12 +508,11 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40):
            float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.005, 0.12))]
           for _ in range(samples)]
     for p in (p for _, stack in _stacks(m, xs) for p in stack):
-        for mc in p.mc[:2]:
-            a = m.omega_patched(p, mc)
-            b = m.omega_patched_chain(p, mc)
-            c, _, w = m.omega_patched_localized(p, mc)
-            rec_chain = max(rec_chain, float(np.max(np.abs(a - b))))
-            local = max(local, float(np.max(np.abs(w * a - c))))
+        a = m.omega_patched(p, p.mc[:2])
+        b = m.omega_patched_chain(p, p.mc[:2])
+        c, _, w = m.omega_patched_localized(p, p.mc[:2])
+        rec_chain = max(rec_chain, float(np.max(np.abs(a - b))))
+        local = max(local, float(np.max(np.abs(w * a - c))))
     checks = [_check("recursion-equals-chain", rec_chain, tol),
               _check("localization", local, tol)]
     return _finish("patched", seed, tol, samples, checks)

@@ -1,5 +1,7 @@
 """Sample elements and membership residuals shared by the tests."""
 
+import itertools
+
 import numpy as np
 
 from chernpatch import liecore
@@ -39,3 +41,29 @@ def fd_reference(sm, x, h=1e-5):
         xm[i] = xm[i] - h
         cols.append((sm.value(xp) - sm.value(xm)) / (2 * h))
     return np.array(cols)
+
+
+def family_vanishing_reference(model, flag, grid):
+    """strata.family_vanishing_check, one ModelPoint per grid point and two
+    FlagTubeModel.B calls per (n, m, n', m'): the report it must equal."""
+    flag = tuple(flag)
+    L = len(flag)
+    violations = []
+    checked = 0
+    for rvals in itertools.product(grid, repeat=L - 1):
+        x = model.point(flag, rvals)
+        for n in range(1, L + 1):
+            for m in range(n, L + 1):
+                for np_ in range(1, n):
+                    for mp in range(m + 1, L + 1):
+                        if mp < np_:
+                            continue
+                        checked += 1
+                        xn = model.pi(x, flag[n - 1]) if n < L else x
+                        bn = model.B(flag[n - 1], model.eps(flag[m - 1]), xn)
+                        bnp = model.B(flag[np_ - 1], model.eps(flag[mp - 1]), x)
+                        if bn != 0.0 and bnp != 0.0:
+                            violations.append(
+                                {"r": list(map(float, rvals)), "n": n, "m": m,
+                                 "n'": np_, "m'": mp, "B_n": bn, "B_n'": bnp})
+    return {"checked": checked, "violations": violations, "ok": not violations}

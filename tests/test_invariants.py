@@ -135,10 +135,28 @@ def test_jordan_decompose_exact_conjugated_jordan_form(dim):
     # x = S (D + N) S^-1 with integer S: s = S D S^-1 and n = S N S^-1
     rng = np.random.default_rng(20 + dim)
     for _ in range(10):
-        sx, nx = suites._commuting_pair(rng, dim, exact=True)
+        M, N, det = suites._commuting_pair(rng, dim)
+        sx, nx = (np.array([[Fraction(v, det) for v in row]
+                            for row in a.tolist()], dtype=object)
+                  for a in (M, N))
         s, n = inv.jordan_decompose(sx + nx)
         assert s.tolist() == sx.tolist() and n.tolist() == nx.tolist()
         assert all(type(v) is Fraction for v in s.ravel())
+
+
+def test_integer_pair_invariants_scale_by_det_powers():
+    # e_k(M) = det^k e_k(M / det): the exact count of suite_nilpotent
+    # compares integer matrices for the Fraction ones
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        M, N, det = suites._commuting_pair(rng, 4)
+        for a in (M, M + N):
+            x = np.array([[Fraction(v, det) for v in row]
+                          for row in a.tolist()], dtype=object)
+            ints, fracs = (inv.elementary_symmetric_values(a),
+                           inv.elementary_symmetric_values(x))
+            assert [e == det ** k * f
+                    for k, (e, f) in enumerate(zip(ints, fracs))] == [True] * 5
 
 
 def test_jordan_decompose_float_semisimple():

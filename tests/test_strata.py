@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import strata
 from chernpatch.errors import PreconditionFailed
+from helpers import family_vanishing_reference
 
 
 def three_flag(eps0=1.0):
@@ -95,6 +97,26 @@ def test_vanishing_detects_corrupted_family():
         model, ("Z", "Y", "X"), np.linspace(0.0, 1.1, 12))
     assert not report["ok"]
     assert report["violations"]
+
+
+@pytest.mark.parametrize("points", [6, 12])
+@pytest.mark.parametrize("collapsed", [False, True])
+@pytest.mark.parametrize("make, flag", [(three_flag, ("Z", "Y", "X")),
+                                        (forest, ("A", "B", "C", "D"))])
+def test_vanishing_check_matches_per_point_reference(make, flag, collapsed,
+                                                     points):
+    # the tabulated check reports what one ModelPoint and two B calls per
+    # grid point and (n, m, n', m') report: same counts, violations in the
+    # same order, bitwise the same B values
+    model = make()
+    if collapsed:
+        model.eps = lambda name: 1.0
+    grid = np.linspace(0.0, 1.1 * model.eps(flag[0]), points)
+    got = strata.family_vanishing_check(model, flag, grid)
+    want = family_vanishing_reference(model, flag, grid)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert got == want
+    assert collapsed == bool(got["violations"])
 
 
 def test_inconsistent_forest_rejected():

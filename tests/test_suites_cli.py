@@ -127,10 +127,18 @@ def _fraction_commuting_pair(rng, dim=4, exact=True):
 def test_commuting_pair_matches_fraction_construction(exact):
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(50):
-        x, n = suites._commuting_pair(rng_a, 4, exact=exact)
+        M, N, det = suites._commuting_pair(rng_a, 4)
+        if exact:
+            x, n = (np.array([[Fraction(v, det) for v in row]
+                              for row in a.tolist()], dtype=object)
+                    for a in (M, N))
+        else:
+            x, n = suites._over(M, det), suites._over(N, det)
         x0, n0 = _fraction_commuting_pair(rng_b, 4, exact=exact)
         assert x.dtype == x0.dtype and n.dtype == n0.dtype
         assert x.tolist() == x0.tolist() and n.tolist() == n0.tolist()
+        if not exact:
+            assert x.tobytes() == x0.tobytes() and n.tobytes() == n0.tobytes()
 
 
 def test_reports_are_deterministic():
@@ -170,6 +178,22 @@ def test_cli_verify_corrupt_fails(capsys):
     code = cli.main(["verify", "springer", "--samples", "6", "--corrupt"])
     assert code == 1
     assert not json.loads(capsys.readouterr().out)["pass"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+@pytest.mark.parametrize("suite,samples,names", [
+    ("vanishing", "400", ["tube-support-separation-with-collapsed-eps"]),
+    ("nilpotent", "20", ["exact-invariance-failures-with-corrupted-pair",
+                         "float-invariance-with-corrupted-pair"])])
+def test_cli_verify_corrupt_controls_fail(suite, samples, names, seed, capsys):
+    # a collapsed eps-family and a non-commuting shift must each be caught,
+    # by every check of the suite
+    code = cli.main(["verify", suite, "--samples", samples, "--seed", seed,
+                     "--corrupt"])
+    assert code == 1
+    rpt = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in rpt["checks"]] == names
+    assert all(not c["pass"] and c["max_residual"] > 0 for c in rpt["checks"])
 
 
 def test_cli_unknown_suite(capsys):
