@@ -2,11 +2,11 @@
 on stratified quotients of Hermitian symmetric spaces.
 
 Modules:
-  liecore      matrix groups, Cartan data, standard parabolics
+  liecore      Sp(2n, R) and SU(p, q): Cartan data, standard parabolics
   hcrepr       Harish-Chandra coordinates, Cayley elements, canonical
                extensions of K-representations
   exterior     differential forms on charts, curvature, fiber checks
-  invariants   invariant polynomials, Jordan decomposition, Chern forms
+  invariants   invariant polynomials, exact Jordan decomposition, Chern forms
   strata       flag-tube models, bump functions, partitions of unity,
                the patched-connection recursion
   connections  invariant connections and the hypotheses of induction
@@ -19,14 +19,13 @@ Modules:
 
 from . import (charts, connections, errors, exterior, hcrepr, invariants,
                liecore, schubert, siegel, strata, suites)
-from .errors import (ConditionViolation, IllConditionedSpectrum,
-                     PreconditionFailed, UnsupportedFlag)
+from .errors import ConditionViolation, PreconditionFailed, UnsupportedFlag
 
 __version__ = "0.1.0"
 
 __all__ = [
     "charts", "cli", "connections", "errors", "exterior", "hcrepr",
     "invariants", "liecore", "schubert", "siegel", "strata", "suites",
-    "ConditionViolation", "IllConditionedSpectrum", "PreconditionFailed",
-    "UnsupportedFlag", "__version__",
+    "ConditionViolation", "PreconditionFailed", "UnsupportedFlag",
+    "__version__",
 ]

@@ -22,7 +22,6 @@ _GROUPS = {
     "su11": lambda: liecore.su_pq(1, 1),
     "sp4": lambda: liecore.sp2nR(2),
     "sp6": lambda: liecore.sp2nR(3),
-    "su2": liecore.su2,
 }
 
 
@@ -139,7 +138,10 @@ def _build_parser():
     v.add_argument("--samples", type=int, default=None)
     v.add_argument("--model", help="flag-model JSON for partition/vanishing")
     v.add_argument("--corrupt", action="store_true",
-                   help="inject a non-commuting pair into the springer suite")
+                   help="run the negative control of the " + ", ".join(
+                       name for name in sorted(suites.SUITES) if "corrupt"
+                       in inspect.signature(suites.SUITES[name]).parameters)
+                   + " suites")
     v.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("curvature", help="algebraic curvature table")

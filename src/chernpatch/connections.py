@@ -90,14 +90,14 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
     residuals = []
     # condition (1): omega_0(kdot) = lambda'(kdot)
     r1 = float(np.max(np.abs(conn.omega0(kb) - lk)))
-    if r1 > TOL:
+    if not r1 <= TOL:
         bad.append(1)
         residuals.append(r1)
     # condition (2): omega_0([g, kdot]) = [omega_0(g), lambda'(kdot)], all pairs
     lhs = conn.omega0(liecore.bracket(basis[:, None], kb))
     og = conn.omega0(basis)[:, None]
     r2 = float(np.max(np.abs(lhs - (og @ lk - lk @ og))))
-    if r2 > TOL:
+    if not r2 <= TOL:
         bad.append(2)
         residuals.append(r2)
     if bad:

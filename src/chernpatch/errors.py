@@ -20,10 +20,6 @@ class ConditionViolation(ChernpatchError):
         )
 
 
-class IllConditionedSpectrum(ChernpatchError):
-    pass
-
-
 class PreconditionFailed(ChernpatchError):
     pass
 

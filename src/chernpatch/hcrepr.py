@@ -1,6 +1,11 @@
 """Block factorization in the complexified group, Cayley elements, and
 canonical extensions of K-representations to parabolic subgroups.
 
+Both group families of :mod:`liecore` have the open-cell factorization and
+built-in K-representations (std, det^m and sym2 for sp2nR, weight:m for
+su_pq); Cayley elements, and with them canonical extensions, exist for
+sp2nR only.
+
 The complexification is handled in "complex coordinates": a fixed change of
 basis M under which K(C) becomes block diagonal, P^+ strictly block upper
 unipotent and P^- strictly block lower unipotent.  M, its inverse and the
@@ -187,11 +192,10 @@ def builtin_representation(spec, name: str) -> Representation:
     """Built-in representations.
 
     For sp2nR (K = U(n)): "std", "det^m" (any integer m), "sym2".
-    For su_pq / su2 (K containing a torus factor): "weight:m" uses the phase
-    of the leading diagonal block.
+    For su_pq (K containing a torus factor): "weight:m" uses the phase of
+    the leading diagonal entry.
     """
-    fam = spec.family
-    if fam == "sp2nR":
+    if spec.family == "sp2nR":
         n = spec.n
 
         def topleft(kc):
@@ -214,16 +218,14 @@ def builtin_representation(spec, name: str) -> Representation:
                 lambda kc: _sym2_action(topleft(kc), basis, derivative=True),
             )
         raise UnsupportedFlag(f"unknown representation {name} for sp2nR")
-    if fam in ("su_pq", "su2"):
-        if name.startswith("weight:"):
-            m = int(name.split(":")[1])
-            return Representation(
-                spec, name, 1,
-                lambda kc: np.array([[np.asarray(kc, dtype=complex)[0, 0] ** m]]),
-                lambda kc: np.array([[m * np.asarray(kc, dtype=complex)[0, 0]]]),
-            )
-        raise UnsupportedFlag(f"unknown representation {name} for {fam}")
-    raise UnsupportedFlag(f"no builtin representations for family {fam}")
+    if name.startswith("weight:"):
+        m = int(name.split(":")[1])
+        return Representation(
+            spec, name, 1,
+            lambda kc: np.array([[np.asarray(kc, dtype=complex)[0, 0] ** m]]),
+            lambda kc: np.array([[m * np.asarray(kc, dtype=complex)[0, 0]]]),
+        )
+    raise UnsupportedFlag(f"unknown representation {name} for su_pq")
 
 
 # ---------------------------------------------------------------------------

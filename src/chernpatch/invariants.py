@@ -4,25 +4,23 @@ nilpotent-invariance check, plus Chern form assembly.
 Exact arithmetic uses object-dtype numpy arrays of fractions.Fraction; the
 float path is float64/complex128.  The exact characteristic polynomial is
 Berkowitz's division-free algorithm over Python ints, run once the entry
-denominators are cleared; the float one is Faddeev-LeVerrier.  The Jordan
-decomposition is one Newton iteration for both arithmetics, against the
-squarefree polynomial of the eigenvalues: exact from the characteristic
-polynomial, float from the clustered eigenvalues; ceil(log2 m) steps
-suffice for m the largest eigenvalue multiplicity.
+denominators are cleared; the float one is Faddeev-LeVerrier.  An invariant
+polynomial is any function of a matrix, such as elementary_symmetric(k).
+The Jordan decomposition is exact only: a Newton iteration against the
+squarefree part of the characteristic polynomial.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import dropwhile
 
 import numpy as np
 
 from . import exterior as ext
-from .errors import IllConditionedSpectrum, PreconditionFailed
+from .errors import PreconditionFailed
 
 
 def _is_exact(x):
@@ -91,19 +89,9 @@ def elementary_symmetric_value(x, k):
     return elementary_symmetric_values(x)[k]
 
 
-@dataclass
-class InvariantPolynomial:
-    """Homogeneous degree-k polynomial on End(V), invariant under conjugation."""
-
-    degree: int
-    func: callable
-
-    def __call__(self, x):
-        return self.func(x)
-
-
-def elementary_symmetric(k) -> InvariantPolynomial:
-    return InvariantPolynomial(k, lambda x: elementary_symmetric_value(x, k))
+def elementary_symmetric(k):
+    """The invariant polynomial x -> e_k(x), of degree k."""
+    return lambda x: elementary_symmetric_value(x, k)
 
 
 def is_nilpotent(n, tol=1e-9):
@@ -125,8 +113,9 @@ def _commutes(x, n, tol=1e-9):
         1.0, float(np.max(np.abs(np.asarray(x, dtype=complex)))))
 
 
-def springer_check(f: InvariantPolynomial, x, n, tol=1e-9):
-    """f(x + n) - f(x) for commuting nilpotent n; raises if preconditions fail.
+def springer_check(f, x, n, tol=1e-9):
+    """f(x + n) - f(x) for commuting nilpotent n and any invariant
+    polynomial f, a callable on matrices; raises if preconditions fail.
 
     Returns the residual, which is exactly zero in exact arithmetic.
     """
@@ -209,64 +198,30 @@ def _poly_deriv(coeffs):
     return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def jordan_decompose(x, gap_tol=1e-6):
-    """(s, n) with x = s + n, s semisimple, n nilpotent, [s, n] = 0.
+def jordan_decompose(x):
+    """(s, n) with x = s + n, s semisimple, n nilpotent, [s, n] = 0, for a
+    matrix x of Fractions (PreconditionFailed on anything else).
 
     Chevalley's Newton iteration s <- s - p'(s)^{-1} p(s) from s = x, where
-    p is the squarefree polynomial whose roots are the eigenvalues of x.
-    After k steps the error lies in n^(2^k), so ceil(log2 m) steps give s
-    for m the largest eigenvalue multiplicity.
-
-    Exact input (Fractions): p = chi / gcd(chi, chi') for the characteristic
-    polynomial chi, m is bounded by d - deg p + 1 (extra steps are exact
-    no-ops), and the result is exact.  Float input: p has the means of the
-    eigenvalue clusters as roots and m is the largest cluster, so distinct
-    eigenvalues give s = x; distinct clusters must be separated by at least
-    gap_tol, and n must come out nilpotent (IllConditionedSpectrum otherwise).
+    p = chi / gcd(chi, chi') is the squarefree part of the characteristic
+    polynomial chi, whose roots are the eigenvalues of x.  After k steps the
+    error lies in n^(2^k), so ceil(log2 m) steps give s exactly for m the
+    largest eigenvalue multiplicity, bounded by d - deg p + 1 (extra steps
+    are exact no-ops).
     """
-    exact = _is_exact(x)
-    if exact:
-        cs = _char_poly(x)
-        p = _poly_quot(cs, _poly_gcd(cs, _poly_deriv(cs)))
-        m = len(cs) - len(p) + 1
-        inverse = _exact_inv
-    else:
-        x = np.asarray(x, dtype=complex)
-        d = x.shape[0]
-        evals = np.linalg.eigvals(x)
-        # cluster eigenvalues: floats are "equal" when much closer than gap_tol
-        groups = []
-        used = np.zeros(d, dtype=bool)
-        for i in range(d):
-            if used[i]:
-                continue
-            grp = [i]
-            used[i] = True
-            for j in range(i + 1, d):
-                if not used[j] and abs(evals[i] - evals[j]) < gap_tol * 1e-3:
-                    grp.append(j)
-                    used[j] = True
-            groups.append(grp)
-        reps = [np.mean([evals[i] for i in g]) for g in groups]
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                if abs(reps[a] - reps[b]) < gap_tol:
-                    raise IllConditionedSpectrum(
-                        f"eigenvalue gap {abs(reps[a]-reps[b]):.3e} below {gap_tol}")
-        p = np.poly(reps)
-        m = max(len(g) for g in groups)
-        inverse = np.linalg.inv
+    x = np.asarray(x)
+    if not _is_exact(x) or not all(isinstance(v, (int, Fraction))
+                                   for v in x.ravel()):
+        raise PreconditionFailed("jordan_decompose takes a matrix of Fractions")
+    cs = _char_poly(x)
+    p = _poly_quot(cs, _poly_gcd(cs, _poly_deriv(cs)))
     dp = _poly_deriv(p)
     s = x
-    for _ in range(math.ceil(math.log2(m))):
-        s = s - inverse(_poly_eval_matrix(dp, s)) @ _poly_eval_matrix(p, s)
-    n = x - s
-    if exact:
-        if any(v != 0 for v in _poly_eval_matrix(p, s).ravel()):
-            raise PreconditionFailed("Jordan iteration failed to terminate")
-    elif not is_nilpotent(n, tol=1e-8):
-        raise IllConditionedSpectrum("nilpotent part inaccurate")
-    return s, n
+    for _ in range(math.ceil(math.log2(len(cs) - len(p) + 1))):
+        s = s - _exact_inv(_poly_eval_matrix(dp, s)) @ _poly_eval_matrix(p, s)
+    if any(v != 0 for v in _poly_eval_matrix(p, s).ravel()):
+        raise PreconditionFailed("Jordan iteration failed to terminate")
+    return s, x - s
 
 
 # ---------------------------------------------------------------------------

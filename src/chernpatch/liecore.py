@@ -2,11 +2,12 @@
 
 Supported families:
 
-* ``sp2nR``  -- Sp(2n, R), real symplectic group for J = [[0, I], [-I, 0]], n <= 3
-* ``su_pq`` -- SU(p, q) preserving H = diag(I_p, -I_q), p + q <= 4
-* ``su2``   -- SU(2)
-* ``u``     -- U(n)
-* ``so2``   -- SO(2)
+* ``sp2nR`` -- Sp(2n, R), real symplectic group for J = [[0, I], [-I, 0]],
+  n <= 3: the group of the Siegel model, with parabolic data, group
+  factorization and (in :mod:`hcrepr`) canonical extensions
+* ``su_pq`` -- SU(p, q) preserving H = diag(I_p, -I_q), p + q <= 4: the
+  algebra, its Cartan split and K-representations, for invariant
+  connections; :func:`parabolic_data` raises UnsupportedFlag on it
 
 A :class:`GroupSpec` is the one place that knows what a family is (size,
 invariant form F, realness, det = 1, K(C) blocks, the coordinate change M);
@@ -66,8 +67,7 @@ class GroupSpec:
 
     @property
     def size(self) -> int:
-        sizes = {"sp2nR": 2 * self.n, "su_pq": self.p + self.q,
-                 "su2": 2, "u": self.n, "so2": 2}
+        sizes = {"sp2nR": 2 * self.n, "su_pq": self.p + self.q}
         if self.family not in sizes:
             raise ValueError(f"unknown family {self.family}")
         return sizes[self.family]
@@ -75,37 +75,32 @@ class GroupSpec:
     @property
     def form(self):
         """Invariant form F, with g^H F g = F on the group: J for sp2nR,
-        H = diag(I_p, -I_q) for su_pq, the identity for compact families."""
+        H = diag(I_p, -I_q) for su_pq."""
         if self.family == "sp2nR":
             return np.eye(2 * self.n, k=self.n) - np.eye(2 * self.n, k=-self.n)
-        if self.family == "su_pq":
-            return np.diag([1.0] * self.p + [-1.0] * self.q)
-        return np.eye(self.size)
+        return np.diag([1.0] * self.p + [-1.0] * self.q)
 
     @property
     def real(self) -> bool:
         """Elements are real matrices."""
-        return self.family in ("sp2nR", "so2")
+        return self.family == "sp2nR"
 
     @property
     def special(self) -> bool:
         """det = 1 is imposed (for sp2nR it follows from the form)."""
-        return self.family in ("su_pq", "su2", "so2")
+        return self.family == "su_pq"
 
     @property
     def blocks(self):
         """(p, q): sizes of the K(C) diagonal blocks in complex coordinates."""
-        p = {"sp2nR": self.n, "su_pq": self.p, "su2": 1}.get(self.family)
-        if p is None:
-            raise UnsupportedFlag(
-                f"no hermitian structure for family {self.family}")
+        p = self.n if self.family == "sp2nR" else self.p
         return p, self.size - p
 
     @cached_property
     def complex_coords(self):
         """(M, M^{-1}) with K(C) block diagonal in coordinates M g M^{-1}:
         M is the inverse of the full Cayley element for sp2nR and the
-        identity for su_pq and su2.  Built once per spec."""
+        identity for su_pq.  Built once per spec."""
         p, q = self.blocks
         M = np.eye(p + q, dtype=complex)
         if self.family == "sp2nR":
@@ -124,20 +119,6 @@ def su_pq(p: int, q: int) -> GroupSpec:
     if p < 1 or q < 1 or p + q > 4:
         raise ValueError("su_pq supported for p,q >= 1, p + q <= 4")
     return GroupSpec("su_pq", p=p, q=q)
-
-
-def su2() -> GroupSpec:
-    return GroupSpec("su2")
-
-
-def u_n(n: int) -> GroupSpec:
-    if not 1 <= n <= 4:
-        raise ValueError("u supported for 1 <= n <= 4")
-    return GroupSpec("u", n=n)
-
-
-def so2() -> GroupSpec:
-    return GroupSpec("so2")
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +186,7 @@ def algebra_basis(spec: GroupSpec):
             X[n:, :n] = S
             out.append(X)
         return out
-    if fam == "so2":
-        return [np.array([[0.0, -1.0], [1.0, 0.0]])]
-    # the unitary families su_pq, su2 and u
+    # su_pq
     N = spec.size
     H = spec.form
     out = []
@@ -224,12 +203,11 @@ def algebra_basis(spec: GroupSpec):
             Y[i, j] = 1.0j
             Y[j, i] = 1.0j * s
             out.append(Y)
-    # imaginary diagonal, traceless for special families
-    for i in range(N - 1 if spec.special else N):
+    # traceless imaginary diagonal
+    for i in range(N - 1):
         X = np.zeros((N, N), dtype=complex)
         X[i, i] = 1.0j
-        if spec.special:
-            X[i + 1, i + 1] = -1.0j
+        X[i + 1, i + 1] = -1.0j
         out.append(X)
     return out
 
@@ -336,28 +314,17 @@ def exp_grp(spec: GroupSpec, X):
 # subspace spanned by the last r of the Lagrangian basis vectors e_1..e_n;
 # that way the hermitian Levi factor Sp(2(n-r)) sits in the leading plane
 # block and matches the chart projection onto leading principal blocks.
-# For SU(p,q) the rank-r isotropic subspace is spanned by
-# (e_i + e_{p+i})/sqrt(2), i = 1..r.
 
 
 def _iso_subspace(spec: GroupSpec, r: int):
     """Columns spanning the standard isotropic subspace of rank r."""
-    N = spec.size
-    if spec.family == "sp2nR":
-        n = spec.n
-        if not 1 <= r <= n:
-            raise UnsupportedFlag(f"rank {r} isotropic subspace in sp2nR(n={n})")
-        return np.eye(N)[:, _sp_indices(spec, r)[0]]
-    if spec.family == "su_pq":
-        p, q = spec.p, spec.q
-        if not 1 <= r <= min(p, q):
-            raise UnsupportedFlag(f"rank {r} isotropic subspace in su({p},{q})")
-        V = np.zeros((N, r), dtype=complex)
-        for a in range(r):
-            V[a, a] = 1.0 / np.sqrt(2)
-            V[p + a, a] = 1.0 / np.sqrt(2)
-        return V
-    raise UnsupportedFlag(f"parabolic data not defined for family {spec.family}")
+    if spec.family != "sp2nR":
+        raise UnsupportedFlag(
+            f"parabolic data not defined for family {spec.family}")
+    if not 1 <= r <= spec.n:
+        raise UnsupportedFlag(
+            f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
+    return np.eye(spec.size)[:, _sp_indices(spec, r)[0]]
 
 
 def _null_space(A):
@@ -524,8 +491,7 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
 
 
 # ---------------------------------------------------------------------------
-# group-level factorization (sp2nR only: coordinate subspaces make the
-# embeddings exact)
+# group-level factorization (coordinate subspaces make the embeddings exact)
 
 
 def _sp_indices(spec: GroupSpec, r: int):
@@ -572,8 +538,6 @@ def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     g may be a (..., N, N) stack; every check holds per element, and
     DecompositionError names the first failing row."""
     spec = pd.spec
-    if spec.family != "sp2nR":
-        raise UnsupportedFlag("group factorization implemented for sp2nR only")
     g = np.asarray(g, dtype=float)
     rmax = pd.flag[-1]
     v, vbar, w = _sp_blocks(spec, rmax)

@@ -78,27 +78,14 @@ class SchubertClass:
             out[lam] = out.get(lam, 0) + c
         return SchubertClass(self.k, self.m, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c):
         return SchubertClass(
             self.k, self.m, {lam: c * v for lam, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, SchubertClass):
-            return ring_multiply(self, other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (isinstance(other, SchubertClass)
                 and (self.k, self.m) == (other.k, other.m)
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.k, self.m, tuple(sorted(self.coeffs.items()))))
 
     def graded_piece(self, d):
         return SchubertClass(

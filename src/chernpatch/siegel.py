@@ -261,8 +261,8 @@ class SiegelModel:
         """Induced from the point through the plane Borel of sl(2)_W; the
         condition is checked for each direction of a stack."""
         a, c = hdot[..., 0, 0], hdot[..., 2, 0]
-        if (np.abs(c) > tol * np.maximum(
-                1.0, np.abs(hdot).max(axis=(-2, -1)))).any():
+        if not (np.abs(c) <= tol * np.maximum(
+                1.0, np.abs(hdot).max(axis=(-2, -1)))).all():
             raise PreconditionFailed("hermitian component not in the plane Borel")
         return self.ext21.alg(a[..., None, None] * self._W_H)
 

@@ -85,6 +85,14 @@ def _is_dimension(d):
     return isinstance(d, int) and not isinstance(d, bool) and d >= 0
 
 
+def _reject_unknown_keys(d, known, what):
+    """PreconditionFailed naming the keys of the JSON object d (a {what})
+    that are not in known: no input is ignored in silence."""
+    unknown = sorted(set(d) - set(known), key=str)
+    if unknown:
+        raise PreconditionFailed(f"unknown keys in {what}: {unknown}")
+
+
 @dataclass(frozen=True)
 class ModelPoint:
     chain: tuple    # stratum names, ancestors first
@@ -110,6 +118,8 @@ class FlagTubeModel:
                 isinstance(s, dict) and {"name", "dimC"} <= s.keys()
                 and isinstance(s["name"], str) for s in strata):
             raise PreconditionFailed(f"strata need a name and dimC: {strata}")
+        for s in strata:
+            _reject_unknown_keys(s, {"name", "dimC"}, f"stratum {s['name']}")
         bad = [s["dimC"] for s in strata if not _is_dimension(s["dimC"])]
         if bad:
             raise PreconditionFailed(

@@ -20,9 +20,8 @@ SCHEMA = 1
 
 
 # group family -> (constructor, the integer keys it takes in order)
-_FAMILIES = {"sp2nR": (liecore.sp2nR, ("n",)), "u": (liecore.u_n, ("n",)),
-             "su_pq": (liecore.su_pq, ("p", "q")), "su2": (liecore.su2, ()),
-             "so2": (liecore.so2, ())}
+_FAMILIES = {"sp2nR": (liecore.sp2nR, ("n",)),
+             "su_pq": (liecore.su_pq, ("p", "q"))}
 
 
 def spec_from_dict(d):
@@ -35,6 +34,7 @@ def spec_from_dict(d):
     if not isinstance(fam, str) or fam not in _FAMILIES:
         raise PreconditionFailed(f"unknown group family {fam!r}")
     make, keys = _FAMILIES[fam]
+    strata._reject_unknown_keys(d, {"family", "scalar", *keys}, "group")
     missing = [k for k in keys if k not in d]
     if missing:
         raise PreconditionFailed(f"group family {fam!r} needs keys {missing}")
@@ -50,6 +50,8 @@ def model_from_dict(d):
     the one profile is "exp"."""
     if not isinstance(d, dict):
         raise PreconditionFailed(f"a model must be a JSON object, got {d!r}")
+    strata._reject_unknown_keys(d, {"strata", "flags", "eps0", "profile"},
+                                "model")
     if d.get("profile", "exp") != "exp":
         raise PreconditionFailed(f"unknown bump profile {d['profile']!r}: only 'exp'")
     if not d.get("flags"):

@@ -69,6 +69,15 @@ def test_perturbation_on_p_rejected_with_condition_two():
     assert 1 not in exc.value.conditions
 
 
+def test_nan_value_rejected():
+    # each condition is written residual <= tol, so a NaN residual fails it
+    spec, rep = _su11()
+    vals = [v.copy() for v in connections.nomizu_connection(spec, rep).values]
+    vals[0] = np.full((1, 1), np.nan)
+    with pytest.raises(ConditionViolation):
+        connections.make_invariant_connection(spec, rep, vals)
+
+
 def test_values_of_wrong_count_or_shape_rejected():
     spec, rep = _su11()
     vals = list(connections.nomizu_connection(spec, rep).values)

@@ -9,11 +9,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from chernpatch import liecore
-from chernpatch.errors import DecompositionError
+from chernpatch.errors import DecompositionError, UnsupportedFlag
 from helpers import alg_residual, random_alg
 
 SPECS = [liecore.sp2nR(2), liecore.sp2nR(3), liecore.su_pq(1, 1),
-         liecore.su_pq(2, 1), liecore.su2(), liecore.u_n(2)]
+         liecore.su_pq(2, 1)]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + str((s.n, s.p, s.q)))
@@ -31,8 +31,8 @@ def test_exp_lands_in_group(spec):
 
 
 @pytest.mark.parametrize("spec", [
-    liecore.sp2nR(2), liecore.sp2nR(3), liecore.su_pq(2, 1), liecore.su2(),
-    liecore.so2()], ids=lambda s: s.family + str((s.n, s.p, s.q)))
+    liecore.sp2nR(2), liecore.sp2nR(3), liecore.su_pq(2, 1)],
+    ids=lambda s: s.family + str((s.n, s.p, s.q)))
 def test_exp_grp_matches_scipy(spec):
     rng = np.random.default_rng(3)
     for scale in (0.2, 1.0, 3.0):
@@ -63,15 +63,13 @@ def test_null_space_matches_scipy():
 
 
 # family -> the conditions it imposes besides the form relation
-IMPOSES = {"sp2nR": {"real"}, "su_pq": {"special"}, "su2": {"special"},
-           "u": set(), "so2": {"special", "real"}}
+IMPOSES = {"sp2nR": {"real"}, "su_pq": {"special"}}
 # i t D with D below keeps the form relation and the trace of the family
-UNREAL = {"sp2nR": np.eye(4), "so2": np.diag([1.0, -1.0])}
+UNREAL = {"sp2nR": np.eye(4)}
 
 
-@pytest.mark.parametrize("spec", [
-    liecore.sp2nR(2), liecore.su_pq(2, 1), liecore.su2(), liecore.u_n(2),
-    liecore.so2()], ids=lambda s: s.family)
+@pytest.mark.parametrize("spec", [liecore.sp2nR(2), liecore.su_pq(2, 1)],
+                         ids=lambda s: s.family)
 def test_membership_per_family(spec):
     imposes = IMPOSES[spec.family]
     assert spec.real == ("real" in imposes)
@@ -85,17 +83,8 @@ def test_membership_per_family(spec):
     E = np.zeros((N, N))
     E[0, 1] = t  # real and traceless, off the form relation
     broken = [(X + E, g @ (np.eye(N) + E))]
-    central = (X + 1j * t * np.eye(N), np.exp(1j * t) * g)
-    if spec.family == "so2":
-        # the trace of so(2) vanishes with the form relation; a reflection
-        # keeps the form and breaks det
-        broken.append((X + t * np.eye(N), g @ np.diag([1.0, -1.0])))
-    elif "special" in imposes:
-        broken.append(central)
-    if spec.family == "u":
-        # U(n) imposes no det: a central phase is a member
-        assert alg_residual(spec, central[0]) <= 1e-12
-        assert liecore.grp_residual(spec, central[1]) <= 1e-12
+    if "special" in imposes:
+        broken.append((X + 1j * t * np.eye(N), np.exp(1j * t) * g))
     if "real" in imposes:
         D = UNREAL[spec.family]
         broken.append((X + 1j * t * D, g @ np.diag(np.exp(1j * t * np.diag(D)))))
@@ -169,15 +158,13 @@ def _lstsq_split(pd, X):
             for cc, bas in zip(cs, parts)]
 
 
-GROUPS = {"sp4": liecore.sp2nR(2), "sp6": liecore.sp2nR(3),
-          "su21": liecore.su_pq(2, 1)}
+GROUPS = {"sp4": liecore.sp2nR(2), "sp6": liecore.sp2nR(3)}
 
 
 @pytest.mark.parametrize("group,flag", [
     ("sp4", (1,)), ("sp4", (2,)), ("sp4", (1, 2)),
     ("sp6", (1,)), ("sp6", (2,)), ("sp6", (3,)), ("sp6", (1, 2)),
     ("sp6", (1, 3)), ("sp6", (2, 3)), ("sp6", (1, 2, 3)),
-    ("su21", (1,)),
 ])
 def test_split_matches_lstsq_reference(group, flag):
     spec = GROUPS[group]
@@ -198,7 +185,7 @@ def test_split_matches_lstsq_reference(group, flag):
 
 
 @pytest.mark.parametrize("group,flag", [
-    ("sp4", (1,)), ("sp4", (2,)), ("sp6", (1, 2)), ("su21", (1,)),
+    ("sp4", (1,)), ("sp4", (2,)), ("sp6", (1, 2)),
 ])
 def test_stack_matches_one_matrix_at_a_time(group, flag):
     spec = GROUPS[group]
@@ -318,9 +305,6 @@ PARABOLIC_FLAGS = {
     "sp4": (liecore.sp2nR(2), [(1,), (2,), (1, 2)]),
     "sp6": (liecore.sp2nR(3), [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
                                (1, 2, 3)]),
-    "su11": (liecore.su_pq(1, 1), [(1,)]),
-    "su21": (liecore.su_pq(2, 1), [(1,)]),
-    "su22": (liecore.su_pq(2, 2), [(1,), (2,), (1, 2)]),
 }
 BASES = ("basis_u", "basis_u1", "basis_h", "basis_l")
 PARABOLIC_GOLDEN = (pathlib.Path(__file__).parent / "golden"
@@ -337,6 +321,15 @@ def parabolic_digests():
                 np.ascontiguousarray(b).tobytes() for b in getattr(pd, name)
             )).hexdigest() for name in BASES}
     return out
+
+
+def test_no_parabolic_data_for_su_pq():
+    # no Cayley element or canonical extension of su_pq could use it
+    for spec, flag in ((liecore.su_pq(1, 1), (1,)),
+                       (liecore.su_pq(2, 2), (1, 2))):
+        with pytest.raises(UnsupportedFlag,
+                           match="not defined for family su_pq"):
+            liecore.parabolic_data(spec, flag)
 
 
 def test_parabolic_bases_match_golden():

@@ -144,7 +144,9 @@ def test_plane_borel_condition_is_checked_per_direction(model):
     hdot[1, 2, 0] = 1e-6       # within 1e-8 of the stack's scale, not its own
     got = model.omega_YZ(hdot[:1])
     assert np.max(np.abs(got[0] - model.omega_YZ(hdot[0]))) < 1e-14
-    for bad in (hdot, hdot[1]):
+    nan = hdot[0].copy()
+    nan[2, 0] = np.nan         # a NaN fails the bound rather than passing it
+    for bad in (hdot, hdot[1], nan):
         with pytest.raises(PreconditionFailed, match="plane Borel"):
             model.omega_YZ(bad)
 

@@ -214,13 +214,29 @@ def test_cli_curvature(capsys):
     assert abs(val[0][0][0]) < 1e-12 and abs(val[0][0][1] - 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("group", ["sp4", "su2"])
-def test_cli_curvature_library_error_exits_2(group, capsys):
-    # sp4 has no weight:m representation; on compact su2 the weight:1
-    # Nomizu table violates a classification condition
+@pytest.mark.parametrize("group,message", [
+    ("sp4", "unknown representation weight:1 for sp2nR"),
+    ("su2", "unknown group 'su2'"),
+], ids=["sp4", "su2"])
+def test_cli_curvature_library_error_exits_2(group, message, capsys):
+    # sp4 has no weight:m representation; su2 is no group of the package
     assert cli.main(["curvature", "--group", group, "--rep", "weight:1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("family", sorted(suites._FAMILIES))
+def test_every_group_family_has_a_curvature_table(family, capsys):
+    # a family that spec_from_dict accepts but no builtin representation
+    # serves can only fail; each key 1 gives sp(2, R) and su(1, 1)
+    group = dict.fromkeys(suites._FAMILIES[family][1], 1)
+    group["family"] = family
+    assert suites.spec_from_dict(group).family == family
+    codes = [cli.main(["curvature", "--group", json.dumps(group),
+                       "--rep", rep])
+             for rep in ("std", "sym2", "det^2", "weight:2")]
+    assert 0 in codes
 
 
 def test_cli_chern_subcommand_is_removed(capsys):
@@ -334,6 +350,11 @@ _TWO_STRATA = {"strata": [_Z, _Y], "flags": [["Z", "Y"]]}
                      "flags": [["Z", "Y", "X"]]}, "not a normal float for dimC [1100]"),
     (["partition"], {"strata": [_Z, dict(_Y, dimC=1023)],
                      "flags": [["Z", "Y"]]}, "for dimC [1023]"),
+    (["partition"], dict(_TWO_STRATA, epsilon0=0.25),
+     "unknown keys in model: ['epsilon0']"),
+    (["vanishing"], {"strata": [_Z, dict(_Y, dim=1), _X],
+                     "flags": [["Z", "Y", "X"]]},
+     "unknown keys in stratum Y: ['dim']"),
 ], ids=["samples-1", "one-stratum-flag", "vanishing-no-flags",
         "partition-no-flags", "no-strata", "partition-undeclared",
         "vanishing-undeclared", "eps0-zero", "eps0-negative", "eps0-infinite",
@@ -341,7 +362,8 @@ _TWO_STRATA = {"strata": [_Z, _Y], "flags": [["Z", "Y"]]}
         "flag-a-string", "stratum-named-twice", "model-a-list",
         "flag-entry-a-list", "stratum-name-a-list", "strata-a-number",
         "flags-a-number", "eps0-a-list", "eps0-a-string", "dimC-2000",
-        "dimC-1100", "eps-subnormal"])
+        "dimC-1100", "eps-subnormal", "model-unknown-key",
+        "stratum-unknown-key"])
 def test_cli_verify_rejects_models_and_sizes_the_suites_cannot_check(
         args, model, message, tmp_path, capsys):
     if model is not None:
@@ -362,8 +384,8 @@ def test_cli_star_import():
 
 
 def test_spec_from_dict_unitary_family():
-    spec = suites.spec_from_dict({"family": "u", "n": 2})
-    assert spec == liecore.u_n(2)
+    spec = suites.spec_from_dict({"family": "su_pq", "p": 2, "q": 1})
+    assert spec == liecore.su_pq(2, 1)
 
 
 def test_spec_from_dict_rejects_other_scalar(capsys):
@@ -380,8 +402,11 @@ def test_spec_from_dict_rejects_other_scalar(capsys):
     ('{"family": "sp2nR", "n": 2.7}', "nonnegative integers"),
     ('{"family": "sp2nR", "n": true}', "nonnegative integers"),
     ('{"family": "su_pq", "p": 1, "q": "1"}', "nonnegative integers"),
+    ('{"family": "su_pq", "p": 2, "q": 1, "bogus": 3}',
+     "unknown keys in group: ['bogus']"),
+    ('{"family": "u", "n": 2}', "unknown group family 'u'"),
 ], ids=["missing-key", "family-not-a-name", "group-a-list", "n-not-integral",
-        "n-a-boolean", "q-a-string"])
+        "n-a-boolean", "q-a-string", "unknown-key", "family-u"])
 def test_spec_from_dict_rejects_malformed_groups(group, message, tmp_path,
                                                  capsys):
     if not group.startswith("{"):
