@@ -1,12 +1,15 @@
 """Concrete charts: product-of-exponentials group charts, the bridge between
 chart-level and algebraic curvature, and the projective-line Chern number
-quadrature, which evaluates its chart in closed form on the whole grid at once
-and integrates with composite Simpson weights built in numpy.
+quadrature, which evaluates its chart in closed form on the grid, a block
+of rows at a time, and integrates with composite Simpson weights built in
+numpy.
 
 Stack convention: a group chart gives the Maurer-Cartan coefficients of all
-chart directions at a point as one (dim, N, N) stack, and the connection it
-is paired with maps a matrix or a (..., N, N) stack to (..., d, d), so each
-form coefficient map makes one call per point.
+chart directions at each point of a (P, dim) stack as one (P, dim, N, N)
+array, from one expm call, and the connection it is paired with maps a
+(..., N, N) stack to (..., d, d); so a form coefficient map makes one
+mc_coeff call per stack of points, and a central difference one call on
+its 2 dim displaced points.
 """
 
 from __future__ import annotations
@@ -31,30 +34,23 @@ class GroupChart:
         self.basis = np.array(liecore.algebra_basis(spec), dtype=complex)
         self.dim = len(self.basis)
 
-    def g(self, x):
-        out = np.eye(self.spec.size, dtype=complex)
-        for h in liecore.expm(np.asarray(x, dtype=float)[:, None, None] * self.basis):
-            out = out @ h
-        if self.spec.real:
-            out = out.real
-        return out
-
     def mc_coeff(self, x):
-        """Left Maurer-Cartan form on every chart vector d/dx_i: the
-        (dim, N, N) stack, in one sweep that conjugates the coefficients
-        i < j by h_j = exp(-x_j e_j) for j = 1, ..., dim - 1."""
-        t = -np.asarray(x, dtype=float)[1:, None, None] * self.basis[1:]
-        h, h_inv = liecore.expm(np.stack([t, -t]))
-        v = self.basis.copy()
+        """Left Maurer-Cartan form on every chart vector d/dx_i at each point
+        of a (..., dim) stack: (..., dim, N, N), from one expm call on the
+        (..., 2, dim - 1, N, N) stack of h_j = exp(-x_j e_j) and their
+        inverses, and one sweep that conjugates the coefficients i < j by
+        h_j for j = 1, ..., dim - 1."""
+        t = -np.asarray(x, dtype=float)[..., 1:, None, None] * self.basis[1:]
+        h = liecore.expm(np.stack([t, -t], axis=-4))
+        v = np.broadcast_to(self.basis, t.shape[:-3] + self.basis.shape).copy()
         for j in range(1, self.dim):
-            v[:j] = h[j - 1] @ v[:j] @ h_inv[j - 1]
+            v[..., :j, :, :] = (h[..., 0, j - 1, None, :, :] @ v[..., :j, :, :]
+                                @ h[..., 1, j - 1, None, :, :])
         return v
 
-    # one mc_coeff per point: expm scales a stack as a whole
     def connection_form(self, conn) -> ext.VForm:
         """Pullback of the left-invariant connection form to the chart."""
-        return ext.VForm(self.dim, 1, lambda xs: np.array(
-            [conn.omega0(self.mc_coeff(x)) for x in xs]))
+        return ext.VForm(self.dim, 1, lambda xs: conn.omega0(self.mc_coeff(xs)))
 
     def algebraic_curvature_form(self, conn) -> ext.VForm:
         """The same curvature assembled without chart differentiation:
@@ -62,8 +58,8 @@ class GroupChart:
         i, j = np.triu_indices(self.dim, 1)
 
         def coeffs(xs):
-            return np.array([conn.curvature0(mc[i], mc[j])
-                             for mc in map(self.mc_coeff, xs)])
+            mc = self.mc_coeff(xs)
+            return conn.curvature0(mc[:, i], mc[:, j])
 
         return ext.VForm(self.dim, 2, coeffs)
 
@@ -78,10 +74,10 @@ def curvature_bridge_residual(spec, conn, points, rng=None):
     rng = rng or np.random.default_rng(0)
     worst = 0.0
     for x in points:
-        v1 = rng.standard_normal(chart.dim)
-        v2 = rng.standard_normal(chart.dim)
-        a = chart_curv.evaluate(x, [v1, v2])
-        b = alg_curv.evaluate(x, [v1, v2])
+        # a stack per point bounds the central differences' temporaries
+        vs = rng.standard_normal((1, 2, chart.dim))
+        a = chart_curv.evaluate([x], vs)
+        b = alg_curv.evaluate([x], vs)
         worst = max(worst, float(np.max(np.abs(a - b))))
     return worst
 
@@ -145,8 +141,10 @@ def p1_chern_number(weight=2, n=160):
     thetas = np.linspace(1e-4, np.pi / 2 - 1e-4, n)
     phis = np.linspace(0.0, 2 * np.pi, n)
     h = 1e-5
-    th = thetas[:, None]
-    F = (omega_phi(th + h, phis) - omega_phi(th - h, phis)) / (2 * h)
+    # F is elementwise, so blocks of 16 theta rows bound the temporaries
+    F = np.concatenate([
+        (omega_phi(th + h, phis) - omega_phi(th - h, phis)) / (2 * h)
+        for th in np.split(thetas[:, None], range(16, n, 16))])
     integrand = (1j / (2 * np.pi)) * F
     val = _simpson_weights(thetas) @ integrand @ _simpson_weights(phis)
     return complex(val).real

@@ -10,9 +10,11 @@ through one shuffle table (wedge_table); the curvature adds to d omega the
 pair brackets of omega's coefficients.  A coefficient map is differentiated
 by its analytic Jacobian when it carries one (the Siegel projection, the
 affine forms of the `patch` suite) and otherwise by central differences,
-the 2m displaced points of x as one stack.  One contraction (contract)
-evaluates a coefficient array on vectors.  combination_curvature is the one
-product rule for the curvature of a weighted combination of connections.
+the 2m displaced points of each of P points as one func call on 2mP rows.
+One contraction (contract) evaluates a coefficient array on vectors, and
+VForm.evaluate a form at each point of a stack on that point's vectors.
+combination_curvature is the one product rule for the curvature of a
+weighted combination of connections.
 
 Tolerances used by the callers: 1e-12 for purely algebraic identities, 1e-6
 after one numerical differentiation, 1e-4 after two.  A curvature built
@@ -38,8 +40,8 @@ class SmoothMap:
     func maps a (P, m) float array of chart points to the (P, ...) stack of
     their values; value(x) is its one-row case.  jac (optional) is the
     analytic Jacobian at one point x, an (m,) array; without it the Jacobian
-    is taken by central differences with step 1e-5, the 2m displaced points
-    of x evaluated in one func call.
+    is taken by central differences with step 1e-5, the displaced points of
+    a point or of a stack of points evaluated in one func call.
     """
 
     def __init__(self, m, func, jac=None):
@@ -52,22 +54,29 @@ class SmoothMap:
                           dtype=complex)[0]
 
     def jacobian(self, x):
-        """Array of shape (m,) + value.shape with entry i = d/dx_i."""
-        if self._jac is not None:
-            return np.asarray(self._jac(np.array(x, dtype=float)),
-                              dtype=complex)
-        return self._fd_jacobian(x)
+        """Array of shape (m,) + value.shape with entry i = d/dx_i at a point
+        x (m,), or the (P, m) + value.shape stack of them at a (P, m) stack."""
+        if self._jac is None:
+            return self._fd_jacobian(x)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.asarray(self._jac(x), dtype=complex)
+        return np.array([self._jac(p) for p in x], dtype=complex)
 
     def _fd_jacobian(self, x, h=FD_STEP):
-        """Central differences: rows i and m + i of the one stack are x
+        """Central differences at a point (m,) or a (P, m) stack: rows i and
+        m + i of a point's block of 2m rows in the one stack are the point
         displaced by +h and -h along coordinate i."""
         m = self.m
-        xs = np.tile(np.asarray(x, dtype=float), (2 * m, 1))
+        x = np.asarray(x, dtype=float)
+        xs = np.repeat(x.reshape(-1, 1, m), 2 * m, axis=1)
         i = np.arange(m)
-        xs[i, i] += h
-        xs[m + i, i] -= h
-        vals = np.asarray(self.func(xs), dtype=complex)
-        return (vals[:m] - vals[m:]) / (2 * h)
+        xs[:, i, i] += h
+        xs[:, m + i, i] -= h
+        vals = np.asarray(self.func(xs.reshape(-1, m)), dtype=complex)
+        vals = vals.reshape((-1, 2 * m) + vals.shape[1:])
+        J = (vals[:, :m] - vals[:, m:]) / (2 * h)
+        return J.reshape(x.shape[:-1] + J.shape[1:])
 
 
 class VForm(SmoothMap):
@@ -82,10 +91,16 @@ class VForm(SmoothMap):
         self.degree = degree
 
     def evaluate(self, x, vectors):
-        """omega_x(v_1, ..., v_q)."""
-        if np.shape(vectors)[-2:] != (self.degree, self.m):
+        """omega_x(v_1, ..., v_q) at a point x (m,) on vectors (q, m), or at
+        each point of a (P, m) stack on its own vectors (P, q, m), from one
+        func call."""
+        x = np.asarray(x, dtype=float)
+        if np.shape(vectors) != x.shape[:-1] + (self.degree, self.m):
             raise ValueError(f"need {self.degree} vectors of length {self.m}")
-        return contract(self.value(x), vectors)
+        C = np.asarray(self.func(x.reshape(-1, self.m)), dtype=complex)
+        V = np.reshape(vectors, (-1, self.degree, self.m))
+        out = np.array([contract(c, v) for c, v in zip(C, V)])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 @functools.cache
@@ -149,10 +164,14 @@ def wedge_coeffs(table, A, B, mul):
 
 def exterior_d(form: VForm) -> VForm:
     """Exterior derivative: the Jacobian, read as the 1-form sum_j dx_j d/dx_j,
-    wedged with the coefficients (differentiated numerically)."""
+    wedged with the coefficients; one jacobian call for a whole stack."""
     ia, ib, sign = wedge_table(form.m, 1, form.degree)
-    return VForm(form.m, form.degree + 1, lambda xs: np.array(
-        [_signed_sum(sign, form.jacobian(x)[ia, ib]) for x in xs]))
+
+    def coeffs(xs):
+        terms = np.moveaxis(form.jacobian(xs)[:, ia, ib], 0, 2)
+        return np.moveaxis(_signed_sum(sign, terms), 1, 0)
+
+    return VForm(form.m, form.degree + 1, coeffs)
 
 
 def bracket_pairs(a):

@@ -298,7 +298,8 @@ def extension_compat_check(rep: Representation, r_inner, r_outer,
     For ranks r_inner < r_outer, both extensions are defined on the linear
     Levi of the inner parabolic, and the relative extension matches the
     outer one on the intermediate GL factor.  Reports the max residual of
-    the two agreements over random samples.
+    the two agreements over random samples, drawn first and checked as
+    one stack.
     """
     spec = rep.spec
     if spec.family != "sp2nR":
@@ -309,20 +310,16 @@ def extension_compat_check(rep: Representation, r_inner, r_outer,
     ext_out = canonical_extension(rep, r_outer)
     ext_in = canonical_extension(rep, r_inner)
     rel = relative_extension(rep, r_inner, r_outer)
-    res_levi = 0.0
-    res_rel = 0.0
-    for _ in range(samples):
-        a = np.eye(r_inner) + 0.3 * rng.standard_normal((r_inner, r_inner))
-        g = liecore.sp_embed_gl(spec, r_inner, a)
-        res_levi = max(res_levi,
-                       float(np.max(np.abs(ext_out(g) - ext_in(g)))))
-        d = r_outer - r_inner
-        b = np.eye(d) + 0.3 * rng.standard_normal((d, d))
-        blk = np.eye(r_outer)
-        blk[:d, :d] = b
-        gp = liecore.sp_embed_gl(spec, r_outer, blk)
-        res_rel = max(res_rel,
-                      float(np.max(np.abs(ext_out(gp) - rel(gp)))))
+    # per sample, a then b, drawn for all samples at once
+    d = r_outer - r_inner
+    draws = 0.3 * rng.standard_normal((samples, r_inner ** 2 + d ** 2))
+    a = np.eye(r_inner) + draws[:, :r_inner ** 2].reshape(-1, r_inner, r_inner)
+    blk = np.tile(np.eye(r_outer), (samples, 1, 1))
+    blk[:, :d, :d] = np.eye(d) + draws[:, r_inner ** 2:].reshape(-1, d, d)
+    g = liecore.sp_embed_gl(spec, r_inner, a)
+    gp = liecore.sp_embed_gl(spec, r_outer, blk)
+    res_levi = float(np.max(np.abs(ext_out(g) - ext_in(g)), initial=0.0))
+    res_rel = float(np.max(np.abs(ext_out(gp) - rel(gp)), initial=0.0))
     mr = max(res_levi, res_rel)
     return {"samples": samples, "levi_residual": res_levi,
             "relative_residual": res_rel, "max_residual": mr}

@@ -53,12 +53,15 @@ def _char_poly(x):
     """Coefficients [1, c_1, ..., c_d] of det(tI - x) = sum_k c_k t^{d-k}.
 
     Exact for Fraction matrices: Berkowitz over the integer matrix D x, D the
-    lcm of the entry denominators, then c_k = c_k(D x) / D^k.  Complex float
-    otherwise, by Faddeev-LeVerrier.
+    lcm of the entry denominators, then c_k = c_k(D x) / D^k; for a matrix
+    of Python ints, Berkowitz's own integers.  Complex float otherwise, by
+    Faddeev-LeVerrier.
     """
     d = x.shape[0]
     if _is_exact(x):
         rows = x.tolist()
+        if all(type(v) is int for row in rows for v in row):
+            return _berkowitz(rows)
         D = math.lcm(*(v.denominator for row in rows for v in row))
         a = [[v.numerator * (D // v.denominator) for v in row] for row in rows]
         return [Fraction(c, D ** k) for k, c in enumerate(_berkowitz(a))]
@@ -213,7 +216,7 @@ def jordan_decompose(x):
     if not _is_exact(x) or not all(isinstance(v, (int, Fraction))
                                    for v in x.ravel()):
         raise PreconditionFailed("jordan_decompose takes a matrix of Fractions")
-    cs = _char_poly(x)
+    cs = list(map(Fraction, _char_poly(x)))  # divisions below stay exact
     p = _poly_quot(cs, _poly_gcd(cs, _poly_deriv(cs)))
     dp = _poly_deriv(p)
     s = x

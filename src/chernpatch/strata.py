@@ -171,12 +171,6 @@ class FlagTubeModel:
         k = x.chain.index(Z)
         return ModelPoint(x.chain[: k + 1], x.r[:k])
 
-    def rho(self, x: ModelPoint, Z):
-        if Z == x.stratum:
-            return 0.0
-        k = x.chain.index(Z)
-        return x.r[k]
-
     # weights ----------------------------------------------------------
 
     def B(self, Y, eps, x: ModelPoint):

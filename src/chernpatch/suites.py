@@ -154,17 +154,21 @@ _SHIFT_DIM = 4  # matrix size of the commuting pairs of nilpotent, springer
 
 
 def _random_weights(m, rng):
-    """x -> (f, df) for _PATCH_PARTS weights: f_i = c0 + 0.3 c1.x + 0.1 x.c2.x
-    for all but the last, which is 1 - the others; gradients in closed form."""
+    """xs -> (f, df) for _PATCH_PARTS weights at a (P, m) stack, (P, parts)
+    and (P, parts, m): f_i = c0 + 0.3 c1.x + 0.1 x.c2.x for all but the
+    last, which is 1 - the others; gradients in closed form."""
     c0, c1, c2 = (np.array(c) for c in zip(*[
         (rng.uniform(-1, 1), rng.uniform(-1, 1, m), rng.uniform(-1, 1, (m, m)))
         for _ in range(_PATCH_PARTS - 1)]))
+    c2s = c2 + c2.transpose(0, 2, 1)
 
-    def weights(x):
-        x = np.asarray(x)
-        f = c0 + 0.3 * (c1 @ x) + 0.1 * (c2 @ x @ x)
-        df = 0.3 * c1 + 0.1 * ((c2 + c2.transpose(0, 2, 1)) @ x)
-        return np.append(f, 1.0 - f.sum()), np.vstack([df, -df.sum(axis=0)])
+    def weights(xs):
+        col = np.asarray(xs)[:, :, None]       # each x as an (m, 1) column
+        c2x = (c2 @ col[:, None])[..., 0]      # (P, parts - 1, m)
+        f = c0 + 0.3 * (c1 @ col)[..., 0] + 0.1 * (c2x @ col)[..., 0]
+        df = 0.3 * c1 + 0.1 * (c2s @ col[:, None])[..., 0]
+        return (np.concatenate([f, 1.0 - f.sum(axis=1, keepdims=True)], 1),
+                np.concatenate([df, -df.sum(axis=1, keepdims=True)], 1))
 
     return weights
 
@@ -182,11 +186,10 @@ def _random_affine_form(m, rng):
 
 
 def _combination_form(m, weights, omegas):
-    """sum_i f_i omega_i: omega_i on the whole stack, f_i row by row."""
+    """sum_i f_i omega_i, each term on the whole stack."""
     def combined(xs):
-        values = [om.func(xs) for om in omegas]
-        return np.array([sum(f * v[n] for f, v in zip(weights(x)[0], values))
-                         for n, x in enumerate(xs)])
+        f = weights(xs)[0][:, :, None, None, None]
+        return sum(f[:, i] * om.func(xs) for i, om in enumerate(omegas))
     return ext.VForm(m, 1, combined)
 
 
@@ -200,7 +203,7 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
 
     with df_i in closed form and Omega_i from analytic Jacobians, against
     ext.curvature_form of omega by central differences, coefficient by
-    coefficient at three points per sample.
+    coefficient at three points per sample, taken as one stack.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -208,14 +211,16 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
         m = int(rng.integers(2, nvars + 1))
         weights = _random_weights(m, rng)
         omegas = [_random_affine_form(m, rng) for _ in range(_PATCH_PARTS)]
-        curvatures = [ext.curvature_form(om) for om in omegas]
         oracle = ext.curvature_form(_combination_form(m, weights, omegas))
-        for x in [rng.uniform(-0.5, 0.5, m) for _ in range(3)]:
+        xs = rng.uniform(-0.5, 0.5, (3, m))
+        f, df = weights(xs)
+        values = [om.func(xs) for om in omegas]
+        curvatures = [ext.curvature_form(om).func(xs) for om in omegas]
+        for n, expected in enumerate(oracle.func(xs)):
             formula = ext.combination_curvature(zip(
-                *weights(x), [om.value(x) for om in omegas],
-                [Om.value(x) for Om in curvatures]))
-            worst = max(worst, float(np.max(np.abs(
-                formula - oracle.value(x)))))
+                f[n], df[n], [v[n] for v in values],
+                [C[n] for C in curvatures]))
+            worst = max(worst, float(np.max(np.abs(formula - expected))))
     return _finish("patch", seed, tol, samples,
                    [_check("combination-identity", worst, tol)])
 
@@ -480,17 +485,13 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
     rep = hcrepr.builtin_representation(spec, "std")
     extS = hcrepr.canonical_extension(rep, 2)
     pdS = liecore.parabolic_data(spec, (2,))
-    hom_res = 0.0
-
-    def rand_parabolic():
-        c = 0.3 * rng.standard_normal(len(pdS.basis_q))
-        return liecore.exp_grp(spec, liecore.from_coords(c, pdS.basis_q))
-
-    for _ in range(samples):
-        q1 = rand_parabolic()
-        q2 = rand_parabolic()
-        hom_res = max(hom_res, float(np.max(np.abs(
-            extS(q1 @ q2) - extS(q1) @ extS(q2)))))
+    # all pairs (q1, q2) of random parabolic elements as one stack
+    c = 0.3 * rng.standard_normal((samples, 2, len(pdS.basis_q)))
+    q = liecore.exp_grp(spec, liecore.from_coords(
+        np.moveaxis(c, -1, 0)[..., None, None], pdS.basis_q))
+    q1, q2 = q[:, 0], q[:, 1]
+    hom_res = float(np.max(np.abs(extS(q1 @ q2) - extS(q1) @ extS(q2)),
+                           initial=0.0))
     nest = hcrepr.extension_compat_check(rep, 1, 2, samples=samples, rng=rng)
     checks = [_check("homomorphism-on-parabolic", hom_res, tol),
               _check("nested-levi-agreement", nest["levi_residual"], tol),

@@ -25,6 +25,22 @@ def alg_residual(spec, X):
     return r
 
 
+def chart_g(chart, x):
+    """The group element g(x) = exp(x_1 e_1) ... exp(x_d e_d) of a
+    charts.GroupChart, for central differences of g against mc_coeff."""
+    out = np.eye(chart.spec.size, dtype=complex)
+    for h in liecore.expm(np.asarray(x, dtype=float)[:, None, None]
+                          * chart.basis):
+        out = out @ h
+    return out.real if chart.spec.real else out
+
+
+def rho(x, Z):
+    """Tube distance of the model point x from its chain's stratum Z: 0 at
+    the stratum of x, else the coordinate of x at Z."""
+    return 0.0 if Z == x.stratum else x.r[x.chain.index(Z)]
+
+
 def rowwise(f):
     """A chart map of one point x (m,) as a map of a (P, m) stack: f on each
     row, the values stacked."""

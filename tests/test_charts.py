@@ -1,14 +1,16 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
-from chernpatch import charts, connections, exterior as ext, hcrepr, liecore
-from helpers import alg_residual
+from chernpatch import (charts, connections, exterior as ext, hcrepr, liecore,
+                        suites)
+from helpers import alg_residual, chart_g
 
 
 def test_mc_coefficients_reproduce_basis_at_origin():
@@ -47,11 +49,11 @@ def test_mc_coeff_stack_matches_per_index_and_differences(spec):
         x = rng.uniform(-0.4, 0.4, chart.dim)
         mc = chart.mc_coeff(x)
         assert mc.shape == (chart.dim, spec.size, spec.size)
-        ginv = np.linalg.inv(chart.g(x))
+        ginv = np.linalg.inv(chart_g(chart, x))
         for i in range(chart.dim):
             assert np.max(np.abs(mc[i] - _mc_coeff_per_index(chart, i, x))) < 1e-14
             e = np.eye(chart.dim)[i] * h
-            dg = (chart.g(x + e) - chart.g(x - e)) / (2 * h)
+            dg = (chart_g(chart, x + e) - chart_g(chart, x - e)) / (2 * h)
             assert np.max(np.abs(mc[i] - ginv @ dg)) < 1e-8
 
 
@@ -127,3 +129,63 @@ def test_expm_matches_scipy_on_a_stack():
                      + 1j * rng.standard_normal((6, 4, 4)))
         ref = np.array([scipy.linalg.expm(m) for m in a])
         assert np.max(np.abs(liecore.expm(a) - ref)) < 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_expm_of_a_stack_is_expm_of_each_matrix():
+    # each member is scaled by its own norm, so the stack changes no bit
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((8, 4, 4)) + 1j * rng.standard_normal((8, 4, 4))
+    a *= np.geomspace(1e-4, 50.0, 8)[:, None, None]
+    got = liecore.expm(a.reshape(2, 4, 4, 4)).reshape(8, 4, 4)
+    for m, g in zip(a, got):
+        assert liecore.expm(m).tobytes() == g.tobytes()
+
+
+def test_expm_of_a_mixed_norm_stack_keeps_its_small_members():
+    # members of 1-norm 1e-3 beside members of 1-norm 30; the error is
+    # relative to exp(a) - I, the part of exp(a) that a small a determines
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    a /= np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+    a *= np.array([1e-3, 30.0] * 3)[:, None, None]
+    for m, g in zip(a, liecore.expm(a)):
+        ref = scipy.linalg.expm(m)
+        assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref - np.eye(4)))
+
+
+def test_mc_coeff_of_a_stack_is_mc_coeff_of_each_point():
+    chart = charts.GroupChart(liecore.sp2nR(2))
+    xs = np.random.default_rng(8).uniform(-0.4, 0.4, (5, chart.dim))
+    stack = chart.mc_coeff(xs)
+    assert stack.shape == (5, chart.dim, 4, 4)
+    for x, mc in zip(xs, stack):
+        assert chart.mc_coeff(x).tobytes() == mc.tobytes()
+
+
+def test_bridge_makes_three_mc_coeff_calls_per_point(monkeypatch):
+    # per point: one for the stack of the central difference, one for the
+    # connection form and one for the algebraic curvature
+    calls = []
+    mc_coeff = charts.GroupChart.mc_coeff
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return mc_coeff(self, x)
+
+    monkeypatch.setattr(charts.GroupChart, "mc_coeff", counted)
+    samples = 3
+    assert suites.run_suite("bridge", seed=0, samples=samples)["pass"]
+    # su(1,1) and sp(4): dims 3 and 10
+    assert calls == [shape for dim in (3, 10) for _ in range(samples)
+                     for shape in [(2 * dim, dim), (1, dim), (1, dim)]]
+
+
+def test_p1_chern_number_bounds_its_temporaries():
+    charts.p1_chern_number(2, 8)    # lazy numpy set-up outside the trace
+    tracemalloc.start()
+    try:
+        charts.p1_chern_number(2, 160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20

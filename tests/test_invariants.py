@@ -66,6 +66,20 @@ def test_exact_char_poly_matches_determinant_oracle(d):
             assert sum(c * t ** (d - k) for k, c in enumerate(cs)) == _exact_det(shifted)
 
 
+def test_integer_char_poly_stays_in_integers():
+    # a matrix of ints gives Berkowitz's ints, equal to the Fraction result
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        rows = [[int(v) for v in r] for r in rng.integers(-9, 10, (4, 4))]
+        cs = inv._char_poly(np.array(rows, dtype=object))
+        assert all(type(c) is int for c in cs)
+        assert cs == inv._char_poly(np.array(
+            [[Fraction(v) for v in r] for r in rows], dtype=object))
+    s, n = inv.jordan_decompose(np.array([[2, 1], [0, 2]], dtype=object))
+    assert s.tolist() == [[2, 0], [0, 2]] and n.tolist() == [[0, 1], [0, 0]]
+    assert all(type(v) is Fraction for v in s.ravel())
+
+
 def test_elementary_symmetric_values_agree_with_single_values():
     rng = np.random.default_rng(4)
     xe = np.array([[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5)))

@@ -93,6 +93,20 @@ def test_membership_per_family(spec):
         assert liecore.grp_residual(spec, gb) > 1e-3
 
 
+@pytest.mark.parametrize("spec", [liecore.sp2nR(2), liecore.su_pq(2, 1)],
+                         ids=lambda s: s.family)
+def test_exp_grp_of_a_stack_checks_each_member(spec):
+    basis = np.array(liecore.algebra_basis(spec))
+    X = 0.3 * basis[:4]
+    g = liecore.exp_grp(spec, X)
+    for Xn, gn in zip(X, g):
+        assert liecore.exp_grp(spec, Xn).tobytes() == gn.tobytes()
+    assert liecore.grp_residual(spec, g).shape == (4,)
+    g[2] = g[2] @ (np.eye(spec.size) + 0.1 * np.eye(spec.size)[::-1])
+    with pytest.raises(DecompositionError, match=r"\(row 2\)"):
+        liecore.check_grp(spec, g)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_bracket_stays_in_algebra(seed):

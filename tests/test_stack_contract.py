@@ -1,9 +1,10 @@
 """The stack contract of chart maps: func takes a (P, m) stack of chart
 points, value(x) is its one-row case, and a central difference is one func
-call on the 2m displaced points.
+call on the 2m displaced points of each point of a stack.
 
 Both are checked bit for bit on every chart map the package builds, the
-stacked differences against the per-coordinate reference of helpers.py."""
+stacked differences against the per-coordinate reference of helpers.py
+and the differences of a stack of points against those of each point."""
 
 import numpy as np
 import pytest
@@ -74,6 +75,34 @@ def test_stacked_differences_match_one_coordinate_at_a_time(maps, name):
     sm, xs = maps[name]
     for x in xs:
         assert _same_bits(sm._fd_jacobian(x), fd_reference(sm, x))
+
+
+@pytest.mark.parametrize("name", ["chart-connection", "chart-curvature",
+                                  "patch-affine", "patch-combination",
+                                  "siegel-patched"])
+def test_differences_of_a_stack_are_those_of_each_point(maps, name):
+    sm, xs = maps[name]
+    stack = sm._fd_jacobian(np.array(xs))
+    assert len(stack) == len(xs)
+    for x, J in zip(xs, stack):
+        assert _same_bits(sm._fd_jacobian(x), J)
+
+
+def test_an_analytic_jacobian_of_a_stack_is_that_of_each_point(maps):
+    sm, xs = maps["patch-affine"]
+    stack = sm.jacobian(np.array(xs))
+    for x, J in zip(xs, stack):
+        assert _same_bits(sm.jacobian(x), J)
+
+
+def test_evaluate_takes_a_stack_with_one_vector_set_per_point(maps):
+    sm, xs = maps["chart-curvature"]
+    vs = np.random.default_rng(4).standard_normal((len(xs), 2, sm.m))
+    stack = sm.evaluate(np.array(xs), vs)
+    for x, v, val in zip(xs, vs, stack):
+        assert _same_bits(sm.evaluate(x, v), val)
+    with pytest.raises(ValueError):
+        sm.evaluate(np.array(xs), vs[:1])
 
 
 def test_a_siegel_jacobian_is_one_points_call_of_twelve_rows(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import strata
 from chernpatch.errors import PreconditionFailed
-from helpers import family_vanishing_reference
+from helpers import family_vanishing_reference, rho
 
 
 def three_flag(eps0=1.0):
@@ -70,14 +70,14 @@ def test_control_data_axioms_hold_exactly():
             flag = model.flags[rng.integers(len(model.flags))]
             chain = flag[:int(rng.integers(1, len(flag) + 1))]
             x = model.point(chain, tuple(rng.uniform(0, 1.5, len(chain) - 1)))
-            assert model.rho(x, x.stratum) == 0.0
+            assert rho(x, x.stratum) == 0.0
             for j, Y in enumerate(chain):
                 xY = model.pi(x, Y)
                 assert xY.stratum == Y
                 for Z in chain[:j + 1]:
                     assert model.pi(xY, Z) == model.pi(x, Z)
                 for Z in chain[:j]:
-                    assert model.rho(xY, Z) == model.rho(x, Z)
+                    assert rho(xY, Z) == rho(x, Z)
 
 
 def test_vanishing_grid_clean():
