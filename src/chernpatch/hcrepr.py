@@ -59,7 +59,7 @@ class HCDecomposition:
     p_minus: np.ndarray
 
 
-def hc_decompose(spec, g, tol=1e-9) -> HCDecomposition:
+def hc_decompose(spec, g) -> HCDecomposition:
     """Open-cell factorization of g (given in defining coordinates), or of
     each element of a stack, checked per element."""
     gc = _complex(spec, g)
@@ -78,7 +78,7 @@ def hc_decompose(spec, g, tol=1e-9) -> HCDecomposition:
     kc[..., :p, :p] = A - B @ Dinv @ C
     kc[..., p:, p:] = D
     res = liecore._maxabs(pp @ kc @ pm - gc)
-    liecore.require(res <= tol * np.maximum(1.0, liecore._maxabs(gc)),
+    liecore.require(res <= 1e-9 * np.maximum(1.0, liecore._maxabs(gc)),
                     "factorization residual above tolerance")
     return HCDecomposition(p_plus=pp, k_c=kc, p_minus=pm)
 
@@ -88,11 +88,11 @@ def middle_j(spec, g):
     return hc_decompose(spec, g).k_c
 
 
-def in_kc(spec, g, tol=1e-8) -> bool:
+def in_kc(spec, g) -> bool:
     gc = _complex(spec, g)
     p, q = spec.blocks
     off = max(np.max(np.abs(gc[p:, :p])), np.max(np.abs(gc[:p, p:])))
-    return off <= tol * max(1.0, np.max(np.abs(gc)))
+    return off <= 1e-8 * max(1.0, np.max(np.abs(gc)))
 
 
 # ---------------------------------------------------------------------------

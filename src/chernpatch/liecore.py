@@ -15,8 +15,10 @@ other modules read these facts from the spec, and group membership is one
 formula for every family (:func:`grp_residual`).
 
 Elements are plain numpy arrays; the functions here validate the defining
-relations, split along the Cartan involution theta(X) = -X^H, and build
-parabolic subalgebra data for isotropic flags.
+relations, split along the Cartan involution theta(X) = -X^H, and choose
+the parabolic subalgebra data of the coordinate isotropic flags of sp2nR
+from the elementary basis of :func:`algebra_basis`: each of its elements
+is a Cartan element or a root vector, so every piece is a subset of it.
 
 Coordinates in a fixed real span of matrices come from one routine,
 :func:`algebra_coords`, through a solver (basis matrix and pseudo-inverse)
@@ -50,6 +52,7 @@ import numpy as np
 from .errors import DecompositionError, UnsupportedFlag
 
 TOL = 1e-9
+PARABOLIC_TOL = 1e-8    # relative bound of the parabolic split and factors
 
 
 # ---------------------------------------------------------------------------
@@ -323,47 +326,6 @@ def exp_grp(spec: GroupSpec, X):
 # block and matches the chart projection onto leading principal blocks.
 
 
-def _iso_subspace(spec: GroupSpec, r: int):
-    """Columns spanning the standard isotropic subspace of rank r."""
-    if spec.family != "sp2nR":
-        raise UnsupportedFlag(
-            f"parabolic data not defined for family {spec.family}")
-    if not 1 <= r <= spec.n:
-        raise UnsupportedFlag(
-            f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
-    return np.eye(spec.size)[:, _sp_indices(spec, r)[0]]
-
-
-def _null_space(A):
-    """Orthonormal columns spanning ker A: the right singular vectors whose
-    singular values are at most 1e-10 times the largest one (the rule of
-    scipy.linalg.null_space at rcond=1e-10)."""
-    _, sv, vh = np.linalg.svd(A)
-    rank = int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))
-    return vh[rank:].conj().T
-
-
-def _nullspace_combos(basis, constraint):
-    """Sub-span {X in span(basis) : constraint(X) = 0}; returns matrices."""
-    M = np.stack([_vec(constraint(b)) for b in basis], axis=1)
-    return _combos(_null_space(M), basis)
-
-
-def _combos(ns, basis):
-    """from_coords(ns[:, k], basis) for every column k of ns, summed over
-    the basis index for all columns at once."""
-    return list(from_coords(ns[:, :, None, None], basis))
-
-
-def _span_intersection(basA, basB):
-    if not basA or not basB:
-        return []
-    A = np.stack([_vec(x) for x in basA], axis=1)
-    B = np.stack([_vec(x) for x in basB], axis=1)
-    ns = _null_space(np.hstack([A, -B]))
-    return _orthonormalize(_combos(ns[: A.shape[1]], basA))
-
-
 def _orthonormalize(mats, tol=1e-10):
     out, vecs = [], []     # vecs[k] is _vec(out[k]), built once
     for m in mats:
@@ -423,9 +385,9 @@ class ParabolicData:
     def basis_q(self):
         return list(self.basis_u) + list(self.basis_h) + list(self.basis_l)
 
-    def split(self, X, tol: float = 1e-8):
+    def split(self, X):
         """Split X in Lie(Q), a matrix or a stack, into (u, h, l) components."""
-        c = algebra_coords(self._q, X, tol,
+        c = algebra_coords(self._q, X, PARABOLIC_TOL,
                            "element not in the parabolic subalgebra")
         sh = np.shape(X)
         return tuple(np.moveaxis(
@@ -433,68 +395,45 @@ class ParabolicData:
 
 
 def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
+    """Parabolic data of the standard isotropic flag of the given ranks,
+    chosen from :func:`algebra_basis`, each element divided by its norm.
+
+    Every element of that basis is a Cartan element or a root vector of the
+    diagonal Cartan, so it sends coordinate vectors to coordinate vectors:
+    it lies in Lie(Q) when no entry X[rest, v] takes a vector of some V_r
+    out of it, and in the nilradical when theta(X) = -X^T does not.  The
+    rest of Lie(Q) is the Levi part, block diagonal over W and V + Vbar of
+    the largest rank: its hermitian part kills V and Vbar, its linear part
+    is supported there.
+    """
     flag = tuple(flag)
     if not flag or list(flag) != sorted(set(flag)):
         raise UnsupportedFlag(f"flag must be strictly increasing, got {flag}")
-    basis = algebra_basis(spec)
-    subspaces = [_iso_subspace(spec, r) for r in flag]
+    if spec.family != "sp2nR":
+        raise UnsupportedFlag(
+            f"parabolic data not defined for family {spec.family}")
+    for r in flag:
+        if not 1 <= r <= spec.n:
+            raise UnsupportedFlag(
+                f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
+    basis = [X / np.linalg.norm(X) for X in algebra_basis(spec)]
 
-    # Lie(Q) = { X : X V_i subset V_i for all i }
-    def stab_constraint(V):
-        P = V @ np.linalg.pinv(V)
+    def levi_and_nilradical(ranks):
+        moves = np.zeros((spec.size,) * 2, dtype=bool)  # (rest, v) entries
+        for r in ranks:
+            inside = np.isin(np.arange(spec.size), _sp_indices(spec, r)[0])
+            moves |= np.outer(~inside, inside)
+        q = [X for X in basis if not X[moves].any()]
+        return ([X for X in q if not X[moves.T].any()],
+                [X for X in q if X[moves.T].any()])
 
-        def c(X):
-            return (np.eye(spec.size) - P) @ (X @ V)
-        return c
-
-    bas_q = basis
-    for V in subspaces:
-        bas_q = _nullspace_combos(bas_q, stab_constraint(V))
-    bas_q = _orthonormalize(bas_q)
-
-    # theta-stable Levi: Lie(Q) cap theta(Lie(Q))
-    theta_q = [cartan_theta(spec, X) for X in bas_q]
-    levi = _span_intersection(bas_q, theta_q)
-
-    # nilradical = radical of the trace form on Lie(Q)
-    def trace_radical(bas):
-        A = np.array(bas)
-        G = np.trace(A[:, None] @ A, axis1=-2, axis2=-1).real
-        return _orthonormalize(_combos(_null_space(G), bas))
-
-    bas_u = trace_radical(bas_q)
-
-    # largest-rank maximal parabolic P_1 and its pieces
-    Vmax = subspaces[-1]
-    bas_p1 = _orthonormalize(_nullspace_combos(basis, stab_constraint(Vmax)))
-    bas_u1 = trace_radical(bas_p1)
-
-    # hermitian part: kills V_max and its form-dual
-    Vbar = spec.form @ Vmax.conj()
-
-    def kill_constraint(X):
-        return np.hstack([X @ Vmax, X @ Vbar])
-
-    bas_h = _orthonormalize(_nullspace_combos(levi, kill_constraint))
-
-    # linear part: centralizer of g_{1h} in the Levi
-    if bas_h:
-        def comm_constraint(X):
-            return np.hstack([bracket(X, Y) for Y in bas_h])
-        bas_l = _orthonormalize(_nullspace_combos(levi, comm_constraint))
-    else:
-        bas_l = levi
-
-    pd = ParabolicData(spec=spec, flag=flag, basis_u=bas_u, basis_u1=bas_u1,
-                       basis_h=bas_h, basis_l=bas_l)
-    # consistency: dims add up and h/l commute
-    if len(bas_u) + len(bas_h) + len(bas_l) != len(bas_q):
-        raise DecompositionError("parabolic decomposition dimensions inconsistent")
-    for X in bas_h:
-        for Y in bas_l:
-            if np.max(np.abs(bracket(X, Y))) > 1e-8:
-                raise DecompositionError("hermitian and linear Levi parts fail to commute")
-    return pd
+    levi, bas_u = levi_and_nilradical(flag)
+    v, vbar, _ = _sp_indices(spec, flag[-1])
+    return ParabolicData(
+        spec=spec, flag=flag, basis_u=bas_u,
+        basis_u1=levi_and_nilradical(flag[-1:])[1],
+        basis_h=[X for X in levi if not X[:, v + vbar].any()],
+        basis_l=[X for X in levi if X[:, v + vbar].any()])
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +478,7 @@ def sp_embed_gl(spec: GroupSpec, r: int, a):
                       [(v, a), (vbar, np.linalg.inv(a).swapaxes(-1, -2))])
 
 
-def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
+def group_factor_fine(pd: ParabolicData, g):
     """Factor g in Q as (u_1, g_{1h}, u_rel, g_{Ql}), in that product order.
 
     g may be a (..., N, N) stack; every check holds per element, and
@@ -558,7 +497,7 @@ def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     # lower triangular: nothing above a diagonal block
     for (s, e) in blocks[1:]:
         require(_maxabs(a_full[..., :s, s:e])
-                <= tol * np.maximum(1.0, _maxabs(a_full)),
+                <= PARABOLIC_TOL * np.maximum(1.0, _maxabs(a_full)),
                 "group element not in the parabolic cell")
     d = np.zeros_like(a_full)
     for (s, e) in blocks:
@@ -586,7 +525,8 @@ def group_factor_fine(pd: ParabolicData, g, tol: float = 1e-8):
     powers = [X]
     for _ in range(N - 1):
         powers.append(powers[-1] @ X)
-    require(_maxabs(powers[-1]) <= tol * np.maximum(1.0, _maxabs(X)) ** N,
+    require(_maxabs(powers[-1])
+            <= PARABOLIC_TOL * np.maximum(1.0, _maxabs(X)) ** N,
             "factor u_1 is not unipotent")
     L = sum((-1) ** (k + 1) * powers[k - 1] / k for k in range(1, N))
     algebra_coords(pd._u1, L, 1e-7, "unipotent factor not in U_1")

@@ -257,11 +257,11 @@ class SiegelModel:
         k, _ = liecore.cartan_split(self.spec, hdot)
         return self.extK.alg(k)
 
-    def omega_YZ(self, hdot, tol=1e-8):
+    def omega_YZ(self, hdot):
         """Induced from the point through the plane Borel of sl(2)_W; the
         condition is checked for each direction of a stack."""
         a, c = hdot[..., 0, 0], hdot[..., 2, 0]
-        if not (np.abs(c) <= tol * np.maximum(
+        if not (np.abs(c) <= 1e-8 * np.maximum(
                 1.0, np.abs(hdot).max(axis=(-2, -1)))).all():
             raise PreconditionFailed("hermitian component not in the plane Borel")
         return self.ext21.alg(a[..., None, None] * self._W_H)

@@ -206,11 +206,16 @@ class FlagTubeModel:
 
     def partition_weights(self, x: ModelPoint):
         """{Z: B_Z^eps(x)} over the strata Z of x's chain, at the one eps of
-        x's stratum; the values sum to 1 on the whole closure."""
+        x's stratum; the values sum to 1 on the whole closure.  Each profile
+        value is taken once: B_Z is the prefix product of s over the
+        ancestors before Z, times 1 - s at Z, multiplied as in :meth:`B`."""
         eps = self.eps(x.stratum)
-        out = {}
-        for Z in x.chain:
-            out[Z] = self.B(Z, eps, x)
+        out, prefix = {}, 1.0
+        for Z, rZ in zip(x.chain, x.r):
+            sZ = self.profile.scaled(rZ, eps)
+            out[Z] = prefix * (1.0 - sZ)
+            prefix = prefix * sZ
+        out[x.stratum] = prefix     # times 1 - s(0) = 1.0
         return out
 
     # chains -----------------------------------------------------------

@@ -43,25 +43,6 @@ def test_exp_grp_matches_scipy(spec):
             assert err <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_null_space_matches_scipy():
-    rng = np.random.default_rng(4)
-
-    def draw(shape, cplx):
-        a = rng.standard_normal(shape)
-        return a + 1j * rng.standard_normal(shape) if cplx else a
-
-    mats = [np.zeros((4, 6))]
-    for cplx in (False, True):
-        for m, n, r in ((6, 9, 4), (8, 5, 3), (7, 7, 6), (3, 12, 1)):
-            mats.append(draw((m, r), cplx) @ draw((r, n), cplx))
-    for A in mats:
-        ns = liecore._null_space(A)
-        ref = scipy.linalg.null_space(A, rcond=1e-10)
-        assert ns.shape == ref.shape
-        assert np.max(np.abs(ns @ ns.conj().T - ref @ ref.conj().T),
-                      initial=0.0) < 1e-12
-
-
 # family -> the conditions it imposes besides the form relation
 IMPOSES = {"sp2nR": {"real"}, "su_pq": {"special"}}
 # i t D with D below keeps the form relation and the trace of the family
@@ -337,6 +318,74 @@ def parabolic_digests():
     return out
 
 
+# (u, h, l) dims and the dim of u_1 for each flag of sp(6)
+SP6_DIMS = {(1,): (5, 10, 1, 5), (2,): (7, 3, 4, 7), (3,): (6, 0, 9, 6),
+            (1, 2): (8, 3, 2, 7), (1, 3): (8, 0, 5, 6), (2, 3): (8, 0, 5, 6),
+            (1, 2, 3): (9, 0, 3, 6)}
+
+
+def _stabilizer_nullity(spec, ranks):
+    """dim of {X in g : X V_r in V_r for each r}: the nullity of the stacked
+    constraints (1 - P_r) X V_r, linear in the coordinates over algebra_basis,
+    with V_r the span of the last r of e_1 ... e_n and P_r its projector."""
+    basis = liecore.algebra_basis(spec)
+    rows = []
+    for X in basis:
+        parts = []
+        for r in ranks:
+            V = np.eye(spec.size)[:, spec.n - r:spec.n]
+            parts.append(((np.eye(spec.size) - V @ V.T) @ X @ V).ravel())
+        rows.append(np.concatenate(parts))
+    return len(basis) - np.linalg.matrix_rank(np.array(rows), tol=1e-10)
+
+
+def _trace_gram(A, B):
+    return np.array([[np.trace(a @ b) for b in B] for a in A]).reshape(
+        len(A), len(B))
+
+
+@pytest.mark.parametrize("group,flag", [
+    (g, f) for g, (_, flags) in PARABOLIC_FLAGS.items() for f in flags])
+def test_parabolic_data_defining_properties(group, flag):
+    spec = PARABOLIC_FLAGS[group][0]
+    pd = liecore.parabolic_data(spec, flag)
+    N = spec.size
+    q = pd.basis_q
+    # Lie(Q) keeps each V_r and has the dimension of the stabilizer
+    for r in flag:
+        V = np.eye(N)[:, spec.n - r:spec.n]
+        for X in q:
+            assert np.abs((np.eye(N) - V @ V.T) @ X @ V).max() < 1e-12
+    assert len(q) == _stabilizer_nullity(spec, flag)
+    # u and u_1 are the radicals of the trace form on Lie(Q) and Lie(P_1)
+    for u, ranks in ((pd.basis_u, flag), (pd.basis_u1, flag[-1:])):
+        p1 = liecore.parabolic_data(spec, ranks).basis_q
+        assert np.abs(_trace_gram(u, p1)).max(initial=0.0) < 1e-12
+        rank = np.linalg.matrix_rank(_trace_gram(p1, p1), tol=1e-10)
+        assert len(u) == len(p1) - rank
+    # h kills V and Vbar of the largest rank, commutes with l, and theta
+    # keeps h + l
+    v, vbar, _ = liecore._sp_indices(spec, flag[-1])
+    levi = list(pd.basis_h) + list(pd.basis_l)
+    for H in pd.basis_h:
+        assert np.abs(H[:, v + vbar]).max() < 1e-12
+        for L in pd.basis_l:
+            assert np.abs(liecore.bracket(H, L)).max() < 1e-12
+    if levi:
+        theta = [liecore.cartan_theta(spec, X).ravel() for X in levi]
+        A = np.array([X.ravel() for X in levi])
+        assert (np.linalg.matrix_rank(np.vstack([A, theta]), tol=1e-10)
+                == np.linalg.matrix_rank(A, tol=1e-10))
+    # every basis is real and orthonormal
+    for name in BASES + ("basis_q",):
+        bas = getattr(pd, name)
+        assert all(np.isrealobj(X) for X in bas)
+        gram = _trace_gram(bas, [X.T for X in bas])
+        assert np.abs(gram - np.eye(len(bas))).max(initial=0.0) < 1e-12
+    if group == "sp6":
+        assert pd.dims + (len(pd.basis_u1),) == SP6_DIMS[flag]
+
+
 def test_no_parabolic_data_for_su_pq():
     # no Cayley element or canonical extension of su_pq could use it
     for spec, flag in ((liecore.su_pq(1, 1), (1,)),
@@ -344,6 +393,19 @@ def test_no_parabolic_data_for_su_pq():
         with pytest.raises(UnsupportedFlag,
                            match="not defined for family su_pq"):
             liecore.parabolic_data(spec, flag)
+
+
+@pytest.mark.parametrize("spec,flag,message", [
+    (liecore.sp2nR(2), (), "flag must be strictly increasing, got ()"),
+    (liecore.sp2nR(2), (2, 1), "flag must be strictly increasing"),
+    (liecore.sp2nR(2), (1, 1), "flag must be strictly increasing"),
+    (liecore.sp2nR(2), (0, 1), r"rank 0 isotropic subspace in sp2nR\(n=2\)"),
+    (liecore.sp2nR(2), (1, 3), r"rank 3 isotropic subspace in sp2nR\(n=2\)"),
+    (liecore.su_pq(1, 1), (1, 5), "not defined for family su_pq"),
+])
+def test_parabolic_data_rejects_bad_flags(spec, flag, message):
+    with pytest.raises(UnsupportedFlag, match=message):
+        liecore.parabolic_data(spec, flag)
 
 
 def test_parabolic_bases_match_golden():

@@ -1,11 +1,12 @@
-"""No public API that nothing calls.
+"""No public API that nothing calls, and no private helper either.
 
-Every public module-level function or class of chernpatch must be named
-somewhere in the package, the demos or the benchmark, as a Name or an
-Attribute node of their syntax trees; every public method as an Attribute
-node, since a bare name of the same spelling (a local variable or a
-parameter) does not call it.  Strings (``__all__`` entries, docstrings) do
-not count, and neither do the tests.
+Every module-level function or class of chernpatch must be named somewhere
+in the package, the demos or the benchmark, as a Name or an Attribute node
+of their syntax trees; every method as an Attribute node, since a bare name
+of the same spelling (a local variable or a parameter) does not call it.
+This holds for private names (a leading underscore) as for public ones;
+only dunder methods, which Python calls itself, are exempt.  Strings
+(``__all__`` entries, docstrings) do not count, and neither do the tests.
 """
 
 import ast
@@ -18,19 +19,26 @@ USERS = [PACKAGE, ROOT / "demos", ROOT / "perfbench"]
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _public_definitions():
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(private):
     """(module:qualified name, bare name, is a method) of each public
-    definition."""
+    definition, or of each private one (dunders aside) if private."""
+    def chosen(name):
+        return name.startswith("_") == private and not _dunder(name)
+
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if not isinstance(node, _DEFS) or node.name.startswith("_"):
+            if not isinstance(node, _DEFS):
                 continue
-            yield f"{path.stem}:{node.name}", node.name, False
+            if chosen(node.name):
+                yield f"{path.stem}:{node.name}", node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if (isinstance(item, _DEFS[:2])
-                            and not item.name.startswith("_")):
+                    if isinstance(item, _DEFS[:2]) and chosen(item.name):
                         yield (f"{path.stem}:{node.name}.{item.name}",
                                item.name, True)
 
@@ -49,8 +57,15 @@ def _used_names():
     return names, attrs
 
 
-def test_every_public_definition_has_a_user():
+def _unused(private):
     names, attrs = _used_names()
-    unused = [qual for qual, name, method in _public_definitions()
-              if name not in attrs and (method or name not in names)]
-    assert unused == []
+    return [qual for qual, name, method in _definitions(private)
+            if name not in attrs and (method or name not in names)]
+
+
+def test_every_public_definition_has_a_user():
+    assert _unused(private=False) == []
+
+
+def test_every_private_helper_has_a_user():
+    assert _unused(private=True) == []

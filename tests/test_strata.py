@@ -55,6 +55,22 @@ def test_partition_telescopes_to_one(seed):
     assert abs(total - 1.0) < 1e-12
 
 
+def test_partition_weights_equal_B_bit_for_bit():
+    # the prefix products take the same factors in the same order as B
+    rng = np.random.default_rng(11)
+    model = forest()
+    for _ in range(500):
+        flag = model.flags[rng.integers(2)]
+        chain = flag[:int(rng.integers(1, len(flag) + 1))]
+        eps = model.eps(chain[-1])
+        x = model.point(chain, tuple(rng.uniform(0, eps, len(chain) - 1)))
+        got = model.partition_weights(x)
+        assert list(got) == list(chain)
+        for Z in chain:
+            assert (np.float64(got[Z]).tobytes()
+                    == np.float64(model.B(Z, eps, x)).tobytes())
+
+
 def test_eps_family_is_dyadic():
     model = three_flag()
     assert model.eps("Z") == 1.0
