@@ -21,18 +21,19 @@ epsX = m.model.eps("X")
 print("tube radii: eps_Z =", m.model.eps("Z"), " eps_Y =", m.model.eps("Y"),
       " eps_X =", epsX)
 
-# The patched form evaluated three ways at a generic point: the recursive
-# definition, the expanded chain formula, and the localized formula.
+# The patched form evaluated three ways at a generic point, a stack of one:
+# the recursive definition, the expanded chain formula, and the localized
+# formula.
 rng = np.random.default_rng(0)
 x = [0.3, -0.1, 0.2, 12.0, 0.05, 25.0]
-p = m.point(x)
-mc = p.mc[0]
-a = m.omega_patched(p, mc)
-b = m.omega_patched_chain(p, mc)
-c, base, wsum = m.omega_patched_localized(p, mc)
+p = m.points([x])
+mc = p.mc[:, 0]
+a = m.omega_patched(p, mc)[0]
+b = m.omega_patched_chain(p, mc)[0]
+c, bases, wsums = m.omega_patched_localized(p, mc)
 print("recursion vs chain:", float(np.max(np.abs(a - b))))
-print(f"localized around {base}: |w*recursion - localized| =",
-      float(np.max(np.abs(wsum * a - c))))
+print(f"localized around {bases[0]}: |w*recursion - localized| =",
+      float(np.max(np.abs(wsums[0] * a - c[0]))))
 
 # Sample points where the point-stratum weight sits in its transition band
 # while we stay well inside the tube around the plane stratum.

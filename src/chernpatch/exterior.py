@@ -11,8 +11,9 @@ pair brackets of omega's coefficients.  A coefficient map is differentiated
 by its analytic Jacobian when it carries one (the Siegel projection, the
 affine forms of the `patch` suite) and otherwise by central differences,
 the 2m displaced points of each of P points as one func call on 2mP rows.
-One contraction (contract) evaluates a coefficient array on vectors, and
-VForm.evaluate a form at each point of a stack on that point's vectors.
+One contraction (contract) evaluates the coefficients at a stack of points,
+each on its own vectors: VForm.evaluate, and the fiber check at a stack,
+with one SVD for its vertical vectors and one draw for their companions.
 combination_curvature is the one product rule for the curvature of a
 weighted combination of connections.
 
@@ -30,6 +31,9 @@ import functools
 from itertools import combinations
 
 import numpy as np
+
+from . import liecore
+from .errors import PreconditionFailed
 
 FD_STEP = 1e-5
 
@@ -98,8 +102,8 @@ class VForm(SmoothMap):
         if np.shape(vectors) != x.shape[:-1] + (self.degree, self.m):
             raise ValueError(f"need {self.degree} vectors of length {self.m}")
         C = np.asarray(self.func(x.reshape(-1, self.m)), dtype=complex)
-        V = np.reshape(vectors, (-1, self.degree, self.m))
-        out = np.array([contract(c, v) for c, v in zip(C, V)])
+        out = contract(np.moveaxis(C, 1, 0),
+                       np.reshape(vectors, (-1, self.degree, self.m)))
         return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
@@ -116,12 +120,13 @@ def _index_cols(m, q):
 def contract(C, vectors):
     """The q-form with coefficient array C on R^m, on vectors (..., q, m), one
     set v_1, ..., v_q per leading index: the sum over I of C_I det(v_r[I_c]),
-    added in index order."""
+    added in index order.  The leading axes of vectors line up with the
+    first axes of C after the index axis (a point axis of both, say)."""
     V = np.asarray(vectors, dtype=complex)
     q, m = V.shape[-2:]
     dets = np.moveaxis(
         np.linalg.det(V[..., _index_cols(m, q)].swapaxes(-3, -2)), -1, 0)
-    dets = dets.reshape(dets.shape + (1,) * (np.ndim(C) - 1))
+    dets = dets.reshape(dets.shape + (1,) * (np.ndim(C) - dets.ndim))
     out = np.zeros((), dtype=complex)
     for c, d in zip(C, dets, strict=True):
         out = out + c * d
@@ -187,10 +192,11 @@ def bracket_pairs(a):
 
 def wedge_pairs(f, a):
     """f_i a_j - f_j a_i over i < j: the coefficients of phi ^ alpha for the
-    scalar 1-form phi with coefficients f (m,) and alpha = sum_i a_i dx_i."""
-    i, j = _index_cols(len(a), 2).T
-    f = np.reshape(f, np.shape(f) + (1,) * (np.ndim(a) - 1))
-    return f[i] * a[j] - f[j] * a[i]
+    scalar 1-form phi with coefficients f (..., m) and alpha = sum a_i dx_i."""
+    ax = np.ndim(f) - 1
+    i, j = _index_cols(np.shape(a)[ax], 2).T
+    f = np.reshape(f, np.shape(f) + (1,) * (np.ndim(a) - ax - 1))
+    return f.take(i, ax) * a.take(j, ax) - f.take(j, ax) * a.take(i, ax)
 
 
 def curvature_form(omega: VForm) -> VForm:
@@ -201,11 +207,12 @@ def curvature_form(omega: VForm) -> VForm:
 
 
 def combination_curvature(terms):
-    """Curvature coefficients of omega = sum_c w_c omega_c at one point.
+    """Curvature coefficients of omega = sum_c w_c omega_c at a point.
 
     terms yields (w_c, dw_c, omega_c, Omega_c): the weight, its differential
     (m,), the 1-form coefficients (m, d, d) and the curvature coefficients
-    (C(m, 2), d, d) of omega_c.  The product rule gives
+    (C(m, 2), d, d) of omega_c, each with a leading axis of P on a stack of
+    P points.  The product rule gives
 
         Omega = sum_c [dw_c ^ omega_c + w_c (Omega_c - 1/2 [omega_c, omega_c])]
                 + 1/2 [omega, omega],
@@ -214,43 +221,50 @@ def combination_curvature(terms):
     """
     omega = Omega = 0.0
     for w, dw, om, Om in terms:
+        w = np.reshape(w, np.shape(w) + (1, 1, 1))
         omega = omega + w * om
         Omega = Omega + wedge_pairs(dw, om) + w * (Om - bracket_pairs(om))
     return Omega + bracket_pairs(omega)
 
 
-def vertical_vectors(proj: SmoothMap, x):
-    """Orthonormal basis of ker d(proj)(x) via SVD, as the rows of a (k, m)
-    array: singular values at most 1e-9 max(1, largest) count as zero."""
-    J = proj.jacobian(x)  # (m, k)
-    J2 = J.reshape(proj.m, -1).T
+def vertical_vectors(proj: SmoothMap, xs):
+    """Orthonormal bases of ker d(proj) at a (P, m) stack of points, as the
+    rows of a (P, k, m) array from one SVD: singular values at most 1e-9
+    max(1, largest) count as zero, and the rank must not change."""
+    J = proj.jacobian(np.asarray(xs, dtype=float))   # (P, m) + value shape
+    J2 = J.reshape(len(J), proj.m, -1).swapaxes(-1, -2)
     u, s, vt = np.linalg.svd(np.asarray(J2, dtype=complex))
-    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 1.0)))
-    return vt[rank:].conj()
+    rank = np.sum(s > 1e-9 * np.maximum(
+        1.0, s.max(axis=-1, initial=0.0, keepdims=True)), axis=-1)
+    liecore.require(rank == rank[0], "the projection's Jacobian changes rank",
+                    PreconditionFailed)
+    return vt[:, rank[0]:].conj()
 
 
 def vertical_contraction(C, degree, verts, rng):
     """Largest entry of |form(v, w_2, ..., w_q)| over the rows v of verts
-    (k, m), for the coefficient array C of a degree-q form at one point; the
-    w_k are fresh standard normal draws from rng, q - 1 of them per v, drawn
-    in that order in one call."""
-    k, m = np.shape(verts)
-    others = rng.standard_normal((k, degree - 1, m))
-    V = np.concatenate([np.reshape(verts, (k, 1, m)), others], axis=1)
-    return float(np.max(np.abs(contract(C, V)), initial=0.0))
+    (k, m), for the coefficient array C of a degree-q form at one point (or
+    verts (P, k, m) of the P points of a stack C); the w are fresh standard
+    normal draws from rng, q - 1 per v, point by point in one call."""
+    if np.ndim(verts) == 2:
+        C, verts = np.asarray(C)[None], np.asarray(verts)[None]
+    P, k, m = np.shape(verts)
+    others = rng.standard_normal((P, k, degree - 1, m))
+    V = np.concatenate([verts[:, :, None, :], others], axis=2)
+    out = contract(np.moveaxis(C, 1, 0)[:, :, None], V)
+    return float(np.max(np.abs(out), initial=0.0))
 
 
 def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
     """Check that contracting with d(proj)-vertical vectors annihilates form.
 
     Returns a report dict; fails (ok=False) if any vertical contraction
-    exceeds tol.  The form's coefficients are evaluated once per point.
+    exceeds tol.  The form's coefficients at the points are one func call.
     """
     rng = rng or np.random.default_rng(0)
-    points = list(points)
-    worst = 0.0
-    for x in points:
-        worst = max(worst, vertical_contraction(
-            form.value(x), form.degree, vertical_vectors(proj, x), rng))
+    xs = np.array(list(points), dtype=float).reshape(-1, form.m)
+    worst = vertical_contraction(
+        np.asarray(form.func(xs), dtype=complex), form.degree,
+        vertical_vectors(proj, xs), rng) if len(xs) else 0.0
     return {"max_vertical_contraction": worst, "tol": tol, "ok": worst <= tol,
-            "points": len(points)}
+            "points": len(xs)}

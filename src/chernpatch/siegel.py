@@ -18,15 +18,14 @@ which satisfy rho_Z(pi_Y(Z)) = rho_Z(Z) exactly.  The section
 lands in the intersection of both standard parabolics and maps the basepoint
 i*I to Z, with pi compatible with the group-level Levi factorization.
 
-Evaluators take (point, mc): the :class:`ChartPoint` SiegelModel.point(x)
-and mc = s^{-1} ds, a (4, 4) matrix or a (..., 4, 4) stack of directions at
-x, and return (..., d, d).  SiegelModel.points(xs) makes a stack of chart
-points, with the section, mc and the Klingen factor each from one numpy
-pass; point(x) is points([x])[0].  A chart form makes the points of a stack
-of rows (the 12 of a central difference) in one points call, then calls its
-evaluator once per row, on the stack p.mc of all six chart directions, and
-every layer maps that whole.  curvature_induced_nomizu takes one point or a
-stack; the patched evaluators read one point p[n] at a time.
+Evaluators take (p, mc): a :class:`ChartPoint` stack p = points(xs) of P
+chart points, whose section, mc and Klingen factor each come from one numpy
+pass, and a (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them, and
+return (P, ..., d, d); one point is the stack points([x]), and point(x) its
+one-point view.  A chart form makes the points of its rows (the 12P of a
+central difference at P points) in one points call and calls its evaluator
+once, on p.mc, the six chart directions at each row; every layer maps that
+whole.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector (:class:`TangentVector`)
@@ -58,9 +57,9 @@ the patched connection ending at X:
 Their pairs (omega_c, Omega_c) compose along the chain like the connections
 do, and :meth:`strata.PatchedSystem.curvature` patches them with the
 product rule, dw_c in closed form from r_Z = 1/x_3, r_Y = 1/x_5.  Each
-curvature evaluator maps a chart point to the (15, d, d) coefficients over
-combinations(range(6), 2), from one section, one Klingen split of theta and
-one Klingen factor.
+curvature evaluator maps P chart points to the (P, 15, d, d) coefficients
+over combinations(range(6), 2), from one section, one Klingen split of
+theta and one Klingen factor for the stack.
 """
 
 from __future__ import annotations
@@ -139,12 +138,13 @@ def _structure(F, t):
 
 
 class ChartPoint:
-    """A chart point x, or a stack of P of them (every array with a leading
-    axis P, control a list), with what every evaluation reads: the section
-    s = s(x), the (6, 4, 4) stack mc of s^{-1} d_i s over the chart
-    directions, the control data and the Klingen factor (lam, lam^{-1}):
+    """A chart point x, or a stack of P of them (every array, control an
+    object array, with a leading axis P), with what every evaluation reads:
+    the section s = s(x), the (6, 4, 4) stack mc of s^{-1} d_i s over the
+    chart directions, the control data and the Klingen factor (lam, lam^{-1}):
     lambda_1 of the inverse linear Levi factor of s in the Klingen parabolic.
-    The factor is made once per stack; p[n] is point n, p[a:b] a substack."""
+    The factor is made once per stack; p[n] is point n, p[a:b] and p[idx]
+    (idx an index array) substacks."""
 
     __slots__ = ("s", "mc", "control", "klingen")
 
@@ -159,12 +159,15 @@ class TangentVector:
     """Geometric point of the patched system over X: a chart point and
     mc = s^{-1} ds(v) for a tangent vector v there, or a (..., 4, 4) stack
     of them.  `split` keeps the (hdot, ldot) parts of mc in the rank-1
-    parabolic once made."""
+    parabolic once made; v[idx] is the substack of the rows idx."""
 
     __slots__ = ("point", "mc", "split")
 
     def __init__(self, point, mc):
         self.point, self.mc, self.split = point, mc, None
+
+    def __getitem__(self, idx):
+        return TangentVector(self.point[idx], self.mc[idx])
 
 
 class SiegelModel:
@@ -213,8 +216,9 @@ class SiegelModel:
         p = ChartPoint()
         p.s = section(xs)
         p.mc = section_mc(xs, p.s)
-        p.control = [self.model.point(("Z", "Y", "X"), r)
-                     for r in (1.0 / xs[:, [3, 5]]).tolist()]
+        p.control = np.array([self.model.point(("Z", "Y", "X"), r)
+                              for r in (1.0 / xs[:, [3, 5]]).tolist()],
+                             dtype=object)
         g_l = liecore.group_factor_fine(self.pdK, p.s)[3]
         lam = self.extK(np.linalg.inv(g_l))
         p.klingen = (lam, np.linalg.inv(lam))
@@ -279,7 +283,7 @@ class SiegelModel:
         return self.omega_XY(v, self.omega_Y_nomizu(self.project(v, "X", "Y")))
 
     # curvature evaluators ------------------------------------------------
-    # each maps a chart point to the (15, d, d) curvature coefficients
+    # each maps a stack of P chart points to the (P, 15, d, d) coefficients
 
     def curvature_XY(self, v: TangentVector, inner):
         """(omega_XY(v, w), its curvature Omega_A + lam Omega lam^{-1}) for
@@ -297,11 +301,11 @@ class SiegelModel:
         return self.curvature_XY(v, inner)[1]
 
     def curvature_patched(self, p):
-        """Curvature of the patched connection at p, with the weight
+        """Curvature of the patched connection at the stack p, with the weight
         gradients through d r_Z = -r_Z^2 dx_3 and d r_Y = -r_Y^2 dx_5."""
-        rZ, rY = p.control.r
-        dr = np.zeros((2, 6))
-        dr[0, 3], dr[1, 5] = -rZ * rZ, -rY * rY
+        r = np.array([x.r for x in p.control])
+        dr = np.zeros((len(r), 2, 6))
+        dr[:, [0, 1], [3, 5]] = -r * r
         return self.system.curvature(p.control, TangentVector(p, p.mc), dr)
 
     # patched connection on X -------------------------------------------
@@ -315,7 +319,7 @@ class SiegelModel:
         return self.system.chain_form(p.control, TangentVector(p, mc))
 
     def omega_patched_localized(self, p, mc):
-        """Localized form around the base stratum W; returns (value, W, wsum)."""
+        """Localized form around the base strata; returns (value, [W], wsum)."""
         return self.system.localized(p.control, TangentVector(p, mc))
 
     # chart forms --------------------------------------------------------
@@ -323,10 +327,11 @@ class SiegelModel:
     def form_from_evaluator(self, evaluator) -> ext.VForm:
         """Assemble a chart VForm from a (point, mc) -> End(V) evaluator.
 
-        A stack xs takes one self.points(xs) call; the six coefficients of
-        row n are one evaluator call on its chart point p and p.mc."""
+        A stack xs takes one self.points(xs) call, and one evaluator call on
+        that stack p and p.mc."""
         def coeffs(xs):
-            return np.array([evaluator(p, p.mc) for p in self.points(xs)])
+            p = self.points(xs)
+            return evaluator(p, p.mc)
         return ext.VForm(6, 1, coeffs)
 
     def projection_map(self) -> ext.SmoothMap:

@@ -12,13 +12,13 @@ means: the point lies in stratum Z_k, inside the tube of each ancestor Z_j
 at distance r_j.  pi_{Z_j} truncates, rho_{Z_j} reads r_j; these satisfy
 the control-data axioms exactly (pi_Z pi_Y = pi_Z, rho_Z pi_Y = rho_Z).
 
-PatchedSystem is the one implementation of the patched connection: its
-recursion, its closed chain form and its localized form, for any model whose
-strata supply an invariant connection and the pullbacks between them (the
-Siegel model in :mod:`chernpatch.siegel` is one).  Given the curvatures of
-those connections, it also gives the curvature of the chain form, by the
-product rule with the weight gradients of
-FlagTubeModel.chain_form_weight_grad.
+PatchedSystem is the one implementation of the patched connection, on a
+stack of points: its recursion, its closed chain form and its localized
+form, for any model whose strata supply an invariant connection and the
+pullbacks between them (the Siegel model in :mod:`chernpatch.siegel` is
+one).  Given the curvatures of those connections, it also gives the
+curvature of the chain form, by the product rule with the weight gradients
+of FlagTubeModel.chain_form_weight_grad.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exterior as ext
+from . import liecore
 from .errors import PreconditionFailed
 
 
@@ -328,123 +329,140 @@ def family_vanishing_check(model: FlagTubeModel, flag, grid=None):
 # patched recursion over a model
 
 
+def _times(w, v):
+    """The (P,) weights w times the (P, ...) value stack v, row by row."""
+    return np.reshape(w, np.shape(w) + (1,) * (np.ndim(v) - 1)) * v
+
+
 class PatchedSystem:
-    """Patched connection recursion over a FlagTubeModel.
+    """Patched connection recursion over a FlagTubeModel, on a stack of points.
 
-    Every callable receives the model point x, which carries the control
-    data, and an opaque geometric point g over it (for a chart model, a
-    chart point with a tangent vector there):
+    Every callable receives the model points xs, a list of P ModelPoints on
+    one chain, which carry the control data, and an opaque geometric point g
+    over them with a leading axis of P (for a chart model, chart points with
+    a tangent vector at each); g[idx] is the substack of the rows idx:
 
-      nomizu    {Y: callable(x, g) -> value}: the invariant connection on Y;
-      pullback  {(Y, Z): callable(x, g, v) -> value} for Z < Y: on (the tube
+      nomizu    {Y: callable(xs, g) -> value}: the invariant connection on Y;
+      pullback  {(Y, Z): callable(xs, g, v) -> value} for Z < Y: on (the tube
                 inside) Y, the connection induced from one on Z whose value
-                at the projected point is v;
-      project   callable(g, Y, Z) -> the geometric point over pi_Z(x), for
-                g over a point x of Y and Z < Y.  It is called only where a
-                weight or its gradient is nonzero, and must follow the
-                control data:
-                project(project(g, X, Y), Y, Z) = project(g, X, Z).
+                at the projected points is v;
+      project   callable(g, Y, Z) -> the geometric point over pi_Z(xs), for
+                g over points xs of Y and Z < Y.  It must follow the control
+                data: project(project(g, X, Y), Y, Z) = project(g, X, Z).
       curvatures  (optional, for :meth:`curvature`) the same keys as nomizu
                 and pullback together, with callables that take and return
-                (value, curvature) pairs: {Y: callable(x, g)} and
-                {(Y, Z): callable(x, g, (v, Omega_v))}, Omega_v the curvature
+                (value, curvature) pairs: {Y: callable(xs, g)} and
+                {(Y, Z): callable(xs, g, (v, Omega_v))}, Omega_v the curvature
                 of the connection on Z whose value is v.
 
-    Values may be any objects supporting + and scalar *; :meth:`curvature`
-    reads them as coefficient stacks over the chart directions of g.
+    Values are (P, ...) stacks, read by :meth:`curvature` as coefficients
+    over the chart directions of g.  Weights are (P,) arrays of the scalar
+    weights of FlagTubeModel: a term is skipped where its weight vanishes at
+    every row, and elsewhere a zero weight leaves the sum unchanged.
     """
 
     def __init__(self, model: FlagTubeModel, nomizu, pullback, project,
                  curvatures=None):
         self.model = model
-        self.nomizu = nomizu
-        self.pullback = pullback
+        self.values = {**nomizu, **pullback}   # keyed like curvatures
         self.project = project
         self.curvatures = curvatures
 
-    def _over(self, x: ModelPoint, g, Z):
-        """(pi_Z(x), the geometric point over it)."""
-        if Z == x.stratum:
-            return x, g
-        return self.model.pi(x, Z), self.project(g, x.stratum, Z)
+    def _chain(self, xs):
+        """The chain of xs; PreconditionFailed names a first row off it."""
+        chain = xs[0].chain
+        liecore.require(np.array([x.chain == chain for x in xs]),
+                        f"points off the chain {chain}", PreconditionFailed)
+        return chain
 
-    def _along(self, chain, x: ModelPoint, g, v, maps=None):
-        """Pull v, a value over pi_{chain[0]}(x), up the chain to stratum(x)
-        through the pullbacks (or the (Y, Z) entries of maps)."""
-        maps = maps or self.pullback
+    def _over(self, xs, g, Z):
+        """(pi_Z(xs), the geometric point over them)."""
+        if Z == xs[0].stratum:
+            return xs, g
+        return ([self.model.pi(x, Z) for x in xs],
+                self.project(g, xs[0].stratum, Z))
+
+    def _along(self, chain, xs, g, maps, v=None):
+        """Pull v over pi_{chain[0]}(xs) (by default, the maps entry of
+        chain[0] there) up the chain through the (Y, Z) entries of maps."""
+        if v is None:
+            v = maps[chain[0]](*self._over(xs, g, chain[0]))
         for lo, hi in zip(chain, chain[1:]):
-            v = maps[(hi, lo)](*self._over(x, g, hi), v)
+            v = maps[(hi, lo)](*self._over(xs, g, hi), v)
         return v
 
-    def patched(self, x: ModelPoint, g):
+    def _chain_weights(self, xs, weights):
+        """[(chain, (P,) weights)] from weights(x) -> [(chain, w)] over xs."""
+        self._chain(xs)
+        return [(col[0][0], np.array([w for _, w in col]))
+                for col in zip(*map(weights, xs))]
+
+    def patched(self, xs, g):
         """B_Y^{eps_Y} nomizu_Y + sum over Z < Y of B_Z^{eps_Y} times the
-        pullback of the patched connection of Z, for Y = stratum(x)."""
+        pullback of the patched connection of Z, for Y the stratum of xs."""
         md = self.model
-        Y = x.stratum
-        if len(x.chain) == 1:
+        chain = self._chain(xs)
+        Y, epsY = chain[-1], md.eps(chain[-1])
+        val = self.values[Y](xs, g)
+        if len(chain) == 1:
             # no ancestors: B_Y^{eps_Y} is identically 1 here
-            return self.nomizu[Y](x, g)
-        epsY = md.eps(Y)
-        val = md.B(Y, epsY, x) * self.nomizu[Y](x, g)
-        for Z in reversed(x.chain[:-1]):
-            w = md.B(Z, epsY, x)
-            if w == 0.0:
-                continue
-            inner = self.patched(*self._over(x, g, Z))
-            val = val + w * self.pullback[(Y, Z)](x, g, inner)
+            return val
+        val = _times(np.array([md.B(Y, epsY, x) for x in xs]), val)
+        for Z in reversed(chain[:-1]):
+            w = np.array([md.B(Z, epsY, x) for x in xs])
+            if w.any():
+                inner = self.patched(*self._over(xs, g, Z))
+                val = val + _times(w, self.values[(Y, Z)](xs, g, inner))
         return val
 
-    def chain_form(self, x: ModelPoint, g):
+    def chain_form(self, xs, g):
         """Closed form: sum over chains of full weights and composed pullbacks."""
-        total = None
-        for chain, w in self.model.chain_form_weights(x):
-            if w == 0.0:
-                continue
-            Z1 = chain[0]
-            term = w * self._along(chain, x, g,
-                                   self.nomizu[Z1](*self._over(x, g, Z1)))
-            total = term if total is None else total + term
-        return total
+        weights = self._chain_weights(xs, self.model.chain_form_weights)
+        return sum(_times(w, self._along(c, xs, g, self.values))
+                   for c, w in weights if w.any())
 
-    def chain_curvature(self, chain, x: ModelPoint, g):
+    def chain_curvature(self, chain, xs, g):
         """(omega_c, Omega_c): the chain's connection, the nomizu value of its
         first stratum pulled up the chain, and its curvature, composed the
         same way from the `curvatures` callables."""
-        Z1 = chain[0]
-        return self._along(chain, x, g,
-                           self.curvatures[Z1](*self._over(x, g, Z1)),
-                           self.curvatures)
+        return self._along(chain, xs, g, self.curvatures)
 
-    def curvature(self, x: ModelPoint, g, dr):
+    def curvature(self, xs, g, dr):
         """Curvature coefficients of the chain form omega = sum_c w_c omega_c
         over the pairs i < j of the m chart directions of g, by
-        ext.combination_curvature over the chains.  dr is the (len(x.r), m)
-        Jacobian of the tube distances over those directions, so
-        dw_c = (gradient of w_c over x.r) @ dr.  A chain is skipped where
-        both w_c and dw_c vanish.
+        ext.combination_curvature over the chains.  dr is the (P, len(r), m)
+        stack of Jacobians of the tube distances over those directions, so
+        dw_c = (gradient of w_c over r) @ dr.  A chain is skipped where w_c
+        and dw_c vanish at every row.
         """
         md = self.model
-        chains = ((chain, w, md.chain_form_weight_grad(chain, x) @ dr)
-                  for chain, w in md.chain_form_weights(x))
+        chains = ((c, w, (np.array([md.chain_form_weight_grad(c, x)
+                                    for x in xs])[:, None] @ dr)[:, 0])
+                  for c, w in self._chain_weights(xs, md.chain_form_weights))
         return ext.combination_curvature(
-            (w, dw) + self.chain_curvature(chain, x, g)
-            for chain, w, dw in chains if w != 0.0 or dw.any())
+            (w, dw) + self.chain_curvature(c, xs, g)
+            for c, w, dw in chains if w.any() or dw.any())
 
-    def localized(self, x: ModelPoint, g):
-        """(value, W, sum_of_weights): localized form around the base stratum W."""
+    def localized(self, xs, g):
+        """(value, [W], wsum): the localized form around the base stratum W of
+        each row, one substack per W, and the (P,) sums of the weights."""
         md = self.model
-        W = md.localization_base(x)
-        inner_val = self.patched(*self._over(x, g, W))
-        total = None
-        wsum = 0.0
-        # chains W = S_0 < ... < S_k = stratum(x) within x's flag
-        for chain in md.chains_to(x):
-            if chain[0] != W:
-                continue
-            w = md.chain_weight(chain, x)
-            wsum += w
-            if w == 0.0:
-                continue
-            term = w * self._along(chain, x, g, inner_val)
-            total = term if total is None else total + term
-        return total, W, wsum
+        self._chain(xs)
+        bases = np.array([md.localization_base(x) for x in xs])
+        value, wsum = None, np.zeros(len(xs))
+        for W in dict.fromkeys(bases):
+            idx = np.flatnonzero(bases == W)
+            sub, gsub = [xs[n] for n in idx], g[idx]
+            inner_val = self.patched(*self._over(sub, gsub, W))
+            # chains W = S_0 < ... < S_k = stratum(x) within x's flag
+            chains = self._chain_weights(sub, lambda x: [
+                (c, md.chain_weight(c, x)) for c in md.chains_to(x)
+                if c[0] == W])
+            wsum[idx] = sum(w for _, w in chains)
+            total = sum(_times(w, self._along(c, sub, gsub, self.values,
+                                              inner_val))
+                        for c, w in chains if w.any())
+            if value is None:
+                value = np.empty((len(xs),) + total.shape[1:], total.dtype)
+            value[idx] = total
+        return value, bases.tolist(), wsum

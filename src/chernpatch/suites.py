@@ -203,7 +203,7 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
 
     with df_i in closed form and Omega_i from analytic Jacobians, against
     ext.curvature_form of omega by central differences, coefficient by
-    coefficient at three points per sample, taken as one stack.
+    coefficient at three points per sample, each side one stack.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -214,13 +214,10 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
         oracle = ext.curvature_form(_combination_form(m, weights, omegas))
         xs = rng.uniform(-0.5, 0.5, (3, m))
         f, df = weights(xs)
-        values = [om.func(xs) for om in omegas]
-        curvatures = [ext.curvature_form(om).func(xs) for om in omegas]
-        for n, expected in enumerate(oracle.func(xs)):
-            formula = ext.combination_curvature(zip(
-                f[n], df[n], [v[n] for v in values],
-                [C[n] for C in curvatures]))
-            worst = max(worst, float(np.max(np.abs(formula - expected))))
+        formula = ext.combination_curvature(zip(
+            f.T, df.swapaxes(0, 1), [om.func(xs) for om in omegas],
+            [ext.curvature_form(om).func(xs) for om in omegas]))
+        worst = max(worst, float(np.max(np.abs(formula - oracle.func(xs)))))
     return _finish("patch", seed, tol, samples,
                    [_check("combination-identity", worst, tol)])
 
@@ -377,15 +374,10 @@ def suite_bridge(seed=0, tol=1e-6, samples=20):
 
 def _model_tube_points(rng, samples):
     """Sample chart points in the plane-stratum tube of the rank-2 model."""
-    pts = []
-    for _ in range(samples):
-        pts.append([float(rng.uniform(-0.5, 0.5)),
-                    float(rng.uniform(-0.3, 0.3)),
-                    float(rng.uniform(-0.3, 0.3)),
-                    float(1.0 / rng.uniform(0.02, 0.2)),
-                    float(rng.uniform(-0.3, 0.3)),
-                    float(rng.uniform(17.0, 40.0))])
-    return pts
+    return [[float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
+             float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.2)),
+             float(rng.uniform(-0.3, 0.3)), float(rng.uniform(17.0, 40.0))]
+            for _ in range(samples)]
 
 
 _STACK = 8
@@ -407,9 +399,9 @@ def suite_pifiber(seed=0, tol=1e-6, samples=10):
     pts = _model_tube_points(rng, samples)
     worst = 0.0
     for rows, stack in _stacks(m, pts):
-        for x, C in zip(rows, m.curvature_induced_nomizu(stack)):
-            worst = max(worst, ext.vertical_contraction(
-                C, 2, ext.vertical_vectors(proj, x), rng))
+        worst = max(worst, ext.vertical_contraction(
+            m.curvature_induced_nomizu(stack), 2,
+            ext.vertical_vectors(proj, rows), rng))
     return _finish("pifiber", seed, tol, samples,
                    [_check("induced-curvature-vertical", worst, tol)])
 
@@ -438,9 +430,10 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
     """The patched curvature is not a pullback from the plane stratum, but
     its Chern forms c1, c2 are: vertical contractions at mixed-tube points.
 
-    The curvature comes from the structure equation, once per point, and
-    c1, c2 from that one array.  The raw curvature is the negative control:
-    it passes only while its contraction exceeds 1e-3.  At the first points
+    The curvature comes from the structure equation, one call per stack of
+    points, and c1, c2 from that one array; each point draws for its three
+    contractions in turn.  The raw curvature is the negative control: it
+    passes only while its contraction exceeds 1e-3.  At the first points
     (named in the report) the induced and patched curvatures are compared
     with ext.curvature_form of their connections.
     """
@@ -454,11 +447,10 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
     oracle_points = list(range(min(_ORACLE_POINTS, samples)))
     worst = {"raw": 0.0, 1: 0.0, 2: 0.0}
     oracle = 0.0
-    views = (p for _, stack in _stacks(m, pts) for p in stack)
-    for n, (x, p) in enumerate(zip(pts, views)):
-        omega = m.curvature_patched(p)
+    rows = (row for xs, p in _stacks(m, pts) for row in zip(
+        xs, p, m.curvature_patched(p), ext.vertical_vectors(proj, xs)))
+    for n, (x, p, omega, verts) in enumerate(rows):
         es = inv.chern_coefficients(omega, 6, 2)
-        verts = ext.vertical_vectors(proj, x)
         # the curvature and c1 are 2-forms, c2 is a 4-form
         for key, C, q in (("raw", omega, 2), (1, es[1], 2), (2, es[2], 4)):
             worst[key] = max(worst[key], ext.vertical_contraction(
@@ -510,12 +502,13 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40):
            float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.5)),
            float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.005, 0.12))]
           for _ in range(samples)]
-    for p in (p for _, stack in _stacks(m, xs) for p in stack):
-        a = m.omega_patched(p, p.mc[:2])
-        b = m.omega_patched_chain(p, p.mc[:2])
-        c, _, w = m.omega_patched_localized(p, p.mc[:2])
+    for _, p in _stacks(m, xs):
+        a = m.omega_patched(p, p.mc[:, :2])
+        b = m.omega_patched_chain(p, p.mc[:, :2])
+        c, _, w = m.omega_patched_localized(p, p.mc[:, :2])
         rec_chain = max(rec_chain, float(np.max(np.abs(a - b))))
-        local = max(local, float(np.max(np.abs(w * a - c))))
+        local = max(local, float(np.max(np.abs(
+            w[:, None, None, None] * a - c))))
     checks = [_check("recursion-equals-chain", rec_chain, tol),
               _check("localization", local, tol)]
     return _finish("patched", seed, tol, samples, checks)

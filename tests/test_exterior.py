@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import exterior as ext, invariants as inv, siegel, suites
 from chernpatch.dual import Dual, seed
+from chernpatch.errors import PreconditionFailed
 from helpers import rowwise
 
 
@@ -180,6 +181,18 @@ def test_pifiber_check_flags_vertical_component():
     rpt = ext.pifiber_check(form, proj, pts, tol=1e-8, rng=rng)
     assert not rpt["ok"]
     assert rpt["max_vertical_contraction"] > 1e-2
+
+
+def test_vertical_vectors_of_a_stack_name_a_row_of_another_rank():
+    # d(x0 x1) = x1 dx0 + x0 dx1 has rank 1 except at the origin
+    proj = ext.SmoothMap(2, lambda xs: (xs[:, 0] * xs[:, 1])[:, None])
+    xs = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 0.0], [3.0, 1.0]])
+    verts = ext.vertical_vectors(proj, xs[:2])
+    assert verts.shape == (2, 1, 2)
+    for x, v in zip(xs[:2], verts):
+        assert np.array_equal(ext.vertical_vectors(proj, x[None])[0], v)
+    with pytest.raises(PreconditionFailed, match=r"\(row 2\)$"):
+        ext.vertical_vectors(proj, xs)
 
 
 def test_pifiber_check_counts_points_of_a_generator():

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chernpatch import exterior as ext, invariants as inv, liecore, siegel
-from chernpatch import strata
+from chernpatch import strata, suites
 from chernpatch.errors import DecompositionError, PreconditionFailed
 
 
@@ -126,14 +128,15 @@ def test_evaluators_on_a_stack_match_one_direction_at_a_time(model):
                   lambda p, mc: model.omega_patched_localized(p, mc)[0]]
     for x in [_sample_x(rng) for _ in range(4)] + [_mixed_x(model, rng)
                                                    for _ in range(4)]:
-        p = model.point(x)
+        p = model.points([x])
         for ev in evaluators:
             got = ev(p, p.mc)
-            assert got.shape == (6, 2, 2)
-            for mc, g in zip(p.mc, got):
-                assert np.max(np.abs(g - ev(p, mc))) < 1e-14
+            assert got.shape == (1, 6, 2, 2)
+            for i in range(6):
+                assert np.max(np.abs(got[:, i] - ev(p, p.mc[:, i]))) < 1e-14
         _, W, wsum = model.omega_patched_localized(p, p.mc)
-        assert (W, wsum) == model.omega_patched_localized(p, p.mc[0])[1:]
+        W0, wsum0 = model.omega_patched_localized(p, p.mc[:, 0])[1:]
+        assert W == W0 and np.array_equal(wsum, wsum0)
 
 
 def test_plane_borel_condition_is_checked_per_direction(model):
@@ -156,10 +159,10 @@ def test_patched_recursion_equals_chain(model):
     worst = 0.0
     for _ in range(25):
         x = _sample_x(rng)
-        p = model.point(x)
-        for mc in p.mc[:3]:
-            a = model.omega_patched(p, mc)
-            b = model.omega_patched_chain(p, mc)
+        p = model.points([x])
+        for i in range(3):
+            a = model.omega_patched(p, p.mc[:, i])
+            b = model.omega_patched_chain(p, p.mc[:, i])
             worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst < 1e-10
 
@@ -168,12 +171,12 @@ def test_patched_localization(model):
     rng = np.random.default_rng(4)
     for _ in range(25):
         x = _sample_x(rng)
-        p = model.point(x)
-        for mc in p.mc[:3]:
-            a = model.omega_patched(p, mc)
-            c, W, wsum = model.omega_patched_localized(p, mc)
-            assert W in ("Z", "Y", "X")
-            assert np.max(np.abs(wsum * a - c)) < 1e-10
+        p = model.points([x])
+        for i in range(3):
+            a = model.omega_patched(p, p.mc[:, i])[0]
+            c, W, wsum = model.omega_patched_localized(p, p.mc[:, i])
+            assert W[0] in ("Z", "Y", "X")
+            assert np.max(np.abs(wsum[0] * a - c[0])) < 1e-10
 
 
 def test_klingen_factor_once_per_evaluation(model, monkeypatch):
@@ -213,6 +216,96 @@ def test_one_call_of_each_layer_per_coefficient_evaluation(model,
     value = form.value(_sample_x(np.random.default_rng(10)))
     assert value.shape == (6, 2, 2)
     assert calls == {"evaluator": 1, "section_mc": 1, "split": 1}
+    # the patched connection: a 12-row central difference is one stack
+    calls.update(dict.fromkeys(calls, 0))
+    form = model.form_from_evaluator(counted("evaluator", model.omega_patched))
+    pts = suites._mixed_tube_points(model, np.random.default_rng(19), 2)
+    assert form.jacobian(pts[0]).shape == (6, 6, 2, 2)
+    assert calls == {"evaluator": 1, "section_mc": 1, "split": 1}
+    # and a fiber check of its curvature at 2 points one stack of 24 rows
+    # and one of 2, for the differences and the value
+    calls["evaluator"] = 0
+    ext.pifiber_check(ext.curvature_form(form), model.projection_map(), pts)
+    assert calls["evaluator"] == 2
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def test_a_patched_stack_equals_its_rows_bit_for_bit(model):
+    rng = np.random.default_rng(18)
+    # the patched suite's range, and the mixed tube
+    xs = [_sample_x(rng) for _ in range(8)] + [_mixed_x(model, rng)
+                                               for _ in range(4)]
+    p = model.points(xs)
+    md = model.model
+    # rows with different localization bases, and a chain whose weight
+    # vanishes at some rows and not at others
+    assert len({md.localization_base(x) for x in p.control}) > 1
+    ws = np.array([[w for _, w in md.chain_form_weights(x)]
+                   for x in p.control])
+    assert ((ws == 0.0).any(axis=0) & (ws != 0.0).any(axis=0)).any()
+
+    def evaluations(p):
+        local, W, wsum = model.omega_patched_localized(p, p.mc)
+        return [model.omega_patched(p, p.mc),
+                model.omega_patched_chain(p, p.mc), local, W, wsum,
+                model.curvature_patched(p)]
+
+    stacked = evaluations(p)
+    form = model.form_from_evaluator(model.omega_patched)
+    values = form.func(np.array(xs))
+    for n, x in enumerate(xs):
+        one = evaluations(model.points([x]))
+        for a, b in zip(stacked, one):
+            assert _same_bits(a[n], b[0])
+        assert _same_bits(values[n], form.value(x))
+
+
+def test_pifiber_check_on_a_stack_is_its_checks_point_by_point(model):
+    curv = ext.curvature_form(model.form_from_evaluator(model.omega_patched))
+    proj = model.projection_map()
+    pts = suites._mixed_tube_points(model, np.random.default_rng(20), 3)
+    for form in (curv, inv.chern_forms(curv, 2)[1]):
+        rngs = np.random.default_rng(21), np.random.default_rng(21)
+        stacked = ext.pifiber_check(form, proj, pts, tol=1e-5, rng=rngs[0])
+        worst = max(ext.pifiber_check(form, proj, [x], tol=1e-5, rng=rngs[1])[
+            "max_vertical_contraction"] for x in pts)
+        assert stacked["max_vertical_contraction"] == worst
+        # the same draws: both streams stand at the same place
+        assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+# tracemalloc peaks measured on x86-64 with numpy 2.4, plus a 25% margin:
+# `verify patched` at 40 samples, in stacks of 8 points, 100 KB; a fiber
+# check at 3 points, whose central differences are one stack of 36 rows,
+# 329 KB.
+PATCHED_PEAK = 1.25 * 100e3
+PIFIBER_PEAK = 1.25 * 329e3
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_patched_stacks_bound_their_temporaries(model):
+    curv = ext.curvature_form(model.form_from_evaluator(model.omega_patched))
+    proj = model.projection_map()
+    pts = suites._mixed_tube_points(model, np.random.default_rng(22), 3)
+    ext.pifiber_check(curv, proj, pts[:1])  # lazy numpy set-up, untraced
+    assert suites._STACK == 8
+    assert _traced_peak(lambda: suites.run_suite(
+        "patched", seed=0, samples=40)) < PATCHED_PEAK
+    assert _traced_peak(lambda: ext.pifiber_check(
+        curv, proj, pts)) < PIFIBER_PEAK
 
 
 def test_mixed_region_weights_sum_to_one(model):
@@ -293,11 +386,11 @@ def test_chain_curvatures_match_differences(model):
 
         fd = _differences(model, lambda p, mc: pair(p)[0])
         for x in pts:
-            omega_c, Omega_c = pair(model.point(x))
-            assert Omega_c.shape == (15, 2, 2)
-            assert np.max(np.abs(Omega_c - fd.value(x))) <= 1e-8, chain
+            p = model.points([x])
+            omega_c, Omega_c = pair(p)
+            assert Omega_c.shape == (1, 15, 2, 2)
+            assert np.max(np.abs(Omega_c[0] - fd.value(x))) <= 1e-8, chain
             if chain == ("Y", "X"):
-                p = model.point(x)
                 assert np.array_equal(
                     omega_c, model.omega_induced_nomizu(p, p.mc))
 
@@ -306,8 +399,7 @@ def test_chain_curvatures_match_differences(model):
 def test_curvature_evaluators_match_differences(model, name):
     curvature = getattr(model, f"curvature_{name}")
     fd = _differences(model, getattr(model, f"omega_{name}"))
-    form = ext.VForm(6, 2, lambda xs: np.array(
-        [curvature(p) for p in model.points(xs)]))
+    form = ext.VForm(6, 2, lambda xs: curvature(model.points(xs)))
     rng = np.random.default_rng(12)
     worst = scale = 0.0
     for x in _oracle_points(model, rng):
@@ -350,7 +442,7 @@ def test_curvature_evaluators_take_no_differences(model, monkeypatch):
     x = _mixed_x(model, np.random.default_rng(13))
     for curvature in (model.curvature_induced_nomizu, model.curvature_patched):
         calls.update(split=0, factor=0)
-        curvature(model.point(x))
+        curvature(model.points([x]))
         assert calls == {"split": 1, "factor": 1}
 
 
@@ -423,6 +515,8 @@ def test_stacked_points_match_one_point_at_a_time(rep):
     assert stack.s.shape == (6, 4, 4) and len(stack.control) == 6
     curv = m.curvature_induced_nomizu(stack)
     assert curv.shape == (6, 15, m.rep.dim, m.rep.dim)
+    patched = m.curvature_patched(stack)
+    omega = m.omega_patched(stack, stack.mc)
     for n, (x, p) in enumerate(zip(xs, stack)):
         one = m.point(x)
         assert np.array_equal(p.s, one.s) and np.array_equal(p.mc, one.mc)
@@ -430,9 +524,9 @@ def test_stacked_points_match_one_point_at_a_time(rep):
         for a, b, c in zip(p.klingen, one.klingen, _klingen_reference(m, one.s)):
             assert np.array_equal(a, b) and np.array_equal(b, c)
         assert np.array_equal(curv[n], m.curvature_induced_nomizu(one))
-        assert np.array_equal(m.curvature_patched(p), m.curvature_patched(one))
-        assert np.array_equal(m.omega_patched(p, p.mc),
-                              m.omega_patched(one, one.mc))
+        alone = m.points([x])
+        assert np.array_equal(patched[n], m.curvature_patched(alone)[0])
+        assert np.array_equal(omega[n], m.omega_patched(alone, alone.mc)[0])
     # a slice of the stack is the stack of those points
     assert np.array_equal(m.curvature_induced_nomizu(stack[2:5]), curv[2:5])
 

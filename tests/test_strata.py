@@ -168,57 +168,75 @@ def test_chain_weights_sum_to_localized_weight():
 
 def test_patched_system_recursion_matches_chain():
     model = three_flag()
+    names = ("Z", "Y", "X")
 
-    class DictVal(dict):
-        def __add__(self, other):
-            out = DictVal(self)
-            for k, v in other.items():
-                out[k] = out.get(k, 0.0) + v
-            return out
-
-        def __rmul__(self, c):
-            return DictVal({k: c * v for k, v in self.items()})
-
-    # the geometric point over each stratum is its name, so every callable
-    # can check that it was handed the point over its own stratum
-    def at(x, g):
-        assert g == x.stratum
+    # the geometric point over a stack is the name of its stratum at each
+    # row, so every callable can check that it was handed the points over
+    # its own stratum; a value is a row of masses on the strata per point
+    def at(xs, g):
+        assert list(g) == [x.stratum for x in xs]
         return g
 
-    nomizu = {name: (lambda x, g: DictVal({at(x, g): 1.0}))
-              for name in ("Z", "Y", "X")}
-    pullback = {(Y, Z): (lambda x, g, v: at(x, g) and v)
-                for Y in ("Y", "X") for Z in ("Z", "Y") if Z != Y}
+    def pulled(xs, g, v):
+        at(xs, g)
+        return v
+
+    nomizu = {name: (lambda xs, g: np.eye(3)[[names.index(n)
+                                              for n in at(xs, g)]])
+              for name in names}
+    pullback = {(Y, Z): pulled for Y in ("Y", "X") for Z in ("Z", "Y")
+                if Z != Y}
     system = strata.PatchedSystem(model, nomizu, pullback,
-                                  lambda g, Y, Z: Z)
+                                  lambda g, Y, Z: np.full(len(g), Z))
     rng = np.random.default_rng(8)
-    for _ in range(30):
-        x = model.point(("Z", "Y", "X"),
-                        (rng.uniform(0, 1.2), rng.uniform(0, 0.6)))
-        a = system.patched(x, "X")
-        b = system.chain_form(x, "X")
-        keys = set(a) | set(b)
-        assert all(abs(a.get(k, 0.0) - b.get(k, 0.0)) < 1e-12 for k in keys)
-        # total mass one in both representations
-        assert abs(sum(a.values()) - 1.0) < 1e-12
+    xs = [model.point(("Z", "Y", "X"),
+                      (rng.uniform(0, 1.2), rng.uniform(0, 0.6)))
+          for _ in range(30)]
+    g = np.full(len(xs), "X")
+    a = system.patched(xs, g)
+    b = system.chain_form(xs, g)
+    assert a.shape == b.shape == (30, 3)
+    assert np.max(np.abs(a - b)) < 1e-12
+    # total mass one in both representations
+    assert np.max(np.abs(a.sum(axis=1) - 1.0)) < 1e-12
+    # the localized form, its base strata evaluated as substacks
+    c, W, wsum = system.localized(xs, g)
+    assert len(set(W)) > 1
+    assert np.max(np.abs(wsum[:, None] * a - c)) < 1e-12
+    # each row of the stack is the stack of that one point
+    for n, x in enumerate(xs):
+        assert np.array_equal(system.patched([x], g[n:n + 1])[0], a[n])
 
 
 def test_patched_without_ancestors_reads_no_weight(monkeypatch):
     # on a stratum with no ancestors B is identically 1, so the patched
     # connection is its own connection and no weight is evaluated
     model = three_flag()
-    system = strata.PatchedSystem(model, {"Z": lambda x, g: 2.5 * g}, {},
+    system = strata.PatchedSystem(model, {"Z": lambda xs, g: 2.5 * g}, {},
                                   lambda g, Y, Z: g)
-    x = model.point(("Z",), ())
-    expected = system.chain_form(x, np.arange(3.0))
+    xs, g = [model.point(("Z",), ())], np.arange(3.0)[None]
+    expected = system.chain_form(xs, g)
 
     def no_weight(*args):
         raise AssertionError("B evaluated")
 
     monkeypatch.setattr(model, "B", no_weight)
-    got = system.patched(x, np.arange(3.0))
+    got = system.patched(xs, g)
     assert np.array_equal(got, expected)
-    assert np.array_equal(got, 2.5 * np.arange(3.0))
+    assert np.array_equal(got, 2.5 * g)
+
+
+def test_a_stack_off_one_chain_names_its_first_bad_row():
+    model = three_flag()
+    system = strata.PatchedSystem(model, {}, {}, lambda g, Y, Z: g)
+    top = model.point(("Z", "Y", "X"), (0.3, 0.2))
+    xs = [top, top, model.point(("Z", "Y"), (0.3,)), top]
+    g = np.zeros((4, 6))
+    calls = [system.patched, system.chain_form, system.localized,
+             lambda xs, g: system.curvature(xs, g, np.zeros((4, 2, 6)))]
+    for call in calls:
+        with pytest.raises(PreconditionFailed, match=r"\(row 2\)$"):
+            call(xs, g)
 
 
 def test_eps_is_a_normal_float_down_to_the_smallest():
