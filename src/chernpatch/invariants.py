@@ -1,10 +1,11 @@
 """Conjugation-invariant polynomials, Jordan decomposition and the
 nilpotent-invariance check, plus Chern form assembly.
 
-Exact arithmetic uses object-dtype numpy arrays of fractions.Fraction; the
-float path is float64/complex128.  The exact characteristic polynomial is
-Berkowitz's division-free algorithm over Python ints, run once the entry
-denominators are cleared; the float one is Faddeev-LeVerrier.  An invariant
+Exact arithmetic uses integer or object-dtype numpy arrays (ints,
+Fractions); the float path is float64/complex128.  The characteristic
+polynomial of a (..., d, d) stack is Berkowitz's division-free recursion,
+in int64 within a proven bound and in Python ints past it, once the entry
+denominators are cleared, or Faddeev-LeVerrier in floats.  An invariant
 polynomial is any function of a matrix, such as elementary_symmetric(k).
 The Jordan decomposition is exact only: a Newton iteration against the
 squarefree part of the characteristic polynomial.
@@ -28,66 +29,75 @@ def _is_exact(x):
 
 
 def _berkowitz(a):
-    """Coefficients [1, c_1, ..., c_d] of det(tI - a) for a square list of
-    integer rows, by Berkowitz's division-free recursion.
+    """Coefficients [1, c_1, ..., c_d] of det(tI - a) = sum_k c_k t^(d-k),
+    a (d + 1, ...) array, for a (..., d, d) stack of integers (an integer
+    dtype, or Python ints in an object array), by Berkowitz's recursion.
 
     With a_{r+1} = [[a_r, C], [R, a_rr]], the characteristic polynomial of
     a_{r+1} is the lower-triangular Toeplitz matrix with first column
     (1, -a_rr, -R C, -R a_r C, ..., -R a_r^{r-1} C) applied to that of a_r.
+    For A the largest |entry|, every coefficient of every step is a sum of
+    at most d + 1 terms of size at most (d A)^i, so the recursion runs in
+    int64 when (d + 1) (d A)^d < 2^63, in Python ints otherwise.
     """
-    p = [1]
-    for r in range(len(a)):
-        row = a[r][:r]
-        v = [a[i][r] for i in range(r)]
-        q = [1, -a[r][r]]
+    shape, d = a.shape[:-2], a.shape[-1]
+    A = max(int(a.max()), -int(a.min())) if a.size else 0
+    a = a.reshape(math.prod(shape), d, d).astype(
+        np.int64 if (d + 1) * (d * A) ** d < 2 ** 63 else object)
+    p = [np.ones(len(a), a.dtype)]
+    for r in range(d):
+        row, v = a[:, r, :r], a[:, :r, r]
+        q = [p[0], -a[:, r, r]]
         for k in range(r):
             if k:
-                v = [sum(w * u for w, u in zip(a[i][:r], v)) for i in range(r)]
-            q.append(-sum(w * u for w, u in zip(row, v)))
+                v = (a[:, :r, :r] @ v[:, :, None])[:, :, 0]
+            q.append(-(row * v).sum(-1))
         p = [sum(q[i - j] * p[j] for j in range(min(i, r) + 1))
              for i in range(r + 2)]
-    return p
+    return np.stack(p).reshape(d + 1, *shape)
 
 
 def _char_poly(x):
-    """Coefficients [1, c_1, ..., c_d] of det(tI - x) = sum_k c_k t^{d-k}.
+    """Coefficients [1, c_1, ..., c_d] of det(tI - x) = sum_k c_k t^{d-k};
+    for a (..., d, d) stack, each c_k is an array over the stack.
 
-    Exact for Fraction matrices: Berkowitz over the integer matrix D x, D the
-    lcm of the entry denominators, then c_k = c_k(D x) / D^k; for a matrix
-    of Python ints, Berkowitz's own integers.  Complex float otherwise, by
-    Faddeev-LeVerrier.
+    Exact for integers (an integer dtype or Python ints): Berkowitz's own
+    integers.  Exact for Fractions: Berkowitz over the integer stack D x, D
+    the lcm of the entry denominators, then c_k = c_k(D x) / D^k.  Complex
+    float otherwise, by Faddeev-LeVerrier on the whole stack.
     """
-    d = x.shape[0]
-    if _is_exact(x):
-        rows = x.tolist()
-        if all(type(v) is int for row in rows for v in row):
-            return _berkowitz(rows)
-        D = math.lcm(*(v.denominator for row in rows for v in row))
-        a = [[v.numerator * (D // v.denominator) for v in row] for row in rows]
-        return [Fraction(c, D ** k) for k, c in enumerate(_berkowitz(a))]
-    one = 1.0 + 0j
-    I = np.eye(d, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    cs = [one]
-    Mcur = I.copy()
-    for k in range(1, d + 1):
-        XM = x @ Mcur
-        ck = -XM.trace() / k
-        cs.append(ck)
-        Mcur = XM + ck * I
-    return cs
+    x = np.asarray(x)
+    if x.dtype.kind in "iu" or _is_exact(x) and all(
+            type(v) is int for v in x.flat):
+        cs = _berkowitz(x)
+    elif _is_exact(x):
+        D = math.lcm(*(v.denominator for v in x.flat))
+        ints = np.array([v.numerator * (D // v.denominator) for v in x.flat],
+                        dtype=object).reshape(x.shape)
+        cs = np.stack([c * Fraction(1, D ** k)
+                       for k, c in enumerate(_berkowitz(ints))])
+    else:
+        I = np.eye(x.shape[-1], dtype=complex)
+        x = x.astype(complex)
+        cs, Mk = [np.ones(x.shape[:-2], dtype=complex)], I
+        for k in range(1, len(I) + 1):
+            XM = x @ Mk
+            cs.append(-np.trace(XM, axis1=-2, axis2=-1) / k)
+            Mk = XM + cs[-1][..., None, None] * I
+        cs = np.stack(cs)
+    return cs.tolist() if x.ndim == 2 else list(cs)
 
 
 def elementary_symmetric_values(x):
-    """[e_0, ..., e_d] of the eigenvalues of x, from one characteristic
-    polynomial: e_k is the coefficient of t^k in det(I + t x)."""
+    """[e_0, ..., e_d] of the eigenvalues of x (arrays over a stack) from one
+    characteristic polynomial: e_k is the t^k coefficient of det(I + t x)."""
     # c_k, the coefficient of t^{d-k} in det(tI - x), is (-1)^k e_k
     return [(-1) ** k * c for k, c in enumerate(_char_poly(x))]
 
 
 def elementary_symmetric_value(x, k):
     """e_k of the eigenvalues of x: coefficient of t^k in det(I + t x)."""
-    if not 0 <= k <= x.shape[0]:
+    if not 0 <= k <= x.shape[-1]:
         raise ValueError("k out of range")
     return elementary_symmetric_values(x)[k]
 
@@ -97,40 +107,50 @@ def elementary_symmetric(k):
     return lambda x: elementary_symmetric_value(x, k)
 
 
+def _vanishes(c, a, power, tol):
+    """Per matrix of a stack: c == 0 if exact, else max |c| <= tol
+    max(1, max |a|^power), each matrix scaled by its own a."""
+    if _is_exact(c):
+        return (c == 0).all(axis=(-2, -1))
+    c, a = (np.abs(np.asarray(m, dtype=complex)).max(axis=(-2, -1))
+            for m in (c, a))
+    return c <= tol * np.maximum(1.0, a ** power)
+
+
 def is_nilpotent(n, tol=1e-9):
-    d = n.shape[0]
     p = n
-    for _ in range(d - 1):
+    for _ in range(n.shape[-1] - 1):
         p = p @ n
-    if _is_exact(n):
-        return all(v == 0 for v in p.ravel())
-    return float(np.max(np.abs(np.asarray(p, dtype=complex)))) <= tol * max(
-        1.0, float(np.max(np.abs(np.asarray(n, dtype=complex)))) ** d)
+    return _vanishes(p, n, n.shape[-1], tol)
 
 
 def _commutes(x, n, tol=1e-9):
-    c = x @ n - n @ x
-    if _is_exact(x):
-        return all(v == 0 for v in c.ravel())
-    return float(np.max(np.abs(np.asarray(c, dtype=complex)))) <= tol * max(
-        1.0, float(np.max(np.abs(np.asarray(x, dtype=complex)))))
+    return _vanishes(x @ n - n @ x, x, 1, tol)
+
+
+def _require(ok, message):
+    """PreconditionFailed(message) unless ok holds, naming the first
+    failing matrix of a stack by its flat index."""
+    if not np.all(ok):
+        raise PreconditionFailed(
+            message + (f" at row {np.argmin(ok)}" if np.ndim(ok) else ""))
 
 
 def springer_check(f, x, n, tol=1e-9):
     """f(x + n) - f(x) for commuting nilpotent n and any invariant
-    polynomial f, a callable on matrices; raises if preconditions fail.
+    polynomial f, a callable on (..., d, d) stacks of matrices; raises if
+    preconditions fail, naming the first failing matrix of a stack, each
+    tolerance scaled by that matrix alone.
 
-    Returns the residual, which is exactly zero in exact arithmetic.
+    Returns the residual per matrix, exactly zero in exact arithmetic.
     """
-    if not is_nilpotent(n, tol=tol):
-        raise PreconditionFailed("n is not nilpotent")
-    if not _commutes(x, n, tol=tol):
-        raise PreconditionFailed("x and n do not commute")
-    a = f(x + n)
-    b = f(x)
+    _require(is_nilpotent(n, tol=tol), "n is not nilpotent")
+    _require(_commutes(x, n, tol=tol), "x and n do not commute")
+    a, b = f(x + n), f(x)
     if _is_exact(x):
         return a - b
-    return abs(complex(a) - complex(b))
+    r = np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
+    return r if r.ndim else float(r)
 
 
 # ---------------------------------------------------------------------------

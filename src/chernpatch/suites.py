@@ -85,8 +85,8 @@ def _random_model_point(model, rng):
     L = int(rng.integers(1, len(flag) + 1))
     chain = flag[:L]
     top_eps = model.eps(chain[-1])
-    r = tuple(float(rng.uniform(0.0, 1.5 * top_eps)) for _ in range(L - 1))
-    return model.point(chain, r)
+    r = rng.uniform(0.0, 1.5 * top_eps, L - 1)
+    return model.point(chain, tuple(r.tolist()))
 
 
 def _check(name, residual, tol):
@@ -222,69 +222,71 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
                    [_check("combination-identity", worst, tol)])
 
 
-def _commuting_pair(rng, dim=4, corrupt=False):
-    """Integers (M, N, det) of a random pair x = M / det, n = N / det with
-    n nilpotent and [x, n] = 0, via a shared flag.
+def _commuting_pairs(rng, count, dim=4, corrupt=False):
+    """Integer stacks (M, N, det), (count, dim, dim) and (count,), of random
+    pairs x = M / det, n = N / det with n nilpotent and [x, n] = 0, via a
+    shared flag moved by an integer s with unit diagonal.
 
-    The flag is moved by an integer matrix s with unit diagonal, redrawn
-    while det s = 0: M = s x0 adj(s), N = s n0 adj(s), all three negated
-    where det s < 0.  By Cayley-Hamilton, adj(s) = (-1)^(d-1) (s^(d-1) +
-    c_1 s^(d-2) + ... + c_(d-1) I) and det s = (-1)^d c_d for det(tI - s) =
-    sum c_k t^(d-k).  corrupt: n0 is the square-zero [[1, 1], [-1, -1]] on
-    the least and greatest eigenvalues of x0, which moves its spectrum.
+    Each pair draws, one call each, the eigenvalues of x0, the entries of n0
+    above the diagonal between equal eigenvalues (placed row-major once
+    sorted) and the off-diagonal entries of s, redrawn while the float det
+    s, within 1e-9 of an integer, is below 0.5; the stacked Berkowitz then
+    confirms det s != 0.  M = s x0 adj(s), N = s n0 adj(s), all three
+    negated where det s < 0, with adj(s) = (-1)^(d-1) (s^(d-1) + c_1
+    s^(d-2) + ... + c_(d-1) I) and det s = (-1)^d c_d (Cayley-Hamilton, c_k
+    those of det(tI - s)).  corrupt: n0 is the square-zero [[1, 1], [-1,
+    -1]] on the least and greatest eigenvalues of x0, moving its spectrum.
     """
-    vals = sorted(int(rng.integers(-3, 4)) for _ in range(dim))
-    x = np.zeros((dim, dim), dtype=object)
-    n = x.copy()
-    for i in range(dim):
-        x[i, i] = vals[i]
-        for j in range(i + 1, dim):
-            if vals[i] == vals[j]:
-                n[i, j] = int(rng.integers(-2, 3))
+    eye = np.eye(dim, dtype=np.int64)
+    off = eye == 0
+    vals = np.empty((count, dim), dtype=np.int64)
+    slots, offs, trial = [], [], eye.copy()
+    for t in range(count):
+        vals[t] = rng.integers(-3, 4, dim)
+        pairs = (np.count_nonzero(vals[t, :, None] == vals[t]) - dim) // 2
+        slots += rng.integers(-2, 3, pairs).tolist()
+        while True:
+            trial[off] = rng.integers(-2, 3, dim * (dim - 1))
+            if abs(np.linalg.det(trial)) >= 0.5:
+                break
+        offs.append(trial[off])
+    vals.sort()
+    n0 = np.zeros((count, dim, dim), dtype=np.int64)
+    n0[np.triu(vals[:, :, None] == vals[:, None], 1)] = slots
+    s = np.tile(eye, (count, 1, 1))
+    s[:, off] = np.reshape(offs, (count, dim * (dim - 1)))
     if corrupt:
-        n[:] = 0
-        n[np.ix_([0, -1], [0, -1])] = [[1, 1], [-1, -1]]
-    while True:
-        rows = [[int(rng.integers(-2, 3)) if i != j else 1 for j in range(dim)]
-                for i in range(dim)]
-        cs = inv._berkowitz(rows)
-        det = (-1) ** dim * cs[dim]
-        if det != 0:
-            break
-    s = np.array(rows, dtype=object)
-    eye = np.eye(dim, dtype=object)
+        n0[:] = 0
+        n0[:, [[0], [-1]], [0, -1]] = [[1, 1], [-1, -1]]
+    cs = inv._berkowitz(s)
+    det = (-1) ** dim * cs[dim]
+    if not det.all():
+        raise PreconditionFailed("a kept flag matrix s is singular")
     adj = eye
     for c in cs[1:dim]:
-        adj = s @ adj + c * eye
+        adj = s @ adj + c[:, None, None] * eye
     # det > 0, as a Fraction's denominator: 0 / det is 0.0, not -0.0
-    adj = (-1) ** (dim - 1) * (1 if det > 0 else -1) * adj
-    return s @ x @ adj, s @ n @ adj, abs(det)
-
-
-def _over(a, det):
-    """a / det in floats, each entry correctly rounded as float(Fraction)."""
-    return np.array([[v / det for v in row] for row in a.tolist()])
+    adj = adj * ((-1) ** (dim - 1) * np.sign(det))[:, None, None]
+    return s @ (vals[:, :, None] * eye) @ adj, s @ n0 @ adj, np.abs(det)
 
 
 def suite_nilpotent(seed=0, tol=1e-9, samples=500, corrupt=False):
     """Elementary symmetric invariants ignore commuting nilpotent shifts.
 
-    The exact check compares e_k(M) with e_k(M + N), M and N the integers
-    of _commuting_pair: e_k(M) = det^k e_k(x) with det != 0, so it fails
-    exactly where e_k(x) != e_k(x + n).  corrupt: a non-commuting shift."""
+    The exact check compares e_k(M) with e_k(M + N), M and N the (samples,
+    4, 4) integer stacks of _commuting_pairs: e_k(M) = det^k e_k(x) with
+    det != 0, so it fails exactly where e_k(x) != e_k(x + n).  M / det is
+    float(Fraction), both below 2^53.  Four stacked characteristic
+    polynomials in all.  corrupt: a non-commuting shift."""
     rng = np.random.default_rng(seed)
-    exact_bad = 0
-    worst = 0.0
-    for t in range(samples):
-        M, N, det = _commuting_pair(rng, _SHIFT_DIM, corrupt)
-        a = inv.elementary_symmetric_values(M)
-        b = inv.elementary_symmetric_values(M + N)
-        exact_bad += sum(a[k] != b[k] for k in range(1, _SHIFT_DIM + 1))
-        xf, nf = _over(M, det), _over(N, det)
-        a = inv.elementary_symmetric_values(xf)
-        b = inv.elementary_symmetric_values(xf + nf)
-        for k in range(1, _SHIFT_DIM + 1):
-            worst = max(worst, abs(a[k] - b[k]))
+    M, N, det = _commuting_pairs(rng, samples, _SHIFT_DIM, corrupt)
+    a = inv.elementary_symmetric_values(M)
+    b = inv.elementary_symmetric_values(M + N)
+    exact_bad = np.count_nonzero(np.array(a) != b)
+    x, n = M / det[:, None, None], N / det[:, None, None]
+    a = inv.elementary_symmetric_values(x)
+    b = inv.elementary_symmetric_values(x + n)
+    worst = np.max(np.abs(np.array(a) - b), initial=0.0)
     tag = "-with-corrupted-pair" if corrupt else ""
     checks = [_check("exact-invariance-failures" + tag, exact_bad, 0.0),
               _check("float-invariance" + tag, worst, tol)]
@@ -292,22 +294,20 @@ def suite_nilpotent(seed=0, tol=1e-9, samples=500, corrupt=False):
 
 
 def suite_springer(seed=0, tol=1e-9, samples=50, corrupt=False):
-    """Invariant-polynomial evaluation through nilpotent perturbations."""
+    """Invariant-polynomial evaluation through nilpotent perturbations:
+    springer_check once per e_k on the (samples, 4, 4) float stacks M / det,
+    N / det.  corrupt: a triangular shift, no preconditions checked."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        if corrupt:
-            x = rng.standard_normal((_SHIFT_DIM, _SHIFT_DIM))
-            n = np.triu(rng.standard_normal((_SHIFT_DIM, _SHIFT_DIM)), 1)
-            for k in range(1, _SHIFT_DIM + 1):
-                f = inv.elementary_symmetric(k)
-                worst = max(worst, abs(f(x + n) - f(x)))
-        else:
-            M, N, det = _commuting_pair(rng, _SHIFT_DIM)
-            x, n = _over(M, det), _over(N, det)
-            for k in range(1, _SHIFT_DIM + 1):
-                f = inv.elementary_symmetric(k)
-                worst = max(worst, abs(inv.springer_check(f, x, n, tol=1e-6)))
+    fs = [inv.elementary_symmetric(k) for k in range(1, _SHIFT_DIM + 1)]
+    if corrupt:
+        draws = rng.standard_normal((samples, 2, _SHIFT_DIM, _SHIFT_DIM))
+        x, n = draws[:, 0], np.triu(draws[:, 1], 1)
+        residuals = [np.abs(f(x + n) - f(x)) for f in fs]
+    else:
+        M, N, det = _commuting_pairs(rng, samples, _SHIFT_DIM)
+        x, n = M / det[:, None, None], N / det[:, None, None]
+        residuals = [inv.springer_check(f, x, n, tol=1e-6) for f in fs]
+    worst = max(np.max(r, initial=0.0) for r in residuals)
     name = "invariance-with-corrupted-pair" if corrupt else "invariance"
     return _finish("springer", seed, tol, samples,
                    [_check(name, worst, tol)])

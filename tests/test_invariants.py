@@ -80,6 +80,93 @@ def test_integer_char_poly_stays_in_integers():
     assert all(type(v) is Fraction for v in s.ravel())
 
 
+def _rows(stack):
+    """The per-matrix characteristic polynomials of a stack, as a list of
+    coefficient lists."""
+    return [inv._char_poly(x) for x in stack]
+
+
+def _columns(cs):
+    """The coefficient arrays of a stacked _char_poly, one list per matrix."""
+    return np.stack(cs, -1).tolist()
+
+
+def _matches_determinant_oracle(x, cs):
+    d = len(x)
+    for t in range(d + 1):
+        shifted = [[Fraction((t if i == j else 0) - x[i][j]) for j in range(d)]
+                   for i in range(d)]
+        if sum(c * t ** (d - k) for k, c in enumerate(cs)) != _exact_det(shifted):
+            return False
+    return True
+
+
+def test_stacked_char_poly_matches_rows_on_int64_stacks():
+    rng = np.random.default_rng(30)
+    xs = rng.integers(-9, 10, (3, 7, 4, 4))
+    cs = inv._char_poly(xs)
+    assert len(cs) == 5 and all(c.shape == (3, 7) and c.dtype == np.int64
+                                for c in cs)
+    assert _columns([c.reshape(21) for c in cs]) == _rows(xs.reshape(21, 4, 4))
+    assert all(type(c) is int for row in _rows(xs[0]) for c in row)
+
+
+def test_stacked_char_poly_past_the_int64_guard_uses_python_ints():
+    # entries of 2^20 at d = 4: (d + 1) (d A)^d = 5 2^88 > 2^63, so the
+    # recursion runs in Python ints, for an int64 stack as for an object one
+    rng = np.random.default_rng(31)
+    big = rng.integers(-2 ** 20, 2 ** 20 + 1, (6, 4, 4))
+    big[:, 0, 0] = 2 ** 20
+    for xs in (big, big.astype(object)):
+        cs = inv._char_poly(xs)
+        assert all(c.dtype == object for c in cs)
+        assert all(type(v) is int for c in cs for v in c)
+        rows = _rows(xs)
+        assert _columns(cs) == rows
+        for x, row in zip(big.tolist(), rows):
+            assert _matches_determinant_oracle(x, row)
+    # one Python-int coefficient needs more than 64 bits
+    assert max(abs(v) for v in inv._char_poly(big)[4]) > 2 ** 63
+
+
+def test_char_poly_guard_paths_give_the_same_ints():
+    # at d = 4 the int64 guard (d + 1) (d A)^d < 2^63 holds for A = 9213
+    # and fails for A = 9214; matrices at the edge, run alone (int64) and
+    # stacked with one just past it (Python ints), agree and are right
+    assert 5 * (4 * 9213) ** 4 < 2 ** 63 <= 5 * (4 * 9214) ** 4
+    rng = np.random.default_rng(32)
+    below = rng.choice([-9213, 9213], (8, 4, 4))
+    above = np.concatenate([below, np.full((1, 4, 4), 9214)])
+    lo, hi = inv._char_poly(below), inv._char_poly(above)
+    assert lo[4].dtype == np.int64 and hi[4].dtype == object
+    assert _columns(lo) == _columns(hi)[:8]
+    for x, row in zip(below.tolist(), _columns(lo)):
+        assert _matches_determinant_oracle(x, row)
+
+
+def test_stacked_char_poly_matches_rows_on_fraction_stacks():
+    rng = np.random.default_rng(33)
+    xs = np.array([[[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                     for _ in range(3)] for _ in range(3)] for _ in range(6)],
+                  dtype=object)
+    cs = inv._char_poly(xs)
+    assert all(type(v) is Fraction for c in cs for v in c)
+    assert _columns(cs) == _rows(xs)
+
+
+def test_stacked_char_poly_is_bitwise_per_matrix_on_complex_stacks():
+    rng = np.random.default_rng(34)
+    xs = (rng.standard_normal((50, 4, 4))
+          + 1j * rng.standard_normal((50, 4, 4)))
+    for stack in (xs, xs.real):
+        stacked = np.stack(inv._char_poly(stack), -1)
+        rows = np.array(_rows(stack), dtype=complex)
+        assert stacked.dtype == complex and stacked.tobytes() == rows.tobytes()
+        es = np.stack(inv.elementary_symmetric_values(stack), -1)
+        single = np.array([inv.elementary_symmetric_values(x) for x in stack])
+        assert np.array_equal(es, single)
+
+
 def test_elementary_symmetric_values_agree_with_single_values():
     rng = np.random.default_rng(4)
     xe = np.array([[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5)))
@@ -136,6 +223,57 @@ def test_springer_rejects_noncommuting():
         inv.springer_check(f, x, n)
 
 
+def _float_pairs(count, seed=40):
+    M, N, det = suites._commuting_pairs(np.random.default_rng(seed), count)
+    return M / det[:, None, None], N / det[:, None, None]
+
+
+def test_stacked_springer_check_matches_single_matrices():
+    x, n = _float_pairs(6)
+    for k in range(1, 5):
+        f = inv.elementary_symmetric(k)
+        r = inv.springer_check(f, x, n, tol=1e-6)
+        assert r.shape == (6,)
+        single = [inv.springer_check(f, a, b, tol=1e-6) for a, b in zip(x, n)]
+        assert all(type(v) is float for v in single)
+        assert r.tobytes() == np.array(single).tobytes()
+    xe = np.array([exact_matrix([[2, 0], [0, 2]]), exact_matrix([[1, 0], [0, 3]])])
+    ne = np.array([exact_matrix([[0, 1], [0, 0]]), exact_matrix([[0, 0], [0, 0]])])
+    assert inv.springer_check(inv.elementary_symmetric(2), xe, ne).tolist() == [0, 0]
+
+
+def test_stacked_springer_check_names_the_failing_row():
+    f = inv.elementary_symmetric(2)
+    x, n = _float_pairs(5)
+    bad = n.copy()
+    bad[3] = np.eye(4)                  # not nilpotent
+    with pytest.raises(PreconditionFailed, match="n is not nilpotent at row 3$"):
+        inv.springer_check(f, x, bad, tol=1e-6)
+    x[2], n[2] = np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4, k=1)
+    with pytest.raises(PreconditionFailed, match="do not commute at row 2$"):
+        inv.springer_check(f, x, n, tol=1e-6)
+
+
+def test_large_norm_row_does_not_loosen_a_small_row():
+    # row 0 is a valid pair of norm 1e6; row 1 is off by 1e-5, far above
+    # tol = 1e-9 at its own norm, far below tol times the norm of row 0
+    f = inv.elementary_symmetric(2)
+    x = np.array([1e6 * np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 2.0, 3.0])])
+    n = np.zeros((2, 3, 3))
+    n[0, 0, 1] = 1e6
+    n[1, 0, 1] = 1e-5                   # nilpotent, but [x, n] = -1e-5 e_01
+    with pytest.raises(PreconditionFailed, match="do not commute at row 1$"):
+        inv.springer_check(f, x, n)
+    # n^3 = 1e-3 I at row 1, above tol = 1e-9, below tol (1e6)^3
+    n[1], x[1] = 0.1 * np.eye(3), np.eye(3)
+    with pytest.raises(PreconditionFailed, match="n is not nilpotent at row 1$"):
+        inv.springer_check(f, x, n)
+    # each row alone: row 0 passes, row 1 fails
+    inv.springer_check(f, x[0], n[0])
+    with pytest.raises(PreconditionFailed, match="n is not nilpotent$"):
+        inv.springer_check(f, x[1], n[1])
+
+
 def test_jordan_decompose_exact():
     x = exact_matrix([[2, 1], [0, 2]])
     s, n = inv.jordan_decompose(x)
@@ -149,9 +287,8 @@ def test_jordan_decompose_exact():
 def test_jordan_decompose_exact_conjugated_jordan_form(dim):
     # x = S (D + N) S^-1 with integer S: s = S D S^-1 and n = S N S^-1
     rng = np.random.default_rng(20 + dim)
-    for _ in range(10):
-        M, N, det = suites._commuting_pair(rng, dim)
-        sx, nx = (np.array([[Fraction(v, det) for v in row]
+    for M, N, det in zip(*suites._commuting_pairs(rng, 10, dim)):
+        sx, nx = (np.array([[Fraction(v, int(det)) for v in row]
                             for row in a.tolist()], dtype=object)
                   for a in (M, N))
         s, n = inv.jordan_decompose(sx + nx)
@@ -163,8 +300,8 @@ def test_integer_pair_invariants_scale_by_det_powers():
     # e_k(M) = det^k e_k(M / det): the exact count of suite_nilpotent
     # compares integer matrices for the Fraction ones
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        M, N, det = suites._commuting_pair(rng, 4)
+    for M, N, det in zip(*suites._commuting_pairs(rng, 50, 4)):
+        det = int(det)
         for a in (M, M + N):
             x = np.array([[Fraction(v, det) for v in row]
                           for row in a.tolist()], dtype=object)

@@ -95,9 +95,10 @@ def test_corrupt_springer_fails():
     assert not rpt["pass"]
 
 
-def _fraction_commuting_pair(rng, dim=4, exact=True):
-    """The pair of suites._commuting_pair, built by Fraction triple products
-    and an exact Gauss-Jordan inverse from the same rng draws."""
+def _fraction_commuting_pair(rng, dim=4, exact=True, corrupt=False):
+    """The pair of suites._commuting_pairs, built by Fraction triple
+    products and an exact Gauss-Jordan inverse from scalar rng draws, and
+    the number of flag matrices s drawn for it."""
     vals = sorted(int(rng.integers(-3, 4)) for _ in range(dim))
     x = [[Fraction(0)] * dim for _ in range(dim)]
     n = [[Fraction(0)] * dim for _ in range(dim)]
@@ -106,9 +107,14 @@ def _fraction_commuting_pair(rng, dim=4, exact=True):
         for j in range(i + 1, dim):
             if vals[i] == vals[j]:
                 n[i][j] = Fraction(int(rng.integers(-2, 3)))
+    if corrupt:
+        n = [[Fraction(0)] * dim for _ in range(dim)]
+        n[0][0], n[0][-1], n[-1][0], n[-1][-1] = 1, 1, -1, -1
+    draws = 0
     while True:
         s = np.array([[Fraction(int(rng.integers(-2, 3)) if i != j else 1)
                        for j in range(dim)] for i in range(dim)], dtype=object)
+        draws += 1
         try:
             sinv = inv._exact_inv(s)
             break
@@ -120,26 +126,45 @@ def _fraction_commuting_pair(rng, dim=4, exact=True):
 
     x, n = conj(x), conj(n)
     if exact:
-        return x, n
-    return x.astype(float), n.astype(float)
+        return x, n, draws
+    return x.astype(float), n.astype(float), draws
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_commuting_pair_matches_fraction_construction(exact):
-    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(50):
-        M, N, det = suites._commuting_pair(rng_a, 4)
+    # seed 11 redraws a singular s for pairs 9, 15, 20, 25, 36 and 40 of its
+    # 50 (plain and corrupt alike: corrupt changes no draw)
+    for corrupt in (False, True):
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        M, N, det = suites._commuting_pairs(rng_a, 50, 4, corrupt)
+        assert M.dtype == N.dtype == det.dtype == np.int64 and det.min() > 0
         if exact:
-            x, n = (np.array([[Fraction(v, det) for v in row]
-                              for row in a.tolist()], dtype=object)
-                    for a in (M, N))
+            xs, ns = ([np.array([[Fraction(v, int(d)) for v in row]
+                                 for row in a.tolist()], dtype=object)
+                       for a, d in zip(stack, det)] for stack in (M, N))
         else:
-            x, n = suites._over(M, det), suites._over(N, det)
-        x0, n0 = _fraction_commuting_pair(rng_b, 4, exact=exact)
-        assert x.dtype == x0.dtype and n.dtype == n0.dtype
-        assert x.tolist() == x0.tolist() and n.tolist() == n0.tolist()
-        if not exact:
-            assert x.tobytes() == x0.tobytes() and n.tobytes() == n0.tobytes()
+            xs, ns = M / det[:, None, None], N / det[:, None, None]
+        redrawn = []
+        for t, (x, n) in enumerate(zip(xs, ns)):
+            x0, n0, draws = _fraction_commuting_pair(rng_b, 4, exact, corrupt)
+            if draws > 1:
+                redrawn.append(t)
+            assert x.dtype == x0.dtype and n.dtype == n0.dtype
+            assert x.tolist() == x0.tolist() and n.tolist() == n0.tolist()
+            if not exact:
+                assert x.tobytes() == x0.tobytes() and n.tobytes() == n0.tobytes()
+        assert redrawn == [9, 15, 20, 25, 36, 40]
+        # the stream is left where the per-pair draws leave it
+        assert rng_a.integers(2 ** 62) == rng_b.integers(2 ** 62)
+
+
+def test_commuting_pairs_confirm_nonsingular_flags(monkeypatch):
+    # a float determinant that keeps every s lets pair 9 of seed 11 keep a
+    # singular one, which the exact Berkowitz determinant refuses
+    monkeypatch.setattr(np.linalg, "det", lambda a: 1.0)
+    with pytest.raises(PreconditionFailed, match="singular"):
+        suites._commuting_pairs(np.random.default_rng(11), 10)
+    assert suites._commuting_pairs(np.random.default_rng(11), 9)[2].all()
 
 
 def test_reports_are_deterministic():
