@@ -133,12 +133,14 @@ def contract(C, vectors):
     return out
 
 
+@functools.cache
 def wedge_table(m, q1, q2):
-    """Shuffle table of the wedge of a q1- with a q2-form on R^m: integer
-    arrays (ia, ib, sign) of shape (C(m, q1+q2), C(q1+q2, q1)).  Row n lists
-    the splits K = I1 u I2 of the n-th (q1+q2)-index K, I1 running through
-    combinations(K, q1): ia, ib are the positions of I1, I2 among the q1-
-    and q2-indices, sign = (-1)^(sum_a (position of I1[a] in K) - a)."""
+    """Shuffle table of the wedge of a q1- with a q2-form on R^m: read-only
+    integer arrays (ia, ib, sign) of shape (C(m, q1+q2), C(q1+q2, q1)),
+    built once per (m, q1, q2).  Row n lists the splits K = I1 u I2 of the
+    n-th (q1+q2)-index K, I1 running through combinations(K, q1): ia, ib
+    are the positions of I1, I2 among the q1- and q2-indices,
+    sign = (-1)^(sum_a (position of I1[a] in K) - a)."""
     pos = {idx: n for q in (q1, q2)
            for n, idx in enumerate(combinations(range(m), q))}
     splits = list(combinations(range(q1 + q2), q1))
@@ -147,6 +149,7 @@ def wedge_table(m, q1, q2):
              (-1) ** (sum(p) - sum(range(q1))))
             for K in combinations(range(m), q1 + q2) for p in splits]
     table = np.array(rows, dtype=int).reshape(-1, len(splits), 3)
+    table.flags.writeable = False    # shared by every caller
     return tuple(table.transpose(2, 0, 1))
 
 

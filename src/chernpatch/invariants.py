@@ -13,7 +13,6 @@ squarefree part of the characteristic polynomial.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from itertools import dropwhile
@@ -251,16 +250,6 @@ def jordan_decompose(x):
 # Chern forms
 
 
-@functools.cache
-def _chern_tables(m, kmax):
-    """Shuffle tables of the power traces and of Newton's identities up to
-    e_kmax on R^m."""
-    powers = [ext.wedge_table(m, 2 * j, 2) for j in range(1, kmax)]
-    newton = {(j, i): ext.wedge_table(m, 2 * j, 2 * i)
-              for j in range(kmax) for i in range(1, kmax - j + 1)}
-    return powers, newton
-
-
 def chern_coefficients(omega, m, kmax):
     """Coefficient arrays [e_0, ..., e_kmax] of the Chern forms at one point,
     from the coefficient array omega (C(m, 2), d, d) of a curvature 2-form
@@ -271,18 +260,19 @@ def chern_coefficients(omega, m, kmax):
     over the (commutative) even-degree form ring from the power traces
     tr(Omega^j) (wedge with matrix product).
     """
-    power_tables, newton_tables = _chern_tables(m, kmax)
     om = (1j / (2 * np.pi)) * omega
     powers = [om]
-    for table in power_tables:
-        powers.append(ext.wedge_coeffs(table, powers[-1], om, np.matmul))
+    for j in range(1, kmax):
+        powers.append(ext.wedge_coeffs(ext.wedge_table(m, 2 * j, 2),
+                                       powers[-1], om, np.matmul))
     ptr = [np.trace(p, axis1=-2, axis2=-1) for p in powers]
     es = [np.ones(1, dtype=complex)]
     for k in range(1, kmax + 1):
         acc = None
         for i in range(1, k + 1):
             term = (-1.0) ** (i - 1) * ext.wedge_coeffs(
-                newton_tables[k - i, i], es[k - i], ptr[i - 1], np.multiply)
+                ext.wedge_table(m, 2 * (k - i), 2 * i), es[k - i], ptr[i - 1],
+                np.multiply)
             acc = term if acc is None else acc + term
         es.append((1.0 / k) * acc)
     return es

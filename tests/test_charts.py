@@ -154,17 +154,43 @@ def test_expm_of_a_mixed_norm_stack_keeps_its_small_members():
 
 
 def test_mc_coeff_of_a_stack_is_mc_coeff_of_each_point():
+    # repeated coordinates share one exponential; 0.0 and -0.0 are keyed apart
     chart = charts.GroupChart(liecore.sp2nR(2))
-    xs = np.random.default_rng(8).uniform(-0.4, 0.4, (5, chart.dim))
+    xs = np.random.default_rng(8).uniform(-0.4, 0.4, (7, chart.dim))
+    xs[5] = xs[0]
+    xs[6, :4] = xs[1, :4]
+    xs[2, 3] = xs[3, 5] = 0.0
+    xs[3, 3] = xs[4, 5] = -0.0
     stack = chart.mc_coeff(xs)
-    assert stack.shape == (5, chart.dim, 4, 4)
+    assert stack.shape == (7, chart.dim, 4, 4)
     for x, mc in zip(xs, stack):
         assert chart.mc_coeff(x).tobytes() == mc.tobytes()
 
 
-def test_bridge_makes_three_mc_coeff_calls_per_point(monkeypatch):
-    # per point: one for the stack of the central difference, one for the
-    # connection form and one for the algebraic curvature
+def test_central_difference_makes_one_expm_call_per_distinct_coordinate(
+        monkeypatch):
+    # the 2 dim displaced rows of a point take three values of each x_j
+    shapes = []
+    expm = liecore.expm
+
+    def counted(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(liecore, "expm", counted)
+    for spec in (liecore.su_pq(1, 1), liecore.sp2nR(2)):
+        chart = charts.GroupChart(spec)
+        x = np.random.default_rng(9).uniform(-0.3, 0.3, chart.dim)
+        shapes.clear()
+        ext.SmoothMap(chart.dim, chart.mc_coeff).jacobian(x)
+        n = spec.size
+        assert shapes == [(2, 3 * (chart.dim - 1), n, n)]
+
+
+def test_bridge_makes_three_mc_coeff_calls_per_stack(monkeypatch):
+    # per stack of at most eight points: one for the central difference on
+    # its 2 dim P rows, one for the connection form and one for the
+    # algebraic curvature
     calls = []
     mc_coeff = charts.GroupChart.mc_coeff
 
@@ -173,11 +199,23 @@ def test_bridge_makes_three_mc_coeff_calls_per_point(monkeypatch):
         return mc_coeff(self, x)
 
     monkeypatch.setattr(charts.GroupChart, "mc_coeff", counted)
-    samples = 3
-    assert suites.run_suite("bridge", seed=0, samples=samples)["pass"]
-    # su(1,1) and sp(4): dims 3 and 10
-    assert calls == [shape for dim in (3, 10) for _ in range(samples)
-                     for shape in [(2 * dim, dim), (1, dim), (1, dim)]]
+    assert suites.run_suite("bridge", seed=0, samples=10)["pass"]
+    # su(1,1) and sp(4): dims 3 and 10; stacks of 8 and 2 points
+    assert calls == [shape for dim in (3, 10) for p in (8, 2)
+                     for shape in [(2 * dim * p, dim), (p, dim), (p, dim)]]
+
+
+def test_bridge_bounds_its_temporaries():
+    # the central difference of a stack of eight sp(4) points sets the peak,
+    # about 1.8 MB; stacks capped at eight keep it whatever the sample count
+    suites.run_suite("bridge", samples=2)    # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        suites.run_suite("bridge", samples=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_p1_chern_number_bounds_its_temporaries():

@@ -359,6 +359,18 @@ def test_exterior_d_matches_per_term_reference(m, shape):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_exterior_d_calls_share_one_read_only_wedge_table():
+    form = ext.VForm(5, 1, rowwise(lambda x: np.zeros((5, 2, 2))))
+    ext.exterior_d(form)
+    info = ext.wedge_table.cache_info()
+    ext.exterior_d(form)
+    after = ext.wedge_table.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+    for t in ext.wedge_table(5, 1, 1):
+        with pytest.raises(ValueError):
+            t[0, 0] = 7
+
+
 def _ref_chern(Om, m, kmax):
     """Coefficient arrays of c_0 ... c_kmax of the constant curvature Om."""
     om = (1j / (2 * np.pi)) * Om
