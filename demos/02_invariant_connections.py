@@ -1,10 +1,12 @@
-"""Invariant connections on a homogeneous vector bundle.
+"""Invariant connections on a homogeneous line bundle over the upper half
+plane Sp(2, R)/U(1), the genus-1 Siegel space.
 
 A connection form omega_0 on g with values in End(V) defines an invariant
 connection exactly when it restricts to the isotropy representation on k
 and commutes with the isotropy action.  The Nomizu form (project to k)
-always works; a flat example comes from any honest extension of the
-isotropy representation to all of g.
+always works; here it is taken on det^2, the line bundle of weight 2
+(Sp(2, R) is SU(1, 1) in complex coordinates).  A flat example comes from
+any honest extension of the isotropy representation to all of g.
 """
 
 import numpy as np
@@ -12,8 +14,8 @@ import numpy as np
 from chernpatch import connections, hcrepr, liecore
 from chernpatch.errors import ConditionViolation
 
-spec = liecore.su_pq(1, 1)
-rep = hcrepr.builtin_representation(spec, "weight:2")
+spec = liecore.sp2nR(1)
+rep = hcrepr.builtin_representation(spec, "det^2")
 
 # The Nomizu connection and its curvature on the p-basis pair.
 nom = connections.nomizu_connection(spec, rep)
@@ -22,27 +24,33 @@ print("Nomizu curvature on (p1, p2):", nom.curvature0(p1, p2))
 print("flat?", nom.is_flat())
 
 # Perturbing the values breaks one of the two defining conditions, and the
-# classifier reports which.
+# classifier reports which.  No basis element of sp(2) lies in k, so the
+# k-direction perturbation adds <X, k> for the unit k spanning it, which
+# vanishes on p; the p-direction one moves the value of the diagonal
+# element, which lies in p.
 basis = liecore.algebra_basis(spec)
-kidx = next(i for i, b in enumerate(basis)
-            if np.allclose(liecore.cartan_split(spec, b)[1], 0))
+(k,) = connections.k_basis(spec)
+on_k = np.array([np.sum(b * k) for b in basis])
 pidx = next(i for i, b in enumerate(basis)
-            if not np.allclose(liecore.cartan_split(spec, b)[1], 0))
-for label, idx in (("k-direction", kidx), ("p-direction", pidx)):
-    vals = nom.values.copy()
-    vals[idx] += 0.05 * np.eye(rep.dim)
+            if np.allclose(liecore.cartan_split(spec, b)[0], 0))
+on_p = np.eye(len(basis))[pidx]
+for label, shift in (("k-direction", on_k), ("p-direction", on_p)):
+    vals = nom.values + 0.05 * shift[:, None, None]
     try:
         connections.make_invariant_connection(spec, rep, vals)
     except ConditionViolation as e:
         print(f"perturbation in {label}: violated condition(s) {e.conditions}")
 
 # A flat connection: restrict the defining representation to K and use the
-# inclusion of g into End(C^2) as omega_0.  The curvature vanishes.
+# inclusion of g into End(C^2) as omega_0, written in the complex
+# coordinates M g M^{-1} in which K(C) is diagonal.  The curvature vanishes.
 inc = hcrepr.Representation(
     spec, "std-restriction", 2,
     lambda kc: np.asarray(kc, dtype=complex),
     lambda kc: np.asarray(kc, dtype=complex))
-flat = connections.make_invariant_connection(spec, inc, basis)
+M, Minv = spec.complex_coords
+flat = connections.make_invariant_connection(
+    spec, inc, [M @ b @ Minv for b in basis])
 print("inclusion connection flat?", flat.is_flat())
 
 # The chart-level check: pull the connection form back through a

@@ -2,7 +2,7 @@
 on stratified quotients of Hermitian symmetric spaces.
 
 Modules:
-  liecore      Sp(2n, R) and SU(p, q): Cartan data, standard parabolics
+  liecore      Sp(2n, R): Cartan data, standard parabolics
   hcrepr       Harish-Chandra coordinates, Cayley elements, canonical
                extensions of K-representations
   exterior     differential forms on charts, curvature, fiber checks

@@ -19,7 +19,7 @@ from .errors import ChernpatchError, PreconditionFailed
 __all__ = ["main"]
 
 _GROUPS = {
-    "su11": lambda: liecore.su_pq(1, 1),
+    "sp2": lambda: liecore.sp2nR(1),
     "sp4": lambda: liecore.sp2nR(2),
     "sp6": lambda: liecore.sp2nR(3),
 }

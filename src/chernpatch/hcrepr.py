@@ -1,10 +1,9 @@
 """Block factorization in the complexified group, Cayley elements, and
 canonical extensions of K-representations to parabolic subgroups.
 
-Both group families of :mod:`liecore` have the open-cell factorization and
-built-in K-representations (std, det^m and sym2 for sp2nR, weight:m for
-su_pq); Cayley elements, and with them canonical extensions, exist for
-sp2nR only.
+Sp(2n, R) of :mod:`liecore` has the open-cell factorization, built-in
+K-representations (std, det^m and sym2), Cayley elements and with them
+canonical extensions.
 
 The complexification is handled in "complex coordinates": a fixed change of
 basis M under which K(C) becomes block diagonal, P^+ strictly block upper
@@ -26,7 +25,7 @@ Representations and canonical extensions hold what they reuse, built in
 their constructors: the differential as an (N^2, d^2) matrix tabulated on
 the matrix units, and for a canonical extension j(c_1)^{-1}.  The
 differentials then take a matrix or a (..., N, N) stack to (..., d, d) in
-one matmul.  hc_decompose, a canonical extension and the lamC of the sp2nR
+one matmul.  hc_decompose, a canonical extension and the lamC of the
 representations (std, det^m, sym2) take a (..., N, N) stack too, in one
 numpy pass, with every check held per element and the first failing row
 named in the error.
@@ -102,21 +101,19 @@ def in_kc(spec, g) -> bool:
 def cayley_element(spec, r):
     """Partial Cayley element attached to the standard rank-r parabolic.
 
-    For sp2nR it acts as (1/sqrt 2)[[1,-i],[-i,1]] in each symplectic plane
-    (e_j, f_j) with e_j in the rank-r isotropic subspace, whose indices come
-    from :func:`liecore._sp_indices` as for :func:`liecore.parabolic_data`.
+    It acts as (1/sqrt 2)[[1,-i],[-i,1]] in each symplectic plane (e_j, f_j)
+    with e_j in the rank-r isotropic subspace, whose indices come from
+    :func:`liecore._sp_indices` as for :func:`liecore.parabolic_data`.
     """
-    if spec.family == "sp2nR":
-        n = spec.n
-        if not 1 <= r <= n:
-            raise UnsupportedFlag(f"rank {r} out of range for sp2nR(n={n})")
-        c = np.eye(2 * n, dtype=complex)
-        v, vbar, _ = liecore._sp_indices(spec, r)
-        s = 1.0 / np.sqrt(2)
-        c[v, v] = c[vbar, vbar] = s
-        c[v, vbar] = c[vbar, v] = -1j * s
-        return c
-    raise UnsupportedFlag(f"cayley_element implemented for sp2nR, got {spec.family}")
+    n = spec.n
+    if not 1 <= r <= n:
+        raise UnsupportedFlag(f"rank {r} out of range for sp2nR(n={n})")
+    c = np.eye(2 * n, dtype=complex)
+    v, vbar, _ = liecore._sp_indices(spec, r)
+    s = 1.0 / np.sqrt(2)
+    c[v, v] = c[vbar, vbar] = s
+    c[v, vbar] = c[vbar, v] = -1j * s
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +124,8 @@ def cayley_element(spec, r):
 class Representation:
     """A representation of K given through its holomorphic extension to K(C).
 
-    lamC eats a block-diagonal matrix in complex coordinates (for sp2nR, or
-    a stack) and returns a GL(V) matrix; lamC_alg is its differential on
+    lamC eats a block-diagonal matrix in complex coordinates, or a stack,
+    and returns a GL(V) matrix; lamC_alg is its differential on
     block-diagonal algebra elements, linear in one matrix.  The constructor
     tabulates lamC_alg(M . M^{-1}) on the matrix units, and :meth:`lam_alg`
     applies that table.
@@ -189,43 +186,30 @@ def _sym2_action(a, basis, derivative):
 
 
 def builtin_representation(spec, name: str) -> Representation:
-    """Built-in representations.
+    """Built-in representations of K = U(n): "std", "det^m" (any integer
+    m), "sym2"."""
+    n = spec.n
 
-    For sp2nR (K = U(n)): "std", "det^m" (any integer m), "sym2".
-    For su_pq (K containing a torus factor): "weight:m" uses the phase of
-    the leading diagonal entry.
-    """
-    if spec.family == "sp2nR":
-        n = spec.n
+    def topleft(kc):
+        return np.asarray(kc, dtype=complex)[..., :n, :n]
 
-        def topleft(kc):
-            return np.asarray(kc, dtype=complex)[..., :n, :n]
-
-        if name == "std":
-            return Representation(spec, name, n, topleft, topleft)
-        if name.startswith("det^"):
-            m = int(name[4:])
-            return Representation(
-                spec, name, 1,
-                lambda kc: np.linalg.det(topleft(kc))[..., None, None] ** m,
-                lambda kc: np.array([[m * np.trace(topleft(kc))]]),
-            )
-        if name == "sym2":
-            basis = _sym2_basis(n)
-            return Representation(
-                spec, name, len(basis),
-                lambda kc: _sym2_action(topleft(kc), basis, derivative=False),
-                lambda kc: _sym2_action(topleft(kc), basis, derivative=True),
-            )
-        raise UnsupportedFlag(f"unknown representation {name} for sp2nR")
-    if name.startswith("weight:"):
-        m = int(name.split(":")[1])
+    if name == "std":
+        return Representation(spec, name, n, topleft, topleft)
+    if name.startswith("det^"):
+        m = int(name[4:])
         return Representation(
             spec, name, 1,
-            lambda kc: np.array([[np.asarray(kc, dtype=complex)[0, 0] ** m]]),
-            lambda kc: np.array([[m * np.asarray(kc, dtype=complex)[0, 0]]]),
+            lambda kc: np.linalg.det(topleft(kc))[..., None, None] ** m,
+            lambda kc: np.array([[m * np.trace(topleft(kc))]]),
         )
-    raise UnsupportedFlag(f"unknown representation {name} for su_pq")
+    if name == "sym2":
+        basis = _sym2_basis(n)
+        return Representation(
+            spec, name, len(basis),
+            lambda kc: _sym2_action(topleft(kc), basis, derivative=False),
+            lambda kc: _sym2_action(topleft(kc), basis, derivative=True),
+        )
+    raise UnsupportedFlag(f"unknown representation {name} for sp2nR")
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +286,6 @@ def extension_compat_check(rep: Representation, r_inner, r_outer,
     one stack.
     """
     spec = rep.spec
-    if spec.family != "sp2nR":
-        raise UnsupportedFlag("compatibility check implemented for sp2nR")
     if not 0 < r_inner < r_outer <= spec.n:
         raise UnsupportedFlag("need 0 < r_inner < r_outer <= n")
     rng = np.random.default_rng(rng)

@@ -1,18 +1,14 @@
-"""Matrix models for the small-rank reductive groups used throughout.
+"""Matrix model of Sp(2n, R), the group of the Siegel model.
 
-Supported families:
+``sp2nR`` -- Sp(2n, R), the real symplectic group for J = [[0, I], [-I, 0]],
+n <= 3, with parabolic data, group factorization and (in :mod:`hcrepr`)
+canonical extensions.  SU(1, 1) enters as its isomorphic copy Sp(2, R),
+``sp2nR(1)``.
 
-* ``sp2nR`` -- Sp(2n, R), real symplectic group for J = [[0, I], [-I, 0]],
-  n <= 3: the group of the Siegel model, with parabolic data, group
-  factorization and (in :mod:`hcrepr`) canonical extensions
-* ``su_pq`` -- SU(p, q) preserving H = diag(I_p, -I_q), p + q <= 4: the
-  algebra, its Cartan split and K-representations, for invariant
-  connections; :func:`parabolic_data` raises UnsupportedFlag on it
-
-A :class:`GroupSpec` is the one place that knows what a family is (size,
-invariant form F, realness, det = 1, K(C) blocks, the coordinate change M);
-other modules read these facts from the spec, and group membership is one
-formula for every family (:func:`grp_residual`).
+A :class:`GroupSpec` is the one place that holds the group's structure
+(size, invariant form J, K(C) blocks, the coordinate change M); other
+modules read these facts from the spec, and group membership is one
+formula (:func:`grp_residual`).
 
 Elements are plain numpy arrays; the functions here validate the defining
 relations, split along the Cartan involution theta(X) = -X^H, and choose
@@ -61,68 +57,39 @@ PARABOLIC_TOL = 1e-8    # relative bound of the parabolic split and factors
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A group family and its size parameters; the properties below hold
-    the family's structure, which other modules read from here."""
+    """Sp(2n, R) by its rank n; the properties below hold its structure,
+    which other modules read from here."""
 
-    family: str
-    n: int = 0
-    p: int = 0
-    q: int = 0
+    n: int
+    family = "sp2nR"    # the name in group JSON and in messages
 
     @property
     def size(self) -> int:
-        sizes = {"sp2nR": 2 * self.n, "su_pq": self.p + self.q}
-        if self.family not in sizes:
-            raise ValueError(f"unknown family {self.family}")
-        return sizes[self.family]
+        return 2 * self.n
 
     @property
     def form(self):
-        """Invariant form F, with g^H F g = F on the group: J for sp2nR,
-        H = diag(I_p, -I_q) for su_pq."""
-        if self.family == "sp2nR":
-            return np.eye(2 * self.n, k=self.n) - np.eye(2 * self.n, k=-self.n)
-        return np.diag([1.0] * self.p + [-1.0] * self.q)
-
-    @property
-    def real(self) -> bool:
-        """Elements are real matrices."""
-        return self.family == "sp2nR"
-
-    @property
-    def special(self) -> bool:
-        """det = 1 is imposed (for sp2nR it follows from the form)."""
-        return self.family == "su_pq"
+        """Invariant form J, with g^T J g = J on the group."""
+        return np.eye(2 * self.n, k=self.n) - np.eye(2 * self.n, k=-self.n)
 
     @property
     def blocks(self):
-        """(p, q): sizes of the K(C) diagonal blocks in complex coordinates."""
-        p = self.n if self.family == "sp2nR" else self.p
-        return p, self.size - p
+        """(n, n): sizes of the K(C) diagonal blocks in complex coordinates."""
+        return self.n, self.n
 
     @cached_property
     def complex_coords(self):
         """(M, M^{-1}) with K(C) block diagonal in coordinates M g M^{-1}:
-        M is the inverse of the full Cayley element for sp2nR and the
-        identity for su_pq.  Built once per spec."""
-        p, q = self.blocks
-        M = np.eye(p + q, dtype=complex)
-        if self.family == "sp2nR":
-            eye = np.eye(p)
-            M = np.block([[eye, 1j * eye], [1j * eye, eye]]) / np.sqrt(2)
+        M is the inverse of the full Cayley element.  Built once per spec."""
+        eye = np.eye(self.n)
+        M = np.block([[eye, 1j * eye], [1j * eye, eye]]) / np.sqrt(2)
         return M, np.linalg.inv(M)
 
 
 def sp2nR(n: int) -> GroupSpec:
     if not 1 <= n <= 3:
         raise ValueError("sp2nR supported for 1 <= n <= 3")
-    return GroupSpec("sp2nR", n=n)
-
-
-def su_pq(p: int, q: int) -> GroupSpec:
-    if p < 1 or q < 1 or p + q > 4:
-        raise ValueError("su_pq supported for p,q >= 1, p + q <= 4")
-    return GroupSpec("su_pq", p=p, q=q)
+    return GroupSpec(n)
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +103,10 @@ def _conjT(X):
 
 def grp_residual(spec: GroupSpec, g):
     """Residual of the group defining relation at g, or at each element of
-    a stack: max(|g^H F g - F|, |det g - 1| if special, |Im g| if real)."""
-    F = spec.form
-    gc = np.asarray(g, dtype=complex)
-    r = np.abs(_conjT(g) @ F @ g - F).max(axis=(-2, -1))
-    if spec.special:
-        r = np.maximum(r, np.abs(np.linalg.det(gc) - 1.0))
-    if spec.real:
-        r = np.maximum(r, np.abs(gc.imag).max(axis=(-2, -1)))
-    return r
+    a stack: max(|g^H J g - J|, |Im g|)."""
+    J = spec.form
+    r = np.abs(_conjT(g) @ J @ g - J).max(axis=(-2, -1))
+    return np.maximum(r, np.abs(np.imag(g)).max(axis=(-2, -1)))
 
 
 def check_grp(spec: GroupSpec, g, tol=TOL):
@@ -170,49 +132,23 @@ def _sym_basis(n):
 
 def algebra_basis(spec: GroupSpec):
     """Real basis of the Lie algebra, as a list of numpy matrices."""
-    fam = spec.family
-    if fam == "sp2nR":
-        n = spec.n
-        out = []
-        for i in range(n):
-            for j in range(n):
-                A = np.zeros((n, n))
-                A[i, j] = 1.0
-                X = np.zeros((2 * n, 2 * n))
-                X[:n, :n] = A
-                X[n:, n:] = -A.T
-                out.append(X)
-        for S in _sym_basis(n):
-            X = np.zeros((2 * n, 2 * n))
-            X[:n, n:] = S
-            out.append(X)
-        for S in _sym_basis(n):
-            X = np.zeros((2 * n, 2 * n))
-            X[n:, :n] = S
-            out.append(X)
-        return out
-    # su_pq
-    N = spec.size
-    H = spec.form
+    n = spec.n
     out = []
-    # off-diagonal: for i<j the pair (E_ij - s E_ji) and i(E_ij + s E_ji)
-    # with s = H_ii H_jj sign so that X^H H + H X = 0
-    for i in range(N):
-        for j in range(i + 1, N):
-            s = H[i, i] * H[j, j]
-            X = np.zeros((N, N), dtype=complex)
-            X[i, j] = 1.0
-            X[j, i] = -s
+    for i in range(n):
+        for j in range(n):
+            A = np.zeros((n, n))
+            A[i, j] = 1.0
+            X = np.zeros((2 * n, 2 * n))
+            X[:n, :n] = A
+            X[n:, n:] = -A.T
             out.append(X)
-            Y = np.zeros((N, N), dtype=complex)
-            Y[i, j] = 1.0j
-            Y[j, i] = 1.0j * s
-            out.append(Y)
-    # traceless imaginary diagonal
-    for i in range(N - 1):
-        X = np.zeros((N, N), dtype=complex)
-        X[i, i] = 1.0j
-        X[i + 1, i + 1] = -1.0j
+    for S in _sym_basis(n):
+        X = np.zeros((2 * n, 2 * n))
+        X[:n, n:] = S
+        out.append(X)
+    for S in _sym_basis(n):
+        X = np.zeros((2 * n, 2 * n))
+        X[n:, :n] = S
         out.append(X)
     return out
 
@@ -310,9 +246,7 @@ def expm(a):
 
 
 def exp_grp(spec: GroupSpec, X):
-    g = expm(np.asarray(X, dtype=complex))
-    if spec.real:
-        g = g.real
+    g = expm(np.asarray(X, dtype=complex)).real
     return check_grp(spec, g, tol=np.maximum(
         TOL, 1e-8 * np.linalg.norm(g, axis=(-2, -1))))
 
@@ -327,20 +261,19 @@ def exp_grp(spec: GroupSpec, X):
 
 
 def _orthonormalize(mats, tol=1e-10):
-    out, vecs = [], []     # vecs[k] is _vec(out[k]), built once
+    """Gram-Schmidt on real matrices as flat vectors, each kept one divided
+    by its norm and, once all are found, by its norm again.  Adding 0.0
+    stores every zero entry as +0.0, whatever the signs of zeros in mats."""
+    out = []
     for m in mats:
-        v = _vec(m)
-        for o in vecs:
+        v = np.ravel(m)
+        for o in out:
             v = v - np.dot(o, v) * o
         nrm = np.linalg.norm(v)
         if nrm > tol:
-            M = v[: v.size // 2].reshape(m.shape) + 1j * v[v.size // 2:].reshape(m.shape)
-            if np.max(np.abs(M.imag)) < 1e-14:
-                M = M.real
-            out.append(M / nrm)
-            vecs.append(_vec(out[-1]))
-    # renormalize in matrix form
-    return [m / np.linalg.norm(o) for m, o in zip(out, vecs)]
+            out.append(v / nrm)
+    shape = np.shape(mats)[1:]
+    return [(o / np.linalg.norm(o) + 0.0).reshape(shape) for o in out]
 
 
 @dataclass
@@ -409,9 +342,6 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
     flag = tuple(flag)
     if not flag or list(flag) != sorted(set(flag)):
         raise UnsupportedFlag(f"flag must be strictly increasing, got {flag}")
-    if spec.family != "sp2nR":
-        raise UnsupportedFlag(
-            f"parabolic data not defined for family {spec.family}")
     for r in flag:
         if not 1 <= r <= spec.n:
             raise UnsupportedFlag(

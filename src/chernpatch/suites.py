@@ -19,30 +19,23 @@ __all__ = ["SUITES", "run_suite", "render_report", "default_model",
 SCHEMA = 1
 
 
-# group family -> (constructor, the integer keys it takes in order)
-_FAMILIES = {"sp2nR": (liecore.sp2nR, ("n",)),
-             "su_pq": (liecore.su_pq, ("p", "q"))}
-
-
 def spec_from_dict(d):
-    """GroupSpec from {"family": ..., "n" or "p","q", "scalar": "f64"}."""
+    """GroupSpec from {"family": "sp2nR", "n": ..., "scalar": "f64"}."""
     if not isinstance(d, dict):
         raise PreconditionFailed(f"a group must be a JSON object, got {d!r}")
     if d.get("scalar", "f64") != "f64":
         raise PreconditionFailed(f"unsupported scalar {d['scalar']!r}: only 'f64'")
     fam = d.get("family")
-    if not isinstance(fam, str) or fam not in _FAMILIES:
+    if fam != liecore.GroupSpec.family:
         raise PreconditionFailed(f"unknown group family {fam!r}")
-    make, keys = _FAMILIES[fam]
-    strata._reject_unknown_keys(d, {"family", "scalar", *keys}, "group")
-    missing = [k for k in keys if k not in d]
-    if missing:
-        raise PreconditionFailed(f"group family {fam!r} needs keys {missing}")
-    bad = {k: d[k] for k in keys if not strata._is_dimension(d[k])}
-    if bad:
+    strata._reject_unknown_keys(d, {"family", "scalar", "n"}, "group")
+    if "n" not in d:
+        raise PreconditionFailed(f"group family {fam!r} needs keys ['n']")
+    if not strata._is_dimension(d["n"]):
+        bad = {"n": d["n"]}
         raise PreconditionFailed(
             f"group keys must be nonnegative integers, got {bad}")
-    return make(*(int(d[k]) for k in keys))
+    return liecore.sp2nR(int(d["n"]))
 
 
 def model_from_dict(d):
@@ -316,19 +309,22 @@ def suite_springer(seed=0, tol=1e-9, samples=50, corrupt=False):
 def suite_classify(seed=0, samples=100):
     """Acceptance of model connections, rejection of perturbed tables."""
     rng = np.random.default_rng(seed)
-    spec = liecore.su_pq(1, 1)
-    rep = hcrepr.builtin_representation(spec, "weight:2")
+    spec = liecore.sp2nR(1)
+    rep = hcrepr.builtin_representation(spec, "det^2")
     nom = connections.nomizu_connection(spec, rep)  # raises if rejected
     accepted = 1
     # flat example: the standard representation restricted to K extends
-    # to the whole group, so its inclusion is a Lie algebra homomorphism
+    # to the whole group, so its inclusion is a Lie algebra homomorphism;
+    # lamC reads complex coordinates, so the values are given in them
     rep_std = hcrepr.Representation(
         spec, "std-restriction", 2,
         lambda kc: np.asarray(kc, dtype=complex),
         lambda kc: np.asarray(kc, dtype=complex))
     basis = liecore.algebra_basis(spec)
+    M, Minv = spec.complex_coords
+    values = [M @ b @ Minv for b in basis]
     try:
-        if connections.make_invariant_connection(spec, rep_std, basis).is_flat():
+        if connections.make_invariant_connection(spec, rep_std, values).is_flat():
             accepted += 1
     except ConditionViolation:
         pass
@@ -361,7 +357,7 @@ def suite_bridge(seed=0, tol=1e-6, samples=20):
     checks = []
     # (group, representation, half-width of the sampled chart box, check)
     for spec, rep, half, name in (
-            (liecore.su_pq(1, 1), "weight:2", 0.4, "su11-nomizu"),
+            (liecore.sp2nR(1), "det^2", 0.4, "sp2-nomizu"),
             (liecore.sp2nR(2), "std", 0.2, "sp4-nomizu")):
         conn = connections.nomizu_connection(
             spec, hcrepr.builtin_representation(spec, rep))

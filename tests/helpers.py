@@ -15,14 +15,10 @@ def random_alg(spec, rng, scale=1.0):
 
 def alg_residual(spec, X):
     """Residual of the linearized defining relation at X:
-    max(|X^H F + F X|, |tr X| if special, |Im X| if real)."""
-    F = spec.form
-    r = float(np.max(np.abs(np.conj(X).swapaxes(-1, -2) @ F + F @ X)))
-    if spec.special:
-        r = max(r, abs(complex(np.trace(X))))
-    if spec.real:
-        r = max(r, float(np.max(np.abs(np.asarray(X, dtype=complex).imag))))
-    return r
+    max(|X^H J + J X|, |Im X|)."""
+    J = spec.form
+    r = float(np.max(np.abs(np.conj(X).swapaxes(-1, -2) @ J + J @ X)))
+    return max(r, float(np.max(np.abs(np.asarray(X, dtype=complex).imag))))
 
 
 def chart_g(chart, x):
@@ -32,7 +28,7 @@ def chart_g(chart, x):
     for h in liecore.expm(np.asarray(x, dtype=float)[:, None, None]
                           * chart.basis):
         out = out @ h
-    return out.real if chart.spec.real else out
+    return out.real
 
 
 def rho(x, Z):

@@ -14,7 +14,7 @@ from helpers import alg_residual, chart_g
 
 
 def test_mc_coefficients_reproduce_basis_at_origin():
-    spec = liecore.su_pq(1, 1)
+    spec = liecore.sp2nR(1)
     chart = charts.GroupChart(spec)
     x0 = np.zeros(chart.dim)
     assert np.max(np.abs(chart.mc_coeff(x0) - chart.basis)) < 1e-12
@@ -39,8 +39,8 @@ def _mc_coeff_per_index(chart, i, x):
     return v
 
 
-@pytest.mark.parametrize("spec", [liecore.sp2nR(2), liecore.su_pq(1, 1),
-                                  liecore.su_pq(2, 1)])
+@pytest.mark.parametrize("spec", [liecore.sp2nR(2), liecore.sp2nR(1),
+                                  liecore.sp2nR(3)])
 def test_mc_coeff_stack_matches_per_index_and_differences(spec):
     chart = charts.GroupChart(spec)
     rng = np.random.default_rng(3)
@@ -57,9 +57,9 @@ def test_mc_coeff_stack_matches_per_index_and_differences(spec):
             assert np.max(np.abs(mc[i] - ginv @ dg)) < 1e-8
 
 
-def test_curvature_bridge_su11():
-    spec = liecore.su_pq(1, 1)
-    rep = hcrepr.builtin_representation(spec, "weight:2")
+def test_curvature_bridge_sp2():
+    spec = liecore.sp2nR(1)
+    rep = hcrepr.builtin_representation(spec, "det^2")
     conn = connections.nomizu_connection(spec, rep)
     rng = np.random.default_rng(1)
     pts = [rng.uniform(-0.4, 0.4, 3) for _ in range(10)]
@@ -67,12 +67,15 @@ def test_curvature_bridge_su11():
 
 
 def test_curvature_bridge_flat():
-    spec = liecore.su_pq(1, 1)
+    # the inclusion of sp(2) into End(C^2), in the complex coordinates in
+    # which lamC takes K(C)
+    spec = liecore.sp2nR(1)
     rep = hcrepr.Representation(
         spec, "std-restriction", 2,
         lambda kc: np.asarray(kc, dtype=complex),
         lambda kc: np.asarray(kc, dtype=complex))
-    hom = [np.asarray(b, dtype=complex) for b in liecore.algebra_basis(spec)]
+    M, Minv = spec.complex_coords
+    hom = [M @ b @ Minv for b in liecore.algebra_basis(spec)]
     conn = connections.make_invariant_connection(spec, rep, hom)
     chart = charts.GroupChart(spec)
     om = chart.connection_form(conn)
@@ -178,7 +181,7 @@ def test_central_difference_makes_one_expm_call_per_distinct_coordinate(
         return expm(a)
 
     monkeypatch.setattr(liecore, "expm", counted)
-    for spec in (liecore.su_pq(1, 1), liecore.sp2nR(2)):
+    for spec in (liecore.sp2nR(1), liecore.sp2nR(2)):
         chart = charts.GroupChart(spec)
         x = np.random.default_rng(9).uniform(-0.3, 0.3, chart.dim)
         shapes.clear()

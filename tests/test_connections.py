@@ -7,20 +7,20 @@ from chernpatch.errors import (ConditionViolation, DecompositionError,
 from helpers import random_alg
 
 
-def _su11(rep_name="weight:2"):
-    spec = liecore.su_pq(1, 1)
+def _sp2(rep_name="det^2"):
+    spec = liecore.sp2nR(1)
     return spec, hcrepr.builtin_representation(spec, rep_name)
 
 
 def test_nomizu_accepted():
-    spec, rep = _su11()
+    spec, rep = _sp2()
     conn = connections.nomizu_connection(spec, rep)
     assert conn is not None
 
 
 def test_nomizu_curvature_oracle():
     # curvature on horizontal pairs is -lambda'([p1, p2])
-    spec, rep = _su11()
+    spec, rep = _sp2()
     conn = connections.nomizu_connection(spec, rep)
     p1, p2 = connections.p_basis(spec)
     expected = -rep.lam_alg(liecore.bracket(p1, p2))
@@ -30,37 +30,45 @@ def test_nomizu_curvature_oracle():
 def test_flat_connection_is_flat():
     # the standard representation restricted to K extends to the group,
     # so the inclusion is a Lie algebra homomorphism and the connection
-    # it defines is flat
-    spec = liecore.su_pq(1, 1)
+    # it defines is flat; lamC takes K(C) in complex coordinates, so the
+    # inclusion is given in them
+    spec = liecore.sp2nR(1)
     rep = hcrepr.Representation(
         spec, "std-restriction", 2,
         lambda kc: np.asarray(kc, dtype=complex),
         lambda kc: np.asarray(kc, dtype=complex))
     basis = liecore.algebra_basis(spec)
-    hom = [np.asarray(b, dtype=complex) for b in basis]
-    conn = connections.make_invariant_connection(spec, rep, hom)
+    M, Minv = spec.complex_coords
+    conn = connections.make_invariant_connection(
+        spec, rep, [M @ b @ Minv for b in basis])
     assert conn.is_flat()
+    # in defining coordinates it restricts to the wrong map on k, and does
+    # not commute with it
+    with pytest.raises(ConditionViolation) as exc:
+        connections.make_invariant_connection(spec, rep, basis)
+    assert exc.value.conditions == [1, 2]
 
 
 def test_perturbation_on_k_rejected_with_condition_one():
-    spec, rep = _su11()
+    spec, rep = _sp2()
     nom = connections.nomizu_connection(spec, rep)
     basis = liecore.algebra_basis(spec)
-    kidx = next(i for i, b in enumerate(basis)
-                if np.allclose(liecore.cartan_split(spec, b)[1], 0))
-    vals = [v.copy() for v in nom.values]
-    vals[kidx] = vals[kidx] + 0.1
+    # no basis element of sp(2) lies in k: add 0.1 <X, k> for the unit k
+    # spanning it, which vanishes on p
+    (k,) = connections.k_basis(spec)
+    shift = np.array([np.sum(b * k) for b in basis])
+    vals = nom.values + 0.1 * shift[:, None, None]
     with pytest.raises(ConditionViolation) as exc:
         connections.make_invariant_connection(spec, rep, vals)
     assert 1 in exc.value.conditions
 
 
 def test_perturbation_on_p_rejected_with_condition_two():
-    spec, rep = _su11()
+    spec, rep = _sp2()
     nom = connections.nomizu_connection(spec, rep)
     basis = liecore.algebra_basis(spec)
     pidx = next(i for i, b in enumerate(basis)
-                if not np.allclose(liecore.cartan_split(spec, b)[1], 0))
+                if np.allclose(liecore.cartan_split(spec, b)[0], 0))
     vals = [v.copy() for v in nom.values]
     vals[pidx] = vals[pidx] + np.array([[0.2]])
     with pytest.raises(ConditionViolation) as exc:
@@ -71,7 +79,7 @@ def test_perturbation_on_p_rejected_with_condition_two():
 
 def test_nan_value_rejected():
     # each condition is written residual <= tol, so a NaN residual fails it
-    spec, rep = _su11()
+    spec, rep = _sp2()
     vals = [v.copy() for v in connections.nomizu_connection(spec, rep).values]
     vals[0] = np.full((1, 1), np.nan)
     with pytest.raises(ConditionViolation):
@@ -79,7 +87,7 @@ def test_nan_value_rejected():
 
 
 def test_values_of_wrong_count_or_shape_rejected():
-    spec, rep = _su11()
+    spec, rep = _sp2()
     vals = list(connections.nomizu_connection(spec, rep).values)
     for bad in (vals + [np.zeros((1, 1))], vals[:-1],
                 vals[:-1] + [np.zeros((2, 2))]):
@@ -88,7 +96,7 @@ def test_values_of_wrong_count_or_shape_rejected():
 
 
 @pytest.mark.parametrize("spec,rep_name", [
-    (liecore.su_pq(1, 1), "weight:2"), (liecore.sp2nR(2), "std"),
+    (liecore.sp2nR(1), "det^2"), (liecore.sp2nR(2), "std"),
     (liecore.sp2nR(2), "sym2")])
 def test_omega0_and_curvature0_on_a_stack(spec, rep_name):
     rep = hcrepr.builtin_representation(spec, rep_name)
@@ -104,7 +112,7 @@ def test_omega0_and_curvature0_on_a_stack(spec, rep_name):
 
 
 @pytest.mark.parametrize("spec,rep_name", [
-    (liecore.su_pq(1, 1), "weight:2"), (liecore.sp2nR(2), "std")])
+    (liecore.sp2nR(1), "det^2"), (liecore.sp2nR(2), "std")])
 def test_omega0_matches_lstsq_coordinates(spec, rep_name):
     rep = hcrepr.builtin_representation(spec, rep_name)
     conn = connections.nomizu_connection(spec, rep)

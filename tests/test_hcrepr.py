@@ -10,12 +10,21 @@ def _sp4_rep(name="std"):
     return hcrepr.builtin_representation(liecore.sp2nR(2), name)
 
 
-def test_su11_decomposition_oracle():
-    """Lower-triangular unipotent times diagonal times upper-triangular."""
-    spec = liecore.su_pq(1, 1)
-    g = np.array([[1.25, 0.75], [0.75, 1.25]])  # exp of 0.8 * offdiag
+def test_sp2_decomposition_oracle():
+    """M g M^{-1} for g in Sp(2, R) = SL(2, R) is [[a, b], [conj b, conj a]]
+    in SU(1, 1); its open-cell factors are upper unipotent times
+    diag(1 / conj a, conj a) times lower unipotent, in closed form."""
+    spec = liecore.sp2nR(1)
+    g = np.array([[2.0, 1.0], [1.0, 1.0]])
+    M, Minv = spec.complex_coords
+    gc = M @ g @ Minv
+    a, b = gc[0]
+    assert np.max(np.abs(gc[1] - np.conj([b, a]))) < 1e-14
     d = hcrepr.hc_decompose(spec, g)
-    assert np.max(np.abs(d.p_plus @ d.k_c @ d.p_minus - np.asarray(g, complex))) < 1e-12
+    assert np.max(np.abs(d.p_plus @ d.k_c @ d.p_minus - gc)) < 1e-12
+    assert np.max(np.abs(d.k_c - np.diag([1 / np.conj(a), np.conj(a)]))) < 1e-14
+    assert abs(d.p_plus[0, 1] - b / np.conj(a)) < 1e-14
+    assert abs(d.p_minus[1, 0] - np.conj(b / a)) < 1e-14
     j = hcrepr.middle_j(spec, g)
     assert abs(j[0, 0] * j[1, 1] - 1) < 1e-12
 
@@ -55,17 +64,23 @@ def test_extension_restricts_to_rep_on_k(name):
 
 
 def test_extension_homomorphism_on_parabolic():
-    rep = _sp4_rep()
-    spec = rep.spec
-    pd = liecore.parabolic_data(spec, (2,))
-    ext = hcrepr.canonical_extension(rep, 2)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        c1 = 0.3 * rng.standard_normal(len(pd.basis_q))
-        c2 = 0.3 * rng.standard_normal(len(pd.basis_q))
-        q1 = liecore.exp_grp(spec, liecore.from_coords(c1, pd.basis_q))
-        q2 = liecore.exp_grp(spec, liecore.from_coords(c2, pd.basis_q))
-        assert np.max(np.abs(ext(q1 @ q2) - ext(q1) @ ext(q2))) < 1e-8
+    # rank 2 of sp(4), and rank 1 of sp(2), the genus-1 base case, on each
+    # built-in representation
+    sp2 = liecore.sp2nR(1)
+    cases = [(_sp4_rep(), 2, 1e-8)] + [
+        (hcrepr.builtin_representation(sp2, name), 1, 1e-14)
+        for name in ("std", "det^2", "sym2")]
+    for rep, r, tol in cases:
+        spec = rep.spec
+        pd = liecore.parabolic_data(spec, (r,))
+        ext = hcrepr.canonical_extension(rep, r)
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            c1 = 0.3 * rng.standard_normal(len(pd.basis_q))
+            c2 = 0.3 * rng.standard_normal(len(pd.basis_q))
+            q1 = liecore.exp_grp(spec, liecore.from_coords(c1, pd.basis_q))
+            q2 = liecore.exp_grp(spec, liecore.from_coords(c2, pd.basis_q))
+            assert np.max(np.abs(ext(q1 @ q2) - ext(q1) @ ext(q2))) < tol
 
 
 def test_extension_derivative_matches_difference_quotient():
@@ -104,8 +119,8 @@ def _automorphy(rep, g, h):
 
 
 def test_automorphy_cocycle():
-    spec = liecore.su_pq(1, 1)
-    rep = hcrepr.builtin_representation(spec, "weight:2")
+    spec = liecore.sp2nR(1)
+    rep = hcrepr.builtin_representation(spec, "det^2")
     rng = np.random.default_rng(4)
     g1 = liecore.exp_grp(spec, random_alg(spec, rng, 0.3))
     g2 = liecore.exp_grp(spec, random_alg(spec, rng, 0.3))
@@ -128,13 +143,22 @@ def _alg_reference(ext, xdot):
     return ext.rep.lamC_alg(blk)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def _extensions(rep):
+    """The canonical extension of each rank, and the relative one of the
+    ranks (1, 2) where the group has both."""
+    n = rep.spec.n
+    exts = [hcrepr.canonical_extension(rep, r) for r in range(1, n + 1)]
+    if n > 1:
+        exts.append(hcrepr.relative_extension(rep, 1, 2))
+    return exts
+
+
+@pytest.mark.parametrize("n", [2, 3, 1])
 @pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
 def test_extension_alg_matches_formula(n, name):
     spec = liecore.sp2nR(n)
     rep = hcrepr.builtin_representation(spec, name)
-    exts = [hcrepr.canonical_extension(rep, r) for r in range(1, n + 1)]
-    exts.append(hcrepr.relative_extension(rep, 1, 2))
+    exts = _extensions(rep)
     rng = np.random.default_rng(4)
     N = spec.size
     for ext in exts:
@@ -146,12 +170,11 @@ def test_extension_alg_matches_formula(n, name):
 
 
 REPS = [(2, "std"), (2, "det^2"), (2, "sym2"), (3, "std"), (3, "det^2"),
-        (3, "sym2"), ("su21", "weight:3")]
+        (3, "sym2"), (1, "std"), (1, "det^2"), (1, "sym2")]
 
 
 def _rep(n, name):
-    spec = liecore.su_pq(2, 1) if n == "su21" else liecore.sp2nR(n)
-    return hcrepr.builtin_representation(spec, name)
+    return hcrepr.builtin_representation(liecore.sp2nR(n), name)
 
 
 @pytest.mark.parametrize("n,name", REPS)
@@ -171,11 +194,10 @@ def test_lam_alg_stack_matches_formula(n, name):
         assert np.max(np.abs(g - rep.lam_alg(k))) < 1e-14
 
 
-@pytest.mark.parametrize("n,name", [r for r in REPS if r[0] != "su21"])
+@pytest.mark.parametrize("n,name", REPS)
 def test_extension_alg_stack_matches_formula(n, name):
     rep = _rep(n, name)
-    exts = [hcrepr.canonical_extension(rep, r) for r in range(1, n + 1)]
-    exts.append(hcrepr.relative_extension(rep, 1, 2))
+    exts = _extensions(rep)
     rng = np.random.default_rng(9)
     xs = np.array([random_alg(rep.spec, rng) for _ in range(6)])
     for ext in exts:

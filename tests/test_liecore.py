@@ -12,17 +12,20 @@ from chernpatch import liecore
 from chernpatch.errors import DecompositionError, UnsupportedFlag
 from helpers import alg_residual, random_alg
 
-SPECS = [liecore.sp2nR(2), liecore.sp2nR(3), liecore.su_pq(1, 1),
-         liecore.su_pq(2, 1)]
+SPECS = [liecore.sp2nR(1), liecore.sp2nR(2), liecore.sp2nR(3)]
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + str((s.n, s.p, s.q)))
+def _id(spec):
+    return f"{spec.family}({spec.n})"
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=_id)
 def test_algebra_basis_members(spec):
     for b in liecore.algebra_basis(spec):
         assert alg_residual(spec, b) < 1e-12
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family + str((s.n, s.p, s.q)))
+@pytest.mark.parametrize("spec", SPECS, ids=_id)
 def test_exp_lands_in_group(spec):
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -30,9 +33,10 @@ def test_exp_lands_in_group(spec):
         assert liecore.grp_residual(spec, g) < 1e-10
 
 
-@pytest.mark.parametrize("spec", [
-    liecore.sp2nR(2), liecore.sp2nR(3), liecore.su_pq(2, 1)],
-    ids=lambda s: s.family + str((s.n, s.p, s.q)))
+# not sp(2): on its draws here scipy's expm is itself off by up to 1.2e-13
+# of the largest entry, against 1e-15 for exp_grp (both checked in
+# 50-digit arithmetic)
+@pytest.mark.parametrize("spec", SPECS[1:], ids=_id)
 def test_exp_grp_matches_scipy(spec):
     rng = np.random.default_rng(3)
     for scale in (0.2, 1.0, 3.0):
@@ -43,18 +47,8 @@ def test_exp_grp_matches_scipy(spec):
             assert err <= 1e-13 * np.max(np.abs(ref))
 
 
-# family -> the conditions it imposes besides the form relation
-IMPOSES = {"sp2nR": {"real"}, "su_pq": {"special"}}
-# i t D with D below keeps the form relation and the trace of the family
-UNREAL = {"sp2nR": np.eye(4)}
-
-
-@pytest.mark.parametrize("spec", [liecore.sp2nR(2), liecore.su_pq(2, 1)],
-                         ids=lambda s: s.family)
+@pytest.mark.parametrize("spec", [liecore.sp2nR(2)], ids=lambda s: s.family)
 def test_membership_per_family(spec):
-    imposes = IMPOSES[spec.family]
-    assert spec.real == ("real" in imposes)
-    assert spec.special == ("special" in imposes)
     basis = liecore.algebra_basis(spec)
     for X in basis:
         assert alg_residual(spec, X) <= 1e-12
@@ -63,19 +57,15 @@ def test_membership_per_family(spec):
     g = liecore.exp_grp(spec, X)
     E = np.zeros((N, N))
     E[0, 1] = t  # real and traceless, off the form relation
-    broken = [(X + E, g @ (np.eye(N) + E))]
-    if "special" in imposes:
-        broken.append((X + 1j * t * np.eye(N), np.exp(1j * t) * g))
-    if "real" in imposes:
-        D = UNREAL[spec.family]
-        broken.append((X + 1j * t * D, g @ np.diag(np.exp(1j * t * np.diag(D)))))
+    # i t I keeps the form relation and breaks only realness
+    broken = [(X + E, g @ (np.eye(N) + E)),
+              (X + 1j * t * np.eye(N), np.exp(1j * t) * g)]
     for Xb, gb in broken:
         assert alg_residual(spec, Xb) > 1e-3
         assert liecore.grp_residual(spec, gb) > 1e-3
 
 
-@pytest.mark.parametrize("spec", [liecore.sp2nR(2), liecore.su_pq(2, 1)],
-                         ids=lambda s: s.family)
+@pytest.mark.parametrize("spec", [liecore.sp2nR(2)], ids=lambda s: s.family)
 def test_exp_grp_of_a_stack_checks_each_member(spec):
     basis = np.array(liecore.algebra_basis(spec))
     X = 0.3 * basis[:4]
@@ -91,7 +81,7 @@ def test_exp_grp_of_a_stack_checks_each_member(spec):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_bracket_stays_in_algebra(seed):
-    spec = liecore.su_pq(2, 1)
+    spec = liecore.sp2nR(3)
     rng = np.random.default_rng(seed)
     X = random_alg(spec, rng)
     Y = random_alg(spec, rng)
@@ -153,7 +143,8 @@ def _lstsq_split(pd, X):
             for cc, bas in zip(cs, parts)]
 
 
-GROUPS = {"sp4": liecore.sp2nR(2), "sp6": liecore.sp2nR(3)}
+GROUPS = {"sp2": liecore.sp2nR(1), "sp4": liecore.sp2nR(2),
+          "sp6": liecore.sp2nR(3)}
 
 
 @pytest.mark.parametrize("group,flag", [
@@ -228,14 +219,17 @@ def test_cartan_split_of_an_exact_stack():
 
 
 def test_group_factor_recomposes():
-    spec = liecore.sp2nR(2)
+    # the flags of sp(4), and the genus-1 base case sp(2), whose one flag
+    # gives a Borel: there the product is g to rounding
     rng = np.random.default_rng(4)
-    for flag in [(1,), (2,)]:
+    for spec, flag, tol in [(liecore.sp2nR(2), (1,), 1e-8),
+                            (liecore.sp2nR(2), (2,), 1e-8),
+                            (liecore.sp2nR(1), (1,), 1e-15)]:
         pd = liecore.parabolic_data(spec, flag)
         c = 0.3 * rng.standard_normal(len(pd.basis_q))
         g = liecore.exp_grp(spec, liecore.from_coords(c, pd.basis_q))
         u1, g_1h, u_rel, g_ql = liecore.group_factor_fine(pd, g)
-        assert np.max(np.abs(u1 @ g_1h @ u_rel @ g_ql - g)) < 1e-8
+        assert np.max(np.abs(u1 @ g_1h @ u_rel @ g_ql - g)) < tol
 
 
 def test_group_factor_fine_recomposes():
@@ -295,7 +289,7 @@ def test_group_factor_of_a_stack_matches_one_element_at_a_time():
                 assert np.array_equal(a[n], b)
 
 
-# Every flag of the groups whose parabolic data the package builds or tests.
+# Every flag of the groups whose parabolic bases the golden pins.
 PARABOLIC_FLAGS = {
     "sp4": (liecore.sp2nR(2), [(1,), (2,), (1, 2)]),
     "sp6": (liecore.sp2nR(3), [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
@@ -318,10 +312,11 @@ def parabolic_digests():
     return out
 
 
-# (u, h, l) dims and the dim of u_1 for each flag of sp(6)
-SP6_DIMS = {(1,): (5, 10, 1, 5), (2,): (7, 3, 4, 7), (3,): (6, 0, 9, 6),
-            (1, 2): (8, 3, 2, 7), (1, 3): (8, 0, 5, 6), (2, 3): (8, 0, 5, 6),
-            (1, 2, 3): (9, 0, 3, 6)}
+# (u, h, l) dims and the dim of u_1 for each flag of sp(2) and sp(6)
+DIMS = {"sp2": {(1,): (1, 0, 1, 1)},
+        "sp6": {(1,): (5, 10, 1, 5), (2,): (7, 3, 4, 7), (3,): (6, 0, 9, 6),
+                (1, 2): (8, 3, 2, 7), (1, 3): (8, 0, 5, 6),
+                (2, 3): (8, 0, 5, 6), (1, 2, 3): (9, 0, 3, 6)}}
 
 
 def _stabilizer_nullity(spec, ranks):
@@ -345,9 +340,10 @@ def _trace_gram(A, B):
 
 
 @pytest.mark.parametrize("group,flag", [
-    (g, f) for g, (_, flags) in PARABOLIC_FLAGS.items() for f in flags])
+    (g, f) for g, (_, flags) in PARABOLIC_FLAGS.items() for f in flags]
+    + [("sp2", (1,))])
 def test_parabolic_data_defining_properties(group, flag):
-    spec = PARABOLIC_FLAGS[group][0]
+    spec = GROUPS[group]
     pd = liecore.parabolic_data(spec, flag)
     N = spec.size
     q = pd.basis_q
@@ -382,17 +378,8 @@ def test_parabolic_data_defining_properties(group, flag):
         assert all(np.isrealobj(X) for X in bas)
         gram = _trace_gram(bas, [X.T for X in bas])
         assert np.abs(gram - np.eye(len(bas))).max(initial=0.0) < 1e-12
-    if group == "sp6":
-        assert pd.dims + (len(pd.basis_u1),) == SP6_DIMS[flag]
-
-
-def test_no_parabolic_data_for_su_pq():
-    # no Cayley element or canonical extension of su_pq could use it
-    for spec, flag in ((liecore.su_pq(1, 1), (1,)),
-                       (liecore.su_pq(2, 2), (1, 2))):
-        with pytest.raises(UnsupportedFlag,
-                           match="not defined for family su_pq"):
-            liecore.parabolic_data(spec, flag)
+    if group in DIMS:
+        assert pd.dims + (len(pd.basis_u1),) == DIMS[group][flag]
 
 
 @pytest.mark.parametrize("spec,flag,message", [
@@ -401,7 +388,6 @@ def test_no_parabolic_data_for_su_pq():
     (liecore.sp2nR(2), (1, 1), "flag must be strictly increasing"),
     (liecore.sp2nR(2), (0, 1), r"rank 0 isotropic subspace in sp2nR\(n=2\)"),
     (liecore.sp2nR(2), (1, 3), r"rank 3 isotropic subspace in sp2nR\(n=2\)"),
-    (liecore.su_pq(1, 1), (1, 5), "not defined for family su_pq"),
 ])
 def test_parabolic_data_rejects_bad_flags(spec, flag, message):
     with pytest.raises(UnsupportedFlag, match=message):

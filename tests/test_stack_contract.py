@@ -28,9 +28,9 @@ def maps():
     c = inv.chern_forms(curv, 2)
     xs = (suites._mixed_tube_points(model, rng, 2)
           + suites._model_tube_points(rng, 1))
-    spec = liecore.su_pq(1, 1)
+    spec = liecore.sp2nR(1)
     conn = connections.nomizu_connection(
-        spec, hcrepr.builtin_representation(spec, "weight:2"))
+        spec, hcrepr.builtin_representation(spec, "det^2"))
     chart = charts.GroupChart(spec)
     gs = list(rng.uniform(-0.4, 0.4, (3, chart.dim)))
     m = 3

@@ -233,36 +233,41 @@ def test_cli_bad_monomial_degree(capsys):
 
 
 def test_cli_curvature(capsys):
-    code = cli.main(["curvature", "--group", "su11", "--rep", "weight:2"])
-    assert code == 0
-    out = json.loads(capsys.readouterr().out)
-    val = out["curvature"][0]["value"]
-    assert abs(val[0][0][0]) < 1e-12 and abs(val[0][0][1] - 2.0) < 1e-12
+    # on Sp(2, R) = SU(1, 1) both are the line bundle of weight 2, whose
+    # curvature on (p_0, p_1) is 2i
+    for rep in ("det^2", "sym2"):
+        code = cli.main(["curvature", "--group", "sp2", "--rep", rep])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [c["pair"] for c in out["curvature"]] == [[0, 1]]
+        val = out["curvature"][0]["value"]
+        assert abs(val[0][0][0]) <= 1e-15 and abs(val[0][0][1] - 2.0) <= 1e-15
 
 
 @pytest.mark.parametrize("group,message", [
-    ("sp4", "unknown representation weight:1 for sp2nR"),
+    ("sp4", "unknown representation wedge2 for sp2nR"),
     ("su2", "unknown group 'su2'"),
-], ids=["sp4", "su2"])
+    ("su11", "unknown group 'su11'"),
+], ids=["sp4", "su2", "su11"])
 def test_cli_curvature_library_error_exits_2(group, message, capsys):
-    # sp4 has no weight:m representation; su2 is no group of the package
-    assert cli.main(["curvature", "--group", group, "--rep", "weight:1"]) == 2
+    # sp4 has no wedge2 representation; su2 is no group of the package, and
+    # su11 left it for its isomorphic copy Sp(2, R), the group sp2
+    assert cli.main(["curvature", "--group", group, "--rep", "wedge2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
 
 
-@pytest.mark.parametrize("family", sorted(suites._FAMILIES))
+@pytest.mark.parametrize("family", [liecore.GroupSpec.family])
 def test_every_group_family_has_a_curvature_table(family, capsys):
-    # a family that spec_from_dict accepts but no builtin representation
-    # serves can only fail; each key 1 gives sp(2, R) and su(1, 1)
-    group = dict.fromkeys(suites._FAMILIES[family][1], 1)
-    group["family"] = family
-    assert suites.spec_from_dict(group).family == family
-    codes = [cli.main(["curvature", "--group", json.dumps(group),
-                       "--rep", rep])
-             for rep in ("std", "sym2", "det^2", "weight:2")]
-    assert 0 in codes
+    # a group that spec_from_dict accepts but no builtin representation
+    # serves could only fail
+    for n in (1, 2, 3):
+        group = {"family": family, "n": n}
+        assert suites.spec_from_dict(group) == liecore.sp2nR(n)
+        for rep in ("std", "sym2", "det^2"):
+            assert cli.main(["curvature", "--group", json.dumps(group),
+                             "--rep", rep]) == 0
 
 
 def test_cli_chern_subcommand_is_removed(capsys):
@@ -409,11 +414,6 @@ def test_cli_star_import():
     assert callable(namespace["main"])
 
 
-def test_spec_from_dict_unitary_family():
-    spec = suites.spec_from_dict({"family": "su_pq", "p": 2, "q": 1})
-    assert spec == liecore.su_pq(2, 1)
-
-
 def test_spec_from_dict_rejects_other_scalar(capsys):
     assert cli.main(["curvature", "--group",
                      '{"family": "sp2nR", "n": 2, "scalar": "f32"}',
@@ -427,12 +427,14 @@ def test_spec_from_dict_rejects_other_scalar(capsys):
     ('[1]', "a group must be a JSON object"),
     ('{"family": "sp2nR", "n": 2.7}', "nonnegative integers"),
     ('{"family": "sp2nR", "n": true}', "nonnegative integers"),
-    ('{"family": "su_pq", "p": 1, "q": "1"}', "nonnegative integers"),
-    ('{"family": "su_pq", "p": 2, "q": 1, "bogus": 3}',
+    ('{"family": "sp2nR", "n": "1"}', "nonnegative integers"),
+    ('{"family": "sp2nR", "n": 2, "bogus": 3}',
      "unknown keys in group: ['bogus']"),
     ('{"family": "u", "n": 2}', "unknown group family 'u'"),
+    ('{"family": "su_pq", "p": 1, "q": 1}', "unknown group family 'su_pq'"),
 ], ids=["missing-key", "family-not-a-name", "group-a-list", "n-not-integral",
-        "n-a-boolean", "q-a-string", "unknown-key", "family-u"])
+        "n-a-boolean", "n-a-string", "unknown-key", "family-u",
+        "family-su_pq"])
 def test_spec_from_dict_rejects_malformed_groups(group, message, tmp_path,
                                                  capsys):
     if not group.startswith("{"):
