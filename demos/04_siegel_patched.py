@@ -51,6 +51,11 @@ curv = ext.curvature_form(wp)
 sig = inv.chern_forms(curv, 2)
 proj = m.projection_map()
 
+# The curvature from the structure equation, with no differentiation,
+# against one central difference of the patched chart form at x.
+print("structure equation vs central difference:",
+      f"{np.max(np.abs(m.curvature_patched(p)[0] - curv.value(x))):.1e}")
+
 raw = ext.pifiber_check(curv, proj, pts, tol=1e-5, rng=rng)
 print("raw curvature vertical contraction:",
       f"{raw['max_vertical_contraction']:.3e}  (pullback? {raw['ok']})")

@@ -12,7 +12,7 @@ Modules:
   connections  invariant connections and the hypotheses of induction
   charts       product-of-exponentials group charts, sphere quadrature
   siegel       the rank-2 three-stratum geometric model
-  schubert     exact Schubert calculus on compact duals
+  schubert     Chern and Betti numbers of compact duals by torus localization
   suites       named verification suites with JSON reports
   cli          command-line entry point
 """

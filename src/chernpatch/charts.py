@@ -32,7 +32,7 @@ class GroupChart:
 
     def __init__(self, spec):
         self.spec = spec
-        self.basis = np.array(liecore.algebra_basis(spec), dtype=complex)
+        self.basis = np.array(liecore.algebra_basis(spec))
         self.dim = len(self.basis)
 
     def mc_coeff(self, x):

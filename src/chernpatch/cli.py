@@ -117,6 +117,9 @@ def _cmd_curvature(args):
 def _cmd_dual(args):
     mono = _parse_monomial(args.monomial)
     value = schubert.chern_number(args.space, args.bundle, mono)
+    if value.denominator != 1:
+        raise PreconditionFailed(f"{args.monomial} of {args.bundle} on "
+                                 f"{args.space} is {value}, not an integer")
     report = {"schema": suites.SCHEMA, "command": "dual",
               "space": args.space, "bundle": args.bundle,
               "monomial": args.monomial, "value": int(value), "pass": True}
@@ -150,7 +153,8 @@ def _build_parser():
     c.set_defaults(func=_cmd_curvature)
 
     d = sub.add_parser("dual", help="Chern numbers of compact duals")
-    d.add_argument("--space", required=True)
+    d.add_argument("--space", required=True,
+                   help="p:n, gr:k,n or lg:n (the Lagrangian LG(n, 2n))")
     d.add_argument("--bundle", default="tangent")
     d.add_argument("--monomial", required=True)
     d.set_defaults(func=_cmd_dual)

@@ -24,11 +24,11 @@ def alg_residual(spec, X):
 def chart_g(chart, x):
     """The group element g(x) = exp(x_1 e_1) ... exp(x_d e_d) of a
     charts.GroupChart, for central differences of g against mc_coeff."""
-    out = np.eye(chart.spec.size, dtype=complex)
+    out = np.eye(chart.spec.size)
     for h in liecore.expm(np.asarray(x, dtype=float)[:, None, None]
                           * chart.basis):
         out = out @ h
-    return out.real
+    return out
 
 
 def rho(x, Z):

@@ -1,79 +1,118 @@
-import itertools
+"""Torus localization on compact duals, against independent oracles: closed
+forms for projective spaces, Grassmannians and the quadric LG(2, 4), the
+Gaussian binomials, and a table of Chern numbers written by the Schubert
+ring (Giambelli, Pieri and Newton's identities) that the engine replaced."""
+
+import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
+from chernpatch import cli
 from chernpatch import schubert as sc
 from chernpatch.errors import PreconditionFailed
 
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "dual_chern_numbers.json"
+
+
+def _partitions(n, cap=None):
+    cap = n if cap is None else cap
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p,) + rest
+
+
+def _monomial(part):
+    mono = {}
+    for p in part:
+        mono[p] = mono.get(p, 0) + 1
+    return mono
+
+
+def _pairing(space, cls, degree):
+    """Integrals of cls against every monomial of the given degree."""
+    return {sc.integrate(space, sc.ring_multiply(cls, m))
+            for m in sc.monomials(space)[degree]}
+
+
+def _classes(space):
+    space = sc.parse_space(space)
+    return (space, sc.chern_classes(space, "quotient"),
+            sc.chern_classes(space, "sub-dual"))
+
+
+def _combine(*terms):
+    """Sum of coefficient * class over (coefficient, class) terms."""
+    return tuple(sum(c * v[p] for c, v in terms)
+                 for p in range(len(terms[0][1])))
+
 
 def test_pieri_square_of_hyperplane():
-    s1 = sc.sigma(2, 2, (1,))
-    sq = sc.ring_multiply(s1, s1)
-    assert sq.coeffs == {(2,): 1, (1, 1): 1}
+    # sigma_1^2 = sigma_2 + sigma_11 in Gr(2, 4)
+    gr, q, s = _classes("gr:2,4")
+    rel = _combine((1, sc.ring_multiply(q[1], q[1])), (-1, q[2]), (-1, s[2]))
+    assert _pairing(gr, rel, 2) == {0}
+    assert _pairing(gr, _combine((1, rel), (1, s[2])), 2) != {0}
 
 
 def test_pieri_truncation_gr24():
     # sigma_11 * sigma_2 = 0 in Gr(2, 4): the only candidate shape (3, 1)
     # does not fit in the 2x2 box
-    a = sc.sigma(2, 2, (1, 1))
-    b = sc.sigma(2, 2, (2,))
-    assert sc.ring_multiply(a, b).coeffs == {}
-    assert sc.lr_multiply(a, b).coeffs == {}
-
-
-def test_giambelli_matches_lr_small_boxes():
-    for k, m in [(2, 2), (2, 3), (3, 3)]:
-        parts = sc.partitions_in_box(k, m)
-        for lam, mu in itertools.product(parts, parts):
-            g = sc.ring_multiply(sc.sigma(k, m, lam), sc.sigma(k, m, mu))
-            t = sc.lr_multiply(sc.sigma(k, m, lam), sc.sigma(k, m, mu))
-            assert g.coeffs == t.coeffs, (lam, mu)
-
-
-def test_associativity_instance():
-    a = sc.sigma(2, 3, (1,))
-    b = sc.sigma(2, 3, (2, 1))
-    c = sc.sigma(2, 3, (1, 1))
-    left = sc.ring_multiply(sc.ring_multiply(a, b), c)
-    right = sc.ring_multiply(a, sc.ring_multiply(b, c))
-    assert left.coeffs == right.coeffs
+    gr, q, s = _classes("gr:2,4")
+    assert sc.integrate(gr, sc.ring_multiply(s[2], q[2])) == 0
 
 
 def test_poincare_pairing():
-    k, m = 2, 3
-    for lam in sc.partitions_in_box(k, m):
-        padded = (list(lam) + [0] * k)[:k]
-        comp = tuple(p for p in sorted((m - p for p in padded), reverse=True)
-                     if p)
-        prod = sc.ring_multiply(sc.sigma(k, m, lam), sc.sigma(k, m, comp))
-        assert sc.integrate_class(prod) == 1
+    # the top special classes are the point class: sigma_m^k = sigma_(1^k)^m
+    # = 1 on Gr(k, k + m), and h^d h^(n - d) = 1 on P^n
+    for k, n in [(1, 2), (1, 5), (2, 4), (2, 5), (3, 6), (2, 6)]:
+        m = n - k
+        assert sc.chern_number(f"gr:{k},{n}", "quotient", {m: k}) == 1
+        assert sc.chern_number(f"gr:{k},{n}", "sub-dual", {k: m}) == 1
+    # on Gr(2, 4) the middle degree is dual to itself: sigma_2 and sigma_11
+    gr, q, s = _classes("gr:2,4")
+    assert [[sc.integrate(gr, sc.ring_multiply(a, b)) for b in (q[2], s[2])]
+            for a in (q[2], s[2])] == [[1, 0], [0, 1]]
 
 
 def test_degree_of_gr24():
-    s1 = sc.sigma(2, 2, (1,))
-    p = sc.ring_multiply(sc.ring_multiply(s1, s1), sc.ring_multiply(s1, s1))
-    assert sc.integrate_class(p) == 2
+    assert sc.chern_number("gr:2,4", "quotient", {1: 4}) == 2
 
 
 def test_parse_space():
-    assert sc.parse_space("p:3") == (1, 3)
-    assert sc.parse_space("gr:2,5") == (2, 3)
-    assert sc.parse_space((2, 5)) == (2, 3)
-    with pytest.raises(PreconditionFailed):
-        sc.parse_space("gr:5,2")
+    assert sc.parse_space("p:3").dim == 3
+    assert len(sc.parse_space("p:3").cofactor) == 4
+    assert sc.parse_space("gr:2,5").dim == 6
+    assert sc.parse_space("lg:3").dim == 6
+    assert len(sc.parse_space("lg:3").cofactor) == 8
+    assert sc.parse_space(" GR:2,5").name == "gr:2,5"
+    gr = sc.parse_space("gr:2,4")
+    assert sc.parse_space(gr) is gr
+    for bad in ["gr:5,2", "gr:2,2", "p:0", "lg:0", "gr:2", "p:1,2", "lg:x",
+                "fl:1,2,3", "p3", (2, 5)]:
+        with pytest.raises(PreconditionFailed):
+            sc.parse_space(bad)
 
 
 def test_tangent_classes_projective():
-    # c(T P^n) = (1 + sigma_1)^(n+1), so c_i = C(n+1, i) sigma_i
+    # c(T) = (1 + h)^(n + 1), c(Q) = 1 / (1 - h), c(S*) = 1 + h, and h^n = 1
+    # on P^n: every top Chern number is a product of binomials
     for n in range(1, 7):
-        c = sc.tangent_chern(f"p:{n}")
-        assert c.coeffs == {((i,) if i else ()): math.comb(n + 1, i)
-                            for i in range(n + 1)}, n
+        coeff = {"tangent": lambda i: math.comb(n + 1, i) if i <= n else 0,
+                 "quotient": lambda i: int(i <= n),
+                 "sub-dual": lambda i: int(i <= 1)}
+        for bundle, c in coeff.items():
+            for part in _partitions(n):
+                got = sc.chern_number(f"p:{n}", bundle, _monomial(part))
+                assert got == math.prod(map(c, part)), (n, bundle, part)
 
 
 def test_tangent_classes_grassmannians():
@@ -81,15 +120,91 @@ def test_tangent_classes_grassmannians():
     # number, the count C(n, k) of torus-fixed points
     for n in range(4, 8):
         for k in range(2, n - 1):
-            c = sc.tangent_chern(f"gr:{k},{n}")
-            assert c.graded_piece(1).coeffs == {(1,): n}, (k, n)
-            top = c.graded_piece(k * (n - k))
-            assert sc.integrate_class(top) == math.comb(n, k), (k, n)
+            gr, q, _ = _classes(f"gr:{k},{n}")
+            c1 = sc.tangent_chern(gr)[1]
+            assert _pairing(gr, _combine((1, c1), (-n, q[1])),
+                            gr.dim - 1) == {0}, (k, n)
+            assert sc.chern_number(gr, "tangent", {gr.dim: 1}) \
+                == math.comb(n, k), (k, n)
 
 
 def test_tangent_first_class_gr24():
-    c = sc.tangent_chern("gr:2,4")
-    assert c.graded_piece(1).coeffs == {(1,): 4}
+    gr, q, _ = _classes("gr:2,4")
+    c1 = sc.tangent_chern(gr)[1]
+    assert _pairing(gr, _combine((1, c1), (-4, q[1])), 3) == {0}
+    assert _pairing(gr, _combine((1, c1), (-3, q[1])), 3) != {0}
+
+
+def _gaussian_binomial(n, k):
+    """Coefficients of the q-binomial [n choose k]_q."""
+    num, den = [1], [1]
+    for i in range(k):
+        num = _poly_mul(num, [1] + [0] * (n - i - 1) + [-1])
+        den = _poly_mul(den, [1] + [0] * i + [-1])
+    out = []
+    for d in range(len(num) - len(den) + 1):   # exact division by den
+        c = num[d]
+        out.append(c)
+        for j, v in enumerate(den):
+            num[d + j] -= c * v
+    return out
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (3, 6), (2, 7),
+                                 (3, 7)])
+def test_grassmannian_betti_numbers_are_gaussian_binomials(k, n):
+    assert sc.betti(f"gr:{k},{n}") == _gaussian_binomial(n, k)
+    assert sum(sc.betti(f"gr:{k},{n}")) == math.comb(n, k)
+
+
+def test_lg24_is_the_quadric_threefold():
+    # c(T Q^3) = (1 + h)^5 / (1 + 2h) and h^3 = 2: c1 = 3h, c2 = 4h^2,
+    # c3 = 2h^3
+    assert sc.betti("lg:2") == [1, 1, 1, 1]
+    for mono, want in [({1: 3}, 54), ({1: 1, 2: 1}, 24), ({3: 1}, 4)]:
+        assert sc.chern_number("lg:2", "tangent", mono) == want
+    assert sc.chern_number("lg:2", "sub-dual", {1: 3}) == 2
+
+
+def test_lg36_chern_numbers_and_betti():
+    # Euler number 2^3; c_1 = 4 sigma_1 and the degree is 16; the Betti
+    # numbers are the coefficients of (1 + q)(1 + q^2)(1 + q^3)
+    assert sc.chern_number("lg:3", "tangent", {6: 1}) == 8
+    assert sc.chern_number("lg:3", "tangent", {1: 6}) == 4 ** 6 * 16
+    assert sc.chern_number("lg:3", "sub-dual", {1: 6}) == 16
+    assert sc.betti("lg:3") == _poly_mul(_poly_mul([1, 1], [1, 0, 1]),
+                                         [1, 0, 0, 1])
+
+
+def test_lagrangian_quotient_is_the_dual_subbundle():
+    for mono in ({1: 3}, {1: 1, 2: 1}):
+        assert sc.chern_number("lg:2", "quotient", mono) \
+            == sc.chern_number("lg:2", "sub-dual", mono)
+
+
+def test_parent_table_of_chern_numbers(capsys):
+    # 171 top Chern numbers of P^1..P^4, Gr(2,4), Gr(2,5) and Gr(3,6),
+    # written by the Schubert ring; the CLI prints each of them
+    table = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(table) == 171
+    for row in table:
+        mono = {}
+        for f in row["monomial"].split("*"):
+            i, e = re.fullmatch(r"c(\d+)(?:\^(\d+))?", f).groups()
+            mono[int(i)] = int(e or 1)
+        assert sc.chern_number(row["space"], row["bundle"], mono) \
+            == row["value"], row
+        assert cli.main(["dual", "--space", row["space"], "--bundle",
+                         row["bundle"], "--monomial", row["monomial"]]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == row["value"]
 
 
 def test_chern_numbers():
@@ -103,6 +218,8 @@ def test_chern_numbers():
 def test_chern_number_degree_mismatch_rejected():
     with pytest.raises(PreconditionFailed):
         sc.chern_number("p:2", "tangent", {1: 1})
+    with pytest.raises(PreconditionFailed):
+        sc.chern_number("p:2", "tangent", {1: 3, 0: -1})
 
 
 def test_unknown_bundle_rejected():
@@ -111,40 +228,23 @@ def test_unknown_bundle_rejected():
 
 
 def test_generation():
-    for space in ("p:1", "p:2", "p:3", "gr:2,4"):
+    for space in ("p:1", "p:2", "p:3", "gr:2,4", "gr:2,5", "gr:3,6", "lg:2",
+                  "lg:3"):
         rpt = sc.generation_check(space)
         assert rpt["generates"], rpt
+        assert rpt["span_rank"] == rpt["betti_total"] == sum(sc.betti(space))
 
 
 def test_generation_negative_control():
-    rpt = sc.generation_check("gr:2,4", generators=[sc.sigma(2, 2, (2,))])
+    rpt = sc.generation_check("gr:2,4", generators=[("quotient", 2)])
     assert not rpt["generates"]
     assert rpt["span_rank"] < rpt["betti_total"]
-
-
-def test_non_integral_coefficient_rejected():
+    # c_1 alone generates P^n, but not Gr(2, 4), whose H^4 has rank 2
+    assert sc.generation_check("p:4", generators=[("sub-dual", 1)])["generates"]
+    assert not sc.generation_check(
+        "gr:2,4", generators=[("quotient", 1)])["generates"]
     with pytest.raises(PreconditionFailed):
-        sc.sigma(2, 2, (1,)).scale(0.5)
-    with pytest.raises(PreconditionFailed):
-        sc.SchubertClass(2, 2, {(1,): 2.7})
-    with pytest.raises(PreconditionFailed):
-        sc.sigma(2, 2, (1,)).scale(Fraction(3, 2))
-    assert sc.sigma(2, 2, (1,)).scale(Fraction(4, 2)).coeffs == {(1,): 2}
-
-
-def test_tangent_chern_rejects_inexact_division(monkeypatch):
-    # power sums that belong to no bundle: on P^2, c_2 = (c_1 p_1 - p_2) / 2
-    # is then not integral, and must raise rather than truncate
-    power_sums = sc._power_sums
-
-    def skewed(c, rank, top):
-        p = power_sums(c, rank, top)
-        p[2] = p[2] + sc.sigma(c.k, c.m, (2,))
-        return p
-
-    monkeypatch.setattr(sc, "_power_sums", skewed)
-    with pytest.raises(PreconditionFailed):
-        sc.tangent_chern("p:2")
+        sc.generation_check("gr:2,4", generators=[("quotient", 0)])
 
 
 def test_import_does_not_load_sympy():
@@ -155,8 +255,3 @@ def test_import_does_not_load_sympy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
-
-
-def test_unit_class_repr():
-    assert repr(sc.sigma(2, 2)) == "1"
-    assert repr(sc.sigma(2, 2).scale(3)) == "3"

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chernpatch import cli, hcrepr, invariants as inv, liecore, siegel, suites
+from chernpatch import (cli, hcrepr, invariants as inv, liecore, schubert,
+                        siegel, suites)
 from chernpatch.errors import PreconditionFailed
 
 
@@ -65,6 +66,23 @@ def test_descent_evaluates_the_curvature_once_per_point(monkeypatch):
     assert suites.run_suite("descent", seed=2, samples=5)["pass"]
     # one call on the stack of the five points
     assert calls == [5]
+
+
+def test_descent_runs_its_difference_oracle_as_one_stack(monkeypatch):
+    # the stacks of at most eight points, and per form of the oracle one
+    # call on the 2 * 6 displaced rows of each of the three oracle points
+    # and one on the points themselves; the oracle reuses the first stack
+    calls = []
+    points = siegel.SiegelModel.points
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return points(self, xs)
+
+    monkeypatch.setattr(siegel.SiegelModel, "points", counted)
+    rpt = suites.run_suite("descent", seed=1, samples=10)
+    assert rpt["pass"] and rpt["oracle_points"] == [0, 1, 2]
+    assert sorted(calls) == [2, 3, 3, 8, 36, 36]
 
 
 def test_pifiber_builds_its_points_in_stacks(monkeypatch):
@@ -191,6 +209,29 @@ def test_cli_dual_gr24(capsys):
                      "--monomial", "c1^4"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["value"] == 512
+
+
+def test_cli_dual_lagrangian_grassmannian(capsys):
+    # LG(3, 6): c_1 = 4 sigma_1 and the degree is 16
+    assert cli.main(["dual", "--space", "lg:3", "--monomial", "c1^6"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 65536
+    assert cli.main(["dual", "--help"]) == 0
+    assert "lg:n" in capsys.readouterr().out
+
+
+def test_cli_dual_rejects_a_non_integral_number(monkeypatch, capsys):
+    # a tangent weight that comes from no torus action: the localization sum
+    # is then not an integer, and must raise rather than truncate
+    build = schubert._dual
+
+    def skewed(name, sub_dual, quotient, tangent):
+        tangent[0] = [tangent[0][0] + 1] + tangent[0][1:]
+        return build(name, sub_dual, quotient, tangent)
+
+    monkeypatch.setattr(schubert, "_dual", skewed)
+    assert cli.main(["dual", "--space", "p:2", "--monomial", "c1^2"]) == 2
+    err = capsys.readouterr().err
+    assert "p:2" in err and "tangent" in err and "not an integer" in err
 
 
 def test_cli_verify_pass(capsys):
