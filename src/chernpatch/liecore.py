@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DecompositionError, UnsupportedFlag
+from .errors import DecompositionError, PreconditionFailed, UnsupportedFlag
 
 TOL = 1e-9
 PARABOLIC_TOL = 1e-8    # relative bound of the parabolic split and factors
@@ -246,7 +246,10 @@ def expm(a):
 
 
 def exp_grp(spec: GroupSpec, X):
-    g = expm(np.asarray(X, dtype=complex)).real
+    """exp of a real X or stack in the group; an imaginary part is refused."""
+    if np.iscomplexobj(X) and np.imag(X).any():
+        raise PreconditionFailed("exp_grp: X has a nonzero imaginary part")
+    g = expm(np.asarray(np.real(X), dtype=float))
     return check_grp(spec, g, tol=np.maximum(
         TOL, 1e-8 * np.linalg.norm(g, axis=(-2, -1))))
 

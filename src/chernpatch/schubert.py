@@ -16,7 +16,7 @@ condition on the Poincare pairing.
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .errors import PreconditionFailed
 
@@ -27,6 +27,7 @@ __all__ = ["parse_space", "ring_multiply", "integrate", "tangent_chern",
 # roots maps a bundle to its Chern roots at each fixed point; a class a
 # integrates to sum(a[p] cofactor[p]) / scale, scale the lcm of the e(T_p).
 Dual = namedtuple("Dual", "name dim roots scale cofactor")
+_MAX_POINTS = 1024     # LG(10, 20) has as many; its c_1^55 takes 0.6 s
 
 
 def _dual(name, sub_dual, quotient, tangent):
@@ -36,9 +37,17 @@ def _dual(name, sub_dual, quotient, tangent):
     return Dual(name, len(tangent[0]), roots, scale, [scale // e for e in euler])
 
 
+def _require_points(name, n, count):
+    """Refuse name if its count() fixed points, at least n, exceed the cap."""
+    got = count() if n <= _MAX_POINTS else f"at least {n}"
+    if n > _MAX_POINTS or got > _MAX_POINTS:
+        raise PreconditionFailed(f"{name} has {got} torus-fixed points, "
+                                 f"more than the cap of {_MAX_POINTS}")
+
+
 def parse_space(space):
     """The fixed-point table of 'p:n', 'gr:k,n' or 'lg:n'; a table passes
-    through unchanged."""
+    through unchanged; one of over 1024 fixed points is refused at once."""
     if isinstance(space, Dual):
         return space
     kind, _, rest = str(space).partition(":")
@@ -48,6 +57,7 @@ def parse_space(space):
     if (kind, len(args)) in (("p", 1), ("gr", 2)):
         k, n = (1, args[0] + 1) if kind == "p" else args
         if 0 < k < n:
+            _require_points(name, n, lambda: comb(n, k))
             t = [2 ** (i + 1) - 1 for i in range(n)]
             subsets = list(combinations(range(n), k))
             rests = [[j for j in range(n) if j not in s] for s in subsets]
@@ -57,6 +67,7 @@ def parse_space(space):
                           for s, r in zip(subsets, rests)])
     if kind == "lg" and len(args) == 1 and args[0] >= 1:
         n = args[0]
+        _require_points(name, n, lambda: 2 ** n)
         t = [2 ** (i + 1) - 1 for i in range(n)]
         ws = [[e * ti for e, ti in zip(signs, t)]
               for signs in product((1, -1), repeat=n)]

@@ -42,6 +42,7 @@ class BumpProfile:
     """Smooth nondecreasing s with s = 0 on (-inf, 1/2], s = 1 on [3/4, inf).
 
     The transition uses the standard exp(-1/t) glue, rescaled to (1/2, 3/4).
+    s is a scalar function; :meth:`on_array` gives its values on an array.
     """
 
     lo = 0.5
@@ -56,6 +57,14 @@ class BumpProfile:
         a = math.exp(-1.0 / t)
         b = math.exp(-1.0 / (1.0 - t))
         return a / (a + b)
+
+    def on_array(self, x):
+        """s at each entry of the array x: exact 0.0 or 1.0 outside (lo, hi),
+        the scalar s inside (math.exp: np.exp may differ in the last bit)."""
+        out = (x >= self.hi).astype(float)
+        band = ~((x <= self.lo) | (x >= self.hi))
+        out[band] = [self(v) for v in x[band].tolist()]
+        return out
 
     def derivative(self, x):
         """s'(x) = ab (1/t^2 + 1/(1-t)^2) / (a+b)^2 / (hi - lo), with t, a, b
@@ -205,19 +214,16 @@ class FlagTubeModel:
             val = val * f
         return grad
 
-    def partition_weights(self, x: ModelPoint):
-        """{Z: B_Z^eps(x)} over the strata Z of x's chain, at the one eps of
-        x's stratum; the values sum to 1 on the whole closure.  Each profile
-        value is taken once: B_Z is the prefix product of s over the
-        ancestors before Z, times 1 - s at Z, multiplied as in :meth:`B`."""
-        eps = self.eps(x.stratum)
-        out, prefix = {}, 1.0
-        for Z, rZ in zip(x.chain, x.r):
-            sZ = self.profile.scaled(rZ, eps)
-            out[Z] = prefix * (1.0 - sZ)
-            prefix = prefix * sZ
-        out[x.stratum] = prefix     # times 1 - s(0) = 1.0
-        return out
+    def partition_weights(self, chain, r):
+        """(P, L) weights B_Z^eps, Z in the chain, at P points of it with
+        the (P, L-1) tube distances r, at the one eps of the chain's top; a
+        row sums to 1 on the whole closure.  B_Z is the prefix product of s
+        over the ancestors before Z, times 1 - s at Z, in :meth:`B`'s order."""
+        s = self.profile.on_array(np.asarray(r, float) / self.eps(chain[-1]))
+        one = np.ones((len(s), 1))
+        # cumprod multiplies left to right; the top's 1 - s(0) is 1.0
+        return (np.hstack([one, np.cumprod(s, axis=1)])
+                * np.hstack([1.0 - s, one]))
 
     # chains -----------------------------------------------------------
 

@@ -73,15 +73,6 @@ def _forest_model():
         "flags": [["A", "B", "C", "D"], ["A", "B", "E"]], "eps0": 1.0})
 
 
-def _random_model_point(model, rng):
-    flag = model.flags[rng.integers(len(model.flags))]
-    L = int(rng.integers(1, len(flag) + 1))
-    chain = flag[:L]
-    top_eps = model.eps(chain[-1])
-    r = rng.uniform(0.0, 1.5 * top_eps, L - 1)
-    return model.point(chain, tuple(r.tolist()))
-
-
 def _check(name, residual, tol):
     residual = float(residual)
     return {"name": name, "max_residual": residual, "tol": tol,
@@ -100,17 +91,26 @@ def _finish(name, seed, tol, samples, checks, extra=None):
 # individual suites -----------------------------------------------------
 
 
-def suite_partition(seed=0, tol=1e-12, samples=10000, model=None):
-    """Partition weights telescope to 1 at random points of a forest."""
+def suite_partition(seed=0, tol=1e-12, samples=10000, model=None,
+                    corrupt=False):
+    """Partition weights telescope to 1 at random points of a forest, drawn
+    in bulk, one stack per chain; corrupt drops the top stratum's weight."""
     rng = np.random.default_rng(seed)
     model = model or _forest_model()
+    lens = np.array([len(f) for f in model.flags])
+    fi = rng.integers(len(lens), size=samples)
+    L = rng.integers(1, lens[fi] + 1)
+    u = rng.uniform(0.0, 1.5, (samples, lens.max() - 1))
     worst = 0.0
-    for _ in range(samples):
-        x = _random_model_point(model, rng)
-        total = sum(model.partition_weights(x).values())
-        worst = max(worst, abs(total - 1.0))
+    for f, n in dict.fromkeys(zip(fi.tolist(), L.tolist())):
+        chain = model.flags[f][:n]
+        w = model.partition_weights(chain, u[(fi == f) & (L == n), :n - 1]
+                                    * model.eps(chain[-1]))
+        total = sum(w.T[:-1] if corrupt else w.T)
+        worst = max(worst, float(np.max(np.abs(total - 1.0))))
+    name = "weights-sum-to-one" + ("-with-dropped-weight" if corrupt else "")
     return _finish("partition", seed, tol, samples,
-                   [_check("weights-sum-to-one", worst, tol)])
+                   [_check(name, worst, tol)])
 
 
 def suite_vanishing(seed=0, tol=0.0, samples=10000, model=None,

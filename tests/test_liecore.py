@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from chernpatch import liecore
-from chernpatch.errors import DecompositionError, UnsupportedFlag
+from chernpatch.errors import DecompositionError, PreconditionFailed, UnsupportedFlag
 from helpers import alg_residual, random_alg
 
 SPECS = [liecore.sp2nR(1), liecore.sp2nR(2), liecore.sp2nR(3)]
@@ -403,3 +403,16 @@ def test_parabolic_bases_match_golden():
 if __name__ == "__main__":
     PARABOLIC_GOLDEN.write_text(
         json.dumps(parabolic_digests(), indent=1) + "\n", encoding="utf-8")
+
+
+def test_exp_grp_refuses_a_complex_element():
+    # the imaginary part is refused, not dropped; a zero one is accepted
+    spec = liecore.sp2nR(2)
+    X = 0.3 * liecore.algebra_basis(spec)[0]
+    g = liecore.exp_grp(spec, X)
+    assert g.dtype == np.float64
+    assert liecore.exp_grp(spec, X.astype(complex)).tobytes() == g.tobytes()
+    with pytest.raises(PreconditionFailed, match="imaginary"):
+        liecore.exp_grp(spec, X + 1e-3j * np.eye(spec.size))
+    with pytest.raises(PreconditionFailed, match="imaginary"):
+        liecore.exp_grp(spec, np.array([X, X + 1e-3j * X]))

@@ -255,3 +255,27 @@ def test_import_does_not_load_sympy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("space,count", [
+    ("lg:30", "1073741824"), ("gr:15,30", "155117520"), ("lg:11", "2048"),
+    ("p:5000", "at least 5001")])
+def test_parse_space_refuses_too_many_fixed_points(space, count, monkeypatch,
+                                                   capsys):
+    # the count comes first: no fixed point is listed before the refusal
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a fixed point was listed")
+
+    monkeypatch.setattr(sc, "combinations", no_listing)
+    monkeypatch.setattr(sc, "product", no_listing)
+    assert cli.main(["dual", "--space", space, "--monomial", "c1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{space} has {count} torus-fixed points" in err
+    assert str(sc._MAX_POINTS) in err
+
+
+def test_fixed_point_cap_admits_the_golden_spaces_and_lg10():
+    spaces = {row["space"] for row in json.loads(GOLDEN.read_text())}
+    for space in sorted(spaces) + ["lg:10", "gr:5,10"]:
+        assert len(sc.parse_space(space).cofactor) <= sc._MAX_POINTS
+    assert len(sc.parse_space("lg:10").cofactor) == sc._MAX_POINTS

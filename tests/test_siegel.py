@@ -317,8 +317,8 @@ def test_mixed_region_weights_sum_to_one(model):
         # force a mixed radial coordinate
         x[5] = 1.0 / float(rng.uniform(0.55 * epsX, 0.7 * epsX))
         pt = model.point(x).control
-        w = md.partition_weights(pt)
-        assert abs(sum(w.values()) - 1.0) < 1e-12
+        w = md.partition_weights(pt.chain, np.array([pt.r]))
+        assert abs(sum(w[0].tolist()) - 1.0) < 1e-12
 
 
 def test_induced_curvature_vertical(model):

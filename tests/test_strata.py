@@ -50,25 +50,60 @@ def test_partition_telescopes_to_one(seed):
     L = int(rng.integers(1, len(flag) + 1))
     chain = flag[:L]
     eps = model.eps(chain[-1])
-    x = model.point(chain, tuple(rng.uniform(0, 1.5 * eps, L - 1)))
-    total = sum(model.partition_weights(x).values())
-    assert abs(total - 1.0) < 1e-12
+    w = model.partition_weights(chain, rng.uniform(0, 1.5 * eps, (1, L - 1)))
+    assert w.shape == (1, L)
+    assert abs(sum(w[0].tolist()) - 1.0) < 1e-12
 
 
 def test_partition_weights_equal_B_bit_for_bit():
     # the prefix products take the same factors in the same order as B
     rng = np.random.default_rng(11)
     model = forest()
-    for _ in range(500):
+    for _ in range(100):
         flag = model.flags[rng.integers(2)]
         chain = flag[:int(rng.integers(1, len(flag) + 1))]
         eps = model.eps(chain[-1])
-        x = model.point(chain, tuple(rng.uniform(0, eps, len(chain) - 1)))
-        got = model.partition_weights(x)
-        assert list(got) == list(chain)
-        for Z in chain:
-            assert (np.float64(got[Z]).tobytes()
-                    == np.float64(model.B(Z, eps, x)).tobytes())
+        r = rng.uniform(0, eps, (5, len(chain) - 1))
+        got = model.partition_weights(chain, r)
+        assert got.shape == (5, len(chain))
+        for row, x in zip(got, r):
+            x = model.point(chain, tuple(x.tolist()))
+            for j, Z in enumerate(chain):
+                assert (np.float64(row[j]).tobytes()
+                        == np.float64(model.B(Z, eps, x)).tobytes())
+
+
+# r / eps anywhere in [0, 1.5], often exactly at a knot of the profile
+_FRACTIONS = st.one_of(st.sampled_from([0.0, 0.5, 0.75]),
+                       st.floats(0.0, 1.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_FRACTIONS, min_size=3, max_size=3),
+                min_size=1, max_size=8))
+def test_stacked_partition_weights_equal_B_per_row(rows):
+    # on every chain of both flags (L = 1, an empty r, included) the stack
+    # gives each row bitwise the B values of the row alone
+    model = forest()
+    for chain in dict.fromkeys(f[:n] for f in model.flags
+                               for n in range(1, len(f) + 1)):
+        eps = model.eps(chain[-1])
+        r = np.array(rows)[:, :len(chain) - 1] * eps
+        got = model.partition_weights(chain, r)
+        assert got.shape == (len(rows), len(chain))
+        for row, x in zip(got, r):
+            x = model.point(chain, tuple(x.tolist()))
+            want = [model.B(Z, eps, x) for Z in chain]
+            assert np.array(want).tobytes() == row.tobytes()
+
+
+def test_profile_on_array_is_the_scalar_profile():
+    s = strata.BumpProfile()
+    x = np.array([[-1.0, 0.0, 0.5, 0.5000001, 0.6, 0.7499999, 0.75, 2.0]])
+    got = s.on_array(x)
+    assert got.shape == x.shape
+    assert got.tobytes() == np.array([[s(v) for v in x[0]]]).tobytes()
+    assert got[0, 2] == 0.0 and got[0, 6] == 1.0
 
 
 def test_eps_family_is_dyadic():

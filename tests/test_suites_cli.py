@@ -263,6 +263,26 @@ def test_cli_verify_corrupt_controls_fail(suite, samples, names, seed, capsys):
     assert all(not c["pass"] and c["max_residual"] > 0 for c in rpt["checks"])
 
 
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_cli_verify_partition_dropped_weight_fails(seed, capsys):
+    # the top stratum's weight dropped from the sum is caught far above
+    # rounding, at the same draws where the full sum passes
+    assert cli.main(["verify", "partition", "--seed", seed]) == 0
+    plain = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in plain] == ["weights-sum-to-one"]
+    assert cli.main(["verify", "partition", "--seed", seed, "--corrupt"]) == 1
+    rpt = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in rpt["checks"]] == [
+        "weights-sum-to-one-with-dropped-weight"]
+    assert rpt["checks"][0]["max_residual"] > 1e-3
+
+
+def test_cli_verify_help_lists_partition_under_corrupt(capsys):
+    assert cli.main(["verify", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "negative control of the nilpotent, partition, springer" in help_text
+
+
 def test_cli_unknown_suite(capsys):
     assert cli.main(["verify", "nonsense"]) == 2
 
@@ -326,7 +346,7 @@ def test_cli_verify_model_unread_is_an_error(tmp_path, capsys):
 
 
 def test_cli_verify_corrupt_unread_is_an_error(capsys):
-    assert cli.main(["verify", "partition", "--samples", "10",
+    assert cli.main(["verify", "patch", "--samples", "10",
                      "--corrupt"]) == 2
     assert "--corrupt" in capsys.readouterr().err
 
