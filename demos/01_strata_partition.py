@@ -39,5 +39,5 @@ print(f"vanishing check: {rpt['checked']} grid points, "
 
 # Localization: near the smallest stratum of a point the partition is
 # carried by a single base stratum.
-pt = model.point(("A", "B", "C", "D"), (0.01, 0.02, 2.5))
-print("localization base near A:", model.localization_base(pt))
+pt = model.point(("A", "B", "C", "D"), [(0.01, 0.02, 2.5)])
+print("localization base near A:", model.localization_base(pt)[0])

@@ -28,6 +28,7 @@ __all__ = ["parse_space", "ring_multiply", "integrate", "tangent_chern",
 # integrates to sum(a[p] cofactor[p]) / scale, scale the lcm of the e(T_p).
 Dual = namedtuple("Dual", "name dim roots scale cofactor")
 _MAX_POINTS = 1024     # LG(10, 20) has as many; its c_1^55 takes 0.6 s
+_MAX_DIM = 64          # P^80 takes 0.2 s for c_1^80, P^200 19 s
 
 
 def _dual(name, sub_dual, quotient, tangent):
@@ -37,17 +38,20 @@ def _dual(name, sub_dual, quotient, tangent):
     return Dual(name, len(tangent[0]), roots, scale, [scale // e for e in euler])
 
 
-def _require_points(name, n, count):
-    """Refuse name if its count() fixed points, at least n, exceed the cap."""
+def _require_size(name, n, count, dim):
+    """Refuse name past a cap: on count() fixed points (at least n), on dim."""
     got = count() if n <= _MAX_POINTS else f"at least {n}"
     if n > _MAX_POINTS or got > _MAX_POINTS:
         raise PreconditionFailed(f"{name} has {got} torus-fixed points, "
                                  f"more than the cap of {_MAX_POINTS}")
+    if dim > _MAX_DIM:
+        raise PreconditionFailed(f"{name} has dimension {dim}, more than "
+                                 f"the cap of {_MAX_DIM}")
 
 
 def parse_space(space):
-    """The fixed-point table of 'p:n', 'gr:k,n' or 'lg:n'; a table passes
-    through unchanged; one of over 1024 fixed points is refused at once."""
+    """The fixed-point table of 'p:n', 'gr:k,n' or 'lg:n' (a table passes
+    through); one past 1024 fixed points or dimension 64 is refused at once."""
     if isinstance(space, Dual):
         return space
     kind, _, rest = str(space).partition(":")
@@ -57,7 +61,7 @@ def parse_space(space):
     if (kind, len(args)) in (("p", 1), ("gr", 2)):
         k, n = (1, args[0] + 1) if kind == "p" else args
         if 0 < k < n:
-            _require_points(name, n, lambda: comb(n, k))
+            _require_size(name, n, lambda: comb(n, k), k * (n - k))
             t = [2 ** (i + 1) - 1 for i in range(n)]
             subsets = list(combinations(range(n), k))
             rests = [[j for j in range(n) if j not in s] for s in subsets]
@@ -67,7 +71,7 @@ def parse_space(space):
                           for s, r in zip(subsets, rests)])
     if kind == "lg" and len(args) == 1 and args[0] >= 1:
         n = args[0]
-        _require_points(name, n, lambda: 2 ** n)
+        _require_size(name, n, lambda: 2 ** n, n * (n + 1) // 2)
         t = [2 ** (i + 1) - 1 for i in range(n)]
         ws = [[e * ti for e, ti in zip(signs, t)]
               for signs in product((1, -1), repeat=n)]

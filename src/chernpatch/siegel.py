@@ -19,13 +19,13 @@ lands in the intersection of both standard parabolics and maps the basepoint
 i*I to Z, with pi compatible with the group-level Levi factorization.
 
 Evaluators take (p, mc): a :class:`ChartPoint` stack p = points(xs) of P
-chart points, whose section, mc and Klingen factor each come from one numpy
-pass, and a (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them, and
-return (P, ..., d, d); one point is the stack points([x]), and point(x) its
-one-point view.  A chart form makes the points of its rows (the 12P of a
-central difference at P points) in one points call and calls its evaluator
-once, on p.mc, the six chart directions at each row; every layer maps that
-whole.
+chart points, whose section, mc, control data and Klingen factor each come
+from one numpy pass, and a (P, ..., 4, 4) stack mc = s^{-1} ds of directions
+at them, and return (P, ..., d, d); one point is the stack points([x]), and
+point(x) its one-point view.  A chart form makes the points of its rows (the
+12P of a central difference at P points) in one points call and calls its
+evaluator once, on p.mc, the six chart directions at each row; every layer
+maps that whole.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector (:class:`TangentVector`)
@@ -138,13 +138,14 @@ def _structure(F, t):
 
 
 class ChartPoint:
-    """A chart point x, or a stack of P of them (every array, control an
-    object array, with a leading axis P), with what every evaluation reads:
-    the section s = s(x), the (6, 4, 4) stack mc of s^{-1} d_i s over the
-    chart directions, the control data and the Klingen factor (lam, lam^{-1}):
-    lambda_1 of the inverse linear Levi factor of s in the Klingen parabolic.
-    The factor is made once per stack; p[n] is point n, p[a:b] and p[idx]
-    (idx an index array) substacks."""
+    """A chart point x, or a stack of P of them (every array with a leading
+    axis P), with what every evaluation reads: the section s = s(x), the
+    (6, 4, 4) stack mc of s^{-1} d_i s over the chart directions, the
+    control data (a :class:`strata.ModelPoint` stack) and the Klingen factor
+    (lam, lam^{-1}): lambda_1 of the inverse linear Levi factor of s in the
+    Klingen parabolic.  The factor is made once per stack; p[n] is point n
+    (its control data a one-row stack), p[a:b] and p[idx] (idx an index
+    array) substacks."""
 
     __slots__ = ("s", "mc", "control", "klingen")
 
@@ -216,9 +217,7 @@ class SiegelModel:
         p = ChartPoint()
         p.s = section(xs)
         p.mc = section_mc(xs, p.s)
-        p.control = np.array([self.model.point(("Z", "Y", "X"), r)
-                              for r in (1.0 / xs[:, [3, 5]]).tolist()],
-                             dtype=object)
+        p.control = self.model.point(("Z", "Y", "X"), 1.0 / xs[:, [3, 5]])
         g_l = liecore.group_factor_fine(self.pdK, p.s)[3]
         lam = self.extK(np.linalg.inv(g_l))
         p.klingen = (lam, np.linalg.inv(lam))
@@ -303,7 +302,7 @@ class SiegelModel:
     def curvature_patched(self, p):
         """Curvature of the patched connection at the stack p, with the weight
         gradients through d r_Z = -r_Z^2 dx_3 and d r_Y = -r_Y^2 dx_5."""
-        r = np.array([x.r for x in p.control])
+        r = p.control.r
         dr = np.zeros((len(r), 2, 6))
         dr[:, [0, 1], [3, 5]] = -r * r
         return self.system.curvature(p.control, TangentVector(p, p.mc), dr)

@@ -4,13 +4,16 @@ unity, chain weights and the patched-connection recursion.
 The combinatorial model: strata form a forest given by flags (chains).  A
 point is carried by the chain of strata incident to it, together with the
 tube distances r_Z to each proper ancestor; the a-coordinates along strata
-never enter the weight functions, so they are not stored here.
+never enter the weight functions, so they are not stored here.  A stack of
+P points on one chain is
 
-    point = ModelPoint(chain=(Z_1, ..., Z_k), r=(r_1, ..., r_{k-1}))
+    x = ModelPoint(chain=(Z_1, ..., Z_k), r)    r of shape (P, k - 1):
 
-means: the point lies in stratum Z_k, inside the tube of each ancestor Z_j
-at distance r_j.  pi_{Z_j} truncates, rho_{Z_j} reads r_j; these satisfy
-the control-data axioms exactly (pi_Z pi_Y = pi_Z, rho_Z pi_Y = rho_Z).
+row n lies in stratum Z_k, inside the tube of each ancestor Z_j at distance
+r[n, j].  pi_{Z_j} truncates, rho_{Z_j} reads column j; these satisfy the
+control-data axioms exactly (pi_Z pi_Y = pi_Z, rho_Z pi_Y = rho_Z).  Every
+weight is a (P,) column of a prefix-product partition table; the chain
+weights share one table per stratum of the chain.
 
 PatchedSystem is the one implementation of the patched connection, on a
 stack of points: its recursion, its closed chain form and its localized
@@ -25,12 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import exterior as ext
-from . import liecore
 from .errors import PreconditionFailed
 
 
@@ -42,7 +44,8 @@ class BumpProfile:
     """Smooth nondecreasing s with s = 0 on (-inf, 1/2], s = 1 on [3/4, inf).
 
     The transition uses the standard exp(-1/t) glue, rescaled to (1/2, 3/4).
-    s is a scalar function; :meth:`on_array` gives its values on an array.
+    s and s' are scalar functions; :meth:`on_array` and
+    :meth:`derivative_on_array` give their values on an array.
     """
 
     lo = 0.5
@@ -58,13 +61,16 @@ class BumpProfile:
         b = math.exp(-1.0 / (1.0 - t))
         return a / (a + b)
 
-    def on_array(self, x):
-        """s at each entry of the array x: exact 0.0 or 1.0 outside (lo, hi),
-        the scalar s inside (math.exp: np.exp may differ in the last bit)."""
-        out = (x >= self.hi).astype(float)
+    def _on_band(self, f, x, out):
+        """out, with the scalar f at each entry of the array x inside
+        (lo, hi) (math.exp: np.exp may differ in the last bit)."""
         band = ~((x <= self.lo) | (x >= self.hi))
-        out[band] = [self(v) for v in x[band].tolist()]
+        out[band] = [f(v) for v in x[band].tolist()]
         return out
+
+    def on_array(self, x):
+        """s at each entry of the array x."""
+        return self._on_band(self, x, (x >= self.hi).astype(float))
 
     def derivative(self, x):
         """s'(x) = ab (1/t^2 + 1/(1-t)^2) / (a+b)^2 / (hi - lo), with t, a, b
@@ -79,9 +85,9 @@ class BumpProfile:
         return ((ab / t / t + ab / (1.0 - t) / (1.0 - t))
                 / (a + b) ** 2 / (self.hi - self.lo))
 
-    def scaled(self, rho, eps):
-        """s_eps(rho) = s(rho/eps)."""
-        return self(rho / eps)
+    def derivative_on_array(self, x):
+        """s' at each entry of the array x."""
+        return self._on_band(self.derivative, x, np.zeros(np.shape(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +109,38 @@ def _reject_unknown_keys(d, known, what):
         raise PreconditionFailed(f"unknown keys in {what}: {unknown}")
 
 
-@dataclass(frozen=True)
 class ModelPoint:
-    chain: tuple    # stratum names, ancestors first
-    r: tuple        # tube distances to proper ancestors, len(chain) - 1
+    """P points on one chain (stratum names, ancestors first) with the
+    (P, len(chain) - 1) tube distances r; x[idx] is the substack of the
+    rows idx (one row for an integer)."""
 
-    def __post_init__(self):
-        if len(self.r) != len(self.chain) - 1:
-            raise ValueError("need one r per proper ancestor")
+    def __init__(self, chain, r):
+        self.chain = tuple(chain)
+        self.r = np.asarray(r, dtype=float)
+        if self.r.ndim != 2 or self.r.shape[1] != len(self.chain) - 1:
+            raise PreconditionFailed(f"need a (P, {len(self.chain) - 1}) stack"
+                                     f" of tube distances, got {self.r.shape}")
+        self.stratum = self.chain[-1]
 
-    @property
-    def stratum(self):
-        return self.chain[-1]
+    def __len__(self):
+        return len(self.r)
+
+    def __getitem__(self, idx):
+        return ModelPoint(self.chain, np.atleast_2d(self.r[idx]))
+
+
+def _top_down(factors):
+    """(P,) B_chain(x) from FlagTubeModel._chain_factors: the product of the
+    pair factors, the top pair first; 1 for the singleton."""
+    return reduce(np.multiply, factors[:0:-1], np.ones(len(factors[0])))
+
+
+def _base(chain, factors):
+    """(P,) the largest W in the chain with B_W^{eps_W}(pi_W(x)) != 0 at
+    each row: the first factor of each chain from W, 1 for the first W."""
+    own = {c[0]: fs[0] for c, fs in factors}
+    nonzero = np.array([own[Z] != 0.0 for Z in chain[::-1]])
+    return np.array(chain)[len(chain) - 1 - np.argmax(nonzero, axis=0)]
 
 
 class FlagTubeModel:
@@ -170,116 +196,104 @@ class FlagTubeModel:
         return math.ldexp(self.eps0, -self.dimC[name])
 
     def point(self, chain, r) -> ModelPoint:
+        """Points on chain with the (P, len(chain) - 1) tube distances r."""
         chain = tuple(chain)
         if chain[:-1] != self._ancestors[chain[-1]]:
             raise PreconditionFailed(f"{chain} is not a model flag chain")
-        return ModelPoint(chain, tuple(r))
+        return ModelPoint(chain, r)
 
     # control data -----------------------------------------------------
 
     def pi(self, x: ModelPoint, Z) -> ModelPoint:
         k = x.chain.index(Z)
-        return ModelPoint(x.chain[: k + 1], x.r[:k])
+        return ModelPoint(x.chain[: k + 1], x.r[:, :k])
 
     # weights ----------------------------------------------------------
 
+    def _table(self, r, eps):
+        """(P, n + 1) partition table at eps of the (P, n) distances r:
+        column j is the product of s(r_i / eps) over i < j, left to right,
+        times 1 - s(r_j / eps), or 1.0 in the last column."""
+        s = self.profile.on_array(np.asarray(r, float) / eps)
+        one = np.ones((len(s), 1))
+        return (np.hstack([one, np.cumprod(s, axis=1)])
+                * np.hstack([1.0 - s, one]))
+
     def B(self, Y, eps, x: ModelPoint):
-        """Partition numerator B_Y^eps(x), extended by zero off the tube."""
+        """(P,) partition numerators B_Y^eps(x), extended by zero off the
+        tube: the column of Y in the table of x.r at eps."""
         if Y not in x.chain:
-            return 0.0
-        s = self.profile
+            return np.zeros(len(x))
         k = x.chain.index(Y)
-        out = 1.0
-        for rj in x.r[:k]:
-            out = out * s.scaled(rj, eps)
-        rY = 0.0 if k == len(x.chain) - 1 else x.r[k]
-        out = out * (1.0 - s.scaled(rY, eps))
-        return out
+        return self._table(x.r[:, :k + 1], eps)[:, k]
 
     def B_grad(self, Y, eps, x: ModelPoint):
-        """Gradient of B_Y^eps(x) over the tube distances x.r, by the product
-        rule over its factors."""
-        grad = np.zeros(len(x.r))
-        if Y not in x.chain:
-            return grad
-        s = self.profile
-        k = x.chain.index(Y)
-        val = 1.0
-        for j, rj in enumerate(x.r[:k + 1]):
-            f, df = s.scaled(rj, eps), s.derivative(rj / eps) / eps
-            if j == k:
-                f, df = 1.0 - f, -df
-            grad = grad * f
-            grad[j] += val * df
-            val = val * f
+        """(P, len(x.chain) - 1) gradient of B_Y^eps(x), Y in x's chain, over
+        the tube distances x.r, by the product rule over its factors."""
+        grad, k = np.zeros(x.r.shape), x.chain.index(Y)
+        t = x.r[:, :k + 1] / eps
+        s, ds = self.profile.on_array(t), self.profile.derivative_on_array(t)
+        f = np.hstack([s[:, :k], 1.0 - s[:, k:]])
+        df = np.hstack([ds[:, :k], -ds[:, k:]]) / eps
+        prefix = np.hstack([np.ones((len(f), 1)), np.cumprod(f, axis=1)])
+        for j in range(f.shape[1]):
+            grad = grad * f[:, j, None]
+            grad[:, j] += prefix[:, j] * df[:, j]
         return grad
 
     def partition_weights(self, chain, r):
         """(P, L) weights B_Z^eps, Z in the chain, at P points of it with
         the (P, L-1) tube distances r, at the one eps of the chain's top; a
-        row sums to 1 on the whole closure.  B_Z is the prefix product of s
-        over the ancestors before Z, times 1 - s at Z, in :meth:`B`'s order."""
-        s = self.profile.on_array(np.asarray(r, float) / self.eps(chain[-1]))
-        one = np.ones((len(s), 1))
-        # cumprod multiplies left to right; the top's 1 - s(0) is 1.0
-        return (np.hstack([one, np.cumprod(s, axis=1)])
-                * np.hstack([1.0 - s, one]))
+        row sums to 1 on the whole closure."""
+        return self._table(r, self.eps(chain[-1]))
 
     # chains -----------------------------------------------------------
 
     def chains_to(self, x: ModelPoint):
         """All chains Z_{i_1} < ... < Z_{i_r} = stratum(x) through x's flag,
         the singleton first; nearer ancestors vary fastest."""
-        top = x.stratum
-        anc = list(x.chain[:-1])
-        out = []
-        n = len(anc)
-        for mask in range(1 << n):
-            sub = [anc[i] for i in range(n) if mask >> (n - 1 - i) & 1]
-            out.append(tuple(sub) + (top,))
-        return out
+        anc = x.chain[:-1]
+        return [tuple(a for a, keep in zip(anc, mask) if keep) + (x.stratum,)
+                for mask in itertools.product((0, 1), repeat=len(anc))]
 
-    def chain_weight(self, chain, x: ModelPoint):
-        """B_chain(x): product over consecutive pairs of B with the outer
-        stratum's eps, evaluated after truncation; 1 for the singleton."""
-        w = 1.0
-        for t in range(len(chain) - 1, 0, -1):
-            outer, inner = chain[t], chain[t - 1]
-            w = w * self.B(inner, self.eps(outer), self.pi(x, outer))
-        return w
+    def _chain_factors(self, x: ModelPoint):
+        """[(chain, factors)] over chains_to(x): the (P,) factors of the
+        chain's weight, B_{Z_1}^{eps_{Z_1}}(pi_{Z_1}(x)) for its first
+        stratum Z_1, then B_{Z_t}^{eps_{Z_{t+1}}}(pi_{Z_{t+1}}(x)) for each
+        consecutive pair.  Each is a column of the partition table of a
+        truncation pi_Z(x) at eps_Z; the L tables are shared by all chains."""
+        tables = {Z: self.partition_weights(x.chain[:k + 1], x.r[:, :k])
+                  for k, Z in enumerate(x.chain)}
+        col = x.chain.index
+        return [(c, [tables[c[0]][:, -1]] + [tables[hi][:, col(lo)]
+                                             for lo, hi in zip(c, c[1:])])
+                for c in self.chains_to(x)]
 
     def chain_form_weights(self, x: ModelPoint):
-        """[(chain, w)] over chains_to(x): w is the weight of the chain's
-        term in the chain form, chain_weight(chain, x) times
+        """[(chain, (P,) w)] over chains_to(x): w is the weight of the
+        chain's term in the chain form, the chain weight B_chain(x) times
         B_{Z_1}^{eps_{Z_1}}(pi_{Z_1}(x)) for the chain's first stratum Z_1."""
+        return [(c, _top_down(fs) * fs[0]) for c, fs in self._chain_factors(x)]
+
+    def chain_form_weight_grad(self, x: ModelPoint):
+        """[(chain, w, grad)]: the chain_form_weights w with their (P, L-1)
+        gradients over x.r, by the product rule over the B factors; each
+        factor reads the first len(pi(x, outer).r) tube distances."""
         out = []
-        for chain in self.chains_to(x):
-            Z1 = chain[0]
-            out.append((chain, self.chain_weight(chain, x)
-                        * self.B(Z1, self.eps(Z1), self.pi(x, Z1))))
+        for chain, fs in self._chain_factors(x):
+            grad, val = np.zeros(x.r.shape), np.ones(len(x))
+            for f, inner, outer in zip(fs, (chain[0],) + chain, chain):
+                y = self.pi(x, outer)
+                grad = grad * f[:, None]
+                grad[:, :y.r.shape[1]] += val[:, None] * self.B_grad(
+                    inner, self.eps(outer), y)
+                val = val * f
+            out.append((chain, _top_down(fs) * fs[0], grad))
         return out
 
-    def chain_form_weight_grad(self, chain, x: ModelPoint):
-        """Gradient over x.r of the chain's weight in
-        :meth:`chain_form_weights`, by the product rule over its B factors;
-        each factor reads the first len(pi(x, outer).r) tube distances."""
-        grad = np.zeros(len(x.r))
-        val = 1.0
-        pairs = [(chain[0], chain[0])] + list(zip(chain, chain[1:]))
-        for inner, outer in pairs:
-            y = self.pi(x, outer)
-            f = self.B(inner, self.eps(outer), y)
-            grad = grad * f
-            grad[:len(y.r)] += val * self.B_grad(inner, self.eps(outer), y)
-            val = val * f
-        return grad
-
     def localization_base(self, x: ModelPoint):
-        """Largest stratum W in x's flag with B_W^{eps_W}(pi_W(x)) != 0."""
-        for Z in reversed(x.chain):
-            if self.B(Z, self.eps(Z), self.pi(x, Z)) != 0.0:
-                return Z
-        raise PreconditionFailed("no localization base stratum")
+        """(P,) the largest W in x's flag with B_W^{eps_W}(pi_W(x)) != 0."""
+        return _base(x.chain, self._chain_factors(x))
 
 
 # ---------------------------------------------------------------------------
@@ -296,37 +310,29 @@ def family_vanishing_check(model: FlagTubeModel, flag, grid=None):
 
     together with the contrapositive.  Returns a report dict.
 
-    B_Y^eps(x) is a product of one profile value s(r_j / eps) per tube
-    distance before Y and (1 - s) at Y's own (0 at x's stratum), so the
-    profile is tabulated once per grid value and eps of the flag, and its
-    values multiplied in FlagTubeModel.B's order, left to right from 1.0:
-    bitwise the values B returns.
+    The points of the grid^(L-1) are one stack, the last axis varying
+    fastest, and each B is evaluated on all of it at once.  Violations are
+    listed point by point, and by (n, m, n', m') within a point.
     """
     flag = tuple(flag)
     L = len(flag)
     if grid is None:
         grid = np.linspace(0.0, 1.1 * model.eps(flag[0]), 10)
-    model.point(flag, (0.0,) * (L - 1))  # raises unless flag is a model chain
-    grid = [float(r) for r in grid]
-    s = model.profile
+    grid = np.asarray(grid, dtype=float)
+    axes = np.meshgrid(*[grid] * (L - 1), indexing="ij")
+    x = model.point(flag, np.reshape(axes, (L - 1, grid.size ** (L - 1))).T)
     eps = [model.eps(Y) for Y in flag]
-    table = [[s.scaled(r, e) for r in grid] for e in eps]
-    at_stratum = [1.0 - s.scaled(0.0, e) for e in eps]
     tuples = [(n, m, np_, mp) for n in range(1, L + 1)
               for m in range(n, L + 1) for np_ in range(1, n)
               for mp in range(m + 1, L + 1)]
-    violations = []
-    for idx in itertools.product(range(len(grid)), repeat=L - 1):
-        for n, m, np_, mp in tuples:
-            row, row_p = table[m - 1], table[mp - 1]
-            bn = math.prod(map(row.__getitem__, idx[:n - 1]), start=1.0)
-            bn = bn * at_stratum[m - 1]
-            bnp = math.prod(map(row_p.__getitem__, idx[:np_ - 1]), start=1.0)
-            bnp = bnp * (1.0 - row_p[idx[np_ - 1]])
-            if bn != 0.0 and bnp != 0.0:
-                violations.append(
-                    {"r": [grid[i] for i in idx], "n": n, "m": m,
-                     "n'": np_, "m'": mp, "B_n": bn, "B_n'": bnp})
+    pairs = [(model.B(flag[n - 1], eps[m - 1], model.pi(x, flag[n - 1])),
+              model.B(flag[np_ - 1], eps[mp - 1], x))
+             for n, m, np_, mp in tuples]
+    B = np.reshape(pairs, (len(tuples), 2, len(x)))
+    violations = [{"r": x.r[i].tolist(), **dict(zip(("n", "m", "n'", "m'"),
+                                                   tuples[t])),
+                   "B_n": float(B[t, 0, i]), "B_n'": float(B[t, 1, i])}
+                  for i, t in zip(*np.nonzero((B != 0.0).all(axis=1).T))]
     checked = len(tuples) * len(grid) ** (L - 1)
     return {"checked": checked, "violations": violations, "ok": not violations}
 
@@ -343,10 +349,11 @@ def _times(w, v):
 class PatchedSystem:
     """Patched connection recursion over a FlagTubeModel, on a stack of points.
 
-    Every callable receives the model points xs, a list of P ModelPoints on
-    one chain, which carry the control data, and an opaque geometric point g
-    over them with a leading axis of P (for a chart model, chart points with
-    a tangent vector at each); g[idx] is the substack of the rows idx:
+    Every callable receives the model points xs, a ModelPoint stack of P
+    points on one chain, which carry the control data, and an opaque
+    geometric point g over them with a leading axis of P (for a chart model,
+    chart points with a tangent vector at each); g[idx] is the substack of
+    the rows idx:
 
       nomizu    {Y: callable(xs, g) -> value}: the invariant connection on Y;
       pullback  {(Y, Z): callable(xs, g, v) -> value} for Z < Y: on (the tube
@@ -362,9 +369,9 @@ class PatchedSystem:
                 of the connection on Z whose value is v.
 
     Values are (P, ...) stacks, read by :meth:`curvature` as coefficients
-    over the chart directions of g.  Weights are (P,) arrays of the scalar
-    weights of FlagTubeModel: a term is skipped where its weight vanishes at
-    every row, and elsewhere a zero weight leaves the sum unchanged.
+    over the chart directions of g.  Weights are the (P,) arrays of
+    FlagTubeModel: a term is skipped where its weight vanishes at every row,
+    and elsewhere a zero weight leaves the sum unchanged.
     """
 
     def __init__(self, model: FlagTubeModel, nomizu, pullback, project,
@@ -374,19 +381,11 @@ class PatchedSystem:
         self.project = project
         self.curvatures = curvatures
 
-    def _chain(self, xs):
-        """The chain of xs; PreconditionFailed names a first row off it."""
-        chain = xs[0].chain
-        liecore.require(np.array([x.chain == chain for x in xs]),
-                        f"points off the chain {chain}", PreconditionFailed)
-        return chain
-
     def _over(self, xs, g, Z):
         """(pi_Z(xs), the geometric point over them)."""
-        if Z == xs[0].stratum:
+        if Z == xs.stratum:
             return xs, g
-        return ([self.model.pi(x, Z) for x in xs],
-                self.project(g, xs[0].stratum, Z))
+        return self.model.pi(xs, Z), self.project(g, xs.stratum, Z)
 
     def _along(self, chain, xs, g, maps, v=None):
         """Pull v over pi_{chain[0]}(xs) (by default, the maps entry of
@@ -397,35 +396,28 @@ class PatchedSystem:
             v = maps[(hi, lo)](*self._over(xs, g, hi), v)
         return v
 
-    def _chain_weights(self, xs, weights):
-        """[(chain, (P,) weights)] from weights(x) -> [(chain, w)] over xs."""
-        self._chain(xs)
-        return [(col[0][0], np.array([w for _, w in col]))
-                for col in zip(*map(weights, xs))]
-
     def patched(self, xs, g):
         """B_Y^{eps_Y} nomizu_Y + sum over Z < Y of B_Z^{eps_Y} times the
-        pullback of the patched connection of Z, for Y the stratum of xs."""
-        md = self.model
-        chain = self._chain(xs)
-        Y, epsY = chain[-1], md.eps(chain[-1])
+        pullback of the patched connection of Z, for Y the stratum of xs:
+        the weights are the columns of partition_weights at xs."""
+        chain, Y = xs.chain, xs.stratum
         val = self.values[Y](xs, g)
         if len(chain) == 1:
             # no ancestors: B_Y^{eps_Y} is identically 1 here
             return val
-        val = _times(np.array([md.B(Y, epsY, x) for x in xs]), val)
-        for Z in reversed(chain[:-1]):
-            w = np.array([md.B(Z, epsY, x) for x in xs])
-            if w.any():
-                inner = self.patched(*self._over(xs, g, Z))
-                val = val + _times(w, self.values[(Y, Z)](xs, g, inner))
+        w = self.model.partition_weights(chain, xs.r)
+        val = _times(w[:, -1], val)
+        for k in reversed(range(len(chain) - 1)):
+            if w[:, k].any():
+                inner = self.patched(*self._over(xs, g, chain[k]))
+                val = val + _times(w[:, k],
+                                   self.values[(Y, chain[k])](xs, g, inner))
         return val
 
     def chain_form(self, xs, g):
         """Closed form: sum over chains of full weights and composed pullbacks."""
-        weights = self._chain_weights(xs, self.model.chain_form_weights)
         return sum(_times(w, self._along(c, xs, g, self.values))
-                   for c, w in weights if w.any())
+                   for c, w in self.model.chain_form_weights(xs) if w.any())
 
     def chain_curvature(self, chain, xs, g):
         """(omega_c, Omega_c): the chain's connection, the nomizu value of its
@@ -441,10 +433,8 @@ class PatchedSystem:
         dw_c = (gradient of w_c over r) @ dr.  A chain is skipped where w_c
         and dw_c vanish at every row.
         """
-        md = self.model
-        chains = ((c, w, (np.array([md.chain_form_weight_grad(c, x)
-                                    for x in xs])[:, None] @ dr)[:, 0])
-                  for c, w in self._chain_weights(xs, md.chain_form_weights))
+        chains = ((c, w, (grad[:, None] @ dr)[:, 0])
+                  for c, w, grad in self.model.chain_form_weight_grad(xs))
         return ext.combination_curvature(
             (w, dw) + self.chain_curvature(c, xs, g)
             for c, w, dw in chains if w.any() or dw.any())
@@ -452,18 +442,16 @@ class PatchedSystem:
     def localized(self, xs, g):
         """(value, [W], wsum): the localized form around the base stratum W of
         each row, one substack per W, and the (P,) sums of the weights."""
-        md = self.model
-        self._chain(xs)
-        bases = np.array([md.localization_base(x) for x in xs])
+        factors = self.model._chain_factors(xs)
+        bases = _base(xs.chain, factors)
         value, wsum = None, np.zeros(len(xs))
-        for W in dict.fromkeys(bases):
+        for W in dict.fromkeys(bases.tolist()):
             idx = np.flatnonzero(bases == W)
-            sub, gsub = [xs[n] for n in idx], g[idx]
+            sub, gsub = xs[idx], g[idx]
             inner_val = self.patched(*self._over(sub, gsub, W))
             # chains W = S_0 < ... < S_k = stratum(x) within x's flag
-            chains = self._chain_weights(sub, lambda x: [
-                (c, md.chain_weight(c, x)) for c in md.chains_to(x)
-                if c[0] == W])
+            chains = [(c, _top_down(fs)[idx]) for c, fs in factors
+                      if c[0] == W]
             wsum[idx] = sum(w for _, w in chains)
             total = sum(_times(w, self._along(c, sub, gsub, self.values,
                                               inner_val))

@@ -490,10 +490,16 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
     return _finish("extension", seed, tol, samples, checks)
 
 
-def suite_patched_model(seed=0, tol=1e-10, samples=40):
-    """Recursion, chain and localized forms of the patched connection."""
+def suite_patched_model(seed=0, tol=1e-10, samples=40, corrupt=False):
+    """Recursion, chain and localized forms of the patched connection along
+    the directions (x11, y12), where all four chain terms are nonzero;
+    corrupt drops the weight of the chain (Z, Y, X) from the chain form."""
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
+    if corrupt:
+        weights = m.model.chain_form_weights
+        m.model.chain_form_weights = lambda x: [
+            (c, w) for c, w in weights(x) if c != ("Z", "Y", "X")]
     rec_chain = 0.0
     local = 0.0
     xs = [[float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
@@ -501,13 +507,15 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40):
            float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.005, 0.12))]
           for _ in range(samples)]
     for _, p in _stacks(m, xs):
-        a = m.omega_patched(p, p.mc[:, :2])
-        b = m.omega_patched_chain(p, p.mc[:, :2])
-        c, _, w = m.omega_patched_localized(p, p.mc[:, :2])
+        mc = p.mc[:, [0, 4]]
+        a = m.omega_patched(p, mc)
+        b = m.omega_patched_chain(p, mc)
+        c, _, w = m.omega_patched_localized(p, mc)
         rec_chain = max(rec_chain, float(np.max(np.abs(a - b))))
         local = max(local, float(np.max(np.abs(
             w[:, None, None, None] * a - c))))
-    checks = [_check("recursion-equals-chain", rec_chain, tol),
+    tag = "-with-dropped-chain" if corrupt else ""
+    checks = [_check("recursion-equals-chain" + tag, rec_chain, tol),
               _check("localization", local, tol)]
     return _finish("patched", seed, tol, samples, checks)
 

@@ -32,9 +32,27 @@ def chart_g(chart, x):
 
 
 def rho(x, Z):
-    """Tube distance of the model point x from its chain's stratum Z: 0 at
-    the stratum of x, else the coordinate of x at Z."""
-    return 0.0 if Z == x.stratum else x.r[x.chain.index(Z)]
+    """(P,) tube distances of the model points x from their chain's stratum
+    Z: 0 at the stratum of x, else the column of x.r at Z."""
+    if Z == x.stratum:
+        return np.zeros(len(x))
+    return x.r[:, x.chain.index(Z)]
+
+
+def B_reference(model, Y, eps, chain, r):
+    """B_Y^eps at one point of the chain with the tube distances r (a
+    sequence of floats): the scalar profile s(r_j / eps) over the ancestors
+    before Y, multiplied left to right from 1.0, times 1 - s at Y's own
+    distance (0 at the point's stratum); 0 off Y's tube."""
+    if Y not in chain:
+        return 0.0
+    s = model.profile
+    k = chain.index(Y)
+    out = 1.0
+    for rj in r[:k]:
+        out = out * s(rj / eps)
+    rY = 0.0 if k == len(chain) - 1 else r[k]
+    return out * (1.0 - s(rY / eps))
 
 
 def rowwise(f):
@@ -56,14 +74,13 @@ def fd_reference(sm, x, h=1e-5):
 
 
 def family_vanishing_reference(model, flag, grid):
-    """strata.family_vanishing_check, one ModelPoint per grid point and two
-    FlagTubeModel.B calls per (n, m, n', m'): the report it must equal."""
+    """strata.family_vanishing_check, one grid point and two B_reference
+    calls per (n, m, n', m') at a time: the report it must equal."""
     flag = tuple(flag)
     L = len(flag)
     violations = []
     checked = 0
-    for rvals in itertools.product(grid, repeat=L - 1):
-        x = model.point(flag, rvals)
+    for rvals in itertools.product(map(float, grid), repeat=L - 1):
         for n in range(1, L + 1):
             for m in range(n, L + 1):
                 for np_ in range(1, n):
@@ -71,11 +88,13 @@ def family_vanishing_reference(model, flag, grid):
                         if mp < np_:
                             continue
                         checked += 1
-                        xn = model.pi(x, flag[n - 1]) if n < L else x
-                        bn = model.B(flag[n - 1], model.eps(flag[m - 1]), xn)
-                        bnp = model.B(flag[np_ - 1], model.eps(flag[mp - 1]), x)
+                        bn = B_reference(model, flag[n - 1],
+                                         model.eps(flag[m - 1]), flag[:n],
+                                         rvals[:n - 1])
+                        bnp = B_reference(model, flag[np_ - 1],
+                                          model.eps(flag[mp - 1]), flag, rvals)
                         if bn != 0.0 and bnp != 0.0:
                             violations.append(
-                                {"r": list(map(float, rvals)), "n": n, "m": m,
+                                {"r": list(rvals), "n": n, "m": m,
                                  "n'": np_, "m'": mp, "B_n": bn, "B_n'": bnp})
     return {"checked": checked, "violations": violations, "ok": not violations}

@@ -277,5 +277,24 @@ def test_parse_space_refuses_too_many_fixed_points(space, count, monkeypatch,
 def test_fixed_point_cap_admits_the_golden_spaces_and_lg10():
     spaces = {row["space"] for row in json.loads(GOLDEN.read_text())}
     for space in sorted(spaces) + ["lg:10", "gr:5,10"]:
-        assert len(sc.parse_space(space).cofactor) <= sc._MAX_POINTS
+        dual = sc.parse_space(space)
+        assert len(dual.cofactor) <= sc._MAX_POINTS
+        assert dual.dim <= sc._MAX_DIM
     assert len(sc.parse_space("lg:10").cofactor) == sc._MAX_POINTS
+    assert sc.parse_space("lg:10").dim == 55
+    assert sc.parse_space("p:64").dim == sc._MAX_DIM
+
+
+@pytest.mark.parametrize("space", ["p:200", "p:1023", "p:65", "gr:2,45"])
+def test_parse_space_refuses_a_dimension_over_the_cap(space, monkeypatch,
+                                                      capsys):
+    # few enough fixed points, but a dimension over 64: refused before any
+    # fixed point is listed
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a fixed point was listed")
+
+    monkeypatch.setattr(sc, "combinations", no_listing)
+    assert cli.main(["dual", "--space", space, "--monomial", "c1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{space} has dimension" in err
+    assert f"more than the cap of {sc._MAX_DIM}" in err

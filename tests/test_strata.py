@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import strata
 from chernpatch.errors import PreconditionFailed
-from helpers import family_vanishing_reference, rho
+from helpers import B_reference, family_vanishing_reference, rho
 
 
 def three_flag(eps0=1.0):
@@ -56,7 +56,8 @@ def test_partition_telescopes_to_one(seed):
 
 
 def test_partition_weights_equal_B_bit_for_bit():
-    # the prefix products take the same factors in the same order as B
+    # the prefix products take the same factors in the same order as the
+    # per-point reference, and B at any eps is a column of such a table
     rng = np.random.default_rng(11)
     model = forest()
     for _ in range(100):
@@ -66,11 +67,16 @@ def test_partition_weights_equal_B_bit_for_bit():
         r = rng.uniform(0, eps, (5, len(chain) - 1))
         got = model.partition_weights(chain, r)
         assert got.shape == (5, len(chain))
-        for row, x in zip(got, r):
-            x = model.point(chain, tuple(x.tolist()))
-            for j, Z in enumerate(chain):
-                assert (np.float64(row[j]).tobytes()
-                        == np.float64(model.B(Z, eps, x)).tobytes())
+        x = model.point(chain, r)
+        other = model.eps(flag[int(rng.integers(len(flag)))])
+        for j, Z in enumerate(model.names):
+            for e, table in ((eps, got), (other, None)):
+                want = np.array([B_reference(model, Z, e, chain, row)
+                                 for row in r.tolist()])
+                assert model.B(Z, e, x).tobytes() == want.tobytes()
+                if table is not None and Z in chain:
+                    col = table[:, chain.index(Z)]
+                    assert col.tobytes() == want.tobytes()
 
 
 # r / eps anywhere in [0, 1.5], often exactly at a knot of the profile
@@ -83,7 +89,7 @@ _FRACTIONS = st.one_of(st.sampled_from([0.0, 0.5, 0.75]),
                 min_size=1, max_size=8))
 def test_stacked_partition_weights_equal_B_per_row(rows):
     # on every chain of both flags (L = 1, an empty r, included) the stack
-    # gives each row bitwise the B values of the row alone
+    # gives each row bitwise the reference B values of the row alone
     model = forest()
     for chain in dict.fromkeys(f[:n] for f in model.flags
                                for n in range(1, len(f) + 1)):
@@ -91,9 +97,8 @@ def test_stacked_partition_weights_equal_B_per_row(rows):
         r = np.array(rows)[:, :len(chain) - 1] * eps
         got = model.partition_weights(chain, r)
         assert got.shape == (len(rows), len(chain))
-        for row, x in zip(got, r):
-            x = model.point(chain, tuple(x.tolist()))
-            want = [model.B(Z, eps, x) for Z in chain]
+        for row, x in zip(got, r.tolist()):
+            want = [B_reference(model, Z, eps, chain, x) for Z in chain]
             assert np.array(want).tobytes() == row.tobytes()
 
 
@@ -120,15 +125,17 @@ def test_control_data_axioms_hold_exactly():
         for _ in range(200):
             flag = model.flags[rng.integers(len(model.flags))]
             chain = flag[:int(rng.integers(1, len(flag) + 1))]
-            x = model.point(chain, tuple(rng.uniform(0, 1.5, len(chain) - 1)))
-            assert rho(x, x.stratum) == 0.0
+            x = model.point(chain, rng.uniform(0, 1.5, (3, len(chain) - 1)))
+            assert not rho(x, x.stratum).any()
             for j, Y in enumerate(chain):
                 xY = model.pi(x, Y)
                 assert xY.stratum == Y
                 for Z in chain[:j + 1]:
-                    assert model.pi(xY, Z) == model.pi(x, Z)
+                    a, b = model.pi(xY, Z), model.pi(x, Z)
+                    assert a.chain == b.chain
+                    assert a.r.tobytes() == b.r.tobytes()
                 for Z in chain[:j]:
-                    assert rho(xY, Z) == rho(x, Z)
+                    assert rho(xY, Z).tobytes() == rho(x, Z).tobytes()
 
 
 def test_vanishing_grid_clean():
@@ -156,9 +163,9 @@ def test_vanishing_detects_corrupted_family():
                                         (forest, ("A", "B", "C", "D"))])
 def test_vanishing_check_matches_per_point_reference(make, flag, collapsed,
                                                      points):
-    # the tabulated check reports what one ModelPoint and two B calls per
-    # grid point and (n, m, n', m') report: same counts, violations in the
-    # same order, bitwise the same B values
+    # the check on one stack reports what two reference B values per grid
+    # point and (n, m, n', m') report: same counts, violations in the same
+    # order, bitwise the same B values
     model = make()
     if collapsed:
         model.eps = lambda name: 1.0
@@ -180,24 +187,32 @@ def test_inconsistent_forest_rejected():
 
 def test_chain_weights_sum_to_localized_weight():
     # radii near the transition band (eps/2, 3 eps/4) of a stratum above
-    # them, so that some chain weights lie strictly between 0 and 1
+    # them, so that some chain weights lie strictly between 0 and 1; one
+    # stack of 500 points per chain of each flag
     rng = np.random.default_rng(7)
     fractional = 0
-    for model, n in ((three_flag(), 2000), (forest(), 5000)):
-        for _ in range(n):
-            flag = model.flags[rng.integers(len(model.flags))]
-            chain = flag[:int(rng.integers(1, len(flag) + 1))]
-            r = [model.eps(chain[rng.integers(j + 1, len(chain))])
-                 * rng.uniform(0.4, 0.85) for j in range(len(chain) - 1)]
-            x = model.point(chain, tuple(r))
+    for model in (three_flag(), forest()):
+        for chain in dict.fromkeys(f[:n] for f in model.flags
+                                   for n in range(1, len(f) + 1)):
+            eps = [[model.eps(chain[rng.integers(j + 1, len(chain))])
+                    for j in range(len(chain) - 1)] for _ in range(500)]
+            x = model.point(chain, np.array(eps)
+                            * rng.uniform(0.4, 0.85, (500, len(chain) - 1)))
             W = model.localization_base(x)
-            assert W in chain
-            # the base stratum has nonzero projected weight
-            assert model.B(W, model.eps(W), model.pi(x, W)) != 0.0
-            ws = [model.chain_weight(c, x) for c in model.chains_to(x)
-                  if c[0] == W]
-            assert abs(sum(ws) - 1.0) < 1e-12
-            fractional += any(0.0 < w < 1.0 for w in ws)
+            assert W.shape == (500,) and set(W.tolist()) <= set(chain)
+            ws = np.zeros((len(model.chains_to(x)), 500))
+            base_at = np.array([chain.index(w) for w in W.tolist()])
+            for i, (c, fs) in enumerate(model._chain_factors(x)):
+                # the base stratum has nonzero projected weight, and every
+                # larger stratum of the chain zero
+                at = W == c[0]
+                assert (fs[0][at] != 0.0).all()
+                assert (fs[0][base_at < chain.index(c[0])] == 0.0).all()
+                assert fs[0][at].tobytes() == model.B(
+                    c[0], model.eps(c[0]), model.pi(x, c[0]))[at].tobytes()
+                ws[i, at] = strata._top_down(fs)[at]
+            assert np.max(np.abs(ws.sum(axis=0) - 1.0)) < 1e-12
+            fractional += int(((ws > 0.0) & (ws < 1.0)).any(axis=0).sum())
     assert fractional >= 100
 
 
@@ -209,7 +224,7 @@ def test_patched_system_recursion_matches_chain():
     # row, so every callable can check that it was handed the points over
     # its own stratum; a value is a row of masses on the strata per point
     def at(xs, g):
-        assert list(g) == [x.stratum for x in xs]
+        assert list(g) == [xs.stratum] * len(xs)
         return g
 
     def pulled(xs, g, v):
@@ -224,9 +239,8 @@ def test_patched_system_recursion_matches_chain():
     system = strata.PatchedSystem(model, nomizu, pullback,
                                   lambda g, Y, Z: np.full(len(g), Z))
     rng = np.random.default_rng(8)
-    xs = [model.point(("Z", "Y", "X"),
-                      (rng.uniform(0, 1.2), rng.uniform(0, 0.6)))
-          for _ in range(30)]
+    xs = model.point(("Z", "Y", "X"), [
+        (rng.uniform(0, 1.2), rng.uniform(0, 0.6)) for _ in range(30)])
     g = np.full(len(xs), "X")
     a = system.patched(xs, g)
     b = system.chain_form(xs, g)
@@ -239,8 +253,8 @@ def test_patched_system_recursion_matches_chain():
     assert len(set(W)) > 1
     assert np.max(np.abs(wsum[:, None] * a - c)) < 1e-12
     # each row of the stack is the stack of that one point
-    for n, x in enumerate(xs):
-        assert np.array_equal(system.patched([x], g[n:n + 1])[0], a[n])
+    for n in range(len(xs)):
+        assert np.array_equal(system.patched(xs[n], g[n:n + 1])[0], a[n])
 
 
 def test_patched_without_ancestors_reads_no_weight(monkeypatch):
@@ -249,29 +263,29 @@ def test_patched_without_ancestors_reads_no_weight(monkeypatch):
     model = three_flag()
     system = strata.PatchedSystem(model, {"Z": lambda xs, g: 2.5 * g}, {},
                                   lambda g, Y, Z: g)
-    xs, g = [model.point(("Z",), ())], np.arange(3.0)[None]
+    xs, g = model.point(("Z",), np.zeros((1, 0))), np.arange(3.0)[None]
     expected = system.chain_form(xs, g)
 
     def no_weight(*args):
-        raise AssertionError("B evaluated")
+        raise AssertionError("a weight evaluated")
 
     monkeypatch.setattr(model, "B", no_weight)
+    monkeypatch.setattr(model, "partition_weights", no_weight)
     got = system.patched(xs, g)
     assert np.array_equal(got, expected)
     assert np.array_equal(got, 2.5 * g)
 
 
-def test_a_stack_off_one_chain_names_its_first_bad_row():
+def test_model_point_refuses_r_of_the_wrong_width():
+    # one tube distance per proper ancestor, in a (P, L - 1) stack
     model = three_flag()
-    system = strata.PatchedSystem(model, {}, {}, lambda g, Y, Z: g)
-    top = model.point(("Z", "Y", "X"), (0.3, 0.2))
-    xs = [top, top, model.point(("Z", "Y"), (0.3,)), top]
-    g = np.zeros((4, 6))
-    calls = [system.patched, system.chain_form, system.localized,
-             lambda xs, g: system.curvature(xs, g, np.zeros((4, 2, 6)))]
-    for call in calls:
-        with pytest.raises(PreconditionFailed, match=r"\(row 2\)$"):
-            call(xs, g)
+    x = model.point(("Z", "Y", "X"), np.zeros((4, 2)))
+    assert len(x) == 4 and x[1].r.shape == (1, 2) and len(x[1:3]) == 2
+    for r in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2), [(0.1,)]):
+        with pytest.raises(PreconditionFailed, match=r"\(P, 2\) stack"):
+            model.point(("Z", "Y", "X"), r)
+    with pytest.raises(PreconditionFailed, match=r"\(P, 0\) stack"):
+        strata.ModelPoint(("Z",), np.zeros((1, 1)))
 
 
 def test_eps_is_a_normal_float_down_to_the_smallest():

@@ -277,10 +277,29 @@ def test_cli_verify_partition_dropped_weight_fails(seed, capsys):
     assert rpt["checks"][0]["max_residual"] > 1e-3
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_cli_verify_patched_dropped_chain_fails(seed, capsys):
+    # the chain (Z, Y, X) dropped from the chain form is caught far above
+    # rounding: along (x11, y12) its term does not vanish
+    assert cli.main(["verify", "patched", "--seed", seed,
+                     "--samples", "10"]) == 0
+    plain = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in plain] == ["recursion-equals-chain",
+                                          "localization"]
+    assert cli.main(["verify", "patched", "--seed", seed, "--samples", "10",
+                     "--corrupt"]) == 1
+    rpt = json.loads(capsys.readouterr().out)
+    verdicts = {c["name"]: c["pass"] for c in rpt["checks"]}
+    assert verdicts == {"recursion-equals-chain-with-dropped-chain": False,
+                        "localization": True}
+    assert rpt["checks"][0]["max_residual"] > 1e-4
+
+
 def test_cli_verify_help_lists_partition_under_corrupt(capsys):
     assert cli.main(["verify", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "negative control of the nilpotent, partition, springer" in help_text
+    assert ("negative control of the nilpotent, partition, patched, "
+            "springer, vanishing suites") in help_text
 
 
 def test_cli_unknown_suite(capsys):
