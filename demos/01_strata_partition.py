@@ -34,8 +34,8 @@ print(f"max |sum of weights - 1| over 2000 points: {worst:.3e}")
 # identically 0 far from it, so on a grid straddling the tube boundary the
 # family has no violations.
 rpt = strata.family_vanishing_check(model, ["A", "B", "C", "D"])
-print(f"vanishing check: {rpt['checked']} grid points, "
-      f"{len(rpt['violations'])} violations")
+print(f"vanishing check: {rpt['checked']} pairs of a grid point and an "
+      f"index tuple (n, m, n', m'), {len(rpt['violations'])} violations")
 
 # Localization: near the smallest stratum of a point the partition is
 # carried by a single base stratum.

@@ -16,8 +16,9 @@ omega_0 and Omega_0 take a matrix or a (..., N, N) stack and return
 (..., d, d); the classification conditions and the flatness test are each
 one stacked evaluation over the basis.
 
-The induced connection itself, lambda_1'(ldot) + Ad(lambda_1(g_l^{-1}))
-omega_1(L_{g_h} hdot), is evaluated by :meth:`siegel.SiegelModel.omega_XY`.
+The induced connection lambda_1'(ldot) + Ad(lambda_1(g_l^{-1}))
+omega_1(L_{g_h} hdot) is evaluated by :meth:`siegel.SiegelModel.omega_XY`,
+where the Ad term is omega_1 itself: lambda_1(G_l) commutes with G_h.
 """
 
 from __future__ import annotations

@@ -19,19 +19,20 @@ lands in the intersection of both standard parabolics and maps the basepoint
 i*I to Z, with pi compatible with the group-level Levi factorization.
 
 Evaluators take (p, mc): a :class:`ChartPoint` stack p = points(xs) of P
-chart points, whose section, mc, control data and Klingen factor each come
-from one numpy pass, and a (P, ..., 4, 4) stack mc = s^{-1} ds of directions
-at them, and return (P, ..., d, d); one point is the stack points([x]), and
-point(x) its one-point view.  A chart form makes the points of its rows (the
-12P of a central difference at P points) in one points call and calls its
-evaluator once, on p.mc, the six chart directions at each row; every layer
-maps that whole.
+chart points, whose section, mc and control data each come from one numpy
+pass, and a (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them, and
+return (P, ..., d, d); one point is the stack points([x]), and point(x) its
+one-point view.  A chart form makes the points of its rows (the 12P of a
+central difference at P points) in one points call and calls its evaluator
+once, on p.mc, the six chart directions at each row; every layer maps that
+whole.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
-data.  Its geometric point over X is a tangent vector (:class:`TangentVector`)
-at a chart point; over Y it is the Lie(G_h) part hdot of that vector in the
-rank-1 (Klingen) parabolic, which is all the invariant connections on Y
-read; over the point Z it is nothing.  Each tangent vector is split once.
+data.  Its geometric point over X is a tangent vector, held as its
+s^{-1} ds (:class:`TangentVector`); over Y it is the Lie(G_h) part hdot of
+that vector in the rank-1 (Klingen) parabolic, which is all the invariant
+connections on Y read; over the point Z it is nothing.  Each tangent vector
+is split once.
 
 Curvatures come from the structure equation, with no differentiation.
 Chart vector fields commute, so theta = s^{-1} ds satisfies
@@ -42,24 +43,21 @@ and t one of theta, hdot, ldot therefore has the curvature
 
     Omega_ij = [F t_i, F t_j] - F([t_i, t_j]).
 
-With lam = lambda_1(g_l^{-1}) as in :class:`ChartPoint`, d lam = -A(ldot) lam
-for A = extK.alg, so a connection A(ldot) + lam F(hdot) lam^{-1} induced
-from Y has the curvature Omega_A + lam Omega_F(hdot) lam^{-1}, where Omega_A
-is the curvature of A(ldot) (it vanishes to rounding).  The four chains of
-the patched connection ending at X:
+A connection on X induced from Y is extK.alg(ldot) + val, val the value at
+hdot of the connection on Y, and its curvature is that connection's own at
+hdot.  The general induced formula conjugates val by lambda_1(g_l^{-1}),
+g_l the linear Levi factor of s, and adds the curvature of extK.alg(ldot).
+Both are no-ops: G_h and G_l commute and extK is a representation of the
+Levi, so lambda_1(G_l) and extK.alg(Lie(G_l)) commute with every value
+induced from Y; and extK.alg is a homomorphism on Lie(G_l), so
+extK.alg(ldot) is flat.
 
-    chain      omega_c
-    (X)        lam_alg(cartan_k theta)                       Nomizu
-    (Z, X)     extS.alg(ldot_S),  ldot_S of the Lagrangian split of theta
-    (Y, X)     A(ldot) + lam extK.alg(cartan_k hdot) lam^{-1}  induced Nomizu
-    (Z, Y, X)  A(ldot) + lam ext21.alg(hdot_00 W_H) lam^{-1}
-
-Their pairs (omega_c, Omega_c) compose along the chain like the connections
-do, and :meth:`strata.PatchedSystem.curvature` patches them with the
-product rule, dw_c in closed form from r_Z = 1/x_3, r_Y = 1/x_5.  Each
-curvature evaluator maps P chart points to the (P, 15, d, d) coefficients
-over combinations(range(6), 2), from one section, one Klingen split of
-theta and one Klingen factor for the stack.
+Each chain's pair (omega_c, Omega_c) composes along the chain like the
+connections do, and :meth:`strata.PatchedSystem.curvature` patches them
+with the product rule, dw_c in closed form from r_Z = 1/x_3, r_Y = 1/x_5.
+Each curvature evaluator maps P chart points to the (P, 15, d, d)
+coefficients over combinations(range(6), 2), from one section and one
+Klingen split of theta for the stack.
 """
 
 from __future__ import annotations
@@ -140,35 +138,32 @@ def _structure(F, t):
 class ChartPoint:
     """A chart point x, or a stack of P of them (every array with a leading
     axis P), with what every evaluation reads: the section s = s(x), the
-    (6, 4, 4) stack mc of s^{-1} d_i s over the chart directions, the
-    control data (a :class:`strata.ModelPoint` stack) and the Klingen factor
-    (lam, lam^{-1}): lambda_1 of the inverse linear Levi factor of s in the
-    Klingen parabolic.  The factor is made once per stack; p[n] is point n
+    (6, 4, 4) stack mc of s^{-1} d_i s over the chart directions and the
+    control data (a :class:`strata.ModelPoint` stack).  p[n] is point n
     (its control data a one-row stack), p[a:b] and p[idx] (idx an index
     array) substacks."""
 
-    __slots__ = ("s", "mc", "control", "klingen")
+    __slots__ = ("s", "mc", "control")
 
     def __getitem__(self, n):
         p = ChartPoint()
         p.s, p.mc, p.control = self.s[n], self.mc[n], self.control[n]
-        p.klingen = tuple(a[n] for a in self.klingen)
         return p
 
 
 class TangentVector:
-    """Geometric point of the patched system over X: a chart point and
-    mc = s^{-1} ds(v) for a tangent vector v there, or a (..., 4, 4) stack
-    of them.  `split` keeps the (hdot, ldot) parts of mc in the rank-1
-    parabolic once made; v[idx] is the substack of the rows idx."""
+    """Geometric point of the patched system over X: mc = s^{-1} ds(v) for
+    a tangent vector v at a chart point, or a (..., 4, 4) stack of them.
+    `split` keeps the (hdot, ldot) parts of mc in the rank-1 parabolic once
+    made; v[idx] is the substack of the rows idx."""
 
-    __slots__ = ("point", "mc", "split")
+    __slots__ = ("mc", "split")
 
-    def __init__(self, point, mc):
-        self.point, self.mc, self.split = point, mc, None
+    def __init__(self, mc):
+        self.mc, self.split = mc, None
 
     def __getitem__(self, idx):
-        return TangentVector(self.point[idx], self.mc[idx])
+        return TangentVector(self.mc[idx])
 
 
 class SiegelModel:
@@ -203,7 +198,9 @@ class SiegelModel:
                 "X": lambda pt, v: _structure(self.omega_nomizu, v.mc),
                 "Y": lambda pt, hdot: _structure(self.omega_Y_nomizu, hdot),
                 "Z": lambda pt, _: (0.0, 0.0),
-                ("X", "Y"): lambda pt, v, inner: self.curvature_XY(v, inner),
+                # an induced connection has the curvature of Y's at hdot
+                ("X", "Y"): lambda pt, v, inner: (self.omega_XY(v, inner[0]),
+                                                  inner[1]),
                 ("X", "Z"): lambda pt, v, _: _structure(self.omega_XZ, v.mc),
                 ("Y", "Z"): lambda pt, hdot, _: _structure(self.omega_YZ,
                                                            hdot)})
@@ -212,15 +209,12 @@ class SiegelModel:
 
     def points(self, xs) -> ChartPoint:
         """The chart points at the rows of a (P, 6) array xs, rho_Z = 1 / Im z11
-        and rho_Y = 1 / Im z22, with s, mc and lam from one call each."""
+        and rho_Y = 1 / Im z22, with s and mc from one call each."""
         xs = np.asarray(xs, dtype=float).reshape(-1, 6)
         p = ChartPoint()
         p.s = section(xs)
         p.mc = section_mc(xs, p.s)
         p.control = self.model.point(("Z", "Y", "X"), 1.0 / xs[:, [3, 5]])
-        g_l = liecore.group_factor_fine(self.pdK, p.s)[3]
-        lam = self.extK(np.linalg.inv(g_l))
-        p.klingen = (lam, np.linalg.inv(lam))
         return p
 
     def point(self, x) -> ChartPoint:
@@ -233,12 +227,6 @@ class SiegelModel:
         if v.split is None:
             v.split = self.pdK.split(v.mc)[1:]
         return v.split
-
-    def _klingen(self, v: TangentVector):
-        """(lam, lam^{-1}) at v.point, broadcasting over v.mc's directions."""
-        k = np.ndim(v.mc) - np.ndim(v.point.s)
-        return tuple(a.reshape(a.shape[:-2] + (1,) * k + a.shape[-2:])
-                     for a in v.point.klingen)
 
     def project(self, v, Y, Z):
         """The geometric point over pi_Z: hdot on Y, nothing on the point."""
@@ -273,31 +261,21 @@ class SiegelModel:
         """Pullback through the rank-1 parabolic: the value at v of the
         connection induced from one on Y whose value at hdot is val."""
         _, ldot = self._split(v)
-        lam, lam_inv = self._klingen(v)
-        return self.extK.alg(ldot) + lam @ val @ lam_inv
+        return self.extK.alg(ldot) + val
 
     def omega_induced_nomizu(self, p, mc):
         """The connection on X induced from the Nomizu connection on Y."""
-        v = TangentVector(p, mc)
+        v = TangentVector(mc)
         return self.omega_XY(v, self.omega_Y_nomizu(self.project(v, "X", "Y")))
 
     # curvature evaluators ------------------------------------------------
     # each maps a stack of P chart points to the (P, 15, d, d) coefficients
 
-    def curvature_XY(self, v: TangentVector, inner):
-        """(omega_XY(v, w), its curvature Omega_A + lam Omega lam^{-1}) for
-        inner = (w, Omega): a connection value on Y at hdot and the
-        curvature of that connection there."""
-        _, ldot = self._split(v)
-        lam, lam_inv = self._klingen(v)
-        _, omega_A = _structure(self.extK.alg, ldot)
-        return self.omega_XY(v, inner[0]), omega_A + lam @ inner[1] @ lam_inv
-
     def curvature_induced_nomizu(self, p):
-        """Curvature of :meth:`omega_induced_nomizu` at p."""
-        v = TangentVector(p, p.mc)
-        inner = _structure(self.omega_Y_nomizu, self.project(v, "X", "Y"))
-        return self.curvature_XY(v, inner)[1]
+        """Curvature of :meth:`omega_induced_nomizu` at p: the curvature of
+        the Nomizu connection on Y at hdot."""
+        v = TangentVector(p.mc)
+        return _structure(self.omega_Y_nomizu, self.project(v, "X", "Y"))[1]
 
     def curvature_patched(self, p):
         """Curvature of the patched connection at the stack p, with the weight
@@ -305,21 +283,21 @@ class SiegelModel:
         r = p.control.r
         dr = np.zeros((len(r), 2, 6))
         dr[:, [0, 1], [3, 5]] = -r * r
-        return self.system.curvature(p.control, TangentVector(p, p.mc), dr)
+        return self.system.curvature(p.control, TangentVector(p.mc), dr)
 
     # patched connection on X -------------------------------------------
 
     def omega_patched(self, p, mc):
         """Recursive definition of the patched form."""
-        return self.system.patched(p.control, TangentVector(p, mc))
+        return self.system.patched(p.control, TangentVector(mc))
 
     def omega_patched_chain(self, p, mc):
         """Closed chain form of the same connection."""
-        return self.system.chain_form(p.control, TangentVector(p, mc))
+        return self.system.chain_form(p.control, TangentVector(mc))
 
     def omega_patched_localized(self, p, mc):
         """Localized form around the base strata; returns (value, [W], wsum)."""
-        return self.system.localized(p.control, TangentVector(p, mc))
+        return self.system.localized(p.control, TangentVector(mc))
 
     # chart forms --------------------------------------------------------
 

@@ -469,7 +469,8 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
 
 
 def suite_extension(seed=0, tol=1e-8, samples=50):
-    """Canonical-extension homomorphism and nesting compatibility."""
+    """Canonical-extension homomorphism, nesting compatibility, and the
+    Klingen Levi factor's commuting with the hermitian part."""
     rng = np.random.default_rng(seed)
     spec = liecore.sp2nR(2)
     rep = hcrepr.builtin_representation(spec, "std")
@@ -483,10 +484,20 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
     hom_res = float(np.max(np.abs(extS(q1 @ q2) - extS(q1) @ extS(q2)),
                            initial=0.0))
     nest = hcrepr.extension_compat_check(rep, 1, 2, samples=samples, rng=rng)
+    # extK(g_l) of a Klingen element commutes with extK.alg on Lie(G_h)
+    pdK = liecore.parabolic_data(spec, (1,))
+    c = 0.3 * rng.standard_normal((samples, len(pdK.basis_q)))
+    k = liecore.exp_grp(spec, liecore.from_coords(
+        np.moveaxis(c, -1, 0)[..., None, None], pdK.basis_q))
+    g_l = liecore.group_factor_fine(pdK, k)[3]
+    extK = hcrepr.canonical_extension(rep, 1)
+    lam, H = extK(g_l)[:, None], extK.alg(np.array(pdK.basis_h))
+    levi = float(np.max(np.abs(lam @ H - H @ lam), initial=0.0))
     checks = [_check("homomorphism-on-parabolic", hom_res, tol),
               _check("nested-levi-agreement", nest["levi_residual"], tol),
               _check("relative-extension-agreement",
-                     nest["relative_residual"], tol)]
+                     nest["relative_residual"], tol),
+              _check("klingen-levi-commutes", levi, tol)]
     return _finish("extension", seed, tol, samples, checks)
 
 

@@ -109,6 +109,41 @@ def test_nested_extension_compatibility_sp6():
         assert report["max_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
+def test_extension_alg_is_a_homomorphism_on_the_linear_levi(n, r, name):
+    # so extK.alg(ldot) is a flat connection: [A l_i, A l_j] = A [l_i, l_j]
+    spec = liecore.sp2nR(n)
+    ext = hcrepr.canonical_extension(
+        hcrepr.builtin_representation(spec, name), r)
+    L = np.array(liecore.parabolic_data(spec, (r,)).basis_l)
+    A = ext.alg(L)
+    LL = L[:, None] @ L[None] - L[None] @ L[:, None]
+    assert (np.max(np.abs(LL)) == 0.0) == (r == 1)   # only gl(1) is abelian
+    assert np.max(np.abs(A)) > 0.1
+    assert np.max(np.abs(A[:, None] @ A[None] - A[None] @ A[:, None]
+                         - ext.alg(LL))) <= 1e-15
+
+
+@pytest.mark.parametrize("flag", [(1,), (2,)])
+@pytest.mark.parametrize("name", ["std", "sym2"])
+def test_linear_levi_factor_commutes_with_the_hermitian_part_sp6(flag, name):
+    # genus 3: lambda_1(g_l) of a parabolic element commutes with the
+    # extension of Lie(G_h), so no induced connection needs conjugating
+    spec = liecore.sp2nR(3)
+    pd = liecore.parabolic_data(spec, flag)
+    ext = hcrepr.canonical_extension(
+        hcrepr.builtin_representation(spec, name), flag[-1])
+    c = 0.3 * np.random.default_rng(5).standard_normal((len(pd.basis_q), 10))
+    q = liecore.exp_grp(spec, liecore.from_coords(c[..., None, None],
+                                                  pd.basis_q))
+    lam = ext(liecore.group_factor_fine(pd, q)[3])[:, None]
+    H = ext.alg(np.array(pd.basis_h))
+    assert np.max(np.abs(lam - np.eye(lam.shape[-1]))) > 0.1
+    assert np.max(np.abs(H)) > 0.1
+    assert np.max(np.abs(lam @ H - H @ lam)) <= 1e-15
+
+
 def _automorphy(rep, g, h):
     """J_lambda(g, h x_0) = lambda_C(j(g h) j(h)^{-1}), the K(C)-valued
     automorphy factor at h x_0 in complex coordinates."""

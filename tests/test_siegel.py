@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chernpatch import exterior as ext, invariants as inv, liecore, siegel
-from chernpatch import strata, suites
+from chernpatch import exterior as ext, hcrepr, invariants as inv, liecore
+from chernpatch import siegel, strata, suites
 from chernpatch.errors import DecompositionError, PreconditionFailed
 
 
@@ -177,25 +177,6 @@ def test_patched_localization(model):
             c, W, wsum = model.omega_patched_localized(p, p.mc[:, i])
             assert W[0] in ("Z", "Y", "X")
             assert np.max(np.abs(wsum[0] * a - c[0])) < 1e-10
-
-
-def test_klingen_factor_once_per_evaluation(model, monkeypatch):
-    calls = []
-    factor = liecore.group_factor_fine
-
-    def counted(*args):
-        calls.append(args)
-        return factor(*args)
-
-    monkeypatch.setattr(liecore, "group_factor_fine", counted)
-    form = model.form_from_evaluator(model.omega_patched)
-    epsX = model.model.eps("X")
-    x = [0.3, -0.2, 0.1, 1.0 / (0.6 * epsX), 0.01, 1.0 / (0.3 * epsX)]
-    first = form.value(x)
-    assert len(calls) == 1
-    again = form.value(x)
-    assert len(calls) == 2
-    assert np.array_equal(first, again)
 
 
 def test_one_call_of_each_layer_per_coefficient_evaluation(model,
@@ -380,7 +361,7 @@ def test_chain_curvatures_match_differences(model):
 
     for chain in chains:
         def pair(p, chain=chain):
-            v = siegel.TangentVector(p, p.mc)
+            v = siegel.TangentVector(p.mc)
             return model.system.chain_curvature(chain, p.control, v)
 
         fd = _differences(model, lambda p, mc: pair(p)[0])
@@ -410,39 +391,59 @@ def test_curvature_evaluators_match_differences(model, name):
 
 
 def test_linear_levi_connection_is_flat(model):
-    # extK is a homomorphism on the linear Levi, so the Omega_A term of an
-    # induced curvature vanishes
+    # extK is a homomorphism on the linear Levi, so extK.alg(ldot) adds no
+    # curvature to an induced connection
     rng = np.random.default_rng(15)
     for x in _oracle_points(model, rng):
         p = model.point(x)
-        _, ldot = model._split(siegel.TangentVector(p, p.mc))
+        _, ldot = model._split(siegel.TangentVector(p.mc))
         _, omega_A = siegel._structure(model.extK.alg, ldot)
         assert np.max(np.abs(omega_A)) <= 1e-14
 
 
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
+def test_klingen_levi_factor_commutes_with_values_from_Y(rep):
+    # G_h and G_l commute, so lambda_1(g_l) at a section commutes with every
+    # value an induced connection takes from Y: the Nomizu values on Y and
+    # those of the relative extension along the plane Borel
+    m = siegel.SiegelModel(rep)
+    rng = np.random.default_rng(18)
+    xs = [_sample_x(rng) for _ in range(4)] + [_mixed_x(m, rng) for _ in range(4)]
+    p = m.points(xs)
+    lam = m.extK(liecore.group_factor_fine(m.pdK, p.s)[3])[:, None]
+    hdot = m.pdK.split(p.mc)[1]
+    vals = np.concatenate([m.omega_Y_nomizu(hdot),
+                           m.ext21.alg(hdot[..., :1, :1] * m._W_H)], axis=1)
+    assert np.max(np.abs(lam - np.eye(m.rep.dim))) > 0.1
+    assert np.max(np.abs(vals)) > 0.1
+    assert np.max(np.abs(lam @ vals - vals @ lam)) <= 1e-15
+
+
 def test_curvature_evaluators_take_no_differences(model, monkeypatch):
-    calls = {"split": 0, "factor": 0}
-    split, factor = model.pdK.split, liecore.group_factor_fine
+    # one Klingen split of theta, and no Klingen factor: an induced
+    # connection is extK.alg(ldot) + val, with no conjugation
+    calls = dict.fromkeys(["split", "factor", "extension"], 0)
 
-    def counted_split(*args):
-        calls["split"] += 1
-        return split(*args)
-
-    def counted_factor(*args):
-        calls["factor"] += 1
-        return factor(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
     def no_differences(*args):
         raise AssertionError("a curvature evaluator took a difference")
 
-    monkeypatch.setattr(model.pdK, "split", counted_split)
-    monkeypatch.setattr(liecore, "group_factor_fine", counted_factor)
+    monkeypatch.setattr(model.pdK, "split", counted("split", model.pdK.split))
+    monkeypatch.setattr(liecore, "group_factor_fine",
+                        counted("factor", liecore.group_factor_fine))
+    monkeypatch.setattr(hcrepr.CanonicalExtension, "__call__",
+                        counted("extension", hcrepr.CanonicalExtension.__call__))
     monkeypatch.setattr(ext.SmoothMap, "jacobian", no_differences)
     x = _mixed_x(model, np.random.default_rng(13))
     for curvature in (model.curvature_induced_nomizu, model.curvature_patched):
-        calls.update(split=0, factor=0)
+        calls.update(dict.fromkeys(calls, 0))
         curvature(model.points([x]))
-        assert calls == {"split": 1, "factor": 1}
+        assert calls == {"split": 1, "factor": 0, "extension": 0}
 
 
 def test_bump_profile_derivative_matches_differences():
@@ -497,17 +498,6 @@ def test_chain_weight_gradients_match_differences(model):
     assert steepest > 1.0     # the points reach the transition bands
 
 
-def _klingen_reference(model, s):
-    """(lam, lam^{-1}) at one section s, with the linear Levi factor g_l of s
-    in the Klingen parabolic written out: the rank-1 block a of s acting on
-    V = span(e_2), embedded as diag(1, a, 1, a^{-1})."""
-    g_l = np.eye(4)
-    g_l[1:2, 1:2] = s[1:2, 1:2]
-    g_l[3:4, 3:4] = np.linalg.inv(s[1:2, 1:2]).T
-    lam = model.extK(np.linalg.inv(g_l))
-    return lam, np.linalg.inv(lam)
-
-
 @pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
 def test_stacked_points_match_one_point_at_a_time(rep):
     m = siegel.SiegelModel(rep)
@@ -524,8 +514,6 @@ def test_stacked_points_match_one_point_at_a_time(rep):
         assert np.array_equal(p.s, one.s) and np.array_equal(p.mc, one.mc)
         assert p.control.chain == one.control.chain
         assert _same_bits(p.control.r, one.control.r)
-        for a, b, c in zip(p.klingen, one.klingen, _klingen_reference(m, one.s)):
-            assert np.array_equal(a, b) and np.array_equal(b, c)
         assert np.array_equal(curv[n], m.curvature_induced_nomizu(one))
         alone = m.points([x])
         assert np.array_equal(patched[n], m.curvature_patched(alone)[0])

@@ -86,8 +86,8 @@ def test_descent_runs_its_difference_oracle_as_one_stack(monkeypatch):
 
 
 def test_pifiber_builds_its_points_in_stacks(monkeypatch):
-    # one call of the section, the Klingen factor and the canonical
-    # extension per stack of chart points, not one per point
+    # one call of the section per stack of chart points, not one per point,
+    # and neither a Klingen factor nor a canonical extension at all
     calls = dict.fromkeys(["section_mc", "factor", "extension"], 0)
 
     def counted(name, fn):
@@ -105,7 +105,23 @@ def test_pifiber_builds_its_points_in_stacks(monkeypatch):
     assert suites.run_suite("pifiber", seed=0, samples=67)["pass"]
     stacks = -(-67 // suites._STACK)
     assert stacks <= 9
-    assert calls == dict.fromkeys(calls, stacks)
+    assert calls == {"section_mc": stacks, "factor": 0, "extension": 0}
+
+
+def test_klingen_levi_check_fails_on_the_unipotent_factor(monkeypatch):
+    # handed u_1 in place of the linear Levi factor g_l, the check of
+    # [extK(g_l), extK.alg(Lie(G_h))] = 0 must fail
+    factor = liecore.group_factor_fine
+
+    def u1_as_levi(pd, g):
+        u1, g_1h, u_rel, _ = factor(pd, g)
+        return u1, g_1h, u_rel, u1
+
+    monkeypatch.setattr(liecore, "group_factor_fine", u1_as_levi)
+    rpt = suites.run_suite("extension", seed=0, samples=10)
+    check = {c["name"]: c for c in rpt["checks"]}["klingen-levi-commutes"]
+    assert not rpt["pass"] and not check["pass"]
+    assert check["max_residual"] > 1e-3
 
 
 def test_corrupt_springer_fails():
