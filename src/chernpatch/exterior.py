@@ -9,8 +9,9 @@ matrices.  d sums the signed entries of the operand's Jacobian, gathered
 through one shuffle table (wedge_table); the curvature adds to d omega the
 pair brackets of omega's coefficients.  A coefficient map is differentiated
 by its analytic Jacobian when it carries one (the Siegel projection, the
-affine forms of the `patch` suite) and otherwise by central differences,
-the 2m displaced points of each of P points as one func call on 2mP rows.
+affine forms of the `patch` suite), which takes a (P, m) stack as func
+does, and otherwise by central differences, the 2m displaced points of
+each of P points as one func call on 2mP rows.
 One contraction (contract) evaluates the coefficients at a stack of points,
 each on its own vectors: VForm.evaluate, and the fiber check at a stack,
 with one SVD for its vertical vectors and one draw for their companions.
@@ -42,10 +43,11 @@ class SmoothMap:
     """Differentiable map from an m-dimensional chart to scalars or arrays.
 
     func maps a (P, m) float array of chart points to the (P, ...) stack of
-    their values; value(x) is its one-row case.  jac (optional) is the
-    analytic Jacobian at one point x, an (m,) array; without it the Jacobian
-    is taken by central differences with step 1e-5, the displaced points of
-    a point or of a stack of points evaluated in one func call.
+    their values; value(x) is its one-row case.  jac (optional), the
+    analytic Jacobian, takes the same stack to the (P, m) + value-shape
+    stack of Jacobians in one call; without it the Jacobian is taken by
+    central differences with step 1e-5, the displaced points of a point or
+    of a stack of points evaluated in one func call.
     """
 
     def __init__(self, m, func, jac=None):
@@ -63,9 +65,8 @@ class SmoothMap:
         if self._jac is None:
             return self._fd_jacobian(x)
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.asarray(self._jac(x), dtype=complex)
-        return np.array([self._jac(p) for p in x], dtype=complex)
+        J = np.asarray(self._jac(x.reshape(-1, self.m)), dtype=complex)
+        return J.reshape(x.shape[:-1] + J.shape[1:])
 
     def _fd_jacobian(self, x, h=FD_STEP):
         """Central differences at a point (m,) or a (P, m) stack: rows i and

@@ -316,4 +316,5 @@ class SiegelModel:
         J = np.zeros((6, 2))
         J[0, 0] = 1.0
         J[3, 1] = 1.0
-        return ext.SmoothMap(6, lambda xs: xs[:, [0, 3]], jac=lambda x: J)
+        return ext.SmoothMap(6, lambda xs: xs[:, [0, 3]], jac=lambda xs:
+                             np.broadcast_to(J, (len(xs),) + J.shape))

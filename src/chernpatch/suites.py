@@ -147,46 +147,59 @@ _SHIFT_DIM = 4  # matrix size of the commuting pairs of nilpotent, springer
 
 
 def _random_weights(m, rng):
-    """xs -> (f, df) for _PATCH_PARTS weights at a (P, m) stack, (P, parts)
-    and (P, parts, m): f_i = c0 + 0.3 c1.x + 0.1 x.c2.x for all but the
-    last, which is 1 - the others; gradients in closed form."""
-    c0, c1, c2 = (np.array(c) for c in zip(*[
-        (rng.uniform(-1, 1), rng.uniform(-1, 1, m), rng.uniform(-1, 1, (m, m)))
-        for _ in range(_PATCH_PARTS - 1)]))
-    c2s = c2 + c2.transpose(0, 2, 1)
-
-    def weights(xs):
-        col = np.asarray(xs)[:, :, None]       # each x as an (m, 1) column
-        c2x = (c2 @ col[:, None])[..., 0]      # (P, parts - 1, m)
-        f = c0 + 0.3 * (c1 @ col)[..., 0] + 0.1 * (c2x @ col)[..., 0]
-        df = 0.3 * c1 + 0.1 * (c2s @ col[:, None])[..., 0]
-        return (np.concatenate([f, 1.0 - f.sum(axis=1, keepdims=True)], 1),
-                np.concatenate([df, -df.sum(axis=1, keepdims=True)], 1))
-
-    return weights
+    """(c0, c1, c2) of all but the last of the _PATCH_PARTS quadratic weights,
+    from one draw: row i holds c0, c1 (m,) and c2 (m, m) of weight i."""
+    c = rng.uniform(-1, 1, (_PATCH_PARTS - 1, 1 + m + m * m))
+    return c[:, 0], c[:, 1:1 + m], c[:, 1 + m:].reshape(-1, m, m)
 
 
 def _random_affine_form(m, rng):
-    """End(C^2)-valued 1-form with coefficients A_i + 0.4 sum_k x_k B_ik,
-    carrying its analytic Jacobian."""
+    """(A, B), (m, d, d) and (m, m, d, d), of the End(C^d)-valued 1-form
+    A_i + sum_k x_k B_ik, from one draw: row i holds A_i, then B_i / 0.4."""
     d = _PATCH_DIM
-    A, B = (np.array(c) for c in zip(*[
-        (rng.uniform(-1, 1, (d, d)), 0.4 * rng.uniform(-1, 1, (m, d, d)))
-        for _ in range(m)]))
-    J = B.transpose(1, 0, 2, 3)
-    return ext.VForm(m, 1, lambda xs: A + np.einsum("pk,ikrc->pirc", xs, B),
-                     jac=lambda x: J)
+    c = rng.uniform(-1, 1, (m, (1 + m) * d * d))
+    return c[:, :d * d].reshape(m, d, d), 0.4 * c[:, d * d:].reshape(m, m, d, d)
 
 
-def _combination_form(m, weights, omegas):
-    """sum_i f_i omega_i, each term on the whole stack."""
+def _weights(coeffs, xs):
+    """(f, df), (S, P, parts) and (S, P, parts, m), of the quadratic weights
+    of S samples at their (S, P, m) points: f_i = c0 + 0.3 c1.x + 0.1 x.c2.x
+    for all but the last, which is 1 - the others; gradients in closed form."""
+    c0, c1, c2 = (c[:, None] for c in coeffs)
+    col = xs[..., None]                      # each x as an (m, 1) column
+    c2x = (c2 @ col[:, :, None])[..., 0]     # (S, P, parts - 1, m)
+    f = c0 + 0.3 * (c1 @ col)[..., 0] + 0.1 * (c2x @ col)[..., 0]
+    df = 0.3 * c1 + 0.1 * ((c2 + c2.swapaxes(-1, -2)) @ col[:, :, None])[..., 0]
+    return (np.concatenate([f, 1.0 - f.sum(axis=-1, keepdims=True)], -1),
+            np.concatenate([df, -df.sum(axis=-2, keepdims=True)], -2))
+
+
+def _patch_forms(coeffs, A, B):
+    """omega = sum_i f_i omega_i and the affine omega_i of S samples of one
+    chart dimension m, from their stacked draws (c0, c1, c2), A (S, parts,
+    m, d, d) and B (S, parts, m, m, d, d), as VForms on (R, m) rows that
+    come sample by sample, R / S to a sample; the omega_i carry their
+    analytic Jacobians."""
+    S, m = len(A), A.shape[2]
+
+    def on_samples(func):       # func: (S, R / S, m) -> (S, R / S, ...)
+        return lambda xs: np.concatenate(func(xs.reshape(S, -1, m)))
+
+    def affine(i, xs):
+        return A[:, i, None] + np.einsum("spk,sikrc->spirc", xs, B[:, i])
+
     def combined(xs):
-        f = weights(xs)[0][:, :, None, None, None]
-        return sum(f[:, i] * om.func(xs) for i, om in enumerate(omegas))
-    return ext.VForm(m, 1, combined)
+        f = _weights(coeffs, xs)[0][..., None, None, None]
+        return sum(f[:, :, i] * affine(i, xs) for i in range(_PATCH_PARTS))
+
+    J = B.swapaxes(2, 3)[:, :, None]    # (S, parts, 1, k, i, d, d)
+    return ext.VForm(m, 1, on_samples(combined)), [ext.VForm(
+        m, 1, on_samples(lambda xs, i=i: affine(i, xs)), jac=on_samples(
+            lambda xs, i=i: np.broadcast_to(J[:, i], xs.shape[:2] + J.shape[3:])))
+        for i in range(_PATCH_PARTS)]
 
 
-def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
+def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4, corrupt=False):
     """Curvature of omega = sum_i f_i omega_i, for quadratic weights f_i
     summing to 1 and affine 1-forms omega_i of curvatures Omega_i: the
     product rule of ext.combination_curvature,
@@ -196,23 +209,32 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4):
 
     with df_i in closed form and Omega_i from analytic Jacobians, against
     ext.curvature_form of omega by central differences, coefficient by
-    coefficient at three points per sample, each side one stack.
+    coefficient at three points per sample.  The samples are drawn one at
+    a time and grouped by chart dimension m; each group is one stack, so
+    each side is one evaluation per m.  corrupt drops df_i from the rule.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    groups = {}
     for _ in range(samples):
         m = int(rng.integers(2, nvars + 1))
-        weights = _random_weights(m, rng)
-        omegas = [_random_affine_form(m, rng) for _ in range(_PATCH_PARTS)]
-        oracle = ext.curvature_form(_combination_form(m, weights, omegas))
-        xs = rng.uniform(-0.5, 0.5, (3, m))
-        f, df = weights(xs)
+        coeffs = _random_weights(m, rng)
+        A, B = zip(*[_random_affine_form(m, rng) for _ in range(_PATCH_PARTS)])
+        groups.setdefault(m, []).append(
+            (*coeffs, A, B, rng.uniform(-0.5, 0.5, (3, m))))
+    worst = 0.0
+    for group in groups.values():
+        *coeffs, A, B, xs = (np.array(a) for a in zip(*group))
+        omega, omegas = _patch_forms(coeffs, A, B)
+        rows = np.concatenate(xs)
+        f, df = map(np.concatenate, _weights(coeffs, xs))
         formula = ext.combination_curvature(zip(
-            f.T, df.swapaxes(0, 1), [om.func(xs) for om in omegas],
-            [ext.curvature_form(om).func(xs) for om in omegas]))
-        worst = max(worst, float(np.max(np.abs(formula - oracle.func(xs)))))
-    return _finish("patch", seed, tol, samples,
-                   [_check("combination-identity", worst, tol)])
+            f.T, (0.0 * df if corrupt else df).swapaxes(0, 1),
+            [om.func(rows) for om in omegas],
+            [ext.curvature_form(om).func(rows) for om in omegas]))
+        oracle = ext.curvature_form(omega).func(rows)
+        worst = max(worst, float(np.max(np.abs(formula - oracle))))
+    name = "combination-identity" + ("-with-dropped-dw" if corrupt else "")
+    return _finish("patch", seed, tol, samples, [_check(name, worst, tol)])
 
 
 def _commuting_pairs(rng, count, dim=4, corrupt=False):

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from chernpatch import liecore
+from chernpatch import liecore, suites
 
 
 def random_alg(spec, rng, scale=1.0):
@@ -59,6 +59,20 @@ def rowwise(f):
     """A chart map of one point x (m,) as a map of a (P, m) stack: f on each
     row, the values stacked."""
     return lambda xs: np.array([f(x) for x in xs])
+
+
+def patch_draws(m, S, rng):
+    """S samples of the patch suite at chart dimension m, each drawn as the
+    suite draws it (weights, affine forms, three points), stacked:
+    ((c0, c1, c2), A, B, xs) with xs (S, 3, m)."""
+    draws = []
+    for _ in range(S):
+        coeffs = suites._random_weights(m, rng)
+        A, B = zip(*[suites._random_affine_form(m, rng)
+                     for _ in range(suites._PATCH_PARTS)])
+        draws.append((*coeffs, A, B, rng.uniform(-0.5, 0.5, (3, m))))
+    c0, c1, c2, A, B, xs = (np.array(a) for a in zip(*draws))
+    return (c0, c1, c2), A, B, xs
 
 
 def fd_reference(sm, x, h=1e-5):

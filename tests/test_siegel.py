@@ -390,17 +390,6 @@ def test_curvature_evaluators_match_differences(model, name):
     assert scale > 1e-3     # the comparison is not between two zeros
 
 
-def test_linear_levi_connection_is_flat(model):
-    # extK is a homomorphism on the linear Levi, so extK.alg(ldot) adds no
-    # curvature to an induced connection
-    rng = np.random.default_rng(15)
-    for x in _oracle_points(model, rng):
-        p = model.point(x)
-        _, ldot = model._split(siegel.TangentVector(p.mc))
-        _, omega_A = siegel._structure(model.extK.alg, ldot)
-        assert np.max(np.abs(omega_A)) <= 1e-14
-
-
 @pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
 def test_klingen_levi_factor_commutes_with_values_from_Y(rep):
     # G_h and G_l commute, so lambda_1(g_l) at a section commutes with every

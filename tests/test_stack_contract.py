@@ -11,7 +11,7 @@ import pytest
 
 from chernpatch import (charts, connections, exterior as ext, hcrepr,
                         invariants as inv, liecore, siegel, suites)
-from helpers import fd_reference
+from helpers import fd_reference, patch_draws
 
 NAMES = ["siegel-patched", "siegel-induced", "siegel-projection",
          "siegel-curvature", "chern-c1", "chern-c2", "chart-connection",
@@ -33,11 +33,11 @@ def maps():
         spec, hcrepr.builtin_representation(spec, "det^2"))
     chart = charts.GroupChart(spec)
     gs = list(rng.uniform(-0.4, 0.4, (3, chart.dim)))
-    m = 3
-    omegas = [suites._random_affine_form(m, rng) for _ in range(3)]
-    combined = suites._combination_form(m, suites._random_weights(m, rng),
-                                        omegas)
-    ps = list(rng.uniform(-0.5, 0.5, (3, m)))
+    # one-sample patch forms: a form of S > 1 samples reads R / S rows a
+    # sample, so it has no one-row value
+    coeffs, A, B, ps = patch_draws(3, 1, rng)
+    combined, omegas = suites._patch_forms(coeffs, A, B)
+    ps = list(ps[0])
     return {
         "siegel-patched": (patched, xs),
         "siegel-induced": (
@@ -89,10 +89,86 @@ def test_differences_of_a_stack_are_those_of_each_point(maps, name):
 
 
 def test_an_analytic_jacobian_of_a_stack_is_that_of_each_point(maps):
-    sm, xs = maps["patch-affine"]
-    stack = sm.jacobian(np.array(xs))
-    for x, J in zip(xs, stack):
-        assert _same_bits(sm.jacobian(x), J)
+    for name in ("patch-affine", "siegel-projection"):
+        sm, xs = maps[name]
+        stack = sm.jacobian(np.array(xs))
+        assert stack.shape == (len(xs), sm.m) + sm.value(xs[0]).shape
+        for x, J in zip(xs, stack):
+            assert _same_bits(sm.jacobian(x), J)
+
+
+@pytest.mark.parametrize("name", ["patch-affine", "siegel-projection"])
+def test_an_analytic_jacobian_is_one_call_per_stack(maps, name, monkeypatch):
+    # jac takes the whole (P, m) stack, as func does; a point is one row
+    sm, xs = maps[name]
+    rows = []
+    jac = sm._jac
+    monkeypatch.setattr(sm, "_jac", lambda ys: rows.append(len(ys)) or jac(ys))
+    sm.jacobian(np.array(xs))
+    sm.jacobian(xs[0])
+    assert rows == [len(xs), 1]
+
+
+def test_a_patch_group_is_one_jacobian_call_per_affine_form(monkeypatch):
+    calls = []
+    jacobian = ext.SmoothMap.jacobian
+
+    def counted(self, x):
+        calls.append((self._jac is not None, len(x)))
+        return jacobian(self, x)
+
+    monkeypatch.setattr(ext.SmoothMap, "jacobian", counted)
+    rpt = suites.run_suite("patch", seed=0, samples=12, nvars=2)
+    assert rpt["pass"]
+    # one chart dimension: three analytic calls on the 36 points, and one
+    # difference call for the combination
+    assert sorted(calls) == [(False, 36)] + [(True, 36)] * 3
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("S", [1, 2, 3, 4])
+def test_a_patch_stack_is_each_sample_on_its_own(m, S):
+    # an S-sample form on its sample-major rows gives, bit for bit, the S
+    # one-sample forms on their own points
+    coeffs, A, B, xs = patch_draws(m, S, np.random.default_rng(10 * m + S))
+    stacked = suites._patch_forms(coeffs, A, B)
+    for s in range(S):
+        one = suites._patch_forms(tuple(c[s:s + 1] for c in coeffs),
+                                  A[s:s + 1], B[s:s + 1])
+        for a, b in zip([stacked[0], *stacked[1]], [one[0], *one[1]]):
+            for get in (lambda f, x: f.func(x), lambda f, x: f._fd_jacobian(x),
+                        lambda f, x: f.jacobian(x),
+                        lambda f, x: ext.curvature_form(f).func(x)):
+                got = np.asarray(get(a, xs.reshape(-1, m)), dtype=complex)
+                want = np.asarray(get(b, xs[s]), dtype=complex)
+                assert _same_bits(got[3 * s:3 * s + 3], want)
+
+
+def _weights_drawn_part_by_part(m, rng):
+    """The patch weights' coefficients as first drawn: c0, c1, c2 of each
+    weight in turn, one draw each."""
+    return tuple(np.array(c) for c in zip(*[
+        (rng.uniform(-1, 1), rng.uniform(-1, 1, m), rng.uniform(-1, 1, (m, m)))
+        for _ in range(suites._PATCH_PARTS - 1)]))
+
+
+def _affine_drawn_row_by_row(m, rng, d=2):
+    """An affine form's (A, B) as first drawn: A_i, then B_i / 0.4, for each
+    coefficient i in turn."""
+    return tuple(np.array(c) for c in zip(*[
+        (rng.uniform(-1, 1, (d, d)), 0.4 * rng.uniform(-1, 1, (m, d, d)))
+        for _ in range(m)]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_one_draw_patch_coefficients_are_the_part_by_part_draws(m):
+    new, old = np.random.default_rng(m), np.random.default_rng(m)
+    for draw, reference in [(suites._random_weights, _weights_drawn_part_by_part),
+                            (suites._random_affine_form, _affine_drawn_row_by_row)]:
+        for a, b in zip(draw(m, new), reference(m, old), strict=True):
+            assert _same_bits(a, b)
+    # and the stream continues where it did
+    assert new.uniform() == old.uniform()
 
 
 def test_evaluate_takes_a_stack_with_one_vector_set_per_point(maps):

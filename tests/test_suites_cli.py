@@ -293,6 +293,20 @@ def test_cli_verify_partition_dropped_weight_fails(seed, capsys):
     assert rpt["checks"][0]["max_residual"] > 1e-3
 
 
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_cli_verify_patch_dropped_dw_fails(seed, capsys):
+    # the product rule without its df_i ^ omega_i terms is caught far above
+    # the difference error, at the same draws where the full rule passes
+    assert cli.main(["verify", "patch", "--seed", seed]) == 0
+    plain = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in plain] == ["combination-identity"]
+    assert cli.main(["verify", "patch", "--seed", seed, "--corrupt"]) == 1
+    rpt = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in rpt["checks"]] == [
+        "combination-identity-with-dropped-dw"]
+    assert rpt["checks"][0]["max_residual"] > 1e-3
+
+
 @pytest.mark.parametrize("seed", ["0", "1", "2"])
 def test_cli_verify_patched_dropped_chain_fails(seed, capsys):
     # the chain (Z, Y, X) dropped from the chain form is caught far above
@@ -314,7 +328,7 @@ def test_cli_verify_patched_dropped_chain_fails(seed, capsys):
 def test_cli_verify_help_lists_partition_under_corrupt(capsys):
     assert cli.main(["verify", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert ("negative control of the nilpotent, partition, patched, "
+    assert ("negative control of the nilpotent, partition, patch, patched, "
             "springer, vanishing suites") in help_text
 
 
@@ -381,7 +395,7 @@ def test_cli_verify_model_unread_is_an_error(tmp_path, capsys):
 
 
 def test_cli_verify_corrupt_unread_is_an_error(capsys):
-    assert cli.main(["verify", "patch", "--samples", "10",
+    assert cli.main(["verify", "bridge", "--samples", "10",
                      "--corrupt"]) == 2
     assert "--corrupt" in capsys.readouterr().err
 
