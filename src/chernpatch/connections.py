@@ -33,15 +33,25 @@ from .errors import ConditionViolation, PreconditionFailed
 TOL = 1e-9
 
 
+def _cartan_basis(spec, part):
+    """The Cartan parts (0: Lie(K), 1: p) of the elementary basis come in
+    +- pairs with disjoint supports: the first nonzero part of each pair,
+    divided by its norm, with every zero entry stored as +0.0."""
+    out = []
+    for X in liecore.cartan_split(
+            spec, np.array(liecore.algebra_basis(spec)))[part]:
+        if X.any() and not any((X * Y).any() for Y in out):
+            out.append(X / np.linalg.norm(X) + 0.0)
+    return out
+
+
 def k_basis(spec):
-    """Orthonormalized basis of Lie(K) inside the ambient algebra."""
-    return liecore._orthonormalize(
-        liecore.cartan_split(spec, np.array(liecore.algebra_basis(spec)))[0])
+    """Orthonormal basis of Lie(K), from the elementary basis's K parts."""
+    return _cartan_basis(spec, 0)
 
 
 def p_basis(spec):
-    return liecore._orthonormalize(
-        liecore.cartan_split(spec, np.array(liecore.algebra_basis(spec)))[1])
+    return _cartan_basis(spec, 1)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from itertools import dropwhile
 
 import numpy as np
 
-from . import exterior as ext
+from . import exterior as ext, liecore
 from .errors import PreconditionFailed
 
 
@@ -127,14 +127,6 @@ def _commutes(x, n, tol=1e-9):
     return _vanishes(x @ n - n @ x, x, 1, tol)
 
 
-def _require(ok, message):
-    """PreconditionFailed(message) unless ok holds, naming the first
-    failing matrix of a stack by its flat index."""
-    if not np.all(ok):
-        raise PreconditionFailed(
-            message + (f" at row {np.argmin(ok)}" if np.ndim(ok) else ""))
-
-
 def springer_check(f, x, n, tol=1e-9):
     """f(x + n) - f(x) for commuting nilpotent n and any invariant
     polynomial f, a callable on (..., d, d) stacks of matrices; raises if
@@ -143,8 +135,10 @@ def springer_check(f, x, n, tol=1e-9):
 
     Returns the residual per matrix, exactly zero in exact arithmetic.
     """
-    _require(is_nilpotent(n, tol=tol), "n is not nilpotent")
-    _require(_commutes(x, n, tol=tol), "x and n do not commute")
+    liecore.require(is_nilpotent(n, tol=tol), "n is not nilpotent",
+                    PreconditionFailed)
+    liecore.require(_commutes(x, n, tol=tol), "x and n do not commute",
+                    PreconditionFailed)
     a, b = f(x + n), f(x)
     if _is_exact(x):
         return a - b

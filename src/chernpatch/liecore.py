@@ -16,11 +16,11 @@ the parabolic subalgebra data of the coordinate isotropic flags of sp2nR
 from the elementary basis of :func:`algebra_basis`: each of its elements
 is a Cartan element or a root vector, so every piece is a subset of it.
 
-Coordinates in a fixed real span of matrices come from one routine,
-:func:`algebra_coords`, through a solver (basis matrix and pseudo-inverse)
-that the owner of the basis builds once with :func:`span_solver`:
-ParabolicData in its constructor for Lie(Q) and Lie(U_1), and
-connections.InvariantConnection for its ambient basis.
+Every span the package builds is a subset of that elementary basis, whose
+elements have disjoint supports: coordinates in it are orthogonal
+projections, by :func:`algebra_coords` through a solver that the owner of
+the basis builds once with :func:`span_solver` (ParabolicData for Lie(U_1),
+connections.InvariantConnection for its ambient basis).
 
 The package's one matrix exponential is :func:`expm`, on a matrix or a
 stack, each matrix scaled by its own norm; :func:`exp_grp`, which checks
@@ -153,29 +153,27 @@ def algebra_basis(spec: GroupSpec):
     return out
 
 
-def _vec(X):
-    """Real coordinate vectors (..., 2 N^2) of a matrix or (..., N, N) stack."""
-    X = np.asarray(X, dtype=complex)
-    X = X.reshape(X.shape[:-2] + (-1,))
-    return np.concatenate([X.real, X.imag], axis=-1)
-
-
 def span_solver(basis):
-    """(B, B^+) for a fixed real span: B has the real coordinate vector of
-    each basis matrix as a column, B^+ is its pseudo-inverse.  The owner of
-    a basis builds this once, at construction."""
-    B = np.stack([_vec(b) for b in basis], axis=1)
-    return B, np.linalg.pinv(B)
+    """(B, P) of a real span of orthogonal matrices, built once by its owner:
+    B holds the flat basis matrices as rows, and P = B^T / |b|^2 projects a
+    flat matrix onto its coordinates.  Raises PreconditionFailed unless B B^T
+    is exactly diagonal, as it is for disjoint supports."""
+    B = np.array(basis, dtype=float).reshape(len(basis), -1)
+    gram = B @ B.T
+    if np.any(gram - np.diag(np.diag(gram))):
+        raise PreconditionFailed("span_solver: the basis is not orthogonal")
+    return B, B.T / np.diag(gram)
 
 
 def algebra_coords(solver, X, tol: float, message: str):
     """Coordinates (..., k) of X, a matrix or a (..., N, N) stack, in the span
-    of a :func:`span_solver`; raises DecompositionError(message), naming the
-    first failing row, unless each |B c - X|_inf <= tol max(1, |X|_inf)."""
-    B, pinv = solver
-    v = _vec(X)
-    c = v @ pinv.T
-    require(np.abs(c @ B.T - v).max(axis=-1)
+    of a :func:`span_solver`, by projection of its real part; raises
+    DecompositionError(message), naming the first failing row, unless each
+    |B c - X|_inf <= tol max(1, |X|_inf), so a nonzero imaginary part fails."""
+    B, P = solver
+    v = np.reshape(X, np.shape(X)[:-2] + (-1,))
+    c = np.real(v) @ P
+    require(np.abs(c @ B - v).max(axis=-1)
             <= tol * np.maximum(1.0, np.abs(v).max(axis=-1)), message)
     return c
 
@@ -263,22 +261,6 @@ def exp_grp(spec: GroupSpec, X):
 # block and matches the chart projection onto leading principal blocks.
 
 
-def _orthonormalize(mats, tol=1e-10):
-    """Gram-Schmidt on real matrices as flat vectors, each kept one divided
-    by its norm and, once all are found, by its norm again.  Adding 0.0
-    stores every zero entry as +0.0, whatever the signs of zeros in mats."""
-    out = []
-    for m in mats:
-        v = np.ravel(m)
-        for o in out:
-            v = v - np.dot(o, v) * o
-        nrm = np.linalg.norm(v)
-        if nrm > tol:
-            out.append(v / nrm)
-    shape = np.shape(mats)[1:]
-    return [(o / np.linalg.norm(o) + 0.0).reshape(shape) for o in out]
-
-
 @dataclass
 class ParabolicData:
     """Subalgebra data for a standard parabolic given by an isotropic flag.
@@ -297,37 +279,29 @@ class ParabolicData:
     basis_l: list = field(repr=False)        # linear Levi part g_{Q ell}
 
     def __post_init__(self):
-        # built once per parabolic: span solvers for Lie(Q) and Lie(U_1),
-        # and the (k, 3 N^2) map from Lie(Q) coordinates to the flat u, h
-        # and l components
-        self._q = span_solver(self.basis_q)
+        # a span solver for Lie(U_1); (N^2, 3 N^2): projections onto u, h, l
         self._u1 = span_solver(self.basis_u1)
-        N = self.spec.size
-        blocks = [np.array(b).reshape(len(b), N * N)
-                  for b in (self.basis_u, self.basis_h, self.basis_l)]
-        parts = np.zeros((sum(self.dims), 3, N * N),
-                         dtype=np.result_type(*blocks))
-        start = 0
-        for k, b in enumerate(blocks):
-            parts[start:start + len(b), k] = b
-            start += len(b)
-        self._parts = parts.reshape(len(parts), 3 * N * N)
-
-    @property
-    def dims(self):
-        return (len(self.basis_u), len(self.basis_h), len(self.basis_l))
+        B, P = span_solver(self.basis_q)
+        part = np.repeat(np.arange(3), [len(self.basis_u), len(self.basis_h),
+                                        len(self.basis_l)])
+        self._proj = np.hstack([P[:, part == k] @ B[part == k]
+                                for k in range(3)])
 
     @property
     def basis_q(self):
         return list(self.basis_u) + list(self.basis_h) + list(self.basis_l)
 
     def split(self, X):
-        """Split X in Lie(Q), a matrix or a stack, into (u, h, l) components."""
-        c = algebra_coords(self._q, X, PARABOLIC_TOL,
-                           "element not in the parabolic subalgebra")
+        """(u, h, l) parts of X in Lie(Q), a matrix or a stack: orthogonal
+        projections of its real part.  DecompositionError names the first
+        row with |u + h + l - X| > PARABOLIC_TOL max(1, |X|)."""
         sh = np.shape(X)
-        return tuple(np.moveaxis(
-            (c @ self._parts).reshape(sh[:-2] + (3,) + sh[-2:]), -3, 0))
+        parts = (np.real(np.reshape(X, sh[:-2] + (-1,))) @ self._proj
+                 ).reshape(sh[:-2] + (3,) + sh[-2:])
+        require(_maxabs(parts.sum(axis=-3) - X)
+                <= PARABOLIC_TOL * np.maximum(1.0, _maxabs(X)),
+                "element not in the parabolic subalgebra")
+        return tuple(np.moveaxis(parts, -3, 0))
 
 
 def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:

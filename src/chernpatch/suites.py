@@ -143,6 +143,7 @@ def suite_vanishing(seed=0, tol=0.0, samples=10000, model=None,
 
 
 _PATCH_PARTS, _PATCH_DIM = 3, 2  # patch: 3 End(C^2)-valued 1-forms a sample
+_PATCH_STACK = 64  # patch: samples of one chart dimension a stack at most
 _SHIFT_DIM = 4  # matrix size of the commuting pairs of nilpotent, springer
 
 
@@ -199,6 +200,20 @@ def _patch_forms(coeffs, A, B):
         for i in range(_PATCH_PARTS)]
 
 
+def _patch_residual(group, corrupt):
+    """max |formula - oracle| of one chart dimension's samples, one stack."""
+    *coeffs, A, B, xs = (np.array(a) for a in zip(*group))
+    omega, omegas = _patch_forms(coeffs, A, B)
+    rows = np.concatenate(xs)
+    f, df = map(np.concatenate, _weights(coeffs, xs))
+    formula = ext.combination_curvature(zip(
+        f.T, (0.0 * df if corrupt else df).swapaxes(0, 1),
+        [om.func(rows) for om in omegas],
+        [ext.curvature_form(om).func(rows) for om in omegas]))
+    oracle = ext.curvature_form(omega).func(rows)
+    return float(np.max(np.abs(formula - oracle)))
+
+
 def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4, corrupt=False):
     """Curvature of omega = sum_i f_i omega_i, for quadratic weights f_i
     summing to 1 and affine 1-forms omega_i of curvatures Omega_i: the
@@ -210,29 +225,21 @@ def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4, corrupt=False):
     with df_i in closed form and Omega_i from analytic Jacobians, against
     ext.curvature_form of omega by central differences, coefficient by
     coefficient at three points per sample.  The samples are drawn one at
-    a time and grouped by chart dimension m; each group is one stack, so
-    each side is one evaluation per m.  corrupt drops df_i from the rule.
+    a time and grouped by chart dimension m; a group is one stack, run as
+    it fills to _PATCH_STACK samples or at the end.  corrupt drops df_i.
     """
     rng = np.random.default_rng(seed)
-    groups = {}
+    groups, worst = {}, 0.0
     for _ in range(samples):
         m = int(rng.integers(2, nvars + 1))
         coeffs = _random_weights(m, rng)
         A, B = zip(*[_random_affine_form(m, rng) for _ in range(_PATCH_PARTS)])
-        groups.setdefault(m, []).append(
-            (*coeffs, A, B, rng.uniform(-0.5, 0.5, (3, m))))
-    worst = 0.0
+        group = groups.setdefault(m, [])
+        group.append((*coeffs, A, B, rng.uniform(-0.5, 0.5, (3, m))))
+        if len(group) == _PATCH_STACK:
+            worst = max(worst, _patch_residual(groups.pop(m), corrupt))
     for group in groups.values():
-        *coeffs, A, B, xs = (np.array(a) for a in zip(*group))
-        omega, omegas = _patch_forms(coeffs, A, B)
-        rows = np.concatenate(xs)
-        f, df = map(np.concatenate, _weights(coeffs, xs))
-        formula = ext.combination_curvature(zip(
-            f.T, (0.0 * df if corrupt else df).swapaxes(0, 1),
-            [om.func(rows) for om in omegas],
-            [ext.curvature_form(om).func(rows) for om in omegas]))
-        oracle = ext.curvature_form(omega).func(rows)
-        worst = max(worst, float(np.max(np.abs(formula - oracle))))
+        worst = max(worst, _patch_residual(group, corrupt))
     name = "combination-identity" + ("-with-dropped-dw" if corrupt else "")
     return _finish("patch", seed, tol, samples, [_check(name, worst, tol)])
 
@@ -392,10 +399,10 @@ def suite_bridge(seed=0, tol=1e-6, samples=20):
 
 def _model_tube_points(rng, samples):
     """Sample chart points in the plane-stratum tube of the rank-2 model."""
-    return [[float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
-             float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.2)),
-             float(rng.uniform(-0.3, 0.3)), float(rng.uniform(17.0, 40.0))]
-            for _ in range(samples)]
+    x = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 17.0],
+                    [0.5, 0.3, 0.3, 0.2, 0.3, 40.0], (samples, 6))
+    x[:, 3] = 1.0 / x[:, 3]
+    return x.tolist()
 
 
 _STACK = 8
@@ -428,15 +435,11 @@ def _mixed_tube_points(model, rng, samples):
     """Points of the plane-stratum tube with the point-stratum radius in its
     transition band, so that both patching weights are active."""
     eps_x = model.model.eps("X")
-    pts = []
-    for _ in range(samples):
-        rz = float(rng.uniform(0.55, 0.7)) * eps_x
-        ry = float(rng.uniform(0.1, 0.45)) * eps_x
-        y11, y22 = 1.0 / rz, 1.0 / ry
-        y12 = float(rng.uniform(-0.02, 0.02)) * np.sqrt(y11 * y22)
-        pts.append([float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
-                    float(rng.uniform(-1, 1)), y11, y12, y22])
-    return pts
+    d = rng.uniform([0.55, 0.1, -0.02, -1, -1, -1],
+                    [0.7, 0.45, 0.02, 1, 1, 1], (samples, 6))
+    y11, y22 = 1.0 / (d[:, 0] * eps_x), 1.0 / (d[:, 1] * eps_x)
+    return np.column_stack([d[:, 3:], y11, d[:, 2] * np.sqrt(y11 * y22),
+                            y22]).tolist()
 
 
 _RAW_FLOOR = 1e-3      # the raw curvature's contraction must exceed this
@@ -535,10 +538,9 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40, corrupt=False):
             (c, w) for c, w in weights(x) if c != ("Z", "Y", "X")]
     rec_chain = 0.0
     local = 0.0
-    xs = [[float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
-           float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.5)),
-           float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.005, 0.12))]
-          for _ in range(samples)]
+    xs = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 0.005],
+                     [0.5, 0.3, 0.3, 0.5, 0.3, 0.12], (samples, 6))
+    xs[:, [3, 5]] = 1.0 / xs[:, [3, 5]]
     for _, p in _stacks(m, xs):
         mc = p.mc[:, [0, 4]]
         a = m.omega_patched(p, mc)

@@ -21,6 +21,29 @@ def alg_residual(spec, X):
     return max(r, float(np.max(np.abs(np.asarray(X, dtype=complex).imag))))
 
 
+def real_vec(X):
+    """Real coordinate vector (2 N^2,) of a matrix: its real parts, then its
+    imaginary parts, for least-squares oracles of the span coordinates."""
+    X = np.asarray(X, dtype=complex).ravel()
+    return np.concatenate([X.real, X.imag])
+
+
+def gram_schmidt(mats, tol=1e-10):
+    """Reference orthonormal basis of the span of real matrices, in order:
+    Gram-Schmidt on them as flat vectors, each kept one divided by its norm
+    and, once all are found, by its norm again, every zero stored as +0.0."""
+    out = []
+    for m in mats:
+        v = np.ravel(m)
+        for o in out:
+            v = v - np.dot(o, v) * o
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            out.append(v / nrm)
+    shape = np.shape(mats)[1:]
+    return [(o / np.linalg.norm(o) + 0.0).reshape(shape) for o in out]
+
+
 def chart_g(chart, x):
     """The group element g(x) = exp(x_1 e_1) ... exp(x_d e_d) of a
     charts.GroupChart, for central differences of g against mc_coeff."""

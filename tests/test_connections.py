@@ -4,7 +4,7 @@ import pytest
 from chernpatch import connections, hcrepr, liecore
 from chernpatch.errors import (ConditionViolation, DecompositionError,
                                PreconditionFailed)
-from helpers import random_alg
+from helpers import gram_schmidt, random_alg, real_vec
 
 
 def _sp2(rep_name="det^2"):
@@ -116,14 +116,39 @@ def test_omega0_and_curvature0_on_a_stack(spec, rep_name):
 def test_omega0_matches_lstsq_coordinates(spec, rep_name):
     rep = hcrepr.builtin_representation(spec, rep_name)
     conn = connections.nomizu_connection(spec, rep)
-    B = np.stack([liecore._vec(b) for b in conn.basis], axis=1)
+    B = np.stack([real_vec(b) for b in conn.basis], axis=1)
     rng = np.random.default_rng(6)
     for _ in range(10):
         X = random_alg(spec, rng)
-        c, *_ = np.linalg.lstsq(B, liecore._vec(X), rcond=None)
+        c, *_ = np.linalg.lstsq(B, real_vec(X), rcond=None)
         ref = sum(ci * v for ci, v in zip(c, conn.values))
         assert np.max(np.abs(conn.omega0(X) - ref)) < 1e-12
     with pytest.raises(DecompositionError,
                        match="matrix not in the spanned Lie algebra"):
         conn.omega0(np.eye(spec.size))
 
+
+def test_omega0_refuses_a_non_real_element():
+    spec = liecore.sp2nR(2)
+    conn = connections.nomizu_connection(
+        spec, hcrepr.builtin_representation(spec, "std"))
+    X = random_alg(spec, np.random.default_rng(8))
+    conn.omega0(X)
+    with pytest.raises(DecompositionError,
+                       match="matrix not in the spanned Lie algebra$"):
+        conn.omega0(X + 1e-3j * X)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cartan_bases_match_gram_schmidt(n):
+    # the kept Cartan parts of the elementary basis, against Gram-Schmidt on
+    # all of them: the same elements, in order and sign
+    spec = liecore.sp2nR(n)
+    parts = liecore.cartan_split(spec, np.array(liecore.algebra_basis(spec)))
+    for got, mats in ((connections.k_basis(spec), parts[0]),
+                      (connections.p_basis(spec), parts[1])):
+        ref = gram_schmidt(mats)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-15
+            assert np.array_equal(np.sign(a), np.sign(b))

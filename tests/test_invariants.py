@@ -247,10 +247,11 @@ def test_stacked_springer_check_names_the_failing_row():
     x, n = _float_pairs(5)
     bad = n.copy()
     bad[3] = np.eye(4)                  # not nilpotent
-    with pytest.raises(PreconditionFailed, match="n is not nilpotent at row 3$"):
+    with pytest.raises(PreconditionFailed,
+                       match=r"n is not nilpotent \(row 3\)$"):
         inv.springer_check(f, x, bad, tol=1e-6)
     x[2], n[2] = np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(4, k=1)
-    with pytest.raises(PreconditionFailed, match="do not commute at row 2$"):
+    with pytest.raises(PreconditionFailed, match=r"do not commute \(row 2\)$"):
         inv.springer_check(f, x, n, tol=1e-6)
 
 
@@ -262,11 +263,12 @@ def test_large_norm_row_does_not_loosen_a_small_row():
     n = np.zeros((2, 3, 3))
     n[0, 0, 1] = 1e6
     n[1, 0, 1] = 1e-5                   # nilpotent, but [x, n] = -1e-5 e_01
-    with pytest.raises(PreconditionFailed, match="do not commute at row 1$"):
+    with pytest.raises(PreconditionFailed, match=r"do not commute \(row 1\)$"):
         inv.springer_check(f, x, n)
     # n^3 = 1e-3 I at row 1, above tol = 1e-9, below tol (1e6)^3
     n[1], x[1] = 0.1 * np.eye(3), np.eye(3)
-    with pytest.raises(PreconditionFailed, match="n is not nilpotent at row 1$"):
+    with pytest.raises(PreconditionFailed,
+                       match=r"n is not nilpotent \(row 1\)$"):
         inv.springer_check(f, x, n)
     # each row alone: row 0 passes, row 1 fails
     inv.springer_check(f, x[0], n[0])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import liecore
 from chernpatch.errors import DecompositionError, PreconditionFailed, UnsupportedFlag
-from helpers import alg_residual, random_alg
+from helpers import alg_residual, random_alg, real_vec
 
 SPECS = [liecore.sp2nR(1), liecore.sp2nR(2), liecore.sp2nR(3)]
 
@@ -105,7 +105,7 @@ def test_cartan_split_recombines():
 ])
 def test_sp4_parabolic_dimensions(flag, dims):
     pd = liecore.parabolic_data(liecore.sp2nR(2), flag)
-    assert pd.dims == dims
+    assert (len(pd.basis_u), len(pd.basis_h), len(pd.basis_l)) == dims
 
 
 def test_parabolic_split_sums_back():
@@ -131,12 +131,12 @@ def test_split_rejects_outside_parabolic():
 def _lstsq_split(pd, X):
     """Reference split: lstsq coordinates in basis_q, recomposed term by
     term, with the membership check on the lstsq residual."""
-    B = np.stack([liecore._vec(b) for b in pd.basis_q], axis=1)
-    v = liecore._vec(X)
+    B = np.stack([real_vec(b) for b in pd.basis_q], axis=1)
+    v = real_vec(X)
     c, *_ = np.linalg.lstsq(B, v, rcond=None)
     if np.max(np.abs(B @ c - v)) > 1e-8 * max(1.0, np.max(np.abs(v))):
         raise DecompositionError("element not in the parabolic subalgebra")
-    nu, nh, _ = pd.dims
+    nu, nh = len(pd.basis_u), len(pd.basis_h)
     parts = (pd.basis_u, pd.basis_h, pd.basis_l)
     cs = (c[:nu], c[nu:nu + nh], c[nu + nh:])
     return [sum((ci * b for ci, b in zip(cc, bas)), np.zeros_like(X))
@@ -170,6 +170,41 @@ def test_split_matches_lstsq_reference(group, flag):
                 split(Y)
 
 
+def test_span_solver_refuses_a_basis_that_is_not_orthogonal():
+    with pytest.raises(PreconditionFailed, match="not orthogonal"):
+        liecore.span_solver([np.diag([1.0, 0.0]), np.diag([1.0, 1.0])])
+    # orthogonal but overlapping supports pass; the coordinates project
+    B, P = liecore.span_solver([np.diag([1.0, 1.0]), np.diag([2.0, -2.0])])
+    assert np.array_equal(B @ P, np.eye(2))
+    assert np.allclose(liecore.algebra_coords(
+        (B, P), np.diag([3.0, 1.0]), 1e-12, "x"), [2.0, 0.5])
+    with pytest.raises(DecompositionError, match="x"):
+        liecore.algebra_coords((B, P), np.eye(2)[::-1], 1e-12, "x")
+
+
+@pytest.mark.parametrize("group,flag", [
+    ("sp4", (1,)), ("sp4", (2,)), ("sp6", (1, 2)),
+])
+def test_a_non_real_element_of_the_span_is_refused(group, flag):
+    # coordinates project the real part, so an imaginary part of an element
+    # of the span lands in the residual, for split and for the U_1 check
+    pd = liecore.parabolic_data(GROUPS[group], flag)
+    rng = np.random.default_rng(11)
+    X = liecore.from_coords(rng.standard_normal(len(pd.basis_q)), pd.basis_q)
+    pd.split(X)
+    with pytest.raises(DecompositionError,
+                       match="element not in the parabolic subalgebra$"):
+        pd.split(X + 1e-3j * X)
+    with pytest.raises(DecompositionError, match=r"subalgebra \(row 1\)$"):
+        pd.split(np.array([X, X + 1e-3j * X]))
+    U = liecore.from_coords(rng.standard_normal(len(pd.basis_u1)),
+                            pd.basis_u1)
+    liecore.algebra_coords(pd._u1, U, 1e-7, "unipotent factor not in U_1")
+    with pytest.raises(DecompositionError, match="not in U_1$"):
+        liecore.algebra_coords(pd._u1, U + 1e-3j * U, 1e-7,
+                               "unipotent factor not in U_1")
+
+
 @pytest.mark.parametrize("group,flag", [
     ("sp4", (1,)), ("sp4", (2,)), ("sp6", (1, 2)),
 ])
@@ -179,10 +214,11 @@ def test_stack_matches_one_matrix_at_a_time(group, flag):
     rng = np.random.default_rng(7)
     Xs = np.array([liecore.from_coords(rng.standard_normal(len(pd.basis_q)),
                                        pd.basis_q) for _ in range(6)])
-    coords = liecore.algebra_coords(pd._q, Xs, 1e-8, "not in Lie(Q)")
+    q = liecore.span_solver(pd.basis_q)
+    coords = liecore.algebra_coords(q, Xs, 1e-8, "not in Lie(Q)")
     parts = pd.split(Xs)
     for i, X in enumerate(Xs):
-        one = liecore.algebra_coords(pd._q, X, 1e-8, "not in Lie(Q)")
+        one = liecore.algebra_coords(q, X, 1e-8, "not in Lie(Q)")
         assert np.max(np.abs(coords[i] - one)) < 1e-14
         for a, b in zip(parts, pd.split(X)):
             assert a.shape == Xs.shape
@@ -272,7 +308,10 @@ def test_factor_checks_reject_nan():
     Xs = np.zeros((3, 4, 4))
     Xs[1, 0, 0] = np.nan
     with pytest.raises(DecompositionError, match=r"\(row 1\)$"):
-        liecore.algebra_coords(pd._q, Xs, 1e-8, "not in Lie(Q)")
+        liecore.algebra_coords(liecore.span_solver(pd.basis_q), Xs, 1e-8,
+                               "not in Lie(Q)")
+    with pytest.raises(DecompositionError, match=r"subalgebra \(row 1\)$"):
+        pd.split(Xs)
 
 
 def test_group_factor_of_a_stack_matches_one_element_at_a_time():
@@ -379,7 +418,8 @@ def test_parabolic_data_defining_properties(group, flag):
         gram = _trace_gram(bas, [X.T for X in bas])
         assert np.abs(gram - np.eye(len(bas))).max(initial=0.0) < 1e-12
     if group in DIMS:
-        assert pd.dims + (len(pd.basis_u1),) == DIMS[group][flag]
+        assert tuple(len(getattr(pd, name)) for name in (
+            "basis_u", "basis_h", "basis_l", "basis_u1")) == DIMS[group][flag]
 
 
 @pytest.mark.parametrize("spec,flag,message", [

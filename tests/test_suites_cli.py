@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,10 +202,60 @@ def test_commuting_pairs_confirm_nonsingular_flags(monkeypatch):
     assert suites._commuting_pairs(np.random.default_rng(11), 9)[2].all()
 
 
+def _scalar_model_tube_points(rng, samples):
+    return [[float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
+             float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.2)),
+             float(rng.uniform(-0.3, 0.3)), float(rng.uniform(17.0, 40.0))]
+            for _ in range(samples)]
+
+
+def _scalar_mixed_tube_points(model, rng, samples):
+    eps_x, pts = model.model.eps("X"), []
+    for _ in range(samples):
+        y11 = 1.0 / (float(rng.uniform(0.55, 0.7)) * eps_x)
+        y22 = 1.0 / (float(rng.uniform(0.1, 0.45)) * eps_x)
+        y12 = float(rng.uniform(-0.02, 0.02)) * np.sqrt(y11 * y22)
+        pts.append([float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
+                    float(rng.uniform(-1, 1)), y11, y12, y22])
+    return pts
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("samples", [1, 7])
+def test_tube_points_match_one_draw_at_a_time(seed, samples):
+    # one bulk draw a sampler gives the bits of the scalar draws, point by
+    # point, and leaves the stream where they left it
+    model = siegel.SiegelModel("std")
+    got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for bulk, scalar in (
+            (suites._model_tube_points, _scalar_model_tube_points),
+            (lambda r, k: suites._mixed_tube_points(model, r, k),
+             lambda r, k: _scalar_mixed_tube_points(model, r, k))):
+        assert (np.array(bulk(got, samples)).tobytes()
+                == np.array(scalar(ref, samples)).tobytes())
+    assert got.random() == ref.random()
+
+
 def test_reports_are_deterministic():
     a = suites.run_suite("patch", seed=7, samples=4)
     b = suites.run_suite("patch", seed=7, samples=4)
     assert suites.render_report(a) == suites.render_report(b)
+
+
+def _patch_peak(samples):
+    tracemalloc.start()
+    try:
+        suites.run_suite("patch", seed=7, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_patch_bounds_its_memory():
+    # a chart-dimension group is evaluated once it holds _PATCH_STACK
+    # samples, so ten times the samples cannot double the peak
+    suites.run_suite("patch", seed=7, samples=2)  # lazy set-up outside
+    assert _patch_peak(1000) <= 2 * _patch_peak(100)
 
 
 def test_report_is_valid_json():
