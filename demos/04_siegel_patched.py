@@ -14,7 +14,7 @@ pieces drops out of every conjugation invariant.
 
 import numpy as np
 
-from chernpatch import exterior as ext, invariants as inv, siegel
+from chernpatch import exterior as ext, invariants as inv, siegel, suites
 
 m = siegel.SiegelModel("std")
 epsX = m.model.eps("X")
@@ -37,14 +37,7 @@ print(f"localized around {bases[0]}: |w*recursion - localized| =",
 
 # Sample points where the point-stratum weight sits in its transition band
 # while we stay well inside the tube around the plane stratum.
-pts = []
-for _ in range(3):
-    rz = float(rng.uniform(0.55, 0.7)) * epsX
-    ry = float(rng.uniform(0.1, 0.45)) * epsX
-    y11, y22 = 1.0 / rz, 1.0 / ry
-    y12 = float(rng.uniform(-0.02, 0.02)) * np.sqrt(y11 * y22)
-    pts.append([float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
-                float(rng.uniform(-1, 1)), y11, y12, y22])
+pts = suites._mixed_tube_points(m, rng, 3)
 
 wp = m.form_from_evaluator(m.omega_patched)
 curv = ext.curvature_form(wp)

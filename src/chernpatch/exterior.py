@@ -186,11 +186,13 @@ def exterior_d(form: VForm) -> VForm:
 def bracket_pairs(a):
     """[a_i, a_j] over i < j, in combinations(range(m), 2) order, for a
     (..., m, d, d) stack a: the coefficients of 1/2 [alpha, alpha] for the
-    1-form alpha = sum_i a_i dx_i, on axis -3."""
-    i, j = _index_cols(a.shape[-3], 2).T
-    ai, aj = a[..., i, :, :], a[..., j, :, :]
-    out = ai @ aj
-    out -= aj @ ai
+    1-form alpha = sum_i a_i dx_i, on axis -3, one a_i at a time."""
+    m, k = a.shape[-3], 0
+    out = np.empty(a.shape[:-3] + (m * (m - 1) // 2,) + a.shape[-2:], a.dtype)
+    for i in range(m - 1):
+        ai, aj = a[..., i:i + 1, :, :], a[..., i + 1:, :, :]
+        out[..., k:k + m - 1 - i, :, :] = ai @ aj - aj @ ai
+        k += m - 1 - i
     return out
 
 

@@ -25,10 +25,10 @@ Representations and canonical extensions hold what they reuse, built in
 their constructors: the differential as an (N^2, d^2) matrix tabulated on
 the matrix units, and for a canonical extension j(c_1)^{-1}.  The
 differentials then take a matrix or a (..., N, N) stack to (..., d, d) in
-one matmul.  hc_decompose, a canonical extension and the lamC of the
-representations (std, det^m, sym2) take a (..., N, N) stack too, in one
-numpy pass, with every check held per element and the first failing row
-named in the error.
+one matmul, a real one for a real stack.  hc_decompose, a canonical
+extension and the lamC of the representations (std, det^m, sym2) take a
+(..., N, N) stack too, in one numpy pass, with every check held per element
+and the first failing row named in the error.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class Representation:
     def __post_init__(self):
         N = self.spec.size
         kc = _complex(self.spec, np.eye(N * N).reshape(-1, N, N))
-        self._dlam = np.array([self.lamC_alg(m) for m in kc]).reshape(N * N, -1)
+        self._dlam = np.array([self.lamC_alg(m) for m in kc], complex).reshape(N * N, -1)
 
     def lam_grp(self, k):
         """Evaluate on k in K (defining coordinates)."""
@@ -154,10 +154,12 @@ class Representation:
 
 
 def _apply(x, table, d):
-    """The linear map tabulated on the matrix units, at a matrix or a
-    (..., N, N) stack: (..., d, d)."""
-    x = np.asarray(x)
-    return (x.reshape(x.shape[:-2] + (-1,)) @ table).reshape(x.shape[:-2] + (d, d))
+    """The linear map of a complex table on the matrix units, at a matrix or
+    a (..., N, N) stack: (..., d, d).  A real x is not cast to complex: it
+    meets the (real, imaginary) float pairs of the table in one real matmul."""
+    x = np.asarray(x).reshape(np.shape(x)[:-2] + (-1,))
+    out = (x @ table.view(float)).view(complex) if np.isrealobj(x) else x @ table
+    return out.reshape(x.shape[:-1] + (d, d))
 
 
 def _sym2_basis(n):
@@ -244,7 +246,7 @@ class CanonicalExtension:
         p, _ = self.spec.blocks
         xc[:, :p, p:] = 0.0
         xc[:, p:, :p] = 0.0
-        self._dlam = np.array([rep.lamC_alg(m) for m in xc]).reshape(N * N, -1)
+        self._dlam = np.array([rep.lamC_alg(m) for m in xc], complex).reshape(N * N, -1)
 
     def __call__(self, g):
         """lamC(j(c_1)^{-1} j(c_1 g)) at g, or at each element of a stack."""

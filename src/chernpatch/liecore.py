@@ -298,8 +298,10 @@ class ParabolicData:
         sh = np.shape(X)
         parts = (np.real(np.reshape(X, sh[:-2] + (-1,))) @ self._proj
                  ).reshape(sh[:-2] + (3,) + sh[-2:])
-        require(_maxabs(parts.sum(axis=-3) - X)
-                <= PARABOLIC_TOL * np.maximum(1.0, _maxabs(X)),
+        bound = PARABOLIC_TOL * np.maximum(1.0, _maxabs(X))
+        res = parts.sum(axis=-3, dtype=np.result_type(X, 0.0))
+        res -= X    # u + h + l - X in this one buffer, then its modulus
+        require(np.abs(res, out=res).real.max(axis=(-2, -1)) <= bound,
                 "element not in the parabolic subalgebra")
         return tuple(np.moveaxis(parts, -3, 0))
 

@@ -20,12 +20,11 @@ i*I to Z, with pi compatible with the group-level Levi factorization.
 
 Evaluators take (p, mc): a :class:`ChartPoint` stack p = points(xs) of P
 chart points, whose section, mc and control data each come from one numpy
-pass, and a (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them, and
-return (P, ..., d, d); one point is the stack points([x]), and point(x) its
+pass, and a real (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them,
+and return (P, ..., d, d); one point is the stack points([x]), point(x) its
 one-point view.  A chart form makes the points of its rows (the 12P of a
 central difference at P points) in one points call and calls its evaluator
-once, on p.mc, the six chart directions at each row; every layer maps that
-whole.
+once, on p.mc, the six chart directions at each row.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector, held as its
@@ -52,12 +51,14 @@ Levi, so lambda_1(G_l) and extK.alg(Lie(G_l)) commute with every value
 induced from Y; and extK.alg is a homomorphism on Lie(G_l), so
 extK.alg(ldot) is flat.
 
-Each chain's pair (omega_c, Omega_c) composes along the chain like the
-connections do, and :meth:`strata.PatchedSystem.curvature` patches them
-with the product rule, dw_c in closed form from r_Z = 1/x_3, r_Y = 1/x_5.
-Each curvature evaluator maps P chart points to the (P, 15, d, d)
-coefficients over combinations(range(6), 2), from one section and one
-Klingen split of theta for the stack.
+Each such F is one table on the matrix units, composed in the constructor
+(the Nomizu connections read the Cartan k-part): F(t) comes from the
+connection's evaluator, which checks t, and F([t_i, t_j]) from the table,
+which a real stack meets in one real matmul, never cast to complex.  Each
+chain's pair (omega_c, Omega_c) composes along the chain like the
+connections do, and :meth:`strata.PatchedSystem.curvature` patches them with
+the product rule, dw_c in closed form from r_Z = 1/x_3, r_Y = 1/x_5, into
+(P, 15, d, d) coefficients over combinations(range(6), 2) at P points.
 """
 
 from __future__ import annotations
@@ -121,17 +122,6 @@ def section_mc(x, s):
     return np.linalg.inv(s)[..., None, :, :] @ ds
 
 
-def _structure(F, t):
-    """(F(t), its curvature) for a constant linear map F on a (..., m, N, N)
-    stack t of m Maurer-Cartan coefficients (dt = -1/2 [t, t]): the curvature
-    stack over the pairs i < j is [F t_i, F t_j] - F([t_i, t_j]).  F maps t
-    and the brackets in one call."""
-    m = t.shape[-3]
-    out = F(np.concatenate([t, ext.bracket_pairs(t)], axis=-3))
-    om = out[..., :m, :, :]
-    return om, ext.bracket_pairs(om) - out[..., m:, :, :]
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -183,6 +173,15 @@ class SiegelModel:
             flags=[["Z", "Y", "X"]])
         # Cartan element of the hermitian sl(2) on the (e0, f0) plane
         self._W_H = np.diag([1.0, 0.0, -1.0, 0.0])
+        # each connection F(t): its evaluator and F on the matrix units E
+        E = np.eye(16).reshape(-1, 4, 4)
+        B, P = liecore.span_solver(self.pdS.basis_l)
+        k, W = liecore.cartan_split(self.spec, E)[0], E[:, :1, :1] * self._W_H
+        self._linear = {key: (F, table.reshape(16, -1)) for key, F, table in (
+            ("X", self.omega_nomizu, self.rep.lam_alg(k)),
+            ("Y", self.omega_Y_nomizu, self.extK.alg(k)),
+            (("X", "Z"), self.omega_XZ, self.extS.alg((P @ B).reshape(E.shape))),
+            (("Y", "Z"), self.omega_YZ, self.ext21.alg(W)))}
         # The point stratum carries the zero connection, so the connections
         # induced from it read only the Levi part of the tangent vector.
         self.system = strata.PatchedSystem(
@@ -195,15 +194,15 @@ class SiegelModel:
                       ("Y", "Z"): lambda pt, hdot, _: self.omega_YZ(hdot)},
             project=self.project,
             curvatures={
-                "X": lambda pt, v: _structure(self.omega_nomizu, v.mc),
-                "Y": lambda pt, hdot: _structure(self.omega_Y_nomizu, hdot),
+                "X": lambda pt, v: self._structure("X", v.mc),
+                "Y": lambda pt, hdot: self._structure("Y", hdot),
                 "Z": lambda pt, _: (0.0, 0.0),
                 # an induced connection has the curvature of Y's at hdot
                 ("X", "Y"): lambda pt, v, inner: (self.omega_XY(v, inner[0]),
                                                   inner[1]),
-                ("X", "Z"): lambda pt, v, _: _structure(self.omega_XZ, v.mc),
-                ("Y", "Z"): lambda pt, hdot, _: _structure(self.omega_YZ,
-                                                           hdot)})
+                ("X", "Z"): lambda pt, v, _: self._structure(("X", "Z"), v.mc),
+                ("Y", "Z"): lambda pt, hdot, _: self._structure(("Y", "Z"),
+                                                                hdot)})
 
     # control data ------------------------------------------------------
 
@@ -233,11 +232,20 @@ class SiegelModel:
         return self._split(v)[0] if Z == "Y" else None
 
     # connection-form evaluators ----------------------------------------
-    # each maps a (..., 4, 4) stack to End(V) values (..., d, d)
+    # each maps a real (..., 4, 4) stack to End(V) values (..., d, d)
+
+    def _structure(self, key, t):
+        """(F(t), [F t_i, F t_j] - F([t_i, t_j]) over i < j) for the connection
+        under key and a (..., m, 4, 4) stack t with dt = -1/2 [t, t]: F(t) by
+        its evaluator, which checks t, and F([t_i, t_j]) by its table."""
+        F, table = self._linear[key]
+        om = F(t)
+        curv = ext.bracket_pairs(om)
+        curv -= hcrepr._apply(ext.bracket_pairs(t), table, self.rep.dim)
+        return om, curv
 
     def omega_nomizu(self, mc):
-        k, _ = liecore.cartan_split(self.spec, mc)
-        return self.rep.lam_alg(k)
+        return hcrepr._apply(mc, self._linear["X"][1], self.rep.dim)
 
     def omega_XZ(self, mc):
         """Induced from the point stratum through the Lagrangian parabolic."""
@@ -245,8 +253,7 @@ class SiegelModel:
         return self.extS.alg(ldot)
 
     def omega_Y_nomizu(self, hdot):
-        k, _ = liecore.cartan_split(self.spec, hdot)
-        return self.extK.alg(k)
+        return hcrepr._apply(hdot, self._linear["Y"][1], self.rep.dim)
 
     def omega_YZ(self, hdot):
         """Induced from the point through the plane Borel of sl(2)_W; the
@@ -275,7 +282,7 @@ class SiegelModel:
         """Curvature of :meth:`omega_induced_nomizu` at p: the curvature of
         the Nomizu connection on Y at hdot."""
         v = TangentVector(p.mc)
-        return _structure(self.omega_Y_nomizu, self.project(v, "X", "Y"))[1]
+        return self._structure("Y", self.project(v, "X", "Y"))[1]
 
     def curvature_patched(self, p):
         """Curvature of the patched connection at the stack p, with the weight

@@ -405,13 +405,12 @@ def _model_tube_points(rng, samples):
     return x.tolist()
 
 
-_STACK = 8
+_STACK = 16
 
 
 def _stacks(m, pts):
     """(rows, their ChartPoint stack) over runs of at most _STACK points of
-    pts: the cap bounds the stacked layers' temporaries (a stack of 67 raised
-    the peak RSS by about 1 MB)."""
+    pts: the cap bounds the stacked layers' temporaries, 6-11 KB a point."""
     for a in range(0, len(pts), _STACK):
         yield pts[a:a + _STACK], m.points(pts[a:a + _STACK])
 

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from chernpatch import liecore, suites
+from chernpatch import exterior as ext, liecore, suites
 
 
 def random_alg(spec, rng, scale=1.0):
@@ -135,3 +135,22 @@ def family_vanishing_reference(model, flag, grid):
                                 {"r": list(rvals), "n": n, "m": m,
                                  "n'": np_, "m'": mp, "B_n": bn, "B_n'": bnp})
     return {"checked": checked, "violations": violations, "ok": not violations}
+
+
+def bracket_pairs_reference(a):
+    """[a_i, a_j] over i < j of a (..., m, d, d) stack, in
+    combinations(range(m), 2) order, from gathered copies of every pair."""
+    i, j = np.array(list(itertools.combinations(range(a.shape[-3]), 2))).T
+    ai, aj = a[..., i, :, :], a[..., j, :, :]
+    return ai @ aj - aj @ ai
+
+
+def structure_reference(F, t):
+    """(F(t), its curvature) for a constant linear map F, a callable, on a
+    (..., m, N, N) stack t of Maurer-Cartan coefficients: F maps t and the
+    brackets [t_i, t_j] in one call on their concatenation, and the
+    curvature over the pairs i < j is [F t_i, F t_j] - F([t_i, t_j])."""
+    m = t.shape[-3]
+    out = F(np.concatenate([t, bracket_pairs_reference(t)], axis=-3))
+    om = out[..., :m, :, :]
+    return om, bracket_pairs_reference(om) - out[..., m:, :, :]

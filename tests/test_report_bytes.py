@@ -54,16 +54,8 @@ def _descent_text():
     """pifiber_check reports of the raw patched curvature, c_1 and c_2 on
     the Siegel space, at the points and vectors drawn as in demo 04."""
     m = siegel.SiegelModel("std")
-    epsX = m.model.eps("X")
     rng = np.random.default_rng(0)
-    pts = []
-    for _ in range(3):
-        rz = float(rng.uniform(0.55, 0.7)) * epsX
-        ry = float(rng.uniform(0.1, 0.45)) * epsX
-        y11, y22 = 1.0 / rz, 1.0 / ry
-        y12 = float(rng.uniform(-0.02, 0.02)) * np.sqrt(y11 * y22)
-        pts.append([float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
-                    float(rng.uniform(-1, 1)), y11, y12, y22])
+    pts = suites._mixed_tube_points(m, rng, 3)
     curv = ext.curvature_form(m.form_from_evaluator(m.omega_patched))
     sig = inv.chern_forms(curv, 2)
     proj = m.projection_map()

@@ -7,6 +7,8 @@ from chernpatch import exterior as ext, hcrepr, invariants as inv, liecore
 from chernpatch import siegel, strata, suites
 from chernpatch.errors import DecompositionError, PreconditionFailed
 
+from helpers import structure_reference
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -262,9 +264,13 @@ def test_pifiber_check_on_a_stack_is_its_checks_point_by_point(model):
 # tracemalloc peaks measured on x86-64 with numpy 2.4, plus a 25% margin:
 # `verify patched` at 40 samples, in stacks of 8 points, 100 KB; a fiber
 # check at 3 points, whose central differences are one stack of 36 rows,
-# 329 KB.
+# 329 KB.  In stacks of 16, on the Nomizu tables, they read 119 and 252 KB.
 PATCHED_PEAK = 1.25 * 100e3
 PIFIBER_PEAK = 1.25 * 329e3
+# `verify pifiber` at 67 samples read 197 KB in stacks of 8 points, before
+# the connections became tables; in stacks of 16 it must stay below that
+# (191 KB).
+PIFIBER_SUITE_PEAK = 197e3
 
 
 def _traced_peak(run):
@@ -281,11 +287,13 @@ def test_patched_stacks_bound_their_temporaries(model):
     proj = model.projection_map()
     pts = suites._mixed_tube_points(model, np.random.default_rng(22), 3)
     ext.pifiber_check(curv, proj, pts[:1])  # lazy numpy set-up, untraced
-    assert suites._STACK == 8
+    assert suites._STACK == 16
     assert _traced_peak(lambda: suites.run_suite(
         "patched", seed=0, samples=40)) < PATCHED_PEAK
     assert _traced_peak(lambda: ext.pifiber_check(
         curv, proj, pts)) < PIFIBER_PEAK
+    assert _traced_peak(lambda: suites.run_suite(
+        "pifiber", seed=0, samples=67)) < PIFIBER_SUITE_PEAK
 
 
 def test_mixed_region_weights_sum_to_one(model):
@@ -509,6 +517,38 @@ def test_stacked_points_match_one_point_at_a_time(rep):
         assert np.array_equal(omega[n], m.omega_patched(alone, alone.mc)[0])
     # a slice of the stack is the stack of those points
     assert np.array_equal(m.curvature_induced_nomizu(stack[2:5]), curv[2:5])
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
+def test_structure_equation_tables_match_the_callable_reference(rep):
+    # the Nomizu connections are tables composed once, on a real stack with
+    # no complex cast; the reference applies lam_alg or extK.alg to the
+    # Cartan k-part at call time, on t and its brackets concatenated.  Values
+    # and curvatures match bit for bit, but for the table of X on sym2, whose
+    # composed rows round otherwise: there to 1e-15 of the largest entry.
+    m = siegel.SiegelModel(rep)
+    k = liecore.cartan_split
+    reference = {"X": lambda t: m.rep.lam_alg(k(m.spec, t)[0]),
+                 "Y": lambda t: m.extK.alg(k(m.spec, t)[0]),
+                 ("X", "Z"): m.omega_XZ, ("Y", "Z"): m.omega_YZ}
+    xs = suites._mixed_tube_points(m, np.random.default_rng(19), 67)
+    for P in (1, 7, 16, 67):
+        p = m.points(xs[:P])
+        v = siegel.TangentVector(p.mc)
+        hdot = m.project(v, "X", "Y")
+        for key, F in reference.items():
+            # over X the geometric point is v, over Y it is hdot; a pullback
+            # from the point stratum takes its zero value as well
+            g, t = (v, v.mc) if key[0] == "X" else (hdot, hdot)
+            inner = (None,) if isinstance(key, tuple) else ()
+            got = m.system.curvatures[key](p.control, g, *inner)
+            for a, b in zip(got, structure_reference(F, t)):
+                if (rep, key) == ("sym2", "X"):
+                    assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+                else:
+                    assert np.array_equal(a, b), (key, P)
+        assert np.array_equal(m.curvature_induced_nomizu(p),
+                              structure_reference(reference["Y"], hdot)[1])
 
 
 def test_klingen_factor_names_the_row_outside_the_parabolic(model):

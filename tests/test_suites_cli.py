@@ -70,7 +70,7 @@ def test_descent_evaluates_the_curvature_once_per_point(monkeypatch):
 
 
 def test_descent_runs_its_difference_oracle_as_one_stack(monkeypatch):
-    # the stacks of at most eight points, and per form of the oracle one
+    # the stacks of at most sixteen points, and per form of the oracle one
     # call on the 2 * 6 displaced rows of each of the three oracle points
     # and one on the points themselves; the oracle reuses the first stack
     calls = []
@@ -81,9 +81,9 @@ def test_descent_runs_its_difference_oracle_as_one_stack(monkeypatch):
         return points(self, xs)
 
     monkeypatch.setattr(siegel.SiegelModel, "points", counted)
-    rpt = suites.run_suite("descent", seed=1, samples=10)
+    rpt = suites.run_suite("descent", seed=1, samples=20)
     assert rpt["pass"] and rpt["oracle_points"] == [0, 1, 2]
-    assert sorted(calls) == [2, 3, 3, 8, 36, 36]
+    assert sorted(calls) == [3, 3, 4, 16, 36, 36]
 
 
 def test_pifiber_builds_its_points_in_stacks(monkeypatch):
@@ -625,6 +625,19 @@ def test_cli_module_runs_without_warnings():
                           "schubert"], capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stderr == ""
+
+
+def test_package_runs_as_a_module():
+    # python -m chernpatch is the command line of chernpatch.cli
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    args = ["verify", "schubert", "--seed", "0"]
+    pkg, mod = (subprocess.run([sys.executable, "-m", name] + args,
+                               capture_output=True, text=True, env=env)
+                for name in ("chernpatch", "chernpatch.cli"))
+    assert pkg.returncode == mod.returncode == 0, pkg.stderr
+    assert pkg.stdout == mod.stdout
+    assert json.loads(pkg.stdout)["suite"] == "schubert"
 
 
 def test_suites_run_without_dual_numbers():
