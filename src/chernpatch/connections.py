@@ -17,8 +17,8 @@ omega_0 and Omega_0 take a matrix or a (..., N, N) stack and return
 one stacked evaluation over the basis.
 
 The induced connection lambda_1'(ldot) + Ad(lambda_1(g_l^{-1}))
-omega_1(L_{g_h} hdot) is evaluated by :meth:`siegel.SiegelModel.omega_XY`,
-where the Ad term is omega_1 itself: lambda_1(G_l) commutes with G_h.
+omega_1(L_{g_h} hdot) is :meth:`siegel.SiegelModel.omega_XY`: the Ad term is
+omega_1 itself, as lambda_1(G_l) commutes with G_h; the curvature is omega_1's.
 """
 
 from __future__ import annotations

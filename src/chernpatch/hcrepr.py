@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liecore
-from .errors import DecompositionError, UnsupportedFlag
+from .errors import UnsupportedFlag
 
 COND_MAX = 1e12
 
@@ -85,13 +85,6 @@ def hc_decompose(spec, g) -> HCDecomposition:
 def middle_j(spec, g):
     """j(g): block-diagonal middle factor, in complex coordinates."""
     return hc_decompose(spec, g).k_c
-
-
-def in_kc(spec, g) -> bool:
-    gc = _complex(spec, g)
-    p, q = spec.blocks
-    off = max(np.max(np.abs(gc[p:, :p])), np.max(np.abs(gc[:p, p:])))
-    return off <= 1e-8 * max(1.0, np.max(np.abs(gc)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +136,16 @@ class Representation:
         self._dlam = np.array([self.lamC_alg(m) for m in kc], complex).reshape(N * N, -1)
 
     def lam_grp(self, k):
-        """Evaluate on k in K (defining coordinates)."""
-        if not in_kc(self.spec, k):
-            raise DecompositionError("element not in K(C)")
-        return self.lamC(_complex(self.spec, k))
+        """Evaluate on k in K (defining coordinates), or on each element of a
+        stack: each must be block diagonal in complex coordinates, its
+        off-diagonal blocks within 1e-8 of max(1, its largest entry)."""
+        kc = _complex(self.spec, k)
+        p, _ = self.spec.blocks
+        off = np.maximum(liecore._maxabs(kc[..., p:, :p]),
+                         liecore._maxabs(kc[..., :p, p:]))
+        liecore.require(off <= 1e-8 * np.maximum(1.0, liecore._maxabs(kc)),
+                        "element not in K(C)")
+        return self.lamC(kc)
 
     def lam_alg(self, kdot):
         """Differential on kdot in Lie(K) (defining coordinates), or a stack."""

@@ -35,30 +35,29 @@ is split once.
 
 Curvatures come from the structure equation, with no differentiation.
 Chart vector fields commute, so theta = s^{-1} ds satisfies
-d theta(e_i, e_j) = -[theta_i, theta_j]; the projections of Lie(Q) onto its
-Levi factors are homomorphisms, so the parts hdot and ldot of theta satisfy
-the same equation.  A connection omega = F(t) with F constant and linear
-and t one of theta, hdot, ldot therefore has the curvature
+d theta(e_i, e_j) = -[theta_i, theta_j], and so does its part hdot, the
+projection of Lie(Q) onto its Levi factor G_h being a homomorphism.  The
+Nomizu connection omega = F(t) on X (t = theta) or on Y (t = hdot), F
+constant and linear, therefore has the curvature
 
-    Omega_ij = [F t_i, F t_j] - F([t_i, t_j]).
+    Omega_ij = [F t_i, F t_j] - F([t_i, t_j]),
 
-A connection on X induced from Y is extK.alg(ldot) + val, val the value at
-hdot of the connection on Y, and its curvature is that connection's own at
-hdot.  The general induced formula conjugates val by lambda_1(g_l^{-1}),
-g_l the linear Levi factor of s, and adds the curvature of extK.alg(ldot).
-Both are no-ops: G_h and G_l commute and extK is a representation of the
-Levi, so lambda_1(G_l) and extK.alg(Lie(G_l)) commute with every value
-induced from Y; and extK.alg is a homomorphism on Lie(G_l), so
-extK.alg(ldot) is flat.
-
-Each such F is one table on the matrix units, composed in the constructor
-(the Nomizu connections read the Cartan k-part): F(t) comes from the
-connection's evaluator, which checks t, and F([t_i, t_j]) from the table,
-which a real stack meets in one real matmul, never cast to complex.  Each
-chain's pair (omega_c, Omega_c) composes along the chain like the
-connections do, and :meth:`strata.PatchedSystem.curvature` patches them with
-the product rule, dw_c in closed form from r_Z = 1/x_3, r_Y = 1/x_5, into
-(P, 15, d, d) coefficients over combinations(range(6), 2) at P points.
+F one table on the matrix units, composed in the constructor from the
+Cartan k-part, which a real stack meets in one real matmul.  Only these two
+connections have tables: a pullback is an induced connection, with the
+curvature of the connection it is induced from, at the projected point.
+Induced on X from Y, it is extK.alg(ldot) + val, val the value at hdot of
+the connection on Y.  The general induced formula conjugates val by
+lambda_1(g_l^{-1}), g_l the linear Levi factor of s, and adds the curvature
+of extK.alg(ldot).  Both are no-ops: G_h and G_l commute and extK is a
+representation of the Levi, so lambda_1(G_l) and extK.alg(Lie(G_l))
+commute with every value induced from Y; and extK.alg is a homomorphism on
+Lie(G_l), so extK.alg(ldot) is flat.  Induced from the point, it is
+extS.alg of a Lagrangian-Levi part (of theta on X, of hdot on Y), flat like
+the point's zero connection.  :meth:`strata.PatchedSystem.curvature`
+patches the chains' pairs (omega_c, Omega_c) with the product rule, dw_c in
+closed form from r_Z = 1/x_3, r_Y = 1/x_5, into (P, 15, d, d) coefficients
+over combinations(range(6), 2) at P points.
 """
 
 from __future__ import annotations
@@ -166,22 +165,17 @@ class SiegelModel:
         self.pdS = liecore.parabolic_data(self.spec, (2,))   # normalizes Z
         self.extK = hcrepr.canonical_extension(self.rep, 1)
         self.extS = hcrepr.canonical_extension(self.rep, 2)
-        self.ext21 = hcrepr.relative_extension(self.rep, 1, 2)
         self.model = strata.FlagTubeModel(
             strata=[{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1},
                     {"name": "X", "dimC": 3}],
             flags=[["Z", "Y", "X"]])
         # Cartan element of the hermitian sl(2) on the (e0, f0) plane
         self._W_H = np.diag([1.0, 0.0, -1.0, 0.0])
-        # each connection F(t): its evaluator and F on the matrix units E
-        E = np.eye(16).reshape(-1, 4, 4)
-        B, P = liecore.span_solver(self.pdS.basis_l)
-        k, W = liecore.cartan_split(self.spec, E)[0], E[:, :1, :1] * self._W_H
-        self._linear = {key: (F, table.reshape(16, -1)) for key, F, table in (
-            ("X", self.omega_nomizu, self.rep.lam_alg(k)),
-            ("Y", self.omega_Y_nomizu, self.extK.alg(k)),
-            (("X", "Z"), self.omega_XZ, self.extS.alg((P @ B).reshape(E.shape))),
-            (("Y", "Z"), self.omega_YZ, self.ext21.alg(W)))}
+        # each Nomizu connection F on the matrix units: the differential of
+        # the representation (on X) or of extK (on Y) at their Cartan k-part
+        k = liecore.cartan_split(self.spec, np.eye(16).reshape(-1, 4, 4))[0]
+        self._linear = {"X": self.rep.lam_alg(k).reshape(16, -1),
+                        "Y": self.extK.alg(k).reshape(16, -1)}
         # The point stratum carries the zero connection, so the connections
         # induced from it read only the Levi part of the tangent vector.
         self.system = strata.PatchedSystem(
@@ -196,13 +190,7 @@ class SiegelModel:
             curvatures={
                 "X": lambda pt, v: self._structure("X", v.mc),
                 "Y": lambda pt, hdot: self._structure("Y", hdot),
-                "Z": lambda pt, _: (0.0, 0.0),
-                # an induced connection has the curvature of Y's at hdot
-                ("X", "Y"): lambda pt, v, inner: (self.omega_XY(v, inner[0]),
-                                                  inner[1]),
-                ("X", "Z"): lambda pt, v, _: self._structure(("X", "Z"), v.mc),
-                ("Y", "Z"): lambda pt, hdot, _: self._structure(("Y", "Z"),
-                                                                hdot)})
+                "Z": lambda pt, _: (0.0, 0.0)})
 
     # control data ------------------------------------------------------
 
@@ -235,17 +223,17 @@ class SiegelModel:
     # each maps a real (..., 4, 4) stack to End(V) values (..., d, d)
 
     def _structure(self, key, t):
-        """(F(t), [F t_i, F t_j] - F([t_i, t_j]) over i < j) for the connection
-        under key and a (..., m, 4, 4) stack t with dt = -1/2 [t, t]: F(t) by
-        its evaluator, which checks t, and F([t_i, t_j]) by its table."""
-        F, table = self._linear[key]
-        om = F(t)
+        """(F(t), [F t_i, F t_j] - F([t_i, t_j]) over i < j) for the Nomizu
+        connection on the stratum key and a (..., m, 4, 4) stack t with
+        dt = -1/2 [t, t]: F(t) and F([t_i, t_j]) by its table."""
+        table = self._linear[key]
+        om = hcrepr._apply(t, table, self.rep.dim)
         curv = ext.bracket_pairs(om)
         curv -= hcrepr._apply(ext.bracket_pairs(t), table, self.rep.dim)
         return om, curv
 
     def omega_nomizu(self, mc):
-        return hcrepr._apply(mc, self._linear["X"][1], self.rep.dim)
+        return hcrepr._apply(mc, self._linear["X"], self.rep.dim)
 
     def omega_XZ(self, mc):
         """Induced from the point stratum through the Lagrangian parabolic."""
@@ -253,16 +241,17 @@ class SiegelModel:
         return self.extS.alg(ldot)
 
     def omega_Y_nomizu(self, hdot):
-        return hcrepr._apply(hdot, self._linear["Y"][1], self.rep.dim)
+        return hcrepr._apply(hdot, self._linear["Y"], self.rep.dim)
 
     def omega_YZ(self, hdot):
-        """Induced from the point through the plane Borel of sl(2)_W; the
-        condition is checked for each direction of a stack."""
+        """Induced from the point through the plane Borel of sl(2)_W: extS.alg
+        of its Lagrangian-Levi part a W_H.  The condition is checked for each
+        direction of a stack, and the first failing one named."""
         a, c = hdot[..., 0, 0], hdot[..., 2, 0]
-        if not (np.abs(c) <= 1e-8 * np.maximum(
-                1.0, np.abs(hdot).max(axis=(-2, -1)))).all():
-            raise PreconditionFailed("hermitian component not in the plane Borel")
-        return self.ext21.alg(a[..., None, None] * self._W_H)
+        liecore.require(np.abs(c) <= 1e-8 * np.maximum(
+            1.0, liecore._maxabs(hdot)),
+            "hermitian component not in the plane Borel", PreconditionFailed)
+        return self.extS.alg(a[..., None, None] * self._W_H)
 
     def omega_XY(self, v: TangentVector, val):
         """Pullback through the rank-1 parabolic: the value at v of the

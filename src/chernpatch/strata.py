@@ -19,9 +19,10 @@ PatchedSystem is the one implementation of the patched connection, on a
 stack of points: its recursion, its closed chain form and its localized
 form, for any model whose strata supply an invariant connection and the
 pullbacks between them (the Siegel model in :mod:`chernpatch.siegel` is
-one).  Given the curvatures of those connections, it also gives the
-curvature of the chain form, by the product rule with the weight gradients
-of FlagTubeModel.chain_form_weight_grad.
+one).  Given the curvature of each stratum's own connection, it also gives
+the curvature of the chain form: a chain's connection, induced from its
+first stratum, has that stratum's curvature, and the product rule with the
+weight gradients of FlagTubeModel.chain_form_weight_grad patches the chains.
 """
 
 from __future__ import annotations
@@ -362,11 +363,11 @@ class PatchedSystem:
       project   callable(g, Y, Z) -> the geometric point over pi_Z(xs), for
                 g over points xs of Y and Z < Y.  It must follow the control
                 data: project(project(g, X, Y), Y, Z) = project(g, X, Z).
-      curvatures  (optional, for :meth:`curvature`) the same keys as nomizu
-                and pullback together, with callables that take and return
-                (value, curvature) pairs: {Y: callable(xs, g)} and
-                {(Y, Z): callable(xs, g, (v, Omega_v))}, Omega_v the curvature
-                of the connection on Z whose value is v.
+      curvatures  (optional, for :meth:`curvature`) {Y: callable(xs, g) ->
+                (value, curvature)}: the nomizu value on Y with its
+                curvature.  A pullback needs none: a connection induced
+                from one on Z has the curvature of Z's at the projected
+                points.
 
     Values are (P, ...) stacks, read by :meth:`curvature` as coefficients
     over the chart directions of g.  Weights are the (P,) arrays of
@@ -377,7 +378,7 @@ class PatchedSystem:
     def __init__(self, model: FlagTubeModel, nomizu, pullback, project,
                  curvatures=None):
         self.model = model
-        self.values = {**nomizu, **pullback}   # keyed like curvatures
+        self.values = {**nomizu, **pullback}
         self.project = project
         self.curvatures = curvatures
 
@@ -421,9 +422,10 @@ class PatchedSystem:
 
     def chain_curvature(self, chain, xs, g):
         """(omega_c, Omega_c): the chain's connection, the nomizu value of its
-        first stratum pulled up the chain, and its curvature, composed the
-        same way from the `curvatures` callables."""
-        return self._along(chain, xs, g, self.curvatures)
+        first stratum pulled up the chain, and its curvature, which is that
+        first stratum's own at the projected points, unchanged."""
+        om, curv = self.curvatures[chain[0]](*self._over(xs, g, chain[0]))
+        return self._along(chain, xs, g, self.values, om), curv
 
     def curvature(self, xs, g, dr):
         """Curvature coefficients of the chain form omega = sum_c w_c omega_c

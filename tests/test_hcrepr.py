@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chernpatch import hcrepr, liecore
+from chernpatch import connections, hcrepr, liecore
 from chernpatch.errors import DecompositionError
 from helpers import random_alg
 
@@ -61,6 +61,33 @@ def test_extension_restricts_to_rep_on_k(name):
         k = liecore.exp_grp(spec, liecore.cartan_split(
             spec, random_alg(spec, rng, 0.4))[0])
         assert np.max(np.abs(ext(k) - rep.lam_grp(k))) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
+def test_lam_grp_of_a_stack_checks_each_element(name):
+    rep = _sp4_rep(name)
+    spec = rep.spec
+    k = liecore.exp_grp(spec, 0.3 * np.array(connections.k_basis(spec))[:3])
+    stack = rep.lam_grp(k)
+    for n in range(3):
+        assert np.array_equal(stack[n], rep.lam_grp(k[n]))
+    k[2] = liecore.exp_grp(spec, 0.5 * connections.p_basis(spec)[0])
+    with pytest.raises(DecompositionError, match=r"not in K\(C\) \(row 2\)$"):
+        rep.lam_grp(k)
+
+
+@pytest.mark.parametrize("name", ["std", "sym2", "det^2", "det^-2"])
+def test_relative_extension_is_the_siegel_one_on_the_plane_cartan(name):
+    # on a W_H, W_H = diag(1, 0, -1, 0) the Cartan element of the plane
+    # (e0, f0), the relative extension of the ranks (1, 2) and the rank-2
+    # extension agree bit for bit, so a connection induced from the point
+    # reads extS.alg on Y as on X
+    rep = _sp4_rep(name)
+    a = np.random.default_rng(20).standard_normal((67, 1, 1))
+    aW = a * np.diag([1.0, 0.0, -1.0, 0.0])
+    want = hcrepr.canonical_extension(rep, 2).alg(aW)
+    assert np.array_equal(hcrepr.relative_extension(rep, 1, 2).alg(aW), want)
+    assert np.max(np.abs(want)) > 0.1
 
 
 def test_extension_homomorphism_on_parabolic():

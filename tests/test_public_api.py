@@ -1,4 +1,5 @@
-"""No public API that nothing calls, and no private helper either.
+"""No public API that nothing calls, no private helper either, and no
+instance attribute that nothing reads.
 
 Every module-level function or class of chernpatch must be named somewhere
 in the package, the demos or the benchmark, as a Name or an Attribute node
@@ -7,6 +8,8 @@ of the same spelling (a local variable or a parameter) does not call it.
 This holds for private names (a leading underscore) as for public ones;
 only dunder methods, which Python calls itself, are exempt.  Strings
 (``__all__`` entries, docstrings) do not count, and neither do the tests.
+Every attribute a method of the package stores on self must be loaded, as
+an Attribute node, in the same places.
 """
 
 import ast
@@ -43,18 +46,42 @@ def _definitions(private):
                                item.name, True)
 
 
+def _trees(folders):
+    """(path, syntax tree) of each module in the folders."""
+    for folder in folders:
+        for path in sorted(folder.glob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _used_names():
     """(bare names, attribute names) used in the package, demos and
     benchmark."""
     names, attrs = set(), set()
-    for folder in USERS:
-        for path in folder.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    attrs.add(node.attr)
+    for _, tree in _trees(USERS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
     return names, attrs
+
+
+def _self_stores():
+    """(module:line, attribute) of each self.attribute = ... (or a tuple of
+    such targets) in the package."""
+    for path, tree in _trees([PACKAGE]):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                yield f"{path.stem}:{node.lineno}", node.attr
+
+
+def _loaded_attributes():
+    return {node.attr for _, tree in _trees(USERS) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
 
 
 def _unused(private):
@@ -69,3 +96,9 @@ def test_every_public_definition_has_a_user():
 
 def test_every_private_helper_has_a_user():
     assert _unused(private=True) == []
+
+
+def test_every_instance_attribute_is_read():
+    loaded = _loaded_attributes()
+    assert [f"{where} self.{attr}" for where, attr in _self_stores()
+            if attr not in loaded] == []

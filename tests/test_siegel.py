@@ -154,6 +154,8 @@ def test_plane_borel_condition_is_checked_per_direction(model):
     for bad in (hdot, hdot[1], nan):
         with pytest.raises(PreconditionFailed, match="plane Borel"):
             model.omega_YZ(bad)
+    with pytest.raises(PreconditionFailed, match=r"plane Borel \(row 1\)$"):
+        model.omega_YZ(hdot)
 
 
 def test_patched_recursion_equals_chain(model):
@@ -376,8 +378,12 @@ def test_chain_curvatures_match_differences(model):
         for x in pts:
             p = model.points([x])
             omega_c, Omega_c = pair(p)
-            assert Omega_c.shape == (1, 15, 2, 2)
-            assert np.max(np.abs(Omega_c[0] - fd.value(x))) <= 1e-8, chain
+            # a chain from the point has the point's curvature, the scalar 0
+            if chain[0] == "Z":
+                assert np.ndim(Omega_c) == 0 and Omega_c == 0.0
+            else:
+                assert Omega_c.shape == (1, 15, 2, 2)
+            assert np.max(np.abs(Omega_c - fd.value(x)[None])) <= 1e-8, chain
             if chain == ("Y", "X"):
                 assert np.array_equal(
                     omega_c, model.omega_induced_nomizu(p, p.mc))
@@ -402,15 +408,14 @@ def test_curvature_evaluators_match_differences(model, name):
 def test_klingen_levi_factor_commutes_with_values_from_Y(rep):
     # G_h and G_l commute, so lambda_1(g_l) at a section commutes with every
     # value an induced connection takes from Y: the Nomizu values on Y and
-    # those of the relative extension along the plane Borel
+    # those induced on Y from the point
     m = siegel.SiegelModel(rep)
     rng = np.random.default_rng(18)
     xs = [_sample_x(rng) for _ in range(4)] + [_mixed_x(m, rng) for _ in range(4)]
     p = m.points(xs)
     lam = m.extK(liecore.group_factor_fine(m.pdK, p.s)[3])[:, None]
     hdot = m.pdK.split(p.mc)[1]
-    vals = np.concatenate([m.omega_Y_nomizu(hdot),
-                           m.ext21.alg(hdot[..., :1, :1] * m._W_H)], axis=1)
+    vals = np.concatenate([m.omega_Y_nomizu(hdot), m.omega_YZ(hdot)], axis=1)
     assert np.max(np.abs(lam - np.eye(m.rep.dim))) > 0.1
     assert np.max(np.abs(vals)) > 0.1
     assert np.max(np.abs(lam @ vals - vals @ lam)) <= 1e-15
@@ -529,19 +534,17 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
     m = siegel.SiegelModel(rep)
     k = liecore.cartan_split
     reference = {"X": lambda t: m.rep.lam_alg(k(m.spec, t)[0]),
-                 "Y": lambda t: m.extK.alg(k(m.spec, t)[0]),
-                 ("X", "Z"): m.omega_XZ, ("Y", "Z"): m.omega_YZ}
+                 "Y": lambda t: m.extK.alg(k(m.spec, t)[0])}
+    assert set(m.system.curvatures) == {"X", "Y", "Z"}
     xs = suites._mixed_tube_points(m, np.random.default_rng(19), 67)
     for P in (1, 7, 16, 67):
         p = m.points(xs[:P])
         v = siegel.TangentVector(p.mc)
         hdot = m.project(v, "X", "Y")
         for key, F in reference.items():
-            # over X the geometric point is v, over Y it is hdot; a pullback
-            # from the point stratum takes its zero value as well
-            g, t = (v, v.mc) if key[0] == "X" else (hdot, hdot)
-            inner = (None,) if isinstance(key, tuple) else ()
-            got = m.system.curvatures[key](p.control, g, *inner)
+            # over X the geometric point is v, over Y it is hdot
+            g, t = (v, v.mc) if key == "X" else (hdot, hdot)
+            got = m.system.curvatures[key](p.control, g)
             for a, b in zip(got, structure_reference(F, t)):
                 if (rep, key) == ("sym2", "X"):
                     assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
@@ -549,6 +552,34 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
                     assert np.array_equal(a, b), (key, P)
         assert np.array_equal(m.curvature_induced_nomizu(p),
                               structure_reference(reference["Y"], hdot)[1])
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
+def test_connections_induced_from_the_point_are_flat(rep):
+    # the patched curvature gives a chain from the point the point's zero
+    # curvature; the structure equation of omega_XZ on theta and of
+    # omega_YZ on hdot, the oracle, leaves only rounding
+    m = siegel.SiegelModel(rep)
+    xs = suites._mixed_tube_points(m, np.random.default_rng(21), 67)
+    for P in (1, 7, 16, 67):
+        p = m.points(xs[:P])
+        hdot = m.project(siegel.TangentVector(p.mc), "X", "Y")
+        for F, t in ((m.omega_XZ, p.mc), (m.omega_YZ, hdot)):
+            value, curvature = structure_reference(F, t)
+            assert np.max(np.abs(value)) > 1e-2     # not two zeros
+            assert (np.max(np.abs(curvature))
+                    <= 1e-15 * np.max(np.abs(value))), (F.__name__, P)
+
+
+def test_descent_oracle_fails_for_a_pullback_that_is_not_induced(monkeypatch):
+    # the patched curvature takes a chain's curvature from its first stratum
+    # alone; a pullback from the point that is the non-flat Nomizu
+    # connection breaks that, and the difference oracle of descent sees it
+    monkeypatch.setattr(siegel.SiegelModel, "omega_XZ",
+                        siegel.SiegelModel.omega_nomizu)
+    check = {c["name"]: c for c in suites.suite_descent()["checks"]}[
+        "structure-equation-vs-differences"]
+    assert not check["pass"] and check["max_residual"] > 1e-4
 
 
 def test_klingen_factor_names_the_row_outside_the_parabolic(model):
