@@ -17,15 +17,16 @@ lower-right block is invertible; then
 
     g = p_plus * k_c * p_minus
 
-by one step of block Gauss elimination, and j(g) = k_c is the middle
-projection.  j is multiplicative under j(h g h') = j(h) j(g) j(h') for
-h, h' in K(C).
+by one step of block Gauss elimination.  :func:`middle_j` returns the one
+factor that canonical extensions read, the middle projection j(g) = k_c;
+it builds the outer two only to check the product.  j is multiplicative
+under j(h g h') = j(h) j(g) j(h') for h, h' in K(C).
 
 Representations and canonical extensions hold what they reuse, built in
 their constructors: the differential as an (N^2, d^2) matrix tabulated on
 the matrix units, and for a canonical extension j(c_1)^{-1}.  The
 differentials then take a matrix or a (..., N, N) stack to (..., d, d) in
-one matmul, a real one for a real stack.  hc_decompose, a canonical
+one matmul, a real one for a real stack.  middle_j, a canonical
 extension and the lamC of the representations (std, det^m, sym2) take a
 (..., N, N) stack too, in one numpy pass, with every check held per element
 and the first failing row named in the error.
@@ -49,18 +50,10 @@ def _complex(spec, g):
     return M @ np.asarray(g, dtype=complex) @ Minv
 
 
-@dataclass
-class HCDecomposition:
-    """Factors of the open-cell decomposition, in complex coordinates."""
-
-    p_plus: np.ndarray
-    k_c: np.ndarray
-    p_minus: np.ndarray
-
-
-def hc_decompose(spec, g) -> HCDecomposition:
-    """Open-cell factorization of g (given in defining coordinates), or of
-    each element of a stack, checked per element."""
+def middle_j(spec, g):
+    """j(g) = k_c, the block-diagonal middle factor of the open-cell
+    factorization of g (given in defining coordinates), in complex
+    coordinates; for a stack, checked per element."""
     gc = _complex(spec, g)
     p, q = spec.blocks
     A, B = gc[..., :p, :p], gc[..., :p, p:]
@@ -79,12 +72,7 @@ def hc_decompose(spec, g) -> HCDecomposition:
     res = liecore._maxabs(pp @ kc @ pm - gc)
     liecore.require(res <= 1e-9 * np.maximum(1.0, liecore._maxabs(gc)),
                     "factorization residual above tolerance")
-    return HCDecomposition(p_plus=pp, k_c=kc, p_minus=pm)
-
-
-def middle_j(spec, g):
-    """j(g): block-diagonal middle factor, in complex coordinates."""
-    return hc_decompose(spec, g).k_c
+    return kc
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ lands in the intersection of both standard parabolics and maps the basepoint
 i*I to Z, with pi compatible with the group-level Levi factorization.
 
 Evaluators take (p, mc): a :class:`ChartPoint` stack p = points(xs) of P
-chart points, whose section, mc and control data each come from one numpy
-pass, and a real (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them,
+chart points, whose mc (through the section) and control data each come
+from one numpy pass, and a real (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them,
 and return (P, ..., d, d); one point is the stack points([x]), point(x) its
 one-point view.  A chart form makes the points of its rows (the 12P of a
 central difference at P points) in one points call and calls its evaluator
@@ -126,17 +126,17 @@ def section_mc(x, s):
 
 class ChartPoint:
     """A chart point x, or a stack of P of them (every array with a leading
-    axis P), with what every evaluation reads: the section s = s(x), the
-    (6, 4, 4) stack mc of s^{-1} d_i s over the chart directions and the
-    control data (a :class:`strata.ModelPoint` stack).  p[n] is point n
-    (its control data a one-row stack), p[a:b] and p[idx] (idx an index
-    array) substacks."""
+    axis P), with what every evaluation reads: the (6, 4, 4) stack mc of
+    s^{-1} d_i s over the chart directions, s = section(x), and the control
+    data (a :class:`strata.ModelPoint` stack).  p[n] is point n (its control
+    data a one-row stack), p[a:b] and p[idx] (idx an index array)
+    substacks."""
 
-    __slots__ = ("s", "mc", "control")
+    __slots__ = ("mc", "control")
 
     def __getitem__(self, n):
         p = ChartPoint()
-        p.s, p.mc, p.control = self.s[n], self.mc[n], self.control[n]
+        p.mc, p.control = self.mc[n], self.control[n]
         return p
 
 
@@ -196,11 +196,10 @@ class SiegelModel:
 
     def points(self, xs) -> ChartPoint:
         """The chart points at the rows of a (P, 6) array xs, rho_Z = 1 / Im z11
-        and rho_Y = 1 / Im z22, with s and mc from one call each."""
+        and rho_Y = 1 / Im z22, with the section and mc from one call each."""
         xs = np.asarray(xs, dtype=float).reshape(-1, 6)
         p = ChartPoint()
-        p.s = section(xs)
-        p.mc = section_mc(xs, p.s)
+        p.mc = section_mc(xs, section(xs))
         p.control = self.model.point(("Z", "Y", "X"), 1.0 / xs[:, [3, 5]])
         return p
 

@@ -513,7 +513,7 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
     c = 0.3 * rng.standard_normal((samples, len(pdK.basis_q)))
     k = liecore.exp_grp(spec, liecore.from_coords(
         np.moveaxis(c, -1, 0)[..., None, None], pdK.basis_q))
-    g_l = liecore.group_factor_fine(pdK, k)[3]
+    g_l = liecore.group_factor_fine(pdK, k)
     extK = hcrepr.canonical_extension(rep, 1)
     lam, H = extK(g_l)[:, None], extK.alg(np.array(pdK.basis_h))
     levi = float(np.max(np.abs(lam @ H - H @ lam), initial=0.0))

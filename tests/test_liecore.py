@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import pathlib
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import liecore
 from chernpatch.errors import DecompositionError, PreconditionFailed, UnsupportedFlag
-from helpers import alg_residual, random_alg, real_vec
+from helpers import alg_residual, fine_factor_reference, random_alg, real_vec
 
 SPECS = [liecore.sp2nR(1), liecore.sp2nR(2), liecore.sp2nR(3)]
 
@@ -187,7 +188,7 @@ def test_span_solver_refuses_a_basis_that_is_not_orthogonal():
 ])
 def test_a_non_real_element_of_the_span_is_refused(group, flag):
     # coordinates project the real part, so an imaginary part of an element
-    # of the span lands in the residual, for split and for the U_1 check
+    # of the span lands in the residual, for split and for a span solver
     pd = liecore.parabolic_data(GROUPS[group], flag)
     rng = np.random.default_rng(11)
     X = liecore.from_coords(rng.standard_normal(len(pd.basis_q)), pd.basis_q)
@@ -197,12 +198,10 @@ def test_a_non_real_element_of_the_span_is_refused(group, flag):
         pd.split(X + 1e-3j * X)
     with pytest.raises(DecompositionError, match=r"subalgebra \(row 1\)$"):
         pd.split(np.array([X, X + 1e-3j * X]))
-    U = liecore.from_coords(rng.standard_normal(len(pd.basis_u1)),
-                            pd.basis_u1)
-    liecore.algebra_coords(pd._u1, U, 1e-7, "unipotent factor not in U_1")
-    with pytest.raises(DecompositionError, match="not in U_1$"):
-        liecore.algebra_coords(pd._u1, U + 1e-3j * U, 1e-7,
-                               "unipotent factor not in U_1")
+    q = liecore.span_solver(pd.basis_q)
+    liecore.algebra_coords(q, X, 1e-7, "not in Lie(Q)")
+    with pytest.raises(DecompositionError, match=r"not in Lie\(Q\)$"):
+        liecore.algebra_coords(q, X + 1e-3j * X, 1e-7, "not in Lie(Q)")
 
 
 @pytest.mark.parametrize("group,flag", [
@@ -264,7 +263,7 @@ def test_group_factor_recomposes():
         pd = liecore.parabolic_data(spec, flag)
         c = 0.3 * rng.standard_normal(len(pd.basis_q))
         g = liecore.exp_grp(spec, liecore.from_coords(c, pd.basis_q))
-        u1, g_1h, u_rel, g_ql = liecore.group_factor_fine(pd, g)
+        u1, g_1h, u_rel, g_ql = fine_factor_reference(pd, g)
         assert np.max(np.abs(u1 @ g_1h @ u_rel @ g_ql - g)) < tol
 
 
@@ -274,8 +273,44 @@ def test_group_factor_fine_recomposes():
     rng = np.random.default_rng(5)
     c = 0.25 * rng.standard_normal(len(pd.basis_q))
     g = liecore.exp_grp(spec, liecore.from_coords(c, pd.basis_q))
-    u1, g_1h, u_rel, g_ql = liecore.group_factor_fine(pd, g)
+    u1, g_1h, u_rel, g_ql = fine_factor_reference(pd, g)
     assert np.max(np.abs(u1 @ g_1h @ u_rel @ g_ql - g)) < 1e-8
+
+
+# Every flag of sp(2), sp(4) and sp(6).
+ALL_FLAGS = [(spec, flag) for spec in SPECS for flag in
+             [f for k in range(1, spec.n + 1)
+              for f in itertools.combinations(range(1, spec.n + 1), k)]]
+
+
+@pytest.mark.parametrize("spec,flag", ALL_FLAGS,
+                         ids=lambda x: _id(x) if hasattr(x, "n") else str(x))
+def test_group_factor_fine_is_the_last_factor_of_the_reference(spec, flag):
+    # bit for bit, on a stack and on each element alone
+    pd = liecore.parabolic_data(spec, flag)
+    rng = np.random.default_rng(10)
+    c = 0.3 * rng.standard_normal((len(pd.basis_q), 25))
+    gs = liecore.exp_grp(spec, liecore.from_coords(c[..., None, None],
+                                                   pd.basis_q))
+    g_ql = liecore.group_factor_fine(pd, gs)
+    assert g_ql.shape == gs.shape
+    assert np.array_equal(g_ql, fine_factor_reference(pd, gs)[3])
+    for g, one in zip(gs, g_ql):
+        assert np.array_equal(liecore.group_factor_fine(pd, g), one)
+        assert np.array_equal(fine_factor_reference(pd, g)[3], one)
+
+
+@pytest.mark.parametrize("flag", [(1,), (2,)])
+@pytest.mark.parametrize("diag", [(2.0, 1.0, 1.0, 1.0), (1.0, 1.0, 3.0, 1.0)])
+def test_group_factor_fine_rejects_elements_outside_the_group(flag, diag):
+    # block diagonal, so they keep every V_r, but g^T J g != J
+    spec = liecore.sp2nR(2)
+    pd = liecore.parabolic_data(spec, flag)
+    with pytest.raises(DecompositionError, match="^not in sp2nR"):
+        liecore.group_factor_fine(pd, np.diag(diag))
+    gs = np.array([np.eye(4), np.eye(4), np.diag(diag)])
+    with pytest.raises(DecompositionError, match=r"^not in sp2nR.*\(row 2\)$"):
+        liecore.group_factor_fine(pd, gs)
 
 
 @pytest.mark.parametrize("flag", [(1,), (2,), (1, 2)])
@@ -324,8 +359,7 @@ def test_group_factor_of_a_stack_matches_one_element_at_a_time():
             for _ in range(4)])
         stacked = liecore.group_factor_fine(pd, gs)
         for n, g in enumerate(gs):
-            for a, b in zip(stacked, liecore.group_factor_fine(pd, g)):
-                assert np.array_equal(a[n], b)
+            assert np.array_equal(stacked[n], liecore.group_factor_fine(pd, g))
 
 
 # Every flag of the groups whose parabolic bases the golden pins.
@@ -334,7 +368,7 @@ PARABOLIC_FLAGS = {
     "sp6": (liecore.sp2nR(3), [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
                                (1, 2, 3)]),
 }
-BASES = ("basis_u", "basis_u1", "basis_h", "basis_l")
+BASES = ("basis_u", "basis_h", "basis_l")
 PARABOLIC_GOLDEN = (pathlib.Path(__file__).parent / "golden"
                     / "parabolic_bases.json")
 
@@ -351,11 +385,11 @@ def parabolic_digests():
     return out
 
 
-# (u, h, l) dims and the dim of u_1 for each flag of sp(2) and sp(6)
-DIMS = {"sp2": {(1,): (1, 0, 1, 1)},
-        "sp6": {(1,): (5, 10, 1, 5), (2,): (7, 3, 4, 7), (3,): (6, 0, 9, 6),
-                (1, 2): (8, 3, 2, 7), (1, 3): (8, 0, 5, 6),
-                (2, 3): (8, 0, 5, 6), (1, 2, 3): (9, 0, 3, 6)}}
+# (u, h, l) dims for each flag of sp(2) and sp(6)
+DIMS = {"sp2": {(1,): (1, 0, 1)},
+        "sp6": {(1,): (5, 10, 1), (2,): (7, 3, 4), (3,): (6, 0, 9),
+                (1, 2): (8, 3, 2), (1, 3): (8, 0, 5),
+                (2, 3): (8, 0, 5), (1, 2, 3): (9, 0, 3)}}
 
 
 def _stabilizer_nullity(spec, ranks):
@@ -392,12 +426,10 @@ def test_parabolic_data_defining_properties(group, flag):
         for X in q:
             assert np.abs((np.eye(N) - V @ V.T) @ X @ V).max() < 1e-12
     assert len(q) == _stabilizer_nullity(spec, flag)
-    # u and u_1 are the radicals of the trace form on Lie(Q) and Lie(P_1)
-    for u, ranks in ((pd.basis_u, flag), (pd.basis_u1, flag[-1:])):
-        p1 = liecore.parabolic_data(spec, ranks).basis_q
-        assert np.abs(_trace_gram(u, p1)).max(initial=0.0) < 1e-12
-        rank = np.linalg.matrix_rank(_trace_gram(p1, p1), tol=1e-10)
-        assert len(u) == len(p1) - rank
+    # u is the radical of the trace form on Lie(Q)
+    assert np.abs(_trace_gram(pd.basis_u, q)).max(initial=0.0) < 1e-12
+    rank = np.linalg.matrix_rank(_trace_gram(q, q), tol=1e-10)
+    assert len(pd.basis_u) == len(q) - rank
     # h kills V and Vbar of the largest rank, commutes with l, and theta
     # keeps h + l
     v, vbar, _ = liecore._sp_indices(spec, flag[-1])
@@ -419,7 +451,7 @@ def test_parabolic_data_defining_properties(group, flag):
         assert np.abs(gram - np.eye(len(bas))).max(initial=0.0) < 1e-12
     if group in DIMS:
         assert tuple(len(getattr(pd, name)) for name in (
-            "basis_u", "basis_h", "basis_l", "basis_u1")) == DIMS[group][flag]
+            "basis_u", "basis_h", "basis_l")) == DIMS[group][flag]
 
 
 @pytest.mark.parametrize("spec,flag,message", [

@@ -8,8 +8,9 @@ of the same spelling (a local variable or a parameter) does not call it.
 This holds for private names (a leading underscore) as for public ones;
 only dunder methods, which Python calls itself, are exempt.  Strings
 (``__all__`` entries, docstrings) do not count, and neither do the tests.
-Every attribute a method of the package stores on self must be loaded, as
-an Attribute node, in the same places.
+Every attribute a method of the package stores on self, every field of a
+dataclass and every ``__slots__`` entry must be loaded, as an Attribute
+node, in the same places.
 """
 
 import ast
@@ -78,6 +79,31 @@ def _self_stores():
                 yield f"{path.stem}:{node.lineno}", node.attr
 
 
+def _record_fields():
+    """(module:class.field, field) of each field of a @dataclass class and
+    each __slots__ entry in the package."""
+    for path, tree in _trees([PACKAGE]):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in node.decorator_list]
+            dataclass = any(getattr(d, "id", getattr(d, "attr", None))
+                            == "dataclass" for d in decorators)
+            for item in node.body:
+                if (dataclass and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    names = [item.target.id]
+                elif (isinstance(item, ast.Assign)
+                      and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                              for t in item.targets)):
+                    names = [e.value for e in item.value.elts]
+                else:
+                    continue
+                for name in names:
+                    yield f"{path.stem}:{node.name}.{name}", name
+
+
 def _loaded_attributes():
     return {node.attr for _, tree in _trees(USERS) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
@@ -102,3 +128,9 @@ def test_every_instance_attribute_is_read():
     loaded = _loaded_attributes()
     assert [f"{where} self.{attr}" for where, attr in _self_stores()
             if attr not in loaded] == []
+
+
+def test_every_record_field_is_read():
+    loaded = _loaded_attributes()
+    assert [where for where, name in _record_fields()
+            if name not in loaded] == []

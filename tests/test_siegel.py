@@ -413,7 +413,8 @@ def test_klingen_levi_factor_commutes_with_values_from_Y(rep):
     rng = np.random.default_rng(18)
     xs = [_sample_x(rng) for _ in range(4)] + [_mixed_x(m, rng) for _ in range(4)]
     p = m.points(xs)
-    lam = m.extK(liecore.group_factor_fine(m.pdK, p.s)[3])[:, None]
+    lam = m.extK(liecore.group_factor_fine(m.pdK, siegel.section(
+        np.array(xs))))[:, None]
     hdot = m.pdK.split(p.mc)[1]
     vals = np.concatenate([m.omega_Y_nomizu(hdot), m.omega_YZ(hdot)], axis=1)
     assert np.max(np.abs(lam - np.eye(m.rep.dim))) > 0.1
@@ -506,14 +507,14 @@ def test_stacked_points_match_one_point_at_a_time(rep):
     rng = np.random.default_rng(16)
     xs = [_sample_x(rng) for _ in range(3)] + [_mixed_x(m, rng) for _ in range(3)]
     stack = m.points(xs)
-    assert stack.s.shape == (6, 4, 4) and len(stack.control) == 6
+    assert stack.mc.shape == (6, 6, 4, 4) and len(stack.control) == 6
     curv = m.curvature_induced_nomizu(stack)
     assert curv.shape == (6, 15, m.rep.dim, m.rep.dim)
     patched = m.curvature_patched(stack)
     omega = m.omega_patched(stack, stack.mc)
     for n, (x, p) in enumerate(zip(xs, stack)):
         one = m.point(x)
-        assert np.array_equal(p.s, one.s) and np.array_equal(p.mc, one.mc)
+        assert np.array_equal(p.mc, one.mc)
         assert p.control.chain == one.control.chain
         assert _same_bits(p.control.r, one.control.r)
         assert np.array_equal(curv[n], m.curvature_induced_nomizu(one))
@@ -584,7 +585,7 @@ def test_descent_oracle_fails_for_a_pullback_that_is_not_induced(monkeypatch):
 
 def test_klingen_factor_names_the_row_outside_the_parabolic(model):
     rng = np.random.default_rng(17)
-    s = model.points([_sample_x(rng) for _ in range(5)]).s.copy()
+    s = siegel.section(np.array([_sample_x(rng) for _ in range(5)]))
     liecore.group_factor_fine(model.pdK, s)
     s[3] = liecore.exp_grp(model.spec, 0.5 * liecore.from_coords(
         rng.standard_normal(10), liecore.algebra_basis(model.spec)))
