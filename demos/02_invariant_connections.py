@@ -17,10 +17,11 @@ from chernpatch.errors import ConditionViolation
 spec = liecore.sp2nR(1)
 rep = hcrepr.builtin_representation(spec, "det^2")
 
-# The Nomizu connection and its curvature on the p-basis pair.
+# The Nomizu connection and its curvature on the p-basis, whose one pair
+# (p1, p2) gives the one entry of the stack curvature0 returns.
 nom = connections.nomizu_connection(spec, rep)
-p1, p2 = connections.p_basis(spec)
-print("Nomizu curvature on (p1, p2):", nom.curvature0(p1, p2))
+pb = np.array(connections.p_basis(spec))
+print("Nomizu curvature on (p1, p2):", nom.curvature0(pb)[0])
 print("flat?", nom.is_flat())
 
 # Perturbing the values breaks one of the two defining conditions, and the

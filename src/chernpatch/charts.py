@@ -62,15 +62,11 @@ class GroupChart:
         return ext.VForm(self.dim, 1, lambda xs: conn.omega0(self.mc_coeff(xs)))
 
     def algebraic_curvature_form(self, conn) -> ext.VForm:
-        """The same curvature assembled without chart differentiation:
+        """The same curvature assembled without chart differentiation: the
+        structure equation on the stack mc(x) of chart directions, whose
         coefficient (i < j) at x is Omega_0(mc_i(x), mc_j(x))."""
-        i, j = np.triu_indices(self.dim, 1)
-
-        def coeffs(xs):
-            mc = self.mc_coeff(xs)
-            return conn.curvature0(mc[:, i], mc[:, j])
-
-        return ext.VForm(self.dim, 2, coeffs)
+        return ext.VForm(self.dim, 2,
+                         lambda xs: conn.curvature0(self.mc_coeff(xs)))
 
 
 def curvature_bridge_residual(spec, conn, points, rng=None):

@@ -105,7 +105,7 @@ def _cmd_curvature(args):
     table = [{"pair": [int(a), int(b)],
               "value": [[[float(v.real), float(v.imag)] for v in row]
                         for row in val]}
-             for a, b, val in zip(i, j, conn.curvature0(pb[i], pb[j]))]
+             for a, b, val in zip(i, j, conn.curvature0(pb))]
     report = {"schema": suites.SCHEMA, "command": "curvature",
               "group": args.group, "rep": args.rep,
               "connection": "nomizu", "p_basis_size": len(pb),

@@ -8,13 +8,15 @@ anywhere else is by left translation.  The classification conditions are
     (1)  omega_0(kdot) = lambda'(kdot)            for kdot in Lie(K),
     (2)  omega_0([gdot, kdot]) = [omega_0(gdot), lambda'(kdot)],
 
-and the curvature at the identity is
+and the curvature at the identity, over the pairs i < j of a (..., m, N, N)
+stack t of directions in combinations(range(m), 2) order, is the structure
+equation (:func:`structure_curvature`, which the Siegel model also calls)
 
-    Omega_0(g1, g2) = [omega_0 g1, omega_0 g2] - omega_0([g1, g2]).
+    Omega_0(t_i, t_j) = [omega_0 t_i, omega_0 t_j] - omega_0([t_i, t_j]).
 
-omega_0 and Omega_0 take a matrix or a (..., N, N) stack and return
-(..., d, d); the classification conditions and the flatness test are each
-one stacked evaluation over the basis.
+omega_0 takes a matrix or a (..., N, N) stack and returns (..., d, d); the
+classification conditions and the flatness test are each one stacked
+evaluation over the basis.
 
 The induced connection lambda_1'(ldot) + Ad(lambda_1(g_l^{-1}))
 omega_1(L_{g_h} hdot) is :meth:`siegel.SiegelModel.omega_XY`: the Ad term is
@@ -27,10 +29,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import liecore
+from . import exterior as ext, liecore
 from .errors import ConditionViolation, PreconditionFailed
 
 TOL = 1e-9
+
+
+def structure_curvature(F, t):
+    """(F(t), [F t_i, F t_j] - F([t_i, t_j]) over i < j) for a linear F on
+    a (..., m, N, N) stack t: the value and the curvature of the
+    left-invariant connection F o theta on the directions t of theta."""
+    om = F(t)
+    curv = ext.bracket_pairs(om)
+    curv -= F(ext.bracket_pairs(t))
+    return om, curv
 
 
 def _cartan_basis(spec, part):
@@ -70,13 +82,13 @@ class InvariantConnection:
                                    "matrix not in the spanned Lie algebra")
         return (c @ self._table).reshape(c.shape[:-1] + self.values.shape[1:])
 
-    def curvature0(self, X, Y):
-        a, b = self.omega0(X), self.omega0(Y)
-        return a @ b - b @ a - self.omega0(liecore.bracket(X, Y))
+    def curvature0(self, t):
+        """Omega_0 over the pairs i < j of a (..., m, N, N) stack t of
+        directions at the identity: (..., C(m, 2), d, d)."""
+        return structure_curvature(self.omega0, t)[1]
 
     def is_flat(self):
-        i, j = np.triu_indices(len(self.basis), 1)
-        curv = self.curvature0(self.basis[i], self.basis[j])
+        curv = self.curvature0(self.basis)
         return float(np.max(np.abs(curv), initial=0.0)) <= TOL
 
 
@@ -97,22 +109,15 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
     conn = InvariantConnection(spec, rep, basis, np.array(values))
     kb = np.array(k_basis(spec))
     lk = rep.lam_alg(kb)
-    bad = []
-    residuals = []
-    # condition (1): omega_0(kdot) = lambda'(kdot)
-    r1 = float(np.max(np.abs(conn.omega0(kb) - lk)))
-    if not r1 <= TOL:
-        bad.append(1)
-        residuals.append(r1)
-    # condition (2): omega_0([g, kdot]) = [omega_0(g), lambda'(kdot)], all pairs
+    # condition (1): omega_0(kdot) = lambda'(kdot); condition (2):
+    # omega_0([g, kdot]) = [omega_0(g), lambda'(kdot)], over all pairs
     lhs = conn.omega0(liecore.bracket(basis[:, None], kb))
     og = conn.omega0(basis)[:, None]
-    r2 = float(np.max(np.abs(lhs - (og @ lk - lk @ og))))
-    if not r2 <= TOL:
-        bad.append(2)
-        residuals.append(r2)
+    r = {1: float(np.max(np.abs(conn.omega0(kb) - lk))),
+         2: float(np.max(np.abs(lhs - (og @ lk - lk @ og))))}
+    bad = [n for n in r if not r[n] <= TOL]
     if bad:
-        raise ConditionViolation(bad, residuals)
+        raise ConditionViolation(bad, [r[n] for n in bad])
     return conn
 
 

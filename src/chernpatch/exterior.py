@@ -19,9 +19,9 @@ combination_curvature is the one product rule for the curvature of a
 weighted combination of connections.
 
 Tolerances used by the callers: 1e-12 for purely algebraic identities, 1e-6
-after one numerical differentiation, 1e-4 after two.  A curvature built
-from the structure equation (chernpatch.siegel) has no differentiation in
-it, so its Chern forms are checked at 1e-10; compared with curvature_form
+after one numerical differentiation, 1e-4 after two.  A curvature from
+the structure equation (connections.structure_curvature) differentiates
+nothing, so its Chern forms are checked at 1e-10; compared with curvature_form
 (one central difference, step 1e-5) it agrees to a few 1e-12, and 1e-8 is
 the tolerance of that comparison.
 """
@@ -223,14 +223,18 @@ def combination_curvature(terms):
         Omega = sum_c [dw_c ^ omega_c + w_c (Omega_c - 1/2 [omega_c, omega_c])]
                 + 1/2 [omega, omega],
 
-    which does not need sum_c w_c = 1.
+    which does not need sum_c w_c = 1.  A term whose connection is the
+    scalar 0.0 (the zero connection) adds only w_c Omega_c.
     """
     omega = Omega = 0.0
     for w, dw, om, Om in terms:
         w = np.reshape(w, np.shape(w) + (1, 1, 1))
+        if np.ndim(om) == 0:
+            Omega = Omega + w * Om
+            continue
         omega = omega + w * om
         Omega = Omega + wedge_pairs(dw, om) + w * (Om - bracket_pairs(om))
-    return Omega + bracket_pairs(omega)
+    return Omega + bracket_pairs(omega) if np.ndim(omega) else Omega
 
 
 def vertical_vectors(proj: SmoothMap, xs):

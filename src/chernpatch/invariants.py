@@ -8,7 +8,8 @@ in int64 within a proven bound and in Python ints past it, once the entry
 denominators are cleared, or Faddeev-LeVerrier in floats.  An invariant
 polynomial is any function of a matrix, such as elementary_symmetric(k).
 The Jordan decomposition is exact only: a Newton iteration against the
-squarefree part of the characteristic polynomial.
+squarefree part of the characteristic polynomial, whose exact inverse is
+the Cayley-Hamilton adjugate over the determinant (adjugate).
 """
 
 from __future__ import annotations
@@ -150,25 +151,6 @@ def springer_check(f, x, n, tol=1e-9):
 # Jordan decomposition
 
 
-def _exact_inv(M):
-    """Gaussian elimination inverse for Fraction matrices."""
-    d = M.shape[0]
-    A = [[Fraction(M[i, j]) for j in range(d)] + [Fraction(1 if i == j else 0) for j in range(d)]
-         for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if A[r][col] != 0), None)
-        if piv is None:
-            raise PreconditionFailed("singular matrix in exact inverse")
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [v / pv for v in A[col]]
-        for r in range(d):
-            if r != col and A[r][col] != 0:
-                fac = A[r][col]
-                A[r] = [v - fac * w for v, w in zip(A[r], A[col])]
-    return np.array([[A[i][d + j] for j in range(d)] for i in range(d)], dtype=object)
-
-
 def _poly_divmod(p, q):
     """(quotient, remainder) of coefficient lists, highest degree first;
     q[0] must be nonzero."""
@@ -201,12 +183,22 @@ def _poly_gcd(p, q):
 
 
 def _poly_eval_matrix(coeffs, x):
-    """Evaluate polynomial (highest degree first) at matrix x (Horner)."""
-    I = np.eye(x.shape[0], dtype=x.dtype)
+    """Evaluate a polynomial (highest degree first) at a matrix or stack x
+    (Horner); a coefficient is a scalar or an array over the stack."""
+    I = np.eye(x.shape[-1], dtype=x.dtype)
     out = np.zeros_like(x)
     for c in coeffs:
-        out = out @ x + c * I
+        out = out @ x + np.reshape(c, np.shape(c) + (1, 1)) * I
     return out
+
+
+def adjugate(x):
+    """(adj x, det x) of an exact matrix or (..., d, d) stack, by
+    Cayley-Hamilton: adj x = (-1)^(d-1) (x^(d-1) + c_1 x^(d-2) + ... +
+    c_(d-1) I) and det x = (-1)^d c_d, c_k those of det(tI - x)."""
+    d = x.shape[-1]
+    cs = _char_poly(x)
+    return (-1) ** (d - 1) * _poly_eval_matrix(cs[:d], x), (-1) ** d * cs[d]
 
 
 def _poly_deriv(coeffs):
@@ -234,7 +226,10 @@ def jordan_decompose(x):
     dp = _poly_deriv(p)
     s = x
     for _ in range(math.ceil(math.log2(len(cs) - len(p) + 1))):
-        s = s - _exact_inv(_poly_eval_matrix(dp, s)) @ _poly_eval_matrix(p, s)
+        adj, det = adjugate(_poly_eval_matrix(dp, s))
+        if det == 0:
+            raise PreconditionFailed("singular matrix in exact inverse")
+        s = s - adj @ _poly_eval_matrix(p, s) / det
     if any(v != 0 for v in _poly_eval_matrix(p, s).ravel()):
         raise PreconditionFailed("Jordan iteration failed to terminate")
     return s, x - s

@@ -37,12 +37,9 @@ Curvatures come from the structure equation, with no differentiation.
 Chart vector fields commute, so theta = s^{-1} ds satisfies
 d theta(e_i, e_j) = -[theta_i, theta_j], and so does its part hdot, the
 projection of Lie(Q) onto its Levi factor G_h being a homomorphism.  The
-Nomizu connection omega = F(t) on X (t = theta) or on Y (t = hdot), F
-constant and linear, therefore has the curvature
-
-    Omega_ij = [F t_i, F t_j] - F([t_i, t_j]),
-
-F one table on the matrix units, composed in the constructor from the
+Nomizu connection F(t) on X (t = theta) or on Y (t = hdot), F constant and
+linear, therefore has the curvature connections.structure_curvature(F, t);
+F is one table on the matrix units, composed in the constructor from the
 Cartan k-part, which a real stack meets in one real matmul.  Only these two
 connections have tables: a pullback is an induced connection, with the
 curvature of the connection it is induced from, at the projected point.
@@ -64,6 +61,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import connections
 from . import exterior as ext
 from . import hcrepr
 from . import liecore
@@ -188,8 +186,10 @@ class SiegelModel:
                       ("Y", "Z"): lambda pt, hdot, _: self.omega_YZ(hdot)},
             project=self.project,
             curvatures={
-                "X": lambda pt, v: self._structure("X", v.mc),
-                "Y": lambda pt, hdot: self._structure("Y", hdot),
+                "X": lambda pt, v: connections.structure_curvature(
+                    self.omega_nomizu, v.mc),
+                "Y": lambda pt, hdot: connections.structure_curvature(
+                    self.omega_Y_nomizu, hdot),
                 "Z": lambda pt, _: (0.0, 0.0)})
 
     # control data ------------------------------------------------------
@@ -220,16 +220,6 @@ class SiegelModel:
 
     # connection-form evaluators ----------------------------------------
     # each maps a real (..., 4, 4) stack to End(V) values (..., d, d)
-
-    def _structure(self, key, t):
-        """(F(t), [F t_i, F t_j] - F([t_i, t_j]) over i < j) for the Nomizu
-        connection on the stratum key and a (..., m, 4, 4) stack t with
-        dt = -1/2 [t, t]: F(t) and F([t_i, t_j]) by its table."""
-        table = self._linear[key]
-        om = hcrepr._apply(t, table, self.rep.dim)
-        curv = ext.bracket_pairs(om)
-        curv -= hcrepr._apply(ext.bracket_pairs(t), table, self.rep.dim)
-        return om, curv
 
     def omega_nomizu(self, mc):
         return hcrepr._apply(mc, self._linear["X"], self.rep.dim)
@@ -270,7 +260,8 @@ class SiegelModel:
         """Curvature of :meth:`omega_induced_nomizu` at p: the curvature of
         the Nomizu connection on Y at hdot."""
         v = TangentVector(p.mc)
-        return self._structure("Y", self.project(v, "X", "Y"))[1]
+        return connections.structure_curvature(
+            self.omega_Y_nomizu, self.project(v, "X", "Y"))[1]
 
     def curvature_patched(self, p):
         """Curvature of the patched connection at the stack p, with the weight

@@ -73,10 +73,13 @@ def _forest_model():
         "flags": [["A", "B", "C", "D"], ["A", "B", "E"]], "eps0": 1.0})
 
 
-def _check(name, residual, tol):
+def _check(name, residual, tol=None, floor=None):
+    """A check that passes when residual <= tol or, for a negative control
+    given a floor in place of a tol, when residual > floor."""
     residual = float(residual)
-    return {"name": name, "max_residual": residual, "tol": tol,
-            "pass": residual <= tol}
+    bound, ok = ({"tol": tol}, residual <= tol) if floor is None else (
+        {"floor": floor}, residual > floor)
+    return {"name": name, "max_residual": residual, **bound, "pass": ok}
 
 
 def _finish(name, seed, tol, samples, checks, extra=None):
@@ -252,11 +255,9 @@ def _commuting_pairs(rng, count, dim=4, corrupt=False):
     Each pair draws, one call each, the eigenvalues of x0, the entries of n0
     above the diagonal between equal eigenvalues (placed row-major once
     sorted) and the off-diagonal entries of s, redrawn while the float det
-    s, within 1e-9 of an integer, is below 0.5; the stacked Berkowitz then
-    confirms det s != 0.  M = s x0 adj(s), N = s n0 adj(s), all three
-    negated where det s < 0, with adj(s) = (-1)^(d-1) (s^(d-1) + c_1
-    s^(d-2) + ... + c_(d-1) I) and det s = (-1)^d c_d (Cayley-Hamilton, c_k
-    those of det(tI - s)).  corrupt: n0 is the square-zero [[1, 1], [-1,
+    s, within 1e-9 of an integer, is below 0.5; the stacked inv.adjugate
+    then confirms det s != 0.  M = s x0 adj(s), N = s n0 adj(s), all three
+    negated where det s < 0.  corrupt: n0 is the square-zero [[1, 1], [-1,
     -1]] on the least and greatest eigenvalues of x0, moving its spectrum.
     """
     eye = np.eye(dim, dtype=np.int64)
@@ -280,15 +281,11 @@ def _commuting_pairs(rng, count, dim=4, corrupt=False):
     if corrupt:
         n0[:] = 0
         n0[:, [[0], [-1]], [0, -1]] = [[1, 1], [-1, -1]]
-    cs = inv._berkowitz(s)
-    det = (-1) ** dim * cs[dim]
+    adj, det = inv.adjugate(s)
     if not det.all():
         raise PreconditionFailed("a kept flag matrix s is singular")
-    adj = eye
-    for c in cs[1:dim]:
-        adj = s @ adj + c[:, None, None] * eye
     # det > 0, as a Fraction's denominator: 0 / det is 0.0, not -0.0
-    adj = adj * ((-1) ** (dim - 1) * np.sign(det))[:, None, None]
+    adj = adj * np.sign(det)[:, None, None]
     return s @ (vals[:, :, None] * eye) @ adj, s @ n0 @ adj, np.abs(det)
 
 
@@ -484,9 +481,8 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
                     C, q, verts, rng))
     checks = [_check("chern-c1-vertical", worst[1], tol),
               _check("chern-c2-vertical", worst[2], tol),
-              {"name": "raw-curvature-not-vertical",
-               "max_residual": float(worst["raw"]), "floor": _RAW_FLOOR,
-               "pass": worst["raw"] > _RAW_FLOOR},
+              _check("raw-curvature-not-vertical", worst["raw"],
+                     floor=_RAW_FLOOR),
               _check("structure-equation-vs-differences", oracle, _ORACLE_TOL)]
     return _finish("descent", seed, tol, samples, checks,
                    {"oracle_points": list(range(k))})

@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from chernpatch import connections, hcrepr, liecore
+from chernpatch import charts, connections, hcrepr, liecore
 from chernpatch.errors import (ConditionViolation, DecompositionError,
                                PreconditionFailed)
-from helpers import gram_schmidt, random_alg, real_vec
+from helpers import gram_schmidt, random_alg, real_vec, structure_reference
 
 
 def _sp2(rep_name="det^2"):
@@ -18,13 +20,23 @@ def test_nomizu_accepted():
     assert conn is not None
 
 
+def _pair_curvature(conn, X, Y):
+    """Omega_0(X, Y) = [omega_0 X, omega_0 Y] - omega_0([X, Y]), one pair."""
+    a, b = conn.omega0(X), conn.omega0(Y)
+    return a @ b - b @ a - conn.omega0(X @ Y - Y @ X)
+
+
 def test_nomizu_curvature_oracle():
-    # curvature on horizontal pairs is -lambda'([p1, p2])
+    # curvature on horizontal pairs is -lambda'([p1, p2]); the p-basis of
+    # sp(2) has the one pair (p1, p2)
     spec, rep = _sp2()
     conn = connections.nomizu_connection(spec, rep)
     p1, p2 = connections.p_basis(spec)
+    curv = conn.curvature0(np.array([p1, p2]))
+    assert curv.shape == (1, rep.dim, rep.dim)
     expected = -rep.lam_alg(liecore.bracket(p1, p2))
-    assert np.max(np.abs(conn.curvature0(p1, p2) - expected)) < 1e-12
+    assert np.max(np.abs(curv[0] - expected)) < 1e-12
+    assert np.max(np.abs(curv[0] - _pair_curvature(conn, p1, p2))) < 1e-12
 
 
 def test_flat_connection_is_flat():
@@ -99,16 +111,40 @@ def test_values_of_wrong_count_or_shape_rejected():
     (liecore.sp2nR(1), "det^2"), (liecore.sp2nR(2), "std"),
     (liecore.sp2nR(2), "sym2")])
 def test_omega0_and_curvature0_on_a_stack(spec, rep_name):
+    # curvature0 of a (6, 4, N, N) stack: the six pairs i < j of each of
+    # the six rows, in combinations order, each the pairwise formula
     rep = hcrepr.builtin_representation(spec, rep_name)
     conn = connections.nomizu_connection(spec, rep)
     rng = np.random.default_rng(4)
-    X = np.array([random_alg(spec, rng) for _ in range(6)])
-    Y = np.array([random_alg(spec, rng) for _ in range(6)])
-    om, curv = conn.omega0(X), conn.curvature0(X, Y)
-    assert om.shape == curv.shape == (6, rep.dim, rep.dim)
+    t = np.array([[random_alg(spec, rng) for _ in range(4)]
+                  for _ in range(6)])
+    om, curv = conn.omega0(t), conn.curvature0(t)
+    assert om.shape == (6, 4, rep.dim, rep.dim)
+    assert curv.shape == (6, 6, rep.dim, rep.dim)
     for k in range(6):
-        assert np.max(np.abs(om[k] - conn.omega0(X[k]))) < 1e-14
-        assert np.max(np.abs(curv[k] - conn.curvature0(X[k], Y[k]))) < 1e-14
+        for n, (i, j) in enumerate(combinations(range(4), 2)):
+            assert np.max(np.abs(om[k, i] - conn.omega0(t[k, i]))) < 1e-14
+            ref = _pair_curvature(conn, t[k, i], t[k, j])
+            assert np.max(np.abs(curv[k, n] - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("spec,rep_name", [
+    (liecore.sp2nR(1), "det^2"), (liecore.sp2nR(2), "std"),
+    (liecore.sp2nR(2), "sym2")])
+def test_structure_curvature_matches_the_reference(spec, rep_name):
+    # on Maurer-Cartan stacks of 1, 7, 16 and 67 chart points, F = omega0
+    # of the Nomizu connection: the reference maps t and its brackets in
+    # one omega0 call, bit for bit the two calls of structure_curvature
+    conn = connections.nomizu_connection(
+        spec, hcrepr.builtin_representation(spec, rep_name))
+    chart = charts.GroupChart(spec)
+    xs = np.random.default_rng(8).uniform(-0.3, 0.3, (67, chart.dim))
+    for P in (1, 7, 16, 67):
+        t = chart.mc_coeff(xs[:P])
+        got = connections.structure_curvature(conn.omega0, t)
+        for a, b in zip(got, structure_reference(conn.omega0, t)):
+            assert np.array_equal(a, b), P
+        assert np.array_equal(conn.curvature0(t), got[1])
 
 
 @pytest.mark.parametrize("spec,rep_name", [

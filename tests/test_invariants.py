@@ -276,6 +276,38 @@ def test_large_norm_row_does_not_loosen_a_small_row():
         inv.springer_check(f, x[1], n[1])
 
 
+def _is_scalar_matrix(a, det):
+    """a == det I exactly, for a matrix or a stack with det over it."""
+    d = a.shape[-1]
+    det = np.reshape(np.asarray(det, dtype=object), np.shape(det) + (1, 1))
+    return (a == det * np.eye(d, dtype=int)).all()
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_adjugate_is_exact(d):
+    # adj x @ x = x @ adj x = det(x) I exactly, det(x) the Gaussian
+    # elimination oracle, on an int64 stack, on Python-int matrices and on
+    # Fraction matrices, one of them singular
+    rng = np.random.default_rng(40 + d)
+    ints = rng.integers(-9, 10, (7, d, d))
+    ints[0, :, -1] = 0     # a zero column: det 0
+    adj, det = inv.adjugate(ints)
+    assert adj.dtype == det.dtype == np.int64 and det.shape == (7,)
+    assert _is_scalar_matrix(adj @ ints, det)
+    assert _is_scalar_matrix(ints @ adj, det)
+    assert det[0] == 0
+    fracs = [np.array([[Fraction(int(v), int(rng.integers(1, 8))) for v in row]
+                       for row in x], dtype=object) for x in ints]
+    for x in [a.astype(object) for a in ints] + fracs:
+        adj, det = inv.adjugate(x)
+        assert det == _exact_det([[Fraction(v) for v in row]
+                                  for row in x.tolist()])
+        assert type(det) is (int if type(x[0, 0]) is int else Fraction)
+        assert _is_scalar_matrix(adj @ x, det)
+        assert _is_scalar_matrix(x @ adj, det)
+    assert inv.adjugate(fracs[0])[1] == 0
+
+
 def test_jordan_decompose_exact():
     x = exact_matrix([[2, 1], [0, 2]])
     s, n = inv.jordan_decompose(x)

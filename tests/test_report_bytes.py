@@ -1,7 +1,8 @@
 """Canonical reports are byte-identical to the committed goldens.
 
-Every ``verify`` suite runs at seed 0 at a small size, the curvature table
-of sp(4) on the standard representation is rendered through the CLI, and
+Every ``verify`` suite runs at seed 0 at a small size, the curvature tables
+of sp(2), sp(4) and sp(6) on the std, sym2 and det^2 representations are
+rendered through the CLI, and
 the vertical contractions of the patched curvature and of its Chern forms
 c_1, c_2 are taken at the three mixed-tube points of demo 04.
 A change that moves any digit of a report fails here.  When such a move is
@@ -37,16 +38,18 @@ SIZES = {
     "schubert": {},
 }
 
-CURVATURE = ["curvature", "--group", "sp4", "--rep", "std"]
+CURVATURE = [(group, rep) for group in ("sp2", "sp4", "sp6")
+             for rep in ("std", "sym2", "det^2")]
 
 
 def _suite_text(name):
     return suites.render_report(suites.run_suite(name, seed=0, **SIZES[name]))
 
 
-def _curvature_text(tmp_path):
+def _curvature_text(tmp_path, group, rep):
     out = tmp_path / "curvature.json"
-    assert cli.main(["--out", str(out)] + CURVATURE) == 0
+    assert cli.main(["--out", str(out), "curvature", "--group", group,
+                     "--rep", rep]) == 0
     return out.read_text(encoding="utf-8").rstrip("\n")
 
 
@@ -71,9 +74,11 @@ def test_suite_report_matches_golden(name):
     assert _suite_text(name) == golden.rstrip("\n")
 
 
-def test_curvature_report_matches_golden(tmp_path):
-    golden = (GOLDEN / "curvature_sp4_std.json").read_text(encoding="utf-8")
-    assert _curvature_text(tmp_path) == golden.rstrip("\n")
+@pytest.mark.parametrize("group,rep", CURVATURE)
+def test_curvature_report_matches_golden(tmp_path, group, rep):
+    golden = (GOLDEN / f"curvature_{group}_{rep}.json").read_text(
+        encoding="utf-8")
+    assert _curvature_text(tmp_path, group, rep) == golden.rstrip("\n")
 
 
 def test_descent_contractions_match_golden():
@@ -91,5 +96,7 @@ if __name__ == "__main__":
     (GOLDEN / "descent_siegel_std.json").write_text(
         _descent_text() + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / "curvature_sp4_std.json").write_text(
-            _curvature_text(pathlib.Path(tmp)) + "\n", encoding="utf-8")
+        for group, rep in CURVATURE:
+            (GOLDEN / f"curvature_{group}_{rep}.json").write_text(
+                _curvature_text(pathlib.Path(tmp), group, rep) + "\n",
+                encoding="utf-8")

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chernpatch import exterior as ext, hcrepr, invariants as inv, liecore
-from chernpatch import siegel, strata, suites
+from chernpatch import (connections, exterior as ext, hcrepr,
+                        invariants as inv, liecore, siegel, strata, suites)
 from chernpatch.errors import DecompositionError, PreconditionFailed
 
 from helpers import structure_reference
@@ -532,6 +532,8 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
     # Cartan k-part at call time, on t and its brackets concatenated.  Values
     # and curvatures match bit for bit, but for the table of X on sym2, whose
     # composed rows round otherwise: there to 1e-15 of the largest entry.
+    # connections.structure_curvature with the callable reference is the
+    # reference bit for bit.
     m = siegel.SiegelModel(rep)
     k = liecore.cartan_split
     reference = {"X": lambda t: m.rep.lam_alg(k(m.spec, t)[0]),
@@ -546,11 +548,14 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
             # over X the geometric point is v, over Y it is hdot
             g, t = (v, v.mc) if key == "X" else (hdot, hdot)
             got = m.system.curvatures[key](p.control, g)
-            for a, b in zip(got, structure_reference(F, t)):
+            ref = structure_reference(F, t)
+            for a, b in zip(got, ref):
                 if (rep, key) == ("sym2", "X"):
                     assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
                 else:
                     assert np.array_equal(a, b), (key, P)
+            for a, b in zip(connections.structure_curvature(F, t), ref):
+                assert np.array_equal(a, b), (key, P)
         assert np.array_equal(m.curvature_induced_nomizu(p),
                               structure_reference(reference["Y"], hdot)[1])
 
@@ -570,6 +575,46 @@ def test_connections_induced_from_the_point_are_flat(rep):
             assert np.max(np.abs(value)) > 1e-2     # not two zeros
             assert (np.max(np.abs(curvature))
                     <= 1e-15 * np.max(np.abs(value))), (F.__name__, P)
+
+
+def test_patched_curvature_at_the_point_stratum_is_zero(model):
+    # the point carries the zero connection, the scalar 0.0: its one chain
+    # adds w Omega = 0 alone, an all-zero stack that broadcasts against the
+    # (P, 15, d, d) coefficients of any other point
+    curv = model.system.curvature(model.model.point(("Z",), np.zeros((2, 0))),
+                                  None, np.zeros((2, 0, 6)))
+    assert not curv.any()
+    assert np.broadcast_shapes(curv.shape, (2, 15, 1, 1)) == (2, 15, 1, 1)
+
+
+def _combination_reference(terms):
+    """ext.combination_curvature with every connection an array: the sum
+    written out, for the terms of a point off the point stratum."""
+    omega = Omega = 0.0
+    for w, dw, om, Om in terms:
+        w = np.reshape(w, np.shape(w) + (1, 1, 1))
+        omega = omega + w * om
+        Omega = (Omega + ext.wedge_pairs(dw, om)
+                 + w * (Om - ext.bracket_pairs(om)))
+    return Omega + ext.bracket_pairs(omega)
+
+
+def test_patched_curvature_on_the_plane_stratum_keeps_its_bits(model):
+    # points on (Z, Y), hdot their geometric points: the chain (Z, Y) has
+    # the curvature 0.0 of the point but the array value omega_YZ(hdot)
+    xs = suites._mixed_tube_points(model, np.random.default_rng(23), 7)
+    p = model.points(xs)
+    hdot = model.project(siegel.TangentVector(p.mc), "X", "Y")
+    pts = model.model.pi(p.control, "Y")
+    assert pts.chain == ("Z", "Y")
+    dr = np.zeros((len(xs), 1, 6))
+    dr[:, 0, 3] = -pts.r[:, 0] ** 2
+    system = model.system
+    terms = [(w, (grad[:, None] @ dr)[:, 0]) + system.chain_curvature(
+        c, pts, hdot) for c, w, grad in model.model.chain_form_weight_grad(pts)]
+    assert all(np.ndim(om) for _, _, om, _ in terms)
+    assert np.array_equal(system.curvature(pts, hdot, dr),
+                          _combination_reference(terms))
 
 
 def test_descent_oracle_fails_for_a_pullback_that_is_not_induced(monkeypatch):

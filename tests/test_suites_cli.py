@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chernpatch import (cli, hcrepr, invariants as inv, liecore, schubert,
-                        siegel, suites)
+from chernpatch import (cli, connections, exterior as ext, hcrepr,
+                        invariants as inv, liecore, schubert, siegel, suites)
 from chernpatch.errors import PreconditionFailed
 
 
@@ -119,6 +119,26 @@ def test_klingen_levi_check_fails_on_the_whole_element(monkeypatch):
     assert check["max_residual"] > 1e-3
 
 
+def test_flipped_structure_equation_fails_three_suites(monkeypatch):
+    # one implementation of the structure equation, watched by three
+    # oracles: with the sign of F([t_i, t_j]) flipped, bridge's chart
+    # curvature, classify's flat example and descent's difference oracle
+    # each see it
+    def flipped(F, t):
+        om = F(t)
+        curv = ext.bracket_pairs(om)
+        curv += F(ext.bracket_pairs(t))
+        return om, curv
+
+    monkeypatch.setattr(connections, "structure_curvature", flipped)
+    failed = {name: [c["name"] for c in suites.run_suite(
+        name, seed=0, **SMALL[name])["checks"] if not c["pass"]]
+        for name in ("bridge", "classify", "descent")}
+    assert failed == {"bridge": ["sp2-nomizu", "sp4-nomizu"],
+                      "classify": ["model-connections-accepted"],
+                      "descent": ["structure-equation-vs-differences"]}
+
+
 def test_corrupt_springer_fails():
     rpt = suites.run_suite("springer", seed=1, samples=8, corrupt=True)
     assert not rpt["pass"]
@@ -126,7 +146,7 @@ def test_corrupt_springer_fails():
 
 def _fraction_commuting_pair(rng, dim=4, exact=True, corrupt=False):
     """The pair of suites._commuting_pairs, built by Fraction triple
-    products and an exact Gauss-Jordan inverse from scalar rng draws, and
+    products and the exact inverse adj(s) / det(s) from scalar rng draws, and
     the number of flag matrices s drawn for it."""
     vals = sorted(int(rng.integers(-3, 4)) for _ in range(dim))
     x = [[Fraction(0)] * dim for _ in range(dim)]
@@ -144,14 +164,12 @@ def _fraction_commuting_pair(rng, dim=4, exact=True, corrupt=False):
         s = np.array([[Fraction(int(rng.integers(-2, 3)) if i != j else 1)
                        for j in range(dim)] for i in range(dim)], dtype=object)
         draws += 1
-        try:
-            sinv = inv._exact_inv(s)
+        adj, det = inv.adjugate(s)
+        if det != 0:
             break
-        except PreconditionFailed:
-            continue
 
     def conj(a):
-        return s @ np.array(a, dtype=object) @ sinv
+        return s @ np.array(a, dtype=object) @ adj / det
 
     x, n = conj(x), conj(n)
     if exact:
