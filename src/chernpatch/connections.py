@@ -18,8 +18,9 @@ omega_0 takes a matrix or a (..., N, N) stack and returns (..., d, d); the
 classification conditions and the flatness test are each one stacked
 evaluation over the basis.
 
-The induced connection lambda_1'(ldot) + Ad(lambda_1(g_l^{-1}))
-omega_1(L_{g_h} hdot) is :meth:`siegel.SiegelModel.omega_XY`: the Ad term is
+The connection induced from a boundary stratum, lambda_1'(ldot) +
+Ad(lambda_1(g_l^{-1})) omega_1(L_{g_h} hdot), is
+:meth:`siegel.SiegelModel.omega_XY` on the Siegel space: the Ad term is
 omega_1 itself, as lambda_1(G_l) commutes with G_h; the curvature is omega_1's.
 """
 

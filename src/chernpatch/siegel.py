@@ -28,10 +28,9 @@ once, on p.mc, the six chart directions at each row.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector, held as its
-s^{-1} ds (:class:`TangentVector`); over Y it is the Lie(G_h) part hdot of
-that vector in the rank-1 (Klingen) parabolic, which is all the invariant
-connections on Y read; over the point Z it is nothing.  Each tangent vector
-is split once.
+s^{-1} ds (:class:`TangentVector`); over a boundary stratum Z it is the
+Lie(G_h) part of that vector in Z's parabolic: hdot in the rank-1 (Klingen)
+parabolic over Y, zero over the point.  Each vector is split once per Z.
 
 Curvatures come from the structure equation, with no differentiation.
 Chart vector fields commute, so theta = s^{-1} ds satisfies
@@ -40,21 +39,21 @@ projection of Lie(Q) onto its Levi factor G_h being a homomorphism.  The
 Nomizu connection F(t) on X (t = theta) or on Y (t = hdot), F constant and
 linear, therefore has the curvature connections.structure_curvature(F, t);
 F is one table on the matrix units, composed in the constructor from the
-Cartan k-part, which a real stack meets in one real matmul.  Only these two
-connections have tables: a pullback is an induced connection, with the
-curvature of the connection it is induced from, at the projected point.
-Induced on X from Y, it is extK.alg(ldot) + val, val the value at hdot of
-the connection on Y.  The general induced formula conjugates val by
-lambda_1(g_l^{-1}), g_l the linear Levi factor of s, and adds the curvature
-of extK.alg(ldot).  Both are no-ops: G_h and G_l commute and extK is a
-representation of the Levi, so lambda_1(G_l) and extK.alg(Lie(G_l))
-commute with every value induced from Y; and extK.alg is a homomorphism on
-Lie(G_l), so extK.alg(ldot) is flat.  Induced from the point, it is
-extS.alg of a Lagrangian-Levi part (of theta on X, of hdot on Y), flat like
-the point's zero connection.  :meth:`strata.PatchedSystem.curvature`
-patches the chains' pairs (omega_c, Omega_c) with the product rule, dw_c in
-closed form from r_Z = 1/x_3, r_Y = 1/x_5, into (P, 15, d, d) coefficients
-over combinations(range(6), 2) at P points.
+Cartan k-part, which a real stack meets in one real matmul.  The point
+carries the zero connection.  Every other connection is induced from a
+boundary stratum Z, by the one formula ext_Z.alg(l) + val
+(:meth:`SiegelModel.omega_XY`), (h, l) the split of the tangent vector in
+Z's parabolic and val the value at h of the connection on Z.  The general
+induced formula conjugates val by lambda_1(g_l^{-1}), g_l the linear Levi
+factor of s, and adds the curvature of ext_Z.alg(l).  Both are no-ops: G_h
+and G_l commute and ext_Z is a representation of the Levi, so
+lambda_1(G_l) and ext_Z.alg(Lie(G_l)) commute with every value induced from
+Z; and ext_Z.alg is a homomorphism on Lie(G_l), so ext_Z.alg(l) is flat,
+and the induced connection has Z's curvature at the projected point.
+:meth:`strata.PatchedSystem.curvature` patches the chains' pairs
+(omega_c, Omega_c) with the product rule, dw_c in closed form from
+r_Z = 1/x_3, r_Y = 1/x_5, into (P, 15, d, d) coefficients over
+combinations(range(6), 2) at P points.
 """
 
 from __future__ import annotations
@@ -139,15 +138,16 @@ class ChartPoint:
 
 
 class TangentVector:
-    """Geometric point of the patched system over X: mc = s^{-1} ds(v) for
-    a tangent vector v at a chart point, or a (..., 4, 4) stack of them.
-    `split` keeps the (hdot, ldot) parts of mc in the rank-1 parabolic once
-    made; v[idx] is the substack of the rows idx."""
+    """Geometric point of the patched system: over X, mc = s^{-1} ds(v) for
+    a tangent vector v at a chart point, or a (..., 4, 4) stack of them;
+    over a boundary stratum Z, the Lie(G_h) part of such a vector in Z's
+    parabolic.  parts[Z] keeps the (h, l) split of mc in Z's parabolic once
+    made, h a TangentVector; v[idx] is the substack of the rows idx."""
 
-    __slots__ = ("mc", "split")
+    __slots__ = ("mc", "parts")
 
     def __init__(self, mc):
-        self.mc, self.split = mc, None
+        self.mc, self.parts = mc, {}
 
     def __getitem__(self, idx):
         return TangentVector(self.mc[idx])
@@ -167,30 +167,21 @@ class SiegelModel:
             strata=[{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1},
                     {"name": "X", "dimC": 3}],
             flags=[["Z", "Y", "X"]])
-        # Cartan element of the hermitian sl(2) on the (e0, f0) plane
-        self._W_H = np.diag([1.0, 0.0, -1.0, 0.0])
+        # each boundary stratum's parabolic and canonical extension
+        self._parabolic = {"Y": (self.pdK, self.extK),
+                           "Z": (self.pdS, self.extS)}
         # each Nomizu connection F on the matrix units: the differential of
         # the representation (on X) or of extK (on Y) at their Cartan k-part
         k = liecore.cartan_split(self.spec, np.eye(16).reshape(-1, 4, 4))[0]
         self._linear = {"X": self.rep.lam_alg(k).reshape(16, -1),
                         "Y": self.extK.alg(k).reshape(16, -1)}
-        # The point stratum carries the zero connection, so the connections
-        # induced from it read only the Levi part of the tangent vector.
         self.system = strata.PatchedSystem(
             self.model,
-            nomizu={"X": lambda pt, v: self.omega_nomizu(v.mc),
-                    "Y": lambda pt, hdot: self.omega_Y_nomizu(hdot),
-                    "Z": lambda pt, _: 0.0},
-            pullback={("X", "Y"): lambda pt, v, val: self.omega_XY(v, val),
-                      ("X", "Z"): lambda pt, v, _: self.omega_XZ(v.mc),
-                      ("Y", "Z"): lambda pt, hdot, _: self.omega_YZ(hdot)},
-            project=self.project,
-            curvatures={
-                "X": lambda pt, v: connections.structure_curvature(
-                    self.omega_nomizu, v.mc),
-                "Y": lambda pt, hdot: connections.structure_curvature(
-                    self.omega_Y_nomizu, hdot),
-                "Z": lambda pt, _: (0.0, 0.0)})
+            nomizu={"X": self.omega_nomizu, "Y": self.omega_Y_nomizu,
+                    "Z": None},
+            induced={Z: lambda v, val, Z=Z: self.omega_XY(v, val, Z)
+                     for Z in self._parabolic},
+            project=lambda v, Z: self._split(v, Z)[0])
 
     # control data ------------------------------------------------------
 
@@ -207,16 +198,14 @@ class SiegelModel:
         """The chart point at x: the one-point view points([x])[0]."""
         return self.points([x])[0]
 
-    def _split(self, v: TangentVector):
-        """(hdot, ldot): the Lie(G_h) and linear Levi parts of v.mc in the
-        rank-1 parabolic."""
-        if v.split is None:
-            v.split = self.pdK.split(v.mc)[1:]
-        return v.split
-
-    def project(self, v, Y, Z):
-        """The geometric point over pi_Z: hdot on Y, nothing on the point."""
-        return self._split(v)[0] if Z == "Y" else None
+    def _split(self, v: TangentVector, Z):
+        """(h, l): the Lie(G_h) part, as a TangentVector, and the linear
+        Levi part of v.mc in the parabolic of the boundary stratum Z.  h is
+        the geometric point over pi_Z (hdot on Y, zero on the point)."""
+        if Z not in v.parts:
+            _, h, l = self._parabolic[Z][0].split(v.mc)
+            v.parts[Z] = TangentVector(h), l
+        return v.parts[Z]
 
     # connection-form evaluators ----------------------------------------
     # each maps a real (..., 4, 4) stack to End(V) values (..., d, d)
@@ -224,34 +213,21 @@ class SiegelModel:
     def omega_nomizu(self, mc):
         return hcrepr._apply(mc, self._linear["X"], self.rep.dim)
 
-    def omega_XZ(self, mc):
-        """Induced from the point stratum through the Lagrangian parabolic."""
-        _, _, ldot = self.pdS.split(mc)
-        return self.extS.alg(ldot)
-
     def omega_Y_nomizu(self, hdot):
         return hcrepr._apply(hdot, self._linear["Y"], self.rep.dim)
 
-    def omega_YZ(self, hdot):
-        """Induced from the point through the plane Borel of sl(2)_W: extS.alg
-        of its Lagrangian-Levi part a W_H.  The condition is checked for each
-        direction of a stack, and the first failing one named."""
-        a, c = hdot[..., 0, 0], hdot[..., 2, 0]
-        liecore.require(np.abs(c) <= 1e-8 * np.maximum(
-            1.0, liecore._maxabs(hdot)),
-            "hermitian component not in the plane Borel", PreconditionFailed)
-        return self.extS.alg(a[..., None, None] * self._W_H)
-
-    def omega_XY(self, v: TangentVector, val):
-        """Pullback through the rank-1 parabolic: the value at v of the
-        connection induced from one on Y whose value at hdot is val."""
-        _, ldot = self._split(v)
-        return self.extK.alg(ldot) + val
+    def omega_XY(self, v: TangentVector, val, Z):
+        """The connection induced from one on the boundary stratum Z whose
+        value at the projected point is val, at v: ext_Z.alg(l) + val, l the
+        linear Levi part of v in Z's parabolic.  The name, from its first
+        use (X over Y), is the one the benchmark's tracer wraps."""
+        return self._parabolic[Z][1].alg(self._split(v, Z)[1]) + val
 
     def omega_induced_nomizu(self, p, mc):
         """The connection on X induced from the Nomizu connection on Y."""
         v = TangentVector(mc)
-        return self.omega_XY(v, self.omega_Y_nomizu(self.project(v, "X", "Y")))
+        hdot = self._split(v, "Y")[0].mc
+        return self.omega_XY(v, self.omega_Y_nomizu(hdot), "Y")
 
     # curvature evaluators ------------------------------------------------
     # each maps a stack of P chart points to the (P, 15, d, d) coefficients
@@ -259,9 +235,8 @@ class SiegelModel:
     def curvature_induced_nomizu(self, p):
         """Curvature of :meth:`omega_induced_nomizu` at p: the curvature of
         the Nomizu connection on Y at hdot."""
-        v = TangentVector(p.mc)
-        return connections.structure_curvature(
-            self.omega_Y_nomizu, self.project(v, "X", "Y"))[1]
+        hdot = self._split(TangentVector(p.mc), "Y")[0].mc
+        return connections.structure_curvature(self.omega_Y_nomizu, hdot)[1]
 
     def curvature_patched(self, p):
         """Curvature of the patched connection at the stack p, with the weight

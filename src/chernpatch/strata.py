@@ -17,12 +17,12 @@ weights share one table per stratum of the chain.
 
 PatchedSystem is the one implementation of the patched connection, on a
 stack of points: its recursion, its closed chain form and its localized
-form, for any model whose strata supply an invariant connection and the
-pullbacks between them (the Siegel model in :mod:`chernpatch.siegel` is
-one).  Given the curvature of each stratum's own connection, it also gives
-the curvature of the chain form: a chain's connection, induced from its
-first stratum, has that stratum's curvature, and the product rule with the
-weight gradients of FlagTubeModel.chain_form_weight_grad patches the chains.
+form, for any model giving each stratum's invariant connection and the
+connection induced from it (the Siegel model in :mod:`chernpatch.siegel`
+is one).  It also gives the curvature of the chain form: a chain's
+connection, induced from its first stratum, has that stratum's curvature,
+from the structure equation, and the product rule with the weight
+gradients of FlagTubeModel.chain_form_weight_grad patches the chains.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import connections
 from . import exterior as ext
 from .errors import PreconditionFailed
 
@@ -350,24 +351,21 @@ def _times(w, v):
 class PatchedSystem:
     """Patched connection recursion over a FlagTubeModel, on a stack of points.
 
-    Every callable receives the model points xs, a ModelPoint stack of P
-    points on one chain, which carry the control data, and an opaque
-    geometric point g over them with a leading axis of P (for a chart model,
-    chart points with a tangent vector at each); g[idx] is the substack of
-    the rows idx:
+    The model points xs, a ModelPoint stack of P points on one chain, carry
+    the control data, and an opaque geometric point g over them what the
+    connections read: g.mc, a Maurer-Cartan stack with a leading axis of P
+    (for a chart model, a tangent vector at each chart point), and g[idx],
+    the substack of the rows idx.  Each stratum is given once:
 
-      nomizu    {Y: callable(xs, g) -> value}: the invariant connection on Y;
-      pullback  {(Y, Z): callable(xs, g, v) -> value} for Z < Y: on (the tube
-                inside) Y, the connection induced from one on Z whose value
-                at the projected points is v;
-      project   callable(g, Y, Z) -> the geometric point over pi_Z(xs), for
-                g over points xs of Y and Z < Y.  It must follow the control
-                data: project(project(g, X, Y), Y, Z) = project(g, X, Z).
-      curvatures  (optional, for :meth:`curvature`) {Y: callable(xs, g) ->
-                (value, curvature)}: the nomizu value on Y with its
-                curvature.  A pullback needs none: a connection induced
-                from one on Z has the curvature of Z's at the projected
-                points.
+      nomizu   {Y: F or None}: Y's invariant connection, of value F(g.mc)
+               and curvature connections.structure_curvature(F, g.mc) for
+               a linear F; None is the zero connection, the scalar 0.0;
+      induced  {Z: callable(g, v)}: at g over any larger stratum, the
+               connection induced from one on Z of value v at project(g, Z);
+               it has the curvature of Z's there;
+      project  callable(g, Z) -> the geometric point over pi_Z(xs), for g
+               over points of a larger stratum; project(project(g, Y), Z)
+               must be project(g, Z), as the control data compose.
 
     Values are (P, ...) stacks, read by :meth:`curvature` as coefficients
     over the chart directions of g.  Weights are the (P,) arrays of
@@ -375,34 +373,33 @@ class PatchedSystem:
     and elsewhere a zero weight leaves the sum unchanged.
     """
 
-    def __init__(self, model: FlagTubeModel, nomizu, pullback, project,
-                 curvatures=None):
+    def __init__(self, model: FlagTubeModel, nomizu, induced, project):
         self.model = model
-        self.values = {**nomizu, **pullback}
+        self.nomizu = nomizu
+        self.induced = induced
         self.project = project
-        self.curvatures = curvatures
 
-    def _over(self, xs, g, Z):
-        """(pi_Z(xs), the geometric point over them)."""
-        if Z == xs.stratum:
-            return xs, g
-        return self.model.pi(xs, Z), self.project(g, xs.stratum, Z)
+    def _at(self, xs, g, Z):
+        """The geometric point over pi_Z(xs)."""
+        return g if Z == xs.stratum else self.project(g, Z)
 
-    def _along(self, chain, xs, g, maps, v=None):
-        """Pull v over pi_{chain[0]}(xs) (by default, the maps entry of
-        chain[0] there) up the chain through the (Y, Z) entries of maps."""
-        if v is None:
-            v = maps[chain[0]](*self._over(xs, g, chain[0]))
+    def _value(self, xs, g, Y):
+        """The value of Y's invariant connection over pi_Y(xs)."""
+        F = self.nomizu[Y]
+        return 0.0 if F is None else F(self._at(xs, g, Y).mc)
+
+    def _along(self, chain, xs, g, v):
+        """Pull v over pi_{chain[0]}(xs) up the chain by the induced maps."""
         for lo, hi in zip(chain, chain[1:]):
-            v = maps[(hi, lo)](*self._over(xs, g, hi), v)
+            v = self.induced[lo](self._at(xs, g, hi), v)
         return v
 
     def patched(self, xs, g):
         """B_Y^{eps_Y} nomizu_Y + sum over Z < Y of B_Z^{eps_Y} times the
-        pullback of the patched connection of Z, for Y the stratum of xs:
-        the weights are the columns of partition_weights at xs."""
-        chain, Y = xs.chain, xs.stratum
-        val = self.values[Y](xs, g)
+        connection induced from the patched connection of Z, for Y the
+        stratum of xs: the weights are the columns of partition_weights."""
+        chain = xs.chain
+        val = self._value(xs, g, xs.stratum)
         if len(chain) == 1:
             # no ancestors: B_Y^{eps_Y} is identically 1 here
             return val
@@ -410,22 +407,25 @@ class PatchedSystem:
         val = _times(w[:, -1], val)
         for k in reversed(range(len(chain) - 1)):
             if w[:, k].any():
-                inner = self.patched(*self._over(xs, g, chain[k]))
-                val = val + _times(w[:, k],
-                                   self.values[(Y, chain[k])](xs, g, inner))
+                Z = chain[k]
+                inner = self.patched(self.model.pi(xs, Z), self.project(g, Z))
+                val = val + _times(w[:, k], self.induced[Z](g, inner))
         return val
 
     def chain_form(self, xs, g):
-        """Closed form: sum over chains of full weights and composed pullbacks."""
-        return sum(_times(w, self._along(c, xs, g, self.values))
+        """Closed form: sum over chains of full weights and composed
+        induced connections."""
+        return sum(_times(w, self._along(c, xs, g, self._value(xs, g, c[0])))
                    for c, w in self.model.chain_form_weights(xs) if w.any())
 
     def chain_curvature(self, chain, xs, g):
         """(omega_c, Omega_c): the chain's connection, the nomizu value of its
         first stratum pulled up the chain, and its curvature, which is that
         first stratum's own at the projected points, unchanged."""
-        om, curv = self.curvatures[chain[0]](*self._over(xs, g, chain[0]))
-        return self._along(chain, xs, g, self.values, om), curv
+        F = self.nomizu[chain[0]]
+        om, curv = (0.0, 0.0) if F is None else (
+            connections.structure_curvature(F, self._at(xs, g, chain[0]).mc))
+        return self._along(chain, xs, g, om), curv
 
     def curvature(self, xs, g, dr):
         """Curvature coefficients of the chain form omega = sum_c w_c omega_c
@@ -450,13 +450,13 @@ class PatchedSystem:
         for W in dict.fromkeys(bases.tolist()):
             idx = np.flatnonzero(bases == W)
             sub, gsub = xs[idx], g[idx]
-            inner_val = self.patched(*self._over(sub, gsub, W))
+            inner_val = self.patched(self.model.pi(sub, W),
+                                     self._at(sub, gsub, W))
             # chains W = S_0 < ... < S_k = stratum(x) within x's flag
             chains = [(c, _top_down(fs)[idx]) for c, fs in factors
                       if c[0] == W]
             wsum[idx] = sum(w for _, w in chains)
-            total = sum(_times(w, self._along(c, sub, gsub, self.values,
-                                              inner_val))
+            total = sum(_times(w, self._along(c, sub, gsub, inner_val))
                         for c, w in chains if w.any())
             if value is None:
                 value = np.empty((len(xs),) + total.shape[1:], total.dtype)

@@ -156,6 +156,16 @@ def structure_reference(F, t):
     return om, bracket_pairs_reference(om) - out[..., m:, :, :]
 
 
+def plane_borel_reference(m, hdot):
+    """The connection a siegel.SiegelModel m induces on Y from the point's
+    zero connection, read off the plane Borel of the hermitian sl(2) on the
+    (e0, f0) plane: extS.alg of its Lagrangian-Levi part a W_H, a = hdot_00
+    and W_H = diag(1, 0, -1, 0) its Cartan element, at a (..., 4, 4) stack
+    hdot of Lie(G_h) parts in the plane Borel."""
+    a = hdot[..., 0, 0]
+    return m.extS.alg(a[..., None, None] * np.diag([1.0, 0.0, -1.0, 0.0]))
+
+
 def fine_factor_reference(pd, g):
     """Reference factorization g = u_1 g_{1h} u_rel g_{Ql} of g in Q, or of
     each element of a stack, in that product order: u_1 in the unipotent

@@ -33,8 +33,9 @@ def test_char_poly_matches_numpy():
 
 
 def _exact_det(rows):
-    """det by Fraction Gaussian elimination with row swaps."""
-    a = [list(r) for r in rows]
+    """det by Gaussian elimination with row swaps, in Fraction whatever the
+    rational entries of rows (ints too), so the result is exact."""
+    a = [[Fraction(v) for v in r] for r in rows]
     d = len(a)
     det = Fraction(1)
     for col in range(d):
@@ -286,8 +287,9 @@ def _is_scalar_matrix(a, det):
 @pytest.mark.parametrize("d", range(1, 6))
 def test_adjugate_is_exact(d):
     # adj x @ x = x @ adj x = det(x) I exactly, det(x) the Gaussian
-    # elimination oracle, on an int64 stack, on Python-int matrices and on
-    # Fraction matrices, one of them singular
+    # elimination oracle (fed the rows as they are, Python ints or
+    # Fractions), on an int64 stack, on Python-int matrices and on Fraction
+    # matrices, one of them singular
     rng = np.random.default_rng(40 + d)
     ints = rng.integers(-9, 10, (7, d, d))
     ints[0, :, -1] = 0     # a zero column: det 0
@@ -300,8 +302,7 @@ def test_adjugate_is_exact(d):
                        for row in x], dtype=object) for x in ints]
     for x in [a.astype(object) for a in ints] + fracs:
         adj, det = inv.adjugate(x)
-        assert det == _exact_det([[Fraction(v) for v in row]
-                                  for row in x.tolist()])
+        assert det == _exact_det(x.tolist())
         assert type(det) is (int if type(x[0, 0]) is int else Fraction)
         assert _is_scalar_matrix(adj @ x, det)
         assert _is_scalar_matrix(x @ adj, det)

@@ -1,10 +1,13 @@
 """Canonical reports are byte-identical to the committed goldens.
 
-Every ``verify`` suite runs at seed 0 at a small size, the curvature tables
-of sp(2), sp(4) and sp(6) on the std, sym2 and det^2 representations are
-rendered through the CLI, and
-the vertical contractions of the patched curvature and of its Chern forms
-c_1, c_2 are taken at the three mixed-tube points of demo 04.
+Every ``verify`` suite runs at seed 0 at a small size, and so does the
+negative control of each suite that has one; the curvature tables of sp(2),
+sp(4) and sp(6) on the std, sym2 and det^2 representations are rendered
+through the CLI; the vertical contractions of the patched curvature and of
+its Chern forms c_1, c_2 are taken at the three mixed-tube points of demo
+04; and the patched connection's values and curvatures on the sym2 and
+det^2 representations, which no suite evaluates, are rendered at three
+mixed-tube points.
 A change that moves any digit of a report fails here.  When such a move is
 intended, regenerate the goldens with
 
@@ -13,6 +16,7 @@ intended, regenerate the goldens with
 and say in CHANGES.md why the digits moved.
 """
 
+import inspect
 import pathlib
 
 import numpy as np
@@ -41,9 +45,15 @@ SIZES = {
 CURVATURE = [(group, rep) for group in ("sp2", "sp4", "sp6")
              for rep in ("std", "sym2", "det^2")]
 
+CORRUPT = sorted(name for name in suites.SUITES if "corrupt" in
+                 inspect.signature(suites.SUITES[name]).parameters)
 
-def _suite_text(name):
-    return suites.render_report(suites.run_suite(name, seed=0, **SIZES[name]))
+SIEGEL_REPS = ("sym2", "det^2")
+
+
+def _suite_text(name, **kwargs):
+    return suites.render_report(suites.run_suite(name, seed=0, **SIZES[name],
+                                                 **kwargs))
 
 
 def _curvature_text(tmp_path, group, rep):
@@ -68,10 +78,41 @@ def _descent_text():
          for name, form in forms.items()})
 
 
+def _entries(a):
+    """An End(V)-valued stack as nested lists, each entry [re, im]."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _siegel_text(rep):
+    """The patched connection (recursive, chain and localized forms) and its
+    curvature, and the curvature of the connection induced from the Nomizu
+    connection on Y, on the representation rep at three mixed-tube points."""
+    m = siegel.SiegelModel(rep)
+    xs = suites._mixed_tube_points(m, np.random.default_rng(0), 3)
+    p = m.points(xs)
+    local = m.omega_patched_localized(p, p.mc)[0]
+    values = {"omega_patched": m.omega_patched(p, p.mc),
+              "omega_patched_chain": m.omega_patched_chain(p, p.mc),
+              "omega_patched_localized": local,
+              "curvature_patched": m.curvature_patched(p),
+              "curvature_induced_nomizu": m.curvature_induced_nomizu(p)}
+    return suites.render_report(
+        {"rep": rep, "points": xs,
+         **{name: _entries(a) for name, a in values.items()}})
+
+
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_suite_report_matches_golden(name):
     golden = (GOLDEN / f"verify_{name}.json").read_text(encoding="utf-8")
     assert _suite_text(name) == golden.rstrip("\n")
+
+
+@pytest.mark.parametrize("name", CORRUPT)
+def test_negative_control_report_matches_golden(name):
+    golden = (GOLDEN / f"verify_{name}_corrupt.json").read_text(
+        encoding="utf-8")
+    assert _suite_text(name, corrupt=True) == golden.rstrip("\n")
 
 
 @pytest.mark.parametrize("group,rep", CURVATURE)
@@ -86,6 +127,12 @@ def test_descent_contractions_match_golden():
     assert _descent_text() == golden.rstrip("\n")
 
 
+@pytest.mark.parametrize("rep", SIEGEL_REPS)
+def test_siegel_evaluators_match_golden(rep):
+    golden = (GOLDEN / f"siegel_{rep}.json").read_text(encoding="utf-8")
+    assert _siegel_text(rep) == golden.rstrip("\n")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -93,6 +140,12 @@ if __name__ == "__main__":
     for name in sorted(suites.SUITES):
         (GOLDEN / f"verify_{name}.json").write_text(
             _suite_text(name) + "\n", encoding="utf-8")
+    for name in CORRUPT:
+        (GOLDEN / f"verify_{name}_corrupt.json").write_text(
+            _suite_text(name, corrupt=True) + "\n", encoding="utf-8")
+    for rep in SIEGEL_REPS:
+        (GOLDEN / f"siegel_{rep}.json").write_text(
+            _siegel_text(rep) + "\n", encoding="utf-8")
     (GOLDEN / "descent_siegel_std.json").write_text(
         _descent_text() + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,7 +7,7 @@ from chernpatch import (connections, exterior as ext, hcrepr,
                         invariants as inv, liecore, siegel, strata, suites)
 from chernpatch.errors import DecompositionError, PreconditionFailed
 
-from helpers import structure_reference
+from helpers import plane_borel_reference, structure_reference
 
 
 @pytest.fixture(scope="module")
@@ -121,10 +121,16 @@ def _mixed_x(model, rng):
     return x
 
 
+def _from_point(m, mc):
+    """The connection induced from the point's zero connection, at the
+    geometric point mc (s^{-1} ds on X, hdot on Y)."""
+    return m.system.induced["Z"](siegel.TangentVector(mc), 0.0)
+
+
 def test_evaluators_on_a_stack_match_one_direction_at_a_time(model):
     rng = np.random.default_rng(9)
     evaluators = [lambda p, mc: model.omega_nomizu(mc),
-                  lambda p, mc: model.omega_XZ(mc),
+                  lambda p, mc: _from_point(model, mc),
                   model.omega_induced_nomizu, model.omega_patched,
                   model.omega_patched_chain,
                   lambda p, mc: model.omega_patched_localized(p, mc)[0]]
@@ -142,20 +148,42 @@ def test_evaluators_on_a_stack_match_one_direction_at_a_time(model):
 
 
 def test_plane_borel_condition_is_checked_per_direction(model):
+    # induced on Y from the point, hdot is split in the Lagrangian
+    # parabolic, which holds the hermitian sl(2) only in its plane Borel
     hdot = np.zeros((2, 4, 4))
-    hdot[:, 0, 0] = 1.0
+    hdot[:, [0, 2], [0, 2]] = 1.0, -1.0       # W_H, in sp(4)
     hdot[0] *= 1e6
     hdot[0, 2, 0] = 1e-4       # within tolerance of its own direction's scale
     hdot[1, 2, 0] = 1e-6       # within 1e-8 of the stack's scale, not its own
-    got = model.omega_YZ(hdot[:1])
-    assert np.max(np.abs(got[0] - model.omega_YZ(hdot[0]))) < 1e-14
+    got = _from_point(model, hdot[:1])
+    assert np.max(np.abs(got[0] - _from_point(model, hdot[0]))) < 1e-14
     nan = hdot[0].copy()
     nan[2, 0] = np.nan         # a NaN fails the bound rather than passing it
+    msg = "element not in the parabolic subalgebra"
     for bad in (hdot, hdot[1], nan):
-        with pytest.raises(PreconditionFailed, match="plane Borel"):
-            model.omega_YZ(bad)
-    with pytest.raises(PreconditionFailed, match=r"plane Borel \(row 1\)$"):
-        model.omega_YZ(hdot)
+        with pytest.raises(DecompositionError, match=msg):
+            _from_point(model, bad)
+    with pytest.raises(DecompositionError, match=rf"{msg} \(row 1\)$"):
+        _from_point(model, hdot)
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "det^-2"])
+def test_connection_induced_on_Y_from_the_point_is_the_plane_borel_read_off(
+        rep):
+    # the one induced formula, extS.alg of the Lagrangian-Levi part of the
+    # split of hdot, gives the read-off extS.alg(a W_H) bit for bit, through
+    # the induced map and along the chain (Z, Y)
+    m = siegel.SiegelModel(rep)
+    xs = suites._mixed_tube_points(m, np.random.default_rng(24), 67)
+    for P in (1, 7, 16, 67):
+        p = m.points(xs[:P])
+        hdot = m.system.project(siegel.TangentVector(p.mc), "Y")
+        want = plane_borel_reference(m, hdot.mc)
+        assert np.max(np.abs(want)) > 1e-2     # not two zeros
+        assert _same_bits(m.system.induced["Z"](hdot, 0.0), want), P
+        along = m.system.chain_curvature(
+            ("Z", "Y"), m.model.pi(p.control, "Y"), hdot)[0]
+        assert _same_bits(along, want), P
 
 
 def test_patched_recursion_equals_chain(model):
@@ -416,7 +444,8 @@ def test_klingen_levi_factor_commutes_with_values_from_Y(rep):
     lam = m.extK(liecore.group_factor_fine(m.pdK, siegel.section(
         np.array(xs))))[:, None]
     hdot = m.pdK.split(p.mc)[1]
-    vals = np.concatenate([m.omega_Y_nomizu(hdot), m.omega_YZ(hdot)], axis=1)
+    vals = np.concatenate([m.omega_Y_nomizu(hdot), _from_point(m, hdot)],
+                          axis=1)
     assert np.max(np.abs(lam - np.eye(m.rep.dim))) > 0.1
     assert np.max(np.abs(vals)) > 0.1
     assert np.max(np.abs(lam @ vals - vals @ lam)) <= 1e-15
@@ -538,16 +567,20 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
     k = liecore.cartan_split
     reference = {"X": lambda t: m.rep.lam_alg(k(m.spec, t)[0]),
                  "Y": lambda t: m.extK.alg(k(m.spec, t)[0])}
-    assert set(m.system.curvatures) == {"X", "Y", "Z"}
+    assert set(m.system.nomizu) == {"X", "Y", "Z"}
+    assert m.system.nomizu["Z"] is None
     xs = suites._mixed_tube_points(m, np.random.default_rng(19), 67)
     for P in (1, 7, 16, 67):
         p = m.points(xs[:P])
         v = siegel.TangentVector(p.mc)
-        hdot = m.project(v, "X", "Y")
+        hdot = m.system.project(v, "Y")
         for key, F in reference.items():
-            # over X the geometric point is v, over Y it is hdot
-            g, t = (v, v.mc) if key == "X" else (hdot, hdot)
-            got = m.system.curvatures[key](p.control, g)
+            # over X the geometric point is v, over Y it is hdot; each
+            # stratum's chain of one is its own connection
+            g, pts = ((v, p.control) if key == "X"
+                      else (hdot, m.model.pi(p.control, "Y")))
+            t = g.mc
+            got = m.system.chain_curvature((key,), pts, g)
             ref = structure_reference(F, t)
             for a, b in zip(got, ref):
                 if (rep, key) == ("sym2", "X"):
@@ -557,24 +590,26 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
             for a, b in zip(connections.structure_curvature(F, t), ref):
                 assert np.array_equal(a, b), (key, P)
         assert np.array_equal(m.curvature_induced_nomizu(p),
-                              structure_reference(reference["Y"], hdot)[1])
+                              structure_reference(reference["Y"], hdot.mc)[1])
 
 
 @pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
 def test_connections_induced_from_the_point_are_flat(rep):
     # the patched curvature gives a chain from the point the point's zero
-    # curvature; the structure equation of omega_XZ on theta and of
-    # omega_YZ on hdot, the oracle, leaves only rounding
+    # curvature; the structure equation of the connection induced from the
+    # point, on theta over X and on hdot over Y, the oracle, leaves only
+    # rounding
     m = siegel.SiegelModel(rep)
     xs = suites._mixed_tube_points(m, np.random.default_rng(21), 67)
     for P in (1, 7, 16, 67):
         p = m.points(xs[:P])
-        hdot = m.project(siegel.TangentVector(p.mc), "X", "Y")
-        for F, t in ((m.omega_XZ, p.mc), (m.omega_YZ, hdot)):
-            value, curvature = structure_reference(F, t)
+        hdot = m.system.project(siegel.TangentVector(p.mc), "Y")
+        for over, t in (("X", p.mc), ("Y", hdot.mc)):
+            value, curvature = structure_reference(
+                lambda mc: _from_point(m, mc), t)
             assert np.max(np.abs(value)) > 1e-2     # not two zeros
             assert (np.max(np.abs(curvature))
-                    <= 1e-15 * np.max(np.abs(value))), (F.__name__, P)
+                    <= 1e-15 * np.max(np.abs(value))), (over, P)
 
 
 def test_patched_curvature_at_the_point_stratum_is_zero(model):
@@ -601,10 +636,10 @@ def _combination_reference(terms):
 
 def test_patched_curvature_on_the_plane_stratum_keeps_its_bits(model):
     # points on (Z, Y), hdot their geometric points: the chain (Z, Y) has
-    # the curvature 0.0 of the point but the array value omega_YZ(hdot)
+    # the curvature 0.0 of the point but the array value induced from it
     xs = suites._mixed_tube_points(model, np.random.default_rng(23), 7)
     p = model.points(xs)
-    hdot = model.project(siegel.TangentVector(p.mc), "X", "Y")
+    hdot = model.system.project(siegel.TangentVector(p.mc), "Y")
     pts = model.model.pi(p.control, "Y")
     assert pts.chain == ("Z", "Y")
     dr = np.zeros((len(xs), 1, 6))
@@ -621,8 +656,13 @@ def test_descent_oracle_fails_for_a_pullback_that_is_not_induced(monkeypatch):
     # the patched curvature takes a chain's curvature from its first stratum
     # alone; a pullback from the point that is the non-flat Nomizu
     # connection breaks that, and the difference oracle of descent sees it
-    monkeypatch.setattr(siegel.SiegelModel, "omega_XZ",
-                        siegel.SiegelModel.omega_nomizu)
+    init = siegel.SiegelModel.__init__
+
+    def not_induced(self, *args):
+        init(self, *args)
+        self.system.induced["Z"] = lambda v, val: self.omega_nomizu(v.mc)
+
+    monkeypatch.setattr(siegel.SiegelModel, "__init__", not_induced)
     check = {c["name"]: c for c in suites.suite_descent()["checks"]}[
         "structure-equation-vs-differences"]
     assert not check["pass"] and check["max_residual"] > 1e-4

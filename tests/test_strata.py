@@ -216,6 +216,17 @@ def test_chain_weights_sum_to_localized_weight():
     assert fractional >= 100
 
 
+class _Names:
+    """A toy geometric point: mc holds the name of the stratum it lies over
+    at each row."""
+
+    def __init__(self, mc):
+        self.mc = np.asarray(mc)
+
+    def __getitem__(self, idx):
+        return _Names(self.mc[idx])
+
+
 def test_patched_system_recursion_matches_chain():
     model = three_flag()
     names = ("Z", "Y", "X")
@@ -223,25 +234,38 @@ def test_patched_system_recursion_matches_chain():
     # the geometric point over a stack is the name of its stratum at each
     # row, so every callable can check that it was handed the points over
     # its own stratum; a value is a row of masses on the strata per point
-    def at(xs, g):
-        assert list(g) == [xs.stratum] * len(xs)
-        return g
+    def over(g):
+        assert len(set(g.mc.tolist())) == 1
+        return g.mc[0]
 
-    def pulled(xs, g, v):
-        at(xs, g)
-        return v
+    def nomizu(name):
+        def F(mc):
+            assert mc.tolist() == [name] * len(mc)
+            return np.eye(3)[[names.index(n) for n in mc]]
+        return F
 
-    nomizu = {name: (lambda xs, g: np.eye(3)[[names.index(n)
-                                              for n in at(xs, g)]])
-              for name in names}
-    pullback = {(Y, Z): pulled for Y in ("Y", "X") for Z in ("Z", "Y")
-                if Z != Y}
-    system = strata.PatchedSystem(model, nomizu, pullback,
-                                  lambda g, Y, Z: np.full(len(g), Z))
+    pairs = set()
+
+    def induced(Z):
+        def pulled(g, v):
+            # a connection induced from Z lives over the larger strata
+            Y = over(g)
+            assert names.index(Z) < names.index(Y)
+            pairs.add((Y, Z))
+            return v
+        return pulled
+
+    def project(g, Z):
+        assert names.index(Z) < names.index(over(g))
+        return _Names(np.full(len(g.mc), Z))
+
+    system = strata.PatchedSystem(model, {n: nomizu(n) for n in names},
+                                  {Z: induced(Z) for Z in ("Z", "Y")},
+                                  project)
     rng = np.random.default_rng(8)
     xs = model.point(("Z", "Y", "X"), [
         (rng.uniform(0, 1.2), rng.uniform(0, 0.6)) for _ in range(30)])
-    g = np.full(len(xs), "X")
+    g = _Names(np.full(len(xs), "X"))
     a = system.patched(xs, g)
     b = system.chain_form(xs, g)
     assert a.shape == b.shape == (30, 3)
@@ -255,15 +279,18 @@ def test_patched_system_recursion_matches_chain():
     # each row of the stack is the stack of that one point
     for n in range(len(xs)):
         assert np.array_equal(system.patched(xs[n], g[n:n + 1])[0], a[n])
+    # every induced map was handed the geometric points of each larger
+    # stratum, and those alone
+    assert pairs == {("Y", "Z"), ("X", "Z"), ("X", "Y")}
 
 
 def test_patched_without_ancestors_reads_no_weight(monkeypatch):
     # on a stratum with no ancestors B is identically 1, so the patched
     # connection is its own connection and no weight is evaluated
     model = three_flag()
-    system = strata.PatchedSystem(model, {"Z": lambda xs, g: 2.5 * g}, {},
-                                  lambda g, Y, Z: g)
-    xs, g = model.point(("Z",), np.zeros((1, 0))), np.arange(3.0)[None]
+    system = strata.PatchedSystem(model, {"Z": lambda t: 2.5 * t}, {},
+                                  lambda g, Z: g)
+    xs, g = model.point(("Z",), np.zeros((1, 0))), _Names(np.arange(3.0)[None])
     expected = system.chain_form(xs, g)
 
     def no_weight(*args):
@@ -273,7 +300,7 @@ def test_patched_without_ancestors_reads_no_weight(monkeypatch):
     monkeypatch.setattr(model, "partition_weights", no_weight)
     got = system.patched(xs, g)
     assert np.array_equal(got, expected)
-    assert np.array_equal(got, 2.5 * g)
+    assert np.array_equal(got, 2.5 * g.mc)
 
 
 def test_model_point_refuses_r_of_the_wrong_width():
