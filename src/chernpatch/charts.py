@@ -9,8 +9,8 @@ chart directions at each point of a (P, dim) stack as one (P, dim, N, N)
 array, from one expm call on the distinct factors exp(-x_j e_j) of the
 stack, and the connection it is paired with maps a (..., N, N) stack to
 (..., d, d); so a form coefficient map makes one mc_coeff call per stack
-of points, and a central difference one call on its 2 dim P displaced
-rows, which take three values of each coordinate per point.
+of points, and a difference curvature one call on its (2 dim + 1) P rows,
+which take three values of each coordinate per point.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def curvature_bridge_residual(spec, conn, points, rng=None):
     connection form and the algebraic curvature, over sample points, taken
     on stacks of at most eight points (which bounds the temporaries of the
     central difference): each side is one evaluate call per stack, so a
-    stack makes three mc_coeff calls."""
+    stack makes two mc_coeff calls."""
     chart = GroupChart(spec)
     om = chart.connection_form(conn)
     chart_curv = ext.curvature_form(om)

@@ -5,13 +5,13 @@ stack of points to the (P, ...) stack of its values.  A VForm of degree q
 is a SmoothMap with a degree: its value at x is the array of all C(m, q)
 coefficients, (C(m, q),) + value shape, in the order of
 itertools.combinations(range(m), q); coefficients are scalars or End(V)
-matrices.  d sums the signed entries of the operand's Jacobian, gathered
-through one shuffle table (wedge_table); the curvature adds to d omega the
-pair brackets of omega's coefficients.  A coefficient map is differentiated
-by its analytic Jacobian when it carries one (the Siegel projection, the
-affine forms of the `patch` suite), which takes a (P, m) stack as func
-does, and otherwise by central differences, the 2m displaced points of
-each of P points as one func call on 2mP rows.
+matrices.  The one d taken is that of a curvature (curvature_form).  A
+coefficient map is differentiated by its analytic Jacobian when it carries
+one (the Siegel projection, the affine forms of the `patch` suite), which
+takes a (P, m) stack as func does, and otherwise by central differences,
+the 2m displaced points of each of P points as one func call on 2mP rows,
+to which a curvature adds the P points: (2m+1)P rows for omega's value
+and differences.
 One contraction (contract) evaluates the coefficients at a stack of points,
 each on its own vectors: VForm.evaluate, and the fiber check at a stack,
 with one SVD for its vertical vectors and one draw for their companions.
@@ -171,18 +171,6 @@ def wedge_coeffs(table, A, B, mul):
     return _signed_sum(sign, mul(A[ia], B[ib]))
 
 
-def exterior_d(form: VForm) -> VForm:
-    """Exterior derivative: the Jacobian, read as the 1-form sum_j dx_j d/dx_j,
-    wedged with the coefficients; one jacobian call for a whole stack."""
-    ia, ib, sign = wedge_table(form.m, 1, form.degree)
-
-    def coeffs(xs):
-        terms = np.moveaxis(form.jacobian(xs)[:, ia, ib], 0, 2)
-        return np.moveaxis(_signed_sum(sign, terms), 1, 0)
-
-    return VForm(form.m, form.degree + 1, coeffs)
-
-
 def bracket_pairs(a):
     """[a_i, a_j] over i < j, in combinations(range(m), 2) order, for a
     (..., m, d, d) stack a: the coefficients of 1/2 [alpha, alpha] for the
@@ -206,10 +194,31 @@ def wedge_pairs(f, a):
 
 
 def curvature_form(omega: VForm) -> VForm:
-    """Omega = d omega + 1/2 [omega, omega] for an End(V)-valued 1-form."""
-    d = exterior_d(omega)
-    return VForm(omega.m, 2, lambda xs: d.func(xs) + bracket_pairs(
-        np.asarray(omega.func(xs), dtype=complex)))
+    """Omega = d omega + 1/2 [omega, omega] for an End(V)-valued 1-form.
+    Without an analytic Jacobian, P points are one func call on (2m+1)P
+    rows: each point's 2m displaced rows from _fd_jacobian, then itself."""
+    m = omega.m
+    ia, ib, sign = wedge_table(m, 1, 1)
+
+    def coeffs(xs):
+        xs = np.asarray(xs, dtype=float)
+        if omega._jac is not None:
+            J, om = omega.jacobian(xs), np.asarray(omega.func(xs), complex)
+        else:
+            at = []
+
+            def func(rows):
+                vals = np.asarray(omega.func(np.concatenate(
+                    [rows.reshape(len(xs), 2 * m, m), xs[:, None]], axis=1
+                ).reshape(-1, m)), dtype=complex)
+                at.append(vals.reshape((len(xs), 2 * m + 1) + vals.shape[1:]))
+                return at[0][:, :-1].reshape((-1,) + vals.shape[1:])
+
+            J, om = SmoothMap(m, func)._fd_jacobian(xs), at[0][:, -1]
+        d = _signed_sum(sign, np.moveaxis(J[:, ia, ib], 0, 2))
+        return np.moveaxis(d, 1, 0) + bracket_pairs(om)
+
+    return VForm(omega.m, 2, coeffs)
 
 
 def combination_curvature(terms):

@@ -22,19 +22,20 @@ factor that canonical extensions read, the middle projection j(g) = k_c;
 it builds the outer two only to check the product.  j is multiplicative
 under j(h g h') = j(h) j(g) j(h') for h, h' in K(C).
 
-Representations and canonical extensions hold what they reuse, built in
-their constructors: the differential as an (N^2, d^2) matrix tabulated on
-the matrix units, and for a canonical extension j(c_1)^{-1}.  The
-differentials then take a matrix or a (..., N, N) stack to (..., d, d) in
-one matmul, a real one for a real stack.  middle_j, a canonical
-extension and the lamC of the representations (std, det^m, sym2) take a
-(..., N, N) stack too, in one numpy pass, with every check held per element
-and the first failing row named in the error.
+Representations and canonical extensions tabulate their differential in
+their constructors, one lamC_alg call on the stack of matrix units, as an
+(N^2, d^2) matrix that takes a matrix or a (..., N, N) stack to (..., d, d)
+in one matmul, a real one for a real stack; j(c_1)^{-1} waits for a
+canonical extension's first group-level call.  middle_j, a canonical
+extension and lamC and lamC_alg of the representations (std, det^m, sym2)
+take a (..., N, N) stack too, in one numpy pass, with every check held per
+element and the first failing row named in the error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,9 +108,9 @@ class Representation:
 
     lamC eats a block-diagonal matrix in complex coordinates, or a stack,
     and returns a GL(V) matrix; lamC_alg is its differential on
-    block-diagonal algebra elements, linear in one matrix.  The constructor
-    tabulates lamC_alg(M . M^{-1}) on the matrix units, and :meth:`lam_alg`
-    applies that table.
+    block-diagonal algebra elements, linear, on a matrix or a stack.  The
+    constructor tabulates lamC_alg(M . M^{-1}) on the stack of matrix units
+    in one call, and :meth:`lam_alg` applies that table.
     """
 
     spec: object
@@ -121,7 +122,7 @@ class Representation:
     def __post_init__(self):
         N = self.spec.size
         kc = _complex(self.spec, np.eye(N * N).reshape(-1, N, N))
-        self._dlam = np.array([self.lamC_alg(m) for m in kc], complex).reshape(N * N, -1)
+        self._dlam = np.asarray(self.lamC_alg(kc), complex).reshape(N * N, -1)
 
     def lam_grp(self, k):
         """Evaluate on k in K (defining coordinates), or on each element of a
@@ -189,7 +190,7 @@ def builtin_representation(spec, name: str) -> Representation:
         return Representation(
             spec, name, 1,
             lambda kc: np.linalg.det(topleft(kc))[..., None, None] ** m,
-            lambda kc: np.array([[m * np.trace(topleft(kc))]]),
+            lambda kc: m * topleft(kc).trace(0, -2, -1)[..., None, None],
         )
     if name == "sym2":
         basis = _sym2_basis(n)
@@ -215,15 +216,14 @@ class CanonicalExtension:
     connections.
 
     Its differential at the identity is linear, so the constructor
-    tabulates it once on the matrix units E_ij as an (N^2, d^2) matrix and
-    :meth:`alg` is one matmul with it, on a matrix or a (..., N, N) stack.
+    tabulates it in one lamC_alg call on the stack of matrix units E_ij, and
+    :meth:`alg` is one matmul with that (N^2, d^2) table, on a stack too.
     """
 
     def __init__(self, rep: Representation, c1):
         self.rep = rep
         self.spec = rep.spec
         self.c1 = c1
-        self._jc1_inv = np.linalg.inv(middle_j(self.spec, c1))
         # j(c_1)^{-1} j(c_1 .) is a homomorphism on P_1; its differential at
         # xdot is lamC_alg of the k(C) part (the diagonal blocks, in complex
         # coordinates) of c_1 xdot c_1^{-1}, evaluated here at each E_ij
@@ -231,9 +231,12 @@ class CanonicalExtension:
         units = np.eye(N * N).reshape(-1, N, N)
         xc = _complex(self.spec, c1 @ units @ np.linalg.inv(c1))
         p, _ = self.spec.blocks
-        xc[:, :p, p:] = 0.0
-        xc[:, p:, :p] = 0.0
-        self._dlam = np.array([rep.lamC_alg(m) for m in xc], complex).reshape(N * N, -1)
+        xc[:, :p, p:] = xc[:, p:, :p] = 0.0
+        self._dlam = np.asarray(rep.lamC_alg(xc), complex).reshape(N * N, -1)
+
+    @cached_property
+    def _jc1_inv(self):
+        return np.linalg.inv(middle_j(self.spec, self.c1))
 
     def __call__(self, g):
         """lamC(j(c_1)^{-1} j(c_1 g)) at g, or at each element of a stack."""

@@ -273,9 +273,9 @@ class ParabolicData:
 
     spec: GroupSpec
     flag: tuple
-    basis_u: list = field(repr=False)        # nilradical of Lie(Q)
-    basis_h: list = field(repr=False)        # hermitian Levi part g_{1h}
-    basis_l: list = field(repr=False)        # linear Levi part g_{Q ell}
+    basis_u: np.ndarray = field(repr=False)  # nilradical of Lie(Q)
+    basis_h: np.ndarray = field(repr=False)  # hermitian Levi part g_{1h}
+    basis_l: np.ndarray = field(repr=False)  # linear Levi part g_{Q ell}
 
     def __post_init__(self):
         # (N^2, 3 N^2): projections onto u, h, l
@@ -287,7 +287,7 @@ class ParabolicData:
 
     @property
     def basis_q(self):
-        return list(self.basis_u) + list(self.basis_h) + list(self.basis_l)
+        return np.concatenate([self.basis_u, self.basis_h, self.basis_l])
 
     def split(self, X):
         """(u, h, l) parts of X in Lie(Q), a matrix or a stack: orthogonal
@@ -323,18 +323,19 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
         if not 1 <= r <= spec.n:
             raise UnsupportedFlag(
                 f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
-    basis = [X / np.linalg.norm(X) for X in algebra_basis(spec)]
+    basis = np.array(algebra_basis(spec))
+    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
     moves = np.zeros((spec.size,) * 2, dtype=bool)      # (rest, v) entries
     for r in flag:
-        inside = np.isin(np.arange(spec.size), _sp_indices(spec, r)[0])
+        inside = np.zeros(spec.size, dtype=bool)
+        inside[_sp_indices(spec, r)[0]] = True
         moves |= np.outer(~inside, inside)
-    q = [X for X in basis if not X[moves].any()]
-    levi = [X for X in q if not X[moves.T].any()]
+    q = basis[~basis[:, moves].any(axis=1)]
+    u = q[:, moves.T].any(axis=1)
     v, vbar, _ = _sp_indices(spec, flag[-1])
-    return ParabolicData(
-        spec=spec, flag=flag, basis_u=[X for X in q if X[moves.T].any()],
-        basis_h=[X for X in levi if not X[:, v + vbar].any()],
-        basis_l=[X for X in levi if X[:, v + vbar].any()])
+    linear = q[:, :, v + vbar].any(axis=(1, 2))
+    return ParabolicData(spec=spec, flag=flag, basis_u=q[u],
+                         basis_h=q[~u & ~linear], basis_l=q[~u & linear])
 
 
 # ---------------------------------------------------------------------------

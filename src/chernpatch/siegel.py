@@ -22,9 +22,9 @@ Evaluators take (p, mc): a :class:`ChartPoint` stack p = points(xs) of P
 chart points, whose mc (through the section) and control data each come
 from one numpy pass, and a real (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them,
 and return (P, ..., d, d); one point is the stack points([x]), point(x) its
-one-point view.  A chart form makes the points of its rows (the 12P of a
-central difference at P points) in one points call and calls its evaluator
-once, on p.mc, the six chart directions at each row.
+one-point view.  A chart form makes the points of its rows (the 13P of a
+curvature by central differences at P points) in one points call and
+calls its evaluator once, on p.mc, the six chart directions at each row.
 
 The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector, held as its
@@ -218,10 +218,12 @@ class SiegelModel:
 
     def omega_XY(self, v: TangentVector, val, Z):
         """The connection induced from one on the boundary stratum Z whose
-        value at the projected point is val, at v: ext_Z.alg(l) + val, l the
-        linear Levi part of v in Z's parabolic.  The name, from its first
-        use (X over Y), is the one the benchmark's tracer wraps."""
-        return self._parabolic[Z][1].alg(self._split(v, Z)[1]) + val
+        value at the projected point is val (the point's: the scalar 0.0,
+        not added), at v: ext_Z.alg(l) + val, l the linear Levi part of v
+        in Z's parabolic.  The benchmark's tracer wraps the name of its
+        first use (X over Y)."""
+        out = self._parabolic[Z][1].alg(self._split(v, Z)[1])
+        return out + val if np.ndim(val) else out
 
     def omega_induced_nomizu(self, p, mc):
         """The connection on X induced from the Nomizu connection on Y."""

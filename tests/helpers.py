@@ -110,6 +110,27 @@ def fd_reference(sm, x, h=1e-5):
     return np.array(cols)
 
 
+def exterior_d(form):
+    """Reference exterior derivative of a form of any degree: its Jacobian,
+    read as the 1-form sum_j dx_j d/dx_j, wedged with the coefficients
+    through the shuffle table.  The package takes d of 1-forms only, inside
+    exterior.curvature_form."""
+    ia, ib, sign = ext.wedge_table(form.m, 1, form.degree)
+
+    def coeffs(xs):
+        terms = np.moveaxis(form.jacobian(xs)[:, ia, ib], 0, 2)
+        return np.moveaxis(ext._signed_sum(sign, terms), 1, 0)
+
+    return ext.VForm(form.m, form.degree + 1, coeffs)
+
+
+def dlam_reference(lamC_alg, units):
+    """The (N^2, d^2) table of a differential lamC_alg on a stack of
+    complex-coordinate matrix units, built one unit at a time."""
+    return np.array([lamC_alg(u) for u in units], complex).reshape(
+        len(units), -1)
+
+
 def family_vanishing_reference(model, flag, grid):
     """strata.family_vanishing_check, one grid point and two B_reference
     calls per (n, m, n', m') at a time: the report it must equal."""

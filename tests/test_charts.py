@@ -190,10 +190,10 @@ def test_central_difference_makes_one_expm_call_per_distinct_coordinate(
         assert shapes == [(2, 3 * (chart.dim - 1), n, n)]
 
 
-def test_bridge_makes_three_mc_coeff_calls_per_stack(monkeypatch):
-    # per stack of at most eight points: one for the central difference on
-    # its 2 dim P rows, one for the connection form and one for the
-    # algebraic curvature
+def test_bridge_makes_two_mc_coeff_calls_per_stack(monkeypatch):
+    # per stack of at most eight points: one for the connection form's
+    # value and central difference on its (2 dim + 1) P rows, and one for
+    # the algebraic curvature
     calls = []
     mc_coeff = charts.GroupChart.mc_coeff
 
@@ -205,7 +205,7 @@ def test_bridge_makes_three_mc_coeff_calls_per_stack(monkeypatch):
     assert suites.run_suite("bridge", seed=0, samples=10)["pass"]
     # su(1,1) and sp(4): dims 3 and 10; stacks of 8 and 2 points
     assert calls == [shape for dim in (3, 10) for p in (8, 2)
-                     for shape in [(2 * dim * p, dim), (p, dim), (p, dim)]]
+                     for shape in [((2 * dim + 1) * p, dim), (p, dim)]]
 
 
 def test_bridge_bounds_its_temporaries():

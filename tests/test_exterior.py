@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chernpatch import exterior as ext, invariants as inv, siegel, suites
 from chernpatch.dual import Dual, seed
 from chernpatch.errors import PreconditionFailed
-from helpers import patch_draws, rowwise
+from helpers import exterior_d, patch_draws, rowwise
 
 
 def wedge_scalar(f1, f2):
@@ -35,7 +35,7 @@ def _poly_form(m, rng, deg=1, d=2):
 def test_d_squared_vanishes():
     rng = np.random.default_rng(0)
     f = _poly_form(3, rng, deg=0)
-    ddf = ext.exterior_d(ext.exterior_d(f))
+    ddf = exterior_d(exterior_d(f))
     x = rng.uniform(-1, 1, 3)
     vecs = [rng.standard_normal(3) for _ in range(2)]
     assert np.max(np.abs(ddf.evaluate(x, vecs))) < 1e-7
@@ -61,7 +61,7 @@ def test_d_squared_vanishes_on_one_form():
     # quadratic coefficients, so the second derivatives do not vanish
     rng = np.random.default_rng(6)
     m = 4
-    ddf = ext.exterior_d(ext.exterior_d(_scalar_poly_form(m, 1, rng)))
+    ddf = exterior_d(exterior_d(_scalar_poly_form(m, 1, rng)))
     x = rng.uniform(-1, 1, m)
     vecs = [rng.standard_normal(m) for _ in range(3)]
     assert abs(ddf.evaluate(x, vecs)) < 1e-4
@@ -73,11 +73,11 @@ def test_leibniz_rule():
     m = 4
     alpha = _scalar_poly_form(m, 1, rng)
     beta = _scalar_poly_form(m, 2, rng)
-    lhs = ext.exterior_d(wedge_scalar(alpha, beta))
+    lhs = exterior_d(wedge_scalar(alpha, beta))
     x = rng.uniform(-1, 1, m)
     vecs = [rng.standard_normal(m) for _ in range(4)]
-    rhs = (wedge_scalar(ext.exterior_d(alpha), beta).evaluate(x, vecs)
-           - wedge_scalar(alpha, ext.exterior_d(beta)).evaluate(x, vecs))
+    rhs = (wedge_scalar(exterior_d(alpha), beta).evaluate(x, vecs)
+           - wedge_scalar(alpha, exterior_d(beta)).evaluate(x, vecs))
     assert abs(lhs.evaluate(x, vecs) - rhs) < 1e-6
 
 
@@ -208,7 +208,7 @@ def test_pifiber_check_counts_points_of_a_generator():
 
 def test_curvature_of_exact_scalar_form_vanishes():
     m = 2
-    omega = ext.exterior_d(ext.VForm(
+    omega = exterior_d(ext.VForm(
         m, 0, rowwise(lambda x: np.array([[[x[0] ** 2 * x[1]]]]))))
     curv = ext.curvature_form(omega)
     rng = np.random.default_rng(5)
@@ -223,7 +223,7 @@ def _wedge_tower(omega, x):
     A = omega.value(x)
     brackets = ext.wedge_coeffs(ext.wedge_table(omega.m, 1, 1), A, A,
                                 lambda a, b: a @ b - b @ a)
-    return ext.exterior_d(omega).value(x) + 0.5 * brackets
+    return exterior_d(omega).value(x) + 0.5 * brackets
 
 
 def test_curvature_form_matches_the_wedge_tower():
@@ -351,7 +351,7 @@ def test_exterior_d_matches_per_term_reference(m, shape):
             (m, math.comb(m, q)) + shape)
         form = ext.VForm(m, q, rowwise(lambda x: 0.0), jac=lambda xs, J=J:
                          np.broadcast_to(J, (len(xs),) + J.shape))
-        got = ext.exterior_d(form).value(x)
+        got = exterior_d(form).value(x)
         ref = _ref_combine(_ref_d_table(m, q), lambda n, j: J[j, n])
         if q <= 1:
             assert np.array_equal(got, ref)
@@ -360,11 +360,11 @@ def test_exterior_d_matches_per_term_reference(m, shape):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_exterior_d_calls_share_one_read_only_wedge_table():
+def test_curvature_forms_share_one_read_only_wedge_table():
     form = ext.VForm(5, 1, rowwise(lambda x: np.zeros((5, 2, 2))))
-    ext.exterior_d(form)
+    ext.curvature_form(form)
     info = ext.wedge_table.cache_info()
-    ext.exterior_d(form)
+    ext.curvature_form(form)
     after = ext.wedge_table.cache_info()
     assert (after.hits, after.misses) == (info.hits + 1, info.misses)
     for t in ext.wedge_table(5, 1, 1):
@@ -463,6 +463,6 @@ def test_forms_past_the_top_degree_evaluate_to_zero():
     two = ext.VForm(m, 2, rowwise(lambda x: np.array([x[0], x[1] * x[2], 1.0])))
     assert wedge_scalar(two, two).evaluate(x, vecs) == 0
     three = _scalar_poly_form(m, 3, rng)
-    assert ext.exterior_d(three).evaluate(x, vecs) == 0
+    assert exterior_d(three).evaluate(x, vecs) == 0
     curv = ext.curvature_form(_poly_form(m, rng))
     assert inv.chern_forms(curv, 2)[2].evaluate(x, vecs) == 0

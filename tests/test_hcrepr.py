@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from chernpatch import connections, hcrepr, liecore
+from chernpatch import connections, hcrepr, liecore, siegel
 from chernpatch.errors import DecompositionError
-from helpers import random_alg
+from helpers import dlam_reference, random_alg
 
 
 def _sp4_rep(name="std"):
@@ -294,3 +294,61 @@ def test_canonical_extension_of_a_stack_matches_one_element_at_a_time(name):
     assert stacked.shape == (5, rep.dim, rep.dim)
     for g, lam in zip(gs, stacked):
         assert np.array_equal(lam, ext(g))
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["std", "sym2", "det^-2", "det^1", "det^3"])
+def test_differential_tables_are_the_per_unit_loop_bit_for_bit(n, name):
+    # lamC_alg on the stack of matrix units, and the tables of the
+    # representation and of each extension, against one unit at a time
+    rep = _rep(n, name)
+    spec, N = rep.spec, rep.spec.size
+    units = np.eye(N * N).reshape(-1, N, N)
+    kc = hcrepr._complex(spec, units)
+    ref = dlam_reference(rep.lamC_alg, kc)
+    stacked = rep.lamC_alg(kc)
+    assert stacked.shape == (N * N, rep.dim, rep.dim)
+    assert _same_bits(np.asarray(stacked, complex).reshape(N * N, -1), ref)
+    assert _same_bits(rep._dlam, ref)
+    p, _ = spec.blocks
+    for ext in _extensions(rep):
+        xc = hcrepr._complex(spec, ext.c1 @ units @ np.linalg.inv(ext.c1))
+        xc[:, :p, p:] = 0.0
+        xc[:, p:, :p] = 0.0
+        assert _same_bits(ext._dlam, dlam_reference(rep.lamC_alg, xc))
+
+
+def test_an_extension_makes_j_c1_inverse_on_its_first_group_level_call(
+        monkeypatch):
+    calls = []
+    middle_j = hcrepr.middle_j
+
+    def counted(spec, g):
+        calls.append(np.shape(g))
+        return middle_j(spec, g)
+
+    monkeypatch.setattr(hcrepr, "middle_j", counted)
+    # the Siegel model reads only the differentials of its extensions
+    model = siegel.SiegelModel("sym2")
+    p = model.points(np.array([[0.1, 0.2, -0.1, 3.0, 0.4, 2.5]]))
+    model.omega_patched(p, p.mc)
+    model.curvature_patched(p)
+    ext = hcrepr.canonical_extension(model.rep, 1)
+    ext.alg(random_alg(model.spec, np.random.default_rng(3)))
+    assert calls == []
+    rng = np.random.default_rng(13)
+    gs = liecore.exp_grp(model.spec, np.array(
+        [random_alg(model.spec, rng, 0.3) for _ in range(5)]))
+    got = ext(gs)
+    assert calls == [(4, 4), (5, 4, 4)]
+    # the same bits as j(c_1)^{-1} made in the constructor
+    jc1_inv = np.linalg.inv(middle_j(model.spec, ext.c1))
+    assert _same_bits(got, model.rep.lamC(jc1_inv @ middle_j(
+        model.spec, ext.c1 @ gs.astype(complex))))
+    ext(gs[0])
+    assert calls[2:] == [(4, 4)]

@@ -235,11 +235,13 @@ def test_one_call_of_each_layer_per_coefficient_evaluation(model,
     pts = suites._mixed_tube_points(model, np.random.default_rng(19), 2)
     assert form.jacobian(pts[0]).shape == (6, 6, 2, 2)
     assert calls == {"evaluator": 1, "section_mc": 1, "split": 1}
-    # and a fiber check of its curvature at 2 points one stack of 24 rows
-    # and one of 2, for the differences and the value
-    calls["evaluator"] = 0
+    # and a fiber check of its curvature at 2 points one stack of 26 rows:
+    # the 2 * 6 displaced rows of each point, and the point itself
+    rows = []
+    form = model.form_from_evaluator(
+        lambda p, mc: rows.append(len(mc)) or model.omega_patched(p, mc))
     ext.pifiber_check(ext.curvature_form(form), model.projection_map(), pts)
-    assert calls["evaluator"] == 2
+    assert rows == [26]
 
 
 def _same_bits(a, b):

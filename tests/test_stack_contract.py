@@ -111,18 +111,24 @@ def test_an_analytic_jacobian_is_one_call_per_stack(maps, name, monkeypatch):
 
 def test_a_patch_group_is_one_jacobian_call_per_affine_form(monkeypatch):
     calls = []
-    jacobian = ext.SmoothMap.jacobian
 
-    def counted(self, x):
-        calls.append((self._jac is not None, len(x)))
-        return jacobian(self, x)
+    def counted(name):
+        method = getattr(ext.SmoothMap, name)
 
-    monkeypatch.setattr(ext.SmoothMap, "jacobian", counted)
+        def wrapper(self, x):
+            calls.append((name, self._jac is not None, len(x)))
+            return method(self, x)
+        return wrapper
+
+    for name in ("jacobian", "_fd_jacobian"):
+        monkeypatch.setattr(ext.SmoothMap, name, counted(name))
     rpt = suites.run_suite("patch", seed=0, samples=12, nvars=2)
     assert rpt["pass"]
     # one chart dimension: three analytic calls on the 36 points, and one
-    # difference call for the combination
-    assert sorted(calls) == [(False, 36)] + [(True, 36)] * 3
+    # central difference for the combination, which its curvature takes
+    # straight from _fd_jacobian
+    assert sorted(calls) == ([("_fd_jacobian", False, 36)]
+                             + [("jacobian", True, 36)] * 3)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
