@@ -1,8 +1,8 @@
 """Concrete charts: product-of-exponentials group charts, the bridge between
 chart-level and algebraic curvature, and the projective-line Chern number
 quadrature, which evaluates its chart in closed form on the grid, a block
-of rows at a time, and integrates with composite Simpson weights built in
-numpy.
+of rows at a time, forms only the entry [0, 0] of g^{-1} d_phi g that its
+integrand reads, and integrates with composite Simpson weights in numpy.
 
 Stack convention: a group chart gives the Maurer-Cartan coefficients of all
 chart directions at each point of a (P, dim) stack as one (P, dim, N, N)
@@ -137,10 +137,11 @@ def p1_chern_number(weight=2, n=160):
             f"the quadrature grid needs at least 3 points per axis, got {n}")
 
     def omega_phi(theta, phi, h=1e-6):
-        # weight-m character of the torus part of g^{-1} d_phi g; g^{-1} = g(-theta)
-        mc = (_p1_chart(-theta, phi)
-              @ (_p1_chart(theta, phi + h) - _p1_chart(theta, phi - h)) / (2 * h))
-        return weight * mc[..., 0, 0]
+        # weight-m character of the torus part of g^{-1} d_phi g: its entry
+        # [0, 0], row 0 of g^{-1} = g(-theta) times column 0 of the difference
+        a = _p1_chart(-theta, phi)[..., 0, :]
+        d = (_p1_chart(theta, phi + h) - _p1_chart(theta, phi - h))[..., :, 0]
+        return weight * ((a * d).sum(axis=-1) / (2 * h))
 
     # omega_theta = lam'((g^{-1} d_theta g)_k) = lam'(u(phi)_diag) = 0, so the
     # curvature reduces to  d omega = d_theta(omega_phi) dtheta ^ dphi.

@@ -15,8 +15,8 @@ equation (:func:`structure_curvature`, which the Siegel model also calls)
     Omega_0(t_i, t_j) = [omega_0 t_i, omega_0 t_j] - omega_0([t_i, t_j]).
 
 omega_0 takes a matrix or a (..., N, N) stack and returns (..., d, d); the
-classification conditions and the flatness test are each one stacked
-evaluation over the basis.
+flatness test is one stacked evaluation over the basis, and one pass of
+:func:`condition_residuals` classifies a (..., k, d, d) stack of tables.
 
 The connection induced from a boundary stratum, lambda_1'(ldot) +
 Ad(lambda_1(g_l^{-1})) omega_1(L_{g_h} hdot), is
@@ -93,6 +93,29 @@ class InvariantConnection:
         return float(np.max(np.abs(curv), initial=0.0)) <= TOL
 
 
+def condition_residuals(spec, rep, values):
+    """(..., 2) residuals of conditions (1) and (2) on a (..., k, d, d) stack
+    of tables of omega_0 on the ambient basis, both linear in the table: the
+    coordinates of kdot and of [g, kdot] are solved once and applied to every
+    flattened table by one matmul, so a NaN rejects its own table alone."""
+    basis = np.array(liecore.algebra_basis(spec))
+    kb = np.array(k_basis(spec))
+    lk, m = rep.lam_alg(kb), len(kb)
+    X = np.concatenate([kb, liecore.bracket(basis[:, None], kb)
+                        .reshape((-1,) + kb.shape[1:])])
+    c = liecore.algebra_coords(liecore.span_solver(basis), X, 1e-8,
+                               "matrix not in the spanned Lie algebra")
+    values = np.asarray(values, dtype=complex)
+    om = (c @ values.reshape(values.shape[:-2] + (-1,))).reshape(
+        values.shape[:-3] + (-1,) + values.shape[-2:])
+    # (1): omega_0(kdot) = lambda'(kdot); (2): omega_0([g, kdot]) =
+    # [omega_0(g), lambda'(kdot)] over all pairs
+    og = values[..., None, :, :]
+    rhs = (og @ lk - lk @ og).reshape(om.shape[:-3] + (-1,) + lk.shape[1:])
+    err = [om[..., :m, :, :] - lk, om[..., m:, :, :] - rhs]
+    return np.stack([np.abs(e).max(axis=(-3, -2, -1)) for e in err], axis=-1)
+
+
 def make_invariant_connection(spec, rep, values) -> InvariantConnection:
     """Validate the classification conditions; raise ConditionViolation if not.
 
@@ -107,19 +130,12 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
         raise PreconditionFailed(
             f"expected {len(basis)} values of shape ({rep.dim}, {rep.dim}), "
             f"got {[v.shape for v in values]}")
-    conn = InvariantConnection(spec, rep, basis, np.array(values))
-    kb = np.array(k_basis(spec))
-    lk = rep.lam_alg(kb)
-    # condition (1): omega_0(kdot) = lambda'(kdot); condition (2):
-    # omega_0([g, kdot]) = [omega_0(g), lambda'(kdot)], over all pairs
-    lhs = conn.omega0(liecore.bracket(basis[:, None], kb))
-    og = conn.omega0(basis)[:, None]
-    r = {1: float(np.max(np.abs(conn.omega0(kb) - lk))),
-         2: float(np.max(np.abs(lhs - (og @ lk - lk @ og))))}
+    values = np.array(values)
+    r = dict(enumerate(condition_residuals(spec, rep, values).tolist(), 1))
     bad = [n for n in r if not r[n] <= TOL]
     if bad:
         raise ConditionViolation(bad, [r[n] for n in bad])
-    return conn
+    return InvariantConnection(spec, rep, basis, values)
 
 
 def nomizu_connection(spec, rep) -> InvariantConnection:

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from chernpatch import exterior as ext, liecore, suites
+from chernpatch import charts, connections, exterior as ext, liecore, suites
 
 
 def random_alg(spec, rng, scale=1.0):
@@ -235,3 +235,41 @@ def fine_factor_reference(pd, g):
     liecore.algebra_coords(liecore.span_solver(u1_basis), L, 1e-7,
                            "unipotent factor not in U_1")
     return u1, g_1h, u_rel, g_ql
+
+
+def classification_reference(spec, rep, values):
+    """{1: r1, 2: r2}, the residuals of the classification conditions of one
+    value table, one omega0 call per side of each condition on the
+    connection the table defines."""
+    basis = np.array(liecore.algebra_basis(spec))
+    conn = connections.InvariantConnection(
+        spec, rep, basis, np.array([np.asarray(v, dtype=complex)
+                                    for v in values]))
+    kb = np.array(connections.k_basis(spec))
+    lk = rep.lam_alg(kb)
+    lhs = conn.omega0(liecore.bracket(basis[:, None], kb))
+    og = conn.omega0(basis)[:, None]
+    return {1: float(np.max(np.abs(conn.omega0(kb) - lk))),
+            2: float(np.max(np.abs(lhs - (og @ lk - lk @ og))))}
+
+
+def p1_chern_reference(weight, n):
+    """charts.p1_chern_number with the whole product g(-theta) times the
+    phi-difference formed by one stacked 2x2 matmul, of which the integrand
+    reads entry [0, 0]."""
+    def omega_phi(theta, phi, h=1e-6):
+        mc = (charts._p1_chart(-theta, phi)
+              @ (charts._p1_chart(theta, phi + h)
+                 - charts._p1_chart(theta, phi - h)) / (2 * h))
+        return weight * mc[..., 0, 0]
+
+    thetas = np.linspace(1e-4, np.pi / 2 - 1e-4, n)
+    phis = np.linspace(0.0, 2 * np.pi, n)
+    h = 1e-5
+    F = np.concatenate([
+        (omega_phi(th + h, phis) - omega_phi(th - h, phis)) / (2 * h)
+        for th in np.split(thetas[:, None], range(16, n, 16))])
+    integrand = (1j / (2 * np.pi)) * F
+    val = (charts._simpson_weights(thetas) @ integrand
+           @ charts._simpson_weights(phis))
+    return complex(val).real

@@ -10,7 +10,7 @@ import scipy.linalg
 
 from chernpatch import (charts, connections, exterior as ext, hcrepr, liecore,
                         suites)
-from helpers import alg_residual, chart_g
+from helpers import alg_residual, chart_g, p1_chern_reference
 
 
 def test_mc_coefficients_reproduce_basis_at_origin():
@@ -90,6 +90,15 @@ def test_curvature_bridge_flat():
 def test_p1_chern_number_weights():
     assert abs(charts.p1_chern_number(weight=2, n=120) - 2.0) < 1e-3
     assert abs(charts.p1_chern_number(weight=-1, n=120) + 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("weight", [1, 2, 3, -2])
+def test_p1_chern_number_reads_entry_00_bit_for_bit(weight):
+    # the integrand forms only entry [0, 0] of g(-theta) times the
+    # phi-difference: the same bits as the whole stacked 2x2 product
+    for n in (3, 17, 72, 160, 161):
+        assert (charts.p1_chern_number(weight, n).hex()
+                == p1_chern_reference(weight, n).hex()), n
 
 
 @pytest.mark.parametrize("n", [5, 6, 71, 72, 160, 161])

@@ -3,10 +3,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chernpatch import charts, connections, hcrepr, liecore
+from chernpatch import charts, connections, hcrepr, liecore, suites
 from chernpatch.errors import (ConditionViolation, DecompositionError,
                                PreconditionFailed)
-from helpers import gram_schmidt, random_alg, real_vec, structure_reference
+from helpers import (classification_reference, gram_schmidt, random_alg,
+                     real_vec, structure_reference)
 
 
 def _sp2(rep_name="det^2"):
@@ -39,20 +40,26 @@ def test_nomizu_curvature_oracle():
     assert np.max(np.abs(curv[0] - _pair_curvature(conn, p1, p2))) < 1e-12
 
 
-def test_flat_connection_is_flat():
-    # the standard representation restricted to K extends to the group,
-    # so the inclusion is a Lie algebra homomorphism and the connection
-    # it defines is flat; lamC takes K(C) in complex coordinates, so the
-    # inclusion is given in them
+def _std_restriction():
+    """The standard representation of sp(2) restricted to K, and its tables
+    in complex and in defining coordinates: lamC takes K(C) in complex
+    coordinates, so only the first is its flat inclusion."""
     spec = liecore.sp2nR(1)
     rep = hcrepr.Representation(
         spec, "std-restriction", 2,
         lambda kc: np.asarray(kc, dtype=complex),
         lambda kc: np.asarray(kc, dtype=complex))
-    basis = liecore.algebra_basis(spec)
+    basis = np.array(liecore.algebra_basis(spec))
     M, Minv = spec.complex_coords
-    conn = connections.make_invariant_connection(
-        spec, rep, [M @ b @ Minv for b in basis])
+    return spec, rep, np.array([M @ b @ Minv for b in basis]), basis
+
+
+def test_flat_connection_is_flat():
+    # the standard representation restricted to K extends to the group,
+    # so the inclusion is a Lie algebra homomorphism and the connection
+    # it defines is flat
+    spec, rep, values, basis = _std_restriction()
+    conn = connections.make_invariant_connection(spec, rep, values)
     assert conn.is_flat()
     # in defining coordinates it restricts to the wrong map on k, and does
     # not commute with it
@@ -96,6 +103,92 @@ def test_nan_value_rejected():
     vals[0] = np.full((1, 1), np.nan)
     with pytest.raises(ConditionViolation):
         connections.make_invariant_connection(spec, rep, vals)
+
+
+def _perturbed_tables(count, seed=5):
+    """The Nomizu det^2 table of sp(2) with one value per copy moved by
+    0.1 (a + ib), a and b standard normal; the first three copies move
+    the basis elements 0, 1, 2 in turn, so that both conditions occur."""
+    spec, rep = _sp2()
+    vals = np.repeat(connections.nomizu_connection(spec, rep).values[None],
+                     count, axis=0)
+    rng = np.random.default_rng(seed)
+    for s, i in enumerate([0, 1, 2] + list(rng.integers(3, size=count - 3))):
+        vals[s, i] += 0.1 * (rng.standard_normal(vals[s, i].shape)
+                             + 1j * rng.standard_normal(vals[s, i].shape))
+    return spec, rep, vals
+
+
+def _violated(r):
+    return [n for n in (1, 2) if not r[n] <= connections.TOL]
+
+
+def test_stacked_residuals_match_the_reference():
+    # each table of a stack, classified in one pass, against one omega0
+    # evaluation per side of each condition on that table alone
+    spec, rep, vals = _perturbed_tables(24)
+    std_spec, std_rep, std_vals, std_basis = _std_restriction()
+    for g, lam, stack in ((spec, rep, vals),
+                          (std_spec, std_rep, np.array([std_vals, std_basis]))):
+        got = connections.condition_residuals(g, lam, stack)
+        assert got.shape == (len(stack), 2)
+        for r, table in zip(got, stack):
+            ref = classification_reference(g, lam, table)
+            assert _violated(dict(enumerate(r, 1))) == _violated(ref)
+            np.testing.assert_allclose(r, [ref[1], ref[2]], rtol=1e-14,
+                                       atol=1e-14 * np.abs(table).max())
+    assert [_violated(classification_reference(spec, rep, t))
+            for t in vals[:3]] == [[2], [1, 2], [1, 2]]
+    assert [_violated(classification_reference(std_spec, std_rep, t))
+            for t in (std_vals, std_basis)] == [[], [1, 2]]
+
+
+def test_a_nan_table_rejects_itself_alone():
+    spec, rep = _sp2()
+    vals = np.repeat(connections.nomizu_connection(spec, rep).values[None],
+                     7, axis=0)
+    vals[3, 1] = np.nan
+    r = connections.condition_residuals(spec, rep, vals)
+    assert np.isnan(r[3]).all()
+    assert (np.delete(r, 3, axis=0) <= connections.TOL).all()
+
+
+def test_classify_names_condition_one_for_a_k_part(monkeypatch):
+    # a classifier blind to condition (1) must fail the check that the
+    # violated condition is named, as perturbed elements with a K part
+    # then report (2) alone
+    assert suites.run_suite("classify", seed=0, samples=30)["pass"]
+    residuals = connections.condition_residuals
+
+    def blind(spec, rep, values):
+        r = residuals(spec, rep, values)
+        r[..., 0] = 0.0
+        return r
+
+    monkeypatch.setattr(connections, "condition_residuals", blind)
+    report = suites.run_suite("classify", seed=0, samples=30)
+    status = {c["name"]: c["pass"] for c in report["checks"]}
+    assert status == {"model-connections-accepted": True,
+                      "perturbations-rejected": True,
+                      "violated-condition-identified": False}
+
+
+def test_classify_makes_three_classifier_calls_whatever_the_samples(
+        monkeypatch):
+    # the Nomizu connection, the flat example and one stack of all the
+    # perturbed tables
+    calls = []
+    residuals = connections.condition_residuals
+
+    def counted(spec, rep, values):
+        calls.append(np.shape(values))
+        return residuals(spec, rep, values)
+
+    monkeypatch.setattr(connections, "condition_residuals", counted)
+    for samples in (10, 100):
+        calls.clear()
+        assert suites.run_suite("classify", seed=7, samples=samples)["pass"]
+        assert calls == [(3, 1, 1), (3, 2, 2), (samples, 3, 1, 1)]
 
 
 def test_values_of_wrong_count_or_shape_rejected():
