@@ -64,6 +64,9 @@ def _cmd_verify(args):
     # options only some suites read: each goes to the suites that take it
     optional = {}
     if args.tol is not None:
+        if not 0.0 <= args.tol < np.inf:
+            raise PreconditionFailed(
+                f"--tol must be finite and at least 0, got {args.tol}")
         optional["tol"] = args.tol
     if args.samples is not None:
         if args.samples < 1:
@@ -149,7 +152,8 @@ def _build_parser():
 
     c = sub.add_parser("curvature", help="algebraic curvature table")
     c.add_argument("--group", required=True)
-    c.add_argument("--rep", required=True)
+    c.add_argument("--rep", required=True,
+                   help='std, sym2, det^b, sym^a or "sym^a det^b" (a <= 6)')
     c.set_defaults(func=_cmd_curvature)
 
     d = sub.add_parser("dual", help="Chern numbers of compact duals")

@@ -26,6 +26,7 @@ omega_1 itself, as lambda_1(G_l) commutes with G_h; the curvature is omega_1's.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +47,21 @@ def structure_curvature(F, t):
     return om, curv
 
 
+@functools.cache
+def _ambient(spec):
+    """The ambient algebra basis, a read-only (k, N, N) array, and its
+    span_solver, built once per spec for its connections."""
+    basis = np.array(liecore.algebra_basis(spec))
+    basis.flags.writeable = False
+    return basis, liecore.span_solver(basis)
+
+
 def _cartan_basis(spec, part):
     """The Cartan parts (0: Lie(K), 1: p) of the elementary basis come in
     +- pairs with disjoint supports: the first nonzero part of each pair,
     divided by its norm, with every zero entry stored as +0.0."""
     out = []
-    for X in liecore.cartan_split(
-            spec, np.array(liecore.algebra_basis(spec)))[part]:
+    for X in liecore.cartan_split(spec, _ambient(spec)[0])[part]:
         if X.any() and not any((X * Y).any() for Y in out):
             out.append(X / np.linalg.norm(X) + 0.0)
     return out
@@ -75,7 +84,9 @@ class InvariantConnection:
     values: np.ndarray   # (k, d, d): omega_0 on each basis element
 
     def __post_init__(self):
-        self._solver = liecore.span_solver(self.basis)
+        basis, solver = _ambient(self.spec)
+        self._solver = (solver if np.array_equal(self.basis, basis)
+                        else liecore.span_solver(self.basis))
         self._table = self.values.reshape(len(self.values), -1)
 
     def omega0(self, X):
@@ -98,12 +109,12 @@ def condition_residuals(spec, rep, values):
     of tables of omega_0 on the ambient basis, both linear in the table: the
     coordinates of kdot and of [g, kdot] are solved once and applied to every
     flattened table by one matmul, so a NaN rejects its own table alone."""
-    basis = np.array(liecore.algebra_basis(spec))
+    basis, solver = _ambient(spec)
     kb = np.array(k_basis(spec))
     lk, m = rep.lam_alg(kb), len(kb)
     X = np.concatenate([kb, liecore.bracket(basis[:, None], kb)
                         .reshape((-1,) + kb.shape[1:])])
-    c = liecore.algebra_coords(liecore.span_solver(basis), X, 1e-8,
+    c = liecore.algebra_coords(solver, X, 1e-8,
                                "matrix not in the spanned Lie algebra")
     values = np.asarray(values, dtype=complex)
     om = (c @ values.reshape(values.shape[:-2] + (-1,))).reshape(
@@ -123,7 +134,7 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
     (rep.dim, rep.dim) matrix each; any other count or shape raises
     PreconditionFailed.
     """
-    basis = np.array(liecore.algebra_basis(spec))
+    basis = _ambient(spec)[0]
     values = [np.asarray(v, dtype=complex) for v in values]
     if (len(values) != len(basis)
             or any(v.shape != (rep.dim, rep.dim) for v in values)):
@@ -140,7 +151,6 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
 
 def nomizu_connection(spec, rep) -> InvariantConnection:
     """omega_0 = lambda' o (projection to Lie(K)); curvature -lambda'([p1,p2])."""
-    basis = np.array(liecore.algebra_basis(spec))
-    values = rep.lam_alg(liecore.cartan_split(spec, basis)[0])
+    values = rep.lam_alg(liecore.cartan_split(spec, _ambient(spec)[0])[0])
     return make_invariant_connection(spec, rep, values)
 

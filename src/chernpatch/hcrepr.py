@@ -1,9 +1,9 @@
 """Block factorization in the complexified group, Cayley elements, and
 canonical extensions of K-representations to parabolic subgroups.
 
-Sp(2n, R) of :mod:`liecore` has the open-cell factorization, built-in
-K-representations (std, det^m and sym2), Cayley elements and with them
-canonical extensions.
+Sp(2n, R) of :mod:`liecore` has the open-cell factorization, the
+K-representations Sym^a(C^n) (x) det^b (:func:`builtin_representation`),
+Cayley elements and with them canonical extensions.
 
 The complexification is handled in "complex coordinates": a fixed change of
 basis M under which K(C) becomes block diagonal, P^+ strictly block upper
@@ -27,13 +27,16 @@ their constructors, one lamC_alg call on the stack of matrix units, as an
 (N^2, d^2) matrix that takes a matrix or a (..., N, N) stack to (..., d, d)
 in one matmul, a real one for a real stack; j(c_1)^{-1} waits for a
 canonical extension's first group-level call.  middle_j, a canonical
-extension and lamC and lamC_alg of the representations (std, det^m, sym2)
-take a (..., N, N) stack too, in one numpy pass, with every check held per
-element and the first failing row named in the error.
+extension and lamC and lamC_alg take a (..., N, N) stack too, in one numpy
+pass, with every check held per element and the first failing row named
+in the error.  The basis tensor of Sym^a(C^n) at a sorted multi-index I is
+the sum of e_J over the distinct orderings J of I; a tensor's coordinates
+are its entries at the sorted indices.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -150,56 +153,52 @@ def _apply(x, table, d):
     return out.reshape(x.shape[:-1] + (d, d))
 
 
-def _sym2_basis(n):
-    """Basis of Sym^2(C^n) as symmetric matrices, with the pairing weights."""
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            S = np.zeros((n, n))
-            S[i, j] += 1.0
-            S[j, i] += 1.0
-            if i == j:
-                S = S / 2.0
-            out.append(S)
-    return np.array(out)
+def _sym_power(topleft, n, a):
+    """(group, algebra, dim) of Sym^a(C^n), a >= 2, at x = topleft(kc): x
+    acts on one slot of the flat basis tensors T at a time, by x @ T and by
+    T @ x^T on the last, in turn on the group and summed on the algebra."""
+    basis = liecore.sym_basis(n, a).reshape(-1, n ** a)     # flat tensors
+    pos = basis.argmax(axis=1)      # the first ordering of I, the sorted one
 
+    def action(kc, derivative):
+        x = topleft(kc)[..., None, :, :]
+        lead = x.shape[:-3] + (len(basis), -1)
 
-def _sym2_action(a, basis, derivative):
-    """Matrix of S -> a S a^T (or a S + S a^T if derivative) on Sym^2, for a
-    matrix a or a stack: column b holds the entries T_ij, i <= j, of the
-    image T of basis[b]."""
-    a = a[..., None, :, :]
-    at = a.swapaxes(-1, -2)
-    T = a @ basis + basis @ at if derivative else a @ basis @ at
-    i, j = np.triu_indices(basis.shape[-1])
-    return T[..., i, j].swapaxes(-1, -2)
+        def on_slot(T, k):
+            T = T.reshape(T.shape[:-1] + (n ** k, n, -1))
+            return (T[..., 0] @ x.swapaxes(-1, -2) if k == a - 1
+                    else x[..., None, :, :] @ T).reshape(lead)
+
+        T = on_slot(basis, 0)
+        for k in range(1, a):
+            T = T + on_slot(basis, k) if derivative else on_slot(T, k)
+        return T[..., pos].swapaxes(-1, -2)
+
+    return (lambda kc: action(kc, False), lambda kc: action(kc, True),
+            len(basis))
 
 
 def builtin_representation(spec, name: str) -> Representation:
-    """Built-in representations of K = U(n): "std", "det^m" (any integer
-    m), "sym2"."""
-    n = spec.n
+    """Sym^a(C^n) (x) det^b, 0 <= a <= 6, named "sym^a det^b", "sym^a"
+    (b = 0) or "det^b" (a = 0); "std" is sym^1 and "sym2" sym^2.  Sym^0 (x)
+    det^b is the det factor alone, and Sym^1 is x itself."""
+    m = re.fullmatch(r"sym\^([0-6])(?: det\^(-?[0-9]+))?|det\^(-?[0-9]+)",
+                     {"std": "sym^1", "sym2": "sym^2"}.get(name, name))
+    if m is None:
+        raise UnsupportedFlag(f"unknown representation {name} for sp2nR")
+    a, b, n = int(m[1] or 0), int(m[2] or m[3] or 0), spec.n
 
     def topleft(kc):
         return np.asarray(kc, dtype=complex)[..., :n, :n]
 
-    if name == "std":
-        return Representation(spec, name, n, topleft, topleft)
-    if name.startswith("det^"):
-        m = int(name[4:])
-        return Representation(
-            spec, name, 1,
-            lambda kc: np.linalg.det(topleft(kc))[..., None, None] ** m,
-            lambda kc: m * topleft(kc).trace(0, -2, -1)[..., None, None],
-        )
-    if name == "sym2":
-        basis = _sym2_basis(n)
-        return Representation(
-            spec, name, len(basis),
-            lambda kc: _sym2_action(topleft(kc), basis, derivative=False),
-            lambda kc: _sym2_action(topleft(kc), basis, derivative=True),
-        )
-    raise UnsupportedFlag(f"unknown representation {name} for sp2nR")
+    det = (lambda kc: np.linalg.det(topleft(kc))[..., None, None] ** b,
+           lambda kc: b * topleft(kc).trace(0, -2, -1)[..., None, None])
+    grp, alg, dim = ((*det, 1) if a == 0 else (topleft, topleft, n) if a == 1
+                     else _sym_power(topleft, n, a))
+    if a and b:      # det(x)^b on the group, b tr(x) on the algebra
+        return Representation(spec, name, dim, lambda kc: grp(kc) * det[0](kc),
+                              lambda kc: alg(kc) + det[1](kc) * np.eye(dim))
+    return Representation(spec, name, dim, grp, alg)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +212,8 @@ class CanonicalExtension:
 
     Defined on the subset of G where c_1 g lies in the open cell; this
     contains K_{1h} G_{1l} and the parabolic elements needed for induced
-    connections.
-
-    Its differential at the identity is linear, so the constructor
-    tabulates it in one lamC_alg call on the stack of matrix units E_ij, and
-    :meth:`alg` is one matmul with that (N^2, d^2) table, on a stack too.
+    connections.  Its differential at the identity is tabulated on the
+    matrix units (see the module docstring).
     """
 
     def __init__(self, rep: Representation, c1):

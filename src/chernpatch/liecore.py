@@ -20,7 +20,7 @@ Every span the package builds is a subset of that elementary basis, whose
 elements have disjoint supports: coordinates in it are orthogonal
 projections, by :func:`algebra_coords` through a solver that the owner of
 the basis builds once with :func:`span_solver` (ParabolicData for Lie(Q),
-connections.InvariantConnection for its ambient basis).
+connections once per spec for its ambient basis).
 
 The package's one matrix exponential is :func:`expm`, on a matrix or a
 stack, each matrix scaled by its own norm; :func:`exp_grp`, which checks
@@ -39,6 +39,7 @@ object-dtype arrays of ``fractions.Fraction`` for exact checks.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -119,38 +120,27 @@ def check_grp(spec: GroupSpec, g, tol=TOL):
 # ---------------------------------------------------------------------------
 # algebra bases
 
-def _sym_basis(n):
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            S = np.zeros((n, n))
-            S[i, j] = 1.0
-            S[j, i] = 1.0
-            out.append(S)
-    return out
+def sym_basis(n, a):
+    """Basis of Sym^a(C^n), (dim, n, ..., n): per sorted multi-index I, in
+    order, the sum of e_J over the distinct orderings J of I, all 0 or 1."""
+    flat = list(itertools.product(range(n), repeat=a))
+    return np.array([[float(tuple(sorted(J)) == I) for J in flat] for I in
+                     itertools.combinations_with_replacement(range(n), a)]
+                    ).reshape((-1,) + (n,) * a)
 
 
 def algebra_basis(spec: GroupSpec):
-    """Real basis of the Lie algebra, as a list of numpy matrices."""
+    """Real basis of the Lie algebra, as a list of numpy matrices: diag(A,
+    -A^T) for the matrix units A, then sym_basis(n, 2) above, then below."""
     n = spec.n
-    out = []
-    for i in range(n):
-        for j in range(n):
-            A = np.zeros((n, n))
-            A[i, j] = 1.0
-            X = np.zeros((2 * n, 2 * n))
-            X[:n, :n] = A
-            X[n:, n:] = -A.T
-            out.append(X)
-    for S in _sym_basis(n):
-        X = np.zeros((2 * n, 2 * n))
-        X[:n, n:] = S
-        out.append(X)
-    for S in _sym_basis(n):
-        X = np.zeros((2 * n, 2 * n))
-        X[n:, :n] = S
-        out.append(X)
-    return out
+    A, S = np.eye(n * n).reshape(-1, n, n), sym_basis(n, 2)
+    k = len(S)
+    out = np.zeros((n * n + 2 * k, 2 * n, 2 * n))
+    out[:n * n, :n, :n] = A
+    out[:n * n, n:, n:] = -A.swapaxes(1, 2)
+    out[n * n:-k, :n, n:] = S
+    out[-k:, n:, :n] = S
+    return list(out)
 
 
 def span_solver(basis):

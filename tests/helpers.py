@@ -273,3 +273,46 @@ def p1_chern_reference(weight, n):
     val = (charts._simpson_weights(thetas) @ integrand
            @ charts._simpson_weights(phis))
     return complex(val).real
+
+
+def _sym2_basis(n):
+    """Basis of Sym^2(C^n) as symmetric matrices, with the pairing weights."""
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            S = np.zeros((n, n))
+            S[i, j] += 1.0
+            S[j, i] += 1.0
+            if i == j:
+                S = S / 2.0
+            out.append(S)
+    return np.array(out)
+
+
+def _sym2_action(a, basis, derivative):
+    """Matrix of S -> a S a^T (or a S + S a^T if derivative) on Sym^2, for a
+    matrix a or a stack: column b holds the entries T_ij, i <= j, of the
+    image T of basis[b]."""
+    a = a[..., None, :, :]
+    at = a.swapaxes(-1, -2)
+    T = a @ basis + basis @ at if derivative else a @ basis @ at
+    i, j = np.triu_indices(basis.shape[-1])
+    return T[..., i, j].swapaxes(-1, -2)
+
+
+def representation_reference(n, name):
+    """(lamC, lamC_alg) of "std", "det^m" or "sym2" of U(n), each written out
+    by hand: the reference that these members of the one Sym^a (x) det^b
+    construction must match bit for bit."""
+    def topleft(kc):
+        return np.asarray(kc, dtype=complex)[..., :n, :n]
+
+    if name == "std":
+        return topleft, topleft
+    if name.startswith("det^"):
+        m = int(name[4:])
+        return (lambda kc: np.linalg.det(topleft(kc))[..., None, None] ** m,
+                lambda kc: m * topleft(kc).trace(0, -2, -1)[..., None, None])
+    basis = _sym2_basis(n)
+    return (lambda kc: _sym2_action(topleft(kc), basis, derivative=False),
+            lambda kc: _sym2_action(topleft(kc), basis, derivative=True))

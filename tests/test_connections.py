@@ -21,6 +21,47 @@ def test_nomizu_accepted():
     assert conn is not None
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["sym^3 det^1", "sym^4 det^-2"])
+def test_nomizu_accepted_on_the_sym_det_members(n, name):
+    # the classification accepts the Nomizu connection, and its curvature
+    # on each horizontal pair is -lambda'([p_i, p_j])
+    spec = liecore.sp2nR(n)
+    rep = hcrepr.builtin_representation(spec, name)
+    conn = connections.nomizu_connection(spec, rep)
+    pb = np.array(connections.p_basis(spec))
+    i, j = np.triu_indices(len(pb), 1)
+    want = -rep.lam_alg(liecore.bracket(pb[i], pb[j]))
+    assert np.max(np.abs(want)) > 1e-3
+    assert np.max(np.abs(conn.curvature0(pb) - want)) <= 1e-12
+
+
+def test_nomizu_builds_the_ambient_basis_and_its_solver_once(monkeypatch):
+    # one algebra_basis and one span_solver of that basis serve the whole
+    # classification and the connection; the next call of the spec reuses
+    # them
+    calls = {"algebra_basis": 0, "span_solver": 0}
+
+    def counted(name):
+        fn = getattr(liecore, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(liecore, name, counted(name))
+    connections._ambient.cache_clear()
+    spec, rep = _sp2()
+    for _ in range(2):
+        conn = connections.nomizu_connection(spec, rep)
+        assert conn.omega0(conn.basis).shape == (3, 1, 1)
+        assert calls == {"algebra_basis": 1, "span_solver": 1}
+    with pytest.raises(ValueError, match="read-only"):
+        conn.basis[0, 0, 0] = 2.0
+
+
 def _pair_curvature(conn, X, Y):
     """Omega_0(X, Y) = [omega_0 X, omega_0 Y] - omega_0([X, Y]), one pair."""
     a, b = conn.omega0(X), conn.omega0(Y)
@@ -202,7 +243,7 @@ def test_values_of_wrong_count_or_shape_rejected():
 
 @pytest.mark.parametrize("spec,rep_name", [
     (liecore.sp2nR(1), "det^2"), (liecore.sp2nR(2), "std"),
-    (liecore.sp2nR(2), "sym2")])
+    (liecore.sp2nR(2), "sym2"), (liecore.sp2nR(2), "sym^3 det^1")])
 def test_omega0_and_curvature0_on_a_stack(spec, rep_name):
     # curvature0 of a (6, 4, N, N) stack: the six pairs i < j of each of
     # the six rows, in combinations order, each the pairwise formula
@@ -223,7 +264,7 @@ def test_omega0_and_curvature0_on_a_stack(spec, rep_name):
 
 @pytest.mark.parametrize("spec,rep_name", [
     (liecore.sp2nR(1), "det^2"), (liecore.sp2nR(2), "std"),
-    (liecore.sp2nR(2), "sym2")])
+    (liecore.sp2nR(2), "sym2"), (liecore.sp2nR(2), "sym^3 det^1")])
 def test_structure_curvature_matches_the_reference(spec, rep_name):
     # on Maurer-Cartan stacks of 1, 7, 16 and 67 chart points, F = omega0
     # of the Nomizu connection: the reference maps t and its brackets in

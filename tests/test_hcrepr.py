@@ -1,9 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from chernpatch import connections, hcrepr, liecore, siegel
 from chernpatch.errors import DecompositionError
-from helpers import dlam_reference, random_alg
+from helpers import dlam_reference, random_alg, representation_reference
 
 
 def _sp4_rep(name="std"):
@@ -50,7 +52,8 @@ def test_middle_j_multiplicative_on_kc():
         assert np.max(np.abs(jk - jj)) < 1e-8
 
 
-@pytest.mark.parametrize("name", ["std", "det^1", "sym2"])
+@pytest.mark.parametrize("name", ["std", "det^1", "sym2", "sym^3 det^1",
+                                  "sym^4 det^-2"])
 def test_extension_restricts_to_rep_on_k(name):
     rep = _sp4_rep(name)
     spec = rep.spec
@@ -62,7 +65,7 @@ def test_extension_restricts_to_rep_on_k(name):
         assert np.max(np.abs(ext(k) - rep.lam_grp(k))) < 1e-8
 
 
-@pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
+@pytest.mark.parametrize("name", ["std", "det^2", "sym2", "sym^3 det^1"])
 def test_lam_grp_of_a_stack_checks_each_element(name):
     rep = _sp4_rep(name)
     spec = rep.spec
@@ -75,7 +78,8 @@ def test_lam_grp_of_a_stack_checks_each_element(name):
         rep.lam_grp(k)
 
 
-@pytest.mark.parametrize("name", ["std", "sym2", "det^2", "det^-2"])
+@pytest.mark.parametrize("name", ["std", "sym2", "det^2", "det^-2",
+                                  "sym^3 det^1", "sym^4 det^-2"])
 def test_relative_extension_is_the_siegel_one_on_the_plane_cartan(name):
     # on a W_H, W_H = diag(1, 0, -1, 0) the Cartan element of the plane
     # (e0, f0), the relative extension of the ranks (1, 2) and the rank-2
@@ -93,9 +97,9 @@ def test_extension_homomorphism_on_parabolic():
     # rank 2 of sp(4), and rank 1 of sp(2), the genus-1 base case, on each
     # built-in representation
     sp2 = liecore.sp2nR(1)
-    cases = [(_sp4_rep(), 2, 1e-8)] + [
+    cases = [(_sp4_rep(name), 2, 1e-8) for name in ("std", "sym^3 det^1")] + [
         (hcrepr.builtin_representation(sp2, name), 1, 1e-14)
-        for name in ("std", "det^2", "sym2")]
+        for name in ("std", "det^2", "sym2", "sym^3 det^1")]
     for rep, r, tol in cases:
         spec = rep.spec
         pd = liecore.parabolic_data(spec, (r,))
@@ -136,7 +140,7 @@ def test_nested_extension_compatibility_sp6():
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 1), (3, 2), (3, 3)])
-@pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
+@pytest.mark.parametrize("name", ["std", "det^2", "sym2", "sym^3 det^1"])
 def test_extension_alg_is_a_homomorphism_on_the_linear_levi(n, r, name):
     # so extK.alg(ldot) is a flat connection: [A l_i, A l_j] = A [l_i, l_j]
     spec = liecore.sp2nR(n)
@@ -152,7 +156,7 @@ def test_extension_alg_is_a_homomorphism_on_the_linear_levi(n, r, name):
 
 
 @pytest.mark.parametrize("flag", [(1,), (2,)])
-@pytest.mark.parametrize("name", ["std", "sym2"])
+@pytest.mark.parametrize("name", ["std", "sym2", "sym^3 det^1"])
 def test_linear_levi_factor_commutes_with_the_hermitian_part_sp6(flag, name):
     # genus 3: lambda_1(g_l) of a parabolic element commutes with the
     # extension of Lie(G_h), so no induced connection needs conjugating
@@ -215,7 +219,7 @@ def _extensions(rep):
 
 
 @pytest.mark.parametrize("n", [2, 3, 1])
-@pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
+@pytest.mark.parametrize("name", ["std", "det^2", "sym2", "sym^3 det^1"])
 def test_extension_alg_matches_formula(n, name):
     spec = liecore.sp2nR(n)
     rep = hcrepr.builtin_representation(spec, name)
@@ -231,7 +235,9 @@ def test_extension_alg_matches_formula(n, name):
 
 
 REPS = [(2, "std"), (2, "det^2"), (2, "sym2"), (3, "std"), (3, "det^2"),
-        (3, "sym2"), (1, "std"), (1, "det^2"), (1, "sym2")]
+        (3, "sym2"), (1, "std"), (1, "det^2"), (1, "sym2"),
+        (2, "sym^3 det^1"), (3, "sym^3 det^1"), (1, "sym^3 det^1"),
+        (2, "sym^4 det^-2")]
 
 
 def _rep(n, name):
@@ -280,7 +286,7 @@ def test_middle_j_rejects_a_nan_element_by_row():
         hcrepr.middle_j(spec, gs[2])
 
 
-@pytest.mark.parametrize("name", ["std", "det^2", "sym2"])
+@pytest.mark.parametrize("name", ["std", "det^2", "sym2", "sym^3 det^1"])
 def test_canonical_extension_of_a_stack_matches_one_element_at_a_time(name):
     rep = _sp4_rep(name)
     spec = rep.spec
@@ -302,7 +308,8 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("name", ["std", "sym2", "det^-2", "det^1", "det^3"])
+@pytest.mark.parametrize("name", ["std", "sym2", "det^-2", "det^1", "det^3",
+                                  "sym^3 det^1", "sym^4 det^-2"])
 def test_differential_tables_are_the_per_unit_loop_bit_for_bit(n, name):
     # lamC_alg on the stack of matrix units, and the tables of the
     # representation and of each extension, against one unit at a time
@@ -352,3 +359,59 @@ def test_an_extension_makes_j_c1_inverse_on_its_first_group_level_call(
         model.spec, ext.c1 @ gs.astype(complex))))
     ext(gs[0])
     assert calls[2:] == [(4, 4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["std", "sym2", "det^-2", "det^0", "det^1",
+                                  "det^2", "det^3"])
+def test_old_members_are_the_hand_written_reference_bit_for_bit(n, name):
+    # std = sym^1, sym2 = sym^2 and det^m = sym^0 det^m of the one
+    # construction, against the three representations written out by hand,
+    # on a matrix and on stacks, with signed zeros among the entries
+    rep = _rep(n, name)
+    ref = dict(zip(("lamC", "lamC_alg"), representation_reference(n, name)))
+    rng = np.random.default_rng(30)
+    N = 2 * n
+    for shape in [(), (7,), (3, 5)]:
+        kc = (rng.standard_normal(shape + (N, N))
+              + 1j * rng.standard_normal(shape + (N, N)))
+        flat = kc.reshape(-1)
+        flat[::3] = complex(-0.0, -0.0)
+        flat[1::5] = complex(0.0, -0.0)
+        flat[2::7] = complex(-0.0, 1.0)
+        for key, f in ref.items():
+            # where the zeros make a determinant 0, det^-2 is inf or NaN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got, want = np.asarray(getattr(rep, key)(kc)), f(kc)
+            assert _same_bits(got, np.asarray(want)), (shape, key)
+            assert got.shape == shape + (rep.dim, rep.dim)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dim_is_the_number_of_sorted_multi_indices(n):
+    spec = liecore.sp2nR(n)
+    names = {"std": 1, "sym2": 2, "det^-4": 0}
+    names.update({f"sym^{a}": a for a in range(7)})
+    names.update({f"sym^{a} det^{b}": a for a in range(7) for b in (-2, 1)})
+    for name, a in names.items():
+        rep = hcrepr.builtin_representation(spec, name)
+        assert rep.dim == comb(n + a - 1, a), name
+        assert rep._dlam.shape == (4 * n * n, rep.dim ** 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["std", "sym2", "det^-2", "sym^3 det^1",
+                                  "sym^4 det^-2", "sym^6"])
+def test_lam_alg_is_the_derivative_of_lam_grp(n, name):
+    # central differences of the group action along exp(t k), k in Lie(K)
+    rep = _rep(n, name)
+    spec = rep.spec
+    rng = np.random.default_rng(31)
+    ks = np.array([liecore.cartan_split(spec, random_alg(spec, rng))[0]
+                   for _ in range(4)])
+    h = 1e-5
+    fd = (rep.lam_grp(liecore.exp_grp(spec, h * ks))
+          - rep.lam_grp(liecore.exp_grp(spec, -h * ks))) / (2 * h)
+    want = rep.lam_alg(ks)
+    assert np.max(np.abs(want)) > 1e-3     # not two zeros
+    assert np.max(np.abs(fd - want)) <= 1e-8 * np.max(np.abs(want))

@@ -167,7 +167,8 @@ def test_plane_borel_condition_is_checked_per_direction(model):
         _from_point(model, hdot)
 
 
-@pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "det^-2"])
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "det^-2",
+                                 "sym^3 det^1", "sym^4 det^-2"])
 def test_connection_induced_on_Y_from_the_point_is_the_plane_borel_read_off(
         rep):
     # the one induced formula, extS.alg of the Lagrangian-Levi part of the
@@ -434,7 +435,31 @@ def test_curvature_evaluators_match_differences(model, name):
     assert scale > 1e-3     # the comparison is not between two zeros
 
 
-@pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
+@pytest.mark.parametrize("rep", ["sym^3 det^1", "sym^4 det^-2"])
+def test_sym_det_members_pass_the_descent_checks(rep):
+    # the checks of `verify descent` on a bundle of rank 4 or 5: the
+    # structure equation against central differences, and at 16 mixed-tube
+    # points the contractions of the raw curvature and of c1 and c2
+    m = siegel.SiegelModel(rep)
+    rng = np.random.default_rng(25)
+    xs = suites._mixed_tube_points(m, rng, 16)
+    p = m.points(xs)
+    curv = m.curvature_patched(p)
+    fd = _differences(m, m.omega_patched).func(np.asarray(xs[:3]))
+    assert np.max(np.abs(fd)) > 1e-3
+    assert np.max(np.abs(curv[:3] - fd)) <= 1e-8
+    worst = {"raw": 0.0, 1: 0.0, 2: 0.0}
+    for omega, verts in zip(curv, ext.vertical_vectors(m.projection_map(),
+                                                       xs)):
+        es = inv.chern_coefficients(omega, 6, 2)
+        for key, C, q in (("raw", omega, 2), (1, es[1], 2), (2, es[2], 4)):
+            worst[key] = max(worst[key], ext.vertical_contraction(
+                C, q, verts, rng))
+    assert worst["raw"] > 1e-3
+    assert worst[1] <= 1e-10 and worst[2] <= 1e-10
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])
 def test_klingen_levi_factor_commutes_with_values_from_Y(rep):
     # G_h and G_l commute, so lambda_1(g_l) at a section commutes with every
     # value an induced connection takes from Y: the Nomizu values on Y and
@@ -532,7 +557,7 @@ def test_chain_weight_gradients_match_differences(model):
     assert steepest > 1.0     # the points reach the transition bands
 
 
-@pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])
 def test_stacked_points_match_one_point_at_a_time(rep):
     m = siegel.SiegelModel(rep)
     rng = np.random.default_rng(16)
@@ -556,13 +581,14 @@ def test_stacked_points_match_one_point_at_a_time(rep):
     assert np.array_equal(m.curvature_induced_nomizu(stack[2:5]), curv[2:5])
 
 
-@pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])
 def test_structure_equation_tables_match_the_callable_reference(rep):
     # the Nomizu connections are tables composed once, on a real stack with
     # no complex cast; the reference applies lam_alg or extK.alg to the
     # Cartan k-part at call time, on t and its brackets concatenated.  Values
-    # and curvatures match bit for bit, but for the table of X on sym2, whose
-    # composed rows round otherwise: there to 1e-15 of the largest entry.
+    # and curvatures match bit for bit, but for the tables of X on sym2 and
+    # sym^3 det^1, whose composed rows round otherwise: there to 1e-15 of
+    # the largest entry.
     # connections.structure_curvature with the callable reference is the
     # reference bit for bit.
     m = siegel.SiegelModel(rep)
@@ -585,7 +611,7 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
             got = m.system.chain_curvature((key,), pts, g)
             ref = structure_reference(F, t)
             for a, b in zip(got, ref):
-                if (rep, key) == ("sym2", "X"):
+                if key == "X" and rep.startswith("sym"):
                     assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
                 else:
                     assert np.array_equal(a, b), (key, P)
@@ -595,7 +621,7 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
                               structure_reference(reference["Y"], hdot.mc)[1])
 
 
-@pytest.mark.parametrize("rep", ["std", "sym2", "det^2"])
+@pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])
 def test_connections_induced_from_the_point_are_flat(rep):
     # the patched curvature gives a chain from the point the point's zero
     # curvature; the structure equation of the connection induced from the

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -431,6 +432,34 @@ def test_cli_curvature_library_error_exits_2(group, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("group,n", [("sp2", 1), ("sp4", 2), ("sp6", 3)])
+def test_cli_curvature_takes_every_name_of_the_grammar(group, n, capsys):
+    # sym^a det^b, a <= 6, and its short names; the table has the rank of
+    # the bundle, C(n + a - 1, a)
+    names = {"std": 1, "sym2": 2, "det^-2": 0, "det^0": 0, "det^3": 0,
+             "sym^0": 0, "sym^1": 1, "sym^3": 3, "sym^3 det^1": 3,
+             "sym^4 det^-2": 4, "sym^6 det^0": 6, "sym^2 det^-1": 2}
+    for name, a in names.items():
+        assert cli.main(["curvature", "--group", group, "--rep", name]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["rep"] == name
+        assert {len(c["value"]) for c in out["curvature"]} == {
+            math.comb(n + a - 1, a)}
+
+
+@pytest.mark.parametrize("name", [
+    "det^x", "det^1.5", "det^\u0663", "det^+2", "sym3", "sym^-1", "Det^2",
+    "sym^2det^1", "sym^2  det^1", "det^1 sym^2", "", " std", "sym^2 ",
+    "sym^7", "sym^10 det^1"])
+def test_cli_curvature_refuses_every_other_name(name, capsys):
+    # one message for any name outside the grammar: no int() error leaks,
+    # and no non-ASCII digit reads as a number
+    assert cli.main(["curvature", "--group", "sp4", "--rep", name]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unknown representation {name} for sp2nR\n"
+
+
 @pytest.mark.parametrize("family", [liecore.GroupSpec.family])
 def test_every_group_family_has_a_curvature_table(family, capsys):
     # a group that spec_from_dict accepts but no builtin representation
@@ -500,6 +529,26 @@ def test_cli_verify_tol_unread_is_an_error(suite, tol, capsys):
     # both suites check exact counts at tolerance 0
     assert cli.main(["verify", suite, "--tol", tol]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite,tol", [
+    ("descent", "nan"), ("patch", "inf"), ("patch", "-1"),
+    ("partition", "-1e-300"), ("descent", "NaN"), ("patch", "1e400")])
+def test_cli_verify_rejects_a_tol_not_finite_or_below_zero(suite, tol,
+                                                         capsys):
+    # NaN and inf would reach the report as NaN and Infinity, no JSON
+    # numbers; inf passes every check and a negative tol fails every one
+    assert cli.main(["verify", suite, f"--tol={tol}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--tol must be finite and at least 0" in err
+
+
+def test_cli_verify_tol_zero_is_valid(capsys):
+    assert cli.main(["verify", "partition", "--samples", "5",
+                     "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == 0.0
 
 
 def test_cli_verify_tol_goes_to_the_suites_that_read_it(capsys):
