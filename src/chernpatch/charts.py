@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import exterior as ext
-from . import invariants as inv
 from . import liecore
 from .errors import PreconditionFailed
 
@@ -80,7 +79,7 @@ def curvature_bridge_residual(spec, conn, points, rng=None):
     chart_curv = ext.curvature_form(om)
     alg_curv = chart.algebraic_curvature_form(conn)
     rng = rng or np.random.default_rng(0)
-    xs = np.asarray(points, dtype=float).reshape(-1, chart.dim)
+    xs = ext.point_stack(points, chart.dim)
     vs = rng.standard_normal((len(xs), 2, chart.dim))
     worst = 0.0
     for s in range(0, len(xs), 8):

@@ -80,17 +80,14 @@ def p_basis(spec):
 class InvariantConnection:
     spec: object
     rep: object
-    basis: np.ndarray    # (k, N, N) ambient algebra basis
-    values: np.ndarray   # (k, d, d): omega_0 on each basis element
+    values: np.ndarray   # (k, d, d): omega_0 on each element of basis
+    basis = property(lambda self: _ambient(self.spec)[0])   # read-only
 
     def __post_init__(self):
-        basis, solver = _ambient(self.spec)
-        self._solver = (solver if np.array_equal(self.basis, basis)
-                        else liecore.span_solver(self.basis))
         self._table = self.values.reshape(len(self.values), -1)
 
     def omega0(self, X):
-        c = liecore.algebra_coords(self._solver, X, 1e-8,
+        c = liecore.algebra_coords(_ambient(self.spec)[1], X, 1e-8,
                                    "matrix not in the spanned Lie algebra")
         return (c @ self._table).reshape(c.shape[:-1] + self.values.shape[1:])
 
@@ -146,7 +143,7 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
     bad = [n for n in r if not r[n] <= TOL]
     if bad:
         raise ConditionViolation(bad, [r[n] for n in bad])
-    return InvariantConnection(spec, rep, basis, values)
+    return InvariantConnection(spec, rep, values)
 
 
 def nomizu_connection(spec, rep) -> InvariantConnection:

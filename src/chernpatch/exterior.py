@@ -13,10 +13,10 @@ the 2m displaced points of each of P points as one func call on 2mP rows,
 to which a curvature adds the P points: (2m+1)P rows for omega's value
 and differences.
 One contraction (contract) evaluates the coefficients at a stack of points,
-each on its own vectors: VForm.evaluate, and the fiber check at a stack,
-with one SVD for its vertical vectors and one draw for their companions.
-combination_curvature is the one product rule for the curvature of a
-weighted combination of connections.
+each on its own vectors: VForm.evaluate, and the fiber check of several
+forms at a stack, with one SVD for the vertical vectors and one draw for
+all their companions.  combination_curvature is the one product rule for
+the curvature of a weighted combination of connections.
 
 Tolerances used by the callers: 1e-12 for purely algebraic identities, 1e-6
 after one numerical differentiation, 1e-4 after two.  A curvature from
@@ -260,18 +260,26 @@ def vertical_vectors(proj: SmoothMap, xs):
     return vt[:, rank[0]:].conj()
 
 
-def vertical_contraction(C, degree, verts, rng):
-    """Largest entry of |form(v, w_2, ..., w_q)| over the rows v of verts
-    (k, m), for the coefficient array C of a degree-q form at one point (or
-    verts (P, k, m) of the P points of a stack C); the w are fresh standard
-    normal draws from rng, q - 1 per v, point by point in one call."""
-    if np.ndim(verts) == 2:
-        C, verts = np.asarray(C)[None], np.asarray(verts)[None]
+def vertical_contraction(forms, verts, rng):
+    """Largest entries of |form(v, w_2, ..., w_q)| over the rows v of verts
+    (P, k, m), one per (C, q) of forms, C (P, C(m, q), ...) the coefficients
+    of a degree-q form at the P points of a stack; the w are standard normal
+    draws of one rng call, point by point, each form's q - 1 per v in turn."""
     P, k, m = np.shape(verts)
-    others = rng.standard_normal((P, k, degree - 1, m))
-    V = np.concatenate([verts[:, :, None, :], others], axis=2)
-    out = contract(np.moveaxis(C, 1, 0)[:, :, None], V)
-    return float(np.max(np.abs(out), initial=0.0))
+    ends = np.cumsum([k * (q - 1) * m for _, q in forms])
+    draws = np.split(rng.standard_normal((P, ends[-1])), ends[:-1], axis=1)
+    out = [contract(np.moveaxis(C, 1, 0)[:, :, None], np.concatenate(
+        [verts[:, :, None], w.reshape(P, k, q - 1, m)], axis=2))
+        for (C, q), w in zip(forms, draws)]
+    return [float(np.max(np.abs(o), initial=0.0)) for o in out]
+
+
+def point_stack(points, m):
+    """points (m,) or (..., m) as (P, m) floats; another width is refused."""
+    xs = np.asarray(points, dtype=float)
+    if xs.size and xs.shape[-1:] != (m,):
+        raise PreconditionFailed(f"expected width {m}, got shape {xs.shape}")
+    return xs.reshape(-1, m)
 
 
 def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
@@ -281,9 +289,9 @@ def pifiber_check(form: VForm, proj: SmoothMap, points, tol=1e-6, rng=None):
     exceeds tol.  The form's coefficients at the points are one func call.
     """
     rng = rng or np.random.default_rng(0)
-    xs = np.array(list(points), dtype=float).reshape(-1, form.m)
+    xs = point_stack(list(points), form.m)
     worst = vertical_contraction(
-        np.asarray(form.func(xs), dtype=complex), form.degree,
-        vertical_vectors(proj, xs), rng) if len(xs) else 0.0
+        [(np.asarray(form.func(xs), dtype=complex), form.degree)],
+        vertical_vectors(proj, xs), rng)[0] if len(xs) else 0.0
     return {"max_vertical_contraction": worst, "tol": tol, "ok": worst <= tol,
             "points": len(xs)}

@@ -1,5 +1,5 @@
 """Conjugation-invariant polynomials, Jordan decomposition and the
-nilpotent-invariance check, plus Chern form assembly.
+nilpotent-invariance check, plus Chern form assembly on stacks of points.
 
 Exact arithmetic uses integer or object-dtype numpy arrays (ints,
 Fractions); the float path is float64/complex128.  The characteristic
@@ -240,22 +240,22 @@ def jordan_decompose(x):
 
 
 def chern_coefficients(omega, m, kmax):
-    """Coefficient arrays [e_0, ..., e_kmax] of the Chern forms at one point,
-    from the coefficient array omega (C(m, 2), d, d) of a curvature 2-form
-    on R^m there.
+    """Coefficient arrays [e_0, ..., e_kmax], (..., C(m, 2k)), of the Chern
+    forms at a point or a stack of points, from the coefficient arrays omega
+    (..., C(m, 2), d, d) of a curvature 2-form on R^m there.
 
     e_k, of degree 2k, is the coefficient of t^k in
     det(I + t (sqrt(-1)/2 pi) Omega), assembled through Newton's identities
     over the (commutative) even-degree form ring from the power traces
-    tr(Omega^j) (wedge with matrix product).
+    tr(Omega^j) (wedge with matrix product), coefficient axis first.
     """
-    om = (1j / (2 * np.pi)) * omega
+    om = np.moveaxis((1j / (2 * np.pi)) * omega, -3, 0)
     powers = [om]
     for j in range(1, kmax):
         powers.append(ext.wedge_coeffs(ext.wedge_table(m, 2 * j, 2),
                                        powers[-1], om, np.matmul))
     ptr = [np.trace(p, axis1=-2, axis2=-1) for p in powers]
-    es = [np.ones(1, dtype=complex)]
+    es = [np.ones((1,) + om.shape[1:-2], dtype=complex)]
     for k in range(1, kmax + 1):
         acc = None
         for i in range(1, k + 1):
@@ -264,7 +264,7 @@ def chern_coefficients(omega, m, kmax):
                 np.multiply)
             acc = term if acc is None else acc + term
         es.append((1.0 / k) * acc)
-    return es
+    return [np.moveaxis(e, 0, -1) for e in es]
 
 
 def chern_forms(omega, kmax):
@@ -272,11 +272,9 @@ def chern_forms(omega, kmax):
 
     c_k is the degree-2k form whose coefficients at x are
     chern_coefficients(omega at x, m, k)[k]: each c_k evaluates the
-    curvature once per stack of points, then takes them row by row.
+    curvature and takes its tower once per stack of points.
     """
     m = omega.m
-    return [ext.VForm(m, 0, lambda xs: np.ones((len(xs), 1), dtype=complex))
-            ] + [ext.VForm(m, 2 * k, lambda xs, k=k: np.array(
-                [chern_coefficients(C, m, k)[k]
-                 for C in np.asarray(omega.func(xs), dtype=complex)]))
-                 for k in range(1, kmax + 1)]
+    return [ext.VForm(m, 2 * k, lambda xs, k=k: chern_coefficients(
+        np.asarray(omega.func(xs), dtype=complex), m, k)[k])
+        for k in range(kmax + 1)]

@@ -188,7 +188,7 @@ class SiegelModel:
     def points(self, xs) -> ChartPoint:
         """The chart points at the rows of a (P, 6) array xs, rho_Z = 1 / Im z11
         and rho_Y = 1 / Im z22, with the section and mc from one call each."""
-        xs = np.asarray(xs, dtype=float).reshape(-1, 6)
+        xs = ext.point_stack(xs, 6)
         p = ChartPoint()
         p.mc = section_mc(xs, section(xs))
         p.control = self.model.point(("Z", "Y", "X"), 1.0 / xs[:, [3, 5]])

@@ -418,8 +418,8 @@ def suite_pifiber(seed=0, tol=1e-6, samples=10):
     pts = _model_tube_points(rng, samples)
     worst = 0.0
     for rows, stack in _stacks(m, pts):
-        worst = max(worst, ext.vertical_contraction(
-            m.curvature_induced_nomizu(stack), 2,
+        worst = max(worst, *ext.vertical_contraction(
+            [(m.curvature_induced_nomizu(stack), 2)],
             ext.vertical_vectors(proj, rows), rng))
     return _finish("pifiber", seed, tol, samples,
                    [_check("induced-curvature-vertical", worst, tol)])
@@ -445,13 +445,13 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
     """The patched curvature is not a pullback from the plane stratum, but
     its Chern forms c1, c2 are: vertical contractions at mixed-tube points.
 
-    The curvature comes from the structure equation, one call per stack of
-    points, and c1, c2 from that one array; each point draws for its three
-    contractions in turn.  The raw curvature is the negative control: it
-    passes only while its contraction exceeds 1e-3.  At the first points of
-    the first stack (named in the report) the induced and patched
-    curvatures are compared with ext.curvature_form of their connections,
-    one central difference per form on those points.
+    Per stack of points, the curvature (from the structure equation), c1
+    and c2, and the three contractions are one call each; each point draws
+    for its contractions in turn.  The raw curvature is the negative
+    control: it passes only while its contraction exceeds 1e-3.  At the
+    first points of the first stack (named in the report) the induced and
+    patched curvatures are compared with ext.curvature_form of their
+    connections, one central difference per form on those points.
     """
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
@@ -461,7 +461,7 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
     proj = m.projection_map()
     pts = _mixed_tube_points(m, rng, samples)
     k = min(_ORACLE_POINTS, samples)
-    worst = {"raw": 0.0, 1: 0.0, 2: 0.0}
+    worst = [0.0, 0.0, 0.0]     # raw, c1, c2
     oracle = 0.0
     for n, (xs, p) in enumerate(_stacks(m, pts)):
         curv = m.curvature_patched(p)
@@ -470,16 +470,13 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
                               (curv[:k], fd_patched)):
                 oracle = float(max(oracle, np.max(np.abs(
                     value - fd.func(np.asarray(xs[:k]))))))
-        for omega, verts in zip(curv, ext.vertical_vectors(proj, xs)):
-            es = inv.chern_coefficients(omega, 6, 2)
-            # the curvature and c1 are 2-forms, c2 is a 4-form
-            for key, C, q in (("raw", omega, 2), (1, es[1], 2),
-                              (2, es[2], 4)):
-                worst[key] = max(worst[key], ext.vertical_contraction(
-                    C, q, verts, rng))
+        es = inv.chern_coefficients(curv, 6, 2)
+        worst = list(map(max, worst, ext.vertical_contraction(
+            [(curv, 2), (es[1], 2), (es[2], 4)],
+            ext.vertical_vectors(proj, xs), rng)))
     checks = [_check("chern-c1-vertical", worst[1], tol),
               _check("chern-c2-vertical", worst[2], tol),
-              _check("raw-curvature-not-vertical", worst["raw"],
+              _check("raw-curvature-not-vertical", worst[0],
                      floor=_RAW_FLOOR),
               _check("structure-equation-vs-differences", oracle, _ORACLE_TOL)]
     return _finish("descent", seed, tol, samples, checks,

@@ -177,6 +177,28 @@ def structure_reference(F, t):
     return om, bracket_pairs_reference(om) - out[..., m:, :, :]
 
 
+def chern_coefficients_reference(omega, m, kmax):
+    """invariants.chern_coefficients at one point, the coefficient array
+    omega (C(m, 2), d, d) there, with the coefficient axis as the only
+    leading axis: [e_0, ..., e_kmax], e_0 = ones(1)."""
+    om = (1j / (2 * np.pi)) * omega
+    powers = [om]
+    for j in range(1, kmax):
+        powers.append(ext.wedge_coeffs(ext.wedge_table(m, 2 * j, 2),
+                                       powers[-1], om, np.matmul))
+    ptr = [np.trace(p, axis1=-2, axis2=-1) for p in powers]
+    es = [np.ones(1, dtype=complex)]
+    for k in range(1, kmax + 1):
+        acc = None
+        for i in range(1, k + 1):
+            term = (-1.0) ** (i - 1) * ext.wedge_coeffs(
+                ext.wedge_table(m, 2 * (k - i), 2 * i), es[k - i], ptr[i - 1],
+                np.multiply)
+            acc = term if acc is None else acc + term
+        es.append((1.0 / k) * acc)
+    return es
+
+
 def plane_borel_reference(m, hdot):
     """The connection a siegel.SiegelModel m induces on Y from the point's
     zero connection, read off the plane Borel of the hermitian sl(2) on the
@@ -241,10 +263,9 @@ def classification_reference(spec, rep, values):
     """{1: r1, 2: r2}, the residuals of the classification conditions of one
     value table, one omega0 call per side of each condition on the
     connection the table defines."""
-    basis = np.array(liecore.algebra_basis(spec))
     conn = connections.InvariantConnection(
-        spec, rep, basis, np.array([np.asarray(v, dtype=complex)
-                                    for v in values]))
+        spec, rep, np.array([np.asarray(v, dtype=complex) for v in values]))
+    basis = conn.basis
     kb = np.array(connections.k_basis(spec))
     lk = rep.lam_alg(kb)
     lhs = conn.omega0(liecore.bracket(basis[:, None], kb))

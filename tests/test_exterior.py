@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from chernpatch import exterior as ext, invariants as inv, siegel, suites
 from chernpatch.dual import Dual, seed
 from chernpatch.errors import PreconditionFailed
-from helpers import exterior_d, patch_draws, rowwise
+from helpers import (chern_coefficients_reference, exterior_d, patch_draws,
+                     rowwise)
 
 
 def wedge_scalar(f1, f2):
@@ -449,10 +450,64 @@ def test_vertical_contraction_matches_one_vector_at_a_time(degree, shape):
                          + 1j * rng.standard_normal((m, 3)))[0].T.conj()
     for k in (0, 1, 3):
         rngs = np.random.default_rng(k), np.random.default_rng(k)
-        got = ext.vertical_contraction(C, degree, verts[:k], rngs[0])
-        assert got == _contraction_loop(C, degree, verts[:k], rngs[1])
+        got = ext.vertical_contraction([(C[None], degree)], verts[None, :k],
+                                       rngs[0])
+        assert got == [_contraction_loop(C, degree, verts[:k], rngs[1])]
         # the same draws: both streams stand at the same place
         assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+def test_several_forms_contract_as_each_form_point_by_point():
+    # one call on (C, q) pairs of a stack of P points equals the one-form
+    # calls made point by point, each point's forms in turn: the same draws
+    m, P = 6, 4
+    rng = np.random.default_rng(55)
+    forms = []
+    for degree, shape in ((2, (2, 2)), (2, ()), (4, ()), (1, (3, 3)), (3, ())):
+        size = (P, math.comb(m, degree)) + shape
+        forms.append((rng.standard_normal(size)
+                      + 1j * rng.standard_normal(size), degree))
+    verts = np.linalg.qr(rng.standard_normal((P, m, 3))
+                         + 1j * rng.standard_normal((P, m, 3)))[0]
+    verts = verts.swapaxes(-1, -2).conj()
+    rngs = np.random.default_rng(56), np.random.default_rng(56)
+    got = ext.vertical_contraction(forms, verts, rngs[0])
+    want = [0.0] * len(forms)
+    for p in range(P):
+        for n, (C, q) in enumerate(forms):
+            want[n] = max(want[n], *ext.vertical_contraction(
+                [(C[p:p + 1], q)], verts[p:p + 1], rngs[1]))
+    assert got == want
+    assert min(got) > 0.0
+    assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3])
+@pytest.mark.parametrize("m, d", [(4, 2), (4, 3), (6, 2), (6, 3), (6, 4),
+                                  (12, 2)])
+def test_chern_tower_of_a_stack_is_the_per_point_tower_bit_for_bit(m, d, kmax):
+    # compared as bytes, so that -0.0 against +0.0 counts: on R^12 the
+    # tower of a real curvature has -0.0 entries from kmax = 2 on
+    rng = np.random.default_rng(60 + 10 * m + d + kmax)
+    n, signed_zeros = math.comb(m, 2), 0
+    for stack in ((), (3,), (2, 3)):
+        om = rng.standard_normal(stack + (n, d, d))
+        for omega in (om.astype(complex),
+                      om + 1j * rng.standard_normal(om.shape)):
+            got = inv.chern_coefficients(omega, m, kmax)
+            assert len(got) == kmax + 1
+            for idx in np.ndindex(stack):
+                want = chern_coefficients_reference(omega[idx], m, kmax)
+                for g, w in zip(got, want, strict=True):
+                    assert _bits(g[idx]) == _bits(w)
+                    f = w.view(float)
+                    signed_zeros += int(np.sum(np.signbit(f[f == 0])))
+    assert signed_zeros > 0 or m < 12 or kmax == 1
 
 
 def test_forms_past_the_top_degree_evaluate_to_zero():

@@ -10,7 +10,9 @@ only dunder methods, which Python calls itself, are exempt.  Strings
 (``__all__`` entries, docstrings) do not count, and neither do the tests.
 Every attribute a method of the package stores on self, every field of a
 dataclass and every ``__slots__`` entry must be loaded, as an Attribute
-node, in the same places.
+node, in the same places.  Every module-level import of the package (its
+``__init__`` aside) and of the demos must be used, as a Name node, in its
+module.
 """
 
 import ast
@@ -134,3 +136,24 @@ def test_every_record_field_is_read():
     loaded = _loaded_attributes()
     assert [where for where, name in _record_fields()
             if name not in loaded] == []
+
+
+def _unused_imports():
+    """(module:name) of each name a module-level import binds in the package
+    (its __init__ aside) or a demo that no Name node of the module uses."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
+    for path in modules + sorted((ROOT / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    yield f"{path.stem}:{name}"
+
+
+def test_every_module_level_import_is_used():
+    assert list(_unused_imports()) == []

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chernpatch import (connections, exterior as ext, hcrepr,
+from chernpatch import (charts, connections, exterior as ext, hcrepr,
                         invariants as inv, liecore, siegel, strata, suites)
 from chernpatch.errors import DecompositionError, PreconditionFailed
 
@@ -448,15 +448,55 @@ def test_sym_det_members_pass_the_descent_checks(rep):
     fd = _differences(m, m.omega_patched).func(np.asarray(xs[:3]))
     assert np.max(np.abs(fd)) > 1e-3
     assert np.max(np.abs(curv[:3] - fd)) <= 1e-8
-    worst = {"raw": 0.0, 1: 0.0, 2: 0.0}
-    for omega, verts in zip(curv, ext.vertical_vectors(m.projection_map(),
-                                                       xs)):
-        es = inv.chern_coefficients(omega, 6, 2)
-        for key, C, q in (("raw", omega, 2), (1, es[1], 2), (2, es[2], 4)):
-            worst[key] = max(worst[key], ext.vertical_contraction(
-                C, q, verts, rng))
-    assert worst["raw"] > 1e-3
-    assert worst[1] <= 1e-10 and worst[2] <= 1e-10
+    es = inv.chern_coefficients(curv, 6, 2)
+    raw, c1, c2 = ext.vertical_contraction(
+        [(curv, 2), (es[1], 2), (es[2], 4)],
+        ext.vertical_vectors(m.projection_map(), xs), rng)
+    assert raw > 1e-3
+    assert c1 <= 1e-10 and c2 <= 1e-10
+
+
+@pytest.mark.parametrize("samples, stacks", [(40, [16, 16, 8]), (17, [16, 1])])
+def test_descent_makes_one_tower_and_one_contraction_call_per_stack(
+        samples, stacks, monkeypatch):
+    calls = {"tower": [], "contraction": []}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(len(args[1] if name == "contraction"
+                                    else args[0]))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(inv, "chern_coefficients",
+                        counted("tower", inv.chern_coefficients))
+    monkeypatch.setattr(ext, "vertical_contraction",
+                        counted("contraction", ext.vertical_contraction))
+    assert suites.suite_descent(seed=3, samples=samples)["pass"]
+    assert calls == {"tower": stacks, "contraction": stacks}
+
+
+def test_point_stacks_of_another_width_are_refused(model):
+    # four 3-coordinate points are not two points of the 6-dimensional
+    # chart, nor two 6-coordinate points four of a 3-dimensional one
+    xs = np.random.default_rng(26).uniform(0.1, 0.4, (4, 3))
+    curv = ext.VForm(6, 2, lambda xs: model.curvature_patched(
+        model.points(xs)))
+    for call in (lambda: model.points(xs),
+                 lambda: ext.pifiber_check(curv, model.projection_map(), xs)):
+        with pytest.raises(PreconditionFailed,
+                           match=r"width 6, got shape \(4, 3\)"):
+            call()
+    spec = liecore.sp2nR(1)
+    conn = connections.nomizu_connection(
+        spec, hcrepr.builtin_representation(spec, "det^2"))
+    with pytest.raises(PreconditionFailed,
+                       match=r"width 3, got shape \(2, 6\)"):
+        charts.curvature_bridge_residual(spec, conn, np.zeros((2, 6)))
+    # one point, as a row or a flat list, is still a stack of one
+    x = suites._mixed_tube_points(model, np.random.default_rng(27), 1)[0]
+    assert (model.points(x).mc.tobytes()
+            == model.points([x]).mc.tobytes())
 
 
 @pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])
