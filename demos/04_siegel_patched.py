@@ -27,10 +27,10 @@ print("tube radii: eps_Z =", m.model.eps("Z"), " eps_Y =", m.model.eps("Y"),
 rng = np.random.default_rng(0)
 x = [0.3, -0.1, 0.2, 12.0, 0.05, 25.0]
 p = m.points([x])
-mc = p.mc[:, 0]
-a = m.omega_patched(p, mc)[0]
-b = m.omega_patched_chain(p, mc)[0]
-c, bases, wsums = m.omega_patched_localized(p, mc)
+v = siegel.TangentVector(p.mc[:, 0])    # the three forms share its splits
+a = m.system.patched(p.control, v)[0]
+b = m.system.chain_form(p.control, v)[0]
+c, bases, wsums = m.system.localized(p.control, v)
 print("recursion vs chain:", float(np.max(np.abs(a - b))))
 print(f"localized around {bases[0]}: |w*recursion - localized| =",
       float(np.max(np.abs(wsums[0] * a - c[0]))))

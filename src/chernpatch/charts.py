@@ -31,7 +31,7 @@ class GroupChart:
 
     def __init__(self, spec):
         self.spec = spec
-        self.basis = np.array(liecore.algebra_basis(spec))
+        self.basis = liecore.algebra_basis(spec)
         self.dim = len(self.basis)
 
     def mc_coeff(self, x):

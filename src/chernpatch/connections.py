@@ -48,12 +48,10 @@ def structure_curvature(F, t):
 
 
 @functools.cache
-def _ambient(spec):
-    """The ambient algebra basis, a read-only (k, N, N) array, and its
-    span_solver, built once per spec for its connections."""
-    basis = np.array(liecore.algebra_basis(spec))
-    basis.flags.writeable = False
-    return basis, liecore.span_solver(basis)
+def _solver(spec):
+    """The span_solver of the ambient basis liecore.algebra_basis(spec),
+    built once per spec for its connections."""
+    return liecore.span_solver(liecore.algebra_basis(spec))
 
 
 def _cartan_basis(spec, part):
@@ -61,7 +59,7 @@ def _cartan_basis(spec, part):
     +- pairs with disjoint supports: the first nonzero part of each pair,
     divided by its norm, with every zero entry stored as +0.0."""
     out = []
-    for X in liecore.cartan_split(spec, _ambient(spec)[0])[part]:
+    for X in liecore.cartan_split(spec, liecore.algebra_basis(spec))[part]:
         if X.any() and not any((X * Y).any() for Y in out):
             out.append(X / np.linalg.norm(X) + 0.0)
     return out
@@ -81,13 +79,13 @@ class InvariantConnection:
     spec: object
     rep: object
     values: np.ndarray   # (k, d, d): omega_0 on each element of basis
-    basis = property(lambda self: _ambient(self.spec)[0])   # read-only
+    basis = property(lambda self: liecore.algebra_basis(self.spec))
 
     def __post_init__(self):
         self._table = self.values.reshape(len(self.values), -1)
 
     def omega0(self, X):
-        c = liecore.algebra_coords(_ambient(self.spec)[1], X, 1e-8,
+        c = liecore.algebra_coords(_solver(self.spec), X, 1e-8,
                                    "matrix not in the spanned Lie algebra")
         return (c @ self._table).reshape(c.shape[:-1] + self.values.shape[1:])
 
@@ -106,7 +104,7 @@ def condition_residuals(spec, rep, values):
     of tables of omega_0 on the ambient basis, both linear in the table: the
     coordinates of kdot and of [g, kdot] are solved once and applied to every
     flattened table by one matmul, so a NaN rejects its own table alone."""
-    basis, solver = _ambient(spec)
+    basis, solver = liecore.algebra_basis(spec), _solver(spec)
     kb = np.array(k_basis(spec))
     lk, m = rep.lam_alg(kb), len(kb)
     X = np.concatenate([kb, liecore.bracket(basis[:, None], kb)
@@ -131,7 +129,7 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
     (rep.dim, rep.dim) matrix each; any other count or shape raises
     PreconditionFailed.
     """
-    basis = _ambient(spec)[0]
+    basis = liecore.algebra_basis(spec)
     values = [np.asarray(v, dtype=complex) for v in values]
     if (len(values) != len(basis)
             or any(v.shape != (rep.dim, rep.dim) for v in values)):
@@ -148,6 +146,6 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
 
 def nomizu_connection(spec, rep) -> InvariantConnection:
     """omega_0 = lambda' o (projection to Lie(K)); curvature -lambda'([p1,p2])."""
-    values = rep.lam_alg(liecore.cartan_split(spec, _ambient(spec)[0])[0])
-    return make_invariant_connection(spec, rep, values)
+    k = liecore.cartan_split(spec, liecore.algebra_basis(spec))[0]
+    return make_invariant_connection(spec, rep, rep.lam_alg(k))
 

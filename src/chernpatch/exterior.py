@@ -65,7 +65,7 @@ class SmoothMap:
         if self._jac is None:
             return self._fd_jacobian(x)
         x = np.asarray(x, dtype=float)
-        J = np.asarray(self._jac(x.reshape(-1, self.m)), dtype=complex)
+        J = np.asarray(self._jac(point_stack(x, self.m)), dtype=complex)
         return J.reshape(x.shape[:-1] + J.shape[1:])
 
     def _fd_jacobian(self, x, h=FD_STEP):
@@ -74,7 +74,7 @@ class SmoothMap:
         displaced by +h and -h along coordinate i."""
         m = self.m
         x = np.asarray(x, dtype=float)
-        xs = np.repeat(x.reshape(-1, 1, m), 2 * m, axis=1)
+        xs = np.repeat(point_stack(x, m)[:, None], 2 * m, axis=1)
         i = np.arange(m)
         xs[:, i, i] += h
         xs[:, m + i, i] -= h

@@ -232,7 +232,9 @@ class CanonicalExtension:
 
     @cached_property
     def _jc1_inv(self):
-        return np.linalg.inv(middle_j(self.spec, self.c1))
+        out = np.linalg.inv(middle_j(self.spec, self.c1))
+        out.flags.writeable = False     # read by every later call
+        return out
 
     def __call__(self, g):
         """lamC(j(c_1)^{-1} j(c_1 g)) at g, or at each element of a stack."""

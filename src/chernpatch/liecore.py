@@ -129,9 +129,10 @@ def sym_basis(n, a):
                     ).reshape((-1,) + (n,) * a)
 
 
+@functools.cache
 def algebra_basis(spec: GroupSpec):
-    """Real basis of the Lie algebra, as a list of numpy matrices: diag(A,
-    -A^T) for the matrix units A, then sym_basis(n, 2) above, then below."""
+    """Real basis of the Lie algebra, read-only (k, N, N), built once per spec:
+    diag(A, -A^T) for the matrix units A, then sym_basis(n, 2) above, below."""
     n = spec.n
     A, S = np.eye(n * n).reshape(-1, n, n), sym_basis(n, 2)
     k = len(S)
@@ -140,7 +141,8 @@ def algebra_basis(spec: GroupSpec):
     out[:n * n, n:, n:] = -A.swapaxes(1, 2)
     out[n * n:-k, :n, n:] = S
     out[-k:, n:, :n] = S
-    return list(out)
+    out.flags.writeable = False     # shared by every caller
+    return out
 
 
 def span_solver(basis):
@@ -313,8 +315,8 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
         if not 1 <= r <= spec.n:
             raise UnsupportedFlag(
                 f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
-    basis = np.array(algebra_basis(spec))
-    basis /= np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    basis = algebra_basis(spec)
+    basis = basis / np.linalg.norm(basis, axis=(1, 2))[:, None, None]
     moves = np.zeros((spec.size,) * 2, dtype=bool)      # (rest, v) entries
     for r in flag:
         inside = np.zeros(spec.size, dtype=bool)

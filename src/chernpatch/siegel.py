@@ -30,7 +30,13 @@ The patched connection is a :class:`strata.PatchedSystem` over these control
 data.  Its geometric point over X is a tangent vector, held as its
 s^{-1} ds (:class:`TangentVector`); over a boundary stratum Z it is the
 Lie(G_h) part of that vector in Z's parabolic: hdot in the rank-1 (Klingen)
-parabolic over Y, zero over the point.  Each vector is split once per Z.
+parabolic over Y, zero over the point.  Each vector is split once per Z,
+and its substacks v[idx] carry the splits already made.
+
+A model's Lie data (group spec, representation, both parabolics and
+canonical extensions, the Nomizu tables) are built once per process for
+each representation name and shared by its models, every array read-only,
+so a stray write raises; the flag model and patched system are per model.
 
 Curvatures come from the structure equation, with no differentiation.
 Chart vector fields commute, so theta = s^{-1} ds satisfies
@@ -38,8 +44,8 @@ d theta(e_i, e_j) = -[theta_i, theta_j], and so does its part hdot, the
 projection of Lie(Q) onto its Levi factor G_h being a homomorphism.  The
 Nomizu connection F(t) on X (t = theta) or on Y (t = hdot), F constant and
 linear, therefore has the curvature connections.structure_curvature(F, t);
-F is one table on the matrix units, composed in the constructor from the
-Cartan k-part, which a real stack meets in one real matmul.  The point
+F is one table on the matrix units, composed once per representation from
+the Cartan k-part, which a real stack meets in one real matmul.  The point
 carries the zero connection.  Every other connection is induced from a
 boundary stratum Z, by the one formula ext_Z.alg(l) + val
 (:meth:`SiegelModel.omega_XY`), (h, l) the split of the tangent vector in
@@ -57,6 +63,9 @@ combinations(range(6), 2) at P points.
 """
 
 from __future__ import annotations
+
+import functools
+from types import MappingProxyType
 
 import numpy as np
 
@@ -142,7 +151,7 @@ class TangentVector:
     a tangent vector v at a chart point, or a (..., 4, 4) stack of them;
     over a boundary stratum Z, the Lie(G_h) part of such a vector in Z's
     parabolic.  parts[Z] keeps the (h, l) split of mc in Z's parabolic once
-    made, h a TangentVector; v[idx] is the substack of the rows idx."""
+    made, h a TangentVector; v[idx], the substack of the rows idx, too."""
 
     __slots__ = ("mc", "parts")
 
@@ -150,19 +159,36 @@ class TangentVector:
         self.mc, self.parts = mc, {}
 
     def __getitem__(self, idx):
-        return TangentVector(self.mc[idx])
+        v = TangentVector(self.mc[idx])
+        v.parts = {Z: (h[idx], l[idx]) for Z, (h, l) in self.parts.items()}
+        return v
+
+
+@functools.cache
+def _lie_data(rep_name):
+    """(spec, rep, pdK, pdS, extK, extS, linear) of rep_name, every array
+    read-only; linear maps X and Y to their Nomizu connection F on the matrix
+    units, the differential of rep or extK at their Cartan k-part."""
+    spec = liecore.sp2nR(2)
+    rep = hcrepr.builtin_representation(spec, rep_name)
+    pdK, pdS = (liecore.parabolic_data(spec, (r,)) for r in (1, 2))  # of Y, Z
+    extK, extS = (hcrepr.canonical_extension(rep, r) for r in (1, 2))
+    k = liecore.cartan_split(spec, np.eye(16).reshape(-1, 4, 4))[0]
+    linear = {"X": rep.lam_alg(k).reshape(16, -1),
+              "Y": extK.alg(k).reshape(16, -1)}
+    for a in [*linear.values(), *spec.complex_coords, *(
+            v for o in (rep, pdK, pdS, extK, extS) for v in vars(o).values())]:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return spec, rep, pdK, pdS, extK, extS, MappingProxyType(linear)
 
 
 class SiegelModel:
     """Bundle data and patched-connection evaluators on the three strata."""
 
     def __init__(self, rep_name="std"):
-        self.spec = liecore.sp2nR(2)
-        self.rep = hcrepr.builtin_representation(self.spec, rep_name)
-        self.pdK = liecore.parabolic_data(self.spec, (1,))   # normalizes Y
-        self.pdS = liecore.parabolic_data(self.spec, (2,))   # normalizes Z
-        self.extK = hcrepr.canonical_extension(self.rep, 1)
-        self.extS = hcrepr.canonical_extension(self.rep, 2)
+        (self.spec, self.rep, self.pdK, self.pdS, self.extK, self.extS,
+         self._linear) = _lie_data(rep_name)
         self.model = strata.FlagTubeModel(
             strata=[{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1},
                     {"name": "X", "dimC": 3}],
@@ -170,11 +196,6 @@ class SiegelModel:
         # each boundary stratum's parabolic and canonical extension
         self._parabolic = {"Y": (self.pdK, self.extK),
                            "Z": (self.pdS, self.extS)}
-        # each Nomizu connection F on the matrix units: the differential of
-        # the representation (on X) or of extK (on Y) at their Cartan k-part
-        k = liecore.cartan_split(self.spec, np.eye(16).reshape(-1, 4, 4))[0]
-        self._linear = {"X": self.rep.lam_alg(k).reshape(16, -1),
-                        "Y": self.extK.alg(k).reshape(16, -1)}
         self.system = strata.PatchedSystem(
             self.model,
             nomizu={"X": self.omega_nomizu, "Y": self.omega_Y_nomizu,
@@ -253,14 +274,6 @@ class SiegelModel:
     def omega_patched(self, p, mc):
         """Recursive definition of the patched form."""
         return self.system.patched(p.control, TangentVector(mc))
-
-    def omega_patched_chain(self, p, mc):
-        """Closed chain form of the same connection."""
-        return self.system.chain_form(p.control, TangentVector(mc))
-
-    def omega_patched_localized(self, p, mc):
-        """Localized form around the base strata; returns (value, [W], wsum)."""
-        return self.system.localized(p.control, TangentVector(mc))
 
     # chart forms --------------------------------------------------------
 

@@ -355,7 +355,7 @@ def suite_classify(seed=0, samples=100):
     except ConditionViolation:
         pass
     # perturbing an element with a K part breaks (1); one in p breaks (2) alone
-    kpart = liecore.cartan_split(spec, np.array(basis))[0].any(axis=(1, 2))
+    kpart = liecore.cartan_split(spec, basis)[0].any(axis=(1, 2))
     vals = np.repeat(nom.values[None], samples, axis=0)
     in_k = np.zeros(samples, dtype=bool)
     for s in range(samples):
@@ -517,9 +517,9 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
 
 
 def suite_patched_model(seed=0, tol=1e-10, samples=40, corrupt=False):
-    """Recursion, chain and localized forms of the patched connection along
-    the directions (x11, y12), where all four chain terms are nonzero;
-    corrupt drops the weight of the chain (Z, Y, X) from the chain form."""
+    """Recursion, chain and localized forms of the patched connection at one
+    tangent vector a stack, along (x11, y12), where all four chain terms
+    are nonzero; corrupt drops the chain (Z, Y, X) from the chain form."""
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
     if corrupt:
@@ -532,10 +532,10 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40, corrupt=False):
                      [0.5, 0.3, 0.3, 0.5, 0.3, 0.12], (samples, 6))
     xs[:, [3, 5]] = 1.0 / xs[:, [3, 5]]
     for _, p in _stacks(m, xs):
-        mc = p.mc[:, [0, 4]]
-        a = m.omega_patched(p, mc)
-        b = m.omega_patched_chain(p, mc)
-        c, _, w = m.omega_patched_localized(p, mc)
+        v = siegel.TangentVector(p.mc[:, [0, 4]])   # split once per stratum
+        a = m.system.patched(p.control, v)
+        b = m.system.chain_form(p.control, v)
+        c, _, w = m.system.localized(p.control, v)
         rec_chain = max(rec_chain, float(np.max(np.abs(a - b))))
         local = max(local, float(np.max(np.abs(
             w[:, None, None, None] * a - c))))

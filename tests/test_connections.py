@@ -39,8 +39,9 @@ def test_nomizu_accepted_on_the_sym_det_members(n, name):
 def test_nomizu_builds_the_ambient_basis_and_its_solver_once(monkeypatch):
     # one algebra_basis and one span_solver of that basis serve the whole
     # classification and the connection; the next call of the spec reuses
-    # them
-    calls = {"algebra_basis": 0, "span_solver": 0}
+    # them.  algebra_basis is itself cached per spec, so its builds are
+    # counted by the one sym_basis call each makes
+    calls = {"sym_basis": 0, "span_solver": 0}
 
     def counted(name):
         fn = getattr(liecore, name)
@@ -52,12 +53,14 @@ def test_nomizu_builds_the_ambient_basis_and_its_solver_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(liecore, name, counted(name))
-    connections._ambient.cache_clear()
+    liecore.algebra_basis.cache_clear()
+    connections._solver.cache_clear()
     spec, rep = _sp2()
     for _ in range(2):
         conn = connections.nomizu_connection(spec, rep)
         assert conn.omega0(conn.basis).shape == (3, 1, 1)
-        assert calls == {"algebra_basis": 1, "span_solver": 1}
+        assert calls == {"sym_basis": 1, "span_solver": 1}
+    assert conn.basis is liecore.algebra_basis(liecore.sp2nR(1))
     with pytest.raises(ValueError, match="read-only"):
         conn.basis[0, 0, 0] = 2.0
 

@@ -91,10 +91,10 @@ def _siegel_text(rep):
     m = siegel.SiegelModel(rep)
     xs = suites._mixed_tube_points(m, np.random.default_rng(0), 3)
     p = m.points(xs)
-    local = m.omega_patched_localized(p, p.mc)[0]
-    values = {"omega_patched": m.omega_patched(p, p.mc),
-              "omega_patched_chain": m.omega_patched_chain(p, p.mc),
-              "omega_patched_localized": local,
+    v = siegel.TangentVector(p.mc)
+    values = {"omega_patched": m.system.patched(p.control, v),
+              "omega_patched_chain": m.system.chain_form(p.control, v),
+              "omega_patched_localized": m.system.localized(p.control, v)[0],
               "curvature_patched": m.curvature_patched(p),
               "curvature_induced_nomizu": m.curvature_induced_nomizu(p)}
     return suites.render_report(

@@ -5,7 +5,8 @@ import pytest
 
 from chernpatch import (charts, connections, exterior as ext, hcrepr,
                         invariants as inv, liecore, siegel, strata, suites)
-from chernpatch.errors import DecompositionError, PreconditionFailed
+from chernpatch.errors import (DecompositionError, PreconditionFailed,
+                               UnsupportedFlag)
 
 from helpers import plane_borel_reference, structure_reference
 
@@ -127,13 +128,21 @@ def _from_point(m, mc):
     return m.system.induced["Z"](siegel.TangentVector(mc), 0.0)
 
 
+def _chain(model, p, mc):
+    return model.system.chain_form(p.control, siegel.TangentVector(mc))
+
+
+def _localized(model, p, mc):
+    return model.system.localized(p.control, siegel.TangentVector(mc))
+
+
 def test_evaluators_on_a_stack_match_one_direction_at_a_time(model):
     rng = np.random.default_rng(9)
     evaluators = [lambda p, mc: model.omega_nomizu(mc),
                   lambda p, mc: _from_point(model, mc),
                   model.omega_induced_nomizu, model.omega_patched,
-                  model.omega_patched_chain,
-                  lambda p, mc: model.omega_patched_localized(p, mc)[0]]
+                  lambda p, mc: _chain(model, p, mc),
+                  lambda p, mc: _localized(model, p, mc)[0]]
     for x in [_sample_x(rng) for _ in range(4)] + [_mixed_x(model, rng)
                                                    for _ in range(4)]:
         p = model.points([x])
@@ -142,8 +151,8 @@ def test_evaluators_on_a_stack_match_one_direction_at_a_time(model):
             assert got.shape == (1, 6, 2, 2)
             for i in range(6):
                 assert np.max(np.abs(got[:, i] - ev(p, p.mc[:, i]))) < 1e-14
-        _, W, wsum = model.omega_patched_localized(p, p.mc)
-        W0, wsum0 = model.omega_patched_localized(p, p.mc[:, 0])[1:]
+        _, W, wsum = _localized(model, p, p.mc)
+        W0, wsum0 = _localized(model, p, p.mc[:, 0])[1:]
         assert W == W0 and np.array_equal(wsum, wsum0)
 
 
@@ -195,7 +204,7 @@ def test_patched_recursion_equals_chain(model):
         p = model.points([x])
         for i in range(3):
             a = model.omega_patched(p, p.mc[:, i])
-            b = model.omega_patched_chain(p, p.mc[:, i])
+            b = _chain(model, p, p.mc[:, i])
             worst = max(worst, float(np.max(np.abs(a - b))))
     assert worst < 1e-10
 
@@ -207,9 +216,21 @@ def test_patched_localization(model):
         p = model.points([x])
         for i in range(3):
             a = model.omega_patched(p, p.mc[:, i])[0]
-            c, W, wsum = model.omega_patched_localized(p, p.mc[:, i])
+            c, W, wsum = _localized(model, p, p.mc[:, i])
             assert W[0] in ("Z", "Y", "X")
             assert np.max(np.abs(wsum[0] * a - c[0])) < 1e-10
+
+
+def _count_klingen_splits(model, monkeypatch, calls):
+    """Count the splits in the model's Klingen parabolic in calls["split"].
+    The class is patched, not the parabolic, which every model of the
+    representation shares."""
+    split = liecore.ParabolicData.split
+
+    def counted(pd, X):
+        calls["split"] += pd is model.pdK
+        return split(pd, X)
+    monkeypatch.setattr(liecore.ParabolicData, "split", counted)
 
 
 def test_one_call_of_each_layer_per_coefficient_evaluation(model,
@@ -224,7 +245,7 @@ def test_one_call_of_each_layer_per_coefficient_evaluation(model,
 
     monkeypatch.setattr(siegel, "section_mc",
                         counted("section_mc", siegel.section_mc))
-    monkeypatch.setattr(model.pdK, "split", counted("split", model.pdK.split))
+    _count_klingen_splits(model, monkeypatch, calls)
     evaluator = counted("evaluator", model.omega_induced_nomizu)
     form = model.form_from_evaluator(evaluator)
     value = form.value(_sample_x(np.random.default_rng(10)))
@@ -265,9 +286,9 @@ def test_a_patched_stack_equals_its_rows_bit_for_bit(model):
     assert ((ws == 0.0).any(axis=0) & (ws != 0.0).any(axis=0)).any()
 
     def evaluations(p):
-        local, W, wsum = model.omega_patched_localized(p, p.mc)
+        local, W, wsum = _localized(model, p, p.mc)
         return [model.omega_patched(p, p.mc),
-                model.omega_patched_chain(p, p.mc), local, W, wsum,
+                _chain(model, p, p.mc), local, W, wsum,
                 model.curvature_patched(p)]
 
     stacked = evaluations(p)
@@ -482,8 +503,11 @@ def test_point_stacks_of_another_width_are_refused(model):
     xs = np.random.default_rng(26).uniform(0.1, 0.4, (4, 3))
     curv = ext.VForm(6, 2, lambda xs: model.curvature_patched(
         model.points(xs)))
+    form = model.form_from_evaluator(model.omega_patched)
     for call in (lambda: model.points(xs),
-                 lambda: ext.pifiber_check(curv, model.projection_map(), xs)):
+                 lambda: ext.pifiber_check(curv, model.projection_map(), xs),
+                 lambda: form.jacobian(xs),
+                 lambda: model.projection_map().jacobian(xs)):
         with pytest.raises(PreconditionFailed,
                            match=r"width 6, got shape \(4, 3\)"):
             call()
@@ -497,6 +521,79 @@ def test_point_stacks_of_another_width_are_refused(model):
     x = suites._mixed_tube_points(model, np.random.default_rng(27), 1)[0]
     assert (model.points(x).mc.tobytes()
             == model.points([x]).mc.tobytes())
+    for m in (form, model.projection_map()):
+        assert m.jacobian(x).shape == m.jacobian([x]).shape[1:]
+
+
+def test_models_of_one_representation_share_their_lie_data(monkeypatch):
+    # a second model of a representation builds no Lie data; its flag model
+    # and patched system are its own, and another representation has its own
+    # Lie data
+    first = siegel.SiegelModel("std")
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((liecore, "parabolic_data"),
+                        (hcrepr, "canonical_extension"),
+                        (hcrepr, "builtin_representation")):
+        counted(owner, name)
+    second = siegel.SiegelModel("std")
+    assert calls == {}
+    assert second.pdK is first.pdK and second.extS is first.extS
+    assert second.model is not first.model
+    assert second.system is not first.system
+    sym2 = siegel.SiegelModel("sym2")
+    assert sym2.rep.dim == 3 and sym2.extS is not first.extS
+    assert siegel.SiegelModel("sym2").extS is sym2.extS
+    # a failed build is not kept: an unknown name raises every time
+    for _ in range(2):
+        with pytest.raises(UnsupportedFlag, match="unknown representation"):
+            siegel.SiegelModel("sym^9")
+
+
+@pytest.mark.parametrize("rep", ["std", "sym2"])
+def test_shared_lie_data_refuses_writes(rep):
+    m = siegel.SiegelModel(rep)
+    m.extK(np.eye(4))      # the canonical extensions' j(c_1)^{-1} is built
+    arrays = [*m.spec.complex_coords, m.rep._dlam, *m._linear.values()]
+    for pd in (m.pdK, m.pdS):
+        arrays += [pd.basis_u, pd.basis_h, pd.basis_l, pd._proj]
+    for e in (m.extK, m.extS):
+        arrays += [e.c1, e._dlam, e._jc1_inv]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a     # the same values: a writable array is unchanged
+
+
+@pytest.mark.parametrize("P", [1, 3, 13, 40])
+def test_a_substack_carries_the_splits_of_its_rows_bit_for_bit(model, P):
+    # v[idx] keeps the (h, l) splits made on v, and those of h, each the
+    # split of the rows idx alone; no split is made again
+    p = model.points(suites._mixed_tube_points(
+        model, np.random.default_rng(28), P))
+    v = siegel.TangentVector(p.mc[:, [0, 4]])
+    model.system.patched(p.control, v)
+    assert set(v.parts) == {"Y", "Z"} and set(v.parts["Y"][0].parts) == {"Z"}
+    rows = np.arange(P)
+    for idx in (slice(0, 1), slice(P // 2, None), slice(None, None, -2),
+                rows[::2], rows[::-1], [P - 1]):
+        sub = v[idx]
+        for Z in ("Y", "Z"):
+            fresh = model._split(siegel.TangentVector(v.mc[idx]), Z)
+            assert _same_bits(sub.parts[Z][0].mc, fresh[0].mc)
+            assert _same_bits(sub.parts[Z][1], fresh[1])
+        h = sub.parts["Y"][0]
+        fresh = model._split(siegel.TangentVector(h.mc), "Z")
+        for a, b in zip((h.parts["Z"][0].mc, h.parts["Z"][1]),
+                        (fresh[0].mc, fresh[1])):
+            assert _same_bits(a, b)
 
 
 @pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])
@@ -532,7 +629,7 @@ def test_curvature_evaluators_take_no_differences(model, monkeypatch):
     def no_differences(*args):
         raise AssertionError("a curvature evaluator took a difference")
 
-    monkeypatch.setattr(model.pdK, "split", counted("split", model.pdK.split))
+    _count_klingen_splits(model, monkeypatch, calls)
     monkeypatch.setattr(liecore, "group_factor_fine",
                         counted("factor", liecore.group_factor_fine))
     monkeypatch.setattr(hcrepr.CanonicalExtension, "__call__",

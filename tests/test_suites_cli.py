@@ -714,3 +714,33 @@ def test_suites_run_without_dual_numbers():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+def test_a_negative_control_leaves_later_models_unchanged(tmp_path):
+    # verify patched --corrupt rebinds its own model's chain weights; a later
+    # run in the same process, whose model shares the Lie data, is unchanged
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    for extra, name in ((["--corrupt"], "verify_patched_corrupt.json"),
+                        ([], "verify_patched.json")):
+        out = tmp_path / name
+        assert cli.main(["--out", str(out), "verify", "patched", "--samples",
+                         "10"] + extra) == (1 if extra else 0)
+        with open(os.path.join(golden, name), encoding="utf-8") as fh:
+            assert out.read_text(encoding="utf-8") == fh.read()
+
+
+def test_suites_in_one_process_report_as_in_separate_ones(tmp_path):
+    # the Siegel suites share their Lie data within a process: together
+    # they give the reports each gives in a process of its own
+    names, args = ["pifiber", "descent", "patched"], ["--samples", "6"]
+    out = tmp_path / "together.json"
+    assert cli.main(["--out", str(out), "verify", *names, *args]) == 0
+    together = json.loads(out.read_text(encoding="utf-8"))["suites"]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for name, report in zip(names, together, strict=True):
+        alone = subprocess.run(
+            [sys.executable, "-m", "chernpatch", "verify", name, *args],
+            capture_output=True, text=True, env=env)
+        assert alone.returncode == 0, alone.stderr
+        assert alone.stdout == suites.render_report(report) + "\n"
