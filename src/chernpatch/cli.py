@@ -18,16 +18,10 @@ from .errors import ChernpatchError, PreconditionFailed
 
 __all__ = ["main"]
 
-_GROUPS = {
-    "sp2": lambda: liecore.sp2nR(1),
-    "sp4": lambda: liecore.sp2nR(2),
-    "sp6": lambda: liecore.sp2nR(3),
-}
-
 
 def _load_group(token):
-    if token in _GROUPS:
-        return _GROUPS[token]()
+    if token in ("sp2", "sp4", "sp6"):
+        return liecore.sp2nR(int(token[2]) // 2)
     if token.endswith(".json"):
         with open(token, encoding="utf-8") as fh:
             return suites.spec_from_dict(json.load(fh))
@@ -167,6 +161,11 @@ def _build_parser():
 
 def main(argv=None):
     ap = _build_parser()
+    # argparse reads -1e-300 or -inf as an option: attached, it is a value
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--tol" and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"--tol={argv[i + 1]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -17,6 +17,7 @@ equation (:func:`structure_curvature`, which the Siegel model also calls)
 omega_0 takes a matrix or a (..., N, N) stack and returns (..., d, d); the
 flatness test is one stacked evaluation over the basis, and one pass of
 :func:`condition_residuals` classifies a (..., k, d, d) stack of tables.
+The classifier's per-spec tables are shared read-only; no connection is.
 
 The connection induced from a boundary stratum, lambda_1'(ldot) +
 Ad(lambda_1(g_l^{-1})) omega_1(L_{g_h} hdot), is
@@ -48,10 +49,16 @@ def structure_curvature(F, t):
 
 
 @functools.cache
-def _solver(spec):
-    """The span_solver of the ambient basis liecore.algebra_basis(spec),
-    built once per spec for its connections."""
-    return liecore.span_solver(liecore.algebra_basis(spec))
+def _tables(spec):
+    """Read-only (solver, kb, c) per spec: the span_solver of its basis g,
+    the basis kb of Lie(K), the coordinates c of each kdot and [g, kdot]."""
+    basis = liecore.algebra_basis(spec)
+    solver = liecore.span_solver(basis)
+    kb = liecore.readonly(np.array(k_basis(spec)))
+    X = np.concatenate([kb, liecore.bracket(basis[:, None], kb)
+                        .reshape((-1,) + kb.shape[1:])])
+    return solver, kb, liecore.readonly(liecore.algebra_coords(
+        solver, X, 1e-8, "matrix not in the spanned Lie algebra"))
 
 
 def _cartan_basis(spec, part):
@@ -85,7 +92,7 @@ class InvariantConnection:
         self._table = self.values.reshape(len(self.values), -1)
 
     def omega0(self, X):
-        c = liecore.algebra_coords(_solver(self.spec), X, 1e-8,
+        c = liecore.algebra_coords(_tables(self.spec)[0], X, 1e-8,
                                    "matrix not in the spanned Lie algebra")
         return (c @ self._table).reshape(c.shape[:-1] + self.values.shape[1:])
 
@@ -102,15 +109,10 @@ class InvariantConnection:
 def condition_residuals(spec, rep, values):
     """(..., 2) residuals of conditions (1) and (2) on a (..., k, d, d) stack
     of tables of omega_0 on the ambient basis, both linear in the table: the
-    coordinates of kdot and of [g, kdot] are solved once and applied to every
-    flattened table by one matmul, so a NaN rejects its own table alone."""
-    basis, solver = liecore.algebra_basis(spec), _solver(spec)
-    kb = np.array(k_basis(spec))
+    coordinates of kdot and of [g, kdot], solved once per spec, meet every
+    flattened table in one matmul, so a NaN rejects its own table alone."""
+    _, kb, c = _tables(spec)
     lk, m = rep.lam_alg(kb), len(kb)
-    X = np.concatenate([kb, liecore.bracket(basis[:, None], kb)
-                        .reshape((-1,) + kb.shape[1:])])
-    c = liecore.algebra_coords(solver, X, 1e-8,
-                               "matrix not in the spanned Lie algebra")
     values = np.asarray(values, dtype=complex)
     om = (c @ values.reshape(values.shape[:-2] + (-1,))).reshape(
         values.shape[:-3] + (-1,) + values.shape[-2:])

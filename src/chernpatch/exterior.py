@@ -113,9 +113,8 @@ def _index_cols(m, q):
     """combinations(range(m), q) as an integer array (C(m, q), q), built once
     per (m, q)."""
     indices = list(combinations(range(m), q))
-    cols = np.array(indices, dtype=int).reshape(len(indices), q)
-    cols.flags.writeable = False    # shared by every caller
-    return cols
+    return liecore.readonly(
+        np.array(indices, dtype=int).reshape(len(indices), q))
 
 
 def contract(C, vectors):
@@ -149,8 +148,8 @@ def wedge_table(m, q1, q2):
              pos[tuple(k for a, k in enumerate(K) if a not in p)],
              (-1) ** (sum(p) - sum(range(q1))))
             for K in combinations(range(m), q1 + q2) for p in splits]
-    table = np.array(rows, dtype=int).reshape(-1, len(splits), 3)
-    table.flags.writeable = False    # shared by every caller
+    table = liecore.readonly(
+        np.array(rows, dtype=int).reshape(-1, len(splits), 3))
     return tuple(table.transpose(2, 0, 1))
 
 

@@ -26,19 +26,20 @@ Representations and canonical extensions tabulate their differential in
 their constructors, one lamC_alg call on the stack of matrix units, as an
 (N^2, d^2) matrix that takes a matrix or a (..., N, N) stack to (..., d, d)
 in one matmul, a real one for a real stack; j(c_1)^{-1} waits for a
-canonical extension's first group-level call.  middle_j, a canonical
-extension and lamC and lamC_alg take a (..., N, N) stack too, in one numpy
-pass, with every check held per element and the first failing row named
-in the error.  The basis tensor of Sym^a(C^n) at a sorted multi-index I is
-the sum of e_J over the distinct orderings J of I; a tensor's coordinates
-are its entries at the sorted indices.
+canonical extension's first group-level call.  Each builder shares one
+read-only object per argument tuple, a representation keyed by identity.
+middle_j, a canonical extension and lamC and lamC_alg take a (..., N, N)
+stack too, in one numpy pass, with every check held per element and the
+first failing row named in the error.  The basis tensor of Sym^a(C^n) at a
+sorted multi-index I is the sum of e_J over the distinct orderings J of I;
+a tensor's coordinates are its entries at the sorted indices.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +106,7 @@ def cayley_element(spec, r):
 # representations of K
 
 
-@dataclass
+@dataclass(eq=False)
 class Representation:
     """A representation of K given through its holomorphic extension to K(C).
 
@@ -113,7 +114,7 @@ class Representation:
     and returns a GL(V) matrix; lamC_alg is its differential on
     block-diagonal algebra elements, linear, on a matrix or a stack.  The
     constructor tabulates lamC_alg(M . M^{-1}) on the stack of matrix units
-    in one call, and :meth:`lam_alg` applies that table.
+    in one call, and :meth:`lam_alg` applies that table; eq is identity.
     """
 
     spec: object
@@ -125,7 +126,8 @@ class Representation:
     def __post_init__(self):
         N = self.spec.size
         kc = _complex(self.spec, np.eye(N * N).reshape(-1, N, N))
-        self._dlam = np.asarray(self.lamC_alg(kc), complex).reshape(N * N, -1)
+        self._dlam = liecore.readonly(
+            np.asarray(self.lamC_alg(kc), complex).reshape(N * N, -1))
 
     def lam_grp(self, k):
         """Evaluate on k in K (defining coordinates), or on each element of a
@@ -178,6 +180,7 @@ def _sym_power(topleft, n, a):
             len(basis))
 
 
+@functools.cache
 def builtin_representation(spec, name: str) -> Representation:
     """Sym^a(C^n) (x) det^b, 0 <= a <= 6, named "sym^a det^b", "sym^a"
     (b = 0) or "det^b" (a = 0); "std" is sym^1 and "sym2" sym^2.  Sym^0 (x)
@@ -219,7 +222,7 @@ class CanonicalExtension:
     def __init__(self, rep: Representation, c1):
         self.rep = rep
         self.spec = rep.spec
-        self.c1 = c1
+        self.c1 = liecore.readonly(c1)
         # j(c_1)^{-1} j(c_1 .) is a homomorphism on P_1; its differential at
         # xdot is lamC_alg of the k(C) part (the diagonal blocks, in complex
         # coordinates) of c_1 xdot c_1^{-1}, evaluated here at each E_ij
@@ -228,13 +231,12 @@ class CanonicalExtension:
         xc = _complex(self.spec, c1 @ units @ np.linalg.inv(c1))
         p, _ = self.spec.blocks
         xc[:, :p, p:] = xc[:, p:, :p] = 0.0
-        self._dlam = np.asarray(rep.lamC_alg(xc), complex).reshape(N * N, -1)
+        self._dlam = liecore.readonly(
+            np.asarray(rep.lamC_alg(xc), complex).reshape(N * N, -1))
 
-    @cached_property
+    @functools.cached_property
     def _jc1_inv(self):
-        out = np.linalg.inv(middle_j(self.spec, self.c1))
-        out.flags.writeable = False     # read by every later call
-        return out
+        return liecore.readonly(np.linalg.inv(middle_j(self.spec, self.c1)))
 
     def __call__(self, g):
         """lamC(j(c_1)^{-1} j(c_1 g)) at g, or at each element of a stack."""
@@ -247,11 +249,13 @@ class CanonicalExtension:
         return _apply(xdot, self._dlam, self.rep.dim)
 
 
+@functools.cache
 def canonical_extension(rep: Representation, r: int) -> CanonicalExtension:
     """Extension along the standard rank-r parabolic."""
     return CanonicalExtension(rep, cayley_element(rep.spec, r))
 
 
+@functools.cache
 def relative_extension(rep: Representation, r_inner: int, r_outer: int) -> CanonicalExtension:
     """Extension along the relative parabolic between nested ranks.
 

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -78,19 +78,29 @@ class GroupSpec:
         """(n, n): sizes of the K(C) diagonal blocks in complex coordinates."""
         return self.n, self.n
 
-    @cached_property
+    @functools.cached_property
     def complex_coords(self):
         """(M, M^{-1}) with K(C) block diagonal in coordinates M g M^{-1}:
         M is the inverse of the full Cayley element.  Built once per spec."""
         eye = np.eye(self.n)
         M = np.block([[eye, 1j * eye], [1j * eye, eye]]) / np.sqrt(2)
-        return M, np.linalg.inv(M)
+        return readonly(M), readonly(np.linalg.inv(M))
+
+
+_SPECS = {n: GroupSpec(n) for n in (1, 2, 3)}
 
 
 def sp2nR(n: int) -> GroupSpec:
-    if not 1 <= n <= 3:
+    """The one spec of rank n, an int (operator.index), for every caller."""
+    if operator.index(n) not in _SPECS:
         raise ValueError("sp2nR supported for 1 <= n <= 3")
-    return GroupSpec(n)
+    return _SPECS[n]
+
+
+def readonly(a):
+    """a, set read-only: a shared array refuses a stray write."""
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +151,19 @@ def algebra_basis(spec: GroupSpec):
     out[:n * n, n:, n:] = -A.swapaxes(1, 2)
     out[n * n:-k, :n, n:] = S
     out[-k:, n:, :n] = S
-    out.flags.writeable = False     # shared by every caller
-    return out
+    return readonly(out)
 
 
 def span_solver(basis):
-    """(B, P) of a real span of orthogonal matrices, built once by its owner:
-    B holds the flat basis matrices as rows, and P = B^T / |b|^2 projects a
-    flat matrix onto its coordinates.  Raises PreconditionFailed unless B B^T
-    is exactly diagonal, as it is for disjoint supports."""
+    """Read-only (B, P) of a real span of orthogonal matrices, built once by
+    its owner: B holds the flat basis matrices as rows, and P = B^T / |b|^2
+    projects a flat matrix onto its coordinates.  Raises PreconditionFailed
+    unless B B^T is exactly diagonal, as it is for disjoint supports."""
     B = np.array(basis, dtype=float).reshape(len(basis), -1)
     gram = B @ B.T
     if np.any(gram - np.diag(np.diag(gram))):
         raise PreconditionFailed("span_solver: the basis is not orthogonal")
-    return B, B.T / np.diag(gram)
+    return readonly(B), readonly(B.T / np.diag(gram))
 
 
 def algebra_coords(solver, X, tol: float, message: str):
@@ -274,8 +283,8 @@ class ParabolicData:
         B, P = span_solver(self.basis_q)
         part = np.repeat(np.arange(3), [len(self.basis_u), len(self.basis_h),
                                         len(self.basis_l)])
-        self._proj = np.hstack([P[:, part == k] @ B[part == k]
-                                for k in range(3)])
+        self._proj = readonly(np.hstack([P[:, part == k] @ B[part == k]
+                                         for k in range(3)]))
 
     @property
     def basis_q(self):
@@ -306,15 +315,21 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
     out of it, and in the nilradical when theta(X) = -X^T does not.  The
     rest of Lie(Q) is the Levi part, block diagonal over W and V + Vbar of
     the largest rank: its hermitian part kills V and Vbar, its linear part
-    is supported there.
+    is supported there.  The flag, ints (operator.index), is checked on
+    every call; the object of (spec, flag) is built once and shared.
     """
-    flag = tuple(flag)
+    flag = tuple(map(operator.index, flag))
     if not flag or list(flag) != sorted(set(flag)):
         raise UnsupportedFlag(f"flag must be strictly increasing, got {flag}")
     for r in flag:
         if not 1 <= r <= spec.n:
             raise UnsupportedFlag(
                 f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
+    return _parabolic_data(spec, flag)
+
+
+@functools.cache
+def _parabolic_data(spec: GroupSpec, flag: tuple) -> ParabolicData:
     basis = algebra_basis(spec)
     basis = basis / np.linalg.norm(basis, axis=(1, 2))[:, None, None]
     moves = np.zeros((spec.size,) * 2, dtype=bool)      # (rest, v) entries
@@ -326,8 +341,8 @@ def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
     u = q[:, moves.T].any(axis=1)
     v, vbar, _ = _sp_indices(spec, flag[-1])
     linear = q[:, :, v + vbar].any(axis=(1, 2))
-    return ParabolicData(spec=spec, flag=flag, basis_u=q[u],
-                         basis_h=q[~u & ~linear], basis_l=q[~u & linear])
+    return ParabolicData(spec, flag, *(readonly(q[m]) for m in
+                                       (u, ~u & ~linear, ~u & linear)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ Lie(G_h) part of that vector in Z's parabolic: hdot in the rank-1 (Klingen)
 parabolic over Y, zero over the point.  Each vector is split once per Z,
 and its substacks v[idx] carry the splits already made.
 
-A model's Lie data (group spec, representation, both parabolics and
-canonical extensions, the Nomizu tables) are built once per process for
-each representation name and shared by its models, every array read-only,
-so a stray write raises; the flag model and patched system are per model.
+A model's Lie data are the builders' shared objects (group spec,
+representation, both parabolics and canonical extensions) and the Nomizu
+tables, built once per representation name, all read-only, so a stray
+write raises; the flag model and patched system are per model.
 
 Curvatures come from the structure equation, with no differentiation.
 Chart vector fields commute, so theta = s^{-1} ds satisfies
@@ -174,12 +174,8 @@ def _lie_data(rep_name):
     pdK, pdS = (liecore.parabolic_data(spec, (r,)) for r in (1, 2))  # of Y, Z
     extK, extS = (hcrepr.canonical_extension(rep, r) for r in (1, 2))
     k = liecore.cartan_split(spec, np.eye(16).reshape(-1, 4, 4))[0]
-    linear = {"X": rep.lam_alg(k).reshape(16, -1),
-              "Y": extK.alg(k).reshape(16, -1)}
-    for a in [*linear.values(), *spec.complex_coords, *(
-            v for o in (rep, pdK, pdS, extK, extS) for v in vars(o).values())]:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
+    linear = {Z: liecore.readonly(f(k).reshape(16, -1))
+              for Z, f in (("X", rep.lam_alg), ("Y", extK.alg))}
     return spec, rep, pdK, pdS, extK, extS, MappingProxyType(linear)
 
 

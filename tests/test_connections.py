@@ -54,13 +54,14 @@ def test_nomizu_builds_the_ambient_basis_and_its_solver_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(liecore, name, counted(name))
     liecore.algebra_basis.cache_clear()
-    connections._solver.cache_clear()
+    connections._tables.cache_clear()
     spec, rep = _sp2()
     for _ in range(2):
         conn = connections.nomizu_connection(spec, rep)
         assert conn.omega0(conn.basis).shape == (3, 1, 1)
         assert calls == {"sym_basis": 1, "span_solver": 1}
     assert conn.basis is liecore.algebra_basis(liecore.sp2nR(1))
+    assert connections._tables(spec) is connections._tables(spec)
     with pytest.raises(ValueError, match="read-only"):
         conn.basis[0, 0, 0] = 2.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chernpatch import connections, hcrepr, liecore, siegel
-from chernpatch.errors import DecompositionError
+from chernpatch.errors import DecompositionError, UnsupportedFlag
 from helpers import dlam_reference, random_alg, representation_reference
 
 
@@ -330,6 +330,36 @@ def test_differential_tables_are_the_per_unit_loop_bit_for_bit(n, name):
         assert _same_bits(ext._dlam, dlam_reference(rep.lamC_alg, xc))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_representations_and_extensions_are_shared(n):
+    # one object per argument tuple, the representation keyed by identity;
+    # a failed build is not kept, and a rank 1.0 never becomes rank 1's
+    spec = liecore.sp2nR(n)
+    hcrepr.canonical_extension.cache_clear()
+    for name in ("std", "det^2", "sym^2 det^-1"):
+        rep = hcrepr.builtin_representation(spec, name)
+        assert hcrepr.builtin_representation(spec, name) is rep
+        with pytest.raises(TypeError):
+            hcrepr.canonical_extension(rep, 1.0)
+        ext = hcrepr.canonical_extension(rep, True)
+        assert hcrepr.canonical_extension(rep, 1) is ext
+        assert _same_bits(ext.c1, hcrepr.cayley_element(spec, 1))
+        for r in range(2, n + 1):
+            assert (hcrepr.canonical_extension(rep, r)
+                    is hcrepr.canonical_extension(rep, r))
+            assert (hcrepr.relative_extension(rep, r - 1, r)
+                    is hcrepr.relative_extension(rep, r - 1, r))
+        twin = hcrepr.Representation(spec, name, rep.dim, rep.lamC,
+                                     rep.lamC_alg)
+        assert twin != rep
+        assert hcrepr.canonical_extension(twin, 1) is not ext
+    for _ in range(2):
+        with pytest.raises(UnsupportedFlag, match="unknown representation"):
+            hcrepr.builtin_representation(spec, "sym^9")
+        with pytest.raises(UnsupportedFlag, match="r_outer > r_inner"):
+            hcrepr.relative_extension(rep, 1, 1)
+
+
 def test_an_extension_makes_j_c1_inverse_on_its_first_group_level_call(
         monkeypatch):
     calls = []
@@ -345,7 +375,10 @@ def test_an_extension_makes_j_c1_inverse_on_its_first_group_level_call(
     p = model.points(np.array([[0.1, 0.2, -0.1, 3.0, 0.4, 2.5]]))
     model.omega_patched(p, p.mc)
     model.curvature_patched(p)
-    ext = hcrepr.canonical_extension(model.rep, 1)
+    # a fresh extension: the shared canonical_extension(model.rep, 1) may
+    # have made its j(c_1)^{-1} in an earlier test
+    ext = hcrepr.CanonicalExtension(model.rep,
+                                    hcrepr.cayley_element(model.spec, 1))
     ext.alg(random_alg(model.spec, np.random.default_rng(3)))
     assert calls == []
     rng = np.random.default_rng(13)

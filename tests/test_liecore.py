@@ -109,6 +109,31 @@ def test_sp4_parabolic_dimensions(flag, dims):
     assert (len(pd.basis_u), len(pd.basis_h), len(pd.basis_l)) == dims
 
 
+def test_specs_and_parabolics_are_shared_and_keyed_on_ints():
+    # one object per rank and per flag; a rank that equals an int (True,
+    # 1.0) never becomes the object of the int, and a bad flag raises on
+    # every call
+    liecore._parabolic_data.cache_clear()
+    spec = liecore.sp2nR(np.int64(2))
+    assert liecore.sp2nR(True) is liecore.sp2nR(1)
+    assert type(liecore.sp2nR(True).n) is int
+    with pytest.raises(TypeError):
+        liecore.sp2nR(2.0)
+    with pytest.raises(TypeError):
+        liecore.parabolic_data(spec, (1.0,))
+    pd = liecore.parabolic_data(spec, (True, np.int64(2)))
+    assert pd.flag == (1, 2) and all(type(r) is int for r in pd.flag)
+    assert liecore.parabolic_data(spec, [1, 2]) is pd
+    for n in (1, 2, 3):
+        assert liecore.sp2nR(n) is liecore.sp2nR(n) and liecore.sp2nR(n).n == n
+        for flag in ([1], range(1, n + 1)):
+            assert (liecore.parabolic_data(liecore.sp2nR(n), flag)
+                    is liecore.parabolic_data(liecore.sp2nR(n), tuple(flag)))
+    for _ in range(2):
+        with pytest.raises(UnsupportedFlag, match="strictly increasing"):
+            liecore.parabolic_data(spec, (2, 1))
+
+
 def test_parabolic_split_sums_back():
     spec = liecore.sp2nR(2)
     pd = liecore.parabolic_data(spec, (1,))

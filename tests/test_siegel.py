@@ -567,6 +567,27 @@ def test_shared_lie_data_refuses_writes(rep):
         arrays += [pd.basis_u, pd.basis_h, pd.basis_l, pd._proj]
     for e in (m.extK, m.extS):
         arrays += [e.c1, e._dlam, e._jc1_inv]
+    # and every array the builders' objects hold, on both groups: the specs,
+    # each parabolic, the det^2 and std representations, their extensions
+    # with j(c_1)^{-1} built, and the classifier's tables
+    for n in (1, 2):
+        spec = liecore.sp2nR(n)
+        spec.complex_coords
+        objs = [spec, *(liecore.parabolic_data(spec, f) for f in
+                        [(1,), (n,), range(1, n + 1)])]
+        for name in ("det^2", "std"):
+            rep = hcrepr.builtin_representation(spec, name)
+            exts = [hcrepr.canonical_extension(rep, r)
+                    for r in range(1, n + 1)]
+            if n == 2:
+                exts.append(hcrepr.relative_extension(rep, 1, 2))
+            for e in exts:
+                e(np.eye(2 * n))
+            objs += [rep, *exts]
+        arrays += [v for o in objs for v in vars(o).values()
+                   if isinstance(v, np.ndarray)]
+        solver, kb, c = connections._tables(spec)
+        arrays += [*solver, kb, c]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = a     # the same values: a writable array is unchanged

@@ -545,6 +545,18 @@ def test_cli_verify_rejects_a_tol_not_finite_or_below_zero(suite, tol,
     assert "--tol must be finite and at least 0" in err
 
 
+@pytest.mark.parametrize("tol", ["-1e-300", "-inf", "-1", "-nan"])
+def test_cli_verify_refuses_a_negative_tol_given_as_its_own_word(tol,
+                                                                 capsys):
+    # argparse reads -1e-300 and -inf as options, not as the value of --tol;
+    # the --tol check refuses each as it refuses --tol=-1e-300
+    for argv in (["--tol", tol], ["--tol", "1e-9", "--tol", tol]):
+        assert cli.main(["verify", "extension", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: --tol must be finite and at least 0, got {float(tol)}\n")
+
+
 def test_cli_verify_tol_zero_is_valid(capsys):
     assert cli.main(["verify", "partition", "--samples", "5",
                      "--tol", "0"]) == 0
@@ -727,6 +739,34 @@ def test_a_negative_control_leaves_later_models_unchanged(tmp_path):
                          "10"] + extra) == (1 if extra else 0)
         with open(os.path.join(golden, name), encoding="utf-8") as fh:
             assert out.read_text(encoding="utf-8") == fh.read()
+
+
+def test_a_second_run_of_the_chart_suites_builds_no_lie_data(tmp_path,
+                                                            monkeypatch):
+    # every builder shares its Lie data within a process: a second run
+    # constructs only classify's std-restriction, and each report is the one
+    # of a process of its own
+    names, args = ["extension", "bridge", "classify"], ["--samples", "4"]
+    out = tmp_path / "together.json"
+    assert cli.main(["--out", str(out), "verify", *names, *args]) == 0
+    built = []
+    for cls in (liecore.GroupSpec, liecore.ParabolicData,
+                hcrepr.Representation, hcrepr.CanonicalExtension):
+        def counted(self, *a, init=cls.__init__, **kw):
+            init(self, *a, **kw)
+            built.append((type(self).__name__, getattr(self, "name", None)))
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert cli.main(["--out", str(out), "verify", *names, *args]) == 0
+    assert built == [("Representation", "std-restriction")]
+    together = json.loads(out.read_text(encoding="utf-8"))["suites"]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for name, report in zip(names, together, strict=True):
+        alone = subprocess.run(
+            [sys.executable, "-m", "chernpatch", "verify", name, *args],
+            capture_output=True, text=True, env=env)
+        assert alone.returncode == 0, alone.stderr
+        assert alone.stdout == suites.render_report(report) + "\n"
 
 
 def test_suites_in_one_process_report_as_in_separate_ones(tmp_path):
