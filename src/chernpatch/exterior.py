@@ -134,7 +134,7 @@ def contract(C, vectors):
 
 
 @functools.cache
-def wedge_table(m, q1, q2):
+def wedge_table(m, q1, q2, /):
     """Shuffle table of the wedge of a q1- with a q2-form on R^m: read-only
     integer arrays (ia, ib, sign) of shape (C(m, q1+q2), C(q1+q2, q1)),
     built once per (m, q1, q2).  Row n lists the splits K = I1 u I2 of the

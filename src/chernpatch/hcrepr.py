@@ -181,7 +181,7 @@ def _sym_power(topleft, n, a):
 
 
 @functools.cache
-def builtin_representation(spec, name: str) -> Representation:
+def builtin_representation(spec, name: str, /) -> Representation:
     """Sym^a(C^n) (x) det^b, 0 <= a <= 6, named "sym^a det^b", "sym^a"
     (b = 0) or "det^b" (a = 0); "std" is sym^1 and "sym2" sym^2.  Sym^0 (x)
     det^b is the det factor alone, and Sym^1 is x itself."""
@@ -250,13 +250,13 @@ class CanonicalExtension:
 
 
 @functools.cache
-def canonical_extension(rep: Representation, r: int) -> CanonicalExtension:
+def canonical_extension(rep: Representation, r: int, /) -> CanonicalExtension:
     """Extension along the standard rank-r parabolic."""
     return CanonicalExtension(rep, cayley_element(rep.spec, r))
 
 
 @functools.cache
-def relative_extension(rep: Representation, r_inner: int, r_outer: int) -> CanonicalExtension:
+def relative_extension(rep: Representation, r_inner: int, r_outer: int, /) -> CanonicalExtension:
     """Extension along the relative parabolic between nested ranks.
 
     r_outer > r_inner; the relative Cayley element is

@@ -140,7 +140,7 @@ def sym_basis(n, a):
 
 
 @functools.cache
-def algebra_basis(spec: GroupSpec):
+def algebra_basis(spec: GroupSpec, /):
     """Real basis of the Lie algebra, read-only (k, N, N), built once per spec:
     diag(A, -A^T) for the matrix units A, then sym_basis(n, 2) above, below."""
     n = spec.n

@@ -9,9 +9,11 @@ Strata (top to bottom):
 
 Control data on the chart Z = [[z11, z12],[z12, z22]]:
 
-    pi_Y(Z) = z11,   rho_Y(Z) = 1 / Im z22,   rho_Z(Z) = 1 / Im z11,
+    pi_Y(Z) = z11,   rho_Z(Z) = 1 / Im z11,   rho_Y(Z) = 1 / Im z22.
 
-which satisfy rho_Z(pi_Y(Z)) = rho_Z(Z) exactly.  The section
+rho_Z reads only z11, which pi_Y keeps, so rho_Z(pi_Y(Z)) = rho_Z(Z).  They
+are declared once, in SiegelModel.tube_distances, tube_differential and the
+inverse chart_points: a change of height edits these three.  The section
 
     s(Z) = [[L, X L^{-T}], [0, L^{-T}]],   Im Z = L L^T (Cholesky)
 
@@ -20,9 +22,9 @@ i*I to Z, with pi compatible with the group-level Levi factorization.
 
 Evaluators take (p, mc): a :class:`ChartPoint` stack p = points(xs) of P
 chart points, whose mc (through the section) and control data each come
-from one numpy pass, and a real (P, ..., 4, 4) stack mc = s^{-1} ds of directions at them,
-and return (P, ..., d, d); one point is the stack points([x]), point(x) its
-one-point view.  A chart form makes the points of its rows (the 13P of a
+from one numpy pass, and a real (P, ..., 4, 4) stack mc = s^{-1} ds of
+directions at them, and return (P, ..., d, d); one point is the stack
+points([x]).  A chart form makes the points of its rows (the 13P of a
 curvature by central differences at P points) in one points call and
 calls its evaluator once, on p.mc, the six chart directions at each row.
 
@@ -57,9 +59,9 @@ lambda_1(G_l) and ext_Z.alg(Lie(G_l)) commute with every value induced from
 Z; and ext_Z.alg is a homomorphism on Lie(G_l), so ext_Z.alg(l) is flat,
 and the induced connection has Z's curvature at the projected point.
 :meth:`strata.PatchedSystem.curvature` patches the chains' pairs
-(omega_c, Omega_c) with the product rule, dw_c in closed form from
-r_Z = 1/x_3, r_Y = 1/x_5, into (P, 15, d, d) coefficients over
-combinations(range(6), 2) at P points.
+(omega_c, Omega_c) with the product rule, dw_c in closed form from the
+declared differential of the tube distances, into (P, 15, d, d)
+coefficients over combinations(range(6), 2) at P points.
 """
 
 from __future__ import annotations
@@ -69,11 +71,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import connections
-from . import exterior as ext
-from . import hcrepr
-from . import liecore
-from . import strata
+from . import connections, exterior as ext, hcrepr, liecore, strata
 from .errors import PreconditionFailed
 
 def z_from_coords(x):
@@ -89,8 +87,7 @@ def section(x):
     Raises PreconditionFailed, naming the first failing row of a stack,
     unless Im Z is positive definite: y11 > 0 and det Y > 0."""
     Z = z_from_coords(x)
-    Y = Z.imag
-    X = Z.real
+    X, Y = Z.real, Z.imag
     y11, y12, y22 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
     liecore.require((y11 > 0) & (y11 * y22 - y12 * y12 > 0),
                     "Im Z is not positive definite", PreconditionFailed)
@@ -113,8 +110,7 @@ def section_mc(x, s):
     """The (..., 6, 4, 4) stack of s^{-1} d_i s over the six chart
     directions, s = section(x), for one point or a stack of them."""
     X = z_from_coords(x).real[..., None, :, :]
-    L = s[..., None, :2, :2]
-    Lit = s[..., None, 2:, 2:]
+    L, Lit = s[..., None, :2, :2], s[..., None, 2:, 2:]
     # Cholesky differential: dL = L Phi(L^{-1} dY L^{-T})
     M = Lit.swapaxes(-1, -2) @ _DY @ Lit
     Phi = np.tril(M, -1) + M * (np.eye(2) / 2.0)
@@ -132,17 +128,17 @@ def section_mc(x, s):
 
 class ChartPoint:
     """A chart point x, or a stack of P of them (every array with a leading
-    axis P), with what every evaluation reads: the (6, 4, 4) stack mc of
+    axis P), with x and what every evaluation reads: the (6, 4, 4) stack mc of
     s^{-1} d_i s over the chart directions, s = section(x), and the control
     data (a :class:`strata.ModelPoint` stack).  p[n] is point n (its control
     data a one-row stack), p[a:b] and p[idx] (idx an index array)
     substacks."""
 
-    __slots__ = ("mc", "control")
+    __slots__ = ("x", "mc", "control")
 
     def __getitem__(self, n):
         p = ChartPoint()
-        p.mc, p.control = self.mc[n], self.control[n]
+        p.x, p.mc, p.control = self.x[n], self.mc[n], self.control[n]
         return p
 
 
@@ -185,10 +181,8 @@ class SiegelModel:
     def __init__(self, rep_name="std"):
         (self.spec, self.rep, self.pdK, self.pdS, self.extK, self.extS,
          self._linear) = _lie_data(rep_name)
-        self.model = strata.FlagTubeModel(
-            strata=[{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1},
-                    {"name": "X", "dimC": 3}],
-            flags=[["Z", "Y", "X"]])
+        self.model = strata.FlagTubeModel([{"name": Z, "dimC": d} for Z, d in
+                                           zip("ZYX", (0, 1, 3))], [list("ZYX")])
         # each boundary stratum's parabolic and canonical extension
         self._parabolic = {"Y": (self.pdK, self.extK),
                            "Z": (self.pdS, self.extS)}
@@ -200,20 +194,32 @@ class SiegelModel:
                      for Z in self._parabolic},
             project=lambda v, Z: self._split(v, Z)[0])
 
-    # control data ------------------------------------------------------
+    # control data: the one declaration, which a change of height edits --
+
+    def tube_distances(self, xs):
+        """(r_Z, r_Y) = (1 / y11, 1 / y22), (P, 2), at a (P, 6) stack xs."""
+        return 1.0 / xs[:, [3, 5]]
+
+    def tube_differential(self, xs):
+        """d(r_Z, r_Y) = (-r_Z^2 dy11, -r_Y^2 dy22), (P, 2, 6), at xs."""
+        dr = np.zeros((len(xs), 2, 6))
+        dr[:, [0, 1], [3, 5]] = -np.square(self.tube_distances(xs))
+        return dr
+
+    def chart_points(self, r, free):
+        """The inverse: (P, 6) chart points at tube distances r, (P, 2), and
+        free coordinates (x11, x12, x22, y12), (P, 4)."""
+        y, free = 1.0 / np.asarray(r, float), np.asarray(free, float)
+        return np.column_stack([free[:, :3], y[:, 0], free[:, 3], y[:, 1]])
 
     def points(self, xs) -> ChartPoint:
-        """The chart points at the rows of a (P, 6) array xs, rho_Z = 1 / Im z11
-        and rho_Y = 1 / Im z22, with the section and mc from one call each."""
-        xs = ext.point_stack(xs, 6)
+        """The chart points at the rows of a (P, 6) array xs, the section,
+        mc and control data (at tube_distances(xs)) from one call each."""
         p = ChartPoint()
+        p.x = xs = ext.point_stack(xs, 6)
         p.mc = section_mc(xs, section(xs))
-        p.control = self.model.point(("Z", "Y", "X"), 1.0 / xs[:, [3, 5]])
+        p.control = self.model.point(("Z", "Y", "X"), self.tube_distances(xs))
         return p
-
-    def point(self, x) -> ChartPoint:
-        """The chart point at x: the one-point view points([x])[0]."""
-        return self.points([x])[0]
 
     def _split(self, v: TangentVector, Z):
         """(h, l): the Lie(G_h) part, as a TangentVector, and the linear
@@ -259,11 +265,9 @@ class SiegelModel:
 
     def curvature_patched(self, p):
         """Curvature of the patched connection at the stack p, with the weight
-        gradients through d r_Z = -r_Z^2 dx_3 and d r_Y = -r_Y^2 dx_5."""
-        r = p.control.r
-        dr = np.zeros((len(r), 2, 6))
-        dr[:, [0, 1], [3, 5]] = -r * r
-        return self.system.curvature(p.control, TangentVector(p.mc), dr)
+        gradients through tube_differential(p.x)."""
+        return self.system.curvature(p.control, TangentVector(p.mc),
+                                     self.tube_differential(p.x))
 
     # patched connection on X -------------------------------------------
 
@@ -286,7 +290,6 @@ class SiegelModel:
     def projection_map(self) -> ext.SmoothMap:
         """pi_Y = (x11, y11) as a chart map (6 coords -> 2), analytic Jacobian."""
         J = np.zeros((6, 2))
-        J[0, 0] = 1.0
-        J[3, 1] = 1.0
+        J[[0, 3], [0, 1]] = 1.0
         return ext.SmoothMap(6, lambda xs: xs[:, [0, 3]], jac=lambda xs:
                              np.broadcast_to(J, (len(xs),) + J.shape))

@@ -392,12 +392,12 @@ def suite_bridge(seed=0, tol=1e-6, samples=20):
     return _finish("bridge", seed, tol, samples, checks)
 
 
-def _model_tube_points(rng, samples):
-    """Sample chart points in the plane-stratum tube of the rank-2 model."""
-    x = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 17.0],
-                    [0.5, 0.3, 0.3, 0.2, 0.3, 40.0], (samples, 6))
-    x[:, 3] = 1.0 / x[:, 3]
-    return x.tolist()
+def _model_tube_points(model, rng, samples):
+    """Chart points of the plane-stratum tube, drawn as d = (x11, x12, x22,
+    r_Z, y12, r_Y)."""
+    d = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 1 / 40],
+                    [0.5, 0.3, 0.3, 0.2, 0.3, 1 / 17], (samples, 6))
+    return model.chart_points(d[:, [3, 5]], d[:, [0, 1, 2, 4]]).tolist()
 
 
 _STACK = 16
@@ -415,7 +415,7 @@ def suite_pifiber(seed=0, tol=1e-6, samples=10):
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
     proj = m.projection_map()
-    pts = _model_tube_points(rng, samples)
+    pts = _model_tube_points(m, rng, samples)
     worst = 0.0
     for rows, stack in _stacks(m, pts):
         worst = max(worst, *ext.vertical_contraction(
@@ -426,14 +426,13 @@ def suite_pifiber(seed=0, tol=1e-6, samples=10):
 
 
 def _mixed_tube_points(model, rng, samples):
-    """Points of the plane-stratum tube with the point-stratum radius in its
-    transition band, so that both patching weights are active."""
-    eps_x = model.model.eps("X")
+    """Plane-stratum tube points with r_Z in its transition band (both weights
+    active): d = ((r_Z, r_Y) / eps_X, y12 / sqrt(y11 y22), x11, x12, x22)."""
     d = rng.uniform([0.55, 0.1, -0.02, -1, -1, -1],
                     [0.7, 0.45, 0.02, 1, 1, 1], (samples, 6))
-    y11, y22 = 1.0 / (d[:, 0] * eps_x), 1.0 / (d[:, 1] * eps_x)
-    return np.column_stack([d[:, 3:], y11, d[:, 2] * np.sqrt(y11 * y22),
-                            y22]).tolist()
+    x = model.chart_points(d[:, :2] * model.model.eps("X"), d[:, [3, 4, 5, 2]])
+    x[:, 4] *= np.sqrt(x[:, 3] * x[:, 5])
+    return x.tolist()
 
 
 _RAW_FLOOR = 1e-3      # the raw curvature's contraction must exceed this
@@ -526,12 +525,10 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40, corrupt=False):
         weights = m.model.chain_form_weights
         m.model.chain_form_weights = lambda x: [
             (c, w) for c, w in weights(x) if c != ("Z", "Y", "X")]
-    rec_chain = 0.0
-    local = 0.0
-    xs = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 0.005],
-                     [0.5, 0.3, 0.3, 0.5, 0.3, 0.12], (samples, 6))
-    xs[:, [3, 5]] = 1.0 / xs[:, [3, 5]]
-    for _, p in _stacks(m, xs):
+    rec_chain = local = 0.0
+    d = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 0.005],
+                    [0.5, 0.3, 0.3, 0.5, 0.3, 0.12], (samples, 6))
+    for _, p in _stacks(m, m.chart_points(d[:, [3, 5]], d[:, [0, 1, 2, 4]])):
         v = siegel.TangentVector(p.mc[:, [0, 4]])   # split once per stratum
         a = m.system.patched(p.control, v)
         b = m.system.chain_form(p.control, v)

@@ -234,7 +234,7 @@ def test_curvature_form_matches_the_wedge_tower():
     model = siegel.SiegelModel("std")
     patched = model.form_from_evaluator(model.omega_patched)
     affine = suites._patch_forms(*patch_draws(4, 1, rng)[:3])[1][0]
-    cases = ([(patched, x) for x in suites._model_tube_points(rng, 2)
+    cases = ([(patched, x) for x in suites._model_tube_points(model, rng, 2)
               + suites._mixed_tube_points(model, rng, 2)]
              + [(affine, rng.uniform(-0.5, 0.5, 4)) for _ in range(2)])
     for omega, x in cases:

@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from chernpatch import connections, hcrepr, liecore, siegel
+from chernpatch import connections, exterior, hcrepr, liecore, siegel
 from chernpatch.errors import DecompositionError, UnsupportedFlag
 from helpers import dlam_reference, random_alg, representation_reference
 
@@ -358,6 +358,26 @@ def test_representations_and_extensions_are_shared(n):
             hcrepr.builtin_representation(spec, "sym^9")
         with pytest.raises(UnsupportedFlag, match="r_outer > r_inner"):
             hcrepr.relative_extension(rep, 1, 1)
+
+
+def test_cached_builders_refuse_keyword_arguments():
+    # functools.cache keys a keyword call apart from the positional one, so
+    # a keyword call would build a second object beside the shared one
+    spec = liecore.sp2nR(2)
+    rep = hcrepr.builtin_representation(spec, "std")
+    for build, args, names in (
+            (hcrepr.builtin_representation, (spec, "std"), ("spec", "name")),
+            (hcrepr.canonical_extension, (rep, 1), ("rep", "r")),
+            (hcrepr.relative_extension, (rep, 1, 2),
+             ("rep", "r_inner", "r_outer")),
+            (liecore.algebra_basis, (spec,), ("spec",)),
+            (exterior.wedge_table, (6, 1, 2), ("m", "q1", "q2"))):
+        shared = build(*args)
+        with pytest.raises(TypeError):
+            build(*args[:-1], **{names[-1]: args[-1]})
+        with pytest.raises(TypeError):
+            build(**dict(zip(names, args)))
+        assert build(*args) is shared
 
 
 def test_an_extension_makes_j_c1_inverse_on_its_first_group_level_call(

@@ -14,8 +14,14 @@ intended, regenerate the goldens with
     PYTHONPATH=src python tests/test_report_bytes.py
 
 and say in CHANGES.md why the digits moved.
+
+The bytes hold for one BLAS kernel: numpy's OpenBLAS picks its compute
+kernel for the CPU at run time, and another kernel orders its sums
+differently, so residuals near roundoff move.  A mismatch names the kernel
+of the run and the one the goldens were made on.
 """
 
+import ctypes
 import inspect
 import pathlib
 
@@ -25,6 +31,8 @@ import pytest
 from chernpatch import cli, exterior as ext, invariants as inv, siegel, suites
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# the OpenBLAS core the goldens were made on (Haswell gives the same bytes)
+GOLDEN_CORE = "SkylakeX"
 
 SIZES = {
     "partition": {"samples": 200},
@@ -49,6 +57,25 @@ CORRUPT = sorted(name for name in suites.SUITES if "corrupt" in
                  inspect.signature(suites.SUITES[name]).parameters)
 
 SIEGEL_REPS = ("sym2", "det^2")
+
+
+def _blas_core():
+    """The OpenBLAS core of this process, read from numpy's bundled library,
+    or "unknown" where that library or its symbol is missing."""
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def _kernels():
+    return (f"OpenBLAS core of this run: {_blas_core()}; "
+            f"goldens made on: {GOLDEN_CORE}")
 
 
 def _suite_text(name, **kwargs):
@@ -105,32 +132,33 @@ def _siegel_text(rep):
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_suite_report_matches_golden(name):
     golden = (GOLDEN / f"verify_{name}.json").read_text(encoding="utf-8")
-    assert _suite_text(name) == golden.rstrip("\n")
+    assert _suite_text(name) == golden.rstrip("\n"), _kernels()
 
 
 @pytest.mark.parametrize("name", CORRUPT)
 def test_negative_control_report_matches_golden(name):
     golden = (GOLDEN / f"verify_{name}_corrupt.json").read_text(
         encoding="utf-8")
-    assert _suite_text(name, corrupt=True) == golden.rstrip("\n")
+    assert _suite_text(name, corrupt=True) == golden.rstrip("\n"), _kernels()
 
 
 @pytest.mark.parametrize("group,rep", CURVATURE)
 def test_curvature_report_matches_golden(tmp_path, group, rep):
     golden = (GOLDEN / f"curvature_{group}_{rep}.json").read_text(
         encoding="utf-8")
-    assert _curvature_text(tmp_path, group, rep) == golden.rstrip("\n")
+    assert (_curvature_text(tmp_path, group, rep)
+            == golden.rstrip("\n")), _kernels()
 
 
 def test_descent_contractions_match_golden():
     golden = (GOLDEN / "descent_siegel_std.json").read_text(encoding="utf-8")
-    assert _descent_text() == golden.rstrip("\n")
+    assert _descent_text() == golden.rstrip("\n"), _kernels()
 
 
 @pytest.mark.parametrize("rep", SIEGEL_REPS)
 def test_siegel_evaluators_match_golden(rep):
     golden = (GOLDEN / f"siegel_{rep}.json").read_text(encoding="utf-8")
-    assert _siegel_text(rep) == golden.rstrip("\n")
+    assert _siegel_text(rep) == golden.rstrip("\n"), _kernels()
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def test_section_maps_to_point(model):
 def test_section_mc_matches_finite_difference(model):
     rng = np.random.default_rng(2)
     x = _sample_x(rng)
-    mcs = model.point(x).mc
+    mcs = model.points([x])[0].mc
     h = 1e-6
     for i in range(6):
         xp = list(x); xp[i] += h
@@ -350,6 +350,69 @@ def test_patched_stacks_bound_their_temporaries(model):
         "pifiber", seed=0, samples=67)) < PIFIBER_SUITE_PEAK
 
 
+def _control_draw(rng, P):
+    """(r, free): tube distances in the patched suite's box and free
+    coordinates (x11, x12, x22, y12) that keep Im Z positive definite."""
+    return (rng.uniform([0.02, 0.005], [0.5, 0.12], (P, 2)),
+            rng.uniform(-0.3, 0.3, (P, 4)))
+
+
+def test_chart_points_invert_the_tube_distances(model):
+    r, free = _control_draw(np.random.default_rng(30), 40)
+    xs = model.chart_points(r, free)
+    assert xs.shape == (40, 6)
+    assert xs[:, [0, 1, 2, 4]].tobytes() == free.tobytes()
+    back = model.points(xs).control.r
+    assert np.max(np.abs(back / r - 1.0)) <= 1e-14
+    assert back.tobytes() == model.tube_distances(xs).tobytes()
+
+
+def test_tube_differential_matches_central_differences(model):
+    xs = model.chart_points(*_control_draw(np.random.default_rng(31), 12))
+    h = 1e-6
+    fd = np.stack([(model.tube_distances(xs + h * e)
+                    - model.tube_distances(xs - h * e)) / (2 * h)
+                   for e in np.eye(6)], axis=-1)
+    dr = model.tube_differential(xs)
+    assert dr.shape == (12, 2, 6)
+    assert np.max(np.abs(dr - fd)) <= 1e-8
+
+
+def test_rho_Z_factors_through_the_projection_to_Y(model):
+    # rho_Z on Y = H_1 at (x11, y11) is 1 / y11: rho_Z o pi_Y = rho_Z bit
+    # for bit, at the points of every sampler
+    rng = np.random.default_rng(32)
+    xs = np.concatenate([model.chart_points(*_control_draw(rng, 8)),
+                         suites._model_tube_points(model, rng, 8),
+                         suites._mixed_tube_points(model, rng, 8)])
+    y = model.projection_map().func(xs)
+    assert (model.points(xs).control.r[:, 0].tobytes()
+            == (1.0 / y[:, 1]).tobytes())
+
+
+def test_each_suite_sampler_lands_in_the_band_it_names(model, monkeypatch):
+    drawn = []
+    stacks = suites._stacks
+
+    def recorded(m, pts):
+        drawn.append(np.asarray(pts))
+        return stacks(m, pts)
+
+    monkeypatch.setattr(suites, "_stacks", recorded)
+    assert suites.run_suite("patched", seed=3, samples=200)["pass"]
+    rng, eps = np.random.default_rng(33), model.model.eps("X")
+    # sampler, (low, high) of (r_Z, r_Y) / eps_X
+    for xs, low, high in (
+            (drawn[0], [0.02 / eps, 0.005 / eps], [0.5 / eps, 0.12 / eps]),
+            (suites._model_tube_points(model, rng, 200),
+             [0.02 / eps, 1 / 40 / eps], [0.2 / eps, 1 / 17 / eps]),
+            (suites._mixed_tube_points(model, rng, 200),
+             [0.55, 0.1], [0.7, 0.45])):
+        r = model.points(xs).control.r / eps
+        assert len(r) == 200
+        assert np.all((low <= r) & (r <= high)), (r.min(axis=0), r.max(axis=0))
+
+
 def test_mixed_region_weights_sum_to_one(model):
     md = model.model
     rng = np.random.default_rng(5)
@@ -358,7 +421,7 @@ def test_mixed_region_weights_sum_to_one(model):
         x = _sample_x(rng)
         # force a mixed radial coordinate
         x[5] = 1.0 / float(rng.uniform(0.55 * epsX, 0.7 * epsX))
-        pt = model.point(x).control
+        pt = model.points([x])[0].control
         w = md.partition_weights(pt.chain, pt.r)
         assert abs(sum(w[0].tolist()) - 1.0) < 1e-12
 
@@ -418,7 +481,7 @@ def _differences(model, evaluator):
 def test_chain_curvatures_match_differences(model):
     rng = np.random.default_rng(11)
     pts = _oracle_points(model, rng)
-    chains = model.model.chains_to(model.point(pts[0]).control)
+    chains = model.model.chains_to(model.points([pts[0]])[0].control)
     assert len(chains) == 4
 
     for chain in chains:
@@ -727,7 +790,7 @@ def test_stacked_points_match_one_point_at_a_time(rep):
     patched = m.curvature_patched(stack)
     omega = m.omega_patched(stack, stack.mc)
     for n, (x, p) in enumerate(zip(xs, stack)):
-        one = m.point(x)
+        one = m.points([x])[0]
         assert np.array_equal(p.mc, one.mc)
         assert p.control.chain == one.control.chain
         assert _same_bits(p.control.r, one.control.r)

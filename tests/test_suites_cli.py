@@ -215,10 +215,12 @@ def test_commuting_pairs_confirm_nonsingular_flags(monkeypatch):
     assert suites._commuting_pairs(np.random.default_rng(11), 9)[2].all()
 
 
-def _scalar_model_tube_points(rng, samples):
+def _scalar_model_tube_points(model, rng, samples):
+    # r_Z and r_Y are drawn, y11 = 1 / r_Z and y22 = 1 / r_Y
     return [[float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.3, 0.3)),
              float(rng.uniform(-0.3, 0.3)), float(1.0 / rng.uniform(0.02, 0.2)),
-             float(rng.uniform(-0.3, 0.3)), float(rng.uniform(17.0, 40.0))]
+             float(rng.uniform(-0.3, 0.3)),
+             float(1.0 / rng.uniform(1 / 40, 1 / 17))]
             for _ in range(samples)]
 
 
@@ -242,10 +244,9 @@ def test_tube_points_match_one_draw_at_a_time(seed, samples):
     got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for bulk, scalar in (
             (suites._model_tube_points, _scalar_model_tube_points),
-            (lambda r, k: suites._mixed_tube_points(model, r, k),
-             lambda r, k: _scalar_mixed_tube_points(model, r, k))):
-        assert (np.array(bulk(got, samples)).tobytes()
-                == np.array(scalar(ref, samples)).tobytes())
+            (suites._mixed_tube_points, _scalar_mixed_tube_points)):
+        assert (np.array(bulk(model, got, samples)).tobytes()
+                == np.array(scalar(model, ref, samples)).tobytes())
     assert got.random() == ref.random()
 
 
