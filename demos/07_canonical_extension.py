@@ -19,15 +19,15 @@ rep = hcrepr.builtin_representation(spec, "std")
 ext = hcrepr.canonical_extension(rep, 2)
 pd = liecore.parabolic_data(spec, (2,))
 rng = np.random.default_rng(0)
-worst = 0.0
+residuals = []
 for _ in range(20):
     g = liecore.exp_grp(spec, liecore.from_coords(
         0.3 * rng.standard_normal(len(pd.basis_q)), pd.basis_q))
     h = liecore.exp_grp(spec, liecore.from_coords(
         0.3 * rng.standard_normal(len(pd.basis_q)), pd.basis_q))
-    worst = max(worst, float(np.max(np.abs(
-        ext(g @ h) - ext(g) @ ext(h)))))
-print(f"homomorphism residual over 20 parabolic pairs: {worst:.3e}")
+    residuals.append(np.max(np.abs(ext(g @ h) - ext(g) @ ext(h))))
+print("homomorphism residual over 20 parabolic pairs:",
+      f"{np.max(residuals):.3e}")
 
 # On K itself the extension restricts to the representation we started
 # with.

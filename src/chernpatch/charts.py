@@ -81,12 +81,9 @@ def curvature_bridge_residual(spec, conn, points, rng=None):
     rng = rng or np.random.default_rng(0)
     xs = ext.point_stack(points, chart.dim)
     vs = rng.standard_normal((len(xs), 2, chart.dim))
-    worst = 0.0
-    for s in range(0, len(xs), 8):
-        x, v = xs[s:s + 8], vs[s:s + 8]
-        diff = chart_curv.evaluate(x, v) - alg_curv.evaluate(x, v)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    diffs = (chart_curv.evaluate(x, v) - alg_curv.evaluate(x, v) for x, v in
+             ((xs[s:s + 8], vs[s:s + 8]) for s in range(0, len(xs), 8)))
+    return float(np.max([np.max(np.abs(d)) for d in diffs], initial=0.0))
 
 
 # ---------------------------------------------------------------------------

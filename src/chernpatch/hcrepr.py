@@ -296,6 +296,6 @@ def extension_compat_check(rep: Representation, r_inner, r_outer,
     gp = liecore.sp_embed_gl(spec, r_outer, blk)
     res_levi = float(np.max(np.abs(ext_out(g) - ext_in(g)), initial=0.0))
     res_rel = float(np.max(np.abs(ext_out(gp) - rel(gp)), initial=0.0))
-    mr = max(res_levi, res_rel)
     return {"samples": samples, "levi_residual": res_levi,
-            "relative_residual": res_rel, "max_residual": mr}
+            "relative_residual": res_rel,
+            "max_residual": float(np.max([res_levi, res_rel]))}

@@ -127,16 +127,19 @@ def section_mc(x, s):
 
 
 class ChartPoint:
-    """A chart point x, or a stack of P of them (every array with a leading
-    axis P), with x and what every evaluation reads: the (6, 4, 4) stack mc of
-    s^{-1} d_i s over the chart directions, s = section(x), and the control
-    data (a :class:`strata.ModelPoint` stack).  p[n] is point n (its control
-    data a one-row stack), p[a:b] and p[idx] (idx an index array)
-    substacks."""
+    """A stack of P chart points (every array with a leading axis P): the
+    (P, 6) points x and what every evaluation reads, the (P, 6, 4, 4) stack
+    mc of s^{-1} d_i s over the chart directions, s = section(x), and the
+    control data (a :class:`strata.ModelPoint` stack).  p[a:b] and p[idx]
+    (idx an index array) are substacks, and p[n] is the one-point stack
+    p[n:n + 1]; an n past the end raises IndexError."""
 
     __slots__ = ("x", "mc", "control")
 
     def __getitem__(self, n):
+        if isinstance(n, (int, np.integer)):
+            n = range(len(self.x))[n]
+            n = slice(n, n + 1)
         p = ChartPoint()
         p.x, p.mc, p.control = self.x[n], self.mc[n], self.control[n]
         return p

@@ -132,6 +132,21 @@ def test_nested_extension_compatibility():
     assert report["max_residual"] < 1e-8
 
 
+def test_nested_extension_compatibility_keeps_a_nan(monkeypatch):
+    # a NaN relative residual is the report's max, which fails any tol
+    relative = hcrepr.relative_extension
+
+    def nan_relative(*args):
+        rel = relative(*args)
+        return lambda g: rel(g) * np.nan
+
+    monkeypatch.setattr(hcrepr, "relative_extension", nan_relative)
+    report = hcrepr.extension_compat_check(_sp4_rep(), 1, 2, samples=5, rng=0)
+    assert report["levi_residual"] < 1e-8
+    assert np.isnan(report["relative_residual"])
+    assert np.isnan(report["max_residual"])
+
+
 def test_nested_extension_compatibility_sp6():
     rep = hcrepr.builtin_representation(liecore.sp2nR(3), "std")
     for pair in [(1, 2), (1, 3), (2, 3)]:

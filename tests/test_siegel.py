@@ -69,7 +69,7 @@ def test_section_maps_to_point(model):
 def test_section_mc_matches_finite_difference(model):
     rng = np.random.default_rng(2)
     x = _sample_x(rng)
-    mcs = model.points([x])[0].mc
+    mcs = model.points([x]).mc[0]
     h = 1e-6
     for i in range(6):
         xp = list(x); xp[i] += h
@@ -421,7 +421,7 @@ def test_mixed_region_weights_sum_to_one(model):
         x = _sample_x(rng)
         # force a mixed radial coordinate
         x[5] = 1.0 / float(rng.uniform(0.55 * epsX, 0.7 * epsX))
-        pt = model.points([x])[0].control
+        pt = model.points([x]).control[0]
         w = md.partition_weights(pt.chain, pt.r)
         assert abs(sum(w[0].tolist()) - 1.0) < 1e-12
 
@@ -481,7 +481,7 @@ def _differences(model, evaluator):
 def test_chain_curvatures_match_differences(model):
     rng = np.random.default_rng(11)
     pts = _oracle_points(model, rng)
-    chains = model.model.chains_to(model.points([pts[0]])[0].control)
+    chains = model.model.chains_to(model.points([pts[0]]).control[0])
     assert len(chains) == 4
 
     for chain in chains:
@@ -790,16 +790,36 @@ def test_stacked_points_match_one_point_at_a_time(rep):
     patched = m.curvature_patched(stack)
     omega = m.omega_patched(stack, stack.mc)
     for n, (x, p) in enumerate(zip(xs, stack)):
-        one = m.points([x])[0]
+        one = m.points([x])
         assert np.array_equal(p.mc, one.mc)
         assert p.control.chain == one.control.chain
         assert _same_bits(p.control.r, one.control.r)
-        assert np.array_equal(curv[n], m.curvature_induced_nomizu(one))
-        alone = m.points([x])
-        assert np.array_equal(patched[n], m.curvature_patched(alone)[0])
-        assert np.array_equal(omega[n], m.omega_patched(alone, alone.mc)[0])
+        assert np.array_equal(curv[n], m.curvature_induced_nomizu(one)[0])
+        assert np.array_equal(patched[n], m.curvature_patched(one)[0])
+        assert np.array_equal(omega[n], m.omega_patched(one, one.mc)[0])
     # a slice of the stack is the stack of those points
     assert np.array_equal(m.curvature_induced_nomizu(stack[2:5]), curv[2:5])
+
+
+def test_an_int_view_is_the_one_point_stack():
+    m = siegel.SiegelModel("std")
+    rng = np.random.default_rng(17)
+    xs = [_sample_x(rng) for _ in range(2)] + [_mixed_x(m, rng) for _ in range(2)]
+    stack = m.points(xs)
+    patched = m.curvature_patched(stack)
+    induced = m.curvature_induced_nomizu(stack)
+    for n in range(len(xs)):
+        p, run = stack[n], stack[n:n + 1]
+        assert _same_bits(p.x, run.x) and _same_bits(p.mc, run.mc)
+        assert p.control.chain == run.control.chain
+        assert _same_bits(p.control.r, run.control.r)
+        assert _same_bits(m.curvature_patched(p)[0], patched[n])
+        assert _same_bits(m.curvature_induced_nomizu(p)[0], induced[n])
+    assert _same_bits(stack[-1].mc, stack[3:4].mc)
+    for n in (4, -5):
+        with pytest.raises(IndexError):
+            stack[n]
+    assert len(list(stack)) == 4
 
 
 @pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -9,8 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chernpatch import (cli, connections, exterior as ext, hcrepr,
-                        invariants as inv, liecore, schubert, siegel, suites)
+from chernpatch import (charts, cli, connections, exterior as ext, hcrepr,
+                        invariants as inv, liecore, schubert, siegel, strata,
+                        suites)
 from chernpatch.errors import PreconditionFailed
 
 
@@ -138,6 +140,73 @@ def test_flipped_structure_equation_fails_three_suites(monkeypatch):
     assert failed == {"bridge": ["sp2-nomizu", "sp4-nomizu"],
                       "classify": ["model-connections-accepted"],
                       "descent": ["structure-equation-vs-differences"]}
+
+
+def _nan_at_second_call(func):
+    """func, with row 0 of its result NaN at its second call: one row of
+    the second stack a suite hands it."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        out = func(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            out = np.array(out)
+            out[0] = np.nan
+        return out
+    return wrapped
+
+
+def _nan_form(method):
+    """A form builder whose form is NaN at one row of its second stack."""
+    def wrapped(self, conn):
+        form = method(self, conn)
+        return ext.VForm(form.m, form.degree, _nan_at_second_call(form.func))
+    return wrapped
+
+
+# suite: (--samples, owner and name of the evaluator, its wrapper, check)
+_NAN_CASES = {
+    "descent": ([], siegel.SiegelModel, "curvature_patched",
+                _nan_at_second_call, "chern-c1-vertical"),
+    "pifiber": (["--samples", "20"], siegel.SiegelModel,
+                "curvature_induced_nomizu", _nan_at_second_call,
+                "induced-curvature-vertical"),
+    "patched": ([], strata.PatchedSystem, "chain_form", _nan_at_second_call,
+                "recursion-equals-chain"),
+    "partition": ([], strata.FlagTubeModel, "partition_weights",
+                  _nan_at_second_call, "weights-sum-to-one"),
+    "bridge": ([], charts.GroupChart, "algebraic_curvature_form", _nan_form,
+               "sp2-nomizu"),
+    "patch": ([], ext, "combination_curvature", _nan_at_second_call,
+              "combination-identity"),
+    "springer": ([], inv, "springer_check", _nan_at_second_call,
+                 "invariance"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_NAN_CASES))
+def test_a_nan_residual_fails_its_check(suite, monkeypatch, capsys):
+    samples, owner, attr, wrap, check = _NAN_CASES[suite]
+    # a NaN at one row of a later stack is the check's max_residual, not
+    # dropped by a fold, and fails the check and the run
+    monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))
+    assert cli.main(["verify", suite, *samples]) == 1
+    checks = {c["name"]: c for c in
+              json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks[check]["pass"]
+    assert math.isnan(checks[check]["max_residual"])
+
+
+@pytest.mark.parametrize("module", [suites, charts], ids=["suites", "charts"])
+def test_no_fold_by_the_builtin_max(module):
+    # residuals are reduced by np.max in suites._check, which keeps a NaN;
+    # the builtin max drops one (max(0.0, nan) is 0.0)
+    with open(module.__file__) as f:
+        tree = ast.parse(f.read())
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "max"]
+    assert uses == []
 
 
 def test_corrupt_springer_fails():
