@@ -37,7 +37,14 @@ rpt = strata.family_vanishing_check(model, ["A", "B", "C", "D"])
 print(f"vanishing check: {rpt['checked']} pairs of a grid point and an "
       f"index tuple (n, m, n', m'), {len(rpt['violations'])} violations")
 
-# Localization: near the smallest stratum of a point the partition is
-# carried by a single base stratum.
-pt = model.point(("A", "B", "C", "D"), [(0.01, 0.02, 2.5)])
-print("localization base near A:", model.localization_base(pt)[0])
+# Flags may share strata: two cusps below one open stratum X.  At tube
+# distance 0.3 from either cusp, the chain weights of the point sum to 1.
+cusps = strata.FlagTubeModel(
+    strata=[{"name": "cinf", "dimC": 0}, {"name": "c0", "dimC": 0},
+            {"name": "X", "dimC": 1}],
+    flags=[["cinf", "X"], ["c0", "X"]])
+for cusp in ("cinf", "c0"):
+    pt = cusps.point((cusp, "X"), [[0.3]])
+    print(f"chain weights at r = 0.3 from {cusp}:",
+          ", ".join(f"{'<'.join(c)} {w[0]:.8f}"
+                    for c, w in cusps.chain_form_weights(pt)))

@@ -36,11 +36,6 @@ for k in (1, 2, 3):
     b = inv.elementary_symmetric_value(x + n, k)
     print(f"e_{k}(x) = {a},  e_{k}(x+n) = {b},  equal: {a == b}")
 
-# The Jordan decomposition recovers the split x = s + n.
-s_part, n_part = inv.jordan_decompose(x + n)
-print("jordan semisimple part equals x:", np.all(s_part == x))
-print("jordan nilpotent part equals n:", np.all(n_part == n))
-
 # springer_check packages the comparison for any invariant polynomial; it
 # refuses a non-commuting shift.
 e2 = inv.elementary_symmetric(2)

@@ -6,7 +6,7 @@ Modules:
   hcrepr       Harish-Chandra coordinates, Cayley elements, canonical
                extensions of K-representations
   exterior     differential forms on charts, curvature, fiber checks
-  invariants   invariant polynomials, exact Jordan decomposition, Chern forms
+  invariants   invariant polynomials, exact adjugate, Chern forms
   strata       flag-tube models, bump functions, partitions of unity,
                the patched-connection recursion
   connections  invariant connections and the hypotheses of induction

@@ -132,9 +132,10 @@ def p1_chern_number(weight=2, n=160):
         raise PreconditionFailed(
             f"the quadrature grid needs at least 3 points per axis, got {n}")
 
-    def omega_phi(theta, phi, h=1e-6):
+    def omega_phi(theta, phi):
         # weight-m character of the torus part of g^{-1} d_phi g: its entry
         # [0, 0], row 0 of g^{-1} = g(-theta) times column 0 of the difference
+        h = 1e-6  # the step along phi
         a = _p1_chart(-theta, phi)[..., 0, :]
         d = (_p1_chart(theta, phi + h) - _p1_chart(theta, phi - h))[..., :, 0]
         return weight * ((a * d).sum(axis=-1) / (2 * h))

@@ -12,12 +12,11 @@ class ConditionViolation(ChernpatchError):
     `residuals` the matching numeric residuals.
     """
 
-    def __init__(self, conditions, residuals, message=""):
+    def __init__(self, conditions, residuals):
         self.conditions = list(conditions)
         self.residuals = list(residuals)
-        super().__init__(
-            message or f"violated condition(s) {self.conditions}, residuals {self.residuals}"
-        )
+        super().__init__(f"violated condition(s) {self.conditions}, "
+                         f"residuals {self.residuals}")
 
 
 class PreconditionFailed(ChernpatchError):

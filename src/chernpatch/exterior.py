@@ -68,11 +68,11 @@ class SmoothMap:
         J = np.asarray(self._jac(point_stack(x, self.m)), dtype=complex)
         return J.reshape(x.shape[:-1] + J.shape[1:])
 
-    def _fd_jacobian(self, x, h=FD_STEP):
+    def _fd_jacobian(self, x):
         """Central differences at a point (m,) or a (P, m) stack: rows i and
         m + i of a point's block of 2m rows in the one stack are the point
-        displaced by +h and -h along coordinate i."""
-        m = self.m
+        displaced by +h and -h along coordinate i, h = FD_STEP."""
+        m, h = self.m, FD_STEP
         x = np.asarray(x, dtype=float)
         xs = np.repeat(point_stack(x, m)[:, None], 2 * m, axis=1)
         i = np.arange(m)

@@ -1,4 +1,4 @@
-"""Conjugation-invariant polynomials, Jordan decomposition and the
+"""Conjugation-invariant polynomials, the exact adjugate and the
 nilpotent-invariance check, plus Chern form assembly on stacks of points.
 
 Exact arithmetic uses integer or object-dtype numpy arrays (ints,
@@ -7,21 +7,16 @@ polynomial of a (..., d, d) stack is Berkowitz's division-free recursion,
 in int64 within a proven bound and in Python ints past it, once the entry
 denominators are cleared, or Faddeev-LeVerrier in floats.  An invariant
 polynomial is any function of a matrix, such as elementary_symmetric(k).
-The Jordan decomposition is exact only: a Newton iteration against the
-squarefree part of the characteristic polynomial, whose exact inverse is
-the Cayley-Hamilton adjugate over the determinant (adjugate).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import dropwhile
 
 import numpy as np
 
 from . import exterior as ext, liecore
-from .errors import PreconditionFailed
 
 
 def _is_exact(x):
@@ -124,62 +119,23 @@ def is_nilpotent(n, tol=1e-9):
     return _vanishes(p, n, n.shape[-1], tol)
 
 
-def _commutes(x, n, tol=1e-9):
-    return _vanishes(x @ n - n @ x, x, 1, tol)
-
-
 def springer_check(f, x, n, tol=1e-9):
     """f(x + n) - f(x) for commuting nilpotent n and any invariant
     polynomial f, a callable on (..., d, d) stacks of matrices; raises if
-    preconditions fail, naming the first failing matrix of a stack, each
-    tolerance scaled by that matrix alone.
+    preconditions fail, naming the first non-finite, else failing, matrix
+    of a stack, each tolerance scaled by that matrix alone.
 
     Returns the residual per matrix, exactly zero in exact arithmetic.
     """
-    liecore.require(is_nilpotent(n, tol=tol), "n is not nilpotent",
-                    PreconditionFailed)
-    liecore.require(_commutes(x, n, tol=tol), "x and n do not commute",
-                    PreconditionFailed)
+    liecore.require_of(is_nilpotent(n, tol=tol), "n is not nilpotent", "n", n,
+                       (-2, -1))
+    liecore.require_of(_vanishes(x @ n - n @ x, x, 1, tol),
+                       "x and n do not commute", "x", x, (-2, -1))
     a, b = f(x + n), f(x)
     if _is_exact(x):
         return a - b
     r = np.abs(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
     return r if r.ndim else float(r)
-
-
-# ---------------------------------------------------------------------------
-# Jordan decomposition
-
-
-def _poly_divmod(p, q):
-    """(quotient, remainder) of coefficient lists, highest degree first;
-    q[0] must be nonzero."""
-    p = list(p)
-    quot = []
-    while len(p) >= len(q):
-        fac = p[0] / q[0]
-        quot.append(fac)
-        p = [a - fac * b for a, b in zip(p[1:], q[1:])] + p[len(q):]
-    return quot, p
-
-
-def _poly_quot(p, q):
-    """Exact polynomial quotient p / q (remainder must vanish)."""
-    quot, rem = _poly_divmod(p, q)
-    if any(c != 0 for c in rem):
-        raise PreconditionFailed("polynomial division with nonzero remainder")
-    return quot
-
-
-def _poly_gcd(p, q):
-    """Monic gcd of coefficient lists (highest degree first), Fractions."""
-    def strip(p):
-        return list(dropwhile(lambda c: c == 0, p))
-
-    p, q = strip(p), strip(q)
-    while q:
-        p, q = q, strip(_poly_divmod(p, q)[1])
-    return [c / p[0] for c in p]
 
 
 def _poly_eval_matrix(coeffs, x):
@@ -199,40 +155,6 @@ def adjugate(x):
     d = x.shape[-1]
     cs = _char_poly(x)
     return (-1) ** (d - 1) * _poly_eval_matrix(cs[:d], x), (-1) ** d * cs[d]
-
-
-def _poly_deriv(coeffs):
-    n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def jordan_decompose(x):
-    """(s, n) with x = s + n, s semisimple, n nilpotent, [s, n] = 0, for a
-    matrix x of Fractions (PreconditionFailed on anything else).
-
-    Chevalley's Newton iteration s <- s - p'(s)^{-1} p(s) from s = x, where
-    p = chi / gcd(chi, chi') is the squarefree part of the characteristic
-    polynomial chi, whose roots are the eigenvalues of x.  After k steps the
-    error lies in n^(2^k), so ceil(log2 m) steps give s exactly for m the
-    largest eigenvalue multiplicity, bounded by d - deg p + 1 (extra steps
-    are exact no-ops).
-    """
-    x = np.asarray(x)
-    if not _is_exact(x) or not all(isinstance(v, (int, Fraction))
-                                   for v in x.ravel()):
-        raise PreconditionFailed("jordan_decompose takes a matrix of Fractions")
-    cs = list(map(Fraction, _char_poly(x)))  # divisions below stay exact
-    p = _poly_quot(cs, _poly_gcd(cs, _poly_deriv(cs)))
-    dp = _poly_deriv(p)
-    s = x
-    for _ in range(math.ceil(math.log2(len(cs) - len(p) + 1))):
-        adj, det = adjugate(_poly_eval_matrix(dp, s))
-        if det == 0:
-            raise PreconditionFailed("singular matrix in exact inverse")
-        s = s - adj @ _poly_eval_matrix(p, s) / det
-    if any(v != 0 for v in _poly_eval_matrix(p, s).ravel()):
-        raise PreconditionFailed("Jordan iteration failed to terminate")
-    return s, x - s
 
 
 # ---------------------------------------------------------------------------

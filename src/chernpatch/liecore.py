@@ -189,6 +189,16 @@ def require(ok, message: str, error=DecompositionError):
     raise error(message)
 
 
+def require_of(ok, message, name, m, axes):
+    """require(ok, message, PreconditionFailed) for a check of the input m,
+    naming first a row of m (its entries over axes) that is not finite; m is
+    read only once ok fails, so that a passing check runs no further loop."""
+    if not (ok.all() if ok.ndim else ok) and np.asarray(m).dtype != object:
+        require(np.isfinite(m).all(axis=axes), f"{name} is not finite",
+                PreconditionFailed)
+    require(ok, message, PreconditionFailed)
+
+
 def from_coords(coords, basis):
     out = None
     for c, b in zip(coords, basis):

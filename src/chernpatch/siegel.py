@@ -72,7 +72,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import connections, exterior as ext, hcrepr, liecore, strata
-from .errors import PreconditionFailed
+
 
 def z_from_coords(x):
     """Z = X + i Y at chart coordinates x, one point (6,) or a (..., 6) stack."""
@@ -84,13 +84,13 @@ def z_from_coords(x):
 def section(x):
     """Group element s in Sp(4,R) with s . (i I) = Z(x), inside both
     standard parabolics; (..., 4, 4) for a (..., 6) stack of points.
-    Raises PreconditionFailed, naming the first failing row of a stack,
-    unless Im Z is positive definite: y11 > 0 and det Y > 0."""
+    Raises PreconditionFailed unless Im Z is positive definite (y11 > 0,
+    det Y > 0), naming the first non-finite, else failing, row of a stack."""
     Z = z_from_coords(x)
     X, Y = Z.real, Z.imag
     y11, y12, y22 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
-    liecore.require((y11 > 0) & (y11 * y22 - y12 * y12 > 0),
-                    "Im Z is not positive definite", PreconditionFailed)
+    liecore.require_of((y11 > 0) & (y11 * y22 - y12 * y12 > 0),
+                       "Im Z is not positive definite", "chart point", x, -1)
     L = np.linalg.cholesky(Y)
     Lit = np.linalg.inv(L).swapaxes(-1, -2)
     g = np.zeros(Z.shape[:-2] + (4, 4))

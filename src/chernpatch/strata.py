@@ -1,11 +1,11 @@
 """Control data on stratified flag models: the bump profile, partitions of
 unity, chain weights and the patched-connection recursion.
 
-The combinatorial model: strata form a forest given by flags (chains).  A
-point is carried by the chain of strata incident to it, together with the
-tube distances r_Z to each proper ancestor; the a-coordinates along strata
-never enter the weight functions, so they are not stored here.  A stack of
-P points on one chain is
+The combinatorial model: strata form a poset given by flags (chains), which
+may share strata.  A point is carried by a flag prefix, the chain of strata
+incident to it, with the tube distances r_Z to each proper ancestor; the
+a-coordinates along strata never enter the weights, so they are not stored
+here.  A stack of P points on one chain is
 
     x = ModelPoint(chain=(Z_1, ..., Z_k), r)    r of shape (P, k - 1):
 
@@ -146,7 +146,8 @@ def _base(chain, factors):
 
 
 class FlagTubeModel:
-    """Forest of strata given by flags, with eps-family and bump profile."""
+    """Poset of strata given by flags, with eps-family and bump profile;
+    flags may share strata, and a point lies on any prefix of a flag."""
 
     def __init__(self, strata, flags, eps0=1.0):
         """strata: list of {"name": str, "dimC": int}; flags: lists of names
@@ -184,23 +185,18 @@ class FlagTubeModel:
         if undeclared:
             raise PreconditionFailed(f"unknown strata in flags: {undeclared}")
         self.profile = BumpProfile()
-        self._ancestors = {}
-        for f in self.flags:
-            for i, name in enumerate(f):
-                known = self._ancestors.setdefault(name, tuple(f[:i]))
-                if known != tuple(f[:i]):
-                    raise PreconditionFailed(
-                        f"stratum {name} with inconsistent ancestor chains: forest required")
-        for name in self.names:
-            self._ancestors.setdefault(name, ())
+        flagged = {n for f in self.flags for n in f}
+        self._chains = {(n,) for n in self.names if n not in flagged} | {
+            f[:k] for f in self.flags for k in range(1, len(f) + 1)}
 
     def eps(self, name):
         return math.ldexp(self.eps0, -self.dimC[name])
 
     def point(self, chain, r) -> ModelPoint:
-        """Points on chain with the (P, len(chain) - 1) tube distances r."""
+        """Points on chain, any prefix of a flag (or a stratum in no flag),
+        with the (P, len(chain) - 1) tube distances r."""
         chain = tuple(chain)
-        if chain[:-1] != self._ancestors[chain[-1]]:
+        if chain not in self._chains:
             raise PreconditionFailed(f"{chain} is not a model flag chain")
         return ModelPoint(chain, r)
 
@@ -252,7 +248,7 @@ class FlagTubeModel:
     # chains -----------------------------------------------------------
 
     def chains_to(self, x: ModelPoint):
-        """All chains Z_{i_1} < ... < Z_{i_r} = stratum(x) through x's flag,
+        """All chains Z_{i_1} < ... < Z_{i_r} = stratum(x) within x's chain,
         the singleton first; nearer ancestors vary fastest."""
         anc = x.chain[:-1]
         return [tuple(a for a, keep in zip(anc, mask) if keep) + (x.stratum,)
@@ -292,10 +288,6 @@ class FlagTubeModel:
                 val = val * f
             out.append((chain, _top_down(fs) * fs[0], grad))
         return out
-
-    def localization_base(self, x: ModelPoint):
-        """(P,) the largest W in x's flag with B_W^{eps_W}(pi_W(x)) != 0."""
-        return _base(x.chain, self._chain_factors(x))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +444,7 @@ class PatchedSystem:
             sub, gsub = xs[idx], g[idx]
             inner_val = self.patched(self.model.pi(sub, W),
                                      self._at(sub, gsub, W))
-            # chains W = S_0 < ... < S_k = stratum(x) within x's flag
+            # chains W = S_0 < ... < S_k = stratum(x) within x's chain
             chains = [(c, _top_down(fs)[idx]) for c, fs in factors
                       if c[0] == W]
             wsum[idx] = sum(w for _, w in chains)

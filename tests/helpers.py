@@ -1,10 +1,14 @@
 """Sample elements and membership residuals shared by the tests."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
-from chernpatch import charts, connections, exterior as ext, liecore, suites
+from chernpatch import (charts, connections, exterior as ext, invariants as inv,
+                        liecore, suites)
+from chernpatch.errors import PreconditionFailed
 
 
 def random_alg(spec, rng, scale=1.0):
@@ -337,3 +341,70 @@ def representation_reference(n, name):
     basis = _sym2_basis(n)
     return (lambda kc: _sym2_action(topleft(kc), basis, derivative=False),
             lambda kc: _sym2_action(topleft(kc), basis, derivative=True))
+
+
+def _poly_divmod(p, q):
+    """(quotient, remainder) of coefficient lists, highest degree first;
+    q[0] must be nonzero."""
+    p = list(p)
+    quot = []
+    while len(p) >= len(q):
+        fac = p[0] / q[0]
+        quot.append(fac)
+        p = [a - fac * b for a, b in zip(p[1:], q[1:])] + p[len(q):]
+    return quot, p
+
+
+def _poly_quot(p, q):
+    """Exact polynomial quotient p / q (remainder must vanish)."""
+    quot, rem = _poly_divmod(p, q)
+    if any(c != 0 for c in rem):
+        raise PreconditionFailed("polynomial division with nonzero remainder")
+    return quot
+
+
+def _poly_gcd(p, q):
+    """Monic gcd of coefficient lists (highest degree first), Fractions."""
+    def strip(p):
+        return list(itertools.dropwhile(lambda c: c == 0, p))
+
+    p, q = strip(p), strip(q)
+    while q:
+        p, q = q, strip(_poly_divmod(p, q)[1])
+    return [c / p[0] for c in p]
+
+
+def _poly_deriv(coeffs):
+    n = len(coeffs) - 1
+    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def jordan_decompose(x):
+    """(s, n) with x = s + n, s semisimple, n nilpotent, [s, n] = 0, for a
+    matrix x of Fractions (PreconditionFailed on anything else): the exact
+    oracle of the commuting pairs the nilpotent and springer suites draw.
+
+    Chevalley's Newton iteration s <- s - p'(s)^{-1} p(s) from s = x, where
+    p = chi / gcd(chi, chi') is the squarefree part of the characteristic
+    polynomial chi, whose roots are the eigenvalues of x; the exact inverse
+    of the step is the Cayley-Hamilton adjugate over the determinant
+    (invariants.adjugate).  After k steps the error lies in n^(2^k), so
+    ceil(log2 m) steps give s exactly for m the largest eigenvalue
+    multiplicity, bounded by d - deg p + 1 (extra steps are exact no-ops).
+    """
+    x = np.asarray(x)
+    if not inv._is_exact(x) or not all(isinstance(v, (int, Fraction))
+                                       for v in x.ravel()):
+        raise PreconditionFailed("jordan_decompose takes a matrix of Fractions")
+    cs = list(map(Fraction, inv._char_poly(x)))  # divisions below stay exact
+    p = _poly_quot(cs, _poly_gcd(cs, _poly_deriv(cs)))
+    dp = _poly_deriv(p)
+    s = x
+    for _ in range(math.ceil(math.log2(len(cs) - len(p) + 1))):
+        adj, det = inv.adjugate(inv._poly_eval_matrix(dp, s))
+        if det == 0:
+            raise PreconditionFailed("singular matrix in exact inverse")
+        s = s - adj @ inv._poly_eval_matrix(p, s) / det
+    if any(v != 0 for v in inv._poly_eval_matrix(p, s).ravel()):
+        raise PreconditionFailed("Jordan iteration failed to terminate")
+    return s, x - s

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chernpatch import invariants as inv, suites
 from chernpatch.errors import PreconditionFailed
+from helpers import jordan_decompose
 
 
 def exact_matrix(rows):
@@ -76,7 +77,7 @@ def test_integer_char_poly_stays_in_integers():
         assert all(type(c) is int for c in cs)
         assert cs == inv._char_poly(np.array(
             [[Fraction(v) for v in r] for r in rows], dtype=object))
-    s, n = inv.jordan_decompose(np.array([[2, 1], [0, 2]], dtype=object))
+    s, n = jordan_decompose(np.array([[2, 1], [0, 2]], dtype=object))
     assert s.tolist() == [[2, 0], [0, 2]] and n.tolist() == [[0, 1], [0, 0]]
     assert all(type(v) is Fraction for v in s.ravel())
 
@@ -256,6 +257,19 @@ def test_stacked_springer_check_names_the_failing_row():
         inv.springer_check(f, x, n, tol=1e-6)
 
 
+@pytest.mark.parametrize("which", ["x", "n"])
+@pytest.mark.parametrize("row", [0, 3])
+def test_springer_check_names_a_nan_input(which, row):
+    # a NaN fails every comparison: it is named as itself, at its row, not
+    # as a pair that does not commute or an n that is not nilpotent
+    f = inv.elementary_symmetric(2)
+    x, n = _float_pairs(5)
+    {"x": x, "n": n}[which][row, 1, 3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            PreconditionFailed, match=rf"^{which} is not finite \(row {row}\)$"):
+        inv.springer_check(f, x, n, tol=1e-6)
+
+
 def test_large_norm_row_does_not_loosen_a_small_row():
     # row 0 is a valid pair of norm 1e6; row 1 is off by 1e-5, far above
     # tol = 1e-9 at its own norm, far below tol times the norm of row 0
@@ -311,7 +325,7 @@ def test_adjugate_is_exact(d):
 
 def test_jordan_decompose_exact():
     x = exact_matrix([[2, 1], [0, 2]])
-    s, n = inv.jordan_decompose(x)
+    s, n = jordan_decompose(x)
     assert all(v == w for v, w in zip(s.ravel(),
                                       exact_matrix([[2, 0], [0, 2]]).ravel()))
     assert inv.is_nilpotent(n)
@@ -326,7 +340,7 @@ def test_jordan_decompose_exact_conjugated_jordan_form(dim):
         sx, nx = (np.array([[Fraction(v, int(det)) for v in row]
                             for row in a.tolist()], dtype=object)
                   for a in (M, N))
-        s, n = inv.jordan_decompose(sx + nx)
+        s, n = jordan_decompose(sx + nx)
         assert s.tolist() == sx.tolist() and n.tolist() == nx.tolist()
         assert all(type(v) is Fraction for v in s.ravel())
 
@@ -351,7 +365,7 @@ def test_jordan_decompose_takes_fractions_only():
     for x in (np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2, dtype=complex),
               np.array([[1.0, 0.5], [0.0, 1.0]], dtype=object)):
         with pytest.raises(PreconditionFailed, match="matrix of Fractions"):
-            inv.jordan_decompose(x)
+            jordan_decompose(x)
 
 
 def test_jordan_decompose_float_rejects_blurred_defective():
@@ -362,16 +376,16 @@ def test_jordan_decompose_float_rejects_blurred_defective():
     x = np.array([[1.0, 0.7, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
     x = q @ x @ np.linalg.inv(q)
     with pytest.raises(PreconditionFailed, match="matrix of Fractions"):
-        inv.jordan_decompose(x)
+        jordan_decompose(x)
 
 
 def test_jordan_decompose_rejects_tight_spectrum():
     x = np.diag([1.0, 1.0 + 1e-9, 3.0])
     with pytest.raises(PreconditionFailed, match="matrix of Fractions"):
-        inv.jordan_decompose(x)
+        jordan_decompose(x)
     # the same spectrum in exact arithmetic is simple: s = x, n = 0
     xe = np.diag([Fraction(1), 1 + Fraction(1, 10 ** 9), Fraction(3)])
-    s, n = inv.jordan_decompose(xe)
+    s, n = jordan_decompose(xe)
     assert s.tolist() == xe.tolist() and all(v == 0 for v in n.ravel())
 
 

@@ -51,6 +51,16 @@ def test_points_off_the_siegel_domain_are_named(model):
         form.jacobian(x)
 
 
+@pytest.mark.parametrize("coord", [3, 4, 5])
+def test_section_names_a_nan_chart_point(coord):
+    # a NaN in Y fails the positive-definite test: it is named as itself
+    x = np.array([[0.1, 0.0, 0.0, 2.0, 0.0, 3.0]] * 4)
+    x[2, coord] = np.nan
+    with pytest.raises(PreconditionFailed,
+                       match=r"^chart point is not finite \(row 2\)$"):
+        siegel.section(x)
+
+
 def test_section_maps_to_point(model):
     # acting on i*I recovers the chart coordinates
     rng = np.random.default_rng(1)
@@ -281,7 +291,8 @@ def test_a_patched_stack_equals_its_rows_bit_for_bit(model):
     md = model.model
     # rows with different localization bases, and a chain whose weight
     # vanishes at some rows and not at others
-    assert len(set(md.localization_base(p.control).tolist())) > 1
+    bases = strata._base(p.control.chain, md._chain_factors(p.control))
+    assert len(set(bases.tolist())) > 1
     ws = np.array([w for _, w in md.chain_form_weights(p.control)]).T
     assert ((ws == 0.0).any(axis=0) & (ws != 0.0).any(axis=0)).any()
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpatch import strata
+from chernpatch import cli, strata, suites
 from chernpatch.errors import PreconditionFailed
 from helpers import B_reference, family_vanishing_reference, rho
 
@@ -178,11 +178,43 @@ def test_vanishing_check_matches_per_point_reference(make, flag, collapsed,
 
 
 def test_inconsistent_forest_rejected():
-    with pytest.raises(PreconditionFailed):
-        strata.FlagTubeModel(
-            strata=[{"name": "A", "dimC": 0}, {"name": "B", "dimC": 1},
-                    {"name": "C", "dimC": 2}],
-            flags=[["A", "C"], ["B", "C"]])
+    # flags that share a stratum make a poset, and it builds; a chain that
+    # is no flag's prefix is still refused
+    model = strata.FlagTubeModel(
+        strata=[{"name": "A", "dimC": 0}, {"name": "B", "dimC": 1},
+                {"name": "C", "dimC": 2}],
+        flags=[["A", "C"], ["B", "C"]])
+    for chain in (("A", "C"), ("B", "C")):
+        assert model.point(chain, [[0.1]]).chain == chain
+    with pytest.raises(PreconditionFailed, match="not a model flag chain"):
+        model.point(("A", "B", "C"), [[0.1, 0.2]])
+
+
+def _two_cusps():
+    return {"strata": [{"name": "cinf", "dimC": 0}, {"name": "c0", "dimC": 0},
+                       {"name": "X", "dimC": 1}],
+            "flags": [["cinf", "X"], ["c0", "X"]], "eps0": 1.0}
+
+
+def test_two_cusps_under_one_stratum(tmp_path, capsys):
+    # "adding finitely many cusps": two cusps below one open stratum.  At
+    # r = 0.3 the profile reads s(0.3 / eps_X) = s(0.6) at eps_X = 1/2
+    model = suites.model_from_dict(_two_cusps())
+    for cusp in ("cinf", "c0"):
+        got = dict(model.chain_form_weights(model.point((cusp, "X"),
+                                                        [[0.3]])))
+        assert set(got) == {("X",), (cusp, "X")}
+        assert got[(cusp, "X")][0] == pytest.approx(0.69705928, abs=1e-8)
+        assert got[("X",)][0] == pytest.approx(0.30294072, abs=1e-8)
+        assert abs(sum(got.values())[0] - 1.0) < 1e-15
+    for chain, r in [(("cinf", "c0", "X"), [[0.1, 0.2]]), (("X",), [[]]),
+                     (("nope",), [[]]), ((), [[]])]:
+        with pytest.raises(PreconditionFailed, match="not a model flag chain"):
+            model.point(chain, r)
+    path = tmp_path / "two_cusps.json"
+    path.write_text(json.dumps(_two_cusps()))
+    assert cli.main(["verify", "partition", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
 
 
 def test_chain_weights_sum_to_localized_weight():
@@ -198,7 +230,7 @@ def test_chain_weights_sum_to_localized_weight():
                     for j in range(len(chain) - 1)] for _ in range(500)]
             x = model.point(chain, np.array(eps)
                             * rng.uniform(0.4, 0.85, (500, len(chain) - 1)))
-            W = model.localization_base(x)
+            W = strata._base(x.chain, model._chain_factors(x))
             assert W.shape == (500,) and set(W.tolist()) <= set(chain)
             ws = np.zeros((len(model.chains_to(x)), 500))
             base_at = np.array([chain.index(w) for w in W.tolist()])
