@@ -5,13 +5,9 @@ stack of points to the (P, ...) stack of its values.  A VForm of degree q
 is a SmoothMap with a degree: its value at x is the array of all C(m, q)
 coefficients, (C(m, q),) + value shape, in the order of
 itertools.combinations(range(m), q); coefficients are scalars or End(V)
-matrices.  The one d taken is that of a curvature (curvature_form).  A
-coefficient map is differentiated by its analytic Jacobian when it carries
-one (the Siegel projection, the affine forms of the `patch` suite), which
-takes a (P, m) stack as func does, and otherwise by central differences,
-the 2m displaced points of each of P points as one func call on 2mP rows,
-to which a curvature adds the P points: (2m+1)P rows for omega's value
-and differences.
+matrices.  The one d taken is that of a curvature (curvature_form).  Every
+chart map is differentiated one way, by central differences: one func call
+on the 2m displaced points and the point itself gives Jacobian and value.
 One contraction (contract) evaluates the coefficients at a stack of points,
 each on its own vectors: VForm.evaluate, and the fiber check of several
 forms at a stack, with one SVD for the vertical vectors and one draw for
@@ -43,17 +39,13 @@ class SmoothMap:
     """Differentiable map from an m-dimensional chart to scalars or arrays.
 
     func maps a (P, m) float array of chart points to the (P, ...) stack of
-    their values; value(x) is its one-row case.  jac (optional), the
-    analytic Jacobian, takes the same stack to the (P, m) + value-shape
-    stack of Jacobians in one call; without it the Jacobian is taken by
-    central differences with step 1e-5, the displaced points of a point or
-    of a stack of points evaluated in one func call.
+    their values; value(x) is its one-row case, and jacobian(x) is taken by
+    central differences (_fd_jacobian).
     """
 
-    def __init__(self, m, func, jac=None):
+    def __init__(self, m, func):
         self.m = m
         self.func = func
-        self._jac = jac
 
     def value(self, x):
         return np.asarray(self.func(np.array([x], dtype=float)),
@@ -62,26 +54,23 @@ class SmoothMap:
     def jacobian(self, x):
         """Array of shape (m,) + value.shape with entry i = d/dx_i at a point
         x (m,), or the (P, m) + value.shape stack of them at a (P, m) stack."""
-        if self._jac is None:
-            return self._fd_jacobian(x)
-        x = np.asarray(x, dtype=float)
-        J = np.asarray(self._jac(point_stack(x, self.m)), dtype=complex)
-        return J.reshape(x.shape[:-1] + J.shape[1:])
+        return self._fd_jacobian(x)[0]
 
     def _fd_jacobian(self, x):
-        """Central differences at a point (m,) or a (P, m) stack: rows i and
-        m + i of a point's block of 2m rows in the one stack are the point
-        displaced by +h and -h along coordinate i, h = FD_STEP."""
+        """(J, value) at a point (m,) or a (P, m) stack, from one func call
+        on (2m+1)P rows: rows i and m + i of a point's block are the point
+        displaced by +h and -h along coordinate i, h = FD_STEP, and row 2m
+        is the point itself."""
         m, h = self.m, FD_STEP
         x = np.asarray(x, dtype=float)
-        xs = np.repeat(point_stack(x, m)[:, None], 2 * m, axis=1)
-        i = np.arange(m)
-        xs[:, i, i] += h
-        xs[:, m + i, i] -= h
+        xs = np.repeat(point_stack(x, m)[:, None], 2 * m + 1, axis=1)
+        i = np.arange(2 * m)
+        xs[:, i, i % m] += np.repeat([h, -h], m)
         vals = np.asarray(self.func(xs.reshape(-1, m)), dtype=complex)
-        vals = vals.reshape((-1, 2 * m) + vals.shape[1:])
-        J = (vals[:, :m] - vals[:, m:]) / (2 * h)
-        return J.reshape(x.shape[:-1] + J.shape[1:])
+        vals = vals.reshape((-1, 2 * m + 1) + vals.shape[1:])
+        J = (vals[:, :m] - vals[:, m:-1]) / (2 * h)
+        return tuple(a.reshape(x.shape[:-1] + a.shape[1:])
+                     for a in (J, vals[:, -1]))
 
 
 class VForm(SmoothMap):
@@ -91,8 +80,8 @@ class VForm(SmoothMap):
     combinations(range(m), degree).
     """
 
-    def __init__(self, m, degree, func, jac=None):
-        super().__init__(m, func, jac)
+    def __init__(self, m, degree, func):
+        super().__init__(m, func)
         self.degree = degree
 
     def evaluate(self, x, vectors):
@@ -193,27 +182,12 @@ def wedge_pairs(f, a):
 
 
 def curvature_form(omega: VForm) -> VForm:
-    """Omega = d omega + 1/2 [omega, omega] for an End(V)-valued 1-form.
-    Without an analytic Jacobian, P points are one func call on (2m+1)P
-    rows: each point's 2m displaced rows from _fd_jacobian, then itself."""
-    m = omega.m
-    ia, ib, sign = wedge_table(m, 1, 1)
+    """Omega = d omega + 1/2 [omega, omega] for an End(V)-valued 1-form,
+    whose differences and values at P points are one func call."""
+    ia, ib, sign = wedge_table(omega.m, 1, 1)
 
     def coeffs(xs):
-        xs = np.asarray(xs, dtype=float)
-        if omega._jac is not None:
-            J, om = omega.jacobian(xs), np.asarray(omega.func(xs), complex)
-        else:
-            at = []
-
-            def func(rows):
-                vals = np.asarray(omega.func(np.concatenate(
-                    [rows.reshape(len(xs), 2 * m, m), xs[:, None]], axis=1
-                ).reshape(-1, m)), dtype=complex)
-                at.append(vals.reshape((len(xs), 2 * m + 1) + vals.shape[1:]))
-                return at[0][:, :-1].reshape((-1,) + vals.shape[1:])
-
-            J, om = SmoothMap(m, func)._fd_jacobian(xs), at[0][:, -1]
+        J, om = omega._fd_jacobian(xs)
         d = _signed_sum(sign, np.moveaxis(J[:, ia, ib], 0, 2))
         return np.moveaxis(d, 1, 0) + bracket_pairs(om)
 
@@ -250,8 +224,7 @@ def vertical_vectors(proj: SmoothMap, xs):
     rows of a (P, k, m) array from one SVD: singular values at most 1e-9
     max(1, largest) count as zero, and the rank must not change."""
     J = proj.jacobian(np.asarray(xs, dtype=float))   # (P, m) + value shape
-    J2 = J.reshape(len(J), proj.m, -1).swapaxes(-1, -2)
-    u, s, vt = np.linalg.svd(np.asarray(J2, dtype=complex))
+    u, s, vt = np.linalg.svd(J.reshape(len(J), proj.m, -1).swapaxes(-1, -2))
     rank = np.sum(s > 1e-9 * np.maximum(
         1.0, s.max(axis=-1, initial=0.0, keepdims=True)), axis=-1)
     liecore.require(rank == rank[0], "the projection's Jacobian changes rank",

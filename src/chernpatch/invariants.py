@@ -104,12 +104,12 @@ def elementary_symmetric(k):
 
 def _vanishes(c, a, power, tol):
     """Per matrix of a stack: c == 0 if exact, else max |c| <= tol
-    max(1, max |a|^power), each matrix scaled by its own a."""
+    max(1, max |a|^power), each matrix scaled by its own a, which is finite."""
     if _is_exact(c):
         return (c == 0).all(axis=(-2, -1))
     c, a = (np.abs(np.asarray(m, dtype=complex)).max(axis=(-2, -1))
             for m in (c, a))
-    return c <= tol * np.maximum(1.0, a ** power)
+    return (c <= tol * np.maximum(1.0, a ** power)) & (a < np.inf)
 
 
 def is_nilpotent(n, tol=1e-9):

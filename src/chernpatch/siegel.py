@@ -84,12 +84,13 @@ def z_from_coords(x):
 def section(x):
     """Group element s in Sp(4,R) with s . (i I) = Z(x), inside both
     standard parabolics; (..., 4, 4) for a (..., 6) stack of points.
-    Raises PreconditionFailed unless Im Z is positive definite (y11 > 0,
-    det Y > 0), naming the first non-finite, else failing, row of a stack."""
+    Raises PreconditionFailed unless x is finite and Im Z positive definite
+    (y11 > 0, det Y > 0), naming the first non-finite, else failing, row."""
     Z = z_from_coords(x)
     X, Y = Z.real, Z.imag
     y11, y12, y22 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
-    liecore.require_of((y11 > 0) & (y11 * y22 - y12 * y12 > 0),
+    liecore.require_of((y11 > 0) & (y11 * y22 - y12 * y12 > 0)
+                       & (np.abs(x).max(axis=-1) < np.inf),
                        "Im Z is not positive definite", "chart point", x, -1)
     L = np.linalg.cholesky(Y)
     Lit = np.linalg.inv(L).swapaxes(-1, -2)
@@ -291,8 +292,5 @@ class SiegelModel:
         return ext.VForm(6, 1, coeffs)
 
     def projection_map(self) -> ext.SmoothMap:
-        """pi_Y = (x11, y11) as a chart map (6 coords -> 2), analytic Jacobian."""
-        J = np.zeros((6, 2))
-        J[[0, 3], [0, 1]] = 1.0
-        return ext.SmoothMap(6, lambda xs: xs[:, [0, 3]], jac=lambda xs:
-                             np.broadcast_to(J, (len(xs),) + J.shape))
+        """pi_Y = (x11, y11) as a chart map (6 coords -> 2)."""
+        return ext.SmoothMap(6, lambda xs: xs[:, [0, 3]])

@@ -187,59 +187,57 @@ def _weights(coeffs, xs):
             np.concatenate([df, -df.sum(axis=-2, keepdims=True)], -2))
 
 
-def _patch_forms(coeffs, A, B):
-    """omega = sum_i f_i omega_i and the affine omega_i of S samples of one
-    chart dimension m, from their stacked draws (c0, c1, c2), A (S, parts,
-    m, d, d) and B (S, parts, m, m, d, d), as VForms on (R, m) rows that
-    come sample by sample, R / S to a sample; the omega_i carry their
-    analytic Jacobians."""
+def _affine_values(A, B, xs):
+    """omega_i = A_i + sum_k x_k B_ik, (S, P, m, d, d) a form, at the (S, P, m)
+    points xs of S samples, from their stacked draws A and B."""
+    return [A[:, i, None] + np.einsum("spk,sikrc->spirc", xs, B[:, i])
+            for i in range(_PATCH_PARTS)]
+
+
+def _affine_curvatures(B, values):
+    """Omega_i = d omega_i + 1/2 [omega_i, omega_i] at the _affine_values."""
+    a, b = ext._index_cols(B.shape[2], 2).T
+    return [(B[:, i, b, a] - B[:, i, a, b])[:, None]   # d omega_i, constant
+            + ext.bracket_pairs(np.asarray(om, complex))
+            for i, om in enumerate(values)]
+
+
+def _patch_combination(coeffs, A, B):
+    """omega = sum_i f_i omega_i of S samples of one chart dimension m, as a
+    VForm on (R, m) rows that come sample by sample, R / S to a sample."""
     S, m = len(A), A.shape[2]
 
-    def on_samples(func):       # func: (S, R / S, m) -> (S, R / S, ...)
-        return lambda xs: np.concatenate(func(xs.reshape(S, -1, m)))
-
-    def affine(i, xs):
-        return A[:, i, None] + np.einsum("spk,sikrc->spirc", xs, B[:, i])
-
-    def combined(xs):
+    def combined(rows):
+        xs = rows.reshape(S, -1, m)
         f = _weights(coeffs, xs)[0][..., None, None, None]
-        return sum(f[:, :, i] * affine(i, xs) for i in range(_PATCH_PARTS))
+        return np.concatenate(sum(f[:, :, i] * om for i, om in
+                                  enumerate(_affine_values(A, B, xs))))
 
-    J = B.swapaxes(2, 3)[:, :, None]    # (S, parts, 1, k, i, d, d)
-    return ext.VForm(m, 1, on_samples(combined)), [ext.VForm(
-        m, 1, on_samples(lambda xs, i=i: affine(i, xs)), jac=on_samples(
-            lambda xs, i=i: np.broadcast_to(J[:, i], xs.shape[:2] + J.shape[3:])))
-        for i in range(_PATCH_PARTS)]
+    return ext.VForm(m, 1, combined)
 
 
 def _patch_residual(group, corrupt):
     """max |formula - oracle| of one chart dimension's samples, one stack."""
     *coeffs, A, B, xs = (np.array(a) for a in zip(*group))
-    omega, omegas = _patch_forms(coeffs, A, B)
-    rows = np.concatenate(xs)
     f, df = map(np.concatenate, _weights(coeffs, xs))
+    values = _affine_values(A, B, xs)
     formula = ext.combination_curvature(zip(
         f.T, (0.0 * df if corrupt else df).swapaxes(0, 1),
-        [om.func(rows) for om in omegas],
-        [ext.curvature_form(om).func(rows) for om in omegas]))
-    oracle = ext.curvature_form(omega).func(rows)
+        map(np.concatenate, values),
+        map(np.concatenate, _affine_curvatures(B, values))))
+    oracle = ext.curvature_form(_patch_combination(coeffs, A, B)).func(
+        np.concatenate(xs))
     return float(np.max(np.abs(formula - oracle)))
 
 
 def suite_patch(seed=0, tol=1e-6, samples=100, nvars=4, corrupt=False):
     """Curvature of omega = sum_i f_i omega_i, for quadratic weights f_i
-    summing to 1 and affine 1-forms omega_i of curvatures Omega_i: the
-    product rule of ext.combination_curvature,
-
-        Omega = sum_i [df_i ^ omega_i + f_i (Omega_i - 1/2 [omega_i, omega_i])]
-                + 1/2 [omega, omega],
-
-    with df_i in closed form and Omega_i from analytic Jacobians, against
-    ext.curvature_form of omega by central differences, coefficient by
-    coefficient at three points per sample.  The samples are drawn one at
-    a time and grouped by chart dimension m; a group is one stack, run as
-    it fills to _PATCH_STACK samples or at the end.  corrupt drops df_i.
-    """
+    summing to 1 and affine 1-forms omega_i: the product rule of
+    ext.combination_curvature, with each df_i and Omega_i in closed form,
+    against ext.curvature_form of omega, coefficient by coefficient at three
+    points per sample.  The samples are drawn one at a time and grouped by
+    chart dimension m; a group is one stack, run as it fills to
+    _PATCH_STACK samples or at the end.  corrupt drops df_i."""
     rng = np.random.default_rng(seed)
     groups, residuals = {}, []
     for _ in range(samples):

@@ -233,7 +233,9 @@ def test_curvature_form_matches_the_wedge_tower():
     rng = np.random.default_rng(9)
     model = siegel.SiegelModel("std")
     patched = model.form_from_evaluator(model.omega_patched)
-    affine = suites._patch_forms(*patch_draws(4, 1, rng)[:3])[1][0]
+    _, A, B, _ = patch_draws(4, 1, rng)
+    affine = ext.VForm(4, 1, lambda xs: A[0, 0] + np.einsum(
+        "pk,ikrc->pirc", xs, B[0, 0]))
     cases = ([(patched, x) for x in suites._model_tube_points(model, rng, 2)
               + suites._mixed_tube_points(model, rng, 2)]
              + [(affine, rng.uniform(-0.5, 0.5, 4)) for _ in range(2)])
@@ -350,8 +352,8 @@ def test_exterior_d_matches_per_term_reference(m, shape):
     for q in range(m):
         J = _coeff_array(rng, m * math.comb(m, q), shape).reshape(
             (m, math.comb(m, q)) + shape)
-        form = ext.VForm(m, q, rowwise(lambda x: 0.0), jac=lambda xs, J=J:
-                         np.broadcast_to(J, (len(xs),) + J.shape))
+        form = ext.VForm(m, q, rowwise(lambda x: 0.0))
+        form.jacobian = lambda xs, J=J: np.broadcast_to(J, (len(xs),) + J.shape)
         got = exterior_d(form).value(x)
         ref = _ref_combine(_ref_d_table(m, q), lambda n, j: J[j, n])
         if q <= 1:

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -268,6 +268,24 @@ def test_springer_check_names_a_nan_input(which, row):
     with np.errstate(invalid="ignore"), pytest.raises(
             PreconditionFailed, match=rf"^{which} is not finite \(row {row}\)$"):
         inv.springer_check(f, x, n, tol=1e-6)
+
+
+def test_springer_check_refuses_an_infinite_entry():
+    # an infinite x once scaled the commutation tolerance to inf, and 12 of
+    # these placements passed with a NaN residual; each is named instead
+    f = inv.elementary_symmetric(2)
+    x0, n = _float_pairs(6, seed=0)
+    for r, i, j in product(range(6), range(4), range(4)):
+        for bad in (np.inf, -np.inf):
+            x = x0.copy()
+            x[r, i, j] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    PreconditionFailed, match=rf"^x is not finite \(row {r}\)$"):
+                inv.springer_check(f, x, n, tol=1e-6)
+    n[4, 0, 1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            PreconditionFailed, match=r"^n is not finite \(row 4\)$"):
+        inv.springer_check(f, x0, n, tol=1e-6)
 
 
 def test_large_norm_row_does_not_loosen_a_small_row():

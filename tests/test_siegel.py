@@ -61,6 +61,34 @@ def test_section_names_a_nan_chart_point(coord):
         siegel.section(x)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("coord", range(6))
+def test_section_refuses_a_non_finite_chart_point(coord, bad):
+    # in X as in Y, a non-finite entry is named as itself at its row
+    x = np.array([[0.1, 0.0, 0.0, 2.0, 0.0, 3.0]] * 4)
+    x[2, coord] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+            PreconditionFailed, match=r"^chart point is not finite \(row 2\)$"):
+        siegel.section(x)
+
+
+def test_projection_has_exact_unit_vertical_vectors(model):
+    # pi_Y = (x11, y11) is differenced like every chart map; its
+    # differences are exactly 0 off its two columns, so its vertical vectors
+    # are exactly x22, -x12, y12 and y22 at the points of all three samplers
+    rng = np.random.default_rng(0)
+    d = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 0.005],
+                    [0.5, 0.3, 0.3, 0.5, 0.3, 0.12], (200, 6))  # `patched`
+    R = np.zeros((4, 6))
+    R[[0, 1, 2, 3], [2, 1, 4, 5]] = [1.0, -1.0, 1.0, 1.0]
+    want = (R + 0j).conj()        # vertical_vectors conjugates: imag -0.0
+    for xs in (suites._model_tube_points(model, rng, 200),
+               suites._mixed_tube_points(model, rng, 200),
+               model.chart_points(d[:, [3, 5]], d[:, [0, 1, 2, 4]])):
+        v = ext.vertical_vectors(model.projection_map(), np.array(xs))
+        assert v.tobytes() == np.broadcast_to(want, v.shape).tobytes()
+
+
 def test_section_maps_to_point(model):
     # acting on i*I recovers the chart coordinates
     rng = np.random.default_rng(1)

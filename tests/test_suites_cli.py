@@ -784,7 +784,7 @@ def test_package_runs_as_a_module():
 
 
 def test_suites_run_without_dual_numbers():
-    # every chart map is differentiated analytically or by differences
+    # every chart map is differentiated by central differences
     code = ("import sys\n"
             "import chernpatch\n"
             "from chernpatch import suites\n"
