@@ -123,9 +123,12 @@ def springer_check(f, x, n, tol=1e-9):
     """f(x + n) - f(x) for commuting nilpotent n and any invariant
     polynomial f, a callable on (..., d, d) stacks of matrices; raises if
     preconditions fail, naming the first non-finite, else failing, matrix
-    of a stack, each tolerance scaled by that matrix alone.
+    of a stack, each tolerance scaled by that matrix alone.  f may return
+    several invariants stacked on a leading axis, (k, ...), so that one
+    check covers them all.
 
-    Returns the residual per matrix, exactly zero in exact arithmetic.
+    Returns the residual per matrix (per invariant and matrix for a stacked
+    f), exactly zero in exact arithmetic.
     """
     liecore.require_of(is_nilpotent(n, tol=tol), "n is not nilpotent", "n", n,
                        (-2, -1))

@@ -78,7 +78,10 @@ def z_from_coords(x):
     """Z = X + i Y at chart coordinates x, one point (6,) or a (..., 6) stack."""
     sym = [[0, 1], [1, 2]]     # (v11, v12, v22) -> [[v11, v12], [v12, v22]]
     x = np.asarray(x, dtype=float)
-    return x[..., :3][..., sym] + 1j * x[..., 3:][..., sym]
+    # parts set apart: x + 1j y would form 0 * y, NaN with a warning at inf
+    Z = np.empty(x.shape[:-1] + (2, 2), dtype=complex)
+    Z.real, Z.imag = x[..., :3][..., sym], x[..., 3:][..., sym]
+    return Z
 
 
 def section(x):

@@ -244,6 +244,24 @@ def test_stacked_springer_check_matches_single_matrices():
     assert inv.springer_check(inv.elementary_symmetric(2), xe, ne).tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("seed", [0, 40])
+def test_one_springer_check_of_all_e_k_matches_one_check_each(seed):
+    # the springer suite's one check of e_1, ..., e_4 on a stack gives, row
+    # for row, the bits of one springer_check of elementary_symmetric(k)
+    # each, and so does its corrupt branch's one stacked difference
+    x, n = _float_pairs(30, seed)
+    stacked = inv.springer_check(suites._shift_invariants, x, n, tol=1e-6)
+    assert stacked.shape == (4, 30)
+    assert stacked.tobytes() == np.array(
+        [inv.springer_check(inv.elementary_symmetric(k), x, n, tol=1e-6)
+         for k in range(1, 5)]).tobytes()
+    x, n = np.random.default_rng(seed).standard_normal((2, 30, 4, 4))
+    n = np.triu(n, 1)
+    fs = [inv.elementary_symmetric(k) for k in range(1, 5)]
+    diff = suites._shift_invariants(x + n) - suites._shift_invariants(x)
+    assert diff.tobytes() == np.array([f(x + n) - f(x) for f in fs]).tobytes()
+
+
 def test_stacked_springer_check_names_the_failing_row():
     f = inv.elementary_symmetric(2)
     x, n = _float_pairs(5)

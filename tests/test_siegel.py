@@ -61,14 +61,16 @@ def test_section_names_a_nan_chart_point(coord):
         siegel.section(x)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("coord", range(6))
 def test_section_refuses_a_non_finite_chart_point(coord, bad):
-    # in X as in Y, a non-finite entry is named as itself at its row
+    # in X as in Y, a non-finite entry is named as itself at its row, with
+    # no warning on the way
     x = np.array([[0.1, 0.0, 0.0, 2.0, 0.0, 3.0]] * 4)
     x[2, coord] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(
-            PreconditionFailed, match=r"^chart point is not finite \(row 2\)$"):
+    with pytest.raises(PreconditionFailed,
+                       match=r"^chart point is not finite \(row 2\)$"):
         siegel.section(x)
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import math
 import os
@@ -142,15 +143,15 @@ def test_flipped_structure_equation_fails_three_suites(monkeypatch):
                       "descent": ["structure-equation-vs-differences"]}
 
 
-def _nan_at_second_call(func):
-    """func, with row 0 of its result NaN at its second call: one row of
-    the second stack a suite hands it."""
+def _nan_at_call(func, call=2):
+    """func, with row 0 of its result NaN at its call-th call: by default
+    one row of the second stack a suite hands it."""
     calls = []
 
     def wrapped(*args, **kwargs):
         out = func(*args, **kwargs)
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) == call:
             out = np.array(out)
             out[0] = np.nan
         return out
@@ -161,35 +162,37 @@ def _nan_form(method):
     """A form builder whose form is NaN at one row of its second stack."""
     def wrapped(self, conn):
         form = method(self, conn)
-        return ext.VForm(form.m, form.degree, _nan_at_second_call(form.func))
+        return ext.VForm(form.m, form.degree, _nan_at_call(form.func))
     return wrapped
 
 
 # suite: (--samples, owner and name of the evaluator, its wrapper, check)
 _NAN_CASES = {
     "descent": ([], siegel.SiegelModel, "curvature_patched",
-                _nan_at_second_call, "chern-c1-vertical"),
+                _nan_at_call, "chern-c1-vertical"),
     "pifiber": (["--samples", "20"], siegel.SiegelModel,
-                "curvature_induced_nomizu", _nan_at_second_call,
+                "curvature_induced_nomizu", _nan_at_call,
                 "induced-curvature-vertical"),
-    "patched": ([], strata.PatchedSystem, "chain_form", _nan_at_second_call,
+    "patched": ([], strata.PatchedSystem, "chain_form", _nan_at_call,
                 "recursion-equals-chain"),
     "partition": ([], strata.FlagTubeModel, "partition_weights",
-                  _nan_at_second_call, "weights-sum-to-one"),
+                  _nan_at_call, "weights-sum-to-one"),
     "bridge": ([], charts.GroupChart, "algebraic_curvature_form", _nan_form,
                "sp2-nomizu"),
-    "patch": ([], ext, "combination_curvature", _nan_at_second_call,
+    "patch": ([], ext, "combination_curvature", _nan_at_call,
               "combination-identity"),
-    "springer": ([], inv, "springer_check", _nan_at_second_call,
-                 "invariance"),
+    # one springer_check covers the whole stack: its e_1 row is the NaN
+    "springer": ([], inv, "springer_check",
+                 functools.partial(_nan_at_call, call=1), "invariance"),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(_NAN_CASES))
 def test_a_nan_residual_fails_its_check(suite, monkeypatch, capsys):
     samples, owner, attr, wrap, check = _NAN_CASES[suite]
-    # a NaN at one row of a later stack is the check's max_residual, not
-    # dropped by a fold, and fails the check and the run
+    # a NaN at one row of a stack (a later one, where a suite hands over
+    # several) is the check's max_residual, not dropped by a fold, and fails
+    # the check and the run
     monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))
     assert cli.main(["verify", suite, *samples]) == 1
     checks = {c["name"]: c for c in
@@ -214,43 +217,51 @@ def test_corrupt_springer_fails():
     assert not rpt["pass"]
 
 
-def _fraction_commuting_pair(rng, dim=4, exact=True, corrupt=False):
-    """The pair of suites._commuting_pairs, built by Fraction triple
-    products and the exact inverse adj(s) / det(s) from scalar rng draws, and
-    the number of flag matrices s drawn for it."""
-    vals = sorted(int(rng.integers(-3, 4)) for _ in range(dim))
-    x = [[Fraction(0)] * dim for _ in range(dim)]
-    n = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        x[i][i] = Fraction(vals[i])
-        for j in range(i + 1, dim):
-            if vals[i] == vals[j]:
-                n[i][j] = Fraction(int(rng.integers(-2, 3)))
-    if corrupt:
+def _fraction_commuting_pairs(rng, count, dim=4, exact=True, corrupt=False):
+    """The pairs of suites._commuting_pairs, built by Fraction triple
+    products and the exact inverse adj(s) / det(s) from scalar rng draws in
+    its order (every eigenvalue, then every shift, then the rows of s round
+    by round), and the rows redrawn in each round after the first."""
+    vals = [sorted(int(rng.integers(-3, 4)) for _ in range(dim))
+            for _ in range(count)]
+    xs, ns = [], []
+    for v in vals:
+        x = [[Fraction(0)] * dim for _ in range(dim)]
         n = [[Fraction(0)] * dim for _ in range(dim)]
-        n[0][0], n[0][-1], n[-1][0], n[-1][-1] = 1, 1, -1, -1
-    draws = 0
-    while True:
-        s = np.array([[Fraction(int(rng.integers(-2, 3)) if i != j else 1)
-                       for j in range(dim)] for i in range(dim)], dtype=object)
-        draws += 1
-        adj, det = inv.adjugate(s)
-        if det != 0:
-            break
+        for i in range(dim):
+            x[i][i] = Fraction(v[i])
+            for j in range(i + 1, dim):
+                if v[i] == v[j]:
+                    n[i][j] = Fraction(int(rng.integers(-2, 3)))
+        if corrupt:
+            n = [[Fraction(0)] * dim for _ in range(dim)]
+            n[0][0], n[0][-1], n[-1][0], n[-1][-1] = 1, 1, -1, -1
+        xs.append(x)
+        ns.append(n)
+    flags, redraw, redrawn = [None] * count, list(range(count)), []
+    while redraw:
+        for t in redraw:
+            s = np.array([[Fraction(int(rng.integers(-2, 3)) if i != j else 1)
+                           for j in range(dim)] for i in range(dim)],
+                         dtype=object)
+            flags[t] = (s, *inv.adjugate(s))
+        redraw = [t for t in redraw if flags[t][2] == 0]
+        if redraw:
+            redrawn.append(redraw)
 
-    def conj(a):
-        return s @ np.array(a, dtype=object) @ adj / det
+    def conj(a, s, adj, det):
+        a = s @ np.array(a, dtype=object) @ adj / det
+        return a if exact else a.astype(float)
 
-    x, n = conj(x), conj(n)
-    if exact:
-        return x, n, draws
-    return x.astype(float), n.astype(float), draws
+    return ([conj(x, *f) for x, f in zip(xs, flags)],
+            [conj(n, *f) for n, f in zip(ns, flags)], redrawn)
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_commuting_pair_matches_fraction_construction(exact):
-    # seed 11 redraws a singular s for pairs 9, 15, 20, 25, 36 and 40 of its
-    # 50 (plain and corrupt alike: corrupt changes no draw)
+    # seed 11 redraws a singular s for pairs 35 and 39 of its 50, in one
+    # round after the first (plain and corrupt alike: corrupt changes no
+    # draw)
     for corrupt in (False, True):
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         M, N, det = suites._commuting_pairs(rng_a, 50, 4, corrupt)
@@ -261,27 +272,51 @@ def test_commuting_pair_matches_fraction_construction(exact):
                        for a, d in zip(stack, det)] for stack in (M, N))
         else:
             xs, ns = M / det[:, None, None], N / det[:, None, None]
-        redrawn = []
-        for t, (x, n) in enumerate(zip(xs, ns)):
-            x0, n0, draws = _fraction_commuting_pair(rng_b, 4, exact, corrupt)
-            if draws > 1:
-                redrawn.append(t)
+        xs0, ns0, redrawn = _fraction_commuting_pairs(rng_b, 50, 4, exact,
+                                                      corrupt)
+        for x, n, x0, n0 in zip(xs, ns, xs0, ns0, strict=True):
             assert x.dtype == x0.dtype and n.dtype == n0.dtype
             assert x.tolist() == x0.tolist() and n.tolist() == n0.tolist()
             if not exact:
                 assert x.tobytes() == x0.tobytes() and n.tobytes() == n0.tobytes()
-        assert redrawn == [9, 15, 20, 25, 36, 40]
-        # the stream is left where the per-pair draws leave it
+        assert redrawn == [[35, 39]]
+        # the stream is left where the scalar draws leave it
         assert rng_a.integers(2 ** 62) == rng_b.integers(2 ** 62)
 
 
 def test_commuting_pairs_confirm_nonsingular_flags(monkeypatch):
-    # a float determinant that keeps every s lets pair 9 of seed 11 keep a
-    # singular one, which the exact Berkowitz determinant refuses
-    monkeypatch.setattr(np.linalg, "det", lambda a: 1.0)
+    # a float determinant that keeps every s lets seed 11 keep a singular
+    # one at 6 pairs, the least count whose first round draws one, which
+    # the exact Berkowitz determinant refuses
+    monkeypatch.setattr(np.linalg, "det", lambda a: np.ones(a.shape[:-2]))
     with pytest.raises(PreconditionFailed, match="singular"):
-        suites._commuting_pairs(np.random.default_rng(11), 10)
-    assert suites._commuting_pairs(np.random.default_rng(11), 9)[2].all()
+        suites._commuting_pairs(np.random.default_rng(11), 6)
+    assert suites._commuting_pairs(np.random.default_rng(11), 5)[2].all()
+
+
+class _CountingRng:
+    """A generator that records the size of each integers call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, low, high, size):
+        self.sizes.append(tuple(np.atleast_1d(size).tolist()))
+        return self.rng.integers(low, high, size)
+
+
+@pytest.mark.parametrize("count", [1, 10, 100, 1000])
+def test_commuting_pairs_draw_once_per_kind(count):
+    # the eigenvalues, the shifts and each round of s rows are one call each,
+    # so the calls do not grow with the stack: 2 plus the rounds of s, each
+    # round redrawing some rows of the last
+    rng = _CountingRng(7)
+    suites._commuting_pairs(rng, count)
+    vals, shifts, *rounds = rng.sizes
+    assert vals == (count, 4) and len(shifts) == 1
+    assert rounds[0] == (count, 12)
+    assert all(b[0] <= a[0] and b[1] == 12 for a, b in zip(rounds, rounds[1:]))
+    assert len(rounds) <= 6
 
 
 def _scalar_model_tube_points(model, rng, samples):
