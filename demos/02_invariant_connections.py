@@ -33,7 +33,7 @@ basis = liecore.algebra_basis(spec)
 (k,) = connections.k_basis(spec)
 on_k = np.array([np.sum(b * k) for b in basis])
 pidx = next(i for i, b in enumerate(basis)
-            if np.allclose(liecore.cartan_split(spec, b)[0], 0))
+            if np.allclose(liecore.cartan_split(b)[0], 0))
 on_p = np.eye(len(basis))[pidx]
 for label, shift in (("k-direction", on_k), ("p-direction", on_p)):
     vals = nom.values + 0.05 * shift[:, None, None]

@@ -73,13 +73,15 @@ def curvature_bridge_residual(spec, conn, points, rng=None):
     connection form and the algebraic curvature, over sample points, taken
     on stacks of at most eight points (which bounds the temporaries of the
     central difference): each side is one evaluate call per stack, so a
-    stack makes two mc_coeff calls."""
+    stack makes two mc_coeff calls.  A non-finite point is refused."""
     chart = GroupChart(spec)
     om = chart.connection_form(conn)
     chart_curv = ext.curvature_form(om)
     alg_curv = chart.algebraic_curvature_form(conn)
     rng = rng or np.random.default_rng(0)
     xs = ext.point_stack(points, chart.dim)
+    liecore.require_of(np.abs(xs).max(axis=-1) < np.inf,
+                       "chart point is not finite", "chart point", xs, -1)
     vs = rng.standard_normal((len(xs), 2, chart.dim))
     diffs = (chart_curv.evaluate(x, v) - alg_curv.evaluate(x, v) for x, v in
              ((xs[s:s + 8], vs[s:s + 8]) for s in range(0, len(xs), 8)))

@@ -22,11 +22,6 @@ __all__ = ["main"]
 def _load_group(token):
     if token in ("sp2", "sp4", "sp6"):
         return liecore.sp2nR(int(token[2]) // 2)
-    if token.endswith(".json"):
-        with open(token, encoding="utf-8") as fh:
-            return suites.spec_from_dict(json.load(fh))
-    if token.lstrip().startswith("{"):
-        return suites.spec_from_dict(json.loads(token))
     raise PreconditionFailed(f"unknown group {token!r}")
 
 
@@ -145,7 +140,8 @@ def _build_parser():
     v.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("curvature", help="algebraic curvature table")
-    c.add_argument("--group", required=True)
+    c.add_argument("--group", required=True,
+                   help="sp2, sp4 or sp6: Sp(2n, R) for n = 1, 2, 3")
     c.add_argument("--rep", required=True,
                    help='std, sym2, det^b, sym^a or "sym^a det^b" (a <= 6)')
     c.set_defaults(func=_cmd_curvature)

@@ -66,7 +66,7 @@ def _cartan_basis(spec, part):
     +- pairs with disjoint supports: the first nonzero part of each pair,
     divided by its norm, with every zero entry stored as +0.0."""
     out = []
-    for X in liecore.cartan_split(spec, liecore.algebra_basis(spec))[part]:
+    for X in liecore.cartan_split(liecore.algebra_basis(spec))[part]:
         if X.any() and not any((X * Y).any() for Y in out):
             out.append(X / np.linalg.norm(X) + 0.0)
     return out
@@ -148,6 +148,6 @@ def make_invariant_connection(spec, rep, values) -> InvariantConnection:
 
 def nomizu_connection(spec, rep) -> InvariantConnection:
     """omega_0 = lambda' o (projection to Lie(K)); curvature -lambda'([p1,p2])."""
-    k = liecore.cartan_split(spec, liecore.algebra_basis(spec))[0]
+    k = liecore.cartan_split(liecore.algebra_basis(spec))[0]
     return make_invariant_connection(spec, rep, rep.lam_alg(k))
 

@@ -6,11 +6,11 @@ K-representations Sym^a(C^n) (x) det^b (:func:`builtin_representation`),
 Cayley elements and with them canonical extensions.
 
 The complexification is handled in "complex coordinates": a fixed change of
-basis M under which K(C) becomes block diagonal, P^+ strictly block upper
-unipotent and P^- strictly block lower unipotent.  M, its inverse and the
-block sizes come from the group spec (``spec.complex_coords`` and
-``spec.blocks``, built once per spec); every function here takes elements
-in defining coordinates.
+basis M under which K(C) becomes block diagonal, with two n x n blocks,
+P^+ strictly block upper unipotent and P^- strictly block lower unipotent.
+M and its inverse come from the group spec (``spec.complex_coords``, built
+once per spec); every function here takes elements in defining
+coordinates.
 
 An element g of G(C) lies in the open cell when its complex-coordinate
 lower-right block is invertible; then
@@ -60,16 +60,16 @@ def middle_j(spec, g):
     factorization of g (given in defining coordinates), in complex
     coordinates; for a stack, checked per element."""
     gc = _complex(spec, g)
-    p, q = spec.blocks
+    p = spec.n
     A, B = gc[..., :p, :p], gc[..., :p, p:]
     C, D = gc[..., p:, :p], gc[..., p:, p:]
     liecore.require(np.isfinite(gc).all(axis=(-2, -1)), "element not finite")
     liecore.require(np.linalg.cond(D) <= COND_MAX,
                     "lower-right block too ill-conditioned: not in the open cell")
     Dinv = np.linalg.inv(D)
-    pp = liecore._eye_stack(gc.shape[:-2], p + q, dtype=complex)
+    pp = liecore._eye_stack(gc.shape[:-2], spec.size, dtype=complex)
     pp[..., :p, p:] = B @ Dinv
-    pm = liecore._eye_stack(gc.shape[:-2], p + q, dtype=complex)
+    pm = liecore._eye_stack(gc.shape[:-2], spec.size, dtype=complex)
     pm[..., p:, :p] = Dinv @ C
     kc = np.zeros_like(gc)
     kc[..., :p, :p] = A - B @ Dinv @ C
@@ -134,7 +134,7 @@ class Representation:
         stack: each must be block diagonal in complex coordinates, its
         off-diagonal blocks within 1e-8 of max(1, its largest entry)."""
         kc = _complex(self.spec, k)
-        p, _ = self.spec.blocks
+        p = self.spec.n
         off = np.maximum(liecore._maxabs(kc[..., p:, :p]),
                          liecore._maxabs(kc[..., :p, p:]))
         liecore.require(off <= 1e-8 * np.maximum(1.0, liecore._maxabs(kc)),
@@ -229,7 +229,7 @@ class CanonicalExtension:
         N = self.spec.size
         units = np.eye(N * N).reshape(-1, N, N)
         xc = _complex(self.spec, c1 @ units @ np.linalg.inv(c1))
-        p, _ = self.spec.blocks
+        p = self.spec.n
         xc[:, :p, p:] = xc[:, p:, :p] = 0.0
         self._dlam = liecore.readonly(
             np.asarray(rep.lamC_alg(xc), complex).reshape(N * N, -1))

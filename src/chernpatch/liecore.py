@@ -6,9 +6,9 @@ and (in :mod:`hcrepr`) canonical extensions.  SU(1, 1) enters as its
 isomorphic copy Sp(2, R), ``sp2nR(1)``.
 
 A :class:`GroupSpec` is the one place that holds the group's structure
-(size, invariant form J, K(C) blocks, the coordinate change M); other
-modules read these facts from the spec, and group membership is one
-formula (:func:`grp_residual`).
+(size, invariant form J, the coordinate change M); other modules read
+these facts from the spec, and group membership is one formula
+(:func:`grp_residual`).
 
 Elements are plain numpy arrays; the functions here validate the defining
 relations, split along the Cartan involution theta(X) = -X^H, and choose
@@ -62,7 +62,6 @@ class GroupSpec:
     which other modules read from here."""
 
     n: int
-    family = "sp2nR"    # the name in group JSON and in messages
 
     @property
     def size(self) -> int:
@@ -72,11 +71,6 @@ class GroupSpec:
     def form(self):
         """Invariant form J, with g^T J g = J on the group."""
         return np.eye(2 * self.n, k=self.n) - np.eye(2 * self.n, k=-self.n)
-
-    @property
-    def blocks(self):
-        """(n, n): sizes of the K(C) diagonal blocks in complex coordinates."""
-        return self.n, self.n
 
     @functools.cached_property
     def complex_coords(self):
@@ -123,7 +117,7 @@ def grp_residual(spec: GroupSpec, g):
 def check_grp(spec: GroupSpec, g, tol=TOL):
     """g; DecompositionError names the first element over its tol."""
     r = grp_residual(spec, g)
-    require(r <= tol, f"not in {spec.family}: residual {float(np.max(r))}")
+    require(r <= tol, f"not in sp2nR: residual {float(np.max(r))}")
     return g
 
 
@@ -215,13 +209,10 @@ def bracket(X, Y):
     return X @ Y - Y @ X
 
 
-def cartan_theta(spec: GroupSpec, X):
-    return -_conjT(X)
-
-
-def cartan_split(spec: GroupSpec, X):
-    """(k, p) with X = k + p, theta(k) = k, theta(p) = -p; X may be a stack."""
-    th = cartan_theta(spec, X)
+def cartan_split(X):
+    """(k, p) with X = k + p, theta(k) = k and theta(p) = -p for the Cartan
+    involution theta(X) = -X^H; X may be a stack."""
+    th = -_conjT(X)
     half = Fraction(1, 2) if X.dtype == object else 0.5
     k = X + th      # scaled in place: no second temporary per stack
     k *= half
@@ -255,10 +246,13 @@ def expm(a):
 
 
 def exp_grp(spec: GroupSpec, X):
-    """exp of a real X or stack in the group; an imaginary part is refused."""
+    """exp of a real, finite X or stack in the group; any other is refused."""
     if np.iscomplexobj(X) and np.imag(X).any():
         raise PreconditionFailed("exp_grp: X has a nonzero imaginary part")
-    g = expm(np.asarray(np.real(X), dtype=float))
+    X = np.asarray(np.real(X), dtype=float)
+    require_of(np.abs(X).max(axis=(-2, -1)) < np.inf, "X is not finite", "X",
+               X, (-2, -1))
+    g = expm(X)
     return check_grp(spec, g, tol=np.maximum(
         TOL, 1e-8 * np.linalg.norm(g, axis=(-2, -1))))
 

@@ -125,12 +125,12 @@ def chern_classes(space, bundle):
     return _BUNDLES[bundle](space)
 
 
-def chern_number(space, bundle="tangent", monomial=None):
+def chern_number(space, bundle, monomial):
     """Exact Chern number of a monomial {degree: exponent} in the Chern
     classes of a bundle, e.g. {1: 2} for c_1^2, of degree the dimension."""
     dual = parse_space(space)
     total = chern_classes(dual, bundle)
-    monomial = dict(monomial or {})
+    monomial = dict(monomial)
     if any(i < 0 or e < 0 for i, e in monomial.items()):
         raise PreconditionFailed(f"negative index in monomial {monomial}")
     deg = sum(i * e for i, e in monomial.items())

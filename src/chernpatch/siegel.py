@@ -176,7 +176,7 @@ def _lie_data(rep_name):
     rep = hcrepr.builtin_representation(spec, rep_name)
     pdK, pdS = (liecore.parabolic_data(spec, (r,)) for r in (1, 2))  # of Y, Z
     extK, extS = (hcrepr.canonical_extension(rep, r) for r in (1, 2))
-    k = liecore.cartan_split(spec, np.eye(16).reshape(-1, 4, 4))[0]
+    k = liecore.cartan_split(np.eye(16).reshape(-1, 4, 4))[0]
     linear = {Z: liecore.readonly(f(k).reshape(16, -1))
               for Z, f in (("X", rep.lam_alg), ("Y", extK.alg))}
     return spec, rep, pdK, pdS, extK, extS, MappingProxyType(linear)

@@ -21,39 +21,16 @@ from . import liecore, schubert, siegel, strata
 from .errors import ConditionViolation, PreconditionFailed
 
 __all__ = ["SUITES", "run_suite", "render_report", "default_model",
-           "model_from_dict", "spec_from_dict"]
+           "model_from_dict"]
 
 SCHEMA = 1
 
 
-def spec_from_dict(d):
-    """GroupSpec from {"family": "sp2nR", "n": ..., "scalar": "f64"}."""
-    if not isinstance(d, dict):
-        raise PreconditionFailed(f"a group must be a JSON object, got {d!r}")
-    if d.get("scalar", "f64") != "f64":
-        raise PreconditionFailed(f"unsupported scalar {d['scalar']!r}: only 'f64'")
-    fam = d.get("family")
-    if fam != liecore.GroupSpec.family:
-        raise PreconditionFailed(f"unknown group family {fam!r}")
-    strata._reject_unknown_keys(d, {"family", "scalar", "n"}, "group")
-    if "n" not in d:
-        raise PreconditionFailed(f"group family {fam!r} needs keys ['n']")
-    if not strata._is_dimension(d["n"]):
-        bad = {"n": d["n"]}
-        raise PreconditionFailed(
-            f"group keys must be nonnegative integers, got {bad}")
-    return liecore.sp2nR(int(d["n"]))
-
-
 def model_from_dict(d):
-    """FlagTubeModel from {"strata": [...], "flags": [...], "eps0", "profile"};
-    the one profile is "exp"."""
+    """FlagTubeModel from {"strata": [...], "flags": [...], "eps0"}."""
     if not isinstance(d, dict):
         raise PreconditionFailed(f"a model must be a JSON object, got {d!r}")
-    strata._reject_unknown_keys(d, {"strata", "flags", "eps0", "profile"},
-                                "model")
-    if d.get("profile", "exp") != "exp":
-        raise PreconditionFailed(f"unknown bump profile {d['profile']!r}: only 'exp'")
+    strata._reject_unknown_keys(d, {"strata", "flags", "eps0"}, "model")
     if not d.get("flags"):
         raise PreconditionFailed("a flag model needs at least one flag")
     eps0 = d.get("eps0", 1.0)
@@ -361,7 +338,7 @@ def suite_classify(seed=0, samples=100):
     except ConditionViolation:
         pass
     # perturbing an element with a K part breaks (1); one in p breaks (2) alone
-    kpart = liecore.cartan_split(spec, basis)[0].any(axis=(1, 2))
+    kpart = liecore.cartan_split(basis)[0].any(axis=(1, 2))
     vals = np.repeat(nom.values[None], samples, axis=0)
     in_k = np.zeros(samples, dtype=bool)
     for s in range(samples):

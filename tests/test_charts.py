@@ -10,6 +10,7 @@ import scipy.linalg
 
 from chernpatch import (charts, connections, exterior as ext, hcrepr, liecore,
                         suites)
+from chernpatch.errors import PreconditionFailed
 from helpers import alg_residual, chart_g, p1_chern_reference
 
 
@@ -64,6 +65,23 @@ def test_curvature_bridge_sp2():
     rng = np.random.default_rng(1)
     pts = [rng.uniform(-0.4, 0.4, 3) for _ in range(10)]
     assert charts.curvature_bridge_residual(spec, conn, pts, rng=rng) < 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pos", [(1, 2), (1, 0), (2, 1), (0, 0)])
+def test_curvature_bridge_refuses_a_point_that_is_not_finite(pos, value):
+    # refused by row: x_1 never enters g^{-1} dg, so a NaN there would be
+    # ignored, and elsewhere it would warn and name a row of the internal
+    # difference stack
+    spec = liecore.sp2nR(1)
+    rep = hcrepr.builtin_representation(spec, "det^2")
+    conn = connections.nomizu_connection(spec, rep)
+    pts = np.random.default_rng(1).uniform(-0.4, 0.4, (3, 3))
+    pts[pos] = value
+    with pytest.raises(PreconditionFailed,
+                       match=rf"^chart point is not finite \(row {pos[0]}\)$"):
+        charts.curvature_bridge_residual(spec, conn, pts)
 
 
 def test_curvature_bridge_flat():

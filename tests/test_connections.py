@@ -132,7 +132,7 @@ def test_perturbation_on_p_rejected_with_condition_two():
     nom = connections.nomizu_connection(spec, rep)
     basis = liecore.algebra_basis(spec)
     pidx = next(i for i, b in enumerate(basis)
-                if np.allclose(liecore.cartan_split(spec, b)[0], 0))
+                if np.allclose(liecore.cartan_split(b)[0], 0))
     vals = [v.copy() for v in nom.values]
     vals[pidx] = vals[pidx] + np.array([[0.2]])
     with pytest.raises(ConditionViolation) as exc:
@@ -318,7 +318,7 @@ def test_cartan_bases_match_gram_schmidt(n):
     # the kept Cartan parts of the elementary basis, against Gram-Schmidt on
     # all of them: the same elements, in order and sign
     spec = liecore.sp2nR(n)
-    parts = liecore.cartan_split(spec, np.array(liecore.algebra_basis(spec)))
+    parts = liecore.cartan_split(np.array(liecore.algebra_basis(spec)))
     for got, mats in ((connections.k_basis(spec), parts[0]),
                       (connections.p_basis(spec), parts[1])):
         ref = gram_schmidt(mats)

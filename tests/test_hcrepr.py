@@ -44,7 +44,7 @@ def test_middle_j_multiplicative_on_kc():
     rng = np.random.default_rng(0)
     for _ in range(5):
         k1 = liecore.exp_grp(spec, liecore.cartan_split(
-            spec, random_alg(spec, rng, 0.4))[0])
+            random_alg(spec, rng, 0.4))[0])
         g = liecore.exp_grp(spec, random_alg(spec, rng, 0.2))
         jk = hcrepr.middle_j(spec, k1 @ g)
         jj = hcrepr.middle_j(spec, k1) @ hcrepr.middle_j(spec, g)
@@ -61,7 +61,7 @@ def test_extension_restricts_to_rep_on_k(name):
     rng = np.random.default_rng(1)
     for _ in range(5):
         k = liecore.exp_grp(spec, liecore.cartan_split(
-            spec, random_alg(spec, rng, 0.4))[0])
+            random_alg(spec, rng, 0.4))[0])
         assert np.max(np.abs(ext(k) - rep.lam_grp(k))) < 1e-8
 
 
@@ -216,7 +216,7 @@ def _alg_reference(ext, xdot):
     x = ext.c1 @ np.asarray(xdot, dtype=complex) @ np.linalg.inv(ext.c1)
     M, Minv = ext.spec.complex_coords
     xc = M @ x @ Minv
-    p, _ = ext.spec.blocks
+    p = ext.spec.n
     blk = np.zeros_like(xc)
     blk[:p, :p] = xc[:p, :p]
     blk[p:, p:] = xc[p:, p:]
@@ -266,7 +266,7 @@ def test_lam_alg_stack_matches_formula(n, name):
     rep = _rep(n, name)
     spec = rep.spec
     rng = np.random.default_rng(8)
-    ks = np.array([liecore.cartan_split(spec, random_alg(spec, rng))[0]
+    ks = np.array([liecore.cartan_split(random_alg(spec, rng))[0]
                    for _ in range(6)])
     M, Minv = spec.complex_coords
     got = rep.lam_alg(ks)
@@ -337,7 +337,7 @@ def test_differential_tables_are_the_per_unit_loop_bit_for_bit(n, name):
     assert stacked.shape == (N * N, rep.dim, rep.dim)
     assert _same_bits(np.asarray(stacked, complex).reshape(N * N, -1), ref)
     assert _same_bits(rep._dlam, ref)
-    p, _ = spec.blocks
+    p = spec.n
     for ext in _extensions(rep):
         xc = hcrepr._complex(spec, ext.c1 @ units @ np.linalg.inv(ext.c1))
         xc[:, :p, p:] = 0.0
@@ -475,7 +475,7 @@ def test_lam_alg_is_the_derivative_of_lam_grp(n, name):
     rep = _rep(n, name)
     spec = rep.spec
     rng = np.random.default_rng(31)
-    ks = np.array([liecore.cartan_split(spec, random_alg(spec, rng))[0]
+    ks = np.array([liecore.cartan_split(random_alg(spec, rng))[0]
                    for _ in range(4)])
     h = 1e-5
     fd = (rep.lam_grp(liecore.exp_grp(spec, h * ks))

@@ -12,7 +12,9 @@ Every attribute a method of the package stores on self, every field of a
 dataclass and every ``__slots__`` entry must be loaded, as an Attribute
 node, in the same places.  Every module-level import of the package (its
 ``__init__`` aside) and of the demos must be used, as a Name node, in its
-module.
+module.  Every parameter of a function of the package, nested functions and
+lambdas included, must be read, as a Name node, in that function's body;
+methods are exempt, since a protocol may fix their arguments.
 """
 
 import ast
@@ -157,3 +159,28 @@ def _unused_imports():
 
 def test_every_module_level_import_is_used():
     assert list(_unused_imports()) == []
+
+
+def _unread_parameters():
+    """(module:function(parameter)) of each parameter of a function outside
+    a class body, nested or a lambda, that no Name node of its body uses."""
+    for path, tree in _trees([PACKAGE]):
+        methods = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if (not isinstance(node, _DEFS[:2] + (ast.Lambda,))
+                    or id(node) in methods):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            used = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            args = node.args
+            for arg in (args.posonlyargs + args.args + args.kwonlyargs
+                        + [a for a in (args.vararg, args.kwarg) if a]):
+                if arg.arg not in used:
+                    name = getattr(node, "name", "lambda")
+                    yield f"{path.stem}:{name}({arg.arg})"
+
+
+def test_every_function_parameter_is_read():
+    assert list(_unread_parameters()) == []

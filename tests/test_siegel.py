@@ -875,8 +875,8 @@ def test_structure_equation_tables_match_the_callable_reference(rep):
     # reference bit for bit.
     m = siegel.SiegelModel(rep)
     k = liecore.cartan_split
-    reference = {"X": lambda t: m.rep.lam_alg(k(m.spec, t)[0]),
-                 "Y": lambda t: m.extK.alg(k(m.spec, t)[0])}
+    reference = {"X": lambda t: m.rep.lam_alg(k(t)[0]),
+                 "Y": lambda t: m.extK.alg(k(t)[0])}
     assert set(m.system.nomizu) == {"X", "Y", "Z"}
     assert m.system.nomizu["Z"] is None
     xs = suites._mixed_tube_points(m, np.random.default_rng(19), 67)

@@ -565,18 +565,6 @@ def test_cli_curvature_refuses_every_other_name(name, capsys):
     assert err == f"error: unknown representation {name} for sp2nR\n"
 
 
-@pytest.mark.parametrize("family", [liecore.GroupSpec.family])
-def test_every_group_family_has_a_curvature_table(family, capsys):
-    # a group that spec_from_dict accepts but no builtin representation
-    # serves could only fail
-    for n in (1, 2, 3):
-        group = {"family": family, "n": n}
-        assert suites.spec_from_dict(group) == liecore.sp2nR(n)
-        for rep in ("std", "sym2", "det^2"):
-            assert cli.main(["curvature", "--group", json.dumps(group),
-                             "--rep", rep]) == 0
-
-
 def test_cli_chern_subcommand_is_removed(capsys):
     # the geometric checks run through `verify pifiber|patched|quadrature`
     assert cli.main(["chern", "--check", "quadrature"]) == 2
@@ -753,47 +741,33 @@ def test_cli_star_import():
     assert callable(namespace["main"])
 
 
-def test_spec_from_dict_rejects_other_scalar(capsys):
-    assert cli.main(["curvature", "--group",
-                     '{"family": "sp2nR", "n": 2, "scalar": "f32"}',
-                     "--rep", "std"]) == 2
-    assert "f32" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("group,message", [
-    ('{"family": "sp2nR"}', "needs keys ['n']"),
-    ('{"family": ["sp2nR"]}', "unknown group family"),
-    ('[1]', "a group must be a JSON object"),
-    ('{"family": "sp2nR", "n": 2.7}', "nonnegative integers"),
-    ('{"family": "sp2nR", "n": true}', "nonnegative integers"),
-    ('{"family": "sp2nR", "n": "1"}', "nonnegative integers"),
-    ('{"family": "sp2nR", "n": 2, "bogus": 3}',
-     "unknown keys in group: ['bogus']"),
-    ('{"family": "u", "n": 2}', "unknown group family 'u'"),
-    ('{"family": "su_pq", "p": 1, "q": 1}', "unknown group family 'su_pq'"),
-], ids=["missing-key", "family-not-a-name", "group-a-list", "n-not-integral",
-        "n-a-boolean", "n-a-string", "unknown-key", "family-u",
-        "family-su_pq"])
-def test_spec_from_dict_rejects_malformed_groups(group, message, tmp_path,
-                                                 capsys):
-    if not group.startswith("{"):
-        # only a group file can hold a top level that is not an object
-        path = tmp_path / "group.json"
+@pytest.mark.parametrize("as_file", [False, True], ids=["inline", "file"])
+def test_cli_group_is_a_name_not_json(as_file, tmp_path, capsys):
+    # sp2, sp4 and sp6 are the only groups; the JSON object that named them
+    # too is refused, inline or as a file
+    group = '{"family": "sp2nR", "n": 2}'
+    if as_file:
+        path = tmp_path / "g.json"
         path.write_text(group)
         group = str(path)
     assert cli.main(["curvature", "--group", group, "--rep", "std"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert message in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unknown group {group!r}\n"
 
 
 def test_model_from_dict_rejects_unknown_profile(tmp_path, capsys):
+    # the bump profile is built in: a "profile" key is unread, so even
+    # "exp", the name of the built-in one, is an unknown key
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({
-        "strata": [{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1}],
-        "flags": [["Z", "Y"]], "profile": "gauss"}))
-    assert cli.main(["verify", "partition", "--model", str(path)]) == 2
-    assert "gauss" in capsys.readouterr().err
+    for profile in ("exp", "gauss"):
+        path.write_text(json.dumps({
+            "strata": [{"name": "Z", "dimC": 0}, {"name": "Y", "dimC": 1}],
+            "flags": [["Z", "Y"]], "profile": profile}))
+        assert cli.main(["verify", "partition", "--model", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unknown keys in model: ['profile']\n"
 
 
 def test_cli_module_runs_without_warnings():
