@@ -283,12 +283,13 @@ class ParabolicData:
     basis_l: np.ndarray = field(repr=False)  # linear Levi part g_{Q ell}
 
     def __post_init__(self):
-        # (N^2, 3 N^2): projections onto u, h, l
+        # (N^2, 3 N^2): projections onto u, h, l; (N^2, N^2): onto Lie(Q)
         B, P = span_solver(self.basis_q)
         part = np.repeat(np.arange(3), [len(self.basis_u), len(self.basis_h),
                                         len(self.basis_l)])
         self._proj = readonly(np.hstack([P[:, part == k] @ B[part == k]
                                          for k in range(3)]))
+        self._onto_q = readonly(P @ B)
 
     @property
     def basis_q(self):
@@ -296,17 +297,18 @@ class ParabolicData:
 
     def split(self, X):
         """(u, h, l) parts of X in Lie(Q), a matrix or a stack: orthogonal
-        projections of its real part.  DecompositionError names the first
-        row with |u + h + l - X| > PARABOLIC_TOL max(1, |X|)."""
+        projections of its real part, views of one product.  Raises
+        DecompositionError naming the first row with |proj_Q(X) - X| >
+        PARABOLIC_TOL max(1, |X|)."""
         sh = np.shape(X)
-        parts = (np.real(np.reshape(X, sh[:-2] + (-1,))) @ self._proj
-                 ).reshape(sh[:-2] + (3,) + sh[-2:])
-        bound = PARABOLIC_TOL * np.maximum(1.0, _maxabs(X))
-        res = parts.sum(axis=-3, dtype=np.result_type(X, 0.0))
-        res -= X    # u + h + l - X in this one buffer, then its modulus
-        require(np.abs(res, out=res).real.max(axis=(-2, -1)) <= bound,
+        flat = np.reshape(X, sh[:-2] + (-1,))
+        re = np.real(flat)
+        bound = PARABOLIC_TOL * np.maximum(1.0, np.abs(flat).max(axis=-1))
+        res = np.subtract(re @ self._onto_q, flat)
+        require(np.abs(res, out=res).real.max(axis=-1) <= bound,
                 "element not in the parabolic subalgebra")
-        return tuple(np.moveaxis(parts, -3, 0))
+        parts = (re @ self._proj).reshape(sh[:-2] + (3,) + sh[-2:])
+        return parts[..., 0, :, :], parts[..., 1, :, :], parts[..., 2, :, :]
 
 
 def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
@@ -425,5 +427,5 @@ def group_factor_fine(pd: ParabolicData, g):
 
 
 def _maxabs(x):
-    """max |x_ij| of each matrix of a stack."""
-    return np.abs(x).max(axis=(-2, -1))
+    """max |x_ij| of each matrix of a stack, over one flattened axis."""
+    return np.abs(x).reshape(np.shape(x)[:-2] + (-1,)).max(axis=-1)

@@ -142,8 +142,7 @@ class ChartPoint:
 
     def __getitem__(self, n):
         if isinstance(n, (int, np.integer)):
-            n = range(len(self.x))[n]
-            n = slice(n, n + 1)
+            n = [n]     # one row, kept as a stack; IndexError past the end
         p = ChartPoint()
         p.x, p.mc, p.control = self.x[n], self.mc[n], self.control[n]
         return p
@@ -154,7 +153,8 @@ class TangentVector:
     a tangent vector v at a chart point, or a (..., 4, 4) stack of them;
     over a boundary stratum Z, the Lie(G_h) part of such a vector in Z's
     parabolic.  parts[Z] keeps the (h, l) split of mc in Z's parabolic once
-    made, h a TangentVector; v[idx], the substack of the rows idx, too."""
+    made, h a TangentVector; v[idx], the substack of the rows idx (one row
+    for an integer), too."""
 
     __slots__ = ("mc", "parts")
 
@@ -162,6 +162,8 @@ class TangentVector:
         self.mc, self.parts = mc, {}
 
     def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            idx = [idx]     # as for a ChartPoint
         v = TangentVector(self.mc[idx])
         v.parts = {Z: (h[idx], l[idx]) for Z, (h, l) in self.parts.items()}
         return v

@@ -12,8 +12,10 @@ here.  A stack of P points on one chain is
 row n lies in stratum Z_k, inside the tube of each ancestor Z_j at distance
 r[n, j].  pi_{Z_j} truncates, rho_{Z_j} reads column j; these satisfy the
 control-data axioms exactly (pi_Z pi_Y = pi_Z, rho_Z pi_Y = rho_Z).  Every
-weight is a (P,) column of a prefix-product partition table; the chain
-weights share one table per stratum of the chain.
+weight is a (P,) column of a prefix-product partition table, one table per
+stratum Z of the chain: that of pi_Z(x) at eps_Z.  A stack carries its
+tables, each built once (FlagTubeModel.table): a truncation pi_Z(x) shares
+them, and a substack x[idx] slices them.
 
 PatchedSystem is the one implementation of the patched connection, on a
 stack of points: its recursion, its closed chain form and its localized
@@ -113,22 +115,25 @@ def _reject_unknown_keys(d, known, what):
 
 class ModelPoint:
     """P points on one chain (stratum names, ancestors first) with the
-    (P, len(chain) - 1) tube distances r; x[idx] is the substack of the
-    rows idx (one row for an integer)."""
+    (P, len(chain) - 1) tube distances r and the partition tables {Z: that
+    of pi_Z(x)} that FlagTubeModel.table has built; x[idx] is the substack
+    of the rows idx (one row for an integer), with their rows of the tables."""
 
-    def __init__(self, chain, r):
+    def __init__(self, chain, r, tables=None):
         self.chain = tuple(chain)
         self.r = np.asarray(r, dtype=float)
         if self.r.ndim != 2 or self.r.shape[1] != len(self.chain) - 1:
             raise PreconditionFailed(f"need a (P, {len(self.chain) - 1}) stack"
                                      f" of tube distances, got {self.r.shape}")
         self.stratum = self.chain[-1]
+        self.tables = {} if tables is None else tables
 
     def __len__(self):
         return len(self.r)
 
     def __getitem__(self, idx):
-        return ModelPoint(self.chain, np.atleast_2d(self.r[idx]))
+        return ModelPoint(self.chain, np.atleast_2d(self.r[idx]), {
+            Z: np.atleast_2d(t[idx]) for Z, t in self.tables.items()})
 
 
 def _top_down(factors):
@@ -203,8 +208,9 @@ class FlagTubeModel:
     # control data -----------------------------------------------------
 
     def pi(self, x: ModelPoint, Z) -> ModelPoint:
+        """pi_Z(x), sharing x's tables: those of the strata up to Z are its."""
         k = x.chain.index(Z)
-        return ModelPoint(x.chain[: k + 1], x.r[:, :k])
+        return ModelPoint(x.chain[: k + 1], x.r[:, :k], x.tables)
 
     # weights ----------------------------------------------------------
 
@@ -245,6 +251,14 @@ class FlagTubeModel:
         row sums to 1 on the whole closure."""
         return self._table(r, self.eps(chain[-1]))
 
+    def table(self, x: ModelPoint, Z):
+        """(P, k + 1) partition_weights of pi_Z(x), Z the k-th stratum of x's
+        chain, built once per stack and kept in x.tables."""
+        if Z not in x.tables:
+            k = x.chain.index(Z)
+            x.tables[Z] = self.partition_weights(x.chain[:k + 1], x.r[:, :k])
+        return x.tables[Z]
+
     # chains -----------------------------------------------------------
 
     def chains_to(self, x: ModelPoint):
@@ -259,12 +273,10 @@ class FlagTubeModel:
         chain's weight, B_{Z_1}^{eps_{Z_1}}(pi_{Z_1}(x)) for its first
         stratum Z_1, then B_{Z_t}^{eps_{Z_{t+1}}}(pi_{Z_{t+1}}(x)) for each
         consecutive pair.  Each is a column of the partition table of a
-        truncation pi_Z(x) at eps_Z; the L tables are shared by all chains."""
-        tables = {Z: self.partition_weights(x.chain[:k + 1], x.r[:, :k])
-                  for k, Z in enumerate(x.chain)}
+        truncation pi_Z(x) at eps_Z, one of the L tables of x."""
         col = x.chain.index
-        return [(c, [tables[c[0]][:, -1]] + [tables[hi][:, col(lo)]
-                                             for lo, hi in zip(c, c[1:])])
+        return [(c, [self.table(x, c[0])[:, -1]]
+                 + [self.table(x, hi)[:, col(lo)] for lo, hi in zip(c, c[1:])])
                 for c in self.chains_to(x)]
 
     def chain_form_weights(self, x: ModelPoint):
@@ -389,14 +401,14 @@ class PatchedSystem:
     def patched(self, xs, g):
         """B_Y^{eps_Y} nomizu_Y + sum over Z < Y of B_Z^{eps_Y} times the
         connection induced from the patched connection of Z, for Y the
-        stratum of xs: the weights are the columns of partition_weights."""
+        stratum of xs: the weights are the columns of xs's table of Y."""
         chain = xs.chain
-        val = self._value(xs, g, xs.stratum)
         if len(chain) == 1:
             # no ancestors: B_Y^{eps_Y} is identically 1 here
-            return val
-        w = self.model.partition_weights(chain, xs.r)
-        val = _times(w[:, -1], val)
+            return self._value(xs, g, xs.stratum)
+        w, val = self.model.table(xs, xs.stratum), 0.0
+        if w[:, -1].any():
+            val = _times(w[:, -1], self._value(xs, g, xs.stratum))
         for k in reversed(range(len(chain) - 1)):
             if w[:, k].any():
                 Z = chain[k]

@@ -387,21 +387,23 @@ _STACK = 16
 
 
 def _stacks(m, pts):
-    """(rows, their ChartPoint stack) over runs of at most _STACK points of
-    pts: the cap bounds the stacked layers' temporaries, 6-11 KB a point."""
+    """(slice of its rows, ChartPoint stack) over runs of at most _STACK
+    points of pts: the cap bounds the stacked layers' temporaries, which
+    grow by 5.5 (patched) to 9 KB (pifiber) a point (tracemalloc)."""
     for a in range(0, len(pts), _STACK):
-        yield pts[a:a + _STACK], m.points(pts[a:a + _STACK])
+        yield slice(a, a + _STACK), m.points(pts[a:a + _STACK])
 
 
 def suite_pifiber(seed=0, tol=1e-6, samples=10):
-    """Vertical contraction of an induced-connection curvature."""
+    """Vertical contraction of an induced-connection curvature, stack by
+    stack, on the vertical vectors of all points from one call."""
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
-    proj = m.projection_map()
     pts = _model_tube_points(m, rng, samples)
+    verts = ext.vertical_vectors(m.projection_map(), pts) if samples else []
     residuals = [ext.vertical_contraction(
-        [(m.curvature_induced_nomizu(stack), 2)],
-        ext.vertical_vectors(proj, rows), rng) for rows, stack in _stacks(m, pts)]
+        [(m.curvature_induced_nomizu(stack), 2)], verts[rows], rng)
+        for rows, stack in _stacks(m, pts)]
     return _finish("pifiber", seed, tol, samples,
                    [_check("induced-curvature-vertical", residuals, tol)])
 
@@ -425,33 +427,33 @@ def suite_descent(seed=0, tol=1e-10, samples=40):
     """The patched curvature is not a pullback from the plane stratum, but
     its Chern forms c1, c2 are: vertical contractions at mixed-tube points.
 
-    Per stack of points, the curvature (from the structure equation), c1
-    and c2, and the three contractions are one call each; each point draws
-    for its contractions in turn.  The raw curvature is the negative
-    control: it passes only while its contraction exceeds 1e-3.  At the
-    first points of the first stack (named in the report) the induced and
-    patched curvatures are compared with ext.curvature_form of their
-    connections, one central difference per form on those points.
+    The vertical vectors of all points are one call.  Per stack of points,
+    the curvature (from the structure equation), c1 and c2, and the three
+    contractions are one call each; each point draws for its contractions
+    in turn.  The raw curvature is the negative control: it passes only
+    while its contraction exceeds 1e-3.  At the first points of the first
+    stack (named in the report) the induced and patched curvatures are
+    compared with ext.curvature_form of their connections, one central
+    difference per form on those points.
     """
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
     fd_induced, fd_patched = (ext.curvature_form(m.form_from_evaluator(ev))
                               for ev in (m.omega_induced_nomizu,
                                          m.omega_patched))
-    proj = m.projection_map()
     pts = _mixed_tube_points(m, rng, samples)
+    verts = ext.vertical_vectors(m.projection_map(), pts) if samples else []
     k = min(_ORACLE_POINTS, samples)
     contractions, oracle = [], []
-    for n, (xs, p) in enumerate(_stacks(m, pts)):
+    for n, (rows, p) in enumerate(_stacks(m, pts)):
         curv = m.curvature_patched(p)
         if n == 0:
-            oracle = [value - fd.func(np.asarray(xs[:k])) for value, fd in (
+            oracle = [value - fd.func(np.asarray(pts[:k])) for value, fd in (
                 (m.curvature_induced_nomizu(p[:k]), fd_induced),
                 (curv[:k], fd_patched))]
         es = inv.chern_coefficients(curv, 6, 2)
         contractions.append(ext.vertical_contraction(
-            [(curv, 2), (es[1], 2), (es[2], 4)],
-            ext.vertical_vectors(proj, xs), rng))
+            [(curv, 2), (es[1], 2), (es[2], 4)], verts[rows], rng))
     raw, c1, c2 = np.reshape(contractions, (-1, 3)).T
     checks = [_check("chern-c1-vertical", c1, tol),
               _check("chern-c2-vertical", c2, tol),

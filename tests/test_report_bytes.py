@@ -1,13 +1,14 @@
 """Canonical reports are byte-identical to the committed goldens.
 
 Every ``verify`` suite runs at seed 0 at a small size, and so does the
-negative control of each suite that has one; the curvature tables of sp(2),
-sp(4) and sp(6) on the std, sym2 and det^2 representations are rendered
-through the CLI; the vertical contractions of the patched curvature and of
-its Chern forms c_1, c_2 are taken at the three mixed-tube points of demo
-04; and the patched connection's values and curvatures on the sym2 and
-det^2 representations, which no suite evaluates, are rendered at three
-mixed-tube points.
+negative control of each suite that has one; pifiber, patched and descent
+also run at seed 7 at sizes whose points fill several stacks; the
+curvature tables of sp(2), sp(4) and sp(6) on the std, sym2 and det^2
+representations are rendered through the CLI; the vertical contractions of
+the patched curvature and of its Chern forms c_1, c_2 are taken at the
+three mixed-tube points of demo 04; and the patched connection's values
+and curvatures on the sym2 and det^2 representations, which no suite
+evaluates, are rendered at three mixed-tube points.
 A change that moves any digit of a report fails here.  When such a move is
 intended, regenerate the goldens with
 
@@ -50,6 +51,9 @@ SIZES = {
     "schubert": {},
 }
 
+# sizes at which the points fill several stacks of suites._STACK, at seed 7
+PASS_SIZES = {"pifiber": 67, "patched": 40, "descent": 40}
+
 CURVATURE = [(group, rep) for group in ("sp2", "sp4", "sp6")
              for rep in ("std", "sym2", "det^2")]
 
@@ -81,6 +85,15 @@ def _kernels():
 def _suite_text(name, **kwargs):
     return suites.render_report(suites.run_suite(name, seed=0, **SIZES[name],
                                                  **kwargs))
+
+
+def _pass_size_text(name):
+    return suites.render_report(suites.run_suite(
+        name, seed=7, samples=PASS_SIZES[name]))
+
+
+def _pass_size_golden(name):
+    return GOLDEN / f"verify_{name}_seed7_{PASS_SIZES[name]}.json"
 
 
 def _curvature_text(tmp_path, group, rep):
@@ -135,6 +148,12 @@ def test_suite_report_matches_golden(name):
     assert _suite_text(name) == golden.rstrip("\n"), _kernels()
 
 
+@pytest.mark.parametrize("name", sorted(PASS_SIZES))
+def test_suite_report_at_pass_size_matches_golden(name):
+    golden = _pass_size_golden(name).read_text(encoding="utf-8")
+    assert _pass_size_text(name) == golden.rstrip("\n"), _kernels()
+
+
 @pytest.mark.parametrize("name", CORRUPT)
 def test_negative_control_report_matches_golden(name):
     golden = (GOLDEN / f"verify_{name}_corrupt.json").read_text(
@@ -168,6 +187,9 @@ if __name__ == "__main__":
     for name in sorted(suites.SUITES):
         (GOLDEN / f"verify_{name}.json").write_text(
             _suite_text(name) + "\n", encoding="utf-8")
+    for name in PASS_SIZES:
+        _pass_size_golden(name).write_text(_pass_size_text(name) + "\n",
+                                           encoding="utf-8")
     for name in CORRUPT:
         (GOLDEN / f"verify_{name}_corrupt.json").write_text(
             _suite_text(name, corrupt=True) + "\n", encoding="utf-8")

@@ -359,12 +359,14 @@ def test_pifiber_check_on_a_stack_is_its_checks_point_by_point(model):
 # tracemalloc peaks measured on x86-64 with numpy 2.4, plus a 25% margin:
 # `verify patched` at 40 samples, in stacks of 8 points, 100 KB; a fiber
 # check at 3 points, whose central differences are one stack of 36 rows,
-# 329 KB.  In stacks of 16, on the Nomizu tables, they read 119 and 252 KB.
+# 329 KB.  In stacks of 16, each with its partition tables built once,
+# they read 122 and 372 KB.
 PATCHED_PEAK = 1.25 * 100e3
 PIFIBER_PEAK = 1.25 * 329e3
 # `verify pifiber` at 67 samples read 197 KB in stacks of 8 points, before
 # the connections became tables; in stacks of 16 it must stay below that
-# (191 KB).
+# (180 KB, of which 26 KB are the vertical vectors of all 67 points, taken
+# in one call; 155 KB when each stack took its own).
 PIFIBER_SUITE_PEAK = 197e3
 
 
@@ -721,6 +723,25 @@ def test_a_substack_carries_the_splits_of_its_rows_bit_for_bit(model, P):
             assert _same_bits(a, b)
 
 
+@pytest.mark.parametrize("P", [1, 3, 13, 40])
+def test_a_substack_carries_the_tables_of_its_rows_bit_for_bit(model, P):
+    # x[idx] keeps the partition tables built on x, each the table of the
+    # rows idx alone, and a truncation pi_Z(x) shares x's tables
+    p = model.points(suites._mixed_tube_points(
+        model, np.random.default_rng(30), P))
+    x, md = p.control, model.model
+    model.system.chain_form(x, siegel.TangentVector(p.mc[:, [0, 4]]))
+    assert set(x.tables) == {"Z", "Y", "X"}
+    assert md.pi(x, "Y").tables is x.tables
+    rows = np.arange(P)
+    for idx in (slice(0, 1), slice(P // 2, None), slice(None, None, -2),
+                rows[::2], rows[::-1], [P - 1], 0, -1):
+        sub = x[idx]
+        for k, Z in enumerate(x.chain):
+            fresh = md.partition_weights(x.chain[:k + 1], sub.r[:, :k])
+            assert _same_bits(sub.tables[Z], fresh)
+
+
 @pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])
 def test_klingen_levi_factor_commutes_with_values_from_Y(rep):
     # G_h and G_l commute, so lambda_1(g_l) at a section commutes with every
@@ -861,6 +882,25 @@ def test_an_int_view_is_the_one_point_stack():
         with pytest.raises(IndexError):
             stack[n]
     assert len(list(stack)) == 4
+
+
+def test_an_int_tangent_vector_is_the_one_row_substack(model):
+    # v[n] keeps the row axis, as p[n] does, with or without splits made:
+    # the patched connection at one point of a two-direction stack is row
+    # n of the stacked value
+    p = model.points(suites._mixed_tube_points(
+        model, np.random.default_rng(31), 3))
+    v = siegel.TangentVector(p.mc[:, [0, 4]])
+    stacked = model.system.patched(p.control, v)
+    for n in range(-3, 3):
+        for w in (v, siegel.TangentVector(p.mc[:, [0, 4]])):
+            got = model.system.patched(p.control[n], w[n])
+            assert _same_bits(got, stacked[[n]])
+    for n in (3, -4):
+        with pytest.raises(IndexError):
+            v[n]
+        with pytest.raises(IndexError):
+            p.control[n]
 
 
 @pytest.mark.parametrize("rep", ["std", "sym2", "det^2", "sym^3 det^1"])

@@ -113,6 +113,49 @@ def test_pifiber_builds_its_points_in_stacks(monkeypatch):
     assert calls == {"section_mc": stacks, "factor": 0, "extension": 0}
 
 
+def test_patched_builds_each_partition_table_once_per_stack(monkeypatch):
+    # the recursion, the chain form and the localized form of a stack read
+    # the tables its points carry: one per stratum, for every stack
+    calls = []
+    weights = strata.FlagTubeModel.partition_weights
+
+    def counted(self, chain, r):
+        calls.append((chain[-1], len(r)))
+        return weights(self, chain, r)
+
+    monkeypatch.setattr(strata.FlagTubeModel, "partition_weights", counted)
+    assert suites.run_suite("patched", seed=0, samples=40)["pass"]
+    assert sorted(calls) == sorted((Z, n) for n in (16, 16, 8) for Z in "ZYX")
+
+
+@pytest.mark.parametrize("name,samples", [
+    ("pifiber", 67), ("pifiber", 1), ("descent", 40), ("descent", 1)])
+def test_fiber_suites_take_their_vertical_vectors_once(monkeypatch, name,
+                                                       samples):
+    # one fixed linear projection: one Jacobian and one SVD for all the
+    # draws, which each stack then reads its rows of
+    calls = []
+    vertical_vectors = ext.vertical_vectors
+
+    def counted(proj, xs):
+        calls.append(len(xs))
+        return vertical_vectors(proj, xs)
+
+    monkeypatch.setattr(ext, "vertical_vectors", counted)
+    assert suites.run_suite(name, seed=0, samples=samples)["pass"]
+    assert calls == [samples]
+
+
+def test_fiber_suites_at_no_sample():
+    # no draw, no vertical vector: each check reads 0.0, so pifiber passes
+    # and descent's negative control, which needs a contraction, fails
+    for name in ("pifiber", "descent"):
+        rpt = suites.run_suite(name, seed=3, samples=0)
+        assert {c["max_residual"] for c in rpt["checks"]} == {0.0}
+        assert rpt["pass"] == (name == "pifiber")
+        assert rpt.get("oracle_points", []) == []
+
+
 def test_klingen_levi_check_fails_on_the_whole_element(monkeypatch):
     # handed the whole Klingen element in place of its linear Levi factor
     # g_l, the check of [extK(g_l), extK.alg(Lie(G_h))] = 0 must fail
