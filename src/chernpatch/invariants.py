@@ -5,13 +5,16 @@ Exact arithmetic uses integer or object-dtype numpy arrays (ints,
 Fractions); the float path is float64/complex128.  The characteristic
 polynomial of a (..., d, d) stack is Berkowitz's division-free recursion,
 in int64 within a proven bound and in Python ints past it, once the entry
-denominators are cleared, or Faddeev-LeVerrier in floats.  An invariant
+denominators are cleared, or Faddeev-LeVerrier in floats: real products
+for a real stack, traces summed in complex and complex coefficients, which
+are the bits of the same finite stack cast to complex.  An invariant
 polynomial is any function of a matrix, such as elementary_symmetric(k).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +62,10 @@ def _char_poly(x):
     Exact for integers (an integer dtype or Python ints): Berkowitz's own
     integers.  Exact for Fractions: Berkowitz over the integer stack D x, D
     the lcm of the entry denominators, then c_k = c_k(D x) / D^k.  Complex
-    float otherwise, by Faddeev-LeVerrier on the whole stack.
+    float otherwise, by Faddeev-LeVerrier on the whole stack: a real stack
+    takes its matrix products in float64, each trace accumulates in complex
+    and is divided by k there, so that on finite entries every coefficient
+    has the bits of the complex path, signed zeros included.
     """
     x = np.asarray(x)
     if x.dtype.kind in "iu" or _is_exact(x) and all(
@@ -72,13 +78,14 @@ def _char_poly(x):
         cs = np.stack([c * Fraction(1, D ** k)
                        for k, c in enumerate(_berkowitz(ints))])
     else:
-        I = np.eye(x.shape[-1], dtype=complex)
-        x = x.astype(complex)
+        real = x.dtype.kind != "c"
+        x = x.astype(float if real else complex, copy=False)
+        I = np.eye(x.shape[-1], dtype=x.dtype)
         cs, Mk = [np.ones(x.shape[:-2], dtype=complex)], I
         for k in range(1, len(I) + 1):
             XM = x @ Mk
-            cs.append(-np.trace(XM, axis1=-2, axis2=-1) / k)
-            Mk = XM + cs[-1][..., None, None] * I
+            cs.append(-np.trace(XM, axis1=-2, axis2=-1, dtype=complex) / k)
+            Mk = XM + (cs[-1].real if real else cs[-1])[..., None, None] * I
         cs = np.stack(cs)
     return cs.tolist() if x.ndim == 2 else list(cs)
 
@@ -92,8 +99,9 @@ def elementary_symmetric_values(x):
 
 def elementary_symmetric_value(x, k):
     """e_k of the eigenvalues of x: coefficient of t^k in det(I + t x)."""
-    if not 0 <= k <= x.shape[-1]:
-        raise ValueError("k out of range")
+    if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+            or not 0 <= k <= np.shape(x)[-1]):
+        raise ValueError(f"k out of range: {k!r}")
     return elementary_symmetric_values(x)[k]
 
 

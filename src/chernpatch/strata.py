@@ -65,16 +65,17 @@ class BumpProfile:
         b = math.exp(-1.0 / (1.0 - t))
         return a / (a + b)
 
-    def _on_band(self, f, x, out):
-        """out, with the scalar f at each entry of the array x inside
-        (lo, hi) (math.exp: np.exp may differ in the last bit)."""
-        band = ~((x <= self.lo) | (x >= self.hi))
-        out[band] = [f(v) for v in x[band].tolist()]
-        return out
-
     def on_array(self, x):
-        """s at each entry of the array x."""
-        return self._on_band(self, x, (x >= self.hi).astype(float))
+        """s at each entry of the array x, by __call__'s IEEE operations on
+        the whole band (math.exp: np.exp may differ in the last bit)."""
+        t = (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo)
+        out = (t >= 1.0).astype(float)
+        band = ~((t <= 0.0) | (t >= 1.0))
+        t = t[band]
+        a, b = (np.fromiter(map(math.exp, e.tolist()), float, len(t))
+                for e in (-1.0 / t, -1.0 / (1.0 - t)))
+        out[band] = a / (a + b)
+        return out
 
     def derivative(self, x):
         """s'(x) = ab (1/t^2 + 1/(1-t)^2) / (a+b)^2 / (hi - lo), with t, a, b
@@ -90,8 +91,13 @@ class BumpProfile:
                 / (a + b) ** 2 / (self.hi - self.lo))
 
     def derivative_on_array(self, x):
-        """s' at each entry of the array x."""
-        return self._on_band(self.derivative, x, np.zeros(np.shape(x)))
+        """s' at each entry of the array x, one scalar call per entry inside
+        (lo, hi): Python's (a + b) ** 2 is not numpy's square in every last
+        bit, so a numpy version would move the bits of s'."""
+        out = np.zeros(np.shape(x))
+        band = ~((x <= self.lo) | (x >= self.hi))
+        out[band] = [self.derivative(v) for v in x[band].tolist()]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,13 @@ def suite_partition(seed=0, tol=1e-12, samples=10000, model=None,
     fi = rng.integers(len(lens), size=samples)
     L = rng.integers(1, lens[fi] + 1)
     u = rng.uniform(0.0, 1.5, (samples, lens.max() - 1))
+    # one group per (flag, length); the residual is a max, blind to order
+    key = fi * (lens.max() + 1) + L
     residuals = []
-    for f, n in dict.fromkeys(zip(fi.tolist(), L.tolist())):
+    for k in np.unique(key).tolist():
+        f, n = divmod(k, lens.max() + 1)
         chain = model.flags[f][:n]
-        w = model.partition_weights(chain, u[(fi == f) & (L == n), :n - 1]
+        w = model.partition_weights(chain, u[key == k, :n - 1]
                                     * model.eps(chain[-1]))
         total = sum(w.T[:-1] if corrupt else w.T)
         residuals.append(np.max(np.abs(total - 1.0)))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from chernpatch import invariants as inv, suites
 from chernpatch.errors import PreconditionFailed
 from helpers import jordan_decompose
+from test_report_bytes import _kernels
 
 
 def exact_matrix(rows):
@@ -182,6 +183,40 @@ def test_elementary_symmetric_values_agree_with_single_values():
             assert es[k] == inv.elementary_symmetric_value(x, k)
     with pytest.raises(ValueError):
         inv.elementary_symmetric_value(xf, 5)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_real_char_poly_has_the_bits_of_the_complex_path(d):
+    # a real stack takes real products; its coefficients are complex128 and
+    # byte-equal to those of the same stack cast to complex
+    rng = np.random.default_rng(d)
+    stacks = [scale * rng.standard_normal((20, d, d))
+              for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8)]
+    stacks += [np.where(rng.random((8, d, d)) < 0.5, 0.0, -0.0),
+               rng.choice([-1.0, -0.0, 0.0, 1.0], (20, d, d))]
+    for x in stacks:
+        got = inv._char_poly(x)
+        assert all(c.dtype == np.complex128 for c in got)
+        assert (np.stack(got).tobytes()
+                == np.stack(inv._char_poly(x.astype(complex))).tobytes()
+                ), _kernels()
+    x = rng.standard_normal((d, d))
+    got = inv._char_poly(x)
+    assert all(type(c) is complex for c in got)
+    assert got == inv._char_poly(x.astype(complex)), _kernels()
+
+
+def test_elementary_symmetric_reads_a_nested_list():
+    x = [[1.0, 2.0], [3.0, 4.0]]
+    assert inv.elementary_symmetric(2)(x) == -2.0
+    assert (inv.elementary_symmetric_value(x, 1)
+            == inv.elementary_symmetric_values(x)[1] == 5.0)
+
+
+@pytest.mark.parametrize("k", [True, False, 1.0, 1.5, "1", None, -1, 3])
+def test_elementary_symmetric_value_refuses_a_k_that_is_no_degree(k):
+    with pytest.raises(ValueError, match=f"k out of range: {k!r}"):
+        inv.elementary_symmetric_value(np.eye(2), k)
 
 
 def test_elementary_symmetric_exact():

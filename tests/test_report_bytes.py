@@ -51,8 +51,12 @@ SIZES = {
     "schubert": {},
 }
 
-# sizes at which the points fill several stacks of suites._STACK, at seed 7
-PASS_SIZES = {"pifiber": 67, "patched": 40, "descent": 40}
+# the sizes at which the benchmark's passes run each suite, at seed 7: the
+# points of pifiber, patched and descent fill several stacks of
+# suites._STACK, and the exact suites run their draws as one stack
+PASS_SIZES = {"pifiber": 67, "patched": 40, "descent": 40,
+              "nilpotent": 100, "springer": 10, "partition": 2000,
+              "vanishing": 2000}
 
 CURVATURE = [(group, rep) for group in ("sp2", "sp4", "sp6")
              for rep in ("std", "sym2", "det^2")]

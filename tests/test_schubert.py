@@ -247,6 +247,22 @@ def test_generation_negative_control():
         sc.generation_check("gr:2,4", generators=[("quotient", 0)])
 
 
+@pytest.mark.parametrize("space", ["p:4", "gr:2,4"])
+def test_generation_check_builds_each_tower_once(space, monkeypatch):
+    # one tower of the quotient and one of the dual subbundle, however many
+    # of their classes are generators
+    calls = []
+    total_chern = sc._total_chern
+
+    def counted(space, bundle):
+        calls.append(bundle)
+        return total_chern(space, bundle)
+
+    monkeypatch.setattr(sc, "_total_chern", counted)
+    assert sc.generation_check(space)["generates"]
+    assert sorted(calls) == ["quotient", "sub-dual"]
+
+
 def test_import_does_not_load_sympy():
     # a fresh interpreter, since another test may have loaded sympy here
     code = "import sys, chernpatch; print('sympy' in sys.modules)"

@@ -109,6 +109,19 @@ def test_profile_on_array_is_the_scalar_profile():
     assert got.shape == x.shape
     assert got.tobytes() == np.array([[s(v) for v in x[0]]]).tobytes()
     assert got[0, 2] == 0.0 and got[0, 6] == 1.0
+    # 10^4 random entries around the band, its edges and their neighbours
+    # on both sides, signed zeros and the non-finite values
+    rng = np.random.default_rng(12)
+    edges = [v for e in (s.lo, s.hi)
+             for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    x = np.concatenate([rng.uniform(0.4, 0.85, 9000),
+                        rng.uniform(s.lo, s.hi, 1000),
+                        edges, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    x = rng.permutation(x).reshape(-1, 1)
+    got = s.on_array(x)
+    assert got.shape == x.shape
+    assert got.tobytes() == np.array([[s(v)] for v in x[:, 0].tolist()]
+                                     ).tobytes()
 
 
 def test_eps_family_is_dyadic():
