@@ -17,7 +17,7 @@ rep = hcrepr.builtin_representation(spec, "std")
 # The extension to the Lagrangian parabolic is a homomorphism there:
 # check on random pairs of parabolic group elements.
 ext = hcrepr.canonical_extension(rep, 2)
-pd = liecore.parabolic_data(spec, (2,))
+pd = liecore.parabolic_data(spec, 2)
 rng = np.random.default_rng(0)
 residuals = []
 for _ in range(20):

@@ -88,8 +88,8 @@ def cayley_element(spec, r):
     """Partial Cayley element attached to the standard rank-r parabolic.
 
     It acts as (1/sqrt 2)[[1,-i],[-i,1]] in each symplectic plane (e_j, f_j)
-    with e_j in the rank-r isotropic subspace, whose indices come from
-    :func:`liecore._sp_indices` as for :func:`liecore.parabolic_data`.
+    with e_j in the rank-r isotropic subspace V, whose indices come from
+    :func:`liecore._sp_indices`: ``liecore.parabolic_data(spec, r)`` fixes V.
     """
     n = spec.n
     if not 1 <= r <= n:

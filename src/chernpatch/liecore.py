@@ -12,7 +12,7 @@ these facts from the spec, and group membership is one formula
 
 Elements are plain numpy arrays; the functions here validate the defining
 relations, split along the Cartan involution theta(X) = -X^H, and choose
-the parabolic subalgebra data of the coordinate isotropic flags of sp2nR
+the subalgebra data of the maximal parabolics of sp2nR, one per rank 1..n,
 from the elementary basis of :func:`algebra_basis`: each of its elements
 is a Cartan element or a root vector, so every piece is a subset of it.
 
@@ -114,10 +114,11 @@ def grp_residual(spec: GroupSpec, g):
     return np.maximum(r, np.abs(np.imag(g)).max(axis=(-2, -1)))
 
 
-def check_grp(spec: GroupSpec, g, tol=TOL):
-    """g; DecompositionError names the first element over its tol."""
+def check_grp(spec: GroupSpec, g):
+    """g; DecompositionError names the first row over max(TOL, 1e-8 |g|)."""
     r = grp_residual(spec, g)
-    require(r <= tol, f"not in sp2nR: residual {float(np.max(r))}")
+    require(r <= np.maximum(TOL, 1e-8 * np.linalg.norm(g, axis=(-2, -1))),
+            f"not in sp2nR: residual {float(np.max(r))}")
     return g
 
 
@@ -252,32 +253,26 @@ def exp_grp(spec: GroupSpec, X):
     X = np.asarray(np.real(X), dtype=float)
     require_of(np.abs(X).max(axis=(-2, -1)) < np.inf, "X is not finite", "X",
                X, (-2, -1))
-    g = expm(X)
-    return check_grp(spec, g, tol=np.maximum(
-        TOL, 1e-8 * np.linalg.norm(g, axis=(-2, -1))))
+    return check_grp(spec, expm(X))
 
 
 # ---------------------------------------------------------------------------
 # parabolic data
 #
-# Standard maximal parabolics of Sp(2n,R) are stabilizers of the isotropic
-# subspace spanned by the last r of the Lagrangian basis vectors e_1..e_n;
-# that way the hermitian Levi factor Sp(2(n-r)) sits in the leading plane
-# block and matches the chart projection onto leading principal blocks.
+# Standard maximal parabolics of Sp(2n,R), one for each rank r = 1..n of a
+# Baily-Borel boundary stratum, are stabilizers of the isotropic subspace
+# spanned by the last r of the Lagrangian basis vectors e_1..e_n; that way
+# the hermitian Levi factor Sp(2(n-r)) sits in the leading plane block and
+# matches the chart projection onto leading principal blocks.
 
 
 @dataclass
 class ParabolicData:
-    """Subalgebra data for a standard parabolic given by an isotropic flag.
-
-    flag is an increasing tuple of ranks (r_1 < ... < r_m); the parabolic is
-    the intersection of the maximal parabolics P^(r_i).  Its Levi part
-    splits at V, the isotropic subspace of the largest rank, whose maximal
-    parabolic P_1 has the smallest hermitian part.
-    """
+    """Subalgebra data for the maximal parabolic of rank r, the stabilizer
+    of the rank-r isotropic subspace V; its Levi part splits at V."""
 
     spec: GroupSpec
-    flag: tuple
+    rank: int
     basis_u: np.ndarray = field(repr=False)  # nilradical of Lie(Q)
     basis_h: np.ndarray = field(repr=False)  # hermitian Levi part g_{1h}
     basis_l: np.ndarray = field(repr=False)  # linear Levi part g_{Q ell}
@@ -311,44 +306,38 @@ class ParabolicData:
         return parts[..., 0, :, :], parts[..., 1, :, :], parts[..., 2, :, :]
 
 
-def parabolic_data(spec: GroupSpec, flag) -> ParabolicData:
-    """Parabolic data of the standard isotropic flag of the given ranks,
-    chosen from :func:`algebra_basis`, each element divided by its norm.
+def parabolic_data(spec: GroupSpec, r) -> ParabolicData:
+    """Parabolic data of the maximal parabolic of rank r, chosen from
+    :func:`algebra_basis`, each element divided by its norm.
 
     Every element of that basis is a Cartan element or a root vector of the
     diagonal Cartan, so it sends coordinate vectors to coordinate vectors:
-    it lies in Lie(Q) when no entry X[rest, v] takes a vector of some V_r
-    out of it, and in the nilradical when theta(X) = -X^T does not.  The
-    rest of Lie(Q) is the Levi part, block diagonal over W and V + Vbar of
-    the largest rank: its hermitian part kills V and Vbar, its linear part
-    is supported there.  The flag, ints (operator.index), is checked on
-    every call; the object of (spec, flag) is built once and shared.
+    it lies in Lie(Q) when no entry X[rest, v] takes a vector of V out of
+    it, and in the nilradical when theta(X) = -X^T does not.  The rest of
+    Lie(Q) is the Levi part, block diagonal over W and V + Vbar: its
+    hermitian part kills V and Vbar, its linear part is supported there.
+    The rank, an int (operator.index), is checked on every call; the object
+    of (spec, r) is built once and shared.
     """
-    flag = tuple(map(operator.index, flag))
-    if not flag or list(flag) != sorted(set(flag)):
-        raise UnsupportedFlag(f"flag must be strictly increasing, got {flag}")
-    for r in flag:
-        if not 1 <= r <= spec.n:
-            raise UnsupportedFlag(
-                f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
-    return _parabolic_data(spec, flag)
+    r = operator.index(r)
+    if not 1 <= r <= spec.n:
+        raise UnsupportedFlag(
+            f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
+    return _parabolic_data(spec, r)
 
 
 @functools.cache
-def _parabolic_data(spec: GroupSpec, flag: tuple) -> ParabolicData:
+def _parabolic_data(spec: GroupSpec, r: int) -> ParabolicData:
     basis = algebra_basis(spec)
     basis = basis / np.linalg.norm(basis, axis=(1, 2))[:, None, None]
+    v, vbar, w = _sp_indices(spec, r)
     moves = np.zeros((spec.size,) * 2, dtype=bool)      # (rest, v) entries
-    for r in flag:
-        inside = np.zeros(spec.size, dtype=bool)
-        inside[_sp_indices(spec, r)[0]] = True
-        moves |= np.outer(~inside, inside)
+    moves[np.ix_(vbar + w, v)] = True
     q = basis[~basis[:, moves].any(axis=1)]
     u = q[:, moves.T].any(axis=1)
-    v, vbar, _ = _sp_indices(spec, flag[-1])
     linear = q[:, :, v + vbar].any(axis=(1, 2))
-    return ParabolicData(spec, flag, *(readonly(q[m]) for m in
-                                       (u, ~u & ~linear, ~u & linear)))
+    return ParabolicData(spec, r, *(readonly(q[m]) for m in
+                                    (u, ~u & ~linear, ~u & linear)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,37 +382,19 @@ def sp_embed_gl(spec: GroupSpec, r: int, a):
 
 
 def group_factor_fine(pd: ParabolicData, g):
-    """g_{Ql}, the last factor of g = u_1 g_{1h} u_rel g_{Ql} in Q, whose
-    name the benchmark's tracer wraps: sp_embed_gl of the diagonal blocks
-    of g on V, the isotropic subspace of the flag's largest rank.  g may be
-    a stack; DecompositionError names the first row outside the group (at
-    the bound of :func:`exp_grp`) or not keeping V and each V_r."""
-    spec = pd.spec
-    g = np.asarray(g, dtype=float)
-    check_grp(spec, g, tol=np.maximum(
-        TOL, 1e-8 * np.linalg.norm(g, axis=(-2, -1))))
-    rmax = pd.flag[-1]
-    key = _sp_blocks(spec, rmax)[0]                # (..., V, V)
-    _, vbar, w = _sp_indices(spec, rmax)
+    """g_{Ql}, the last factor of g = u_1 g_{1h} g_{Ql} in Q (the benchmark's
+    tracer wraps this name): sp_embed_gl of the block of g on V.  g may be a
+    stack; DecompositionError names the first row outside the group (by
+    :func:`check_grp`) or not keeping V."""
+    spec, r = pd.spec, pd.rank
+    g = check_grp(spec, np.asarray(g, dtype=float))
+    key = _sp_blocks(spec, r)[0]                   # (..., V, V)
+    _, vbar, w = _sp_indices(spec, r)
     # g maps V into itself: nothing outside the rows of V in its columns
     require(_maxabs(g[..., vbar + w, key[-1]])
             <= PARABOLIC_TOL * np.maximum(1.0, _maxabs(g)),
             "group element not in the parabolic cell")
-    a_full = g[key]                                # action on V
-    # sub-flag block sizes inside V (coordinates ordered e_{n-rmax}..e_{n-1};
-    # the rank-r_i subspace is the span of the *last* r_i of these)
-    cuts = sorted({0, rmax} | {rmax - r for r in pd.flag})   # ascending
-    blocks = list(zip(cuts, cuts[1:]))
-    # g preserves each subspace of the flag exactly when a_full is block
-    # lower triangular: nothing above a diagonal block
-    for (s, e) in blocks[1:]:
-        require(_maxabs(a_full[..., :s, s:e])
-                <= PARABOLIC_TOL * np.maximum(1.0, _maxabs(a_full)),
-                "group element not in the parabolic cell")
-    d = np.zeros_like(a_full)
-    for (s, e) in blocks:
-        d[..., s:e, s:e] = a_full[..., s:e, s:e]
-    return sp_embed_gl(spec, rmax, d)
+    return sp_embed_gl(spec, r, g[key])
 
 
 def _maxabs(x):

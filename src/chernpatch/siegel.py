@@ -176,7 +176,7 @@ def _lie_data(rep_name):
     units, the differential of rep or extK at their Cartan k-part."""
     spec = liecore.sp2nR(2)
     rep = hcrepr.builtin_representation(spec, rep_name)
-    pdK, pdS = (liecore.parabolic_data(spec, (r,)) for r in (1, 2))  # of Y, Z
+    pdK, pdS = (liecore.parabolic_data(spec, r) for r in (1, 2))  # of Y, Z
     extK, extS = (hcrepr.canonical_extension(rep, r) for r in (1, 2))
     k = liecore.cartan_split(np.eye(16).reshape(-1, 4, 4))[0]
     linear = {Z: liecore.readonly(f(k).reshape(16, -1))

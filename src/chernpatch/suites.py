@@ -378,11 +378,16 @@ def suite_bridge(seed=0, tol=1e-6, samples=20):
     return _finish("bridge", seed, tol, samples, checks)
 
 
-def _model_tube_points(model, rng, samples):
+_PIFIBER_BOX = ([-0.5, -0.3, -0.3, 0.02, -0.3, 1 / 40],
+                [0.5, 0.3, 0.3, 0.2, 0.3, 1 / 17])
+_PATCHED_BOX = ([-0.5, -0.3, -0.3, 0.02, -0.3, 0.005],
+                [0.5, 0.3, 0.3, 0.5, 0.3, 0.12])
+
+
+def _model_tube_points(model, rng, samples, box):
     """Chart points of the plane-stratum tube, drawn as d = (x11, x12, x22,
-    r_Z, y12, r_Y)."""
-    d = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 1 / 40],
-                    [0.5, 0.3, 0.3, 0.2, 0.3, 1 / 17], (samples, 6))
+    r_Z, y12, r_Y) uniform in box."""
+    d = rng.uniform(*box, (samples, 6))
     return model.chart_points(d[:, [3, 5]], d[:, [0, 1, 2, 4]]).tolist()
 
 
@@ -402,7 +407,7 @@ def suite_pifiber(seed=0, tol=1e-6, samples=10):
     stack, on the vertical vectors of all points from one call."""
     rng = np.random.default_rng(seed)
     m = siegel.SiegelModel("std")
-    pts = _model_tube_points(m, rng, samples)
+    pts = _model_tube_points(m, rng, samples, _PIFIBER_BOX)
     verts = ext.vertical_vectors(m.projection_map(), pts) if samples else []
     residuals = [ext.vertical_contraction(
         [(m.curvature_induced_nomizu(stack), 2)], verts[rows], rng)
@@ -473,7 +478,7 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
     spec = liecore.sp2nR(2)
     rep = hcrepr.builtin_representation(spec, "std")
     extS = hcrepr.canonical_extension(rep, 2)
-    pdS = liecore.parabolic_data(spec, (2,))
+    pdS = liecore.parabolic_data(spec, 2)
     # all pairs (q1, q2) of random parabolic elements as one stack
     c = 0.3 * rng.standard_normal((samples, 2, len(pdS.basis_q)))
     q = liecore.exp_grp(spec, liecore.from_coords(
@@ -481,7 +486,7 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
     q1, q2 = q[:, 0], q[:, 1]
     nest = hcrepr.extension_compat_check(rep, 1, 2, samples=samples, rng=rng)
     # extK(g_l) of a Klingen element commutes with extK.alg on Lie(G_h)
-    pdK = liecore.parabolic_data(spec, (1,))
+    pdK = liecore.parabolic_data(spec, 1)
     c = 0.3 * rng.standard_normal((samples, len(pdK.basis_q)))
     k = liecore.exp_grp(spec, liecore.from_coords(
         np.moveaxis(c, -1, 0)[..., None, None], pdK.basis_q))
@@ -508,9 +513,8 @@ def suite_patched_model(seed=0, tol=1e-10, samples=40, corrupt=False):
         m.model.chain_form_weights = lambda x: [
             (c, w) for c, w in weights(x) if c != ("Z", "Y", "X")]
     rec_chain, local = [], []
-    d = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 0.005],
-                    [0.5, 0.3, 0.3, 0.5, 0.3, 0.12], (samples, 6))
-    for _, p in _stacks(m, m.chart_points(d[:, [3, 5]], d[:, [0, 1, 2, 4]])):
+    pts = _model_tube_points(m, rng, samples, _PATCHED_BOX)
+    for _, p in _stacks(m, pts):
         v = siegel.TangentVector(p.mc[:, [0, 4]])   # split once per stratum
         a = m.system.patched(p.control, v)
         b = m.system.chain_form(p.control, v)

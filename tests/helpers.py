@@ -214,39 +214,25 @@ def plane_borel_reference(m, hdot):
 
 
 def fine_factor_reference(pd, g):
-    """Reference factorization g = u_1 g_{1h} u_rel g_{Ql} of g in Q, or of
-    each element of a stack, in that product order: u_1 in the unipotent
-    radical U_1 of P_1, the maximal parabolic of the flag's largest rank,
-    g_{1h} the hermitian Levi factor on W, u_rel and g_{Ql} linear on V,
-    g_{Ql} block diagonal over the flag.  Checks u_1 by its log series."""
+    """Reference factorization g = u_1 g_{1h} g_{Ql} of g in Q, or of each
+    element of a stack, in that product order: u_1 in the unipotent radical
+    U_1 of Q, g_{1h} the hermitian Levi factor on W, g_{Ql} the linear Levi
+    factor on V.  Checks u_1 by its log series."""
     spec = pd.spec
     g = np.asarray(g, dtype=float)
-    rmax = pd.flag[-1]
-    v, vbar = liecore._sp_blocks(spec, rmax)
-    idx_w = liecore._sp_indices(spec, rmax)[2]
+    v, vbar = liecore._sp_blocks(spec, pd.rank)
+    idx_w = liecore._sp_indices(spec, pd.rank)[2]
     w = (..., *np.ix_(idx_w, idx_w))
     a_full = g[v]
-    cuts = sorted({0, rmax} | {rmax - r for r in pd.flag})
-    blocks = list(zip(cuts, cuts[1:]))
-    for (s, e) in blocks[1:]:
-        liecore.require(liecore._maxabs(a_full[..., :s, s:e])
-                        <= liecore.PARABOLIC_TOL
-                        * np.maximum(1.0, liecore._maxabs(a_full)),
-                        "group element not in the parabolic cell")
-    d = np.zeros_like(a_full)
-    for (s, e) in blocks:
-        d[..., s:e, s:e] = a_full[..., s:e, s:e]
-    d_inv = np.linalg.inv(d)
-    nmat = a_full @ d_inv
     shape, N = g.shape[:-2], spec.size
     eye = liecore._eye_stack
     # h_small^{-1} and a_full^{-1} from one inverse of the element that is
     # block diagonal over (W, V)
     q_inv = np.linalg.inv(eye(shape, N, [(w, g[w]), (v, a_full)]))
-    g_ql = eye(shape, N, [(v, d), (vbar, d_inv.swapaxes(-1, -2))])
-    u_rel = eye(shape, N, [(v, nmat), (vbar, (d @ q_inv[v]).swapaxes(-1, -2))])
+    g_ql = eye(shape, N, [(v, a_full),
+                          (vbar, np.linalg.inv(a_full).swapaxes(-1, -2))])
     g_1h = eye(shape, N, [(w, g[w])])
-    # (g_1h u_rel g_ql)^{-1} = sp_embed_gl(a_full^{-1}) g_1h^{-1}
+    # (g_1h g_ql)^{-1} = sp_embed_gl(a_full^{-1}) g_1h^{-1}
     q_inv[vbar] = a_full.swapaxes(-1, -2)
     u1 = g @ q_inv
     X = u1 - np.eye(N)
@@ -257,10 +243,9 @@ def fine_factor_reference(pd, g):
                     * np.maximum(1.0, liecore._maxabs(X)) ** N,
                     "factor u_1 is not unipotent")
     L = sum((-1) ** (k + 1) * powers[k - 1] / k for k in range(1, N))
-    u1_basis = liecore.parabolic_data(spec, pd.flag[-1:]).basis_u
-    liecore.algebra_coords(liecore.span_solver(u1_basis), L, 1e-7,
+    liecore.algebra_coords(liecore.span_solver(pd.basis_u), L, 1e-7,
                            "unipotent factor not in U_1")
-    return u1, g_1h, u_rel, g_ql
+    return u1, g_1h, g_ql
 
 
 def classification_reference(spec, rep, values):

@@ -236,7 +236,8 @@ def test_curvature_form_matches_the_wedge_tower():
     _, A, B, _ = patch_draws(4, 1, rng)
     affine = ext.VForm(4, 1, lambda xs: A[0, 0] + np.einsum(
         "pk,ikrc->pirc", xs, B[0, 0]))
-    cases = ([(patched, x) for x in suites._model_tube_points(model, rng, 2)
+    cases = ([(patched, x) for x in suites._model_tube_points(
+                  model, rng, 2, suites._PIFIBER_BOX)
               + suites._mixed_tube_points(model, rng, 2)]
              + [(affine, rng.uniform(-0.5, 0.5, 4)) for _ in range(2)])
     for omega, x in cases:

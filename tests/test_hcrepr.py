@@ -102,7 +102,7 @@ def test_extension_homomorphism_on_parabolic():
         for name in ("std", "det^2", "sym2", "sym^3 det^1")]
     for rep, r, tol in cases:
         spec = rep.spec
-        pd = liecore.parabolic_data(spec, (r,))
+        pd = liecore.parabolic_data(spec, r)
         ext = hcrepr.canonical_extension(rep, r)
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -116,7 +116,7 @@ def test_extension_homomorphism_on_parabolic():
 def test_extension_derivative_matches_difference_quotient():
     rep = _sp4_rep()
     spec = rep.spec
-    pd = liecore.parabolic_data(spec, (2,))
+    pd = liecore.parabolic_data(spec, 2)
     ext = hcrepr.canonical_extension(rep, 2)
     rng = np.random.default_rng(3)
     X = liecore.from_coords(0.4 * rng.standard_normal(len(pd.basis_q)),
@@ -161,7 +161,7 @@ def test_extension_alg_is_a_homomorphism_on_the_linear_levi(n, r, name):
     spec = liecore.sp2nR(n)
     ext = hcrepr.canonical_extension(
         hcrepr.builtin_representation(spec, name), r)
-    L = np.array(liecore.parabolic_data(spec, (r,)).basis_l)
+    L = np.array(liecore.parabolic_data(spec, r).basis_l)
     A = ext.alg(L)
     LL = L[:, None] @ L[None] - L[None] @ L[:, None]
     assert (np.max(np.abs(LL)) == 0.0) == (r == 1)   # only gl(1) is abelian
@@ -170,15 +170,16 @@ def test_extension_alg_is_a_homomorphism_on_the_linear_levi(n, r, name):
                          - ext.alg(LL))) <= 1e-15
 
 
-@pytest.mark.parametrize("flag", [(1,), (2,)])
+# ids as when a parabolic took a tuple of ranks, flagN for rank N + 1
+@pytest.mark.parametrize("r", [1, 2], ids=["flag0", "flag1"])
 @pytest.mark.parametrize("name", ["std", "sym2", "sym^3 det^1"])
-def test_linear_levi_factor_commutes_with_the_hermitian_part_sp6(flag, name):
+def test_linear_levi_factor_commutes_with_the_hermitian_part_sp6(r, name):
     # genus 3: lambda_1(g_l) of a parabolic element commutes with the
     # extension of Lie(G_h), so no induced connection needs conjugating
     spec = liecore.sp2nR(3)
-    pd = liecore.parabolic_data(spec, flag)
+    pd = liecore.parabolic_data(spec, r)
     ext = hcrepr.canonical_extension(
-        hcrepr.builtin_representation(spec, name), flag[-1])
+        hcrepr.builtin_representation(spec, name), r)
     c = 0.3 * np.random.default_rng(5).standard_normal((len(pd.basis_q), 10))
     q = liecore.exp_grp(spec, liecore.from_coords(c[..., None, None],
                                                   pd.basis_q))
@@ -305,7 +306,7 @@ def test_middle_j_rejects_a_nan_element_by_row():
 def test_canonical_extension_of_a_stack_matches_one_element_at_a_time(name):
     rep = _sp4_rep(name)
     spec = rep.spec
-    pd = liecore.parabolic_data(spec, (1,))
+    pd = liecore.parabolic_data(spec, 1)
     ext = hcrepr.canonical_extension(rep, 1)
     rng = np.random.default_rng(12)
     gs = np.array([liecore.exp_grp(spec, liecore.from_coords(

@@ -79,14 +79,12 @@ def test_projection_has_exact_unit_vertical_vectors(model):
     # differences are exactly 0 off its two columns, so its vertical vectors
     # are exactly x22, -x12, y12 and y22 at the points of all three samplers
     rng = np.random.default_rng(0)
-    d = rng.uniform([-0.5, -0.3, -0.3, 0.02, -0.3, 0.005],
-                    [0.5, 0.3, 0.3, 0.5, 0.3, 0.12], (200, 6))  # `patched`
+    patched = suites._model_tube_points(model, rng, 200, suites._PATCHED_BOX)
     R = np.zeros((4, 6))
     R[[0, 1, 2, 3], [2, 1, 4, 5]] = [1.0, -1.0, 1.0, 1.0]
     want = (R + 0j).conj()        # vertical_vectors conjugates: imag -0.0
-    for xs in (suites._model_tube_points(model, rng, 200),
-               suites._mixed_tube_points(model, rng, 200),
-               model.chart_points(d[:, [3, 5]], d[:, [0, 1, 2, 4]])):
+    for xs in (suites._model_tube_points(model, rng, 200, suites._PIFIBER_BOX),
+               suites._mixed_tube_points(model, rng, 200), patched):
         v = ext.vertical_vectors(model.projection_map(), np.array(xs))
         assert v.tobytes() == np.broadcast_to(want, v.shape).tobytes()
 
@@ -426,7 +424,8 @@ def test_rho_Z_factors_through_the_projection_to_Y(model):
     # for bit, at the points of every sampler
     rng = np.random.default_rng(32)
     xs = np.concatenate([model.chart_points(*_control_draw(rng, 8)),
-                         suites._model_tube_points(model, rng, 8),
+                         suites._model_tube_points(model, rng, 8,
+                                                   suites._PIFIBER_BOX),
                          suites._mixed_tube_points(model, rng, 8)])
     y = model.projection_map().func(xs)
     assert (model.points(xs).control.r[:, 0].tobytes()
@@ -447,7 +446,7 @@ def test_each_suite_sampler_lands_in_the_band_it_names(model, monkeypatch):
     # sampler, (low, high) of (r_Z, r_Y) / eps_X
     for xs, low, high in (
             (drawn[0], [0.02 / eps, 0.005 / eps], [0.5 / eps, 0.12 / eps]),
-            (suites._model_tube_points(model, rng, 200),
+            (suites._model_tube_points(model, rng, 200, suites._PIFIBER_BOX),
              [0.02 / eps, 1 / 40 / eps], [0.2 / eps, 1 / 17 / eps]),
             (suites._mixed_tube_points(model, rng, 200),
              [0.55, 0.1], [0.7, 0.45])):
@@ -679,8 +678,8 @@ def test_shared_lie_data_refuses_writes(rep):
     for n in (1, 2):
         spec = liecore.sp2nR(n)
         spec.complex_coords
-        objs = [spec, *(liecore.parabolic_data(spec, f) for f in
-                        [(1,), (n,), range(1, n + 1)])]
+        objs = [spec, *(liecore.parabolic_data(spec, r)
+                        for r in range(1, n + 1))]
         for name in ("det^2", "std"):
             rep = hcrepr.builtin_representation(spec, name)
             exts = [hcrepr.canonical_extension(rep, r)

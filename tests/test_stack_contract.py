@@ -28,7 +28,7 @@ def maps():
     curv = ext.curvature_form(patched)
     c = inv.chern_forms(curv, 2)
     xs = (suites._mixed_tube_points(model, rng, 2)
-          + suites._model_tube_points(model, rng, 1))
+          + suites._model_tube_points(model, rng, 1, suites._PIFIBER_BOX))
     spec = liecore.sp2nR(1)
     conn = connections.nomizu_connection(
         spec, hcrepr.builtin_representation(spec, "det^2"))

@@ -390,7 +390,9 @@ def test_tube_points_match_one_draw_at_a_time(seed, samples):
     model = siegel.SiegelModel("std")
     got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for bulk, scalar in (
-            (suites._model_tube_points, _scalar_model_tube_points),
+            (functools.partial(suites._model_tube_points,
+                               box=suites._PIFIBER_BOX),
+             _scalar_model_tube_points),
             (suites._mixed_tube_points, _scalar_mixed_tube_points)):
         assert (np.array(bulk(model, got, samples)).tobytes()
                 == np.array(scalar(model, ref, samples)).tobytes())
