@@ -16,8 +16,8 @@ rep = hcrepr.builtin_representation(spec, "std")
 
 # The extension to the Lagrangian parabolic is a homomorphism there:
 # check on random pairs of parabolic group elements.
-ext = hcrepr.canonical_extension(rep, 2)
 pd = liecore.parabolic_data(spec, 2)
+ext = hcrepr.canonical_extension(rep, pd)
 rng = np.random.default_rng(0)
 residuals = []
 for _ in range(20):
@@ -47,6 +47,6 @@ print("  relative residual =", rpt["relative_residual"])
 # The values are genuinely new: the extension of an embedded GL(2) block
 # is the block acting on the Lagrangian flag, not an isotropy rotation.
 a = np.array([[1.5, 0.3], [0.0, 0.8]])
-g = liecore.sp_embed_gl(spec, 2, a)
+g = liecore.sp_embed_gl(pd, a)
 print("extension of an embedded GL(2) element:")
 print(np.round(ext(g).real, 6))

@@ -27,7 +27,8 @@ their constructors, one lamC_alg call on the stack of matrix units, as an
 (N^2, d^2) matrix that takes a matrix or a (..., N, N) stack to (..., d, d)
 in one matmul, a real one for a real stack; j(c_1)^{-1} waits for a
 canonical extension's first group-level call.  Each builder shares one
-read-only object per argument tuple, a representation keyed by identity.
+read-only object per argument tuple, keyed by identity on a
+representation and on a parabolic, which only liecore.parabolic_data builds.
 middle_j, a canonical extension and lamC and lamC_alg take a (..., N, N)
 stack too, in one numpy pass, with every check held per element and the
 first failing row named in the error.  The basis tensor of Sym^a(C^n) at a
@@ -84,21 +85,15 @@ def middle_j(spec, g):
 # Cayley elements
 
 
-def cayley_element(spec, r):
-    """Partial Cayley element attached to the standard rank-r parabolic.
-
-    It acts as (1/sqrt 2)[[1,-i],[-i,1]] in each symplectic plane (e_j, f_j)
-    with e_j in the rank-r isotropic subspace V, whose indices come from
-    :func:`liecore._sp_indices`: ``liecore.parabolic_data(spec, r)`` fixes V.
+def cayley_element(pd):
+    """Partial Cayley element of the parabolic of pd, a
+    :class:`liecore.ParabolicData`: (1/sqrt 2)[[1,-i],[-i,1]] in each
+    symplectic plane (e_j, f_j) with e_j in V, placed by pd.v and pd.vbar.
     """
-    n = spec.n
-    if not 1 <= r <= n:
-        raise UnsupportedFlag(f"rank {r} out of range for sp2nR(n={n})")
-    c = np.eye(2 * n, dtype=complex)
-    v, vbar, _ = liecore._sp_indices(spec, r)
+    c = np.eye(pd.spec.size, dtype=complex)
     s = 1.0 / np.sqrt(2)
-    c[v, v] = c[vbar, vbar] = s
-    c[v, vbar] = c[vbar, v] = -1j * s
+    c[pd.v, pd.v] = c[pd.vbar, pd.vbar] = s
+    c[pd.v, pd.vbar] = c[pd.vbar, pd.v] = -1j * s
     return c
 
 
@@ -250,50 +245,53 @@ class CanonicalExtension:
 
 
 @functools.cache
-def canonical_extension(rep: Representation, r: int, /) -> CanonicalExtension:
-    """Extension along the standard rank-r parabolic."""
-    return CanonicalExtension(rep, cayley_element(rep.spec, r))
+def canonical_extension(rep: Representation, pd: liecore.ParabolicData,
+                        /) -> CanonicalExtension:
+    """Extension along the parabolic of pd, of rep's group."""
+    return CanonicalExtension(rep, cayley_element(pd))
 
 
 @functools.cache
-def relative_extension(rep: Representation, r_inner: int, r_outer: int, /) -> CanonicalExtension:
-    """Extension along the relative parabolic between nested ranks.
+def relative_extension(rep: Representation, inner: liecore.ParabolicData,
+                       outer: liecore.ParabolicData, /) -> CanonicalExtension:
+    """Extension along the relative parabolic between nested parabolics.
 
-    r_outer > r_inner; the relative Cayley element is
-    c(r_outer) c(r_inner)^{-1}, acting in the planes that separate the two
+    outer.rank > inner.rank; the relative Cayley element is
+    c(outer) c(inner)^{-1}, acting in the planes that separate the two
     isotropic subspaces.
     """
-    if not r_outer > r_inner:
-        raise UnsupportedFlag("need r_outer > r_inner")
-    return CanonicalExtension(rep, cayley_element(rep.spec, r_outer)
-                              @ np.linalg.inv(cayley_element(rep.spec, r_inner)))
+    if not outer.rank > inner.rank:
+        raise UnsupportedFlag(f"need outer rank > inner rank, got "
+                              f"{outer.rank} and {inner.rank}")
+    return CanonicalExtension(rep, cayley_element(outer)
+                              @ np.linalg.inv(cayley_element(inner)))
 
 
-def extension_compat_check(rep: Representation, r_inner, r_outer,
-                           samples=50, rng=None):
+def extension_compat_check(rep: Representation, r_inner, r_outer, samples,
+                           rng):
     """Compare canonical extensions along nested standard parabolics.
 
-    For ranks r_inner < r_outer, both extensions are defined on the linear
-    Levi of the inner parabolic, and the relative extension matches the
-    outer one on the intermediate GL factor.  Reports the max residual of
-    the two agreements over random samples, drawn first and checked as
+    For ranks r_inner < r_outer (of :func:`liecore.parabolic_data`), both
+    extensions are defined on the linear Levi of the inner parabolic, and
+    the relative extension matches the outer one on the intermediate GL
+    factor.  Reports the max residual of the two agreements over random
+    samples, drawn from rng (a Generator or a seed) first and checked as
     one stack.
     """
-    spec = rep.spec
-    if not 0 < r_inner < r_outer <= spec.n:
-        raise UnsupportedFlag("need 0 < r_inner < r_outer <= n")
+    inner, outer = (liecore.parabolic_data(rep.spec, r)
+                    for r in (r_inner, r_outer))
+    rel = relative_extension(rep, inner, outer)
+    ext_out = canonical_extension(rep, outer)
+    ext_in = canonical_extension(rep, inner)
     rng = np.random.default_rng(rng)
-    ext_out = canonical_extension(rep, r_outer)
-    ext_in = canonical_extension(rep, r_inner)
-    rel = relative_extension(rep, r_inner, r_outer)
     # per sample, a then b, drawn for all samples at once
-    d = r_outer - r_inner
-    draws = 0.3 * rng.standard_normal((samples, r_inner ** 2 + d ** 2))
-    a = np.eye(r_inner) + draws[:, :r_inner ** 2].reshape(-1, r_inner, r_inner)
-    blk = np.tile(np.eye(r_outer), (samples, 1, 1))
-    blk[:, :d, :d] = np.eye(d) + draws[:, r_inner ** 2:].reshape(-1, d, d)
-    g = liecore.sp_embed_gl(spec, r_inner, a)
-    gp = liecore.sp_embed_gl(spec, r_outer, blk)
+    ri, d = inner.rank, outer.rank - inner.rank
+    draws = 0.3 * rng.standard_normal((samples, ri ** 2 + d ** 2))
+    a = np.eye(ri) + draws[:, :ri ** 2].reshape(-1, ri, ri)
+    blk = np.tile(np.eye(outer.rank), (samples, 1, 1))
+    blk[:, :d, :d] = np.eye(d) + draws[:, ri ** 2:].reshape(-1, d, d)
+    g = liecore.sp_embed_gl(inner, a)
+    gp = liecore.sp_embed_gl(outer, blk)
     res_levi = float(np.max(np.abs(ext_out(g) - ext_in(g)), initial=0.0))
     res_rel = float(np.max(np.abs(ext_out(gp) - rel(gp)), initial=0.0))
     return {"samples": samples, "levi_residual": res_levi,

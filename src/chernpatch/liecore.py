@@ -27,7 +27,8 @@ stack, each matrix scaled by its own norm; :func:`exp_grp`, which checks
 each element of a stack, and the group charts in :mod:`charts` use it.
 
 check_grp, algebra_coords, ParabolicData.split, cartan_split and
-group_factor_fine take a (..., N, N) stack too, sp_embed_gl one of GL(r).
+group_factor_fine take a (..., N, N) stack too, sp_embed_gl(pd, a) one of
+GL(r), placed on the index sets of the ParabolicData pd.
 Checks hold per element through :func:`require`, which names the first
 failing row, with each bound written res <= bound so that a NaN fails it.
 
@@ -266,13 +267,18 @@ def exp_grp(spec: GroupSpec, X):
 # matches the chart projection onto leading principal blocks.
 
 
-@dataclass
+@dataclass(eq=False)
 class ParabolicData:
     """Subalgebra data for the maximal parabolic of rank r, the stabilizer
-    of the rank-r isotropic subspace V; its Levi part splits at V."""
+    of the rank-r isotropic subspace V; its Levi part splits at V.  v, vbar
+    and w index V (the last r of e_1 ... e_n), its dual and the rest.  One
+    object per (spec, r), so eq and hash are identity."""
 
     spec: GroupSpec
     rank: int
+    v: tuple
+    vbar: tuple
+    w: tuple
     basis_u: np.ndarray = field(repr=False)  # nilradical of Lie(Q)
     basis_h: np.ndarray = field(repr=False)  # hermitian Levi part g_{1h}
     basis_l: np.ndarray = field(repr=False)  # linear Levi part g_{Q ell}
@@ -328,57 +334,41 @@ def parabolic_data(spec: GroupSpec, r) -> ParabolicData:
 
 @functools.cache
 def _parabolic_data(spec: GroupSpec, r: int) -> ParabolicData:
+    n = spec.n
+    v, vbar = tuple(range(n - r, n)), tuple(range(2 * n - r, 2 * n))
+    w = tuple(range(n - r)) + tuple(range(n, 2 * n - r))
     basis = algebra_basis(spec)
     basis = basis / np.linalg.norm(basis, axis=(1, 2))[:, None, None]
-    v, vbar, w = _sp_indices(spec, r)
     moves = np.zeros((spec.size,) * 2, dtype=bool)      # (rest, v) entries
     moves[np.ix_(vbar + w, v)] = True
     q = basis[~basis[:, moves].any(axis=1)]
     u = q[:, moves.T].any(axis=1)
     linear = q[:, :, v + vbar].any(axis=(1, 2))
-    return ParabolicData(spec, r, *(readonly(q[m]) for m in
-                                    (u, ~u & ~linear, ~u & linear)))
+    return ParabolicData(spec, r, v, vbar, w, *(
+        readonly(q[m]) for m in (u, ~u & ~linear, ~u & linear)))
 
 
 # ---------------------------------------------------------------------------
 # group-level factorization (coordinate subspaces make the embeddings exact)
 
 
-def _sp_indices(spec: GroupSpec, r: int):
-    """The one isotropic-flag convention of sp2nR: the rank-r isotropic
-    subspace V is spanned by the last r of e_1 ... e_n."""
-    n = spec.n
-    idx_v = list(range(n - r, n))                  # e-part of V
-    idx_vbar = list(range(2 * n - r, 2 * n))       # f-part (dual of V)
-    idx_w = list(range(0, n - r)) + list(range(n, 2 * n - r))
-    return idx_v, idx_vbar, idx_w
-
-
-@functools.cache
-def _sp_blocks(spec: GroupSpec, r: int):
-    """Index keys (..., rows, cols) of the V and Vbar blocks of
-    :func:`_sp_indices`, index ranges as slices, built once per (spec, r)."""
-    v, vbar = (slice(i[0], i[-1] + 1) for i in _sp_indices(spec, r)[:2])
-    return (..., v, v), (..., vbar, vbar)
-
-
 def _eye_stack(shape, N, parts=(), dtype=float):
-    """Identity matrices of size N over the leading shape, with the blocks
-    of parts, pairs (key of :func:`_sp_blocks`, block stack), written in."""
+    """Identity matrices of size N over the leading shape, with the diagonal
+    blocks of parts, pairs (index set, block stack), written in."""
     out = np.zeros(tuple(shape) + (N, N), dtype=dtype)
     out.reshape(-1, N * N)[:, ::N + 1] = 1.0
-    for key, block in parts:
-        out[key] = block
+    for idx, block in parts:
+        out[(..., *np.ix_(idx, idx))] = block
     return out
 
 
-def sp_embed_gl(spec: GroupSpec, r: int, a):
-    """Embed a in GL(r), or a stack of them, as the linear Levi element
-    acting as a on V."""
-    v, vbar = _sp_blocks(spec, r)
+def sp_embed_gl(pd: ParabolicData, a):
+    """Embed a in GL(r), or a stack of them, as the linear Levi element of
+    pd acting as a on V and as a^{-T} on Vbar."""
     a = np.asarray(a, dtype=float)
-    return _eye_stack(a.shape[:-2], spec.size,
-                      [(v, a), (vbar, np.linalg.inv(a).swapaxes(-1, -2))])
+    a_inv_t = np.linalg.inv(a).swapaxes(-1, -2)
+    return _eye_stack(a.shape[:-2], pd.spec.size,
+                      [(pd.v, a), (pd.vbar, a_inv_t)])
 
 
 def group_factor_fine(pd: ParabolicData, g):
@@ -386,15 +376,12 @@ def group_factor_fine(pd: ParabolicData, g):
     tracer wraps this name): sp_embed_gl of the block of g on V.  g may be a
     stack; DecompositionError names the first row outside the group (by
     :func:`check_grp`) or not keeping V."""
-    spec, r = pd.spec, pd.rank
-    g = check_grp(spec, np.asarray(g, dtype=float))
-    key = _sp_blocks(spec, r)[0]                   # (..., V, V)
-    _, vbar, w = _sp_indices(spec, r)
+    g = check_grp(pd.spec, np.asarray(g, dtype=float))
     # g maps V into itself: nothing outside the rows of V in its columns
-    require(_maxabs(g[..., vbar + w, key[-1]])
+    require(_maxabs(g[(..., *np.ix_(pd.vbar + pd.w, pd.v))])
             <= PARABOLIC_TOL * np.maximum(1.0, _maxabs(g)),
             "group element not in the parabolic cell")
-    return sp_embed_gl(spec, r, g[key])
+    return sp_embed_gl(pd, g[(..., *np.ix_(pd.v, pd.v))])
 
 
 def _maxabs(x):

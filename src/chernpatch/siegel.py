@@ -177,7 +177,7 @@ def _lie_data(rep_name):
     spec = liecore.sp2nR(2)
     rep = hcrepr.builtin_representation(spec, rep_name)
     pdK, pdS = (liecore.parabolic_data(spec, r) for r in (1, 2))  # of Y, Z
-    extK, extS = (hcrepr.canonical_extension(rep, r) for r in (1, 2))
+    extK, extS = (hcrepr.canonical_extension(rep, pd) for pd in (pdK, pdS))
     k = liecore.cartan_split(np.eye(16).reshape(-1, 4, 4))[0]
     linear = {Z: liecore.readonly(f(k).reshape(16, -1))
               for Z, f in (("X", rep.lam_alg), ("Y", extK.alg))}

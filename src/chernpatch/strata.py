@@ -29,6 +29,7 @@ gradients of FlagTubeModel.chain_form_weight_grad patches the chains.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import math
 from functools import reduce
@@ -162,8 +163,8 @@ class FlagTubeModel:
 
     def __init__(self, strata, flags, eps0=1.0):
         """strata: list of {"name": str, "dimC": int}; flags: lists of names
-        ordered small-to-large; eps0 scales the eps-family
-        eps_Y = eps0 / 2^{dimC Y}."""
+        ordered small-to-large, with no cycle among them; eps0 scales the
+        eps-family eps_Y = eps0 / 2^{dimC Y}."""
         if not isinstance(strata, (list, tuple)) or not all(
                 isinstance(s, dict) and {"name", "dimC"} <= s.keys()
                 and isinstance(s["name"], str) for s in strata):
@@ -195,6 +196,15 @@ class FlagTubeModel:
         undeclared = [n for f in self.flags for n in f if n not in self.dimC]
         if undeclared:
             raise PreconditionFailed(f"unknown strata in flags: {undeclared}")
+        order = graphlib.TopologicalSorter()   # each flag small-to-large
+        for f in self.flags:
+            for small, large in zip(f, f[1:]):
+                order.add(large, small)
+        try:
+            order.prepare()
+        except graphlib.CycleError as e:
+            raise PreconditionFailed("flags order strata in a cycle: "
+                                     + " < ".join(e.args[1])) from None
         self.profile = BumpProfile()
         flagged = {n for f in self.flags for n in f}
         self._chains = {(n,) for n in self.names if n not in flagged} | {

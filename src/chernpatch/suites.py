@@ -477,8 +477,8 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
     rng = np.random.default_rng(seed)
     spec = liecore.sp2nR(2)
     rep = hcrepr.builtin_representation(spec, "std")
-    extS = hcrepr.canonical_extension(rep, 2)
     pdS = liecore.parabolic_data(spec, 2)
+    extS = hcrepr.canonical_extension(rep, pdS)
     # all pairs (q1, q2) of random parabolic elements as one stack
     c = 0.3 * rng.standard_normal((samples, 2, len(pdS.basis_q)))
     q = liecore.exp_grp(spec, liecore.from_coords(
@@ -491,7 +491,7 @@ def suite_extension(seed=0, tol=1e-8, samples=50):
     k = liecore.exp_grp(spec, liecore.from_coords(
         np.moveaxis(c, -1, 0)[..., None, None], pdK.basis_q))
     g_l = liecore.group_factor_fine(pdK, k)
-    extK = hcrepr.canonical_extension(rep, 1)
+    extK = hcrepr.canonical_extension(rep, pdK)
     lam, H = extK(g_l)[:, None], extK.alg(np.array(pdK.basis_h))
     checks = [_check("homomorphism-on-parabolic",
                      [extS(q1 @ q2) - extS(q1) @ extS(q2)], tol),

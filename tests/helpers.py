@@ -217,21 +217,22 @@ def fine_factor_reference(pd, g):
     """Reference factorization g = u_1 g_{1h} g_{Ql} of g in Q, or of each
     element of a stack, in that product order: u_1 in the unipotent radical
     U_1 of Q, g_{1h} the hermitian Levi factor on W, g_{Ql} the linear Levi
-    factor on V.  Checks u_1 by its log series."""
+    factor on V.  Checks u_1 by its log series.  Returns (u_1, g_{1h},
+    g_{Ql}, a_inv), a_inv the inverse of the V block of g read from the one
+    block-diagonal inverse, not from the inverse that g_{Ql} holds."""
     spec = pd.spec
     g = np.asarray(g, dtype=float)
-    v, vbar = liecore._sp_blocks(spec, pd.rank)
-    idx_w = liecore._sp_indices(spec, pd.rank)[2]
-    w = (..., *np.ix_(idx_w, idx_w))
+    v, vbar, w = ((..., *np.ix_(i, i)) for i in (pd.v, pd.vbar, pd.w))
     a_full = g[v]
     shape, N = g.shape[:-2], spec.size
     eye = liecore._eye_stack
     # h_small^{-1} and a_full^{-1} from one inverse of the element that is
     # block diagonal over (W, V)
-    q_inv = np.linalg.inv(eye(shape, N, [(w, g[w]), (v, a_full)]))
-    g_ql = eye(shape, N, [(v, a_full),
-                          (vbar, np.linalg.inv(a_full).swapaxes(-1, -2))])
-    g_1h = eye(shape, N, [(w, g[w])])
+    q_inv = np.linalg.inv(eye(shape, N, [(pd.w, g[w]), (pd.v, a_full)]))
+    a_inv = q_inv[v]
+    g_ql = eye(shape, N, [(pd.v, a_full), (pd.vbar, np.linalg.inv(
+        a_full).swapaxes(-1, -2))])
+    g_1h = eye(shape, N, [(pd.w, g[w])])
     # (g_1h g_ql)^{-1} = sp_embed_gl(a_full^{-1}) g_1h^{-1}
     q_inv[vbar] = a_full.swapaxes(-1, -2)
     u1 = g @ q_inv
@@ -245,7 +246,7 @@ def fine_factor_reference(pd, g):
     L = sum((-1) ** (k + 1) * powers[k - 1] / k for k in range(1, N))
     liecore.algebra_coords(liecore.span_solver(pd.basis_u), L, 1e-7,
                            "unipotent factor not in U_1")
-    return u1, g_1h, g_ql
+    return u1, g_1h, g_ql, a_inv
 
 
 def classification_reference(spec, rep, values):

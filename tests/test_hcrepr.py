@@ -12,6 +12,17 @@ def _sp4_rep(name="std"):
     return hcrepr.builtin_representation(liecore.sp2nR(2), name)
 
 
+def _ext(rep, r):
+    """The canonical extension of rep along its group's rank-r parabolic."""
+    return hcrepr.canonical_extension(rep, liecore.parabolic_data(rep.spec, r))
+
+
+def _rel(rep, r_inner, r_outer):
+    """The relative extension of rep between the parabolics of two ranks."""
+    return hcrepr.relative_extension(rep, *(
+        liecore.parabolic_data(rep.spec, r) for r in (r_inner, r_outer)))
+
+
 def test_sp2_decomposition_oracle():
     """M g M^{-1} for g in Sp(2, R) = SL(2, R) is [[a, b], [conj b, conj a]]
     in SU(1, 1); its open-cell factors are upper unipotent times
@@ -33,7 +44,7 @@ def test_sp2_decomposition_oracle():
 @pytest.mark.parametrize("r", [1, 2])
 def test_cayley_element_in_complexified_group(r):
     spec = liecore.sp2nR(2)
-    c = hcrepr.cayley_element(spec, r)
+    c = hcrepr.cayley_element(liecore.parabolic_data(spec, r))
     # symplectic form is preserved exactly
     J = spec.form
     assert np.max(np.abs(c.T @ J @ c - J)) < 1e-12
@@ -57,7 +68,7 @@ def test_middle_j_multiplicative_on_kc():
 def test_extension_restricts_to_rep_on_k(name):
     rep = _sp4_rep(name)
     spec = rep.spec
-    ext = hcrepr.canonical_extension(rep, 2)
+    ext = _ext(rep, 2)
     rng = np.random.default_rng(1)
     for _ in range(5):
         k = liecore.exp_grp(spec, liecore.cartan_split(
@@ -88,8 +99,8 @@ def test_relative_extension_is_the_siegel_one_on_the_plane_cartan(name):
     rep = _sp4_rep(name)
     a = np.random.default_rng(20).standard_normal((67, 1, 1))
     aW = a * np.diag([1.0, 0.0, -1.0, 0.0])
-    want = hcrepr.canonical_extension(rep, 2).alg(aW)
-    assert np.array_equal(hcrepr.relative_extension(rep, 1, 2).alg(aW), want)
+    want = _ext(rep, 2).alg(aW)
+    assert np.array_equal(_rel(rep, 1, 2).alg(aW), want)
     assert np.max(np.abs(want)) > 0.1
 
 
@@ -103,7 +114,7 @@ def test_extension_homomorphism_on_parabolic():
     for rep, r, tol in cases:
         spec = rep.spec
         pd = liecore.parabolic_data(spec, r)
-        ext = hcrepr.canonical_extension(rep, r)
+        ext = _ext(rep, r)
         rng = np.random.default_rng(2)
         for _ in range(10):
             c1 = 0.3 * rng.standard_normal(len(pd.basis_q))
@@ -117,7 +128,7 @@ def test_extension_derivative_matches_difference_quotient():
     rep = _sp4_rep()
     spec = rep.spec
     pd = liecore.parabolic_data(spec, 2)
-    ext = hcrepr.canonical_extension(rep, 2)
+    ext = _ext(rep, 2)
     rng = np.random.default_rng(3)
     X = liecore.from_coords(0.4 * rng.standard_normal(len(pd.basis_q)),
                             pd.basis_q)
@@ -159,8 +170,7 @@ def test_nested_extension_compatibility_sp6():
 def test_extension_alg_is_a_homomorphism_on_the_linear_levi(n, r, name):
     # so extK.alg(ldot) is a flat connection: [A l_i, A l_j] = A [l_i, l_j]
     spec = liecore.sp2nR(n)
-    ext = hcrepr.canonical_extension(
-        hcrepr.builtin_representation(spec, name), r)
+    ext = _ext(hcrepr.builtin_representation(spec, name), r)
     L = np.array(liecore.parabolic_data(spec, r).basis_l)
     A = ext.alg(L)
     LL = L[:, None] @ L[None] - L[None] @ L[:, None]
@@ -178,8 +188,7 @@ def test_linear_levi_factor_commutes_with_the_hermitian_part_sp6(r, name):
     # extension of Lie(G_h), so no induced connection needs conjugating
     spec = liecore.sp2nR(3)
     pd = liecore.parabolic_data(spec, r)
-    ext = hcrepr.canonical_extension(
-        hcrepr.builtin_representation(spec, name), r)
+    ext = _ext(hcrepr.builtin_representation(spec, name), r)
     c = 0.3 * np.random.default_rng(5).standard_normal((len(pd.basis_q), 10))
     q = liecore.exp_grp(spec, liecore.from_coords(c[..., None, None],
                                                   pd.basis_q))
@@ -228,9 +237,9 @@ def _extensions(rep):
     """The canonical extension of each rank, and the relative one of the
     ranks (1, 2) where the group has both."""
     n = rep.spec.n
-    exts = [hcrepr.canonical_extension(rep, r) for r in range(1, n + 1)]
+    exts = [_ext(rep, r) for r in range(1, n + 1)]
     if n > 1:
-        exts.append(hcrepr.relative_extension(rep, 1, 2))
+        exts.append(_rel(rep, 1, 2))
     return exts
 
 
@@ -307,7 +316,7 @@ def test_canonical_extension_of_a_stack_matches_one_element_at_a_time(name):
     rep = _sp4_rep(name)
     spec = rep.spec
     pd = liecore.parabolic_data(spec, 1)
-    ext = hcrepr.canonical_extension(rep, 1)
+    ext = _ext(rep, 1)
     rng = np.random.default_rng(12)
     gs = np.array([liecore.exp_grp(spec, liecore.from_coords(
         0.3 * rng.standard_normal(len(pd.basis_q)), pd.basis_q))
@@ -348,32 +357,101 @@ def test_differential_tables_are_the_per_unit_loop_bit_for_bit(n, name):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_representations_and_extensions_are_shared(n):
-    # one object per argument tuple, the representation keyed by identity;
-    # a failed build is not kept, and a rank 1.0 never becomes rank 1's
+    # one object per argument tuple, keyed by identity on the representation
+    # and on the parabolic; a failed build is not kept
     spec = liecore.sp2nR(n)
     hcrepr.canonical_extension.cache_clear()
     for name in ("std", "det^2", "sym^2 det^-1"):
         rep = hcrepr.builtin_representation(spec, name)
         assert hcrepr.builtin_representation(spec, name) is rep
-        with pytest.raises(TypeError):
-            hcrepr.canonical_extension(rep, 1.0)
-        ext = hcrepr.canonical_extension(rep, True)
-        assert hcrepr.canonical_extension(rep, 1) is ext
-        assert _same_bits(ext.c1, hcrepr.cayley_element(spec, 1))
+        ext = _ext(rep, 1)
+        assert _same_bits(ext.c1, hcrepr.cayley_element(
+            liecore.parabolic_data(spec, 1)))
         for r in range(2, n + 1):
-            assert (hcrepr.canonical_extension(rep, r)
-                    is hcrepr.canonical_extension(rep, r))
-            assert (hcrepr.relative_extension(rep, r - 1, r)
-                    is hcrepr.relative_extension(rep, r - 1, r))
+            assert _ext(rep, r) is _ext(rep, r)
+            assert _rel(rep, r - 1, r) is _rel(rep, r - 1, r)
         twin = hcrepr.Representation(spec, name, rep.dim, rep.lamC,
                                      rep.lamC_alg)
         assert twin != rep
-        assert hcrepr.canonical_extension(twin, 1) is not ext
+        assert _ext(twin, 1) is not ext
     for _ in range(2):
         with pytest.raises(UnsupportedFlag, match="unknown representation"):
             hcrepr.builtin_representation(spec, "sym^9")
-        with pytest.raises(UnsupportedFlag, match="r_outer > r_inner"):
-            hcrepr.relative_extension(rep, 1, 1)
+        with pytest.raises(UnsupportedFlag, match=r"^need outer rank > "
+                                                  r"inner rank, got 1 and 1$"):
+            _rel(rep, 1, 1)
+
+
+def _raised(f, *args):
+    """(type, message) of the exception f(*args) raises."""
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bad", [lambda n: 0, lambda n: n + 1,
+                                 lambda n: 1.0, lambda n: (1,)],
+                         ids=["rank0", "rank-n+1", "float", "tuple"])
+def test_a_bad_rank_fails_as_parabolic_data_fails_in_every_cache_state(
+        n, bad):
+    # one rank rule: whether or not rank 1's extension was built before,
+    # a bad rank in either place raises what parabolic_data raises, and no
+    # extension is built for it
+    spec = liecore.sp2nR(n)
+    r = bad(n)
+    rep = hcrepr.builtin_representation(spec, "std")
+    want = _raised(liecore.parabolic_data, spec, r)
+    for built in (False, True):
+        hcrepr.canonical_extension.cache_clear()
+        if built:
+            _ext(rep, 1)
+        size = hcrepr.canonical_extension.cache_info().currsize
+        assert _raised(_ext, rep, r) == want
+        for ranks in ((r, n), (1, r)):
+            assert _raised(hcrepr.extension_compat_check, rep, *ranks,
+                           5, 0) == want
+        assert hcrepr.canonical_extension.cache_info().currsize == size
+
+
+def test_an_index_rank_reaches_the_objects_of_its_int():
+    # True and np.int64(1) are rank 1: its parabolic, its extension and
+    # its compatibility report
+    rep = _sp4_rep()
+    for r in (True, np.int64(1)):
+        assert (liecore.parabolic_data(rep.spec, r)
+                is liecore.parabolic_data(rep.spec, 1))
+        assert _ext(rep, r) is _ext(rep, 1)
+        assert (hcrepr.extension_compat_check(rep, r, 2, 5, 0)
+                == hcrepr.extension_compat_check(rep, 1, 2, 5, 0))
+
+
+def test_the_builders_take_a_parabolic_of_the_representations_group():
+    # a bare rank, or a parabolic of another group, raises and builds nothing
+    rep = _sp4_rep()
+    hcrepr.canonical_extension.cache_clear()
+    hcrepr.relative_extension.cache_clear()
+    for r in (1, True):
+        with pytest.raises(AttributeError, match="spec"):
+            hcrepr.canonical_extension(rep, r)
+    for n, r in ((1, 1), (3, 2)):
+        with pytest.raises(ValueError, match="matmul"):
+            hcrepr.canonical_extension(
+                rep, liecore.parabolic_data(liecore.sp2nR(n), r))
+    with pytest.raises(ValueError, match="matmul"):
+        hcrepr.relative_extension(
+            rep, liecore.parabolic_data(liecore.sp2nR(1), 1),
+            liecore.parabolic_data(rep.spec, 2))
+    assert hcrepr.canonical_extension.cache_info().currsize == 0
+    assert hcrepr.relative_extension.cache_info().currsize == 0
+
+
+def test_extension_compat_check_needs_its_samples_and_rng():
+    # no default draws from OS entropy: a report always reproduces
+    rep = _sp4_rep()
+    for args, kwargs in (((5,), {}), ((), {"samples": 5}), ((), {})):
+        with pytest.raises(TypeError, match="rng"):
+            hcrepr.extension_compat_check(rep, 1, 2, *args, **kwargs)
 
 
 def test_cached_builders_refuse_keyword_arguments():
@@ -381,11 +459,12 @@ def test_cached_builders_refuse_keyword_arguments():
     # a keyword call would build a second object beside the shared one
     spec = liecore.sp2nR(2)
     rep = hcrepr.builtin_representation(spec, "std")
+    pd1, pd2 = (liecore.parabolic_data(spec, r) for r in (1, 2))
     for build, args, names in (
             (hcrepr.builtin_representation, (spec, "std"), ("spec", "name")),
-            (hcrepr.canonical_extension, (rep, 1), ("rep", "r")),
-            (hcrepr.relative_extension, (rep, 1, 2),
-             ("rep", "r_inner", "r_outer")),
+            (hcrepr.canonical_extension, (rep, pd1), ("rep", "pd")),
+            (hcrepr.relative_extension, (rep, pd1, pd2),
+             ("rep", "inner", "outer")),
             (liecore.algebra_basis, (spec,), ("spec",)),
             (exterior.wedge_table, (6, 1, 2), ("m", "q1", "q2"))):
         shared = build(*args)
@@ -411,10 +490,10 @@ def test_an_extension_makes_j_c1_inverse_on_its_first_group_level_call(
     p = model.points(np.array([[0.1, 0.2, -0.1, 3.0, 0.4, 2.5]]))
     model.omega_patched(p, p.mc)
     model.curvature_patched(p)
-    # a fresh extension: the shared canonical_extension(model.rep, 1) may
-    # have made its j(c_1)^{-1} in an earlier test
+    # a fresh extension: the shared canonical_extension(model.rep,
+    # model.pdK) may have made its j(c_1)^{-1} in an earlier test
     ext = hcrepr.CanonicalExtension(model.rep,
-                                    hcrepr.cayley_element(model.spec, 1))
+                                    hcrepr.cayley_element(model.pdK))
     ext.alg(random_alg(model.spec, np.random.default_rng(3)))
     assert calls == []
     rng = np.random.default_rng(13)

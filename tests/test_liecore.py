@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -287,7 +288,7 @@ def test_group_factor_recomposes():
         pd = liecore.parabolic_data(spec, r)
         c = 0.3 * rng.standard_normal(len(pd.basis_q))
         g = liecore.exp_grp(spec, liecore.from_coords(c, pd.basis_q))
-        u1, g_1h, g_ql = fine_factor_reference(pd, g)
+        u1, g_1h, g_ql, _ = fine_factor_reference(pd, g)
         assert np.max(np.abs(u1 @ g_1h @ g_ql - g)) < tol
 
 
@@ -299,7 +300,9 @@ ALL_RANKS = [(spec, r) for spec in SPECS for r in range(1, spec.n + 1)]
     "spec,r", ALL_RANKS,
     ids=lambda x: _id(x) if hasattr(x, "n") else str((x,)))
 def test_group_factor_fine_is_the_last_factor_of_the_reference(spec, r):
-    # bit for bit, on a stack and on each element alone
+    # bit for bit, on a stack and on each element alone; and, by another
+    # path, its Vbar block is a^{-T} for the inverse a_inv of the V block
+    # that the reference reads from its one block-diagonal inverse
     pd = liecore.parabolic_data(spec, r)
     rng = np.random.default_rng(10)
     c = 0.3 * rng.standard_normal((len(pd.basis_q), 25))
@@ -307,10 +310,36 @@ def test_group_factor_fine_is_the_last_factor_of_the_reference(spec, r):
                                                    pd.basis_q))
     g_ql = liecore.group_factor_fine(pd, gs)
     assert g_ql.shape == gs.shape
-    assert np.array_equal(g_ql, fine_factor_reference(pd, gs)[2])
+    *_, ref, a_inv = fine_factor_reference(pd, gs)
+    assert np.array_equal(g_ql, ref)
+    vbar = g_ql[(..., *np.ix_(pd.vbar, pd.vbar))]
+    assert np.all(liecore._maxabs(vbar - a_inv.swapaxes(-1, -2))
+                  <= 1e-12 * liecore._maxabs(a_inv))
     for g, one in zip(gs, g_ql):
         assert np.array_equal(liecore.group_factor_fine(pd, g), one)
         assert np.array_equal(fine_factor_reference(pd, g)[2], one)
+
+
+@pytest.mark.parametrize(
+    "spec,r", ALL_RANKS,
+    ids=lambda x: _id(x) if hasattr(x, "n") else str((x,)))
+def test_index_sets_place_sp_embed_gl(spec, r):
+    # V is spanned by the last r of e_1 ... e_n and Vbar by their duals; with
+    # the rest they split 0 .. 2n - 1.  sp_embed_gl puts a stack of GL(r)
+    # on V, and a^{-T} on Vbar, as the group element whose factor it is
+    pd = liecore.parabolic_data(spec, r)
+    n = spec.n
+    assert pd.v == tuple(range(n - r, n))
+    assert pd.vbar == tuple(i + n for i in pd.v)
+    assert sorted(pd.v + pd.vbar + pd.w) == list(range(2 * n))
+    a = np.eye(r) + 0.3 * np.random.default_rng(r).standard_normal((3, r, r))
+    g = liecore.sp_embed_gl(pd, a)
+    assert np.array_equal(g[(..., *np.ix_(pd.v, pd.v))], a)
+    assert np.all(liecore.grp_residual(spec, g) < 1e-12)
+    assert np.array_equal(liecore.group_factor_fine(pd, g), g)
+    # one object per (spec, r): identity is its equality and its hash
+    assert {pd: r}[liecore.parabolic_data(spec, r)] == r
+    assert pd != dataclasses.replace(pd)
 
 
 @pytest.mark.parametrize("r", [1, 2], ids=["flag0", "flag1"])
@@ -423,10 +452,9 @@ def test_parabolic_data_defining_properties(group, r):
     rank = np.linalg.matrix_rank(_trace_gram(q, q), tol=1e-10)
     assert len(pd.basis_u) == len(q) - rank
     # h kills V and Vbar, commutes with l, and theta keeps h + l
-    v, vbar, _ = liecore._sp_indices(spec, r)
     levi = list(pd.basis_h) + list(pd.basis_l)
     for H in pd.basis_h:
-        assert np.abs(H[:, v + vbar]).max() < 1e-12
+        assert np.abs(H[:, pd.v + pd.vbar]).max() < 1e-12
         for L in pd.basis_l:
             assert np.abs(liecore.bracket(H, L)).max() < 1e-12
     if levi:

@@ -678,19 +678,21 @@ def test_shared_lie_data_refuses_writes(rep):
     for n in (1, 2):
         spec = liecore.sp2nR(n)
         spec.complex_coords
-        objs = [spec, *(liecore.parabolic_data(spec, r)
-                        for r in range(1, n + 1))]
+        pds = [liecore.parabolic_data(spec, r) for r in range(1, n + 1)]
+        objs = [spec, *pds]
         for name in ("det^2", "std"):
             rep = hcrepr.builtin_representation(spec, name)
-            exts = [hcrepr.canonical_extension(rep, r)
-                    for r in range(1, n + 1)]
+            exts = [hcrepr.canonical_extension(rep, pd) for pd in pds]
             if n == 2:
-                exts.append(hcrepr.relative_extension(rep, 1, 2))
+                exts.append(hcrepr.relative_extension(rep, *pds))
             for e in exts:
                 e(np.eye(2 * n))
             objs += [rep, *exts]
         arrays += [v for o in objs for v in vars(o).values()
                    if isinstance(v, np.ndarray)]
+        # a parabolic's index sets are tuples, which no write can change
+        assert all(type(idx) is tuple for pd in pds
+                   for idx in (pd.v, pd.vbar, pd.w))
         solver, kb, c = connections._tables(spec)
         arrays += [*solver, kb, c]
     for a in arrays:

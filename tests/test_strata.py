@@ -230,6 +230,29 @@ def test_two_cusps_under_one_stratum(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["pass"]
 
 
+@pytest.mark.parametrize("flags,cycle", [
+    ([["Z", "Z", "X"]], "Z < Z"),
+    ([["Z", "X"], ["X", "Z"]], "X < Z < X"),
+    ([["Z", "Y"], ["Y", "X"], ["X", "Z"]], "Y < X < Z < Y"),
+], ids=["repeated-stratum", "pair-both-ways", "three-cycle"])
+def test_flags_that_order_strata_in_a_cycle_are_refused(
+        flags, cycle, tmp_path, capsys):
+    # flags must order the strata as a poset: a bad model is refused (exit
+    # 2), not reported as a failed check.  Y and X share dimC 2, which is
+    # allowed: the refusal comes from the order alone
+    model = {"strata": [{"name": n, "dimC": d} for n, d in
+                        (("Z", 0), ("Y", 2), ("X", 2))], "flags": flags}
+    message = f"flags order strata in a cycle: {cycle}"
+    with pytest.raises(PreconditionFailed, match=f"^{message}$"):
+        suites.model_from_dict(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert cli.main(["verify", "partition", "--model", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_chain_weights_sum_to_localized_weight():
     # radii near the transition band (eps/2, 3 eps/4) of a stratum above
     # them, so that some chain weights lie strictly between 0 and 1; one
