@@ -12,6 +12,6 @@ for w in (2, 1, -1, -3):
     val = charts.p1_chern_number(weight=w, n=160)
     print(f"weight {w:>2}: quadrature = {val:+.6f}  (exact {w})")
 
-# The same degree computed exactly on the compact dual.
-exact = schubert.chern_number("p:1", "tangent", {1: 1})
+# The same degree computed exactly on the compact dual LG(1), the line.
+exact = schubert.chern_number("lg:1", "tangent", {1: 1})
 print("exact tangent degree of the projective line:", exact)

@@ -146,10 +146,10 @@ def _build_parser():
                    help='std, sym2, det^b, sym^a or "sym^a det^b" (a <= 6)')
     c.set_defaults(func=_cmd_curvature)
 
-    d = sub.add_parser("dual", help="Chern numbers of compact duals")
+    d = sub.add_parser("dual", help="Chern numbers of the compact dual LG(n)")
     d.add_argument("--space", required=True,
-                   help="p:n, gr:k,n or lg:n (the Lagrangian LG(n, 2n))")
-    d.add_argument("--bundle", default="tangent")
+                   help="lg:n, the Lagrangian Grassmannian LG(n, 2n)")
+    d.add_argument("--bundle", default="tangent", help="tangent or sub-dual")
     d.add_argument("--monomial", required=True)
     d.set_defaults(func=_cmd_dual)
     return ap

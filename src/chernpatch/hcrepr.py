@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liecore
-from .errors import UnsupportedFlag
+from .errors import PreconditionFailed, UnsupportedFlag
 
 COND_MAX = 1e12
 
@@ -244,10 +244,20 @@ class CanonicalExtension:
         return _apply(xdot, self._dlam, self.rep.dim)
 
 
+def _require_group(rep, *pds):
+    """Refuse by name a parabolic of another group than rep's."""
+    for pd in pds:
+        if pd.spec != rep.spec:
+            raise PreconditionFailed(
+                f"a parabolic of sp2nR(n={pd.spec.n}) for the representation "
+                f"{rep.name!r} of sp2nR(n={rep.spec.n})")
+
+
 @functools.cache
 def canonical_extension(rep: Representation, pd: liecore.ParabolicData,
                         /) -> CanonicalExtension:
     """Extension along the parabolic of pd, of rep's group."""
+    _require_group(rep, pd)
     return CanonicalExtension(rep, cayley_element(pd))
 
 
@@ -263,6 +273,7 @@ def relative_extension(rep: Representation, inner: liecore.ParabolicData,
     if not outer.rank > inner.rank:
         raise UnsupportedFlag(f"need outer rank > inner rank, got "
                               f"{outer.rank} and {inner.rank}")
+    _require_group(rep, inner, outer)
     return CanonicalExtension(rep, cayley_element(outer)
                               @ np.linalg.inv(cayley_element(inner)))
 

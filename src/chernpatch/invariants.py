@@ -6,9 +6,11 @@ Fractions); the float path is float64/complex128.  The characteristic
 polynomial of a (..., d, d) stack is Berkowitz's division-free recursion,
 in int64 within a proven bound and in Python ints past it, once the entry
 denominators are cleared, or Faddeev-LeVerrier in floats: real products
-for a real stack, traces summed in complex and complex coefficients, which
-are the bits of the same finite stack cast to complex.  An invariant
-polynomial is any function of a matrix, such as elementary_symmetric(k).
+for a real stack, traces summed in complex and complex coefficients.  On
+OpenBLAS's SkylakeX kernel these had the bits of the same finite stack
+cast to complex; on Sandybridge one entry of a 5 x 5 stack rounds apart.
+An invariant polynomial is any function of a matrix, such as
+elementary_symmetric(k).
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ def _char_poly(x):
     the lcm of the entry denominators, then c_k = c_k(D x) / D^k.  Complex
     float otherwise, by Faddeev-LeVerrier on the whole stack: a real stack
     takes its matrix products in float64, each trace accumulates in complex
-    and is divided by k there, so that on finite entries every coefficient
-    has the bits of the complex path, signed zeros included.
+    and is divided by k there.  On finite entries every coefficient had the
+    bits of the complex path, signed zeros included, as measured on
+    OpenBLAS's SkylakeX kernel; on Sandybridge a 5 x 5 dgemm and the zgemm
+    of the same stack round one entry differently.
     """
     x = np.asarray(x)
     if x.dtype.kind in "iu" or _is_exact(x) and all(

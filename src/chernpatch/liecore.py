@@ -267,12 +267,13 @@ def exp_grp(spec: GroupSpec, X):
 # matches the chart projection onto leading principal blocks.
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ParabolicData:
     """Subalgebra data for the maximal parabolic of rank r, the stabilizer
     of the rank-r isotropic subspace V; its Levi part splits at V.  v, vbar
     and w index V (the last r of e_1 ... e_n), its dual and the rest.  One
-    object per (spec, r), so eq and hash are identity."""
+    object per (spec, r), so eq and hash are identity; it is shared, so its
+    fields refuse rebinding."""
 
     spec: GroupSpec
     rank: int
@@ -288,9 +289,9 @@ class ParabolicData:
         B, P = span_solver(self.basis_q)
         part = np.repeat(np.arange(3), [len(self.basis_u), len(self.basis_h),
                                         len(self.basis_l)])
-        self._proj = readonly(np.hstack([P[:, part == k] @ B[part == k]
-                                         for k in range(3)]))
-        self._onto_q = readonly(P @ B)
+        object.__setattr__(self, "_proj", readonly(np.hstack(
+            [P[:, part == k] @ B[part == k] for k in range(3)])))
+        object.__setattr__(self, "_onto_q", readonly(P @ B))
 
     @property
     def basis_q(self):
@@ -366,6 +367,9 @@ def sp_embed_gl(pd: ParabolicData, a):
     """Embed a in GL(r), or a stack of them, as the linear Levi element of
     pd acting as a on V and as a^{-T} on Vbar."""
     a = np.asarray(a, dtype=float)
+    if a.shape[-2:] != (pd.rank,) * 2:
+        raise PreconditionFailed(f"a GL({pd.rank}) element for the rank "
+                                 f"{pd.rank} parabolic, got shape {a.shape}")
     a_inv_t = np.linalg.inv(a).swapaxes(-1, -2)
     return _eye_stack(a.shape[:-2], pd.spec.size,
                       [(pd.v, a), (pd.vbar, a_inv_t)])

@@ -1,22 +1,21 @@
-"""Chern numbers of compact duals by torus localization (Atiyah-Bott).
+"""Chern numbers of the compact dual LG(n) by torus localization (Atiyah-Bott).
 
-Spaces: 'p:n', 'gr:k,n' and 'lg:n', the Lagrangian Grassmannian LG(n, 2n)
-that is the compact dual of the Siegel space.  A class is the tuple of its
+The space is 'lg:n', the Lagrangian Grassmannian LG(n, 2n) that is the
+compact dual of the Siegel space H_n.  A class is the tuple of its
 restrictions to the torus-fixed points at t = (1, 3, 7, 15, ...); products
 are pointwise, and a top-degree class a integrates, exactly and for every
 t, to the sum of a(p) / e(T_p), e(T_p) the product of the tangent weights.
-Gr(k, n): a point per k-subset I; roots -t_i (i in I) of S dual, t_j (j not
-in I) of Q, t_j - t_i of T.  LG(n, 2n): a point per sign vector e; roots
--e_i t_i of S dual and of Q (its dual through the symplectic form), and
--(e_i t_i + e_j t_j), i <= j, of T.  Betti numbers count fixed points by
-their negative tangent weights (Bialynicki-Birula); generation is a rank
-condition on the Poincare pairing.
+A point per sign vector e: roots -e_i t_i of S dual (the quotient is S dual
+through the symplectic form) and their sums over pairs i <= j of T, which
+is Sym^2 S dual.  Betti numbers count fixed points by their negative
+tangent weights (Bialynicki-Birula); generation is a rank condition on the
+Poincare pairing.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, gcd, lcm, prod
+from itertools import product
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import PreconditionFailed
@@ -29,59 +28,35 @@ __all__ = ["parse_space", "ring_multiply", "integrate", "tangent_chern",
 # integrates to sum(a[p] cofactor[p]) / scale, scale the lcm of the e(T_p).
 Dual = namedtuple("Dual", "name dim roots scale cofactor")
 _MAX_POINTS = 1024     # LG(10, 20) has as many; its c_1^55 takes 0.27 s
-_MAX_DIM = 64          # P^64 takes 0.05 s for c_1^64 (2-core Xeon VM)
 
 
-def _dual(name, sub_dual, quotient, tangent):
+def _dual(name, sub_dual, tangent):
     euler = [prod(ws) for ws in tangent]
     scale = lcm(*euler)
-    roots = {"sub-dual": sub_dual, "quotient": quotient, "tangent": tangent}
+    roots = {"sub-dual": sub_dual, "tangent": tangent}
     return Dual(name, len(tangent[0]), roots, scale, [scale // e for e in euler])
 
 
-def _require_size(name, n, count, dim):
-    """Refuse name past a cap: on count() fixed points (at least n), on dim."""
-    got = count() if n <= _MAX_POINTS else f"at least {n}"
-    if n > _MAX_POINTS or got > _MAX_POINTS:
-        raise PreconditionFailed(f"{name} has {got} torus-fixed points, "
-                                 f"more than the cap of {_MAX_POINTS}")
-    if dim > _MAX_DIM:
-        raise PreconditionFailed(f"{name} has dimension {dim}, more than "
-                                 f"the cap of {_MAX_DIM}")
-
-
 def parse_space(space):
-    """The fixed-point table of 'p:n', 'gr:k,n' or 'lg:n' (a table passes
-    through); one past 1024 fixed points or dimension 64 is refused at once."""
+    """The fixed-point table of 'lg:n', n >= 1 (a table passes through);
+    one past 1024 fixed points is refused before any is listed."""
     if isinstance(space, Dual):
         return space
     kind, _, rest = str(space).partition(":")
-    kind = kind.strip().lower()
-    args = [int(a) if a.strip().isdecimal() else -1 for a in rest.split(",")]
-    name = f"{kind}:{','.join(map(str, args))}"
-    if (kind, len(args)) in (("p", 1), ("gr", 2)):
-        k, n = (1, args[0] + 1) if kind == "p" else args
-        if 0 < k < n:
-            _require_size(name, n, lambda: comb(n, k), k * (n - k))
-            t = [2 ** (i + 1) - 1 for i in range(n)]
-            subsets = list(combinations(range(n), k))
-            rests = [[j for j in range(n) if j not in s] for s in subsets]
-            return _dual(name, [[-t[i] for i in s] for s in subsets],
-                         [[t[j] for j in r] for r in rests],
-                         [[t[j] - t[i] for i in s for j in r]
-                          for s, r in zip(subsets, rests)])
-    if kind == "lg" and len(args) == 1 and args[0] >= 1:
-        n = args[0]
-        _require_size(name, n, lambda: 2 ** n, n * (n + 1) // 2)
-        t = [2 ** (i + 1) - 1 for i in range(n)]
-        ws = [[e * ti for e, ti in zip(signs, t)]
-              for signs in product((1, -1), repeat=n)]
-        s = [[-wi for wi in w] for w in ws]
-        return _dual(name, s, s, [[-(w[i] + w[j]) for i in range(n)
-                                   for j in range(i, n)] for w in ws])
-    raise PreconditionFailed(
-        f"unsupported space {space!r}: use p:n (n >= 1), gr:k,n (0 < k < n) "
-        "or lg:n (n >= 1)")
+    n = int(rest) if rest.strip().isdecimal() else 0
+    if kind.strip().lower() != "lg" or n < 1:
+        raise PreconditionFailed(
+            f"unsupported space {space!r}: use lg:n (n >= 1), LG(n, 2n)")
+    # 2^n points; past n = 1024 a bound, so that no huge int is formatted
+    got = 2 ** n if n <= _MAX_POINTS else f"at least 2^{_MAX_POINTS}"
+    if n > _MAX_POINTS or got > _MAX_POINTS:
+        raise PreconditionFailed(f"lg:{n} has {got} torus-fixed points, "
+                                 f"more than the cap of {_MAX_POINTS}")
+    t = [2 ** (i + 1) - 1 for i in range(n)]
+    s = [[-e * ti for e, ti in zip(signs, t)]
+         for signs in product((1, -1), repeat=n)]
+    return _dual(f"lg:{n}", s, [[a + b for i, a in enumerate(w) for b in w[i:]]
+                                for w in s])
 
 
 def ring_multiply(a, b):
@@ -114,7 +89,6 @@ def tangent_chern(space):
 
 
 _BUNDLES = {"tangent": tangent_chern,
-            "quotient": lambda space: _total_chern(space, "quotient"),
             "sub-dual": lambda space: _total_chern(space, "sub-dual")}
 
 
@@ -157,12 +131,12 @@ def betti(space):
 
 def monomials(space, generators=None):
     """Monomials in the generators, (bundle, i) pairs for c_i of the bundle,
-    as lists of classes by degree 0..dim.  The default generators are every
-    c_i of the quotient and of the dual subbundle."""
+    as lists of classes by degree 0..dim.  The default generators are
+    c_1 ... c_n of the dual subbundle S*."""
     dual = parse_space(space)
     if generators is None:
-        generators = [(b, i) for b in ("quotient", "sub-dual")
-                      for i in range(1, len(dual.roots[b][0]) + 1)]
+        generators = [("sub-dual", i)
+                      for i in range(1, len(dual.roots["sub-dual"][0]) + 1)]
     by_degree = [[(1,) * len(dual.cofactor)]] + [[] for _ in range(dual.dim)]
     towers = {}
     for bundle, i in generators:

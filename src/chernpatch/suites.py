@@ -536,29 +536,29 @@ def suite_quadrature(seed=0, tol=1e-3, samples=160):
 
 
 def suite_schubert(seed=0):
-    """Exact identities and generation on small compact duals by torus
-    localization; on Gr(2, 4), sigma_r = c_r(Q) and sigma_(1^r) = c_r(S*)."""
-    sc = schubert
-    gr = sc.parse_space("gr:2,4")
-    q, s = sc.chern_classes(gr, "quotient"), sc.chern_classes(gr, "sub-dual")
-    # sigma_1^2 - sigma_2 - sigma_11 pairs to 0 with all of degree 2
-    rel = [a - b - c for a, b, c in zip(sc.ring_multiply(q[1], q[1]), q[2], s[2])]
-    pairing = [sc.integrate(gr, sc.ring_multiply(rel, m))
-               for m in sc.monomials(gr)[2]]
-    checks = [
-        _check("sigma1-squared", pairing, 0.0),
-        _check("sigma1-fourth-integral",
-               [sc.chern_number(gr, "quotient", {1: 4}) - 2], 0.0),
-        _check("euler-characteristic",
-               [sc.chern_number(gr, "tangent", {4: 1}) - 6], 0.0),
-        _check("c1-squared-p2",
-               [sc.chern_number("p:2", "tangent", {1: 2}) - 9], 0.0),
-        _check("generation", [sum(
-            not sc.generation_check(space)["generates"]
-            for space in ("p:1", "p:2", "p:3", "p:4", gr))], 0.0),
-        _check("negative-control-not-generating", [int(sc.generation_check(
-            gr, generators=[("quotient", 2)])["generates"])], 0.0)]
-    return _finish("schubert", seed, 0.0, 0, checks)
+    """Exact identities of LG(2) and LG(3), the duals of H_2 and H_3: c_d of
+    S* + S (roots s and -s), d > 0, pairs to 0 with all of degree dim - d,
+    and that of S* + S* (the wrong sign) must not; the Betti numbers are the
+    coefficients of prod (1 + t^k); c_1, c_2 of S* must not generate LG(3)."""
+    sc, rows = schubert, []
+    for n, want in ((2, [1, 1, 1, 1]), (3, [1, 1, 1, 2, 1, 1, 1])):
+        mono = sc.monomials(lg := sc.parse_space(f"lg:{n}"))
+        relation, wrong_sign = ([
+            sc.integrate(lg, sc.ring_multiply(c[d], m))
+            for d in range(1, lg.dim + 1) for m in mono[lg.dim - d]]
+            for c in (sc.chern_classes(lg._replace(roots={"sub-dual": [
+                r + [sign * x for x in r] for r in lg.roots["sub-dual"]]}),
+                "sub-dual") for sign in (-1, 1)))
+        rows.append((relation, [b - w for b, w in zip(sc.betti(lg), want)],
+                     [not sc.generation_check(lg)["generates"]],
+                     [sc.chern_number(lg, "tangent", {lg.dim: 1}) - 2 ** n],
+                     [not any(wrong_sign)]))
+    return _finish("schubert", seed, 0.0, 0, [*map(_check, (
+        "lagrangian-relation", "betti-product", "generation",
+        "euler-characteristic", "negative-control-wrong-sign"), zip(*rows),
+        [0.0] * 5), _check("negative-control-not-generating", [
+            sc.generation_check(lg, [("sub-dual", 1), ("sub-dual", 2)])[
+                "generates"]], 0.0)])
 
 
 SUITES = {

@@ -150,9 +150,9 @@ def test_projective_line_chern_number_quadrature():
 def test_schubert_ring_identities_and_generation():
     rpt = _passing(suites.run_suite("schubert"))
     names = {c["name"] for c in rpt["checks"]}
-    assert {"sigma1-squared", "sigma1-fourth-integral",
-            "euler-characteristic", "c1-squared-p2",
-            "generation"} <= names
+    assert {"lagrangian-relation", "betti-product", "generation",
+            "euler-characteristic", "negative-control-wrong-sign",
+            "negative-control-not-generating"} == names
 
 
 def test_reports_byte_identical_for_identical_config():

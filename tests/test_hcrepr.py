@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from chernpatch import connections, exterior, hcrepr, liecore, siegel
-from chernpatch.errors import DecompositionError, UnsupportedFlag
+from chernpatch.errors import (DecompositionError, PreconditionFailed,
+                               UnsupportedFlag)
 from helpers import dlam_reference, random_alg, representation_reference
 
 
@@ -427,7 +428,8 @@ def test_an_index_rank_reaches_the_objects_of_its_int():
 
 
 def test_the_builders_take_a_parabolic_of_the_representations_group():
-    # a bare rank, or a parabolic of another group, raises and builds nothing
+    # a bare rank raises, and a parabolic of another group is refused by
+    # name; neither builds anything
     rep = _sp4_rep()
     hcrepr.canonical_extension.cache_clear()
     hcrepr.relative_extension.cache_clear()
@@ -435,13 +437,16 @@ def test_the_builders_take_a_parabolic_of_the_representations_group():
         with pytest.raises(AttributeError, match="spec"):
             hcrepr.canonical_extension(rep, r)
     for n, r in ((1, 1), (3, 2)):
-        with pytest.raises(ValueError, match="matmul"):
+        with pytest.raises(PreconditionFailed,
+                           match=rf"sp2nR\(n={n}\).*sp2nR\(n=2\)"):
             hcrepr.canonical_extension(
                 rep, liecore.parabolic_data(liecore.sp2nR(n), r))
-    with pytest.raises(ValueError, match="matmul"):
-        hcrepr.relative_extension(
-            rep, liecore.parabolic_data(liecore.sp2nR(1), 1),
-            liecore.parabolic_data(rep.spec, 2))
+    for inner, outer in ((liecore.sp2nR(1), rep.spec),
+                         (rep.spec, liecore.sp2nR(3))):
+        with pytest.raises(PreconditionFailed, match=r"sp2nR\(n=2\)"):
+            hcrepr.relative_extension(
+                rep, liecore.parabolic_data(inner, 1),
+                liecore.parabolic_data(outer, 2))
     assert hcrepr.canonical_extension.cache_info().currsize == 0
     assert hcrepr.relative_extension.cache_info().currsize == 0
 

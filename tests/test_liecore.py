@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -340,6 +341,26 @@ def test_index_sets_place_sp_embed_gl(spec, r):
     # one object per (spec, r): identity is its equality and its hash
     assert {pd: r}[liecore.parabolic_data(spec, r)] == r
     assert pd != dataclasses.replace(pd)
+
+
+@pytest.mark.parametrize(
+    "spec,r", ALL_RANKS,
+    ids=lambda x: _id(x) if hasattr(x, "n") else str((x,)))
+def test_a_shared_parabolic_refuses_rebinding_and_a_wrong_shape(spec, r):
+    # the object of (spec, r) is shared: a rebound field would move every
+    # later sp_embed_gl, group_factor_fine and Cayley element built from it
+    pd = liecore.parabolic_data(spec, r)
+    for name, value in (("v", (0,)), ("rank", r + 1), ("basis_u", pd.basis_l),
+                        ("_proj", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pd, name, value)
+    assert liecore.parabolic_data(spec, r) is pd
+    assert pd.v == tuple(range(spec.n - r, spec.n)) and pd.rank == r
+    # an element of another GL is refused by name, not by numpy's broadcast
+    for shape in ((r + 1, r + 1), (3, r, r + 1), (r,)):
+        with pytest.raises(PreconditionFailed, match=rf"GL\({r}\).*"
+                           + re.escape(f"shape {shape}")):
+            liecore.sp_embed_gl(pd, np.ones(shape))
 
 
 @pytest.mark.parametrize("r", [1, 2], ids=["flag0", "flag1"])

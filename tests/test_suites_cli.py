@@ -426,19 +426,38 @@ def test_report_is_valid_json():
     assert json.loads(suites.render_report(rpt)) == rpt
 
 
+@pytest.mark.parametrize("mutation,failing", [
+    ("one sub-dual root off by one", {"lagrangian-relation", "generation"}),
+    ("a zero sub-dual bundle", {"negative-control-wrong-sign", "generation"}),
+    ("a generation check that always holds",
+     {"negative-control-not-generating"})],
+    ids=["root-off-by-one", "zero-sub-dual", "forged-generation"])
+def test_schubert_suite_catches_a_wrong_model(mutation, failing,
+                                              monkeypatch):
+    # a zero S* satisfies c(S) c(S*) = 1, so only the wrong-sign control
+    # tells it apart; a forged generation check passes every generation
+    # but the one that must fail
+    build, check = schubert._dual, schubert.generation_check
+    change = {"one sub-dual root off by one":
+              lambda s: [[s[0][0] + 1] + s[0][1:]] + s[1:],
+              "a zero sub-dual bundle": lambda s: [[0] * len(r) for r in s]}
+    if mutation in change:
+        monkeypatch.setattr(schubert, "_dual", lambda name, s, t: build(
+            name, change[mutation](s), t))
+    else:
+        monkeypatch.setattr(schubert, "generation_check", lambda *a: {
+            **check(*a), "generates": True})
+    rpt = suites.run_suite("schubert")
+    assert {c["name"] for c in rpt["checks"] if not c["pass"]} == failing
+
+
 def test_cli_dual(capsys):
-    code = cli.main(["dual", "--space", "p:1", "--bundle", "tangent",
+    # LG(1) is the projective line: its tangent degree is 2
+    code = cli.main(["dual", "--space", "lg:1", "--bundle", "tangent",
                      "--monomial", "c1"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == 2
-
-
-def test_cli_dual_gr24(capsys):
-    code = cli.main(["dual", "--space", "gr:2,4", "--bundle", "tangent",
-                     "--monomial", "c1^4"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["value"] == 512
 
 
 def test_cli_dual_lagrangian_grassmannian(capsys):
@@ -454,14 +473,14 @@ def test_cli_dual_rejects_a_non_integral_number(monkeypatch, capsys):
     # is then not an integer, and must raise rather than truncate
     build = schubert._dual
 
-    def skewed(name, sub_dual, quotient, tangent):
+    def skewed(name, sub_dual, tangent):
         tangent[0] = [tangent[0][0] + 1] + tangent[0][1:]
-        return build(name, sub_dual, quotient, tangent)
+        return build(name, sub_dual, tangent)
 
     monkeypatch.setattr(schubert, "_dual", skewed)
-    assert cli.main(["dual", "--space", "p:2", "--monomial", "c1^2"]) == 2
+    assert cli.main(["dual", "--space", "lg:2", "--monomial", "c1^3"]) == 2
     err = capsys.readouterr().err
-    assert "p:2" in err and "tangent" in err and "not an integer" in err
+    assert "lg:2" in err and "tangent" in err and "not an integer" in err
 
 
 def test_cli_verify_pass(capsys):
@@ -552,7 +571,7 @@ def test_cli_unknown_suite(capsys):
 
 def test_cli_bad_monomial_degree(capsys):
     # degree does not match the dimension of the space
-    assert cli.main(["dual", "--space", "p:2", "--bundle", "tangent",
+    assert cli.main(["dual", "--space", "lg:2", "--bundle", "tangent",
                      "--monomial", "c1"]) == 2
 
 
