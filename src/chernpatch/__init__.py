@@ -19,13 +19,12 @@ Modules:
 
 from . import (charts, connections, errors, exterior, hcrepr, invariants,
                liecore, schubert, siegel, strata, suites)
-from .errors import ConditionViolation, PreconditionFailed, UnsupportedFlag
+from .errors import ConditionViolation, PreconditionFailed
 
 __version__ = "0.1.0"
 
 __all__ = [
     "charts", "cli", "connections", "errors", "exterior", "hcrepr",
     "invariants", "liecore", "schubert", "siegel", "strata", "suites",
-    "ConditionViolation", "PreconditionFailed", "UnsupportedFlag",
-    "__version__",
+    "ConditionViolation", "PreconditionFailed", "__version__",
 ]

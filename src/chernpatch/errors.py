@@ -23,9 +23,5 @@ class PreconditionFailed(ChernpatchError):
     pass
 
 
-class UnsupportedFlag(ChernpatchError):
-    pass
-
-
 class DecompositionError(ChernpatchError):
     """Matrix not in the expected cell / factorization numerically invalid."""

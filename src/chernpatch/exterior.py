@@ -90,7 +90,7 @@ class VForm(SmoothMap):
         func call."""
         x = np.asarray(x, dtype=float)
         if np.shape(vectors) != x.shape[:-1] + (self.degree, self.m):
-            raise ValueError(f"need {self.degree} vectors of length {self.m}")
+            raise PreconditionFailed(f"need {self.degree} vectors of length {self.m}")
         C = np.asarray(self.func(x.reshape(-1, self.m)), dtype=complex)
         out = contract(np.moveaxis(C, 1, 0),
                        np.reshape(vectors, (-1, self.degree, self.m)))

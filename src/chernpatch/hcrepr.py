@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liecore
-from .errors import PreconditionFailed, UnsupportedFlag
+from .errors import PreconditionFailed
 
 COND_MAX = 1e12
 
@@ -183,7 +183,7 @@ def builtin_representation(spec, name: str, /) -> Representation:
     m = re.fullmatch(r"sym\^([0-6])(?: det\^(-?[0-9]+))?|det\^(-?[0-9]+)",
                      {"std": "sym^1", "sym2": "sym^2"}.get(name, name))
     if m is None:
-        raise UnsupportedFlag(f"unknown representation {name} for sp2nR")
+        raise PreconditionFailed(f"unknown representation {name} for sp2nR")
     a, b, n = int(m[1] or 0), int(m[2] or m[3] or 0), spec.n
 
     def topleft(kc):
@@ -271,8 +271,8 @@ def relative_extension(rep: Representation, inner: liecore.ParabolicData,
     isotropic subspaces.
     """
     if not outer.rank > inner.rank:
-        raise UnsupportedFlag(f"need outer rank > inner rank, got "
-                              f"{outer.rank} and {inner.rank}")
+        raise PreconditionFailed(f"need outer rank > inner rank, got "
+                                 f"{outer.rank} and {inner.rank}")
     _require_group(rep, inner, outer)
     return CanonicalExtension(rep, cayley_element(outer)
                               @ np.linalg.inv(cayley_element(inner)))

@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exterior as ext, liecore
+from .errors import PreconditionFailed
 
 
 def _is_exact(x):
@@ -105,7 +106,7 @@ def elementary_symmetric_value(x, k):
     """e_k of the eigenvalues of x: coefficient of t^k in det(I + t x)."""
     if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
             or not 0 <= k <= np.shape(x)[-1]):
-        raise ValueError(f"k out of range: {k!r}")
+        raise PreconditionFailed(f"k out of range: {k!r}")
     return elementary_symmetric_values(x)[k]
 
 

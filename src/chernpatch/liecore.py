@@ -47,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DecompositionError, PreconditionFailed, UnsupportedFlag
+from .errors import DecompositionError, PreconditionFailed
 
 TOL = 1e-9
 PARABOLIC_TOL = 1e-8    # relative bound of the parabolic split and factors
@@ -88,7 +88,7 @@ _SPECS = {n: GroupSpec(n) for n in (1, 2, 3)}
 def sp2nR(n: int) -> GroupSpec:
     """The one spec of rank n, an int (operator.index), for every caller."""
     if operator.index(n) not in _SPECS:
-        raise ValueError("sp2nR supported for 1 <= n <= 3")
+        raise PreconditionFailed("sp2nR supported for 1 <= n <= 3")
     return _SPECS[n]
 
 
@@ -328,7 +328,7 @@ def parabolic_data(spec: GroupSpec, r) -> ParabolicData:
     """
     r = operator.index(r)
     if not 1 <= r <= spec.n:
-        raise UnsupportedFlag(
+        raise PreconditionFailed(
             f"rank {r} isotropic subspace in sp2nR(n={spec.n})")
     return _parabolic_data(spec, r)
 

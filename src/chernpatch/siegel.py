@@ -199,8 +199,7 @@ class SiegelModel:
             self.model,
             nomizu={"X": self.omega_nomizu, "Y": self.omega_Y_nomizu,
                     "Z": None},
-            induced={Z: lambda v, val, Z=Z: self.omega_XY(v, val, Z)
-                     for Z in self._parabolic},
+            induced=self.omega_XY,
             project=lambda v, Z: self._split(v, Z)[0])
 
     # control data: the one declaration, which a change of height edits --

@@ -32,6 +32,7 @@ from __future__ import annotations
 import graphlib
 import itertools
 import math
+import numbers
 from functools import reduce
 
 import numpy as np
@@ -165,6 +166,8 @@ class FlagTubeModel:
         """strata: list of {"name": str, "dimC": int}; flags: lists of names
         ordered small-to-large, with no cycle among them; eps0 scales the
         eps-family eps_Y = eps0 / 2^{dimC Y}."""
+        if isinstance(eps0, bool) or not isinstance(eps0, numbers.Real):
+            raise PreconditionFailed(f"eps0 must be a number, got {eps0!r}")
         if not isinstance(strata, (list, tuple)) or not all(
                 isinstance(s, dict) and {"name", "dimC"} <= s.keys()
                 and isinstance(s["name"], str) for s in strata):
@@ -380,7 +383,7 @@ class PatchedSystem:
       nomizu   {Y: F or None}: Y's invariant connection, of value F(g.mc)
                and curvature connections.structure_curvature(F, g.mc) for
                a linear F; None is the zero connection, the scalar 0.0;
-      induced  {Z: callable(g, v)}: at g over any larger stratum, the
+      induced  callable(g, v, Z): at g over any larger stratum, the
                connection induced from one on Z of value v at project(g, Z);
                it has the curvature of Z's there;
       project  callable(g, Z) -> the geometric point over pi_Z(xs), for g
@@ -411,7 +414,7 @@ class PatchedSystem:
     def _along(self, chain, xs, g, v):
         """Pull v over pi_{chain[0]}(xs) up the chain by the induced maps."""
         for lo, hi in zip(chain, chain[1:]):
-            v = self.induced[lo](self._at(xs, g, hi), v)
+            v = self.induced(self._at(xs, g, hi), v, lo)
         return v
 
     def patched(self, xs, g):
@@ -429,7 +432,7 @@ class PatchedSystem:
             if w[:, k].any():
                 Z = chain[k]
                 inner = self.patched(self.model.pi(xs, Z), self.project(g, Z))
-                val = val + _times(w[:, k], self.induced[Z](g, inner))
+                val = val + _times(w[:, k], self.induced(g, inner, Z))
         return val
 
     def chain_form(self, xs, g):

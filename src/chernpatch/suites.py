@@ -33,11 +33,8 @@ def model_from_dict(d):
     strata._reject_unknown_keys(d, {"strata", "flags", "eps0"}, "model")
     if not d.get("flags"):
         raise PreconditionFailed("a flag model needs at least one flag")
-    eps0 = d.get("eps0", 1.0)
-    if isinstance(eps0, bool) or not isinstance(eps0, (int, float)):
-        raise PreconditionFailed(f"eps0 must be a number, got {eps0!r}")
     return strata.FlagTubeModel(strata=d.get("strata", []), flags=d["flags"],
-                                eps0=eps0)
+                                eps0=d.get("eps0", 1.0))
 
 
 def default_model():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from chernpatch import connections, exterior, hcrepr, liecore, siegel
-from chernpatch.errors import (DecompositionError, PreconditionFailed,
-                               UnsupportedFlag)
+from chernpatch.errors import DecompositionError, PreconditionFailed
 from helpers import dlam_reference, random_alg, representation_reference
 
 
@@ -376,10 +375,11 @@ def test_representations_and_extensions_are_shared(n):
         assert twin != rep
         assert _ext(twin, 1) is not ext
     for _ in range(2):
-        with pytest.raises(UnsupportedFlag, match="unknown representation"):
+        with pytest.raises(PreconditionFailed, match="unknown representation"):
             hcrepr.builtin_representation(spec, "sym^9")
-        with pytest.raises(UnsupportedFlag, match=r"^need outer rank > "
-                                                  r"inner rank, got 1 and 1$"):
+        with pytest.raises(PreconditionFailed,
+                           match=r"^need outer rank > inner rank, "
+                                 r"got 1 and 1$"):
             _rel(rep, 1, 1)
 
 

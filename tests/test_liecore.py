@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from chernpatch import liecore
-from chernpatch.errors import DecompositionError, PreconditionFailed, UnsupportedFlag
+from chernpatch.errors import DecompositionError, PreconditionFailed
 from helpers import alg_residual, fine_factor_reference, random_alg, real_vec
 
 SPECS = [liecore.sp2nR(1), liecore.sp2nR(2), liecore.sp2nR(3)]
@@ -122,6 +122,10 @@ def test_specs_and_parabolics_are_shared_and_keyed_on_ints():
     assert type(liecore.sp2nR(True).n) is int
     with pytest.raises(TypeError):
         liecore.sp2nR(2.0)
+    for n in (0, 4):
+        with pytest.raises(PreconditionFailed,
+                           match=r"^sp2nR supported for 1 <= n <= 3$"):
+            liecore.sp2nR(n)
     pd = liecore.parabolic_data(spec, np.int64(2))
     assert pd.rank == 2 and type(pd.rank) is int
     assert liecore.parabolic_data(spec, 2) is pd
@@ -132,7 +136,7 @@ def test_specs_and_parabolics_are_shared_and_keyed_on_ints():
             assert (liecore.parabolic_data(liecore.sp2nR(n), r)
                     is liecore.parabolic_data(liecore.sp2nR(n), np.int64(r)))
     for _ in range(2):
-        with pytest.raises(UnsupportedFlag, match="rank 3"):
+        with pytest.raises(PreconditionFailed, match="rank 3"):
             liecore.parabolic_data(spec, 3)
 
 
@@ -495,8 +499,8 @@ def test_parabolic_data_defining_properties(group, r):
 
 
 @pytest.mark.parametrize("r,error,message", [
-    (0, UnsupportedFlag, r"^rank 0 isotropic subspace in sp2nR\(n=2\)$"),
-    (3, UnsupportedFlag, r"^rank 3 isotropic subspace in sp2nR\(n=2\)$"),
+    (0, PreconditionFailed, r"^rank 0 isotropic subspace in sp2nR\(n=2\)$"),
+    (3, PreconditionFailed, r"^rank 3 isotropic subspace in sp2nR\(n=2\)$"),
     ((1,), TypeError, "integer"),
     (1.0, TypeError, "integer"),
 ], ids=["rank0", "rank3", "tuple", "float"])

@@ -19,12 +19,15 @@ and say in CHANGES.md why the digits moved.
 The bytes hold for one BLAS kernel: numpy's OpenBLAS picks its compute
 kernel for the CPU at run time, and another kernel orders its sums
 differently, so residuals near roundoff move.  A mismatch names the kernel
-of the run and the one the goldens were made on.
+of the run and the one the goldens were made on, and regeneration on
+another kernel is refused before it writes anything.
 """
 
 import ctypes
 import inspect
 import pathlib
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -184,9 +187,14 @@ def test_siegel_evaluators_match_golden(rep):
     assert _siegel_text(rep) == golden.rstrip("\n"), _kernels()
 
 
-if __name__ == "__main__":
-    import tempfile
-
+def regenerate():
+    """Rewrite every golden from this run, on the goldens' BLAS kernel only:
+    on another kernel the kernel-dependent goldens would silently change."""
+    core = _blas_core()
+    if core != GOLDEN_CORE:
+        sys.exit(f"refusing to regenerate the goldens: this run's OpenBLAS "
+                 f"core is {core}, the goldens are made on {GOLDEN_CORE}; "
+                 f"run where OPENBLAS_CORETYPE={GOLDEN_CORE} is supported")
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(suites.SUITES):
         (GOLDEN / f"verify_{name}.json").write_text(
@@ -207,3 +215,18 @@ if __name__ == "__main__":
             (GOLDEN / f"curvature_{group}_{rep}.json").write_text(
                 _curvature_text(pathlib.Path(tmp), group, rep) + "\n",
                 encoding="utf-8")
+
+
+def test_regeneration_refuses_another_blas_kernel(monkeypatch, tmp_path):
+    monkeypatch.setitem(globals(), "_blas_core", lambda: "Sandybridge")
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path / "golden")
+    with pytest.raises(SystemExit) as refused:
+        regenerate()
+    message = str(refused.value.code)
+    assert all(word in message for word in
+               ("Sandybridge", GOLDEN_CORE, "OPENBLAS_CORETYPE"))
+    assert list(tmp_path.iterdir()) == []
+
+
+if __name__ == "__main__":
+    regenerate()

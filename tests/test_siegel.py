@@ -5,8 +5,7 @@ import pytest
 
 from chernpatch import (charts, connections, exterior as ext, hcrepr,
                         invariants as inv, liecore, siegel, strata, suites)
-from chernpatch.errors import (DecompositionError, PreconditionFailed,
-                               UnsupportedFlag)
+from chernpatch.errors import DecompositionError, PreconditionFailed
 
 from helpers import plane_borel_reference, structure_reference
 
@@ -163,7 +162,7 @@ def _mixed_x(model, rng):
 def _from_point(m, mc):
     """The connection induced from the point's zero connection, at the
     geometric point mc (s^{-1} ds on X, hdot on Y)."""
-    return m.system.induced["Z"](siegel.TangentVector(mc), 0.0)
+    return m.system.induced(siegel.TangentVector(mc), 0.0, "Z")
 
 
 def _chain(model, p, mc):
@@ -228,7 +227,7 @@ def test_connection_induced_on_Y_from_the_point_is_the_plane_borel_read_off(
         hdot = m.system.project(siegel.TangentVector(p.mc), "Y")
         want = plane_borel_reference(m, hdot.mc)
         assert np.max(np.abs(want)) > 1e-2     # not two zeros
-        assert _same_bits(m.system.induced["Z"](hdot, 0.0), want), P
+        assert _same_bits(m.system.induced(hdot, 0.0, "Z"), want), P
         along = m.system.chain_curvature(
             ("Z", "Y"), m.model.pi(p.control, "Y"), hdot)[0]
         assert _same_bits(along, want), P
@@ -659,7 +658,7 @@ def test_models_of_one_representation_share_their_lie_data(monkeypatch):
     assert siegel.SiegelModel("sym2").extS is sym2.extS
     # a failed build is not kept: an unknown name raises every time
     for _ in range(2):
-        with pytest.raises(UnsupportedFlag, match="unknown representation"):
+        with pytest.raises(PreconditionFailed, match="unknown representation"):
             siegel.SiegelModel("sym^9")
 
 
@@ -1011,7 +1010,9 @@ def test_descent_oracle_fails_for_a_pullback_that_is_not_induced(monkeypatch):
 
     def not_induced(self, *args):
         init(self, *args)
-        self.system.induced["Z"] = lambda v, val: self.omega_nomizu(v.mc)
+        induced = self.system.induced
+        self.system.induced = lambda v, val, Z: (
+            self.omega_nomizu(v.mc) if Z == "Z" else induced(v, val, Z))
 
     monkeypatch.setattr(siegel.SiegelModel, "__init__", not_induced)
     check = {c["name"]: c for c in suites.suite_descent()["checks"]}[

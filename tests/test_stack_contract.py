@@ -12,6 +12,7 @@ import pytest
 
 from chernpatch import (charts, connections, exterior as ext, hcrepr,
                         invariants as inv, liecore, siegel, suites)
+from chernpatch.errors import PreconditionFailed
 from helpers import fd_reference, patch_draws
 
 NAMES = ["siegel-patched", "siegel-induced", "siegel-projection",
@@ -204,7 +205,7 @@ def test_evaluate_takes_a_stack_with_one_vector_set_per_point(maps):
     stack = sm.evaluate(np.array(xs), vs)
     for x, v, val in zip(xs, vs, stack):
         assert _same_bits(sm.evaluate(x, v), val)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionFailed):
         sm.evaluate(np.array(xs), vs[:1])
 
 

@@ -314,22 +314,19 @@ def test_patched_system_recursion_matches_chain():
 
     pairs = set()
 
-    def induced(Z):
-        def pulled(g, v):
-            # a connection induced from Z lives over the larger strata
-            Y = over(g)
-            assert names.index(Z) < names.index(Y)
-            pairs.add((Y, Z))
-            return v
-        return pulled
+    def induced(g, v, Z):
+        # a connection induced from Z lives over the larger strata
+        Y = over(g)
+        assert names.index(Z) < names.index(Y)
+        pairs.add((Y, Z))
+        return v
 
     def project(g, Z):
         assert names.index(Z) < names.index(over(g))
         return _Names(np.full(len(g.mc), Z))
 
     system = strata.PatchedSystem(model, {n: nomizu(n) for n in names},
-                                  {Z: induced(Z) for Z in ("Z", "Y")},
-                                  project)
+                                  induced, project)
     rng = np.random.default_rng(8)
     xs = model.point(("Z", "Y", "X"), [
         (rng.uniform(0, 1.2), rng.uniform(0, 0.6)) for _ in range(30)])
@@ -356,7 +353,7 @@ def test_patched_without_ancestors_reads_no_weight(monkeypatch):
     # on a stratum with no ancestors B is identically 1, so the patched
     # connection is its own connection and no weight is evaluated
     model = three_flag()
-    system = strata.PatchedSystem(model, {"Z": lambda t: 2.5 * t}, {},
+    system = strata.PatchedSystem(model, {"Z": lambda t: 2.5 * t}, None,
                                   lambda g, Z: g)
     xs, g = model.point(("Z",), np.zeros((1, 0))), _Names(np.arange(3.0)[None])
     expected = system.chain_form(xs, g)

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -834,6 +835,25 @@ def test_model_from_dict_rejects_unknown_profile(tmp_path, capsys):
         assert err == "error: unknown keys in model: ['profile']\n"
 
 
+def test_flag_tube_model_refuses_an_eps0_that_is_no_number(tmp_path, capsys):
+    # the constructor checks eps0 itself, so a bool, a string or bytes is
+    # not read as a number, whether the model comes from code or a file
+    model = _TWO_STRATA["strata"], _TWO_STRATA["flags"]
+    for eps0 in (True, "0.5", b"1"):
+        message = f"eps0 must be a number, got {eps0!r}"
+        with pytest.raises(PreconditionFailed, match=re.escape(message)):
+            strata.FlagTubeModel(*model, eps0=eps0)
+        if isinstance(eps0, bytes):
+            continue        # JSON has no bytes
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(_TWO_STRATA, eps0=eps0)))
+        assert cli.main(["verify", "partition", "--model", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # numpy scalars are numbers
+    for eps0 in (np.float32(0.5), np.int64(1)):
+        assert strata.FlagTubeModel(*model, eps0=eps0).eps0 == float(eps0)
+
+
 def test_cli_module_runs_without_warnings():
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
@@ -857,12 +877,17 @@ def test_package_runs_as_a_module():
 
 
 def test_suites_run_without_dual_numbers():
-    # every chart map is differentiated by central differences
-    code = ("import sys\n"
+    # every chart map is differentiated by central differences, so no
+    # command imports chernpatch.dual, whose last importer is the benchmark
+    # tracer; a fresh interpreter, since test_exterior imports it here
+    code = ("import contextlib, io, sys\n"
             "import chernpatch\n"
-            "from chernpatch import suites\n"
-            "assert suites.run_suite('patch', samples=1)['pass']\n"
-            "assert suites.run_suite('bridge', samples=1)['pass']\n"
+            "from chernpatch import cli, suites\n"
+            "for args in (['verify', *suites.SUITES],\n"
+            "             ['curvature', '--group', 'sp4', '--rep', 'sym2'],\n"
+            "             ['dual', '--space', 'lg:2', '--monomial', 'c1^3']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(args) == 0, args\n"
             "assert 'chernpatch.dual' not in sys.modules\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
